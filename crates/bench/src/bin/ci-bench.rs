@@ -15,14 +15,14 @@
 //!   the consuming trainer (`BatchStream::spawn` → `Trainer`),
 //!   consumer-side goodput.
 //! * `split_end_to_end_rows_per_sec` — the hybrid split-placement executor
-//!   (`SplitBatchStream::spawn`: ISP stage prefix pipelined against the
+//!   (`Fleet::Split(..).spawn`: ISP stage prefix pipelined against the
 //!   host suffix at the cost-model boundary) feeding the same trainer.
 //! * `multi_tenant_rows_per_sec` — two concurrent RM1 jobs through the
 //!   multi-tenant [`PreprocessService`] sharing one pool worker under
 //!   weighted-fair dispatch: aggregate delivered rows over wall-clock.
 //! * `shuffled_stream_rows_per_sec` — the shuffled random-access epoch
-//!   (`ShuffledStream::spawn` over a row-group-indexed `PSTOCOL4` dataset,
-//!   in-order delivery through the reorder heap) feeding the same trainer:
+//!   (`Fleet::Shuffled(..).spawn` over a row-group-indexed `PSTOCOL4` dataset,
+//!   in-order delivery through the reorder buffer) feeding the same trainer:
 //!   the price of shuffling relative to `streaming_end_to_end`.
 //! * `extract_longseq_rows_per_sec` — the Extract stage on the
 //!   long-sequence scenario (`RmConfig::rm_longseq` through
@@ -52,15 +52,13 @@
 use presto_bench::{banner, parse_flat_json, print_table, render_flat_json};
 use presto_columnar::ReadScratch;
 use presto_core::placement::{place_stages, OpCostModel};
-use presto_core::{
-    JobSpec, PreprocessService, ServiceConfig, SplitBatchStream, Trainer, TrainerConfig,
-};
+use presto_core::{Fleet, JobSpec, PreprocessService, ServiceConfig, Trainer, TrainerConfig};
 use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig};
 use presto_hwsim::fpga::IspModel;
 use presto_metrics::TextTable;
 use presto_ops::{
     extract_partition_with, preprocess_partition_with, BatchStream, FleetConfig, PreprocessPlan,
-    ScratchSpace, ShuffleSpec, ShuffledStream,
+    ScratchSpace, ShuffleSpec,
 };
 use std::time::Instant;
 
@@ -134,7 +132,7 @@ fn split_end_to_end() -> f64 {
     let trainer = Trainer::new(TrainerConfig::instant());
     best_of(3, || {
         let config = FleetConfig::new(2, 4).with_host_workers(2);
-        let stream = SplitBatchStream::spawn(&plan, &split, ds.partitions(), &config);
+        let stream = Fleet::Split(split.clone()).spawn(&plan, ds.partitions(), &config);
         let report = trainer.run(stream).expect("trains");
         report.rows
     })
@@ -223,13 +221,11 @@ fn shuffled_stream() -> f64 {
     let ds = Dataset::generate_grouped(&config, 8, 1024, 2, 7, 256).expect("dataset");
     let trainer = Trainer::new(TrainerConfig::instant());
     best_of(3, || {
-        let stream = ShuffledStream::spawn(
+        let stream = Fleet::Shuffled(ShuffleSpec::new(42)).spawn(
             &plan,
             ds.partitions(),
-            ShuffleSpec::new(42),
             &FleetConfig::new(2, 4),
-        )
-        .expect("spawns");
+        );
         let report = trainer.run(stream).expect("trains");
         report.rows
     })

@@ -32,7 +32,7 @@
 //! `read_projected_with(g, ..)` — with exactly one ranged read per
 //! projected column and exactly-sized decode buffers, without touching any
 //! other group. This random access is what the shuffled epoch streaming in
-//! `presto-ops` (`ShuffledStream`) is built on. [`FileMeta::locate_row`] /
+//! `presto-ops` (the shuffled fleet) is built on. [`FileMeta::locate_row`] /
 //! [`FileMeta::start_rows`] map global row numbers onto groups.
 //!
 //! Version 3 added the delta-bitpacked block encoding (page encoding tag 3,

@@ -14,7 +14,7 @@ use presto_hwsim::units::Secs;
 use presto_ops::executor::PreprocessError;
 use presto_ops::{BatchStream, FleetConfig, GraphError, PlanGraph, PreprocessPlan};
 
-use crate::isp_worker::IspBatchStream;
+use crate::fleet::Fleet;
 use crate::pipeline::{simulate, PipelineConfig, Trainer, TrainerConfig, TrainerReport};
 use crate::placement::PlacementPlan;
 use crate::provision::Provisioner;
@@ -317,11 +317,8 @@ pub fn isp_vs_cpu_end_to_end(
     out.push(EndToEndPoint { system: cpu.name(), report: consumer.run(host)? });
 
     let isp_units = isp_units.max(1);
-    let isp = IspBatchStream::spawn(
-        plan,
-        dataset.partitions(),
-        &FleetConfig::new(isp_units, 2 * isp_units),
-    );
+    let isp =
+        Fleet::Isp.spawn(plan, dataset.partitions(), &FleetConfig::new(isp_units, 2 * isp_units));
     out.push(EndToEndPoint {
         system: System::presto_smartssd(isp_units).name(),
         report: consumer.run(isp)?,

@@ -1,11 +1,4 @@
-//! The unified fleet API: one spec, one config, any streaming executor.
-//!
-//! Before this module, each fleet had its own entry point with its own
-//! positional argument list: `stream_workers_with(plan, parts, &config)`
-//! for the host CPU fleet, `stream_isp_workers_with(plan, parts, workers,
-//! capacity, &recovery)` for the in-storage emulation, and a seven-argument
-//! `stream_split_workers_with` for the hybrid split. Swapping fleets meant
-//! rewriting the call site. [`Fleet`] collapses them into a single spec:
+//! The fleet spec: one enum, one config, any streaming executor.
 //!
 //! ```
 //! use presto_core::fleet::Fleet;
@@ -26,75 +19,50 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! All knobs live on one builder, [`FleetConfig`]: shared worker count and
-//! output capacity, the host fleet's `prefetch` ablation switch, the
-//! recovery policy (fail-fast by default — see [`FleetConfig::recovery`]),
-//! and the split fleet's host-side worker count and device-link capacity.
-//! Knobs that do not apply to a fleet are simply ignored, so one config
-//! can drive an apples-to-apples comparison across all three.
-//!
-//! # Migration from the deprecated entry points
-//!
-//! | Deprecated call | Replacement |
-//! |---|---|
-//! | `stream_workers(p, parts, w, cap)` | `Fleet::Host.spawn(p, parts, &FleetConfig::new(w, cap))` |
-//! | `stream_workers_with(p, parts, &sc)` | `BatchStream::spawn(p, parts, &sc.to_fleet())` |
-//! | `stream_isp_workers(p, parts, w, cap)` | `Fleet::Isp.spawn(p, parts, &FleetConfig::new(w, cap))` |
-//! | `stream_isp_workers_with(p, parts, w, cap, &r)` | `..new(w, cap).with_recovery(r)` |
-//! | `stream_split_workers(p, s, parts, iw, hw, cap)` | `Fleet::Split(s).spawn(p, parts, &..new(iw, cap).with_host_workers(hw))` |
-//!
-//! The concrete `spawn` constructors ([`BatchStream::spawn`],
-//! [`IspBatchStream::spawn`], [`SplitBatchStream::spawn`]) remain available
-//! when the caller needs fleet-specific accessors; `Fleet::spawn` erases
-//! the type behind [`BatchSource`] for callers — like the multi-tenant
-//! [`service`](crate::service) — that treat fleets interchangeably.
-//!
-//! Note: [`presto_ops::plan::Fleet`] is the *per-stage placement tag*
-//! (which side of the split boundary a compiled stage runs on); this
-//! `Fleet` is the *executor spec* for a whole run. The split variant
-//! carries the [`SplitPlan`] produced from a list of the former.
+//! Each [`Fleet`] is a small configuration of the one engine in
+//! [`presto_ops::stream`] (unit source, [`Pipeline`], ordering), which
+//! documents what they share: the [`FleetConfig`] knobs, the phases and
+//! the failure semantics. [`Fleet::spawn`] erases the handle behind
+//! [`BatchSource`] for callers — like the multi-tenant
+//! [`service`](crate::service) — that treat fleets interchangeably; the
+//! constructors on [`BatchStream`] return the concrete handle when its
+//! accessors (`cursor`, `device_report`, `run_report`, …) are needed.
 
 use presto_datagen::Partition;
-use presto_ops::executor::PreprocessError;
 use presto_ops::plan::{PreprocessPlan, SplitPlan};
-use presto_ops::shuffle::{ShuffleSpec, ShuffledStream};
-use presto_ops::stream::{BatchStream, FleetConfig, StreamedBatch};
+use presto_ops::shuffle::ShuffleSpec;
+use presto_ops::stream::{BatchStream, FleetConfig, Pipeline};
 
-use crate::isp_worker::IspBatchStream;
 use crate::pipeline::BatchSource;
-use crate::split::SplitBatchStream;
 
-/// Which streaming executor to spawn — the unified spec covering all three
-/// fleets of the reproduction.
+/// Which streaming executor to run — the spec covering every fleet of the
+/// reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fleet {
-    /// Host CPU fleet: [`BatchStream`] with double-buffered Extract
-    /// prefetch and device-affine work stealing.
+    /// Host CPU fleet: double-buffered Extract prefetch and device-affine
+    /// work stealing.
     Host,
-    /// In-storage fleet: [`IspBatchStream`] emulating one ISP unit per
-    /// worker, with host failover for quarantined devices.
+    /// In-storage fleet: one emulated ISP unit per worker, with host
+    /// failover for quarantined devices.
     Isp,
-    /// Hybrid split fleet: [`SplitBatchStream`] running the carried
-    /// [`SplitPlan`]'s stage prefix on ISP units and its suffix on host
-    /// workers, pipelined over the device link.
+    /// Hybrid split fleet: the carried [`SplitPlan`]'s stage prefix on ISP
+    /// units and its suffix on host workers, pipelined over the device
+    /// link.
     Split(SplitPlan),
-    /// Shuffled-epoch fleet: [`ShuffledStream`] streaming every `PSTOCOL4`
-    /// row group of the partitions in the carried spec's seeded
-    /// permutation, delivered in permutation order regardless of worker
-    /// count. Partitions written without row grouping degrade gracefully
-    /// to a whole-partition shuffle (each file is one group).
+    /// Shuffled-epoch fleet: every `PSTOCOL4` row group of the partitions
+    /// in the carried spec's seeded permutation, delivered in permutation
+    /// order regardless of worker count. Partitions written without row
+    /// grouping degrade gracefully to a whole-partition shuffle (each file
+    /// is one group).
     Shuffled(ShuffleSpec),
 }
 
 impl Fleet {
     /// Spawns this fleet over `partitions` with the shared `config`,
     /// type-erased behind [`BatchSource`] so a
-    /// [`Trainer`](crate::pipeline::Trainer) (or the multi-tenant service)
-    /// consumes any fleet unchanged.
-    ///
-    /// Knobs that do not apply to the chosen fleet are ignored:
-    /// `prefetch` only affects [`Fleet::Host`]; `host_workers` and
-    /// `link_capacity` only affect [`Fleet::Split`].
+    /// [`Trainer`](crate::pipeline::Trainer) consumes any fleet unchanged.
+    /// Errors — including the shuffled fleet's up-front footer enumeration
+    /// — surface on the stream.
     #[must_use]
     pub fn spawn(
         &self,
@@ -102,20 +70,20 @@ impl Fleet {
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> Box<dyn BatchSource + Send> {
+        Box::new(match self {
+            Fleet::Shuffled(spec) => BatchStream::spawn_shuffled(plan, partitions, *spec, config),
+            _ => BatchStream::spawn_pipeline(plan, partitions, self.pipeline(), config),
+        })
+    }
+
+    /// Where this fleet's stages execute. The shuffled fleet is the host
+    /// pipeline over a different unit source.
+    #[must_use]
+    pub fn pipeline(&self) -> Pipeline {
         match self {
-            Fleet::Host => Box::new(BatchStream::spawn(plan, partitions, config)),
-            Fleet::Isp => Box::new(IspBatchStream::spawn(plan, partitions, config)),
-            Fleet::Split(split) => {
-                Box::new(SplitBatchStream::spawn(plan, split, partitions, config))
-            }
-            // The shuffled fleet enumerates row-group footers up front; a
-            // failure there surfaces as the stream's only item, matching
-            // the other fleets' errors-on-the-stream contract so this
-            // constructor stays infallible.
-            Fleet::Shuffled(spec) => match ShuffledStream::spawn(plan, partitions, *spec, config) {
-                Ok(stream) => Box::new(stream),
-                Err(e) => Box::new(FailedSpawn { err: Some(e) }),
-            },
+            Fleet::Host | Fleet::Shuffled(_) => Pipeline::Host,
+            Fleet::Isp => Pipeline::Isp,
+            Fleet::Split(split) => Pipeline::Split(split.clone()),
         }
     }
 
@@ -131,98 +99,10 @@ impl Fleet {
     }
 }
 
-/// Degenerate [`BatchSource`] yielding one spawn-time error, then ending.
-#[derive(Debug)]
-struct FailedSpawn {
-    err: Option<PreprocessError>,
-}
-
-impl BatchSource for FailedSpawn {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.err.take().map(Err)
-    }
-
-    fn capacity(&self) -> usize {
-        1
-    }
-
-    fn queued(&self) -> usize {
-        usize::from(self.err.is_some())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use presto_datagen::{Dataset, RmConfig};
-    use presto_ops::minibatch::MiniBatch;
-    use presto_ops::preprocess_partition;
-
-    #[test]
-    fn every_fleet_spawns_and_matches_serial_output() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 32;
-        let plan = PreprocessPlan::from_config(&c, 11).unwrap();
-        let ds = Dataset::generate(&c, 4, 32, 2, 21).unwrap();
-        let serial: Vec<MiniBatch> = ds
-            .partitions()
-            .iter()
-            .map(|p| preprocess_partition(&plan, p.blob.clone()).unwrap().0)
-            .collect();
-        let stage_tags: Vec<presto_ops::plan::Fleet> = (0..plan.stages().len())
-            .map(|i| {
-                if i % 2 == 0 {
-                    presto_ops::plan::Fleet::Isp
-                } else {
-                    presto_ops::plan::Fleet::Host
-                }
-            })
-            .collect();
-        let split = plan.split(&stage_tags).unwrap();
-        let config = FleetConfig::new(2, 4);
-        for fleet in [Fleet::Host, Fleet::Isp, Fleet::Split(split)] {
-            let mut source = fleet.spawn(&plan, ds.partitions(), &config);
-            let mut got: Vec<(usize, MiniBatch)> = Vec::new();
-            while let Some(item) = source.next_batch() {
-                let b = item.unwrap_or_else(|e| panic!("{} fleet failed: {e}", fleet.name()));
-                got.push((b.partition, b.batch));
-            }
-            got.sort_by_key(|(p, _)| *p);
-            assert_eq!(got.len(), 4, "{} fleet delivered all partitions", fleet.name());
-            for (pos, batch) in got {
-                assert_eq!(batch, serial[pos], "{} fleet partition {pos}", fleet.name());
-            }
-            let stats = source.stats();
-            assert_eq!(stats.completed, 4);
-            assert!(stats.recovery.is_some(), "all real fleets track recovery");
-        }
-    }
-
-    #[test]
-    fn shuffled_fleet_streams_all_groups_and_matches_serial() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 16;
-        let plan = PreprocessPlan::from_config(&c, 11).unwrap();
-        let ds = Dataset::generate_grouped(&c, 3, 32, 2, 21, 16).unwrap();
-        let serial: Vec<MiniBatch> = ds
-            .partitions()
-            .iter()
-            .map(|p| preprocess_partition(&plan, p.blob.clone()).unwrap().0)
-            .collect();
-        let fleet = Fleet::Shuffled(presto_ops::ShuffleSpec::new(42));
-        let mut source = fleet.spawn(&plan, ds.partitions(), &FleetConfig::new(2, 4));
-        let mut got = Vec::new();
-        while let Some(item) = source.next_batch() {
-            got.push(item.unwrap());
-        }
-        assert_eq!(got.len(), 6, "3 partitions x 2 groups of 16");
-        assert_eq!(source.stats().completed, 6);
-        got.sort_by_key(|b| (b.partition, b.group));
-        for b in got {
-            let want = serial[b.partition].slice_rows(b.group * 16, 16).unwrap();
-            assert_eq!(b.batch, want, "partition {} group {}", b.partition, b.group);
-        }
-    }
 
     #[test]
     fn shuffled_fleet_surfaces_spawn_failure_on_the_stream() {

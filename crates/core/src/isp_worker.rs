@@ -8,94 +8,26 @@
 //! per unit (double buffering), exactly the structure of Section IV-C. The
 //! worker drives the *same* compiled
 //! [`PreprocessPlan::stages`](presto_ops::PreprocessPlan::stages) as the
-//! host executor — through [`preprocess_batch_owned_chunked`] with the
-//! on-chip buffer size as the chunk bound — so any operator graph
-//! (canonical or not) runs in storage with output bit-identical to the host
-//! CPU pipeline by construction, which is the correctness argument for the
-//! offload.
+//! host executor ([`presto_ops::preprocess_partition_isp`], with the
+//! on-chip buffer size as the chunk bound), so any operator graph runs in
+//! storage with output bit-identical to the host CPU pipeline by
+//! construction, which is the correctness argument for the offload. It
+//! shares the host executor's zero-copy substrate (recycled
+//! [`ScratchSpace`], in-place transforms on uniquely held buffers), so
+//! CPU-vs-ISP ablations compare transform dataflow, not allocator behavior.
 //!
-//! The worker shares the host executor's zero-copy substrate so CPU-vs-ISP
-//! ablations compare transform dataflow, not allocator behavior: Extract
-//! goes through `read_projected_with` + the caller's [`ScratchSpace`]
-//! (recycled chunk staging, lazy plain-page decode), and columns whose stage
-//! [consumes them](presto_ops::CompiledStage::consumes_raw) are normalized
-//! in place when uniquely held.
-//!
-//! [`IspBatchStream::spawn`] (or `Fleet::Isp.spawn` through the unified
-//! fleet API) drives a fleet of these workers as a streaming producer
-//! ([`IspBatchStream`], a [`BatchSource`]), so the ISP path feeds a
-//! consuming [`crate::pipeline::Trainer`] end to end exactly like the host
-//! CPU executor does — the ISP-vs-CPU comparison is measured at the
-//! trainer, not at a `Vec` drain.
-//!
-//! # Failure semantics
-//!
-//! [`FleetConfig::recovery`] governs the fleet's failure handling and
-//! defaults to fail-fast on every fleet (first error poisons the run,
-//! fleet halts within one partition). Under a recovery policy:
-//!
-//! * Retryable errors (storage-side: I/O faults, CRC mismatches from
-//!   corrupt pages, truncated reads) are retried per partition with capped
-//!   exponential backoff; deterministic plan/schema errors surface
-//!   immediately.
-//! * Each ISP device carries a consecutive-failure circuit breaker. A
-//!   quarantined device's partitions — and any partition whose retry
-//!   budget a retryable error exhausts — **fail over to the host
-//!   preprocessing path** when the policy enables it: a dedicated failover
-//!   thread re-reads the partition through the host's independent block-I/O
-//!   path ([`presto_columnar::MemBlob::without_faults`] models the intact
-//!   media behind the dead accelerator/P2P link) and runs the *same*
-//!   compiled plan on the CPU. The graph runner is bit-identical on both
-//!   sides, so failover output provably equals the ISP output — the chaos
-//!   suite asserts this batch-for-batch.
-//! * Failed-over batches are tagged `via_failover` and skip P2P byte
-//!   accounting (no bytes crossed the dead link). Every claimed partition
-//!   ends as exactly one `Ok` batch or one provenance-tagged `Err`
-//!   ([`PreprocessError::At`](presto_ops::PreprocessError)); the
-//!   [`RunReport`] from
-//!   [`IspBatchStream::run_report`] accounts for all of them
-//!   (`delivered + failed_partitions == partitions`).
+//! [`IspWorker`] is the per-partition API; the streaming ISP fleet
+//! ([`Fleet::Isp`](crate::Fleet::Isp)) is the engine of
+//! [`presto_ops::stream`] running the same pipeline, and its retry /
+//! quarantine / failover semantics are documented there.
 
-use crossbeam_channel::{bounded, Receiver, Sender};
-use presto_columnar::{BlobRead, ColumnarError, FileReader};
-use presto_datagen::Partition;
-use presto_ops::executor::{extract_batch_from_reader, PreprocessError, StageTimings};
+use presto_columnar::BlobRead;
+use presto_ops::executor::PreprocessError;
 use presto_ops::minibatch::MiniBatch;
 use presto_ops::plan::PreprocessPlan;
-use presto_ops::recovery::{RecoveryTracker, RetryPolicy, RunReport};
-use presto_ops::stream::{FleetConfig, StreamStats, StreamedBatch};
-use presto_ops::{preprocess_batch_owned_chunked, preprocess_partition_with, ScratchSpace};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use presto_ops::{preprocess_partition_isp, ScratchSpace};
 
-use crate::pipeline::BatchSource;
-
-/// On-chip feature-buffer capacity in elements. The SmartSSD build's
-/// per-unit buffers hold a few KiB; 2 KiB of 4-byte elements keeps chunks
-/// realistic without dominating emulation time.
-pub const FEATURE_BUFFER_ELEMS: usize = 512;
-
-/// Statistics of one emulated device run, for cross-checking against the
-/// analytic model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IspRunStats {
-    /// Bytes moved over the emulated P2P link.
-    pub p2p_bytes: u64,
-    /// Chunks processed by the feature-generation unit (Bucketize).
-    pub bucketize_chunks: u64,
-    /// Chunks processed by the normalization units (SigridHash, MapId,
-    /// LogNorm).
-    pub normalize_chunks: u64,
-    /// Chunks attributed to the list-restructuring unit (FirstX, NGram).
-    /// Accounting-only: these ops execute whole-column and the count
-    /// models the streaming unit's traffic (see
-    /// [`UnitStats::restructure_chunks`](presto_ops::UnitStats)).
-    pub restructure_chunks: u64,
-    /// Total elements transformed.
-    pub elements: u64,
-}
+pub use presto_ops::executor::{IspRunStats, FEATURE_BUFFER_ELEMS};
 
 /// One emulated in-storage preprocessing worker.
 #[derive(Debug)]
@@ -159,452 +91,15 @@ impl IspWorker {
         blob: B,
         scratch: &mut ScratchSpace,
     ) -> Result<(MiniBatch, IspRunStats), PreprocessError> {
-        let mut stats = IspRunStats::default();
-
-        // P2P extract: the FPGA reads the column chunks it needs directly
-        // from the SSD. We read exactly the projected ranges, counting the
-        // bytes the P2P link would carry.
-        let reader = FileReader::open(blob)?;
-        stats.p2p_bytes = {
-            let needed = self.plan.required_columns();
-            let meta = reader.meta();
-            let mut bytes = 0u64;
-            for rg in &meta.row_groups {
-                for name in needed {
-                    let idx = meta
-                        .schema
-                        .index_of(name)
-                        .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-                    bytes += rg.columns[idx].byte_len;
-                }
-            }
-            bytes
-        };
-
-        // Decoder unit: columnar pages -> on-card feature buffers, staged
-        // through the worker's recycled Extract scratch (zero staging
-        // allocation once warm; in-memory blobs decode lazily).
-        let batch = extract_batch_from_reader(&self.plan, &reader, scratch.read_scratch())?;
-
-        // Generation/normalization/restructuring units: the compiled
-        // stages, each op streamed through the on-chip feature buffers —
-        // one chunk transforms while the previous one's results drain
-        // (double buffering), which is why chunking never changes results.
-        let (mini_batch, _, unit_stats) =
-            preprocess_batch_owned_chunked(&self.plan, batch, self.chunk_elems)?;
-        stats.bucketize_chunks = unit_stats.generation_chunks;
-        stats.normalize_chunks = unit_stats.normalize_chunks;
-        stats.restructure_chunks = unit_stats.restructure_chunks;
-        stats.elements = unit_stats.elements;
-        Ok((mini_batch, stats))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming ISP fleet: the in-storage producer side of the trainer loop.
-// ---------------------------------------------------------------------------
-
-/// State shared by the ISP fleet of one streaming run.
-#[derive(Debug)]
-struct IspShared {
-    plan: PreprocessPlan,
-    partitions: Vec<Partition>,
-    /// Next unclaimed partition (each ISP unit owns the partitions resident
-    /// on it in a real deployment; the emulation claims them in order).
-    cursor: AtomicUsize,
-    /// Recovery policy enforcement and bookkeeping (retries, quarantine,
-    /// failover, the event log behind [`RunReport`]).
-    tracker: RecoveryTracker,
-    stop: AtomicBool,
-    completed: AtomicUsize,
-    p2p_bytes: AtomicU64,
-    /// Stream start; origin of every delivery (`arrived`) stamp.
-    started: Instant,
-}
-
-impl IspShared {
-    /// Sends one finished batch to the consumer; returns false when the
-    /// consumer is gone.
-    fn deliver_ok(
-        &self,
-        tx: &Sender<IspItem>,
-        pos: usize,
-        batch: MiniBatch,
-        timings: StageTimings,
-        attempts: u32,
-        via_failover: bool,
-    ) -> bool {
-        let partition = &self.partitions[pos];
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.tracker.note_delivered(self.tracker.slot_of(partition.device), pos, via_failover);
-        let item = StreamedBatch {
-            partition: pos,
-            group: 0,
-            device: partition.device,
-            stolen: false,
-            batch,
-            timings,
-            // Delivery stamp: the supply process, unthrottled by the
-            // consumer (matches the host executor's semantics).
-            arrived: self.started.elapsed(),
-            attempts,
-            via_failover,
-        };
-        tx.send(Ok(item)).is_ok()
-    }
-
-    /// Surfaces one partition's error (tagged with its failure site) to
-    /// the consumer; returns false when the fleet should stop (fail-fast
-    /// policy or consumer gone).
-    fn deliver_err(&self, tx: &Sender<IspItem>, pos: usize, e: PreprocessError) -> bool {
-        let partition = &self.partitions[pos];
-        self.tracker.note_failed(self.tracker.slot_of(partition.device), pos);
-        let e = e.with_location(pos, partition.device);
-        if self.tracker.policy().fail_fast {
-            // Raise the stop flag before the (possibly blocking) send so
-            // sibling units halt within one partition.
-            self.stop.store(true, Ordering::Relaxed);
-            let _ = tx.send(Err(e));
-            false
-        } else {
-            tx.send(Err(e)).is_ok()
-        }
-    }
-}
-
-type IspItem = Result<StreamedBatch, PreprocessError>;
-
-/// Streams `partitions` through `workers` emulated ISP devices with the
-/// legacy fail-fast policy; see [`IspBatchStream::spawn`].
-#[deprecated(since = "0.8.0", note = "use `IspBatchStream::spawn` or `Fleet::Isp.spawn`")]
-#[must_use]
-pub fn stream_isp_workers(
-    plan: &PreprocessPlan,
-    partitions: &[Partition],
-    workers: usize,
-    capacity: usize,
-) -> IspBatchStream {
-    IspBatchStream::spawn(plan, partitions, &FleetConfig::new(workers, capacity))
-}
-
-/// Streams `partitions` through `workers` emulated ISP devices with an
-/// explicit [`RetryPolicy`]; see [`IspBatchStream::spawn`].
-#[deprecated(since = "0.8.0", note = "use `IspBatchStream::spawn` or `Fleet::Isp.spawn`")]
-#[must_use]
-pub fn stream_isp_workers_with(
-    plan: &PreprocessPlan,
-    partitions: &[Partition],
-    workers: usize,
-    capacity: usize,
-    recovery: &RetryPolicy,
-) -> IspBatchStream {
-    IspBatchStream::spawn(
-        plan,
-        partitions,
-        &FleetConfig::new(workers, capacity).with_recovery(recovery.clone()),
-    )
-}
-
-/// One ISP unit's body: claim partitions off the global cursor, run the
-/// in-storage pipeline with the policy's retry loop, and route failures to
-/// retry, failover, or the consumer.
-fn isp_unit_loop(shared: &IspShared, tx: &Sender<IspItem>, failover_tx: &Sender<usize>) {
-    let worker = IspWorker::new(shared.plan.clone());
-    let mut scratch = ScratchSpace::new();
-    let policy = shared.tracker.policy().clone();
-    while !shared.stop.load(Ordering::Relaxed) {
-        let pos = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(partition) = shared.partitions.get(pos) else { break };
-        let slot = shared.tracker.slot_of(partition.device);
-
-        // Circuit open: don't even attempt the device. Fail over when the
-        // policy allows, otherwise surface a tagged error — never silence.
-        if shared.tracker.is_quarantined(slot) {
-            if policy.failover {
-                shared.tracker.note_failover(slot, pos);
-                if failover_tx.send(pos).is_err() {
-                    break;
-                }
-                continue;
-            }
-            let e = PreprocessError::Extract(ColumnarError::Io {
-                detail: format!(
-                    "ISP device {} quarantined (circuit breaker open)",
-                    partition.device
-                ),
-            });
-            if !shared.deliver_err(tx, pos, e) {
-                break;
-            }
-            continue;
-        }
-
-        // Attempt loop: retry retryable errors with capped exponential
-        // backoff until the budget, the breaker, or the stop flag says
-        // otherwise.
-        let mut attempt = 1u32;
-        let outcome = loop {
-            let t0 = Instant::now();
-            let result = worker.preprocess_with(partition.blob.clone(), &mut scratch);
-            shared.tracker.check_straggler(slot, pos, t0.elapsed());
-            match result {
-                Ok(ok) => break Ok((ok, attempt)),
-                Err(e) => {
-                    shared.tracker.note_fault(slot, pos);
-                    let retry = e.is_retryable()
-                        && attempt < policy.max_attempts
-                        && !shared.tracker.is_quarantined(slot)
-                        && !shared.stop.load(Ordering::Relaxed);
-                    if !retry {
-                        break Err(e);
-                    }
-                    attempt += 1;
-                    let backoff = shared.tracker.note_retry(slot, pos, attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-            }
-        };
-
-        match outcome {
-            Ok(((batch, stats), attempts)) => {
-                shared.p2p_bytes.fetch_add(stats.p2p_bytes, Ordering::Relaxed);
-                if !shared.deliver_ok(tx, pos, batch, StageTimings::default(), attempts, false) {
-                    break;
-                }
-            }
-            // A retryable error that survived the retry loop means the
-            // device (or its link) is gone for this partition; the media
-            // behind it is intact, so the host path can still serve it.
-            Err(e) if e.is_retryable() && policy.failover => {
-                shared.tracker.note_failover(slot, pos);
-                if failover_tx.send(pos).is_err() {
-                    break;
-                }
-            }
-            Err(e) => {
-                if !shared.deliver_err(tx, pos, e) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// The host-path failover body: partitions whose ISP device died are
-/// re-read through the host's independent block-I/O path (pristine media —
-/// [`presto_columnar::MemBlob::without_faults`]) and preprocessed on the
-/// CPU with the same compiled plan. Output is bit-identical to the ISP
-/// path by construction; no P2P bytes are counted (nothing crossed the
-/// dead link). Exits when every unit has dropped its failover sender.
-fn host_failover_loop(shared: &IspShared, tx: &Sender<IspItem>, failover_rx: &Receiver<usize>) {
-    let mut scratch = ScratchSpace::new();
-    while let Ok(pos) = failover_rx.recv() {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let blob = shared.partitions[pos].blob.without_faults();
-        match preprocess_partition_with(&shared.plan, blob, &mut scratch) {
-            Ok((batch, timings)) => {
-                if !shared.deliver_ok(tx, pos, batch, timings, 1, true) {
-                    break;
-                }
-            }
-            Err(e) => {
-                if !shared.deliver_err(tx, pos, e) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// The consumer's end of a streaming ISP run: an iterator of
-/// `Result<StreamedBatch, PreprocessError>` in completion order.
-/// Implements [`BatchSource`], so a [`crate::pipeline::Trainer`] consumes
-/// it exactly like the host executor's stream. Dropping the stream stops
-/// the fleet and joins every worker.
-#[derive(Debug)]
-pub struct IspBatchStream {
-    rx: Option<Receiver<IspItem>>,
-    handles: Vec<JoinHandle<()>>,
-    shared: Arc<IspShared>,
-    workers: usize,
-    capacity: usize,
-}
-
-impl IspBatchStream {
-    /// Streams `partitions` through `config.workers` emulated ISP devices
-    /// into a `config.capacity`-bounded channel — the in-storage
-    /// counterpart of the host fleet's
-    /// [`BatchStream::spawn`](presto_ops::BatchStream::spawn), so
-    /// ISP-vs-CPU comparisons both run through the same consuming
-    /// [`crate::pipeline::Trainer`] instead of draining into a `Vec`.
-    ///
-    /// Each worker owns one [`IspWorker`] (decoder +
-    /// generation/normalization units) and a recycled [`ScratchSpace`];
-    /// finished mini-batches flow through the bounded channel with
-    /// producer back-pressure. Failure handling follows
-    /// [`FleetConfig::recovery`] (fail-fast by default, like every fleet)
-    /// — see the module docs for the retry/quarantine/failover semantics.
-    /// The `prefetch`, `host_workers` and `link_capacity` knobs do not
-    /// apply to this fleet and are ignored.
-    #[must_use]
-    pub fn spawn(
-        plan: &PreprocessPlan,
-        partitions: &[Partition],
-        config: &FleetConfig,
-    ) -> IspBatchStream {
-        let workers = config.workers.max(1).min(partitions.len().max(1));
-        let capacity = config.capacity.max(1);
-        let devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
-        let shared = Arc::new(IspShared {
-            plan: plan.clone(),
-            partitions: partitions.to_vec(),
-            cursor: AtomicUsize::new(0),
-            tracker: RecoveryTracker::new(config.recovery.clone(), &devices, partitions.len()),
-            stop: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            p2p_bytes: AtomicU64::new(0),
-            started: Instant::now(),
-        });
-        let (tx, rx) = bounded::<IspItem>(capacity);
-        // Failover queue: each partition is enqueued at most once, so the
-        // bound can never block a sender.
-        let (failover_tx, failover_rx) = bounded::<usize>(partitions.len().max(1));
-        let mut handles = Vec::with_capacity(workers + 1);
-        for unit in 0..workers {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            let failover_tx = failover_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("presto-isp-{unit}"))
-                .spawn(move || isp_unit_loop(&shared, &tx, &failover_tx))
-                .expect("spawn isp worker");
-            handles.push(handle);
-        }
-        {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            let handle = std::thread::Builder::new()
-                .name("presto-isp-failover".into())
-                .spawn(move || host_failover_loop(&shared, &tx, &failover_rx))
-                .expect("spawn isp failover worker");
-            handles.push(handle);
-        }
-        drop(tx);
-        drop(failover_tx); // unit clones are now the only failover senders
-        IspBatchStream { rx: Some(rx), handles, shared, workers, capacity }
-    }
-
-    /// Consolidated counters ([`StreamStats`]); this fleet reports P2P link
-    /// traffic but no boundary hand-offs.
-    #[must_use]
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            workers: self.workers,
-            capacity: self.capacity,
-            queued: self.rx.as_ref().map_or(0, Receiver::len),
-            completed: self.completed(),
-            p2p_bytes: self.p2p_bytes(),
-            boundary_bytes: 0,
-            recovery: Some(self.run_report()),
-        }
-    }
-
-    /// Effective ISP-unit count (after clamping).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Effective channel capacity (after clamping).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Partitions fully preprocessed so far (producer-side counter).
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Bytes moved over the emulated P2P links so far, summed across units.
-    /// Failed-over partitions contribute nothing: their bytes moved over
-    /// the host's block-I/O path, not a P2P link.
-    #[must_use]
-    pub fn p2p_bytes(&self) -> u64 {
-        self.shared.p2p_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Recovery-activity snapshot ([`RunReport`]: retries, failovers,
-    /// quarantines, per-device fault counts, delivery timeline). Final
-    /// once the stream is drained; callable mid-stream for live
-    /// monitoring.
-    #[must_use]
-    pub fn run_report(&self) -> RunReport {
-        self.shared.tracker.report()
-    }
-
-    fn join_workers(&mut self) {
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-}
-
-impl Iterator for IspBatchStream {
-    type Item = IspItem;
-
-    fn next(&mut self) -> Option<IspItem> {
-        let item = self.rx.as_ref().and_then(|rx| rx.recv().ok());
-        match item {
-            Some(item) => Some(item),
-            None => {
-                self.join_workers();
-                None
-            }
-        }
-    }
-}
-
-impl Drop for IspBatchStream {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.rx = None;
-        self.join_workers();
-    }
-}
-
-impl BatchSource for IspBatchStream {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.next()
-    }
-
-    fn capacity(&self) -> usize {
-        IspBatchStream::capacity(self)
-    }
-
-    fn queued(&self) -> usize {
-        self.rx.as_ref().map_or(0, Receiver::len)
-    }
-
-    fn stats(&self) -> StreamStats {
-        IspBatchStream::stats(self)
+        preprocess_partition_isp(&self.plan, blob, self.chunk_elems, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_datagen::{generate_batch, write_partition, RmConfig};
-    use presto_ops::preprocess_partition;
+    use presto_datagen::{generate_batch, write_partition, Partition, RmConfig};
+    use presto_ops::{preprocess_partition, BatchStream, FleetConfig, Pipeline};
 
     fn setup(rows: usize) -> (RmConfig, PreprocessPlan, presto_columnar::MemBlob) {
         let mut c = RmConfig::rm1();
@@ -718,7 +213,12 @@ mod tests {
             .iter()
             .map(|p| preprocess_partition(&plan, p.blob.clone()).unwrap().0)
             .collect();
-        let mut stream = IspBatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 2));
+        let mut stream = BatchStream::spawn_pipeline(
+            &plan,
+            ds.partitions(),
+            Pipeline::Isp,
+            &FleetConfig::new(2, 2),
+        );
         let mut got: Vec<(usize, MiniBatch)> = Vec::new();
         for item in stream.by_ref() {
             let b = item.expect("preprocesses");
@@ -743,7 +243,8 @@ mod tests {
         let bytes = partitions[1].blob.as_bytes().to_vec();
         partitions[1].blob = presto_columnar::MemBlob::new(bytes[..bytes.len() / 4].to_vec());
         // One worker claims partitions in order: 0 ok, 1 errors, then stop.
-        let mut stream = IspBatchStream::spawn(&plan, &partitions, &FleetConfig::new(1, 1));
+        let mut stream =
+            BatchStream::spawn_pipeline(&plan, &partitions, Pipeline::Isp, &FleetConfig::new(1, 1));
         let mut ok = 0usize;
         let mut errors = 0usize;
         for item in stream.by_ref() {
@@ -783,9 +284,10 @@ mod tests {
             .with_max_attempts(2)
             .with_backoff(std::time::Duration::ZERO, std::time::Duration::ZERO)
             .with_quarantine_after(2);
-        let mut stream = IspBatchStream::spawn(
+        let mut stream = BatchStream::spawn_pipeline(
             &plan,
             &partitions,
+            Pipeline::Isp,
             &FleetConfig::new(2, 4).with_recovery(recovery),
         );
         let mut got: Vec<(usize, MiniBatch, bool)> = Vec::new();
@@ -833,9 +335,10 @@ mod tests {
             .with_backoff(std::time::Duration::ZERO, std::time::Duration::ZERO)
             .with_quarantine_after(2)
             .with_failover(false);
-        let mut stream = IspBatchStream::spawn(
+        let mut stream = BatchStream::spawn_pipeline(
             &plan,
             &partitions,
+            Pipeline::Isp,
             &FleetConfig::new(2, 4).with_recovery(recovery),
         );
         let mut ok = 0usize;
@@ -861,17 +364,6 @@ mod tests {
             report.partitions,
             "quarantine never drops a partition silently"
         );
-    }
-
-    #[test]
-    fn dropping_an_isp_stream_joins_without_deadlock() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 32;
-        let plan = PreprocessPlan::from_config(&c, 11).expect("plan");
-        let ds = presto_datagen::Dataset::generate(&c, 8, 32, 2, 5).expect("dataset");
-        let mut stream = IspBatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 1));
-        let _ = stream.next().unwrap().unwrap();
-        drop(stream); // full channel + live producers must not wedge
     }
 
     #[test]

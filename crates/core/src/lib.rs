@@ -13,9 +13,9 @@
 //!   GPU-utilization numbers (Fig. 3).
 //! * [`placement`] — cost-model-driven host/ISP placement of a compiled
 //!   plan's operator stages.
-//! * [`fleet::Fleet`] — the unified fleet API: one
-//!   [`FleetConfig`](presto_ops::FleetConfig) builder spawns any of the
-//!   three streaming executors (host, ISP, split) as an interchangeable
+//! * [`fleet::Fleet`] — the fleet spec: host, ISP, split or shuffled, each
+//!   a configuration of the one streaming engine
+//!   ([`presto_ops::stream`]), spawned as an interchangeable
 //!   [`pipeline::BatchSource`].
 //! * [`service::PreprocessService`] — the multi-tenant preprocessing
 //!   service: N concurrent jobs share one device pool under weighted-fair
@@ -47,7 +47,8 @@ pub mod pipeline;
 pub mod placement;
 pub mod provision;
 pub mod service;
-pub mod split;
+#[cfg(test)]
+mod split;
 pub mod systems;
 
 pub use datacenter::{
@@ -57,9 +58,7 @@ pub use datacenter::{
 pub use experiments::{isp_vs_cpu_end_to_end, EndToEndPoint};
 pub use failure::{simulate_with_failures, FailureEvent, FaultyRunReport, RecoveryPolicy};
 pub use fleet::Fleet;
-#[allow(deprecated)]
-pub use isp_worker::{stream_isp_workers, stream_isp_workers_with};
-pub use isp_worker::{IspBatchStream, IspRunStats, IspWorker};
+pub use isp_worker::{IspRunStats, IspWorker};
 pub use managers::{Backend, EndToEndReport, PreprocessManager, TrainManager, TrainingJob};
 pub use pipeline::{
     simulate, simulate_measured, BatchSource, PipelineConfig, PipelineReport, Trainer,
@@ -71,7 +70,4 @@ pub use service::{
     AdmissionError, JobHandle, JobReport, JobSpec, JobStatus, PreprocessService, ServiceConfig,
     ServiceReport,
 };
-pub use split::SplitBatchStream;
-#[allow(deprecated)]
-pub use split::{stream_split_workers, stream_split_workers_with};
 pub use systems::System;

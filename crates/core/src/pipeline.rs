@@ -31,7 +31,6 @@ use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::units::Secs;
 use presto_ops::executor::PreprocessError;
 use presto_ops::recovery::RunReport;
-use presto_ops::shuffle::ShuffledStream;
 use presto_ops::stream::{inter_arrivals, BatchStream, StreamStats, StreamedBatch};
 use std::time::{Duration, Instant};
 
@@ -447,12 +446,11 @@ impl TrainerReport {
 
 /// A producer the trainer can consume: a blocking pull of preprocessed
 /// mini-batches plus the channel introspection the occupancy histogram
-/// needs. Implemented by all three streaming fleets — the host executor
-/// ([`presto_ops::stream::BatchStream`]), the in-storage emulation
-/// ([`crate::isp_worker::IspBatchStream`]), the hybrid split executor
-/// ([`crate::split::SplitBatchStream`]) — and by the multi-tenant
-/// service's per-job handle ([`crate::service::JobHandle`]), so a
-/// `Trainer` plugs into any of them unchanged.
+/// needs. Implemented by the engine's one handle
+/// ([`presto_ops::stream::BatchStream`], whichever fleet it runs) and by
+/// the multi-tenant service's per-job handle
+/// ([`crate::service::JobHandle`]), so a `Trainer` plugs into any of them
+/// unchanged.
 pub trait BatchSource {
     /// Pulls the next mini-batch, blocking until one is ready; `None` ends
     /// the stream.
@@ -507,24 +505,6 @@ impl<S: BatchSource + ?Sized> BatchSource for Box<S> {
 
     fn stats(&self) -> StreamStats {
         (**self).stats()
-    }
-}
-
-impl BatchSource for ShuffledStream {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.next()
-    }
-
-    fn capacity(&self) -> usize {
-        ShuffledStream::capacity(self)
-    }
-
-    fn queued(&self) -> usize {
-        ShuffledStream::queued(self)
-    }
-
-    fn stats(&self) -> StreamStats {
-        ShuffledStream::stats(self)
     }
 }
 

@@ -31,25 +31,8 @@ use presto_hwsim::fpga::IspModel;
 use presto_hwsim::trace::OpKind;
 use presto_hwsim::units::Secs;
 use presto_ops::{Op, OpTag, PreprocessPlan, StageTimings};
-use std::fmt;
 
-/// Which side a stage runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Place {
-    /// Host CPU worker.
-    Host,
-    /// In-storage accelerator unit.
-    Isp,
-}
-
-impl fmt::Display for Place {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Place::Host => write!(f, "host"),
-            Place::Isp => write!(f, "isp"),
-        }
-    }
-}
+pub use presto_ops::plan::Place;
 
 const N_OPS: usize = OpTag::ALL.len();
 
@@ -250,14 +233,8 @@ impl PlacementPlan {
     /// [`PreprocessPlan::split`](presto_ops::PreprocessPlan::split)
     /// materializes into an actual split execution.
     #[must_use]
-    pub fn fleet_assignment(&self) -> Vec<presto_ops::Fleet> {
-        self.stages
-            .iter()
-            .map(|s| match s.place {
-                Place::Host => presto_ops::Fleet::Host,
-                Place::Isp => presto_ops::Fleet::Isp,
-            })
-            .collect()
+    pub fn fleet_assignment(&self) -> Vec<Place> {
+        self.stages.iter().map(|s| s.place).collect()
     }
 
     /// `host_total / placed_total`: the speedup the placement buys over an

@@ -31,15 +31,17 @@
 //! ([`JobReport::max_dispatch_gap`]) and the pool-wide balance as Jain's
 //! fairness index over weight-normalized service ([`ServiceReport::fairness`]).
 //!
-//! # Isolation
+//! # Execution and isolation
 //!
-//! Each job owns a private `RecoveryTracker` driving its
-//! [`RetryPolicy`]: faults retry with capped backoff, repeated faults
-//! quarantine the device *for that job*, and quarantined or unrecoverable
-//! partitions fail over to a pristine-media host read when the policy
-//! allows — so a device dying mid-run degrades only the jobs with
-//! partitions on it, and every job's [`RunReport`] accounts
-//! `delivered + failed == partitions` independently of its neighbors.
+//! A pool worker takes each claimed partition through the same per-unit
+//! path as a dedicated fleet's workers — the engine of
+//! [`presto_ops::stream`], fused on the pool thread ([`Run::run_unit`] →
+//! [`Run::deliver`]) — so retry, quarantine and failover behave exactly as
+//! documented there. Each job owns a private [`Run`] (its own
+//! [`RetryPolicy`], breaker state and counters): a device dying mid-run
+//! degrades only the jobs with partitions on it, and every job's
+//! [`RunReport`] accounts `delivered + failed == partitions` independently
+//! of its neighbors.
 //!
 //! # Lifecycle
 //!
@@ -51,24 +53,19 @@
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 use presto_datagen::Partition;
-use presto_ops::executor::{preprocess_partition_split, PreprocessError, StageTimings};
-use presto_ops::minibatch::MiniBatch;
 use presto_ops::plan::PreprocessPlan;
-use presto_ops::recovery::{RecoveryTracker, RetryPolicy, RunReport};
-use presto_ops::stream::{StreamStats, StreamedBatch};
-use presto_ops::{preprocess_partition_with, ScratchSpace};
+use presto_ops::recovery::{RetryPolicy, RunReport};
+use presto_ops::stream::{Run, SeqItem, StreamItem, StreamStats, Unit};
+use presto_ops::ScratchSpace;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fleet::Fleet;
-use crate::isp_worker::{IspWorker, FEATURE_BUFFER_ELEMS};
 use crate::pipeline::BatchSource;
-
-type Item = Result<StreamedBatch, PreprocessError>;
 
 /// Pool sizing and admission limits of a [`PreprocessService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,8 +186,7 @@ impl JobSpec {
     /// permutation ([`presto_ops::epoch_order`], epoch 0): the service's
     /// claim machinery then serves the tenant a deterministic shuffled
     /// epoch at partition granularity without any scheduler changes. For
-    /// row-group-granular shuffling, consume a
-    /// [`ShuffledStream`](presto_ops::ShuffledStream) directly.
+    /// row-group-granular shuffling, spawn [`Fleet::Shuffled`] directly.
     #[must_use]
     pub fn with_shuffle(mut self, seed: u64) -> Self {
         let order = presto_ops::epoch_order(self.partitions.len(), seed, 0);
@@ -247,36 +243,34 @@ pub enum JobStatus {
     Cancelled,
 }
 
-/// Per-job counters shared between the pool, the scheduler and the
-/// consumer's [`JobHandle`].
-struct JobShared {
-    tracker: RecoveryTracker,
+/// One job's inputs and counters, shared between the pool, the scheduler
+/// and the consumer's [`JobHandle`].
+struct Job {
+    name: String,
+    fleet: &'static str,
+    weight: f64,
+    goodput_slo: Option<f64>,
+    /// The engine's run state: plan, partitions, pipeline, recovery
+    /// tracker and the counters behind [`StreamStats`].
+    run: Run,
     cancelled: AtomicBool,
     /// Nanoseconds the consumer spent blocked in `next_batch`.
     stall_nanos: AtomicU64,
     rows: AtomicU64,
-    p2p_bytes: AtomicU64,
-    boundary_bytes: AtomicU64,
-    completed: AtomicUsize,
 }
 
-/// Immutable job inputs, shared by reference with pool workers.
-struct JobData {
-    name: String,
-    plan: PreprocessPlan,
-    partitions: Vec<Partition>,
-    fleet: Fleet,
-    weight: f64,
-    goodput_slo: Option<f64>,
+impl Job {
+    fn partitions(&self) -> usize {
+        self.run.partitions().len()
+    }
 }
 
 /// Scheduler-owned mutable state of one job.
 struct JobState {
-    data: Arc<JobData>,
-    shared: Arc<JobShared>,
+    job: Arc<Job>,
     /// Producer end of the job's output channel; dropped at finalization
     /// so the consumer observes end-of-stream.
-    tx: Option<Sender<Item>>,
+    tx: Option<Sender<SeqItem>>,
     status: JobStatus,
     /// Next unclaimed partition.
     cursor: usize,
@@ -297,8 +291,8 @@ impl JobState {
     fn dispatchable(&self, job_capacity: usize) -> bool {
         self.status == JobStatus::Running
             && !self.halted
-            && !self.shared.cancelled.load(Ordering::Relaxed)
-            && self.cursor < self.data.partitions.len()
+            && !self.job.cancelled.load(Ordering::Relaxed)
+            && self.cursor < self.job.partitions()
             && self.tx.as_ref().is_some_and(|tx| tx.len() + self.inflight < job_capacity)
     }
 
@@ -306,8 +300,8 @@ impl JobState {
         self.status == JobStatus::Running
             && self.inflight == 0
             && (self.halted
-                || self.shared.cancelled.load(Ordering::Relaxed)
-                || self.cursor >= self.data.partitions.len())
+                || self.job.cancelled.load(Ordering::Relaxed)
+                || self.cursor >= self.job.partitions())
     }
 }
 
@@ -327,11 +321,10 @@ struct ServiceInner {
 
 /// One claimed unit of work, extracted under the scheduler lock.
 struct Claim {
-    job: usize,
+    id: usize,
     pos: usize,
-    data: Arc<JobData>,
-    shared: Arc<JobShared>,
-    tx: Sender<Item>,
+    job: Arc<Job>,
+    tx: Sender<SeqItem>,
 }
 
 /// The multi-tenant preprocessing service — see the [module docs](self).
@@ -398,7 +391,7 @@ impl PreprocessService {
         // A shuffled-fleet tenant gets its seeded epoch permutation applied
         // at admission: the pool then claims partitions in shuffled order
         // through the unchanged weighted-fair machinery (preprocessing
-        // itself runs the host path, whole partitions at a time).
+        // itself runs the host pipeline, whole partitions at a time).
         if let Fleet::Shuffled(shuffle) = &spec.fleet {
             let order = presto_ops::epoch_order(spec.partitions.len(), shuffle.seed, shuffle.epoch);
             spec.partitions = order.into_iter().map(|i| spec.partitions[i].clone()).collect();
@@ -416,25 +409,18 @@ impl PreprocessService {
                 max_queued: config.max_queued_jobs,
             });
         }
-        let devices: Vec<usize> = spec.partitions.iter().map(|p| p.device).collect();
-        let shared = Arc::new(JobShared {
-            tracker: RecoveryTracker::new(spec.recovery.clone(), &devices, spec.partitions.len()),
+        let units = spec.partitions.len();
+        let job = Arc::new(Job {
+            name: spec.name,
+            fleet: spec.fleet.name(),
+            weight: if spec.weight > 0.0 { spec.weight } else { 1.0 },
+            goodput_slo: spec.goodput_slo,
+            run: Run::new(spec.plan, spec.partitions, spec.fleet.pipeline(), spec.recovery, units),
             cancelled: AtomicBool::new(false),
             stall_nanos: AtomicU64::new(0),
             rows: AtomicU64::new(0),
-            p2p_bytes: AtomicU64::new(0),
-            boundary_bytes: AtomicU64::new(0),
-            completed: AtomicUsize::new(0),
         });
-        let data = Arc::new(JobData {
-            name: spec.name,
-            plan: spec.plan,
-            partitions: spec.partitions,
-            fleet: spec.fleet,
-            weight: if spec.weight > 0.0 { spec.weight } else { 1.0 },
-            goodput_slo: spec.goodput_slo,
-        });
-        let (tx, rx) = bounded::<Item>(config.job_capacity);
+        let (tx, rx) = bounded::<SeqItem>(config.job_capacity);
         let id = state.jobs.len();
         let now = Instant::now();
         let status = if starts_now {
@@ -445,8 +431,7 @@ impl PreprocessService {
             JobStatus::Queued
         };
         state.jobs.push(JobState {
-            data: Arc::clone(&data),
-            shared: Arc::clone(&shared),
+            job: Arc::clone(&job),
             tx: Some(tx),
             status,
             cursor: 0,
@@ -462,11 +447,10 @@ impl PreprocessService {
         drop(state);
         self.inner.signal.notify_all();
         Ok(JobHandle {
-            job: id,
-            name: data.name.clone(),
+            id,
             capacity: config.job_capacity,
             rx: Some(rx),
-            shared,
+            job,
             inner: Arc::clone(&self.inner),
         })
     }
@@ -524,7 +508,7 @@ impl Drop for PreprocessService {
             let mut state = self.inner.state.lock().expect("scheduler lock");
             state.stop = true;
             for job in &state.jobs {
-                job.shared.cancelled.store(true, Ordering::Relaxed);
+                job.job.cancelled.store(true, Ordering::Relaxed);
             }
         }
         self.inner.signal.notify_all();
@@ -537,19 +521,18 @@ impl Drop for PreprocessService {
 /// fleet's stream. Dropping the handle cancels the job's remaining
 /// partitions.
 pub struct JobHandle {
-    job: usize,
-    name: String,
+    id: usize,
     capacity: usize,
-    rx: Option<Receiver<Item>>,
-    shared: Arc<JobShared>,
+    rx: Option<Receiver<SeqItem>>,
+    job: Arc<Job>,
     inner: Arc<ServiceInner>,
 }
 
 impl fmt::Debug for JobHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JobHandle")
-            .field("job", &self.job)
-            .field("name", &self.name)
+            .field("job", &self.id)
+            .field("name", &self.job.name)
             .finish_non_exhaustive()
     }
 }
@@ -558,47 +541,40 @@ impl JobHandle {
     /// The job's name, as given in its [`JobSpec`].
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.job.name
     }
 
     /// The job's current lifecycle status.
     #[must_use]
     pub fn status(&self) -> JobStatus {
-        self.inner.state.lock().expect("scheduler lock").jobs[self.job].status
+        self.inner.state.lock().expect("scheduler lock").jobs[self.id].status
     }
 
     /// This job's [`JobReport`] so far (final once the stream has ended).
     #[must_use]
     pub fn report(&self) -> JobReport {
-        job_report(&self.inner.state.lock().expect("scheduler lock").jobs[self.job])
+        job_report(&self.inner.state.lock().expect("scheduler lock").jobs[self.id])
     }
 
     /// Consolidated live counters for this job ([`StreamStats`]).
     #[must_use]
     pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            workers: self.inner.config.pool_workers,
-            capacity: self.capacity,
-            queued: self.rx.as_ref().map_or(0, Receiver::len),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            p2p_bytes: self.shared.p2p_bytes.load(Ordering::Relaxed),
-            boundary_bytes: self.shared.boundary_bytes.load(Ordering::Relaxed),
-            recovery: Some(self.shared.tracker.report()),
-        }
+        let queued = self.rx.as_ref().map_or(0, Receiver::len);
+        self.job.run.stats(self.inner.config.pool_workers, self.capacity, queued)
     }
 }
 
 impl Iterator for JobHandle {
-    type Item = Item;
+    type Item = StreamItem;
 
-    fn next(&mut self) -> Option<Item> {
+    fn next(&mut self) -> Option<StreamItem> {
         let rx = self.rx.as_ref()?;
         let t0 = Instant::now();
         let item = rx.recv().ok();
         let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.shared.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.job.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
         match item {
-            Some(item) => {
+            Some((_, item)) => {
                 // A channel slot freed: wake the scheduler, the job may be
                 // dispatchable again.
                 self.inner.signal.notify_all();
@@ -613,7 +589,7 @@ impl Iterator for JobHandle {
 }
 
 impl BatchSource for JobHandle {
-    fn next_batch(&mut self) -> Option<Item> {
+    fn next_batch(&mut self) -> Option<StreamItem> {
         self.next()
     }
 
@@ -632,7 +608,7 @@ impl BatchSource for JobHandle {
 
 impl Drop for JobHandle {
     fn drop(&mut self) {
-        self.shared.cancelled.store(true, Ordering::Relaxed);
+        self.job.cancelled.store(true, Ordering::Relaxed);
         self.rx = None;
         self.inner.signal.notify_all();
     }
@@ -700,36 +676,37 @@ impl ServiceReport {
     }
 }
 
-fn job_report(job: &JobState) -> JobReport {
-    let recovery = job.shared.tracker.report();
-    let rows = job.shared.rows.load(Ordering::Relaxed);
-    let elapsed = match (job.started_at, job.finished_at) {
+fn job_report(state: &JobState) -> JobReport {
+    let job = &state.job;
+    let recovery = job.run.tracker().report();
+    let rows = job.rows.load(Ordering::Relaxed);
+    let elapsed = match (state.started_at, state.finished_at) {
         (Some(start), Some(finish)) => finish.duration_since(start),
         (Some(start), None) => start.elapsed(),
         _ => Duration::ZERO,
     };
-    let queued_wait = match job.started_at {
-        Some(start) => start.duration_since(job.submitted_at),
-        None => job.submitted_at.elapsed(),
+    let queued_wait = match state.started_at {
+        Some(start) => start.duration_since(state.submitted_at),
+        None => state.submitted_at.elapsed(),
     };
     let goodput = rows as f64 / elapsed.as_secs_f64().max(1e-9);
-    let stall = Duration::from_nanos(job.shared.stall_nanos.load(Ordering::Relaxed));
+    let stall = Duration::from_nanos(job.stall_nanos.load(Ordering::Relaxed));
     let stall_share = (stall.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)).clamp(0.0, 1.0);
     JobReport {
-        name: job.data.name.clone(),
-        fleet: job.data.fleet.name().to_string(),
-        status: job.status,
-        partitions: job.data.partitions.len(),
+        name: job.name.clone(),
+        fleet: job.fleet.to_string(),
+        status: state.status,
+        partitions: job.partitions(),
         delivered: recovery.delivered,
         rows,
-        weight: job.data.weight,
+        weight: job.weight,
         goodput_rows_per_sec: goodput,
-        goodput_slo: job.data.goodput_slo,
-        slo_met: job.data.goodput_slo.map(|target| goodput >= target),
+        goodput_slo: job.goodput_slo,
+        slo_met: job.goodput_slo.map(|target| goodput >= target),
         stall_share,
         queued_wait,
         elapsed,
-        max_dispatch_gap: job.max_gap,
+        max_dispatch_gap: state.max_gap,
         recovery,
     }
 }
@@ -752,7 +729,7 @@ fn build_report(inner: &ServiceInner) -> ServiceReport {
         .jobs
         .iter()
         .filter(|j| j.dispatched > 0)
-        .map(|j| j.dispatched as f64 / j.data.weight)
+        .map(|j| j.dispatched as f64 / j.job.weight)
         .collect();
     ServiceReport {
         pool_workers: inner.config.pool_workers,
@@ -770,22 +747,23 @@ fn finalize(state: &mut SchedState, id: usize, config: &ServiceConfig) {
         let job = &mut state.jobs[id];
         job.tx = None;
         job.finished_at = Some(Instant::now());
-        job.status = if job.shared.cancelled.load(Ordering::Relaxed) {
+        // A fail-fast abort is a failure even when the consumer, having
+        // seen the error, drops its handle before the job is reaped.
+        job.status = if job.halted {
+            JobStatus::Failed
+        } else if job.job.cancelled.load(Ordering::Relaxed) {
             JobStatus::Cancelled
+        } else if job.job.run.tracker().report().failed_partitions.is_empty() {
+            JobStatus::Completed
         } else {
-            let report = job.shared.tracker.report();
-            if report.failed_partitions.is_empty() && !job.halted {
-                JobStatus::Completed
-            } else {
-                JobStatus::Failed
-            }
+            JobStatus::Failed
         };
     }
     state.active -= 1;
     while state.active < config.max_active_jobs {
         let Some(next) = state.pending.pop_front() else { break };
         let job = &mut state.jobs[next];
-        if job.shared.cancelled.load(Ordering::Relaxed) {
+        if job.job.cancelled.load(Ordering::Relaxed) {
             job.status = JobStatus::Cancelled;
             job.tx = None;
             job.finished_at = Some(Instant::now());
@@ -818,8 +796,8 @@ fn claim_next(state: &mut SchedState, config: &ServiceConfig) -> Option<Claim> {
         .enumerate()
         .filter(|(_, j)| j.dispatchable(config.job_capacity))
         .min_by(|(_, a), (_, b)| {
-            let fa = a.dispatched as f64 / a.data.weight;
-            let fb = b.dispatched as f64 / b.data.weight;
+            let fa = a.dispatched as f64 / a.job.weight;
+            let fb = b.dispatched as f64 / b.job.weight;
             fa.total_cmp(&fb)
         })
         .map(|(id, _)| id)?;
@@ -836,15 +814,15 @@ fn claim_next(state: &mut SchedState, config: &ServiceConfig) -> Option<Claim> {
     }
     job.last_dispatch = Some(now);
     Some(Claim {
-        job: id,
+        id,
         pos,
-        data: Arc::clone(&job.data),
-        shared: Arc::clone(&job.shared),
+        job: Arc::clone(&job.job),
         tx: job.tx.clone().expect("running job has a sender"),
     })
 }
 
-/// Pool worker body: claim fairly, execute on the job's fleet, deliver.
+/// Pool worker body: claim fairly, then run and deliver the unit through
+/// the engine's fused per-unit path.
 fn pool_worker(inner: &ServiceInner) {
     let mut scratch = ScratchSpace::new();
     loop {
@@ -867,11 +845,20 @@ fn pool_worker(inner: &ServiceInner) {
                 state = next;
             }
         };
-        let outcome = run_one(&claim.data, &claim.shared, claim.pos, &mut scratch);
-        let halted = deliver(inner, &claim, outcome);
+        let Claim { id, pos, job, tx } = claim;
+        let unit = Unit::partition(pos);
+        let outcome = job.run.run_unit(unit, &mut scratch);
+        if let Ok(done) = &outcome {
+            job.rows.fetch_add(done.batch.rows() as u64, Ordering::Relaxed);
+        }
+        let halted = outcome.is_err() && job.run.tracker().policy().fail_fast;
+        // Room was reserved at claim time (len + inflight < capacity), so
+        // the send inside cannot block; it only errs when the consumer
+        // dropped its handle, which cancellation already covers.
+        job.run.deliver(&tx, pos, unit, false, outcome);
         {
             let mut state = inner.state.lock().expect("scheduler lock");
-            let job = &mut state.jobs[claim.job];
+            let job = &mut state.jobs[id];
             job.inflight -= 1;
             if halted {
                 job.halted = true;
@@ -882,183 +869,11 @@ fn pool_worker(inner: &ServiceInner) {
     }
 }
 
-/// Sends one execution outcome to the job's consumer, updating the job's
-/// recovery accounting. Returns `true` when a fail-fast policy halts the
-/// job.
-fn deliver(inner: &ServiceInner, claim: &Claim, outcome: Result<Done, PreprocessError>) -> bool {
-    let partition = &claim.data.partitions[claim.pos];
-    let slot = claim.shared.tracker.slot_of(partition.device);
-    match outcome {
-        Ok(done) => {
-            claim.shared.rows.fetch_add(done.batch.rows() as u64, Ordering::Relaxed);
-            claim.shared.p2p_bytes.fetch_add(done.p2p_bytes, Ordering::Relaxed);
-            claim.shared.boundary_bytes.fetch_add(done.boundary_bytes, Ordering::Relaxed);
-            claim.shared.completed.fetch_add(1, Ordering::Relaxed);
-            claim.shared.tracker.note_delivered(slot, claim.pos, done.via_failover);
-            let item = StreamedBatch {
-                partition: claim.pos,
-                group: 0,
-                device: partition.device,
-                stolen: false,
-                batch: done.batch,
-                timings: done.timings,
-                arrived: inner.started.elapsed(),
-                attempts: done.attempts,
-                via_failover: done.via_failover,
-            };
-            // Room was reserved at claim time (len + inflight < capacity),
-            // so this send cannot block; it only errs when the consumer
-            // dropped its handle, which cancellation already covers.
-            let _ = claim.tx.send(Ok(item));
-            false
-        }
-        Err(e) => {
-            claim.shared.tracker.note_failed(slot, claim.pos);
-            let _ = claim.tx.send(Err(e.with_location(claim.pos, partition.device)));
-            claim.shared.tracker.policy().fail_fast
-        }
-    }
-}
-
-/// One delivered partition's payload and provenance.
-struct Done {
-    batch: MiniBatch,
-    timings: StageTimings,
-    attempts: u32,
-    via_failover: bool,
-    p2p_bytes: u64,
-    boundary_bytes: u64,
-}
-
-/// Runs one partition on its job's fleet under the job's retry policy:
-/// quarantined devices and unrecoverable retryable errors fail over to a
-/// pristine-media host read when the policy allows, exactly like the
-/// dedicated fleets.
-fn run_one(
-    data: &JobData,
-    shared: &JobShared,
-    pos: usize,
-    scratch: &mut ScratchSpace,
-) -> Result<Done, PreprocessError> {
-    let partition = &data.partitions[pos];
-    let slot = shared.tracker.slot_of(partition.device);
-    let policy = shared.tracker.policy().clone();
-
-    if shared.tracker.is_quarantined(slot) {
-        if policy.failover {
-            shared.tracker.note_failover(slot, pos);
-            return failover(data, pos, scratch);
-        }
-        return Err(PreprocessError::Extract(presto_columnar::ColumnarError::Io {
-            detail: format!("device {} quarantined (circuit breaker open)", partition.device),
-        }));
-    }
-
-    let mut attempt = 1u32;
-    loop {
-        let t0 = Instant::now();
-        let result = attempt_once(data, pos, scratch);
-        shared.tracker.check_straggler(slot, pos, t0.elapsed());
-        match result {
-            Ok(mut done) => {
-                done.attempts = attempt;
-                return Ok(done);
-            }
-            Err(e) => {
-                shared.tracker.note_fault(slot, pos);
-                let retry = e.is_retryable()
-                    && attempt < policy.max_attempts
-                    && !shared.tracker.is_quarantined(slot);
-                if !retry {
-                    if e.is_retryable() && policy.failover {
-                        shared.tracker.note_failover(slot, pos);
-                        return failover(data, pos, scratch);
-                    }
-                    return Err(e);
-                }
-                attempt += 1;
-                let backoff = shared.tracker.note_retry(slot, pos, attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-    }
-}
-
-/// Host-path failover: re-read the pristine media and run the full plan on
-/// the CPU — bit-identical output by construction.
-fn failover(
-    data: &JobData,
-    pos: usize,
-    scratch: &mut ScratchSpace,
-) -> Result<Done, PreprocessError> {
-    let blob = data.partitions[pos].blob.without_faults();
-    let (batch, timings) = preprocess_partition_with(&data.plan, blob, scratch)?;
-    Ok(Done { batch, timings, attempts: 1, via_failover: true, p2p_bytes: 0, boundary_bytes: 0 })
-}
-
-/// One attempt on the job's preferred fleet.
-fn attempt_once(
-    data: &JobData,
-    pos: usize,
-    scratch: &mut ScratchSpace,
-) -> Result<Done, PreprocessError> {
-    let blob = data.partitions[pos].blob.clone();
-    match &data.fleet {
-        // The shuffled fleet's permutation was applied at admission; the
-        // per-partition work is the plain host path.
-        Fleet::Host | Fleet::Shuffled(_) => {
-            let (batch, timings) = preprocess_partition_with(&data.plan, blob, scratch)?;
-            Ok(Done {
-                batch,
-                timings,
-                attempts: 1,
-                via_failover: false,
-                p2p_bytes: 0,
-                boundary_bytes: 0,
-            })
-        }
-        Fleet::Isp => {
-            let worker = IspWorker::new(data.plan.clone());
-            let (batch, stats) = worker.preprocess_with(blob, scratch)?;
-            Ok(Done {
-                batch,
-                timings: StageTimings::default(),
-                attempts: 1,
-                via_failover: false,
-                p2p_bytes: stats.p2p_bytes,
-                boundary_bytes: 0,
-            })
-        }
-        Fleet::Split(split) => {
-            let (batch, report) = preprocess_partition_split(
-                &data.plan,
-                split,
-                blob,
-                FEATURE_BUFFER_ELEMS,
-                scratch.read_scratch(),
-            )?;
-            let mut timings = report.isp;
-            timings.absorb(&report.host);
-            timings.extract = report.extract;
-            Ok(Done {
-                batch,
-                timings,
-                attempts: 1,
-                via_failover: false,
-                p2p_bytes: 0,
-                boundary_bytes: report.boundary_bytes,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use presto_datagen::{Dataset, RmConfig};
-    use presto_ops::preprocess_partition;
+    use presto_ops::{preprocess_partition, MiniBatch};
 
     fn setup(parts: usize, rows: usize, seed: u64) -> (PreprocessPlan, Dataset, Vec<MiniBatch>) {
         let mut c = RmConfig::rm1();

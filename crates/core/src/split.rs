@@ -1,622 +1,19 @@
-//! Hybrid split-placement streaming executor: each compiled stage runs on
-//! its cheaper fleet, pipelined per partition.
-//!
-//! This materializes a [`PlacementPlan`](crate::placement::PlacementPlan)
-//! as actual split execution. The plan is partitioned at the placement
-//! boundary by [`PreprocessPlan::split`](presto_ops::PreprocessPlan::split);
-//! [`SplitBatchStream::spawn`] (or `Fleet::Split(split).spawn` through the
-//! unified fleet API) then drives the two sides as one pipeline:
-//!
-//! * **ISP unit threads** claim partitions off a global cursor (each unit
-//!   owns its resident partitions in a real deployment), P2P-extract only
-//!   the ISP-side raw columns, run the offloaded stage prefix through the
-//!   chunked on-chip-buffer emulation
-//!   ([`preprocess_split_isp`]), and push the typed
-//!   [`BoundaryBatch`] hand-off — only the stage outputs that cross the
-//!   placement boundary — into a bounded channel modeling the device link.
-//! * **Host worker threads** pull hand-offs, extract the host-side raw
-//!   columns (label included) through the host's own block-I/O path, resume
-//!   the plan from the transferred intermediates
-//!   ([`preprocess_split_host`]), and assemble the mini-batch.
-//!
-//! The ISP prefix of partition *i + 1* overlaps the host suffix of
-//! partition *i*, so neither fleet idles while the other works — the
-//! split's throughput win over either single-fleet run. Byte accounting is
-//! split accordingly: [`SplitBatchStream::p2p_bytes`] counts the drive-side
-//! extraction the host never performs, and
-//! [`SplitBatchStream::boundary_bytes`] counts exactly the intermediate
-//! payload that crossed the link — the quantity the placement cost model
-//! prices against the device link rate.
-//!
-//! # Failure semantics
-//!
-//! The fleet reuses the recovery machinery of the ISP stream, configured
-//! through [`FleetConfig::recovery`](presto_ops::FleetConfig):
-//! storage-side faults retry with capped exponential backoff,
-//! repeated failures quarantine the device, and a partition whose ISP
-//! prefix is unrecoverable **fails over to the host**, which re-reads the
-//! intact media and runs the *full* plan on the CPU — bit-identical output
-//! by construction, tagged `via_failover`. Host-side failures after the
-//! hand-off retry under the same policy and then surface as provenance-
-//! tagged errors (the host is already the fallback; there is nowhere left
-//! to fail over to). Every claimed partition ends as exactly one `Ok`
-//! batch or one tagged `Err`, and the [`RunReport`] accounts for all of
-//! them.
-
-use crossbeam_channel::{bounded, Receiver, Sender};
-use presto_columnar::FileReader;
-use presto_datagen::Partition;
-use presto_ops::executor::{
-    extract_columns_for_plan, preprocess_split_host, preprocess_split_isp, BoundaryBatch,
-    PreprocessError, StageTimings,
-};
-use presto_ops::minibatch::MiniBatch;
-use presto_ops::plan::{PreprocessPlan, SplitPlan};
-use presto_ops::recovery::{RecoveryTracker, RetryPolicy, RunReport};
-use presto_ops::stream::{FleetConfig, StreamStats, StreamedBatch};
-use presto_ops::{preprocess_partition_with, ScratchSpace};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
-
-use crate::isp_worker::FEATURE_BUFFER_ELEMS;
-use crate::pipeline::BatchSource;
-
-type SplitItem = Result<StreamedBatch, PreprocessError>;
-
-/// The boundary hand-off of one partition, in flight between the fleets.
-// The variants are intentionally lopsided: `Boundary` is the payload-laden
-// common case moved once per partition, so boxing it to appease
-// `large_enum_variant` would buy nothing but an extra allocation.
-#[allow(clippy::large_enum_variant)]
-enum Handoff {
-    /// ISP prefix finished: the typed boundary payload plus the
-    /// device-side timings.
-    Boundary { pos: usize, boundary: BoundaryBatch, timings: StageTimings, attempts: u32 },
-    /// The ISP side gave up (retries exhausted or device quarantined): the
-    /// host runs the full plan from the intact media.
-    Fallback { pos: usize },
-}
-
-/// State shared by both fleets of one streaming split run.
-struct SplitShared {
-    plan: PreprocessPlan,
-    split: SplitPlan,
-    partitions: Vec<Partition>,
-    /// Next unclaimed partition.
-    cursor: AtomicUsize,
-    tracker: RecoveryTracker,
-    stop: AtomicBool,
-    completed: AtomicUsize,
-    /// Bytes the ISP units pulled over their P2P links (drive-side
-    /// extraction of the ISP raw-column projection).
-    p2p_bytes: AtomicU64,
-    /// Bytes of boundary intermediates that crossed the device link.
-    boundary_bytes: AtomicU64,
-    started: Instant,
-}
-
-impl SplitShared {
-    fn deliver_ok(
-        &self,
-        tx: &Sender<SplitItem>,
-        pos: usize,
-        batch: MiniBatch,
-        timings: StageTimings,
-        attempts: u32,
-        via_failover: bool,
-    ) -> bool {
-        let partition = &self.partitions[pos];
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.tracker.note_delivered(self.tracker.slot_of(partition.device), pos, via_failover);
-        let item = StreamedBatch {
-            partition: pos,
-            group: 0,
-            device: partition.device,
-            stolen: false,
-            batch,
-            timings,
-            arrived: self.started.elapsed(),
-            attempts,
-            via_failover,
-        };
-        tx.send(Ok(item)).is_ok()
-    }
-
-    fn deliver_err(&self, tx: &Sender<SplitItem>, pos: usize, e: PreprocessError) -> bool {
-        let partition = &self.partitions[pos];
-        self.tracker.note_failed(self.tracker.slot_of(partition.device), pos);
-        let e = e.with_location(pos, partition.device);
-        if self.tracker.policy().fail_fast {
-            self.stop.store(true, Ordering::Relaxed);
-            let _ = tx.send(Err(e));
-            false
-        } else {
-            tx.send(Err(e)).is_ok()
-        }
-    }
-}
-
-/// Streams `partitions` through a split fleet with the legacy fail-fast
-/// policy.
-#[deprecated(since = "0.8.0", note = "use `SplitBatchStream::spawn` or `Fleet::Split(..).spawn`")]
-#[must_use]
-pub fn stream_split_workers(
-    plan: &PreprocessPlan,
-    split: &SplitPlan,
-    partitions: &[Partition],
-    isp_workers: usize,
-    host_workers: usize,
-    capacity: usize,
-) -> SplitBatchStream {
-    SplitBatchStream::spawn(
-        plan,
-        split,
-        partitions,
-        &FleetConfig::new(isp_workers, capacity).with_host_workers(host_workers),
-    )
-}
-
-/// Streams `partitions` through a split fleet with an explicit positional
-/// recovery policy.
-#[deprecated(since = "0.8.0", note = "use `SplitBatchStream::spawn` or `Fleet::Split(..).spawn`")]
-#[must_use]
-pub fn stream_split_workers_with(
-    plan: &PreprocessPlan,
-    split: &SplitPlan,
-    partitions: &[Partition],
-    isp_workers: usize,
-    host_workers: usize,
-    capacity: usize,
-    recovery: &RetryPolicy,
-) -> SplitBatchStream {
-    SplitBatchStream::spawn(
-        plan,
-        split,
-        partitions,
-        &FleetConfig::new(isp_workers, capacity)
-            .with_host_workers(host_workers)
-            .with_recovery(recovery.clone()),
-    )
-}
-
-/// One partition's ISP prefix: P2P-extract the ISP raw projection, run the
-/// offloaded stages chunked, pack the boundary. Returns the payload, the
-/// device-side timings and the P2P bytes pulled.
-fn isp_prefix(
-    shared: &SplitShared,
-    partition: &Partition,
-    scratch: &mut ScratchSpace,
-) -> Result<(BoundaryBatch, StageTimings, u64), PreprocessError> {
-    let t0 = Instant::now();
-    let reader = FileReader::open(partition.blob.clone())?;
-    let p2p_bytes = {
-        let meta = reader.meta();
-        let mut bytes = 0u64;
-        for rg in &meta.row_groups {
-            for name in shared.split.isp_columns() {
-                let idx = meta
-                    .schema
-                    .index_of(name)
-                    .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-                bytes += rg.columns[idx].byte_len;
-            }
-        }
-        bytes
-    };
-    let batch = extract_columns_for_plan(
-        &shared.plan,
-        &reader,
-        shared.split.isp_columns(),
-        scratch.read_scratch(),
-    )?;
-    let extract = t0.elapsed();
-    let (boundary, mut timings, _stats) =
-        preprocess_split_isp(&shared.plan, &shared.split, batch, FEATURE_BUFFER_ELEMS)?;
-    timings.extract = extract;
-    Ok((boundary, timings, p2p_bytes))
-}
-
-/// ISP unit body: claim partitions, run the prefix with the policy's retry
-/// loop, hand boundaries (or fallback markers) to the host side.
-fn split_isp_loop(shared: &SplitShared, mid_tx: &Sender<Handoff>, out_tx: &Sender<SplitItem>) {
-    let mut scratch = ScratchSpace::new();
-    let policy = shared.tracker.policy().clone();
-    while !shared.stop.load(Ordering::Relaxed) {
-        let pos = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(partition) = shared.partitions.get(pos) else { break };
-        let slot = shared.tracker.slot_of(partition.device);
-
-        // Nothing offloaded (host-only split): hand the partition straight
-        // across — no device work, no P2P traffic.
-        if shared.split.isp_stages().is_empty() {
-            let item = Handoff::Boundary {
-                pos,
-                boundary: BoundaryBatch::default(),
-                timings: StageTimings::default(),
-                attempts: 1,
-            };
-            if mid_tx.send(item).is_err() {
-                break;
-            }
-            continue;
-        }
-
-        if shared.tracker.is_quarantined(slot) {
-            if policy.failover {
-                shared.tracker.note_failover(slot, pos);
-                if mid_tx.send(Handoff::Fallback { pos }).is_err() {
-                    break;
-                }
-                continue;
-            }
-            let e = PreprocessError::Extract(presto_columnar::ColumnarError::Io {
-                detail: format!(
-                    "ISP device {} quarantined (circuit breaker open)",
-                    partition.device
-                ),
-            });
-            if !shared.deliver_err(out_tx, pos, e) {
-                break;
-            }
-            continue;
-        }
-
-        let mut attempt = 1u32;
-        let outcome = loop {
-            let t0 = Instant::now();
-            let result = isp_prefix(shared, partition, &mut scratch);
-            shared.tracker.check_straggler(slot, pos, t0.elapsed());
-            match result {
-                Ok(ok) => break Ok((ok, attempt)),
-                Err(e) => {
-                    shared.tracker.note_fault(slot, pos);
-                    let retry = e.is_retryable()
-                        && attempt < policy.max_attempts
-                        && !shared.tracker.is_quarantined(slot)
-                        && !shared.stop.load(Ordering::Relaxed);
-                    if !retry {
-                        break Err(e);
-                    }
-                    attempt += 1;
-                    let backoff = shared.tracker.note_retry(slot, pos, attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
-            }
-        };
-
-        match outcome {
-            Ok(((boundary, timings, p2p_bytes), attempts)) => {
-                shared.p2p_bytes.fetch_add(p2p_bytes, Ordering::Relaxed);
-                shared.boundary_bytes.fetch_add(boundary.byte_len(), Ordering::Relaxed);
-                if mid_tx.send(Handoff::Boundary { pos, boundary, timings, attempts }).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.is_retryable() && policy.failover => {
-                shared.tracker.note_failover(slot, pos);
-                if mid_tx.send(Handoff::Fallback { pos }).is_err() {
-                    break;
-                }
-            }
-            Err(e) => {
-                if !shared.deliver_err(out_tx, pos, e) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Host worker body: resume each partition's plan from the transferred
-/// boundary (retrying host-side faults under the same policy), or run the
-/// full plan from intact media for fallback partitions.
-fn split_host_loop(shared: &SplitShared, mid_rx: &Receiver<Handoff>, out_tx: &Sender<SplitItem>) {
-    let mut scratch = ScratchSpace::new();
-    let policy = shared.tracker.policy().clone();
-    while let Ok(item) = mid_rx.recv() {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        match item {
-            Handoff::Boundary { pos, mut boundary, timings: isp_timings, attempts } => {
-                let partition = &shared.partitions[pos];
-                let slot = shared.tracker.slot_of(partition.device);
-                let mut attempt = attempts;
-                let outcome = loop {
-                    // Keep a copy only while another attempt is still
-                    // allowed; the common no-retry path moves the payload.
-                    let payload = if attempt < policy.max_attempts {
-                        boundary.clone()
-                    } else {
-                        std::mem::take(&mut boundary)
-                    };
-                    let result = host_suffix(shared, partition, payload, &mut scratch);
-                    match result {
-                        Ok(ok) => break Ok(ok),
-                        Err(e) => {
-                            shared.tracker.note_fault(slot, pos);
-                            let retry = e.is_retryable()
-                                && attempt < policy.max_attempts
-                                && !shared.stop.load(Ordering::Relaxed);
-                            if !retry {
-                                break Err(e);
-                            }
-                            attempt += 1;
-                            let backoff = shared.tracker.note_retry(slot, pos, attempt);
-                            if !backoff.is_zero() {
-                                std::thread::sleep(backoff);
-                            }
-                        }
-                    }
-                };
-                match outcome {
-                    Ok((batch, host_timings)) => {
-                        let mut timings = isp_timings;
-                        timings.absorb(&host_timings);
-                        if !shared.deliver_ok(out_tx, pos, batch, timings, attempt, false) {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        if !shared.deliver_err(out_tx, pos, e) {
-                            break;
-                        }
-                    }
-                }
-            }
-            Handoff::Fallback { pos } => {
-                let blob = shared.partitions[pos].blob.without_faults();
-                match preprocess_partition_with(&shared.plan, blob, &mut scratch) {
-                    Ok((batch, timings)) => {
-                        if !shared.deliver_ok(out_tx, pos, batch, timings, 1, true) {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        if !shared.deliver_err(out_tx, pos, e) {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One partition's host suffix: extract the host raw projection (label
-/// included), resume from the boundary, assemble the mini-batch.
-fn host_suffix(
-    shared: &SplitShared,
-    partition: &Partition,
-    boundary: BoundaryBatch,
-    scratch: &mut ScratchSpace,
-) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let t0 = Instant::now();
-    let reader = FileReader::open(partition.blob.clone())?;
-    let batch = extract_columns_for_plan(
-        &shared.plan,
-        &reader,
-        shared.split.host_columns(),
-        scratch.read_scratch(),
-    )?;
-    let extract = t0.elapsed();
-    let (batch, mut timings) = preprocess_split_host(&shared.plan, &shared.split, batch, boundary)?;
-    timings.extract = extract;
-    Ok((batch, timings))
-}
-
-/// The consumer's end of a streaming split run: an iterator of
-/// `Result<StreamedBatch, PreprocessError>` in completion order,
-/// implementing [`BatchSource`] so a [`crate::pipeline::Trainer`] consumes
-/// it exactly like the single-fleet streams. Dropping the stream stops
-/// both fleets and joins every worker.
-#[derive(Debug)]
-pub struct SplitBatchStream {
-    rx: Option<Receiver<SplitItem>>,
-    handles: Vec<JoinHandle<()>>,
-    shared: Arc<SplitShared>,
-    isp_workers: usize,
-    host_workers: usize,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for SplitShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SplitShared")
-            .field("partitions", &self.partitions.len())
-            .field("completed", &self.completed.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl SplitBatchStream {
-    /// Spawns the split fleet: `config.workers` emulated ISP units feeding
-    /// [`FleetConfig::effective_host_workers`] host-suffix workers over a
-    /// hand-off channel (the device link) bounded by
-    /// [`FleetConfig::effective_link_capacity`], with failure handling per
-    /// [`FleetConfig::recovery`](FleetConfig). The output channel holds
-    /// `config.capacity` finished mini-batches. `config.prefetch` does not
-    /// apply to this fleet and is ignored.
-    ///
-    /// The consumer side is a [`SplitBatchStream`] — a [`BatchSource`] in
-    /// completion order, interchangeable with the single-fleet streams.
-    #[must_use]
-    pub fn spawn(
-        plan: &PreprocessPlan,
-        split: &SplitPlan,
-        partitions: &[Partition],
-        config: &FleetConfig,
-    ) -> SplitBatchStream {
-        let isp_workers = config.workers.max(1).min(partitions.len().max(1));
-        let host_workers = config.effective_host_workers().max(1).min(partitions.len().max(1));
-        let capacity = config.capacity.max(1);
-        let link_capacity = config.effective_link_capacity().max(1);
-        let devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
-        let shared = Arc::new(SplitShared {
-            plan: plan.clone(),
-            split: split.clone(),
-            partitions: partitions.to_vec(),
-            cursor: AtomicUsize::new(0),
-            tracker: RecoveryTracker::new(config.recovery.clone(), &devices, partitions.len()),
-            stop: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            p2p_bytes: AtomicU64::new(0),
-            boundary_bytes: AtomicU64::new(0),
-            started: Instant::now(),
-        });
-        let (out_tx, out_rx) = bounded::<SplitItem>(capacity);
-        // The hand-off channel models the bounded device link: ISP units
-        // stall (back-pressure) once `link_capacity` boundary payloads are
-        // in flight.
-        let (mid_tx, mid_rx) = bounded::<Handoff>(link_capacity);
-        let mut handles = Vec::with_capacity(isp_workers + host_workers);
-        for unit in 0..isp_workers {
-            let shared = Arc::clone(&shared);
-            let mid_tx = mid_tx.clone();
-            let out_tx = out_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("presto-split-isp-{unit}"))
-                .spawn(move || split_isp_loop(&shared, &mid_tx, &out_tx))
-                .expect("spawn split isp worker");
-            handles.push(handle);
-        }
-        for worker in 0..host_workers {
-            let shared = Arc::clone(&shared);
-            let mid_rx = mid_rx.clone();
-            let out_tx = out_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("presto-split-host-{worker}"))
-                .spawn(move || split_host_loop(&shared, &mid_rx, &out_tx))
-                .expect("spawn split host worker");
-            handles.push(handle);
-        }
-        drop(out_tx);
-        drop(mid_tx);
-        drop(mid_rx);
-        SplitBatchStream { rx: Some(out_rx), handles, shared, isp_workers, host_workers, capacity }
-    }
-
-    /// Effective ISP-unit count (after clamping).
-    #[must_use]
-    pub fn isp_workers(&self) -> usize {
-        self.isp_workers
-    }
-
-    /// Effective host-worker count (after clamping).
-    #[must_use]
-    pub fn host_workers(&self) -> usize {
-        self.host_workers
-    }
-
-    /// Effective channel capacity (after clamping).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Partitions fully preprocessed so far (producer-side counter).
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Bytes the ISP units pulled over their emulated P2P links — the
-    /// drive-side extraction the host never performs under a split.
-    #[must_use]
-    pub fn p2p_bytes(&self) -> u64 {
-        self.shared.p2p_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of boundary intermediates that crossed the device link —
-    /// what the placement cost model prices per stage hand-off.
-    #[must_use]
-    pub fn boundary_bytes(&self) -> u64 {
-        self.shared.boundary_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Recovery-activity snapshot ([`RunReport`]); final once drained.
-    #[must_use]
-    pub fn run_report(&self) -> RunReport {
-        self.shared.tracker.report()
-    }
-
-    /// Consolidated counter snapshot — the [`BatchSource::stats`] surface.
-    /// `workers` reports the ISP-unit count; both byte counters are live.
-    #[must_use]
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            workers: self.isp_workers,
-            capacity: self.capacity,
-            queued: self.rx.as_ref().map_or(0, Receiver::len),
-            completed: self.completed(),
-            p2p_bytes: self.p2p_bytes(),
-            boundary_bytes: self.boundary_bytes(),
-            recovery: Some(self.run_report()),
-        }
-    }
-
-    fn join_workers(&mut self) {
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-}
-
-impl Iterator for SplitBatchStream {
-    type Item = SplitItem;
-
-    fn next(&mut self) -> Option<SplitItem> {
-        let item = self.rx.as_ref().and_then(|rx| rx.recv().ok());
-        match item {
-            Some(item) => Some(item),
-            None => {
-                self.join_workers();
-                None
-            }
-        }
-    }
-}
-
-impl Drop for SplitBatchStream {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.rx = None;
-        self.join_workers();
-    }
-}
-
-impl BatchSource for SplitBatchStream {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.next()
-    }
-
-    fn capacity(&self) -> usize {
-        SplitBatchStream::capacity(self)
-    }
-
-    fn queued(&self) -> usize {
-        self.rx.as_ref().map_or(0, Receiver::len)
-    }
-
-    fn stats(&self) -> StreamStats {
-        SplitBatchStream::stats(self)
-    }
-}
+//! The split-fleet suite: a [`PlacementPlan`](crate::placement::PlacementPlan)
+//! materialized by [`PreprocessPlan::split`](presto_ops::PreprocessPlan::split)
+//! and streamed as [`Fleet::Split`](crate::Fleet::Split) — ISP stage prefix
+//! and host suffix pipelined over the bounded device link by the engine of
+//! [`presto_ops::stream`], which documents the phases, the byte accounting
+//! (`p2p_bytes` for the drive-side extraction the host never performs,
+//! `boundary_bytes` for exactly the intermediates that crossed the link)
+//! and the failover semantics these tests pin.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use presto_datagen::{Dataset, RmConfig};
-    use presto_ops::plan::Fleet;
-    use presto_ops::preprocess_partition;
+    use presto_datagen::{Dataset, Partition, RmConfig};
+    use presto_ops::plan::{Place, PreprocessPlan};
+    use presto_ops::{
+        preprocess_partition, BatchStream, FleetConfig, MiniBatch, Pipeline, RetryPolicy,
+    };
 
     fn setup(parts: usize, rows: usize) -> (PreprocessPlan, Dataset, Vec<MiniBatch>) {
         let mut c = RmConfig::rm1();
@@ -631,8 +28,8 @@ mod tests {
         (plan, ds, serial)
     }
 
-    fn alternating(n: usize) -> Vec<Fleet> {
-        (0..n).map(|i| if i % 2 == 0 { Fleet::Isp } else { Fleet::Host }).collect()
+    fn alternating(n: usize) -> Vec<Place> {
+        (0..n).map(|i| if i % 2 == 0 { Place::Isp } else { Place::Host }).collect()
     }
 
     #[test]
@@ -640,8 +37,12 @@ mod tests {
         let (plan, ds, serial) = setup(6, 48);
         let split = plan.split(&alternating(plan.stages().len())).unwrap();
         assert!(!split.is_single_fleet());
-        let mut stream =
-            SplitBatchStream::spawn(&plan, &split, ds.partitions(), &FleetConfig::new(2, 2));
+        let mut stream = BatchStream::spawn_pipeline(
+            &plan,
+            ds.partitions(),
+            Pipeline::Split(split.clone()),
+            &FleetConfig::new(2, 2),
+        );
         let mut got: Vec<(usize, MiniBatch)> = Vec::new();
         for item in stream.by_ref() {
             let b = item.expect("preprocesses");
@@ -660,9 +61,13 @@ mod tests {
     #[test]
     fn host_only_split_moves_no_device_bytes() {
         let (plan, ds, serial) = setup(4, 32);
-        let split = plan.split(&vec![Fleet::Host; plan.stages().len()]).unwrap();
-        let mut stream =
-            SplitBatchStream::spawn(&plan, &split, ds.partitions(), &FleetConfig::new(2, 2));
+        let split = plan.split(&vec![Place::Host; plan.stages().len()]).unwrap();
+        let mut stream = BatchStream::spawn_pipeline(
+            &plan,
+            ds.partitions(),
+            Pipeline::Split(split.clone()),
+            &FleetConfig::new(2, 2),
+        );
         let mut got: Vec<(usize, MiniBatch)> = Vec::new();
         for item in stream.by_ref() {
             let b = item.expect("preprocesses");
@@ -679,9 +84,13 @@ mod tests {
     #[test]
     fn all_isp_split_still_assembles_on_host() {
         let (plan, ds, serial) = setup(4, 32);
-        let split = plan.split(&vec![Fleet::Isp; plan.stages().len()]).unwrap();
-        let mut stream =
-            SplitBatchStream::spawn(&plan, &split, ds.partitions(), &FleetConfig::new(2, 2));
+        let split = plan.split(&vec![Place::Isp; plan.stages().len()]).unwrap();
+        let mut stream = BatchStream::spawn_pipeline(
+            &plan,
+            ds.partitions(),
+            Pipeline::Split(split.clone()),
+            &FleetConfig::new(2, 2),
+        );
         let mut got: Vec<(usize, MiniBatch)> = Vec::new();
         for item in stream.by_ref() {
             let b = item.expect("preprocesses");
@@ -702,8 +111,12 @@ mod tests {
         let model = OpCostModel::analytic(&IspModel::smartssd());
         let placement = place_stages(&plan, 48, &model);
         let split = plan.split(&placement.fleet_assignment()).unwrap();
-        let mut stream =
-            SplitBatchStream::spawn(&plan, &split, ds.partitions(), &FleetConfig::new(2, 2));
+        let mut stream = BatchStream::spawn_pipeline(
+            &plan,
+            ds.partitions(),
+            Pipeline::Split(split.clone()),
+            &FleetConfig::new(2, 2),
+        );
         let mut got: Vec<(usize, MiniBatch)> = Vec::new();
         for item in stream.by_ref() {
             let b = item.expect("preprocesses");
@@ -734,10 +147,10 @@ mod tests {
             .with_backoff(std::time::Duration::ZERO, std::time::Duration::ZERO)
             .with_quarantine_after(2);
         let split = plan.split(&alternating(plan.stages().len())).unwrap();
-        let mut stream = SplitBatchStream::spawn(
+        let mut stream = BatchStream::spawn_pipeline(
             &plan,
-            &split,
             &partitions,
+            Pipeline::Split(split.clone()),
             &FleetConfig::new(2, 4).with_recovery(recovery),
         );
         let mut got: Vec<(usize, MiniBatch, bool)> = Vec::new();
@@ -756,15 +169,5 @@ mod tests {
         assert!(report.quarantined.contains(&1));
         assert!(report.failed_partitions.is_empty());
         assert_eq!(report.delivered, 8);
-    }
-
-    #[test]
-    fn dropping_a_split_stream_joins_without_deadlock() {
-        let (plan, ds, _) = setup(8, 32);
-        let split = plan.split(&alternating(plan.stages().len())).unwrap();
-        let mut stream =
-            SplitBatchStream::spawn(&plan, &split, ds.partitions(), &FleetConfig::new(2, 1));
-        let _ = stream.next().unwrap().unwrap();
-        drop(stream); // full channels + live producers must not wedge
     }
 }

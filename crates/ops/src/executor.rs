@@ -26,7 +26,7 @@
 //!   and [`preprocess_split_host`] resumes from that hand-off (validating
 //!   kinds against the boundary schema) and assembles the mini-batch.
 //!   [`preprocess_partition_split`] is the serial single-blob composition
-//!   of the two; `presto_core::split` pipelines them across fleets.
+//!   of the two; the split fleet of [`crate::stream`] pipelines them.
 //!
 //! # The allocation-free hot path
 //!
@@ -1248,8 +1248,8 @@ pub struct SplitReport {
 /// fleet projections from one file open, run the ISP prefix through the
 /// chunked emulation, hand the boundary across, run the host suffix and
 /// assemble. Bit-identical to [`preprocess_partition`] — the streaming
-/// equivalent (ISP and host sides pipelined on separate threads) lives in
-/// `presto_core::SplitBatchStream`.
+/// equivalent (ISP and host sides pipelined on separate threads) is the
+/// split fleet of [`crate::stream`].
 ///
 /// # Errors
 ///
@@ -1278,6 +1278,84 @@ pub fn preprocess_partition_split<B: BlobRead>(
     let report =
         SplitReport { extract, isp: isp_timings, host: host_timings, stats, boundary_bytes };
     Ok((mini_batch, report))
+}
+
+/// On-chip feature-buffer capacity in elements. The SmartSSD build's
+/// per-unit buffers hold a few KiB; 2 KiB of 4-byte elements keeps chunks
+/// realistic without dominating emulation time.
+pub const FEATURE_BUFFER_ELEMS: usize = 512;
+
+/// Statistics of one emulated device run, for cross-checking against the
+/// analytic model.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IspRunStats {
+    /// Bytes moved over the emulated P2P link.
+    pub p2p_bytes: u64,
+    /// Chunks processed by the feature-generation unit (Bucketize).
+    pub bucketize_chunks: u64,
+    /// Chunks processed by the normalization units (SigridHash, MapId,
+    /// LogNorm).
+    pub normalize_chunks: u64,
+    /// Chunks attributed to the list-restructuring unit (FirstX, NGram).
+    /// Accounting-only: these ops execute whole-column and the count
+    /// models the streaming unit's traffic (see
+    /// [`UnitStats::restructure_chunks`]).
+    pub restructure_chunks: u64,
+    /// Total elements transformed.
+    pub elements: u64,
+}
+
+/// Bytes a P2P extract of `columns` pulls off the drive: the stored chunk
+/// sizes of the projection, summed over every row group.
+///
+/// # Errors
+///
+/// [`PreprocessError::BadColumn`] when a projected column is not in the
+/// file.
+pub fn projected_bytes<B: BlobRead>(
+    reader: &FileReader<B>,
+    columns: &[String],
+) -> Result<u64, PreprocessError> {
+    let meta = reader.meta();
+    let mut bytes = 0u64;
+    for name in columns {
+        let idx = meta
+            .schema
+            .index_of(name)
+            .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
+        bytes += meta.row_groups.iter().map(|rg| rg.columns[idx].byte_len).sum::<u64>();
+    }
+    Ok(bytes)
+}
+
+/// The full in-storage pipeline over one partition blob: P2P extract (the
+/// projected ranges only, counted as the bytes the link would carry) →
+/// decoder unit (staged through the caller's recycled Extract scratch) →
+/// the compiled stages streamed through `chunk_elems`-sized on-chip feature
+/// buffers → output assembly. Bit-identical to [`preprocess_partition`] for
+/// any chunk size (see [`preprocess_batch_owned_chunked`]).
+///
+/// # Errors
+///
+/// Propagates storage/decode failures and missing-column errors.
+pub fn preprocess_partition_isp<B: BlobRead>(
+    plan: &PreprocessPlan,
+    blob: B,
+    chunk_elems: usize,
+    scratch: &mut ScratchSpace,
+) -> Result<(MiniBatch, IspRunStats), PreprocessError> {
+    let reader = FileReader::open(blob)?;
+    let p2p_bytes = projected_bytes(&reader, plan.required_columns())?;
+    let batch = extract_batch_from_reader(plan, &reader, &mut scratch.read)?;
+    let (mini_batch, _, units) = preprocess_batch_owned_chunked(plan, batch, chunk_elems)?;
+    let stats = IspRunStats {
+        p2p_bytes,
+        bucketize_chunks: units.generation_chunks,
+        normalize_chunks: units.normalize_chunks,
+        restructure_chunks: units.restructure_chunks,
+        elements: units.elements,
+    };
+    Ok((mini_batch, stats))
 }
 
 /// Runs a fully elementwise chain on an owned column: uniquely held buffers
@@ -1497,7 +1575,7 @@ fn extract_columns_limited<B: BlobRead>(
 
 /// Decodes a column projection of **one row group** from an already-open
 /// reader — the random-access Extract of the shuffled epoch path
-/// ([`crate::shuffle::ShuffledStream`]). No merge: the group's decoded
+/// ([`crate::BatchStream::spawn_shuffled`]). No merge: the group's decoded
 /// arrays become the [`RowBatch`] directly, sized from the group's own
 /// footer index entry (see [`presto_columnar::column::read_chunk_batched`]).
 ///
@@ -1675,7 +1753,7 @@ mod tests {
 
     #[test]
     fn split_partition_matches_single_fleet_paths() {
-        use crate::plan::Fleet;
+        use crate::plan::Place;
         let mut c = tiny_config();
         c.avg_sparse_len = 5;
         c.fixed_sparse_len = false;
@@ -1692,9 +1770,9 @@ mod tests {
             let n = plan.stages().len();
             // Host-only, ISP-only, and an alternating split.
             let assignments = [
-                vec![Fleet::Host; n],
-                vec![Fleet::Isp; n],
-                (0..n).map(|i| if i % 2 == 0 { Fleet::Isp } else { Fleet::Host }).collect(),
+                vec![Place::Host; n],
+                vec![Place::Isp; n],
+                (0..n).map(|i| if i % 2 == 0 { Place::Isp } else { Place::Host }).collect(),
             ];
             for assignment in assignments {
                 let split = plan.split(&assignment).unwrap();
@@ -1715,11 +1793,11 @@ mod tests {
 
     #[test]
     fn split_host_rejects_missing_or_mistyped_boundary() {
-        use crate::plan::Fleet;
+        use crate::plan::Place;
         let c = tiny_config();
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let batch = generate_batch(&c, 16, 3);
-        let split = plan.split(&vec![Fleet::Isp; plan.stages().len()]).unwrap();
+        let split = plan.split(&vec![Place::Isp; plan.stages().len()]).unwrap();
         let blob = write_partition(&batch).unwrap();
         let reader = FileReader::open(blob).unwrap();
         let mut read = ReadScratch::default();

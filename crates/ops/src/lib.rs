@@ -20,17 +20,15 @@
 //!   format-conversion pipeline over `presto-columnar` partitions. One
 //!   runner serves the host CPU paths and (chunked through on-chip
 //!   feature buffers) the in-storage worker emulation.
-//! * [`stream`] — the streaming pipelined executor: bounded output
-//!   channels, per-worker double-buffered Extract prefetch and
-//!   device-affine work assignment (the producer–consumer architecture of
-//!   Section II-D, actually streaming).
+//! * [`stream`] — the streaming engine: one claim → attempt → deliver
+//!   core behind every fleet (host, ISP, split, shuffled), yielding
+//!   [`BatchStream`].
 //! * [`parallel`] — [`run_workers`], the drain-the-stream-into-a-`Vec`
 //!   wrapper, plus the pre-streaming materialized baseline kept for
 //!   ablations.
-//! * [`shuffle`] — [`ShuffledStream`], the random-access epoch streamer:
-//!   a seeded deterministic permutation over every `PSTOCOL4` row group of
-//!   every partition, bit-identical across worker counts and resumable
-//!   mid-epoch from a serialized [`EpochCursor`].
+//! * [`shuffle`] — the seeded deterministic epoch permutation over every
+//!   `PSTOCOL4` row group, and the serializable [`EpochCursor`] a shuffled
+//!   stream resumes from.
 //!
 //! ## The zero-copy / allocation-free hot path
 //!
@@ -85,26 +83,25 @@ pub use executor::{
     extract_batch_from_reader, extract_columns_for_plan, extract_columns_from_reader,
     extract_group_for_plan, extract_group_from_reader, extract_partition_with, preprocess_batch,
     preprocess_batch_owned, preprocess_batch_owned_chunked, preprocess_batch_with,
-    preprocess_group_with, preprocess_partition, preprocess_partition_split,
-    preprocess_partition_with, preprocess_split_host, preprocess_split_isp, transform_batch_into,
-    BoundaryBatch, OpBucket, OpTimings, PreprocessError, ScratchSpace, SplitReport, StageTimings,
-    StageValue, UnitStats,
+    preprocess_group_with, preprocess_partition, preprocess_partition_isp,
+    preprocess_partition_split, preprocess_partition_with, preprocess_split_host,
+    preprocess_split_isp, projected_bytes, transform_batch_into, BoundaryBatch, IspRunStats,
+    OpBucket, OpTimings, PreprocessError, ScratchSpace, SplitReport, StageTimings, StageValue,
+    UnitStats, FEATURE_BUFFER_ELEMS,
 };
 pub use graph::{ChainSpec, GraphError, PlanGraph};
 pub use minibatch::{DenseMatrix, JaggedFeature, MiniBatch, ShapeError};
 pub use op::{firstx_into, ngram_into, IdMap, Op, OpTag, ValueKind};
 pub use parallel::{run_workers, run_workers_materialized, ParallelReport};
 pub use plan::{
-    BoundarySlot, ColumnRequirement, CompiledStage, Fleet, PreprocessPlan, SplitPlan, StageInput,
+    BoundarySlot, ColumnRequirement, CompiledStage, Place, PreprocessPlan, SplitPlan, StageInput,
 };
 pub use recovery::{
     DeviceHealth, RecoveryEvent, RecoveryEventKind, RecoveryTracker, RetryPolicy, RunReport,
 };
-pub use shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec, ShuffledStream};
+pub use shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec};
 pub use sigridhash::{InvalidMaxValueError, SigridHasher};
 pub use stream::{
-    inter_arrivals, BatchStream, DeviceLoad, FleetConfig, OrderedBatchStream, StreamStats,
-    StreamedBatch,
+    inter_arrivals, BatchStream, DeviceLoad, Finished, FleetConfig, Pipeline, Run, SeqItem,
+    StreamItem, StreamStats, StreamedBatch, Unit,
 };
-#[allow(deprecated)]
-pub use stream::{stream_workers, stream_workers_with, StreamConfig};

@@ -1,13 +1,10 @@
 //! Multi-worker host execution: the software architecture of Section II-D.
 //!
-//! [`run_workers`] is now a thin wrapper over the streaming executor
-//! ([`crate::stream`]): workers produce mini-batches into a bounded channel,
-//! the wrapper drains the channel through the order-restoring adapter into a
-//! `Vec`, and the output is bit-identical to serial execution. Callers that
-//! want batches *as they complete* — the real producer–consumer shape, where
-//! the trainer overlaps with preprocessing — should spawn a
-//! [`crate::BatchStream`] (or any fleet) through the unified
-//! [`crate::FleetConfig`] API directly.
+//! [`run_workers`] drains the streaming engine's host fleet
+//! ([`crate::stream`]) in partition order into a `Vec`, bit-identical to
+//! serial execution. Callers that want batches *as they complete* — the
+//! real producer–consumer shape, where the trainer overlaps with
+//! preprocessing — should consume a [`crate::BatchStream`] directly.
 //!
 //! [`run_workers_materialized`] preserves the previous architecture (shared
 //! ticket counter, results collected under one mutex, nothing visible until

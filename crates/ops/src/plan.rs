@@ -57,6 +57,7 @@ use crate::op::{Op, OpTag, ValueKind};
 use presto_columnar::DataType;
 use presto_datagen::{raw_schema, RmConfig};
 use std::collections::HashMap;
+use std::fmt;
 
 /// How much of a raw column the Extract step must materialize — the
 /// plan-side half of the prefix-pushdown contract with `presto-columnar`
@@ -71,13 +72,24 @@ pub enum ColumnRequirement {
     Prefix(usize),
 }
 
-/// Which fleet a stage of a split execution runs on.
+/// Which side of the split boundary a stage runs on — the per-stage
+/// placement tag (the executor spec for a whole run is
+/// `presto_core::Fleet`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fleet {
+pub enum Place {
     /// Host CPU worker.
     Host,
     /// In-storage (ISP) unit, next to the data.
     Isp,
+}
+
+impl fmt::Display for Place {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Place::Host => write!(f, "host"),
+            Place::Isp => write!(f, "isp"),
+        }
+    }
 }
 
 /// One entry of a split plan's boundary schema: an ISP-side stage whose
@@ -112,7 +124,7 @@ pub struct BoundarySlot {
 /// assignment — and [`SplitPlan::demoted`] reports which stages moved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitPlan {
-    fleet: Vec<Fleet>,
+    fleet: Vec<Place>,
     isp_stages: Vec<usize>,
     host_stages: Vec<usize>,
     boundary: Vec<BoundarySlot>,
@@ -124,7 +136,7 @@ pub struct SplitPlan {
 impl SplitPlan {
     /// Effective fleet of every stage (after demotion), execution order.
     #[must_use]
-    pub fn fleet(&self) -> &[Fleet] {
+    pub fn fleet(&self) -> &[Place] {
         &self.fleet
     }
 
@@ -619,7 +631,7 @@ impl PreprocessPlan {
     ///
     /// Returns [`GraphError::BadParam`] when `assignment.len()` does not
     /// match the stage count.
-    pub fn split(&self, assignment: &[Fleet]) -> Result<SplitPlan, GraphError> {
+    pub fn split(&self, assignment: &[Place]) -> Result<SplitPlan, GraphError> {
         if assignment.len() != self.stages.len() {
             return Err(GraphError::BadParam {
                 output: "split".to_owned(),
@@ -635,19 +647,19 @@ impl PreprocessPlan {
         let mut fleet = assignment.to_vec();
         let mut demoted = Vec::new();
         for (pos, stage) in self.stages.iter().enumerate() {
-            if fleet[pos] == Fleet::Isp {
+            if fleet[pos] == Place::Isp {
                 if let StageInput::Stage(j) = &stage.input {
-                    if fleet[*j] == Fleet::Host {
-                        fleet[pos] = Fleet::Host;
+                    if fleet[*j] == Place::Host {
+                        fleet[pos] = Place::Host;
                         demoted.push(pos);
                     }
                 }
             }
         }
 
-        let isp_stages: Vec<usize> = (0..fleet.len()).filter(|&p| fleet[p] == Fleet::Isp).collect();
+        let isp_stages: Vec<usize> = (0..fleet.len()).filter(|&p| fleet[p] == Place::Isp).collect();
         let host_stages: Vec<usize> =
-            (0..fleet.len()).filter(|&p| fleet[p] == Fleet::Host).collect();
+            (0..fleet.len()).filter(|&p| fleet[p] == Place::Host).collect();
 
         // Boundary: ISP outputs the host reads or the assembly emits.
         let mut read_by_host = vec![false; self.stages.len()];
@@ -856,7 +868,7 @@ mod tests {
     #[test]
     fn split_rejects_wrong_assignment_length() {
         let plan = tiny_truncated_plan();
-        let err = plan.split(&[Fleet::Host]).unwrap_err();
+        let err = plan.split(&[Place::Host]).unwrap_err();
         assert!(matches!(err, GraphError::BadParam { .. }), "{err}");
     }
 
@@ -866,9 +878,9 @@ mod tests {
         let pos: HashMap<&str, usize> =
             plan.stages().iter().enumerate().map(|(i, s)| (s.output(), i)).collect();
         // Offload the truncation and the hash; keep the rest host-side.
-        let mut assignment = vec![Fleet::Host; plan.stages().len()];
-        assignment[pos["trunc_0"]] = Fleet::Isp;
-        assignment[pos["sparse_0"]] = Fleet::Isp;
+        let mut assignment = vec![Place::Host; plan.stages().len()];
+        assignment[pos["trunc_0"]] = Place::Isp;
+        assignment[pos["sparse_0"]] = Place::Isp;
         let split = plan.split(&assignment).expect("valid assignment");
 
         assert!(split.demoted().is_empty());
@@ -898,20 +910,20 @@ mod tests {
         let pos: HashMap<&str, usize> =
             plan.stages().iter().enumerate().map(|(i, s)| (s.output(), i)).collect();
         // sparse_0 on ISP but its producer trunc_0 on host: must demote.
-        let mut assignment = vec![Fleet::Host; plan.stages().len()];
-        assignment[pos["sparse_0"]] = Fleet::Isp;
+        let mut assignment = vec![Place::Host; plan.stages().len()];
+        assignment[pos["sparse_0"]] = Place::Isp;
         let split = plan.split(&assignment).expect("valid assignment");
         assert_eq!(split.demoted(), [pos["sparse_0"]]);
         assert!(split.isp_stages().is_empty());
         assert!(split.boundary().is_empty());
         assert!(split.is_single_fleet());
-        assert_eq!(split.fleet()[pos["sparse_0"]], Fleet::Host);
+        assert_eq!(split.fleet()[pos["sparse_0"]], Place::Host);
     }
 
     #[test]
     fn split_all_isp_keeps_label_host_side() {
         let plan = tiny_truncated_plan();
-        let split = plan.split(&vec![Fleet::Isp; plan.stages().len()]).expect("valid");
+        let split = plan.split(&vec![Place::Isp; plan.stages().len()]).expect("valid");
         assert!(split.host_stages().is_empty());
         assert!(split.is_single_fleet());
         // Every emitted stage crosses the boundary; intermediates consumed

@@ -1,34 +1,26 @@
-//! Recovery policy and bookkeeping shared by both streaming fleets.
+//! Recovery policy and bookkeeping of the streaming engine.
 //!
-//! The host executor ([`crate::stream`]) and the ISP fleet
-//! (`presto_core::isp_worker`) face the same failure menu — transient read
-//! errors, corrupt pages, latency spikes, dead devices — and answer it with
-//! the same mechanisms: per-partition **retry with capped exponential
-//! backoff**, per-device **consecutive-failure quarantine** (a circuit
-//! breaker), deadline-based **straggler detection**, and (for the ISP fleet)
-//! **failover to the host path**. This module holds the pieces both sides
-//! share:
+//! Every fleet of [`crate::stream`] faces the same failure menu — transient
+//! read errors, corrupt pages, latency spikes, dead devices — and answers
+//! it with the same mechanisms (see the engine's *Failure semantics*). This
+//! module holds the knobs and the ledger:
 //!
-//! * [`RetryPolicy`] — the knobs. [`RetryPolicy::fail_fast`] reproduces the
-//!   pre-recovery semantics exactly (one attempt, first error poisons the
-//!   run); [`RetryPolicy::recover`] is the tolerant preset chaos tests use.
-//!   Every fleet takes its policy from the one
-//!   [`FleetConfig::recovery`](crate::stream::FleetConfig) knob, whose
-//!   documented default is fail-fast — see `FleetConfig` for the single
-//!   source of truth on that default.
+//! * [`RetryPolicy`] — the knobs. [`RetryPolicy::fail_fast`] (the default
+//!   of [`FleetConfig::recovery`](crate::stream::FleetConfig)) is one
+//!   attempt and the first error poisons the run; [`RetryPolicy::recover`]
+//!   is the tolerant preset chaos tests use.
 //! * [`RecoveryTracker`] — lock-light shared state: per-device health
 //!   (consecutive failures → quarantine), aggregate counters, and a
 //!   timestamped [`RecoveryEvent`] log.
 //! * [`RunReport`] — the snapshot the tracker renders for consumers: how
 //!   many retries/failovers/quarantines happened, which devices degraded,
-//!   which partitions (if any) were lost, and a delivery timeline from
-//!   which degraded throughput can be read off.
+//!   which units (if any) were lost, and a delivery timeline from which
+//!   degraded throughput can be read off.
 //!
-//! Device identity here is a **slot index** into the fleet's sorted distinct
-//! device list — the same ordering `crate::stream::DeviceLoad` reports — so
-//! reports from the two fleets line up with their load accounting.
+//! Device identity here is a **slot index** into the run's sorted distinct
+//! device list — the same ordering `crate::stream::DeviceLoad` reports.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -215,8 +207,7 @@ pub struct DeviceHealth {
 /// Snapshot of a streaming run's recovery activity.
 ///
 /// Produced by [`RecoveryTracker::report`] and surfaced through
-/// `BatchStream::run_report` / `IspBatchStream::run_report` and the
-/// Trainer. [`RunReport::events`] is ordered by time; filtering it for
+/// `BatchStream::run_report` and the Trainer. [`RunReport::events`] is ordered by time; filtering it for
 /// [`RecoveryEventKind::Delivered`] gives the delivery timeline from which
 /// goodput under degradation can be computed
 /// ([`RunReport::throughput_timeline`] does this binning).
@@ -349,6 +340,12 @@ impl RecoveryTracker {
         &self.policy
     }
 
+    /// Sorted distinct device ids; a device's slot is its index here.
+    #[must_use]
+    pub fn devices(&self) -> &[usize] {
+        &self.devices
+    }
+
     /// The slot index of device id `device` (clamped into range so an
     /// unknown id degrades to slot 0 instead of panicking).
     #[must_use]
@@ -473,40 +470,6 @@ impl RecoveryTracker {
     }
 }
 
-/// Cursor over partitions routed to the failover path exactly once each
-/// (used by the ISP fleet's failover thread bookkeeping in tests).
-#[derive(Debug, Default)]
-pub struct FailoverLedger {
-    routed: Mutex<Vec<usize>>,
-    count: AtomicUsize,
-}
-
-impl FailoverLedger {
-    /// Creates an empty ledger.
-    #[must_use]
-    pub fn new() -> Self {
-        FailoverLedger::default()
-    }
-
-    /// Records `partition` as routed; returns `false` if it already was
-    /// (each partition fails over at most once).
-    pub fn route(&self, partition: usize) -> bool {
-        let mut routed = self.routed.lock().expect("failover ledger lock");
-        if routed.contains(&partition) {
-            return false;
-        }
-        routed.push(partition);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Partitions routed so far.
-    #[must_use]
-    pub fn routed(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,14 +575,5 @@ mod tests {
         assert_eq!(timeline.len(), 1, "all deliveries land in the first bin");
         assert_eq!(timeline[0].1, 4);
         assert!(t.report().throughput_timeline(Duration::ZERO).is_empty());
-    }
-
-    #[test]
-    fn failover_ledger_routes_each_partition_once() {
-        let ledger = FailoverLedger::new();
-        assert!(ledger.route(3));
-        assert!(!ledger.route(3));
-        assert!(ledger.route(5));
-        assert_eq!(ledger.routed(), 2);
     }
 }

@@ -1,5 +1,5 @@
-//! Shuffled epoch streaming over row groups: seeded deterministic
-//! permutations, bounded prefetch, and resumable mid-epoch cursors.
+//! Shuffled epochs over row groups: seeded deterministic permutations and
+//! resumable mid-epoch cursors.
 //!
 //! Real recommendation trainers consume *shuffled* epochs and checkpoint
 //! mid-epoch — Meta's data storage & ingestion study names both as
@@ -7,8 +7,10 @@
 //! lookahead exploits a known upcoming batch order. The `PSTOCOL4`
 //! row-group index (see `presto_columnar::file`) makes the storage side of
 //! this cheap: every mini-batch-aligned row group is independently
-//! addressable with one ranged read per projected column. This module adds
-//! the execution side:
+//! addressable with one ranged read per projected column. This module
+//! defines the order; the engine ([`crate::stream`], shuffled fleet:
+//! [`BatchStream::spawn_shuffled`](crate::BatchStream::spawn_shuffled))
+//! streams it.
 //!
 //! * [`epoch_units`] enumerates every row group of every partition into a
 //!   flat list of [`GroupRef`] units — the shuffle's sample space.
@@ -16,22 +18,10 @@
 //!   `(seed, epoch)` with a SplitMix64-keyed Fisher–Yates shuffle. Same
 //!   inputs ⇒ same permutation, on every worker count, forever; the epoch
 //!   number folds in so successive epochs reshuffle without new seeds.
-//! * [`ShuffledStream`] streams the permutation through a worker pool with
-//!   a bounded output channel (the prefetch bound) and **delivers units in
-//!   permutation order**: workers race, a small reorder heap at the
-//!   consumer restores the seeded order, so the concatenated epoch output
-//!   is bit-identical across worker counts — the property the CI
-//!   `shuffle-determinism` matrix pins.
-//! * [`EpochCursor`] ([`ShuffledStream::cursor`]) is a serializable
-//!   checkpoint of how far the epoch got; [`ShuffledStream::resume`]
-//!   continues from it bit-identically.
-//!
-//! Failure handling reuses the fleet [`RetryPolicy`](crate::recovery::RetryPolicy)
-//! machinery at row-group
-//! granularity: each unit is retried with capped backoff on retryable
-//! storage faults, devices carry the same consecutive-failure quarantine
-//! circuit breaker, and with `fail_fast: false` every claimed unit ends as
-//! exactly one in-order `Ok` batch or one tagged `Err`.
+//! * [`EpochCursor`] ([`BatchStream::cursor`](crate::BatchStream::cursor))
+//!   is a serializable checkpoint of how far the epoch got;
+//!   [`BatchStream::resume`](crate::BatchStream::resume) continues from it
+//!   bit-identically.
 //!
 //! # Shuffle quality vs read amplification
 //!
@@ -44,18 +34,9 @@
 //! recommendation pipelines make. `examples/shuffle_epochs` sweeps the
 //! trade-off.
 
-use crate::executor::{preprocess_group_with, PreprocessError, ScratchSpace};
-use crate::recovery::{RecoveryTracker, RunReport};
-use crate::stream::{FleetConfig, StreamStats, StreamedBatch};
-use crossbeam_channel::{bounded, Receiver, Sender};
+use crate::executor::PreprocessError;
 use presto_columnar::{ColumnarError, FileReader};
 use presto_datagen::Partition;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// What to shuffle: the seed and which epoch of it to stream.
 ///
@@ -202,398 +183,11 @@ impl EpochCursor {
     }
 }
 
-/// State shared by the shuffled run's workers.
-#[derive(Debug)]
-struct ShuffleShared {
-    plan: crate::plan::PreprocessPlan,
-    partitions: Vec<Partition>,
-    units: Vec<GroupRef>,
-    /// The epoch permutation: `order[seq]` is the unit streamed at
-    /// permutation position `seq`.
-    order: Vec<usize>,
-    /// Next permutation position to claim (producer side).
-    claim: AtomicUsize,
-    tracker: RecoveryTracker,
-    stop: AtomicBool,
-    completed: AtomicUsize,
-    started: Instant,
-}
-
-type SeqItem = (usize, Result<StreamedBatch, PreprocessError>);
-
-/// Runs one claimed unit's Extract + Transform with the fleet retry loop:
-/// capped exponential backoff on retryable errors, straggler accounting,
-/// per-device quarantine — the row-group-granularity twin of the partition
-/// fleets' attempt loop.
-fn attempt_unit(
-    shared: &ShuffleShared,
-    seq: usize,
-    scratch: &mut ScratchSpace,
-) -> Result<StreamedBatch, PreprocessError> {
-    let unit = shared.units[shared.order[seq]];
-    let partition = &shared.partitions[unit.partition];
-    let slot = shared.tracker.slot_of(partition.device);
-    let policy = shared.tracker.policy();
-    if shared.tracker.is_quarantined(slot) {
-        let e = PreprocessError::Extract(ColumnarError::Io {
-            detail: format!("device {} quarantined (circuit breaker open)", partition.device),
-        });
-        shared.tracker.note_failed(slot, unit.partition);
-        return Err(e.with_location(unit.partition, partition.device));
-    }
-    let mut attempt = 1u32;
-    let produced = loop {
-        let t0 = Instant::now();
-        let result = FileReader::open(partition.blob.clone())
-            .map_err(PreprocessError::from)
-            .and_then(|reader| preprocess_group_with(&shared.plan, &reader, unit.group, scratch));
-        shared.tracker.check_straggler(slot, unit.partition, t0.elapsed());
-        match result {
-            Ok(produced) => break Ok(produced),
-            Err(e) => {
-                shared.tracker.note_fault(slot, unit.partition);
-                let retry = e.is_retryable()
-                    && attempt < policy.max_attempts
-                    && !shared.tracker.is_quarantined(slot)
-                    && !shared.stop.load(Ordering::Relaxed);
-                if !retry {
-                    break Err(e);
-                }
-                attempt += 1;
-                let backoff = shared.tracker.note_retry(slot, unit.partition, attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-    };
-    match produced {
-        Ok((batch, timings)) => {
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            shared.tracker.note_delivered(slot, unit.partition, false);
-            Ok(StreamedBatch {
-                partition: unit.partition,
-                group: unit.group,
-                device: partition.device,
-                stolen: false,
-                batch,
-                timings,
-                arrived: shared.started.elapsed(),
-                attempts: attempt,
-                via_failover: false,
-            })
-        }
-        Err(e) => {
-            shared.tracker.note_failed(slot, unit.partition);
-            Err(e.with_location(unit.partition, partition.device))
-        }
-    }
-}
-
-/// Worker body: claim the next permutation position, process its unit,
-/// send `(seq, result)`; the consumer's reorder heap restores seq order.
-fn shuffle_loop(shared: Arc<ShuffleShared>, tx: Sender<SeqItem>) -> impl FnOnce() + Send + 'static {
-    move || {
-        let mut scratch = ScratchSpace::new();
-        while !shared.stop.load(Ordering::Relaxed) {
-            let seq = shared.claim.fetch_add(1, Ordering::Relaxed);
-            if seq >= shared.order.len() {
-                break;
-            }
-            let result = attempt_unit(&shared, seq, &mut scratch);
-            let failed = result.is_err();
-            if failed && shared.tracker.policy().fail_fast {
-                shared.stop.store(true, Ordering::Relaxed);
-                let _ = tx.send((seq, result));
-                break;
-            }
-            if tx.send((seq, result)).is_err() {
-                break;
-            }
-        }
-    }
-}
-
-/// Min-heap entry ordered by permutation position.
-#[derive(Debug)]
-struct BySeq(SeqItem);
-
-impl PartialEq for BySeq {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 .0 == other.0 .0
-    }
-}
-impl Eq for BySeq {}
-impl PartialOrd for BySeq {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BySeq {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0 .0.cmp(&other.0 .0)
-    }
-}
-
-/// A shuffled-epoch [`BatchSource`](StreamStats) feed: row groups of all
-/// partitions in a seeded permutation, delivered **in permutation order**
-/// regardless of worker count.
-///
-/// Construction: [`ShuffledStream::spawn`] starts an epoch from the top;
-/// [`ShuffledStream::resume`] continues from an [`EpochCursor`]. Dropping
-/// the stream stops and joins the workers (no deadlock, even with a full
-/// channel).
-#[derive(Debug)]
-pub struct ShuffledStream {
-    rx: Option<Receiver<SeqItem>>,
-    handles: Vec<JoinHandle<()>>,
-    shared: Arc<ShuffleShared>,
-    pending: BinaryHeap<Reverse<BySeq>>,
-    /// Next permutation position to yield — the consumer-side watermark
-    /// the cursor is derived from, so a resumed run never re-delivers or
-    /// skips a unit no matter what producers had claimed ahead.
-    next_seq: usize,
-    spec: ShuffleSpec,
-    workers: usize,
-    capacity: usize,
-}
-
-impl ShuffledStream {
-    /// Starts streaming epoch `spec.epoch` of `spec.seed` over every row
-    /// group of `partitions`.
-    ///
-    /// `config.workers` parallel unit pipelines feed a
-    /// `config.capacity`-bounded channel (the prefetch bound);
-    /// `config.recovery` governs retry/quarantine exactly as on the
-    /// partition fleets. `prefetch`, `host_workers` and `link_capacity`
-    /// do not apply.
-    ///
-    /// # Errors
-    ///
-    /// Propagates footer enumeration failures ([`epoch_units`]).
-    pub fn spawn(
-        plan: &crate::plan::PreprocessPlan,
-        partitions: &[Partition],
-        spec: ShuffleSpec,
-        config: &FleetConfig,
-    ) -> Result<ShuffledStream, PreprocessError> {
-        let units = epoch_units(partitions)?;
-        let cursor =
-            EpochCursor { seed: spec.seed, epoch: spec.epoch, next: 0, units: units.len() as u64 };
-        Self::start(plan, partitions, units, cursor, config)
-    }
-
-    /// Resumes an epoch from a serialized [`EpochCursor`]: unit `next` of
-    /// the permutation is the first delivered, and the continuation is
-    /// bit-identical to the uninterrupted run's tail.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the cursor's `units` does not match the dataset's row
-    /// grouping (a cursor from a different dataset or group size), plus
-    /// anything [`ShuffledStream::spawn`] can raise.
-    pub fn resume(
-        plan: &crate::plan::PreprocessPlan,
-        partitions: &[Partition],
-        cursor: EpochCursor,
-        config: &FleetConfig,
-    ) -> Result<ShuffledStream, PreprocessError> {
-        let units = epoch_units(partitions)?;
-        if cursor.units != units.len() as u64 {
-            return Err(PreprocessError::Extract(ColumnarError::CorruptFile {
-                detail: format!(
-                    "epoch cursor was taken over {} units but the dataset has {} — \
-                     different data or row-group size",
-                    cursor.units,
-                    units.len()
-                ),
-            }));
-        }
-        Self::start(plan, partitions, units, cursor, config)
-    }
-
-    fn start(
-        plan: &crate::plan::PreprocessPlan,
-        partitions: &[Partition],
-        units: Vec<GroupRef>,
-        cursor: EpochCursor,
-        config: &FleetConfig,
-    ) -> Result<ShuffledStream, PreprocessError> {
-        let order = epoch_order(units.len(), cursor.seed, cursor.epoch);
-        let start = usize::try_from(cursor.next).unwrap_or(usize::MAX).min(order.len());
-        let workers = config.workers.max(1).min(units.len().max(1));
-        let capacity = config.capacity.max(1);
-        let devices: Vec<usize> = units.iter().map(|u| partitions[u.partition].device).collect();
-        let shared = Arc::new(ShuffleShared {
-            plan: plan.clone(),
-            partitions: partitions.to_vec(),
-            order,
-            claim: AtomicUsize::new(start),
-            tracker: RecoveryTracker::new(config.recovery.clone(), &devices, units.len()),
-            units,
-            stop: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            started: Instant::now(),
-        });
-        let (tx, rx) = bounded::<SeqItem>(capacity);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("presto-shuffle-{worker}"))
-                    .spawn(shuffle_loop(Arc::clone(&shared), tx.clone()))
-                    .expect("spawn shuffle worker"),
-            );
-        }
-        drop(tx);
-        Ok(ShuffledStream {
-            rx: Some(rx),
-            handles,
-            shared,
-            pending: BinaryHeap::new(),
-            next_seq: start,
-            spec: ShuffleSpec { seed: cursor.seed, epoch: cursor.epoch },
-            workers,
-            capacity,
-        })
-    }
-
-    /// The shuffle spec this stream is running.
-    #[must_use]
-    pub fn spec(&self) -> ShuffleSpec {
-        self.spec
-    }
-
-    /// Units (row groups) in the epoch.
-    #[must_use]
-    pub fn unit_count(&self) -> usize {
-        self.shared.units.len()
-    }
-
-    /// Effective worker count (after clamping).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Units fully preprocessed so far (producer-side counter).
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Output-channel capacity — the prefetch bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Batches buffered ahead of the consumer, counting both the channel
-    /// and the reorder heap.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.rx.as_ref().map_or(0, Receiver::len) + self.pending.len()
-    }
-
-    /// The resume checkpoint as of now: everything before the cursor has
-    /// been **yielded to the consumer** (not merely claimed by a producer),
-    /// so feeding it to [`ShuffledStream::resume`] — on this process or
-    /// another — continues the epoch without gaps or repeats.
-    #[must_use]
-    pub fn cursor(&self) -> EpochCursor {
-        EpochCursor {
-            seed: self.spec.seed,
-            epoch: self.spec.epoch,
-            next: self.next_seq as u64,
-            units: self.shared.units.len() as u64,
-        }
-    }
-
-    /// Consolidated counters; queued counts both channel and reorder-heap
-    /// occupancy (batches buffered ahead of the consumer either way).
-    #[must_use]
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            workers: self.workers,
-            capacity: self.capacity,
-            queued: self.queued(),
-            completed: self.completed(),
-            p2p_bytes: 0,
-            boundary_bytes: 0,
-            recovery: Some(self.run_report()),
-        }
-    }
-
-    /// Recovery-activity snapshot at row-group granularity (`partitions`
-    /// in the report counts shuffle units).
-    #[must_use]
-    pub fn run_report(&self) -> RunReport {
-        self.shared.tracker.report()
-    }
-
-    fn join_workers(&mut self) {
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-}
-
-impl Iterator for ShuffledStream {
-    type Item = Result<StreamedBatch, PreprocessError>;
-
-    /// Yields the epoch strictly in permutation order: out-of-order
-    /// arrivals wait in the reorder heap (bounded by workers + channel
-    /// capacity) until their position comes up. The consumer keeps
-    /// draining the channel while waiting, so producers blocked on a full
-    /// channel always make progress — no deadlock.
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(Reverse(head)) = self.pending.peek() {
-                if head.0 .0 == self.next_seq {
-                    let Reverse(BySeq((_, item))) =
-                        self.pending.pop().expect("peeked entry exists");
-                    self.next_seq += 1;
-                    return Some(item);
-                }
-            }
-            let received = self.rx.as_ref().and_then(|rx| rx.recv().ok());
-            match received {
-                Some(item) => self.pending.push(Reverse(BySeq(item))),
-                None => {
-                    // Producers done. Flush any buffered tail in order; a
-                    // gap (possible only after a fail-fast stop) ends the
-                    // stream rather than delivering out of order.
-                    self.join_workers();
-                    let Reverse(BySeq((seq, item))) = self.pending.pop()?;
-                    if seq != self.next_seq {
-                        self.pending.clear();
-                        return None;
-                    }
-                    self.next_seq = seq + 1;
-                    return Some(item);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for ShuffledStream {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        // Disconnect so producers blocked on a full channel exit.
-        self.rx = None;
-        self.join_workers();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::PreprocessPlan;
+    use crate::stream::{BatchStream, FleetConfig};
     use presto_datagen::{Dataset, RmConfig};
 
     fn tiny(rows: usize) -> RmConfig {
@@ -641,8 +235,7 @@ mod tests {
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let spec = ShuffleSpec::new(42);
         let reference: Vec<(usize, usize)> =
-            ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(1, 2))
-                .unwrap()
+            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(1, 2))
                 .map(|i| {
                     let b = i.unwrap();
                     (b.partition, b.group)
@@ -650,14 +243,17 @@ mod tests {
                 .collect();
         assert_eq!(reference.len(), 9, "3 partitions x 3 groups");
         for workers in [4usize, 8] {
-            let got: Vec<(usize, usize)> =
-                ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(workers, 2))
-                    .unwrap()
-                    .map(|i| {
-                        let b = i.unwrap();
-                        (b.partition, b.group)
-                    })
-                    .collect();
+            let got: Vec<(usize, usize)> = BatchStream::spawn_shuffled(
+                &plan,
+                ds.partitions(),
+                spec,
+                &FleetConfig::new(workers, 2),
+            )
+            .map(|i| {
+                let b = i.unwrap();
+                (b.partition, b.group)
+            })
+            .collect();
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -668,20 +264,19 @@ mod tests {
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let spec = ShuffleSpec::new(7).with_epoch(2);
         let full: Vec<_> =
-            ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2))
-                .unwrap()
+            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2))
                 .map(|i| i.unwrap())
                 .collect();
         assert_eq!(full.len(), 20);
         // Interrupt after 7 batches, snapshot the cursor, resume.
         let mut first =
-            ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2)).unwrap();
+            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2));
         let head: Vec<_> = first.by_ref().take(7).map(|i| i.unwrap()).collect();
-        let cursor = first.cursor();
+        let cursor = first.cursor().expect("shuffled stream");
         drop(first);
         assert_eq!(cursor.next, 7);
         let tail: Vec<_> =
-            ShuffledStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(2, 3))
+            BatchStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(2, 3))
                 .unwrap()
                 .map(|i| i.unwrap())
                 .collect();
@@ -697,8 +292,9 @@ mod tests {
         let (c, ds) = grouped_dataset(2, 32, 8);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let cursor = EpochCursor { seed: 1, epoch: 0, next: 0, units: 999 };
-        assert!(ShuffledStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(1, 1))
-            .is_err());
+        assert!(
+            BatchStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(1, 1)).is_err()
+        );
     }
 
     #[test]
@@ -708,13 +304,12 @@ mod tests {
         // sequential whole-partition pipeline.
         let (c, ds) = grouped_dataset(3, 40, 16); // groups of 16,16,8
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let mut shuffled: Vec<_> = ShuffledStream::spawn(
+        let mut shuffled: Vec<_> = BatchStream::spawn_shuffled(
             &plan,
             ds.partitions(),
             ShuffleSpec::new(991_217),
             &FleetConfig::new(4, 2),
         )
-        .unwrap()
         .map(|i| i.unwrap())
         .collect();
         shuffled.sort_by_key(|b| (b.partition, b.group));
@@ -747,10 +342,13 @@ mod tests {
             *b ^= 0xff;
         }
         partitions[1].blob = presto_columnar::MemBlob::new(bytes);
-        let items: Vec<_> =
-            ShuffledStream::spawn(&plan, &partitions, ShuffleSpec::new(3), &FleetConfig::new(2, 2))
-                .unwrap()
-                .collect();
+        let items: Vec<_> = BatchStream::spawn_shuffled(
+            &plan,
+            &partitions,
+            ShuffleSpec::new(3),
+            &FleetConfig::new(2, 2),
+        )
+        .collect();
         let errs: Vec<_> = items.iter().filter_map(|i| i.as_ref().err()).collect();
         assert!(!errs.is_empty(), "corruption must surface");
         for e in &errs {
@@ -776,13 +374,12 @@ mod tests {
         // No quarantine so partition 0's groups are never collateral.
         let policy =
             crate::recovery::RetryPolicy::recover().with_quarantine_after(0).with_failover(false);
-        let stream = ShuffledStream::spawn(
+        let stream = BatchStream::spawn_shuffled(
             &plan,
             &partitions,
             ShuffleSpec::new(3),
             &FleetConfig::new(2, 2).with_recovery(policy),
-        )
-        .unwrap();
+        );
         let items: Vec<_> = stream.collect();
         assert_eq!(items.len(), 8, "every unit ends as exactly one Ok or Err");
         let oks: Vec<_> = items.iter().filter_map(|i| i.as_ref().ok()).collect();

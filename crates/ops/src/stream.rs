@@ -1,124 +1,121 @@
-//! Streaming pipelined execution: bounded channels, double-buffered
-//! Extract, and device-affine sharding.
+//! The streaming engine: every fleet is claim → attempt → (hand off) →
+//! deliver over one set of parts.
 //!
-//! This is the true producer–consumer architecture of the paper's host
-//! baseline (Section II-D) and of Fig. 9's training loop: preprocessing
-//! workers *stream* finished mini-batches through a bounded channel to the
-//! consumer (the trainer), instead of materializing every batch under one
-//! lock and handing them over at the end — the stalled-trainer pattern
-//! Meta's ingestion study calls out. The first mini-batch reaches the
-//! consumer while later partitions are still being read.
+//! PreSto's argument (Fig. 9/10) is that an ISP unit and a CPU worker run
+//! the *same* Extract → Transform → Load pipeline and differ only in where
+//! it is placed. This module is that statement as code: the host, ISP,
+//! split and shuffled fleets — and the pool workers of
+//! `presto_core::PreprocessService` — are configurations of one engine.
+//! Finished mini-batches stream to the consumer through a bounded channel
+//! as they complete, so in-flight memory is `O(capacity)` and the first
+//! batch arrives while later units are still being read.
 //!
-//! Three mechanisms, one per ROADMAP item this module retires:
+//! # Unit source
 //!
-//! * **Bounded output channel** — [`BatchStream::spawn`] returns a
-//!   [`BatchStream`] fed by a `capacity`-bounded MPSC channel (the vendored
-//!   `crossbeam-channel`). Producers block when the consumer falls behind,
-//!   so in-flight memory is `O(capacity)`, not `O(partitions)`. The
-//!   [`BatchStream::into_ordered`] adapter restores deterministic
-//!   partition order for consumers (and tests) that need it.
-//! * **Double-buffered Extract** — with [`FleetConfig::prefetch`] on, each
-//!   worker owns a prefetch thread that runs [`extract_partition_with`]
-//!   (the projected `read_at_into` reads + decode, staged through a
-//!   recycled [`ReadScratch`]) for partition *i + 1* while the worker
-//!   transforms partition *i*: a one-slot hand-off channel holds exactly
-//!   one extracted batch, so the two in-flight partitions are the two
-//!   buffers. `FsBlob`'s positioned `pread` makes the concurrent reads
-//!   safe across workers.
-//! * **Device-affine sharding** — partitions are queued per storage device
-//!   (`Partition::device`, cf. `Dataset::partitions_on`); workers are
-//!   pinned round-robin to devices and steal cross-device only when their
-//!   home queue drains. Per-device in-flight counters record contention
-//!   when workers outnumber devices (see [`DeviceLoad`]).
+//! A [`Unit`] is what one delivered batch is made from: a whole partition,
+//! or one `PSTOCOL4` row group of it (shuffled fleet). Units are what the
+//! run counts — [`RunReport::partitions`] is the unit count. Workers claim
+//! units from one source per run, in one of two layouts:
 //!
-//! The same bounded-channel machinery also backs the hybrid
-//! split-placement fleet (`presto_core::split::stream_split_workers`),
-//! where the channel additionally models the ISP → host device link and
-//! carries typed boundary hand-offs instead of finished mini-batches.
+//! * **device-affine queues** (host fleet): units are queued per storage
+//!   device; workers are pinned round-robin to devices and steal
+//!   cross-device only when their home queue drains;
+//! * **a sequence cursor** over a delivery order: partition order (ISP and
+//!   split fleets) or the seeded [`epoch_order`] permutation starting at an
+//!   [`EpochCursor`] (shuffled fleet).
+//!
+//! Either way the source records per-device load ([`DeviceLoad`]): a unit
+//! occupies its device from claim until its device-side phase returns.
+//!
+//! # Phases
+//!
+//! A [`Pipeline`] is at most two phases. The *device-side* phase reads the
+//! unit's stored bytes and ends in a finished batch, a staged hand-off, or
+//! a fall-back-to-host marker; the *host-side* phase finishes whichever it
+//! receives.
+//!
+//! | pipeline | device-side phase | host-side phase |
+//! |---|---|---|
+//! | [`Pipeline::Host`] | Extract (projected read + decode) | owned Transform + format |
+//! | [`Pipeline::Isp`] | P2P-counted Extract + chunked stages | full plan from pristine media (failover only) |
+//! | [`Pipeline::Split`] | P2P-counted Extract of the ISP projection + chunked stage prefix → [`BoundaryBatch`] | Extract of the host projection + stage suffix, or failover |
+//!
+//! The phase boundary is either fused on one thread
+//! ([`FleetConfig::without_prefetch`], the shuffled fleet, the service's
+//! pool workers via [`Run::run_unit`]) or a bounded channel: one slot per
+//! worker pair on the host fleet (double-buffered Extract: partition
+//! *i + 1* is read while *i* transforms), one shared
+//! [`FleetConfig::link_capacity`]-bounded device link on the split fleet,
+//! and the failover queue on the ISP fleet.
+//!
+//! # Ordering
+//!
+//! Every item travels with its sequence number — its position in the
+//! source's delivery order. Fleets yield in completion order by default;
+//! the shuffled fleet, and any stream after [`BatchStream::into_ordered`],
+//! yields in sequence order through one reorder buffer at the consumer.
+//! Shuffled output is therefore bit-identical across worker counts, and
+//! [`BatchStream::cursor`] counts units *yielded*, not claimed.
 //!
 //! # Failure semantics
 //!
-//! Every surfaced error carries provenance — it is wrapped as
-//! [`PreprocessError::At`] with the failing partition index and device id —
-//! so a consumer draining a many-device fleet can tell *which* device
-//! failed without string parsing. What happens next is governed by the
-//! [`RetryPolicy`] in [`FleetConfig::recovery`]:
+//! Every surfaced error is wrapped as [`PreprocessError::At`] with the
+//! failing partition and device. The [`RetryPolicy`] in
+//! [`FleetConfig::recovery`] (fail-fast by default on every fleet) governs
+//! the rest, identically for every fleet:
 //!
-//! * **Fail-fast** (the default, [`RetryPolicy::fail_fast`]): the first
-//!   worker error is forwarded into the stream as an `Err` item and the
-//!   shared stop flag halts every producer within one partition — the
-//!   original semantics, unchanged.
-//! * **Recovery** ([`RetryPolicy::recover`] or any custom policy): a failed
-//!   Extract attempt is retried up to [`RetryPolicy::max_attempts`] times
-//!   with capped exponential backoff, but only when the error is
-//!   *retryable* ([`PreprocessError::is_retryable`]: storage-side faults —
-//!   I/O errors, CRC mismatches from corrupt pages, truncated reads).
-//!   Deterministic plan/schema/shape errors surface immediately. Each
-//!   device carries a consecutive-failure circuit breaker
-//!   ([`RetryPolicy::quarantine_after`]): once tripped, workers stop
-//!   claiming attempts against the device and its remaining partitions
-//!   surface tagged errors instead of hanging the fleet — the host fleet
-//!   *is* the fallback path, so a dead host-visible device has nowhere to
-//!   fail over to (the ISP fleet in `presto_core::isp_worker` does fail
-//!   over, to this path). Attempts that outrun
-//!   [`RetryPolicy::straggler_deadline`] are counted post-hoc. With
-//!   `fail_fast: false` the fleet keeps streaming past per-partition
-//!   errors; every claimed partition ends as exactly one `Ok` batch or one
-//!   tagged `Err` — nothing is dropped silently, which
-//!   [`BatchStream::run_report`]'s accounting
-//!   (`delivered + failed_partitions == partitions`) makes checkable.
+//! * One retry loop wraps each phase attempt: *retryable* errors
+//!   ([`PreprocessError::is_retryable`]: storage-side faults) are retried
+//!   with capped exponential backoff until the attempt budget (shared by
+//!   both phases of a unit) runs out, the device's consecutive-failure
+//!   breaker trips (device-side attempts only), or the run is stopping.
+//!   Attempts outrunning [`RetryPolicy::straggler_deadline`] are counted.
+//! * A unit claimed against a quarantined device is not attempted.
+//! * A device-side phase of an ISP or split pipeline that is quarantined or
+//!   out of retries **fails over** when the policy allows: the host-side
+//!   phase re-reads the pristine media
+//!   ([`presto_columnar::MemBlob::without_faults`]) and runs the full plan
+//!   — bit-identical output, tagged `via_failover`, no P2P bytes. The host
+//!   pipeline *is* the fallback path: it has nowhere to fail over to and
+//!   fails loudly instead.
+//! * Every claimed unit ends as exactly one `Ok` batch or one tagged `Err`
+//!   (`delivered + failed == units` under `fail_fast: false`). Under
+//!   fail-fast the first error raises the stop flag *before* the possibly
+//!   blocking send, so sibling producers halt within one unit.
 //!
-//! Dropping the stream (even with a full channel) stops and joins the
-//! workers — no deadlock, verified by tests. [`BatchStream::run_report`]
-//! snapshots the run's recovery activity ([`RunReport`]: retries,
-//! quarantines, per-device fault counts, delivery timeline).
-//!
-//! [`run_workers`](crate::run_workers) is now a thin "drain the stream into
-//! a `Vec`" wrapper over this module, bit-identical to serial execution.
+//! Dropping a [`BatchStream`] (even with a full channel) stops and joins
+//! every worker and re-raises worker panics.
 
 use crate::executor::{
-    extract_partition_with, preprocess_batch_owned, PreprocessError, ScratchSpace, StageTimings,
+    extract_batch_from_reader, extract_columns_for_plan, extract_group_for_plan,
+    preprocess_batch_owned, preprocess_partition_isp, preprocess_partition_with,
+    preprocess_split_host, preprocess_split_isp, projected_bytes, BoundaryBatch, PreprocessError,
+    ScratchSpace, StageTimings, FEATURE_BUFFER_ELEMS,
 };
 use crate::minibatch::MiniBatch;
-use crate::plan::PreprocessPlan;
+use crate::plan::{PreprocessPlan, SplitPlan};
 use crate::recovery::{RecoveryTracker, RetryPolicy, RunReport};
+use crate::shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec};
 use crossbeam_channel::{bounded, Receiver, Sender};
-use presto_columnar::{ColumnarError, ReadScratch};
+use presto_columnar::{ColumnarError, FileReader};
 use presto_datagen::{Partition, RowBatch};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Configuration shared by every fleet — host CPU, emulated ISP, and the
-/// hybrid split executor. One builder replaces the three divergent
-/// pre-unification entry points (`StreamConfig`, the positional
-/// `stream_isp_workers_with` arguments, and the 7-argument
-/// `stream_split_workers_with`).
+/// Configuration shared by every fleet.
 ///
-/// # Recovery default — the single source of truth
-///
-/// Every fleet defaults to **fail-fast** failure handling
-/// ([`RetryPolicy::fail_fast`]): the first error is forwarded into the
-/// stream and the fleet halts within one partition. Opt into retry /
-/// quarantine / failover with [`FleetConfig::with_recovery`] — the same
-/// knob, with the same default, for all three fleets. (Before the
-/// unification the host fleet defaulted to fail-fast while the ISP and
-/// split fleets required an explicit policy at every call site.)
-///
-/// # Per-fleet knobs
-///
-/// `workers` and `capacity` mean the same thing on every fleet. `prefetch`
-/// only affects the host fleet (the ISP pipeline is inherently staged).
-/// `host_workers` and `link_capacity` only affect the split fleet: the
-/// host-side worker count (defaults to `workers`) and the bounded
-/// ISP → host hand-off channel modelling the device link (defaults to
-/// `capacity`).
+/// `workers`, `capacity` and `recovery` mean the same thing on every fleet;
+/// `recovery` defaults to **fail-fast** ([`RetryPolicy::fail_fast`])
+/// everywhere. `prefetch` only affects the host fleet; `host_workers` and
+/// `link_capacity` only affect the split fleet. Knobs that do not apply to
+/// a fleet are ignored, so one config drives an apples-to-apples
+/// comparison across all of them.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Worker (pipeline) count; clamped to `1..=partitions`. On the split
+    /// Worker (pipeline) count; clamped to `1..=units`. On the split
     /// fleet this is the ISP-side unit count.
     pub workers: usize,
     /// Output-channel capacity in mini-batches; producers block when full.
@@ -194,10 +191,8 @@ impl FleetConfig {
     }
 }
 
-/// One snapshot of a streaming fleet's counters — the consolidated stats
-/// surface behind `BatchSource::stats()`, replacing the per-stream ad-hoc
-/// accessors (`BatchStream::queued()`, `IspBatchStream::p2p_bytes()`,
-/// `SplitBatchStream::boundary_bytes()`, fleet-specific `run_report()`s).
+/// One snapshot of a streaming run's counters — what
+/// [`BatchStream::stats`] and `BatchSource::stats()` return.
 ///
 /// Counters that do not apply to a fleet are zero (`p2p_bytes` on the host
 /// fleet, `boundary_bytes` everywhere but the split fleet). `recovery` is
@@ -209,9 +204,9 @@ pub struct StreamStats {
     pub workers: usize,
     /// Output-channel capacity in mini-batches.
     pub capacity: usize,
-    /// Mini-batches buffered in the output channel right now.
+    /// Mini-batches buffered ahead of the consumer right now.
     pub queued: usize,
-    /// Partitions fully preprocessed so far (producer-side counter).
+    /// Units fully preprocessed so far (producer-side counter).
     pub completed: usize,
     /// Bytes moved over the emulated P2P / device link (ISP and split
     /// fleets; the host fleet reads through the page cache and reports 0).
@@ -224,54 +219,6 @@ pub struct StreamStats {
     pub recovery: Option<RunReport>,
 }
 
-/// Pre-unification host-fleet configuration.
-#[deprecated(since = "0.8.0", note = "use `FleetConfig` (one builder for all three fleets)")]
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Worker (pipeline) count; clamped to `1..=partitions`.
-    pub workers: usize,
-    /// Output-channel capacity in mini-batches; producers block when full.
-    pub capacity: usize,
-    /// Overlap Extract of the next partition with Transform of the current
-    /// one.
-    pub prefetch: bool,
-    /// Failure handling; defaults to [`RetryPolicy::fail_fast`].
-    pub recovery: RetryPolicy,
-}
-
-#[allow(deprecated)]
-impl StreamConfig {
-    /// `workers` pipelines over a `capacity`-bounded channel, prefetch on,
-    /// fail-fast failure handling.
-    #[must_use]
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        StreamConfig { workers, capacity, prefetch: true, recovery: RetryPolicy::fail_fast() }
-    }
-
-    /// Disables the Extract prefetch thread (ablation switch).
-    #[must_use]
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch = false;
-        self
-    }
-
-    /// Sets the failure-handling policy.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RetryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// The equivalent [`FleetConfig`].
-    #[must_use]
-    pub fn to_fleet(&self) -> FleetConfig {
-        let mut config = FleetConfig::new(self.workers, self.capacity);
-        config.prefetch = self.prefetch;
-        config.recovery = self.recovery.clone();
-        config
-    }
-}
-
 /// One mini-batch as it leaves the pipeline.
 #[derive(Debug)]
 pub struct StreamedBatch {
@@ -279,17 +226,16 @@ pub struct StreamedBatch {
     pub partition: usize,
     /// Row group within the partition this batch was decoded from. Fleets
     /// that preprocess whole partitions at a time report group `0`; the
-    /// shuffled random-access stream reports the actual `PSTOCOL4` row
-    /// group index.
+    /// shuffled fleet reports the actual `PSTOCOL4` row group index.
     pub group: usize,
     /// Storage device the partition lives on.
     pub device: usize,
-    /// True when the partition was claimed off the producing worker's home
+    /// True when the unit was claimed off the producing worker's home
     /// device (cross-device steal).
     pub stolen: bool,
     /// The preprocessed mini-batch.
     pub batch: MiniBatch,
-    /// Per-stage wall-clock timings for this partition.
+    /// Per-stage wall-clock timings for this unit.
     pub timings: StageTimings,
     /// Producer-side delivery time, measured from stream start: stamped
     /// when the finished batch is handed to the (possibly full) output
@@ -301,11 +247,11 @@ pub struct StreamedBatch {
     /// the consumer's own pacing into the trace and make the calibration
     /// tautological.
     pub arrived: Duration,
-    /// Extract attempts this batch took (1 = first try succeeded).
+    /// Attempts this batch took (1 = first try succeeded).
     pub attempts: u32,
     /// True when the batch was produced by the host failover path after
-    /// its home ISP device was quarantined (always false on the host
-    /// fleet, which is the fallback path).
+    /// its device-side phase gave up (never on the host pipeline, which is
+    /// the fallback path).
     pub via_failover: bool,
 }
 
@@ -314,348 +260,617 @@ pub struct StreamedBatch {
 pub struct DeviceLoad {
     /// Device id (`Partition::device`).
     pub device: usize,
-    /// Partitions resident on the device.
+    /// Units resident on the device.
     pub partitions: usize,
-    /// Peak simultaneously in-flight Extracts (claim until the projected
-    /// reads + decode finish — the window the device is actually busy).
-    /// Values above 1 mean workers contended for the device.
+    /// Peak simultaneously in-flight device-side phases (claim until the
+    /// phase returns — the window the device is actually busy). Values
+    /// above 1 mean workers contended for the device.
     pub max_in_flight: usize,
-    /// Partitions taken from this device by workers homed elsewhere.
+    /// Units taken from this device by workers homed elsewhere.
     pub stolen_from: usize,
 }
 
-/// Per-device partition queues with affine claiming and cross-device
-/// stealing.
-#[derive(Debug)]
-struct DeviceQueues {
-    /// Sorted distinct device ids.
-    devices: Vec<usize>,
-    /// Slice positions per device slot, in partition order.
-    queues: Vec<Vec<usize>>,
-    /// Next unclaimed entry per device slot.
-    cursors: Vec<AtomicUsize>,
-    in_flight: Vec<AtomicUsize>,
-    max_in_flight: Vec<AtomicUsize>,
-    stolen_from: Vec<AtomicUsize>,
+/// Where a run's stages execute — the phases of one unit (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Pipeline {
+    /// Extract, then owned Transform + format, on the host CPU.
+    Host,
+    /// The whole plan on an emulated ISP unit, chunked through
+    /// [`FEATURE_BUFFER_ELEMS`]-element on-chip feature buffers.
+    Isp,
+    /// The carried split's stage prefix on an ISP unit, its suffix on the
+    /// host, with the typed [`BoundaryBatch`] crossing between them.
+    Split(SplitPlan),
 }
 
-/// A claimed partition: slice position plus the bookkeeping needed to
-/// release the device when the batch is delivered.
+/// What one delivered batch is made from: a whole partition or one of its
+/// row groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unit {
+    partition: usize,
+    group: Option<usize>,
+}
+
+impl Unit {
+    /// The whole partition at `position` of the run's partition slice.
+    #[must_use]
+    pub fn partition(position: usize) -> Self {
+        Unit { partition: position, group: None }
+    }
+}
+
+/// A finished unit, before delivery accounting.
+#[derive(Debug)]
+pub struct Finished {
+    /// The preprocessed mini-batch.
+    pub batch: MiniBatch,
+    /// Per-stage wall-clock timings.
+    pub timings: StageTimings,
+    /// Attempts consumed across both phases.
+    pub attempts: u32,
+    /// Whether the host failover path produced the batch.
+    pub via_failover: bool,
+}
+
+/// One stream item: a delivered batch or a tagged error.
+pub type StreamItem = Result<StreamedBatch, PreprocessError>;
+
+/// A stream item with its sequence number (position in the delivery
+/// order), as it travels through the output channel.
+pub type SeqItem = (usize, StreamItem);
+
+/// What a device-side phase leaves behind for the host-side phase.
+// `Boundary` and `Extracted` are the payload-laden common cases, moved once
+// per unit; boxing them to appease `large_enum_variant` would buy nothing
+// but an extra allocation.
+#[allow(clippy::large_enum_variant)]
+enum Staged {
+    /// Nothing left to do (ISP pipeline).
+    Done(MiniBatch, StageTimings),
+    /// Extracted, awaiting Transform (host pipeline).
+    Extracted(RowBatch, Duration),
+    /// ISP prefix finished: the boundary payload and device-side timings.
+    Boundary(BoundaryBatch, StageTimings),
+    /// The device side gave up: run the full plan from pristine media.
+    Fallback,
+}
+
+/// Which side of the phase boundary an attempt runs on. Device-side
+/// attempts go through the unit's (possibly dying) device and answer to its
+/// circuit breaker; host-side attempts use the host's own block-I/O path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Device,
+    Host,
+}
+
+/// The run state of one streaming run — or of one service job: what a
+/// worker needs to take a claimed [`Unit`] to a delivered item, plus the
+/// counters behind [`StreamStats`].
+#[derive(Debug)]
+pub struct Run {
+    plan: PreprocessPlan,
+    partitions: Vec<Partition>,
+    pipeline: Pipeline,
+    tracker: RecoveryTracker,
+    /// Raised on a fail-fast error (and on consumer drop); producers
+    /// observe it between units and between attempts.
+    stop: AtomicBool,
+    completed: AtomicUsize,
+    p2p_bytes: AtomicU64,
+    boundary_bytes: AtomicU64,
+    /// Origin of every [`StreamedBatch::arrived`] stamp.
+    started: Instant,
+}
+
+impl Run {
+    /// A run of `units` units of `partitions` through `pipeline` under
+    /// `recovery`.
+    #[must_use]
+    pub fn new(
+        plan: PreprocessPlan,
+        partitions: Vec<Partition>,
+        pipeline: Pipeline,
+        recovery: RetryPolicy,
+        units: usize,
+    ) -> Self {
+        let devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
+        Run {
+            tracker: RecoveryTracker::new(recovery, &devices, units),
+            plan,
+            partitions,
+            pipeline,
+            stop: AtomicBool::new(false),
+            completed: AtomicUsize::new(0),
+            p2p_bytes: AtomicU64::new(0),
+            boundary_bytes: AtomicU64::new(0),
+            started: Instant::now(),
+        }
+    }
+
+    /// The partitions this run reads.
+    #[must_use]
+    pub fn partitions(&self) -> &[Partition] {
+        &self.partitions
+    }
+
+    /// The run's recovery bookkeeping.
+    #[must_use]
+    pub fn tracker(&self) -> &RecoveryTracker {
+        &self.tracker
+    }
+
+    /// The run's counters as a [`StreamStats`] snapshot; the consumer's
+    /// handle supplies what only it knows (`workers`, `capacity`, `queued`).
+    /// Failed-over units contribute no `p2p_bytes`: their bytes moved over
+    /// the host's block-I/O path.
+    #[must_use]
+    pub fn stats(&self, workers: usize, capacity: usize, queued: usize) -> StreamStats {
+        StreamStats {
+            workers,
+            capacity,
+            queued,
+            completed: self.completed.load(Ordering::Relaxed),
+            p2p_bytes: self.p2p_bytes.load(Ordering::Relaxed),
+            boundary_bytes: self.boundary_bytes.load(Ordering::Relaxed),
+            recovery: Some(self.tracker.report()),
+        }
+    }
+
+    fn slot(&self, unit: Unit) -> usize {
+        self.tracker.slot_of(self.partitions[unit.partition].device)
+    }
+
+    /// The one retry loop. Runs `f` until it succeeds or the policy says
+    /// stop: the error is not retryable, the attempt budget (counted from
+    /// `first`) is spent, a device-side attempt's breaker is open, or the
+    /// run is stopping. `f` is told whether another attempt may follow.
+    fn attempt<T>(
+        &self,
+        unit: Unit,
+        side: Side,
+        first: u32,
+        mut f: impl FnMut(bool) -> Result<T, PreprocessError>,
+    ) -> (Result<T, PreprocessError>, u32) {
+        let slot = self.slot(unit);
+        let policy = self.tracker.policy();
+        let mut attempt = first;
+        loop {
+            let t0 = Instant::now();
+            let result = f(attempt < policy.max_attempts);
+            self.tracker.check_straggler(slot, unit.partition, t0.elapsed());
+            let e = match result {
+                Ok(value) => return (Ok(value), attempt),
+                Err(e) => e,
+            };
+            self.tracker.note_fault(slot, unit.partition);
+            let retry = e.is_retryable()
+                && attempt < policy.max_attempts
+                && (side == Side::Host || !self.tracker.is_quarantined(slot))
+                && !self.stop.load(Ordering::Relaxed);
+            if !retry {
+                return (Err(e), attempt);
+            }
+            attempt += 1;
+            let backoff = self.tracker.note_retry(slot, unit.partition, attempt);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
+            }
+        }
+    }
+
+    /// One device-side attempt of `unit`; counts link traffic on success.
+    fn device_attempt(
+        &self,
+        unit: Unit,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Staged, PreprocessError> {
+        let blob = self.partitions[unit.partition].blob.clone();
+        match &self.pipeline {
+            Pipeline::Host => {
+                let t0 = Instant::now();
+                let reader = FileReader::open(blob)?;
+                let read = scratch.read_scratch();
+                let batch = match unit.group {
+                    None => extract_batch_from_reader(&self.plan, &reader, read)?,
+                    Some(group) => extract_group_for_plan(&self.plan, &reader, group, read)?,
+                };
+                Ok(Staged::Extracted(batch, t0.elapsed()))
+            }
+            Pipeline::Isp => {
+                let (batch, stats) =
+                    preprocess_partition_isp(&self.plan, blob, FEATURE_BUFFER_ELEMS, scratch)?;
+                self.p2p_bytes.fetch_add(stats.p2p_bytes, Ordering::Relaxed);
+                Ok(Staged::Done(batch, StageTimings::default()))
+            }
+            Pipeline::Split(split) => {
+                let t0 = Instant::now();
+                let reader = FileReader::open(blob)?;
+                let p2p_bytes = projected_bytes(&reader, split.isp_columns())?;
+                let batch = extract_columns_for_plan(
+                    &self.plan,
+                    &reader,
+                    split.isp_columns(),
+                    scratch.read_scratch(),
+                )?;
+                let extract = t0.elapsed();
+                let (boundary, mut timings, _) =
+                    preprocess_split_isp(&self.plan, split, batch, FEATURE_BUFFER_ELEMS)?;
+                timings.extract = extract;
+                self.p2p_bytes.fetch_add(p2p_bytes, Ordering::Relaxed);
+                self.boundary_bytes.fetch_add(boundary.byte_len(), Ordering::Relaxed);
+                Ok(Staged::Boundary(boundary, timings))
+            }
+        }
+    }
+
+    /// The device-side phase of one claimed unit, with the attempts it
+    /// consumed: quarantine pre-check, retry loop, and the decision to
+    /// fail over to the host when the device side cannot finish.
+    fn first_phase(
+        &self,
+        unit: Unit,
+        scratch: &mut ScratchSpace,
+    ) -> (Result<Staged, PreprocessError>, u32) {
+        // Nothing offloaded (host-only split): hand the unit straight across
+        // — no device work, no P2P traffic.
+        if matches!(&self.pipeline, Pipeline::Split(split) if split.isp_stages().is_empty()) {
+            return (Ok(Staged::Boundary(BoundaryBatch::default(), StageTimings::default())), 1);
+        }
+        let slot = self.slot(unit);
+        let (result, attempts) = if self.tracker.is_quarantined(slot) {
+            // Circuit open: no attempt is made, but the unit is never
+            // dropped silently.
+            let device = self.partitions[unit.partition].device;
+            let e = PreprocessError::Extract(ColumnarError::Io {
+                detail: format!("device {device} quarantined (circuit breaker open)"),
+            });
+            (Err(e), 0)
+        } else {
+            self.attempt(unit, Side::Device, 1, |_| self.device_attempt(unit, scratch))
+        };
+        match result {
+            // A retryable error that survived the retry loop means the
+            // device (or its link) is gone for this unit; the media behind
+            // it is intact, so the host path can still serve it.
+            Err(e)
+                if e.is_retryable()
+                    && self.tracker.policy().failover
+                    && !matches!(self.pipeline, Pipeline::Host) =>
+            {
+                self.tracker.note_failover(slot, unit.partition);
+                (Ok(Staged::Fallback), attempts)
+            }
+            other => (other, attempts),
+        }
+    }
+
+    /// The host-side phase: finishes whatever the device side left behind.
+    fn finish(
+        &self,
+        unit: Unit,
+        staged: Staged,
+        attempts: u32,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Finished, PreprocessError> {
+        let (batch, timings, attempts, via_failover) = match staged {
+            Staged::Done(batch, timings) => (batch, timings, attempts, false),
+            Staged::Extracted(batch, extract) => {
+                let (batch, mut timings) = preprocess_batch_owned(&self.plan, batch)?;
+                timings.extract = extract;
+                (batch, timings, attempts, false)
+            }
+            Staged::Boundary(mut boundary, isp_timings) => {
+                let Pipeline::Split(split) = &self.pipeline else {
+                    return Err(PreprocessError::Plan {
+                        detail: "boundary hand-off outside a split pipeline".into(),
+                    });
+                };
+                let blob = &self.partitions[unit.partition].blob;
+                let (result, attempts) = self.attempt(unit, Side::Host, attempts, |more| {
+                    // Keep a copy only while another attempt is still
+                    // allowed; the common no-retry path moves the payload.
+                    let payload =
+                        if more { boundary.clone() } else { std::mem::take(&mut boundary) };
+                    let t0 = Instant::now();
+                    let reader = FileReader::open(blob.clone())?;
+                    let batch = extract_columns_for_plan(
+                        &self.plan,
+                        &reader,
+                        split.host_columns(),
+                        scratch.read_scratch(),
+                    )?;
+                    let extract = t0.elapsed();
+                    let (batch, mut timings) =
+                        preprocess_split_host(&self.plan, split, batch, payload)?;
+                    timings.extract = extract;
+                    Ok((batch, timings))
+                });
+                let (batch, host_timings) = result?;
+                let mut timings = isp_timings;
+                timings.absorb(&host_timings);
+                (batch, timings, attempts, false)
+            }
+            Staged::Fallback => {
+                let blob = self.partitions[unit.partition].blob.without_faults();
+                let (batch, timings) = preprocess_partition_with(&self.plan, blob, scratch)?;
+                (batch, timings, 1, true)
+            }
+        };
+        Ok(Finished { batch, timings, attempts, via_failover })
+    }
+
+    /// Both phases of one unit fused on the calling thread — what a
+    /// service pool worker (and every fleet without a hand-off channel)
+    /// runs per claimed unit.
+    ///
+    /// # Errors
+    ///
+    /// The unit's error once retries and failover are exhausted; untagged
+    /// ([`Run::deliver`] adds the failure site).
+    pub fn run_unit(
+        &self,
+        unit: Unit,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Finished, PreprocessError> {
+        let (staged, attempts) = self.first_phase(unit, scratch);
+        self.finish(unit, staged?, attempts, scratch)
+    }
+
+    /// The one delivery path: accounts `outcome` in the tracker, tags an
+    /// error with its failure site, and sends the item. Returns false when
+    /// the producer should stop claiming for this run (fail-fast error, or
+    /// the consumer is gone).
+    pub fn deliver(
+        &self,
+        tx: &Sender<SeqItem>,
+        seq: usize,
+        unit: Unit,
+        stolen: bool,
+        outcome: Result<Finished, PreprocessError>,
+    ) -> bool {
+        let device = self.partitions[unit.partition].device;
+        let slot = self.tracker.slot_of(device);
+        match outcome {
+            Ok(done) => {
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                self.tracker.note_delivered(slot, unit.partition, done.via_failover);
+                let item = StreamedBatch {
+                    partition: unit.partition,
+                    group: unit.group.unwrap_or(0),
+                    device,
+                    stolen,
+                    batch: done.batch,
+                    timings: done.timings,
+                    // Stamped at delivery (before a possibly blocking send):
+                    // the supply process, unthrottled by the consumer.
+                    arrived: self.started.elapsed(),
+                    attempts: done.attempts.max(1),
+                    via_failover: done.via_failover,
+                };
+                tx.send((seq, Ok(item))).is_ok()
+            }
+            Err(e) => {
+                self.tracker.note_failed(slot, unit.partition);
+                let e = e.with_location(unit.partition, device);
+                if self.tracker.policy().fail_fast {
+                    // Raise the stop flag *before* blocking on the (possibly
+                    // full) channel, so sibling producers halt within one
+                    // unit even if the consumer is slow.
+                    self.stop.store(true, Ordering::Relaxed);
+                    let _ = tx.send((seq, Err(e)));
+                    false
+                } else {
+                    // Graceful degradation: surface this unit's error
+                    // inline and keep streaming the rest.
+                    tx.send((seq, Err(e))).is_ok()
+                }
+            }
+        }
+    }
+}
+
+/// A claimed unit: its sequence number plus the bookkeeping needed to
+/// release the device when its device-side phase returns.
 #[derive(Debug, Clone, Copy)]
 struct Claim {
-    pos: usize,
-    device_slot: usize,
+    seq: usize,
+    unit: Unit,
+    slot: usize,
     stolen: bool,
 }
 
-impl DeviceQueues {
-    fn new(partitions: &[Partition]) -> Self {
-        let mut devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
-        devices.sort_unstable();
-        devices.dedup();
-        if devices.is_empty() {
-            devices.push(0);
-        }
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); devices.len()];
-        for (pos, p) in partitions.iter().enumerate() {
-            let slot = devices.binary_search(&p.device).expect("device listed");
-            queues[slot].push(pos);
-        }
-        let n = devices.len();
-        DeviceQueues {
-            devices,
-            queues,
-            cursors: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            in_flight: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            max_in_flight: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            stolen_from: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
+/// How workers draw units from a [`UnitSource`].
+#[derive(Debug)]
+enum ClaimOrder {
+    /// One queue of unit indices per device slot; a worker drains its home
+    /// queue, then steals round-robin. A unit's sequence number is its
+    /// index.
+    Affine { queues: Vec<Vec<usize>>, cursors: Vec<AtomicUsize> },
+    /// `order[seq]` is the unit claimed at sequence number `seq`.
+    Sequence { order: Vec<usize>, next: AtomicUsize },
+}
 
-    fn slots(&self) -> usize {
-        self.devices.len()
-    }
+#[derive(Debug, Default)]
+struct DeviceCounters {
+    device: usize,
+    resident: usize,
+    in_flight: AtomicUsize,
+    max_in_flight: AtomicUsize,
+    stolen_from: AtomicUsize,
+}
 
-    /// Claims the next partition for a worker homed on `home`: the home
-    /// queue first, then the other devices round-robin (a steal).
-    fn claim(&self, home: usize) -> Option<Claim> {
-        let n = self.slots();
-        for k in 0..n {
-            let slot = (home + k) % n;
-            let idx = self.cursors[slot].fetch_add(1, Ordering::Relaxed);
-            if let Some(&pos) = self.queues[slot].get(idx) {
-                let now = self.in_flight[slot].fetch_add(1, Ordering::Relaxed) + 1;
-                self.max_in_flight[slot].fetch_max(now, Ordering::Relaxed);
-                let stolen = k != 0;
-                if stolen {
-                    self.stolen_from[slot].fetch_add(1, Ordering::Relaxed);
+/// The one claim interface over a run's units.
+#[derive(Debug)]
+struct UnitSource {
+    units: Vec<Unit>,
+    /// Device slot of each unit.
+    slots: Vec<usize>,
+    order: ClaimOrder,
+    loads: Vec<DeviceCounters>,
+}
+
+impl UnitSource {
+    /// `order = None` queues the units per device; `Some((order, start))`
+    /// claims `order[start..]` in sequence.
+    fn new(run: &Run, units: Vec<Unit>, order: Option<(Vec<usize>, usize)>) -> Self {
+        let mut loads: Vec<DeviceCounters> = run
+            .tracker
+            .devices()
+            .iter()
+            .map(|&device| DeviceCounters { device, ..DeviceCounters::default() })
+            .collect();
+        let slots: Vec<usize> = units.iter().map(|&u| run.slot(u)).collect();
+        for &slot in &slots {
+            loads[slot].resident += 1;
+        }
+        let order = match order {
+            Some((order, start)) => ClaimOrder::Sequence { order, next: AtomicUsize::new(start) },
+            None => {
+                let mut queues = vec![Vec::new(); loads.len()];
+                for (index, &slot) in slots.iter().enumerate() {
+                    queues[slot].push(index);
                 }
-                return Some(Claim { pos, device_slot: slot, stolen });
+                let cursors = queues.iter().map(|_| AtomicUsize::new(0)).collect();
+                ClaimOrder::Affine { queues, cursors }
             }
-        }
-        None
+        };
+        UnitSource { units, slots, order, loads }
     }
 
+    /// Claims the next unit for a worker homed on device slot `home`.
+    fn claim(&self, home: usize) -> Option<Claim> {
+        let (seq, index, stolen) = match &self.order {
+            ClaimOrder::Affine { queues, cursors } => {
+                let n = queues.len();
+                (0..n).find_map(|k| {
+                    let slot = (home + k) % n;
+                    let at = cursors[slot].fetch_add(1, Ordering::Relaxed);
+                    queues[slot].get(at).map(|&index| (index, index, k != 0))
+                })?
+            }
+            ClaimOrder::Sequence { order, next } => {
+                let seq = next.fetch_add(1, Ordering::Relaxed);
+                (seq, *order.get(seq)?, false)
+            }
+        };
+        let slot = self.slots[index];
+        let load = &self.loads[slot];
+        let now = load.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        load.max_in_flight.fetch_max(now, Ordering::Relaxed);
+        if stolen {
+            load.stolen_from.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(Claim { seq, unit: self.units[index], slot, stolen })
+    }
+
+    /// The device is done with the claim once its device-side phase
+    /// returns.
     fn release(&self, claim: Claim) {
-        self.in_flight[claim.device_slot].fetch_sub(1, Ordering::Relaxed);
+        self.loads[claim.slot].in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn report(&self) -> Vec<DeviceLoad> {
-        self.devices
+        self.loads
             .iter()
-            .enumerate()
-            .map(|(slot, &device)| DeviceLoad {
-                device,
-                partitions: self.queues[slot].len(),
-                max_in_flight: self.max_in_flight[slot].load(Ordering::Relaxed),
-                stolen_from: self.stolen_from[slot].load(Ordering::Relaxed),
+            .map(|load| DeviceLoad {
+                device: load.device,
+                partitions: load.resident,
+                max_in_flight: load.max_in_flight.load(Ordering::Relaxed),
+                stolen_from: load.stolen_from.load(Ordering::Relaxed),
             })
             .collect()
     }
 }
 
-/// State shared by every worker of one streaming run.
+/// Everything the workers of one streaming run share.
 #[derive(Debug)]
-struct SharedRun {
-    plan: PreprocessPlan,
-    partitions: Vec<Partition>,
-    queues: DeviceQueues,
-    /// Recovery policy enforcement and bookkeeping (retries, quarantine,
-    /// stragglers, the event log behind [`RunReport`]).
-    tracker: RecoveryTracker,
-    /// Raised on a fail-fast error (and on consumer drop); producers
-    /// observe it between partitions.
-    stop: AtomicBool,
-    /// Partitions fully preprocessed (before channel delivery).
-    completed: AtomicUsize,
-    /// Stream start; origin of every [`StreamedBatch::arrived`] stamp.
-    started: Instant,
+struct Engine {
+    run: Run,
+    source: UnitSource,
 }
 
-type StreamItem = Result<StreamedBatch, PreprocessError>;
-
-/// Streams `partitions` through `workers` preprocessing pipelines with
-/// Extract prefetch on; see [`BatchStream::spawn`].
-#[deprecated(since = "0.8.0", note = "use `BatchStream::spawn` or `Fleet::Host.spawn`")]
-#[must_use]
-pub fn stream_workers(
-    plan: &PreprocessPlan,
-    partitions: &[Partition],
-    workers: usize,
-    capacity: usize,
-) -> BatchStream {
-    BatchStream::spawn(plan, partitions, &FleetConfig::new(workers, capacity))
-}
-
-/// Starts a streaming run from a pre-unification [`StreamConfig`]; see
-/// [`BatchStream::spawn`].
-#[deprecated(since = "0.8.0", note = "use `BatchStream::spawn` or `Fleet::Host.spawn`")]
-#[allow(deprecated)]
-#[must_use]
-pub fn stream_workers_with(
-    plan: &PreprocessPlan,
-    partitions: &[Partition],
-    config: &StreamConfig,
-) -> BatchStream {
-    BatchStream::spawn(plan, partitions, &config.to_fleet())
-}
-
-fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new().name(name).spawn(body).expect("spawn stream worker")
-}
-
-/// An extracted-but-not-yet-transformed partition.
-struct StagedExtract {
-    batch: RowBatch,
-    extract: Duration,
+/// A unit in flight between the two phases.
+struct Handoff {
+    claim: Claim,
+    staged: Staged,
     attempts: u32,
 }
 
-/// The tagged error a partition gets when its device is already
-/// quarantined at claim time: no attempt is made, but the partition is
-/// never dropped silently.
-fn quarantined_error(device: usize) -> PreprocessError {
-    PreprocessError::Extract(ColumnarError::Io {
-        detail: format!("device {device} quarantined (circuit breaker open)"),
-    })
-}
-
-/// Runs the Extract attempt loop for one claimed partition: retry with
-/// capped exponential backoff on retryable errors, straggler accounting
-/// per attempt, and a consecutive-failure circuit breaker per device.
-/// Returns the extraction result plus the number of attempts consumed.
-///
-/// Retries stop when the error is non-retryable, the attempt budget is
-/// exhausted, the device trips (or already tripped) quarantine, or the
-/// fleet is stopping.
-fn attempt_extract(
-    shared: &SharedRun,
-    claim: Claim,
-    scratch: &mut ReadScratch,
-) -> (Result<(RowBatch, Duration), PreprocessError>, u32) {
-    let partition = &shared.partitions[claim.pos];
-    let slot = shared.tracker.slot_of(partition.device);
-    if shared.tracker.is_quarantined(slot) {
-        return (Err(quarantined_error(partition.device)), 0);
-    }
-    let policy = shared.tracker.policy();
-    let mut attempt = 1u32;
-    loop {
-        let t0 = Instant::now();
-        let result = extract_partition_with(&shared.plan, partition.blob.clone(), scratch);
-        shared.tracker.check_straggler(slot, claim.pos, t0.elapsed());
-        match result {
-            Ok(extracted) => return (Ok(extracted), attempt),
-            Err(e) => {
-                shared.tracker.note_fault(slot, claim.pos);
-                let retry = e.is_retryable()
-                    && attempt < policy.max_attempts
-                    && !shared.tracker.is_quarantined(slot)
-                    && !shared.stop.load(Ordering::Relaxed);
-                if !retry {
-                    return (Err(e), attempt);
-                }
-                attempt += 1;
-                let backoff = shared.tracker.note_retry(slot, claim.pos, attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
+impl Engine {
+    /// Claims for a worker homed on `home` and runs the device-side phase;
+    /// `None` when the source is drained or the run is stopping.
+    fn claim_first(
+        &self,
+        home: usize,
+        scratch: &mut ScratchSpace,
+    ) -> Option<(Claim, Result<Staged, PreprocessError>, u32)> {
+        if self.run.stop.load(Ordering::Relaxed) {
+            return None;
         }
+        let claim = self.source.claim(home)?;
+        let (staged, attempts) = self.run.first_phase(claim.unit, scratch);
+        self.source.release(claim);
+        Some((claim, staged, attempts))
     }
-}
 
-/// Prefetcher body: claim → Extract (with retries) → hand off.
-///
-/// The double buffering is at the *batch* level: the one-slot `stage_tx`
-/// holds one fully extracted (owned) batch while this thread reads the
-/// next, so each worker keeps exactly two partitions in flight — one
-/// transforming, one extracting. Extracts here are strictly sequential, so
-/// a single recycled `ReadScratch` suffices for chunk staging (the
-/// `RowBatch` handed off owns its decoded columns and never borrows it).
-fn prefetch_loop(
-    shared: Arc<SharedRun>,
-    home: usize,
-    stage_tx: Sender<(Claim, Result<StagedExtract, PreprocessError>)>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
-        let mut scratch = ReadScratch::new();
-        while !shared.stop.load(Ordering::Relaxed) {
-            let Some(claim) = shared.queues.claim(home) else { break };
-            let (extracted, attempts) = attempt_extract(&shared, claim, &mut scratch);
-            let result =
-                extracted.map(|(batch, extract)| StagedExtract { batch, extract, attempts });
-            // The device is done with this partition once Extract returns.
-            shared.queues.release(claim);
-            let failed = result.is_err();
-            if stage_tx.send((claim, result)).is_err()
-                || (failed && shared.tracker.policy().fail_fast)
-            {
-                break;
-            }
-        }
-    }
-}
-
-/// Transform-worker body for the prefetch pipeline: staged batch →
-/// Transform + format → consumer channel.
-fn transform_loop(
-    shared: Arc<SharedRun>,
-    stage_rx: Receiver<(Claim, Result<StagedExtract, PreprocessError>)>,
-    tx: Sender<StreamItem>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
-        while let Ok((claim, staged)) = stage_rx.recv() {
-            let mut attempts = 0u32;
-            let produced = staged.and_then(|s| {
-                attempts = s.attempts;
-                let (batch, mut timings) = preprocess_batch_owned(&shared.plan, s.batch)?;
-                timings.extract = s.extract;
-                Ok((batch, timings))
-            });
-            if !deliver(&shared, &tx, claim, produced, attempts.max(1)) {
-                break;
-            }
-        }
-    }
-}
-
-/// Fused worker body (prefetch off): claim → full pipeline → consumer.
-fn fused_loop(
-    shared: Arc<SharedRun>,
-    home: usize,
-    tx: Sender<StreamItem>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
+    /// Both phases on one thread: claim → run → deliver.
+    fn fused_loop(&self, home: usize, tx: &Sender<SeqItem>) {
         let mut scratch = ScratchSpace::new();
-        while !shared.stop.load(Ordering::Relaxed) {
-            let Some(claim) = shared.queues.claim(home) else { break };
-            // Same split as the prefetch pipeline (Extract, then owned
-            // Transform) so the device in-flight window means the same
-            // thing in both modes.
-            let (extracted, attempts) = attempt_extract(&shared, claim, scratch.read_scratch());
-            shared.queues.release(claim);
-            let produced = extracted.and_then(|(batch, extract)| {
-                let (mb, mut timings) = preprocess_batch_owned(&shared.plan, batch)?;
-                timings.extract = extract;
-                Ok((mb, timings))
-            });
-            if !deliver(&shared, &tx, claim, produced, attempts.max(1)) {
+        while let Some((claim, staged, attempts)) = self.claim_first(home, &mut scratch) {
+            let outcome =
+                staged.and_then(|s| self.run.finish(claim.unit, s, attempts, &mut scratch));
+            if !self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, outcome) {
+                break;
+            }
+        }
+    }
+
+    /// Device-side worker: claim → device-side phase → hand off (or
+    /// deliver, when nothing is left for the host side to do).
+    fn first_loop(&self, home: usize, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
+        let mut scratch = ScratchSpace::new();
+        while let Some((claim, staged, attempts)) = self.claim_first(home, &mut scratch) {
+            let keep_going = match staged {
+                Ok(staged @ Staged::Done(..)) => {
+                    let done = self.run.finish(claim.unit, staged, attempts, &mut scratch);
+                    self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, done)
+                }
+                Ok(staged) => link.send(Handoff { claim, staged, attempts }).is_ok(),
+                Err(e) => self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, Err(e)),
+            };
+            if !keep_going {
+                break;
+            }
+        }
+    }
+
+    /// Host-side worker: hand-off → host-side phase → deliver. Exits when
+    /// every device-side sender is gone.
+    fn second_loop(&self, link: &Receiver<Handoff>, tx: &Sender<SeqItem>) {
+        let mut scratch = ScratchSpace::new();
+        while let Ok(Handoff { claim, staged, attempts }) = link.recv() {
+            if self.run.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let outcome = self.run.finish(claim.unit, staged, attempts, &mut scratch);
+            if !self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, outcome) {
                 break;
             }
         }
     }
 }
 
-/// Forwards the result to the consumer; returns false when the worker
-/// should stop (fail-fast error produced or consumer gone). The device
-/// claim has already been released at the end of Extract. Every error is
-/// tagged with its failure site ([`PreprocessError::At`]) before delivery.
-fn deliver(
-    shared: &SharedRun,
-    tx: &Sender<StreamItem>,
-    claim: Claim,
-    produced: Result<(MiniBatch, StageTimings), PreprocessError>,
-    attempts: u32,
-) -> bool {
-    let partition = &shared.partitions[claim.pos];
-    let slot = shared.tracker.slot_of(partition.device);
-    match produced {
-        Ok((batch, timings)) => {
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            shared.tracker.note_delivered(slot, claim.pos, false);
-            let item = StreamedBatch {
-                partition: claim.pos,
-                group: 0,
-                device: partition.device,
-                stolen: claim.stolen,
-                batch,
-                timings,
-                // Stamped at delivery (before a possibly blocking send):
-                // the supply process, unthrottled by the consumer.
-                arrived: shared.started.elapsed(),
-                attempts,
-                via_failover: false,
-            };
-            tx.send(Ok(item)).is_ok()
-        }
-        Err(e) => {
-            shared.tracker.note_failed(slot, claim.pos);
-            let e = e.with_location(claim.pos, partition.device);
-            if shared.tracker.policy().fail_fast {
-                // Raise the stop flag *before* blocking on the (possibly
-                // full) channel, so sibling producers halt within one
-                // partition even if the consumer is slow.
-                shared.stop.store(true, Ordering::Relaxed);
-                let _ = tx.send(Err(e));
-                false
-            } else {
-                // Graceful degradation: surface this partition's error
-                // inline and keep streaming the rest.
-                tx.send(Err(e)).is_ok()
-            }
-        }
-    }
+/// Thread layout of one fleet: `groups` independent sets of `firsts`
+/// device-side workers, each set feeding `link = (capacity, finishers)`
+/// host-side workers over one bounded channel — or, without a link, running
+/// both phases fused on the `firsts` threads.
+struct Layout {
+    groups: usize,
+    firsts: usize,
+    link: Option<(usize, usize)>,
+    names: [&'static str; 2],
 }
 
 /// Inter-arrival gaps computed from a drained stream's
@@ -669,97 +884,247 @@ pub fn inter_arrivals(arrivals: &[Duration]) -> Vec<Duration> {
     arrivals.windows(2).map(|w| w[1].saturating_sub(w[0])).collect()
 }
 
-/// The consumer's end of a streaming run: an iterator of
-/// `Result<StreamedBatch, PreprocessError>` in completion order.
+/// The consumer's end of a streaming run — the one handle every fleet
+/// returns: an iterator of `Result<StreamedBatch, PreprocessError>`.
 ///
 /// Dropping the stream stops the producers (stop flag + channel disconnect)
 /// and joins every worker thread; no batches leak and nothing deadlocks
 /// even when the channel is full.
 #[derive(Debug)]
 pub struct BatchStream {
-    rx: Option<Receiver<StreamItem>>,
+    rx: Option<Receiver<SeqItem>>,
     handles: Vec<JoinHandle<()>>,
-    shared: Arc<SharedRun>,
+    engine: Arc<Engine>,
+    /// Yield in sequence order (through `pending`) instead of arrival
+    /// order.
+    ordered: bool,
+    /// The reorder buffer: out-of-order arrivals by sequence number,
+    /// bounded by workers + channel capacity.
+    pending: BTreeMap<usize, StreamItem>,
+    /// Next sequence number to yield in ordered mode — the consumer-side
+    /// watermark the cursor is derived from, so a resumed run never
+    /// re-delivers or skips a unit no matter what producers had claimed
+    /// ahead.
+    next_seq: usize,
+    shuffle: Option<ShuffleSpec>,
     workers: usize,
     capacity: usize,
     prefetch: bool,
 }
 
 impl BatchStream {
-    /// Starts a host-fleet streaming run and returns the consumer's end of
-    /// the pipeline.
-    ///
-    /// Mini-batches are yielded **as they complete**, tagged with their
-    /// partition index; wrap with [`BatchStream::into_ordered`] for
-    /// deterministic order. Worker/partition data is snapshotted via O(1)
-    /// clones (`MemBlob` shares its bytes), so the stream is `'static` and
-    /// outlives the borrowed arguments.
+    /// Starts a host-fleet run: device-affine claiming, Extract prefetch
+    /// per [`FleetConfig::prefetch`], batches yielded **as they complete**
+    /// (wrap with [`BatchStream::into_ordered`] for partition order).
+    /// Partition data is snapshotted via O(1) clones (`MemBlob` shares its
+    /// bytes), so the stream is `'static` and outlives its arguments.
     #[must_use]
     pub fn spawn(
         plan: &PreprocessPlan,
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> BatchStream {
-        let workers = config.workers.max(1).min(partitions.len().max(1));
-        let capacity = config.capacity.max(1);
-        let devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
-        let shared = Arc::new(SharedRun {
-            plan: plan.clone(),
-            partitions: partitions.to_vec(),
-            queues: DeviceQueues::new(partitions),
-            tracker: RecoveryTracker::new(config.recovery.clone(), &devices, partitions.len()),
-            stop: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            started: Instant::now(),
-        });
-        let (tx, rx) = bounded::<StreamItem>(capacity);
+        Self::spawn_pipeline(plan, partitions, Pipeline::Host, config)
+    }
 
-        let mut handles = Vec::with_capacity(workers * 2);
-        for worker in 0..workers {
-            let home = worker % shared.queues.slots();
-            if config.prefetch {
-                // Pipeline pair: prefetcher extracts partition i+1 while the
-                // transform worker processes partition i. The one-slot
-                // hand-off bounds each worker to a single extracted batch in
-                // flight.
-                let (stage_tx, stage_rx) =
-                    bounded::<(Claim, Result<StagedExtract, PreprocessError>)>(1);
-                handles.push(spawn_named(
-                    format!("presto-prefetch-{worker}"),
-                    prefetch_loop(Arc::clone(&shared), home, stage_tx),
-                ));
-                handles.push(spawn_named(
-                    format!("presto-stream-{worker}"),
-                    transform_loop(Arc::clone(&shared), stage_rx, tx.clone()),
-                ));
-            } else {
-                handles.push(spawn_named(
-                    format!("presto-stream-{worker}"),
-                    fused_loop(Arc::clone(&shared), home, tx.clone()),
-                ));
+    /// Starts a run of `pipeline` over whole partitions: the host fleet
+    /// ([`BatchStream::spawn`]), or the ISP / split fleet claiming
+    /// partitions in order, in completion order.
+    #[must_use]
+    pub fn spawn_pipeline(
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        pipeline: Pipeline,
+        config: &FleetConfig,
+    ) -> BatchStream {
+        let units = (0..partitions.len()).map(Unit::partition).collect();
+        Self::start(plan, partitions, pipeline, Ok(units), None, config)
+    }
+
+    /// Starts the shuffled fleet: every row group of `partitions` through
+    /// the host pipeline, claimed and **delivered in the seeded
+    /// permutation order** of epoch `spec.epoch`. Partitions written
+    /// without row grouping degrade to a whole-partition shuffle. A
+    /// footer-enumeration failure ([`epoch_units`]) is delivered as the
+    /// stream's only item.
+    #[must_use]
+    pub fn spawn_shuffled(
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        spec: ShuffleSpec,
+        config: &FleetConfig,
+    ) -> BatchStream {
+        Self::start_shuffled(plan, partitions, epoch_units(partitions), (spec, 0), config)
+    }
+
+    /// Resumes a shuffled epoch from a serialized [`EpochCursor`]: unit
+    /// `next` of the permutation is the first delivered, and the
+    /// continuation is bit-identical to the uninterrupted run's tail.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the cursor's `units` does not match the dataset's row
+    /// grouping (a cursor from a different dataset or group size), or when
+    /// the footers cannot be enumerated.
+    pub fn resume(
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        cursor: EpochCursor,
+        config: &FleetConfig,
+    ) -> Result<BatchStream, PreprocessError> {
+        let units = epoch_units(partitions)?;
+        if cursor.units != units.len() as u64 {
+            return Err(PreprocessError::Extract(ColumnarError::CorruptFile {
+                detail: format!(
+                    "epoch cursor was taken over {} units but the dataset has {} — \
+                     different data or row-group size",
+                    cursor.units,
+                    units.len()
+                ),
+            }));
+        }
+        let spec = ShuffleSpec { seed: cursor.seed, epoch: cursor.epoch };
+        Ok(Self::start_shuffled(plan, partitions, Ok(units), (spec, cursor.next), config))
+    }
+
+    fn start_shuffled(
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        units: Result<Vec<GroupRef>, PreprocessError>,
+        epoch: (ShuffleSpec, u64),
+        config: &FleetConfig,
+    ) -> BatchStream {
+        let units = units.map(|groups| {
+            groups.iter().map(|g| Unit { partition: g.partition, group: Some(g.group) }).collect()
+        });
+        Self::start(plan, partitions, Pipeline::Host, units, Some(epoch), config)
+    }
+
+    /// Spawns the fleet: `epoch = None` streams in completion order from a
+    /// per-pipeline source; `Some((spec, next))` streams `spec`'s
+    /// permutation from position `next` in sequence order. A failed `units`
+    /// becomes the stream's only item.
+    fn start(
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        pipeline: Pipeline,
+        units: Result<Vec<Unit>, PreprocessError>,
+        epoch: Option<(ShuffleSpec, u64)>,
+        config: &FleetConfig,
+    ) -> BatchStream {
+        let (units, spawn_error) = match units {
+            Ok(units) => (units, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        let n = units.len();
+        let workers = config.workers.max(1).min(n.max(1));
+        let capacity = config.capacity.max(1);
+        let fused = |name| Layout { groups: 1, firsts: workers, link: None, names: [name; 2] };
+        let layout = match &pipeline {
+            Pipeline::Host if epoch.is_some() => fused("presto-shuffle"),
+            Pipeline::Host if !config.prefetch => fused("presto-stream"),
+            // Pipeline pair: the prefetcher extracts partition i+1 while
+            // its transform worker processes partition i; the one-slot
+            // hand-off bounds each pair to one extracted batch in flight.
+            Pipeline::Host => Layout {
+                groups: workers,
+                firsts: 1,
+                link: Some((1, 1)),
+                names: ["presto-prefetch", "presto-stream"],
+            },
+            // The failover queue: each unit is enqueued at most once, so
+            // the bound can never block a sender.
+            Pipeline::Isp => Layout {
+                groups: 1,
+                firsts: workers,
+                link: Some((n.max(1), 1)),
+                names: ["presto-isp", "presto-isp-failover"],
+            },
+            // The hand-off channel models the bounded device link: ISP
+            // units stall once that many boundary payloads are in flight.
+            Pipeline::Split(_) => Layout {
+                groups: 1,
+                firsts: workers,
+                link: Some((
+                    config.effective_link_capacity().max(1),
+                    config.effective_host_workers().max(1).min(n.max(1)),
+                )),
+                names: ["presto-split-isp", "presto-split-host"],
+            },
+        };
+        let prefetch = pipeline == Pipeline::Host && layout.link.is_some();
+
+        let run = Run::new(plan.clone(), partitions.to_vec(), pipeline, config.recovery.clone(), n);
+        let start = epoch.map_or(0, |(_, next)| usize::try_from(next).unwrap_or(usize::MAX).min(n));
+        let order = epoch.map(|(spec, _)| (epoch_order(n, spec.seed, spec.epoch), start));
+        let ordered = order.is_some();
+        let source = UnitSource::new(&run, units, order);
+        let engine = Arc::new(Engine { run, source });
+
+        let (tx, rx) = bounded::<SeqItem>(capacity);
+        if let Some(e) = spawn_error {
+            // Capacity >= 1 and no producer exists: this cannot block.
+            let _ = tx.send((start, Err(e)));
+        }
+        let mut handles = Vec::new();
+        let mut spawn = |role: usize, index: usize, body: Box<dyn FnOnce() + Send>| {
+            let name = format!("{}-{index}", layout.names[role]);
+            handles.push(
+                std::thread::Builder::new().name(name).spawn(body).expect("spawn stream worker"),
+            );
+        };
+        let slots = engine.source.loads.len();
+        for group in 0..layout.groups {
+            let link = layout.link.map(|(capacity, _)| bounded::<Handoff>(capacity));
+            for first in 0..layout.firsts {
+                let worker = group * layout.firsts + first;
+                let home = worker % slots;
+                let (engine, tx) = (Arc::clone(&engine), tx.clone());
+                let body: Box<dyn FnOnce() + Send> = match &link {
+                    None => Box::new(move || engine.fused_loop(home, &tx)),
+                    Some((link_tx, _)) => {
+                        let link_tx = link_tx.clone();
+                        Box::new(move || engine.first_loop(home, &link_tx, &tx))
+                    }
+                };
+                spawn(0, worker, body);
+            }
+            let Some(((_, link_rx), (_, finishers))) = link.as_ref().zip(layout.link) else {
+                continue;
+            };
+            for finisher in 0..finishers {
+                let (engine, tx, link_rx) = (Arc::clone(&engine), tx.clone(), link_rx.clone());
+                spawn(
+                    1,
+                    group * finishers + finisher,
+                    Box::new(move || engine.second_loop(&link_rx, &tx)),
+                );
             }
         }
         drop(tx); // the workers' clones are now the only senders
 
-        BatchStream { rx: Some(rx), handles, shared, workers, capacity, prefetch: config.prefetch }
-    }
-
-    /// Consolidated counters ([`StreamStats`]); the host fleet reports no
-    /// P2P or boundary traffic.
-    #[must_use]
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            workers: self.workers,
-            capacity: self.capacity,
-            queued: self.queued(),
-            completed: self.completed(),
-            p2p_bytes: 0,
-            boundary_bytes: 0,
-            recovery: Some(self.run_report()),
+        BatchStream {
+            rx: Some(rx),
+            handles,
+            engine,
+            ordered,
+            pending: BTreeMap::new(),
+            next_seq: start,
+            shuffle: epoch.map(|(spec, _)| spec),
+            workers,
+            capacity,
+            prefetch,
         }
     }
 
-    /// Effective worker count (after clamping).
+    /// Consolidated counters ([`StreamStats`]).
+    #[must_use]
+    pub fn stats(&self) -> StreamStats {
+        self.engine.run.stats(self.workers, self.capacity, self.queued())
+    }
+
+    /// Effective worker count (after clamping); device-side workers on a
+    /// two-phase fleet.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
@@ -771,64 +1136,91 @@ impl BatchStream {
         self.capacity
     }
 
-    /// Whether Extract prefetch is active.
+    /// Whether Extract prefetch is active (host fleet with
+    /// [`FleetConfig::prefetch`] only).
     #[must_use]
     pub fn prefetch(&self) -> bool {
         self.prefetch
     }
 
-    /// Partitions fully preprocessed so far (producer-side counter; a
-    /// consumer can compare it against the partition count to observe
-    /// streaming overlap).
+    /// Units fully preprocessed so far (producer-side counter; a consumer
+    /// can compare it against the unit count to observe streaming
+    /// overlap).
     #[must_use]
     pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Relaxed)
+        self.engine.run.completed.load(Ordering::Relaxed)
     }
 
-    /// Mini-batches currently buffered in the output channel — the
-    /// consumer-side queue occupancy at the instant of the call. A trainer
-    /// sampling this on every pull builds the queue-occupancy histogram
-    /// that shows whether producers ran ahead (queue full) or the consumer
-    /// starved (queue empty).
+    /// Bytes pulled over the emulated P2P links so far. Failed-over units
+    /// contribute nothing: their bytes moved over the host's block-I/O
+    /// path.
+    #[must_use]
+    pub fn p2p_bytes(&self) -> u64 {
+        self.engine.run.p2p_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of boundary intermediates that crossed the device link so far
+    /// — what the placement cost model prices per stage hand-off.
+    #[must_use]
+    pub fn boundary_bytes(&self) -> u64 {
+        self.engine.run.boundary_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Mini-batches buffered ahead of the consumer at the instant of the
+    /// call, counting both the output channel and the reorder buffer. A
+    /// trainer sampling this on every pull builds the queue-occupancy
+    /// histogram that shows whether producers ran ahead (queue full) or
+    /// the consumer starved (queue empty).
     #[must_use]
     pub fn queued(&self) -> usize {
-        self.rx.as_ref().map_or(0, Receiver::len)
+        self.rx.as_ref().map_or(0, Receiver::len) + self.pending.len()
     }
 
     /// Per-device load snapshot (final after the stream is drained).
     #[must_use]
     pub fn device_report(&self) -> Vec<DeviceLoad> {
-        self.shared.queues.report()
+        self.engine.source.report()
     }
 
-    /// Recovery-activity snapshot ([`RunReport`]: retries, quarantines,
-    /// per-device fault counts, delivery timeline). Final once the stream
-    /// is drained; callable mid-stream for live monitoring.
+    /// Recovery-activity snapshot ([`RunReport`]: retries, failovers,
+    /// quarantines, per-device fault counts, delivery timeline; its
+    /// `partitions` counts units). Final once the stream is drained;
+    /// callable mid-stream for live monitoring.
     #[must_use]
     pub fn run_report(&self) -> RunReport {
-        self.shared.tracker.report()
+        self.engine.run.tracker.report()
     }
 
-    /// Adapts the stream to yield batches in partition order, buffering
-    /// out-of-order arrivals; output is bit-identical to serial execution.
-    ///
-    /// # Semantics after a mid-stream error
-    ///
-    /// Errors are **not** reordered: an `Err` item is yielded as soon as
-    /// the underlying stream produces it, ahead of any buffered
-    /// out-of-order batches. Under the fail-fast policy this means every
-    /// batch of a partition index *below* the failed one that completed
-    /// before the stop is still delivered in order, the error is surfaced
-    /// exactly once, and iteration then ends after flushing stragglers —
-    /// even with a full (capacity-1) output channel, since dropping or
-    /// draining the inner stream disconnects the channel before joining
-    /// workers. Under a `fail_fast: false` policy the error is yielded
-    /// inline and ordered iteration continues; the failed partition index
-    /// is simply skipped by the order cursor when its turn comes (it can
-    /// never arrive), which the flush path handles.
+    /// The resume checkpoint of a shuffled stream as of now (`None` on
+    /// fleets without an epoch permutation): everything before the cursor
+    /// has been **yielded to the consumer** (not merely claimed by a
+    /// producer), so feeding it to [`BatchStream::resume`] — on this
+    /// process or another — continues the epoch without gaps or repeats.
     #[must_use]
-    pub fn into_ordered(self) -> OrderedBatchStream {
-        OrderedBatchStream { inner: self, next_index: 0, pending: BinaryHeap::new() }
+    pub fn cursor(&self) -> Option<EpochCursor> {
+        self.shuffle.map(|spec| EpochCursor {
+            seed: spec.seed,
+            epoch: spec.epoch,
+            next: self.next_seq as u64,
+            units: self.engine.source.units.len() as u64,
+        })
+    }
+
+    /// Switches the stream to sequence order (partition order on the
+    /// partition fleets; the shuffled fleet already is), buffering
+    /// out-of-order arrivals; output is bit-identical to serial execution.
+    /// Call before pulling the first item.
+    ///
+    /// Errors are ordered like batches: a failed unit's `Err` is yielded
+    /// at its position. After an early stop (fail-fast) some positions
+    /// never arrive; whatever did is flushed in order once the producers
+    /// are done, so every produced item is surfaced exactly once — even
+    /// with a full capacity-1 channel, since the consumer keeps draining
+    /// the channel while it waits.
+    #[must_use]
+    pub fn into_ordered(mut self) -> BatchStream {
+        self.ordered = true;
+        self
     }
 
     fn join_workers(&mut self) {
@@ -846,13 +1238,27 @@ impl Iterator for BatchStream {
     type Item = StreamItem;
 
     fn next(&mut self) -> Option<StreamItem> {
-        let item = self.rx.as_ref().and_then(|rx| rx.recv().ok());
-        match item {
-            Some(item) => Some(item),
-            None => {
-                // All senders gone: the run is over; reap the threads.
-                self.join_workers();
-                None
+        loop {
+            if let Some(entry) = self.pending.first_entry() {
+                if *entry.key() == self.next_seq {
+                    self.next_seq += 1;
+                    return Some(entry.remove());
+                }
+            }
+            match self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
+                Some((_, item)) if !self.ordered => return Some(item),
+                Some((seq, item)) => {
+                    self.pending.insert(seq, item);
+                }
+                None => {
+                    // All senders gone: the run is over; reap the threads,
+                    // then flush whatever arrived past a gap (only
+                    // reachable after an early stop).
+                    self.join_workers();
+                    let (seq, item) = self.pending.pop_first()?;
+                    self.next_seq = seq + 1;
+                    return Some(item);
+                }
             }
         }
     }
@@ -860,79 +1266,11 @@ impl Iterator for BatchStream {
 
 impl Drop for BatchStream {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.engine.run.stop.store(true, Ordering::Relaxed);
         // Disconnect the channel so producers blocked on a full queue fail
         // their send and exit instead of deadlocking.
         self.rx = None;
         self.join_workers();
-    }
-}
-
-/// Min-heap entry ordered by partition index.
-struct ByPartition(StreamedBatch);
-
-impl PartialEq for ByPartition {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.partition == other.0.partition
-    }
-}
-impl Eq for ByPartition {}
-impl PartialOrd for ByPartition {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ByPartition {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partition.cmp(&other.0.partition)
-    }
-}
-
-/// [`BatchStream`] adapter restoring partition order (see
-/// [`BatchStream::into_ordered`]).
-pub struct OrderedBatchStream {
-    inner: BatchStream,
-    next_index: usize,
-    pending: BinaryHeap<Reverse<ByPartition>>,
-}
-
-impl OrderedBatchStream {
-    /// The underlying completion-order stream (for its accessors).
-    #[must_use]
-    pub fn get_ref(&self) -> &BatchStream {
-        &self.inner
-    }
-}
-
-impl Iterator for OrderedBatchStream {
-    type Item = StreamItem;
-
-    fn next(&mut self) -> Option<StreamItem> {
-        loop {
-            if let Some(Reverse(head)) = self.pending.peek() {
-                if head.0.partition == self.next_index {
-                    let Reverse(ByPartition(batch)) =
-                        self.pending.pop().expect("peeked entry exists");
-                    self.next_index += 1;
-                    return Some(Ok(batch));
-                }
-            }
-            match self.inner.next() {
-                Some(Ok(batch)) if batch.partition == self.next_index => {
-                    self.next_index += 1;
-                    return Some(Ok(batch));
-                }
-                Some(Ok(batch)) => self.pending.push(Reverse(ByPartition(batch))),
-                Some(Err(e)) => return Some(Err(e)),
-                None => {
-                    // Stream over: flush whatever arrived out of order
-                    // (only reachable with gaps after an early stop).
-                    let Reverse(ByPartition(batch)) = self.pending.pop()?;
-                    self.next_index = batch.partition + 1;
-                    return Some(Ok(batch));
-                }
-            }
-        }
     }
 }
 
@@ -1156,17 +1494,6 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_full_stream_does_not_deadlock_or_leak_threads() {
-        let (c, ds) = dataset(10, 16, 2);
-        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let mut stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 1));
-        // Take one batch, then walk away with the capacity-1 channel full
-        // and producers blocked mid-send.
-        let _ = stream.next().unwrap().unwrap();
-        drop(stream); // must join every worker without hanging
-    }
-
-    #[test]
     fn ordered_stream_after_midrun_error_delivers_prefix_then_error_once() {
         let (c, ds) = dataset(6, 16, 1);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
@@ -1224,7 +1551,7 @@ mod tests {
         let config = FleetConfig::new(3, 2).with_recovery(recovery);
         let mut s = BatchStream::spawn(&plan, &partitions, &config).into_ordered();
         let streamed: Vec<MiniBatch> = s.by_ref().map(|i| i.unwrap().batch).collect();
-        let report = s.get_ref().run_report();
+        let report = s.run_report();
         assert_eq!(streamed, serial, "recovered stream must be bit-identical");
         assert!(injector.stats().transient > 0, "the plan must actually have injected faults");
         assert_eq!(report.retries, report.faults, "every fault was retried");
@@ -1341,28 +1668,5 @@ mod tests {
         let config = config.with_host_workers(2).with_link_capacity(9);
         assert_eq!(config.effective_host_workers(), 2);
         assert_eq!(config.effective_link_capacity(), 9);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_still_spawn_the_same_fleet() {
-        let (c, ds) = dataset(3, 16, 1);
-        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let via_new: Vec<MiniBatch> =
-            BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 2))
-                .into_ordered()
-                .map(|i| i.unwrap().batch)
-                .collect();
-        let via_old: Vec<MiniBatch> = stream_workers(&plan, ds.partitions(), 2, 2)
-            .into_ordered()
-            .map(|i| i.unwrap().batch)
-            .collect();
-        let via_config: Vec<MiniBatch> =
-            stream_workers_with(&plan, ds.partitions(), &StreamConfig::new(2, 2))
-                .into_ordered()
-                .map(|i| i.unwrap().batch)
-                .collect();
-        assert_eq!(via_old, via_new);
-        assert_eq!(via_config, via_new);
     }
 }

@@ -26,11 +26,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto::columnar::{FaultInjector, FaultPlan};
-use presto::core::{IspBatchStream, Trainer, TrainerConfig};
+use presto::core::{Trainer, TrainerConfig};
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::metrics::{samples_per_sec, TextTable};
 use presto::ops::{
-    preprocess_partition, BatchStream, FleetConfig, MiniBatch, PreprocessPlan, RetryPolicy,
+    preprocess_partition, BatchStream, FleetConfig, MiniBatch, Pipeline, PreprocessPlan,
+    RetryPolicy,
 };
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -97,7 +98,7 @@ fn main() {
                 trainer.run(BatchStream::spawn(&plan, &partitions, &cfg))
             } else {
                 let cfg = FleetConfig::new(2, 4).with_recovery(policy.clone());
-                trainer.run(IspBatchStream::spawn(&plan, &partitions, &cfg))
+                trainer.run(BatchStream::spawn_pipeline(&plan, &partitions, Pipeline::Isp, &cfg))
             }
             .expect("recovered run completes");
             let report_recovery = report.recovery().cloned();
@@ -122,8 +123,12 @@ fn main() {
     let injector = FaultPlan::new(seed).with_device_death(1, 60).arm();
     let partitions = armed(&dataset, &injector);
     let policy = RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2);
-    let mut stream =
-        IspBatchStream::spawn(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
+    let mut stream = BatchStream::spawn_pipeline(
+        &plan,
+        &partitions,
+        Pipeline::Isp,
+        &FleetConfig::new(2, 4).with_recovery(policy),
+    );
     let mut batches: Vec<(usize, bool, MiniBatch)> = stream
         .by_ref()
         .map(|item| item.expect("failover completes every partition"))

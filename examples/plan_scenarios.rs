@@ -19,11 +19,10 @@
 //! (CI uses tiny values to catch example rot cheaply).
 
 use presto::core::placement::{place_stages, OpCostModel};
-use presto::core::IspBatchStream;
 use presto::datagen::{Dataset, RmConfig};
 use presto::hwsim::fpga::IspModel;
 use presto::ops::{
-    preprocess_partition, BatchStream, FleetConfig, MiniBatch, PlanGraph, PreprocessPlan,
+    preprocess_partition, BatchStream, FleetConfig, MiniBatch, Pipeline, PlanGraph, PreprocessPlan,
 };
 use std::time::Instant;
 
@@ -81,8 +80,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // In-storage fleet (emulated ISP units, chunked through on-chip
         // feature buffers).
         let t0 = Instant::now();
-        let mut isp_stream =
-            IspBatchStream::spawn(&plan, dataset.partitions(), &FleetConfig::new(2, 4));
+        let mut isp_stream = BatchStream::spawn_pipeline(
+            &plan,
+            dataset.partitions(),
+            Pipeline::Isp,
+            &FleetConfig::new(2, 4),
+        );
         let mut isp: Vec<(usize, MiniBatch)> = Vec::new();
         for item in isp_stream.by_ref() {
             let b = item?;

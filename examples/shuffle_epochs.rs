@@ -32,7 +32,7 @@ use presto::columnar::FileReader;
 use presto::datagen::{Dataset, RmConfig};
 use presto::metrics::TextTable;
 use presto::ops::{
-    epoch_units, EpochCursor, FleetConfig, PreprocessPlan, ShuffleSpec, ShuffledStream,
+    epoch_units, BatchStream, EpochCursor, FleetConfig, PreprocessPlan, ShuffleSpec,
 };
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for epoch in 0..3u64 {
         let spec = ShuffleSpec::new(seed).with_epoch(epoch);
         let order: Vec<String> =
-            ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(4, 4))?
+            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(4, 4))
                 .map(|item| {
                     let b = item.expect("fault-free run");
                     format!("{}.{}", b.partition, b.group)
@@ -78,14 +78,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Part 2: interrupt, serialize the cursor, resume ──────────────────
     let spec = ShuffleSpec::new(seed);
     let full: Vec<(usize, usize)> =
-        ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(4, 4))?
+        BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(4, 4))
             .map(|item| {
                 let b = item.expect("ok");
                 (b.partition, b.group)
             })
             .collect();
     let interrupt_at = units.len() / 2;
-    let mut first = ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(4, 4))?;
+    let mut first =
+        BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(4, 4));
     let mut stitched: Vec<(usize, usize)> = first
         .by_ref()
         .take(interrupt_at)
@@ -94,17 +95,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (b.partition, b.group)
         })
         .collect();
-    let checkpoint = first.cursor().encode();
+    let checkpoint = first.cursor().expect("shuffled stream").encode();
     drop(first);
     println!("\ninterrupted after {interrupt_at} units; cursor = {checkpoint:?}");
     let cursor = EpochCursor::decode(&checkpoint)?;
     stitched.extend(
-        ShuffledStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(2, 4))?.map(
-            |item| {
-                let b = item.expect("ok");
-                (b.partition, b.group)
-            },
-        ),
+        BatchStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(2, 4))?.map(|item| {
+            let b = item.expect("ok");
+            (b.partition, b.group)
+        }),
     );
     assert_eq!(stitched, full, "resume must be bit-identical to the uninterrupted epoch");
     println!("resumed: stitched epoch identical to the uninterrupted run ✓");

@@ -34,12 +34,11 @@
 
 use presto::columnar::ReadScratch;
 use presto::core::placement::{place_stages, OpCostModel};
-use presto::core::{IspBatchStream, SplitBatchStream};
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::hwsim::fpga::IspModel;
 use presto::ops::{
     preprocess_partition, preprocess_partition_split, BatchStream, ChainSpec, ColumnRequirement,
-    FleetConfig, MiniBatch, Op, PlanGraph, PreprocessPlan, SigridHasher,
+    FleetConfig, MiniBatch, Op, Pipeline, PlanGraph, PreprocessPlan, SigridHasher,
 };
 use std::time::{Duration, Instant};
 
@@ -90,7 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let placement = place_stages(&plan, rows, &model);
         let split = plan.split(&placement.fleet_assignment())?;
         let warm = FleetConfig::new(2, 4).with_host_workers(2);
-        for item in SplitBatchStream::spawn(&plan, &split, &slow, &warm) {
+        for item in BatchStream::spawn_pipeline(&plan, &slow, Pipeline::Split(split.clone()), &warm)
+        {
             item?;
         }
         for item in BatchStream::spawn(&plan, &slow, &FleetConfig::new(2, 4)) {
@@ -128,7 +128,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ISP-only fleet.
         let t0 = Instant::now();
-        let mut isp_stream = IspBatchStream::spawn(&plan, &slow, &FleetConfig::new(2, 4));
+        let mut isp_stream =
+            BatchStream::spawn_pipeline(&plan, &slow, Pipeline::Isp, &FleetConfig::new(2, 4));
         let mut isp: Vec<(usize, MiniBatch)> = Vec::new();
         for item in isp_stream.by_ref() {
             let b = item?;
@@ -144,7 +145,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Hybrid split fleet: ISP prefix pipelined against host suffix.
         let t0 = Instant::now();
         let split_config = FleetConfig::new(2, 4).with_host_workers(2);
-        let mut split_stream = SplitBatchStream::spawn(&plan, &split, &slow, &split_config);
+        let mut split_stream = BatchStream::spawn_pipeline(
+            &plan,
+            &slow,
+            Pipeline::Split(split.clone()),
+            &split_config,
+        );
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
         for item in split_stream.by_ref() {
             let b = item?;
@@ -327,7 +333,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t0 = Instant::now();
         let split_config = FleetConfig::new(2, 4).with_host_workers(2);
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
-        for item in SplitBatchStream::spawn(&plan, &split, &ls_slow, &split_config) {
+        for item in BatchStream::spawn_pipeline(
+            &plan,
+            &ls_slow,
+            Pipeline::Split(split.clone()),
+            &split_config,
+        ) {
             let b = item?;
             hybrid.push((b.partition, b.batch));
         }

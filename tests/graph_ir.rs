@@ -14,12 +14,11 @@
 //!    for arbitrary compiled graphs under *arbitrary* (not just
 //!    cost-optimal) stage-to-fleet assignments and any chunk size.
 
-use presto::core::IspBatchStream;
 use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig};
 use presto::ops::{
     lognorm, preprocess_batch, preprocess_partition, BatchStream, Bucketizer, ChainSpec,
-    DenseMatrix, FleetConfig, IdMap, JaggedFeature, MiniBatch, Op, PlanGraph, PreprocessPlan,
-    SigridHasher,
+    DenseMatrix, FleetConfig, IdMap, JaggedFeature, MiniBatch, Op, Pipeline, PlanGraph,
+    PreprocessPlan, SigridHasher,
 };
 use proptest::prelude::*;
 
@@ -150,8 +149,9 @@ proptest! {
                 .map(|item| item.expect("cpu batch").batch)
                 .collect();
             prop_assert_eq!(&cpu, &serial);
+            let config = FleetConfig::new(2, 2);
             let mut isp: Vec<(usize, MiniBatch)> =
-                IspBatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 2))
+                BatchStream::spawn_pipeline(&plan, ds.partitions(), Pipeline::Isp, &config)
                 .map(|item| item.expect("isp batch"))
                 .map(|b| (b.partition, b.batch))
                 .collect();
@@ -169,7 +169,7 @@ proptest! {
         chunk in 1usize..1024,
     ) {
         use presto::columnar::ReadScratch;
-        use presto::ops::{preprocess_batch_owned_chunked, preprocess_partition_split, Fleet};
+        use presto::ops::{preprocess_batch_owned_chunked, preprocess_partition_split, Place};
         let batch = generate_batch(&config, rows, seed ^ 0x51F);
         let blob = presto::datagen::write_partition(&batch).expect("serializes");
         for graph in [
@@ -184,8 +184,8 @@ proptest! {
             prop_assert_eq!(&isp_only, &host_only);
             // An arbitrary — not cost-optimal — stage-to-fleet assignment,
             // one bit per stage.
-            let assignment: Vec<Fleet> = (0..plan.stages().len())
-                .map(|i| if (mask >> (i % 64)) & 1 == 1 { Fleet::Isp } else { Fleet::Host })
+            let assignment: Vec<Place> = (0..plan.stages().len())
+                .map(|i| if (mask >> (i % 64)) & 1 == 1 { Place::Isp } else { Place::Host })
                 .collect();
             let split = plan.split(&assignment).expect("splits");
             let mut read = ReadScratch::default();

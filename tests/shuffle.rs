@@ -21,8 +21,8 @@ use presto::core::pipeline::{Trainer, TrainerConfig};
 use presto::datagen::{Dataset, RmConfig};
 use presto::ops::graph::PlanGraph;
 use presto::ops::{
-    epoch_order, epoch_units, preprocess_partition, EpochCursor, FleetConfig, MiniBatch,
-    PreprocessPlan, ShuffleSpec, ShuffledStream,
+    epoch_order, epoch_units, preprocess_partition, BatchStream, EpochCursor, FleetConfig,
+    MiniBatch, PreprocessPlan, ShuffleSpec,
 };
 use proptest::prelude::*;
 
@@ -44,8 +44,7 @@ fn collect_epoch(
     spec: ShuffleSpec,
     workers: usize,
 ) -> Vec<((usize, usize), MiniBatch)> {
-    ShuffledStream::spawn(plan, ds.partitions(), spec, &FleetConfig::new(workers, 3))
-        .expect("spawns")
+    BatchStream::spawn_shuffled(plan, ds.partitions(), spec, &FleetConfig::new(workers, 3))
         .map(|item| {
             let b = item.expect("no faults injected");
             ((b.partition, b.group), b.batch)
@@ -116,8 +115,7 @@ fn resume_from_cursor_equals_uninterrupted_run() {
     assert_eq!(full.len(), 16);
     for interrupt_at in [1usize, 5, 15] {
         let mut first =
-            ShuffledStream::spawn(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2))
-                .expect("spawns");
+            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2));
         let head: Vec<_> = first
             .by_ref()
             .take(interrupt_at)
@@ -126,14 +124,14 @@ fn resume_from_cursor_equals_uninterrupted_run() {
                 ((b.partition, b.group), b.batch)
             })
             .collect();
-        let cursor = first.cursor();
+        let cursor = first.cursor().expect("shuffled stream");
         drop(first);
         // Round-trip the cursor through its serialized form, as a real
         // checkpoint would.
         let cursor = EpochCursor::decode(&cursor.encode()).expect("cursor round-trips");
         assert_eq!(cursor.next, interrupt_at as u64);
         let tail: Vec<_> =
-            ShuffledStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(2, 4))
+            BatchStream::resume(&plan, ds.partitions(), cursor, &FleetConfig::new(2, 4))
                 .expect("resumes")
                 .map(|i| {
                     let b = i.expect("ok");
