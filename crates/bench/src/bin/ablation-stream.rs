@@ -117,7 +117,7 @@ fn main() {
         let (s, _, _, _) = run_stream(&plan, &slow, &cfg);
         t.row(vec![workers.to_string(), throughput(total_rows, m), throughput(total_rows, s)]);
     }
-    println!("-- Emulated SSD latency (25us/read): prefetch hides Extract at low worker counts --");
+    println!("-- Emulated SSD latency (25us/read): a worker pair keeps two reads in flight --");
     print_table(&t);
     println!();
 

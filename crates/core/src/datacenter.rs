@@ -286,10 +286,14 @@ mod tests {
     #[test]
     fn measured_throttle_reflects_pool_sharing() {
         use presto_datagen::Dataset;
+        // Enough work per run (tens of milliseconds) that a neighbour
+        // taking the other CPU slows the solo and the shared run alike:
+        // with microsecond runs one preemption of the solo run alone used
+        // to decide the ratio.
         let mut c = RmConfig::rm1();
-        c.batch_size = 16;
+        c.batch_size = 512;
         let plan = PreprocessPlan::from_config(&c, 7).unwrap();
-        let ds = Dataset::generate(&c, 4, 16, 2, 7).unwrap();
+        let ds = Dataset::generate(&c, 8, 512, 2, 7).unwrap();
         let curve = measure_throttle(&plan, ds.partitions(), &[1, 3], 2);
         assert_eq!(curve.len(), 2);
         assert_eq!(curve[0].jobs, 1);
@@ -297,10 +301,12 @@ mod tests {
         let shared = &curve[1];
         assert_eq!(shared.jobs, 3);
         assert!(shared.mean_rows_per_sec > 0.0);
-        // Three tenants on two workers must each see less than solo
-        // goodput; leave generous slack for scheduling noise.
-        assert!(shared.throttle() < 1.5, "throttle {:.2}", shared.throttle());
-        assert!(shared.fairness > 0.5, "fairness {:.2}", shared.fairness);
+        // Three tenants on two workers each get about a third of the pool;
+        // the bound leaves a factor of three for scheduling noise.
+        assert!(shared.throttle() < 1.0, "throttle {:.2}", shared.throttle());
+        // Served fairly: every tenant was dispatched its whole job, so the
+        // weight-normalized dispatch shares are equal — no clock involved.
+        assert!(shared.fairness > 0.99, "fairness {:.2}", shared.fairness);
     }
 
     #[test]

@@ -39,8 +39,8 @@ use crate::pipeline::BatchSource;
 /// reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fleet {
-    /// Host CPU fleet: double-buffered Extract prefetch and device-affine
-    /// work stealing.
+    /// Host CPU fleet: feature-sliced worker pairs and device-affine work
+    /// stealing.
     Host,
     /// In-storage fleet: one emulated ISP unit per worker, with host
     /// failover for quarantined devices.

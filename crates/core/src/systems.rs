@@ -219,10 +219,9 @@ impl System {
     /// real* through the streaming executor (`presto_ops::stream`): one
     /// pipeline per worker/device and a `2×` output-channel capacity, the
     /// rule of thumb the streaming ablation settled on. Host-CPU systems
-    /// keep the Extract prefetch thread (double buffering); PreSto units
-    /// overlap Extract internally (Sec. IV-C double buffering happens
-    /// on-card), so their fused pipeline runs without a host-side
-    /// prefetcher.
+    /// keep each worker's second thread (the feature-sliced pair); PreSto
+    /// units parallelize across features internally (Sec. IV-C, on-card),
+    /// so their fused pipeline runs one host thread per unit.
     ///
     /// This is what lets the trainer-in-the-loop experiments size the real
     /// executor from the same [`System`] value the analytic model prices.

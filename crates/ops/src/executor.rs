@@ -1157,6 +1157,101 @@ pub fn preprocess_split_isp(
     Ok((BoundaryBatch { values }, timings, stats))
 }
 
+/// The host side of a split plan in progress: the label column, one output
+/// slot per plan stage and the timings so far. A serial split run seeds the
+/// boundary, runs the host stages, then assembles; thread B of a host-fleet
+/// worker pair ([`crate::stream`]) runs its stages *first* — they read no
+/// boundary value — and seeds thread A's outputs when they arrive.
+#[derive(Debug)]
+pub(crate) struct HostSide {
+    labels: Vec<i64>,
+    outputs: Vec<StageValue>,
+    timings: StageTimings,
+}
+
+impl HostSide {
+    pub(crate) fn new(plan: &PreprocessPlan) -> Self {
+        let mut outputs: Vec<StageValue> = Vec::new();
+        outputs.resize_with(plan.stages().len(), StageValue::default);
+        HostSide { labels: Vec::new(), outputs, timings: StageTimings::default() }
+    }
+
+    /// Validates the transferred boundary values against `split`'s boundary
+    /// schema and moves them into their stages' slots.
+    pub(crate) fn seed(
+        &mut self,
+        plan: &PreprocessPlan,
+        split: &SplitPlan,
+        boundary: BoundaryBatch,
+    ) -> Result<(), PreprocessError> {
+        let mut seeded = vec![false; plan.stages().len()];
+        for (pos, value) in boundary.values {
+            let stage = plan
+                .stages()
+                .get(pos)
+                .ok_or_else(|| plan_violation(format!("boundary stage {pos} out of range")))?;
+            if value.kind() != stage.output_kind() {
+                return Err(plan_violation(format!(
+                    "boundary stage {pos} ({}) carries {:?}, plan expects {:?}",
+                    stage.output(),
+                    value.kind(),
+                    stage.output_kind()
+                )));
+            }
+            seeded[pos] = true;
+            self.outputs[pos] = value;
+        }
+        match split.boundary().iter().find(|slot| !seeded[slot.stage]) {
+            Some(missing) => Err(plan_violation(format!(
+                "boundary hand-off is missing stage {} ({})",
+                missing.stage, missing.output
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Takes the label out of `batch` (extracted with the
+    /// [`SplitPlan::host_columns`] projection) and runs the host-resident
+    /// stages whole-column over it.
+    pub(crate) fn run(
+        &mut self,
+        plan: &PreprocessPlan,
+        split: &SplitPlan,
+        batch: RowBatch,
+    ) -> Result<(), PreprocessError> {
+        let (schema, mut columns) = batch.into_parts();
+        self.labels = take_column(&schema, &mut columns, "label")
+            .and_then(|a| match a {
+                Array::Int64(buf) => Some(buf.into_vec()),
+                _ => None,
+            })
+            .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?;
+        run_stage_subset(
+            plan,
+            split.host_stages().iter().copied(),
+            &schema,
+            &mut columns,
+            usize::MAX,
+            &mut self.outputs,
+            &mut self.timings,
+            &mut UnitStats::default(),
+        )
+    }
+
+    /// Format conversion over the seeded and computed slots.
+    pub(crate) fn assemble(
+        mut self,
+        plan: &PreprocessPlan,
+    ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
+        let t0 = Instant::now();
+        let outputs = &mut self.outputs;
+        let mini_batch =
+            assemble_mini_batch(plan, self.labels, |pos| std::mem::take(&mut outputs[pos]))?;
+        self.timings.format = t0.elapsed();
+        Ok((mini_batch, self.timings))
+    }
+}
+
 /// Runs the host side of a split plan: validates and seeds the transferred
 /// boundary values, executes the host-resident stages whole-column over an
 /// owned batch (extracted with the [`SplitPlan::host_columns`] projection,
@@ -1174,59 +1269,10 @@ pub fn preprocess_split_host(
     batch: RowBatch,
     boundary: BoundaryBatch,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
-    let (schema, mut columns) = batch.into_parts();
-
-    let labels = take_column(&schema, &mut columns, "label")
-        .and_then(|a| match a {
-            Array::Int64(buf) => Some(buf.into_vec()),
-            _ => None,
-        })
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?;
-
-    let mut outputs: Vec<StageValue> = Vec::new();
-    outputs.resize_with(plan.stages().len(), StageValue::default);
-    let mut seeded = vec![false; plan.stages().len()];
-    for (pos, value) in boundary.values {
-        let stage = plan
-            .stages()
-            .get(pos)
-            .ok_or_else(|| plan_violation(format!("boundary stage {pos} out of range")))?;
-        if value.kind() != stage.output_kind() {
-            return Err(plan_violation(format!(
-                "boundary stage {pos} ({}) carries {:?}, plan expects {:?}",
-                stage.output(),
-                value.kind(),
-                stage.output_kind()
-            )));
-        }
-        seeded[pos] = true;
-        outputs[pos] = value;
-    }
-    if let Some(missing) = split.boundary().iter().find(|slot| !seeded[slot.stage]) {
-        return Err(plan_violation(format!(
-            "boundary hand-off is missing stage {} ({})",
-            missing.stage, missing.output
-        )));
-    }
-
-    run_stage_subset(
-        plan,
-        split.host_stages().iter().copied(),
-        &schema,
-        &mut columns,
-        usize::MAX,
-        &mut outputs,
-        &mut timings,
-        &mut stats,
-    )?;
-    drop(columns);
-
-    let t0 = Instant::now();
-    let mini_batch = assemble_mini_batch(plan, labels, |pos| std::mem::take(&mut outputs[pos]))?;
-    timings.format = t0.elapsed();
-    Ok((mini_batch, timings))
+    let mut side = HostSide::new(plan);
+    side.seed(plan, split, boundary)?;
+    side.run(plan, split, batch)?;
+    side.assemble(plan)
 }
 
 /// Timing and traffic breakdown of one split partition run.
@@ -1459,10 +1505,8 @@ pub fn preprocess_partition_with<B: BlobRead>(
 /// The Extract stage alone: projected read + decode + row-group merge into
 /// one owned [`RowBatch`], with its wall-clock cost.
 ///
-/// This is the stage the streaming executor's prefetch thread runs for
-/// partition *i + 1* while the worker transforms partition *i* (see
-/// [`crate::stream`]); [`preprocess_partition_with`] is exactly this
-/// followed by [`preprocess_batch_owned`].
+/// [`preprocess_partition_with`] is exactly this followed by
+/// [`preprocess_batch_owned`].
 ///
 /// # Errors
 ///

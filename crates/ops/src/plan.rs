@@ -711,6 +711,58 @@ impl PreprocessPlan {
             demoted,
         })
     }
+
+    /// Deals the plan's *features* to the two threads of a host-fleet
+    /// worker pair ([`crate::stream`]): the [`Place::Isp`] side of the
+    /// returned split is thread A's half, the [`Place::Host`] side — which
+    /// also keeps the label and the mini-batch assembly — is thread B's.
+    ///
+    /// A feature is a connected component of the plan: stages linked by a
+    /// [`StageInput::Stage`] edge **or by a shared raw column**, so each
+    /// half is dependency-closed, no column is decoded twice and
+    /// [`CompiledStage::consumes_raw`] stays valid per side. Features are
+    /// dealt class by class (class = every member stage's input kind and
+    /// op-tag sequence), alternating A, B, A, … within a class, so each
+    /// half gets half of every kind of work without a cost model. No
+    /// boundary slot of the result is `read_by_host` and nothing is
+    /// demoted: the halves can run concurrently and only finished outputs
+    /// cross. A plan with a single feature lands whole on B.
+    #[must_use]
+    pub fn feature_halves(&self) -> SplitPlan {
+        // Every stage has one input, so the links form a forest whose
+        // edges point backwards: a stage's root is its input's root, final
+        // by the time the forward pass reaches it. `class[root]` collects
+        // the feature's member stages in execution order.
+        type Class = Vec<(ValueKind, Vec<OpTag>)>;
+        let mut root: Vec<usize> = (0..self.stages.len()).collect();
+        let mut class: Vec<Class> = vec![Vec::new(); self.stages.len()];
+        let mut first_reader: HashMap<&str, usize> = HashMap::new();
+        for (pos, stage) in self.stages.iter().enumerate() {
+            let linked = match &stage.input {
+                StageInput::Stage(j) => *j,
+                StageInput::Raw(name) => *first_reader.entry(name.as_str()).or_insert(pos),
+            };
+            root[pos] = root[linked];
+            class[root[pos]].push((stage.input_kind, stage.ops.iter().map(Op::tag).collect()));
+        }
+        let features: Vec<usize> = (0..root.len()).filter(|&pos| root[pos] == pos).collect();
+        // Per class, the side its next feature goes to: A first.
+        let mut next: Vec<(&Class, Place)> = Vec::new();
+        let mut side = vec![Place::Host; self.stages.len()];
+        for &feature in features.iter().filter(|_| features.len() > 1) {
+            let known = next.iter().position(|(c, _)| **c == class[feature]).unwrap_or_else(|| {
+                next.push((&class[feature], Place::Isp));
+                next.len() - 1
+            });
+            side[feature] = next[known].1;
+            next[known].1 = match side[feature] {
+                Place::Isp => Place::Host,
+                Place::Host => Place::Isp,
+            };
+        }
+        let assignment: Vec<Place> = root.iter().map(|&feature| side[feature]).collect();
+        self.split(&assignment).expect("the assignment covers every stage")
+    }
 }
 
 #[cfg(test)]
@@ -918,6 +970,96 @@ mod tests {
         assert!(split.boundary().is_empty());
         assert!(split.is_single_fleet());
         assert_eq!(split.fleet()[pos["sparse_0"]], Place::Host);
+    }
+
+    /// Scenario plans the halves must hold for, small enough to inspect.
+    fn scenario_plans() -> Vec<PreprocessPlan> {
+        let mut c = RmConfig::rm1();
+        c.num_dense = 5;
+        c.num_sparse = 4;
+        c.num_generated = 3;
+        c.num_tables = 7;
+        c.avg_sparse_len = 6;
+        c.fixed_sparse_len = false;
+        [
+            PlanGraph::canonical(&c, 7),
+            PlanGraph::truncated_cross(&c, 7, 4, 2),
+            PlanGraph::remapped(&c, 7, 50),
+            PlanGraph::cleaned(&c, 7),
+            PlanGraph::long_history(&c, 7, 3),
+        ]
+        .into_iter()
+        .map(|graph| PreprocessPlan::compile(graph.unwrap(), &c).expect("compiles"))
+        .chain([PreprocessPlan::from_config(&RmConfig::rm5(), 7).unwrap()])
+        .collect()
+    }
+
+    #[test]
+    fn feature_halves_are_closed_and_cover_every_stage_once() {
+        for plan in scenario_plans() {
+            let halves = plan.feature_halves();
+            let mut covered: Vec<usize> =
+                halves.isp_stages().iter().chain(halves.host_stages()).copied().collect();
+            covered.sort_unstable();
+            assert_eq!(covered, (0..plan.stages().len()).collect::<Vec<_>>());
+            assert!(!halves.is_single_fleet(), "several features: both halves get work");
+            assert!(halves.demoted().is_empty());
+            // Closed: a stage and its producer, and every reader of a raw
+            // column (the canonical `dense_j` feeds a LogNorm and a
+            // Bucketize stage), sit on one side — so nothing crosses but
+            // emitted outputs, and no column is decoded twice.
+            for (pos, stage) in plan.stages().iter().enumerate() {
+                if let StageInput::Stage(j) = stage.input() {
+                    assert_eq!(halves.fleet()[pos], halves.fleet()[*j], "{}", stage.output());
+                }
+            }
+            assert!(halves.boundary().iter().all(|slot| slot.emitted && !slot.read_by_host));
+            assert!(halves.isp_columns().iter().all(|c| !halves.host_columns().contains(c)));
+            assert_eq!(
+                halves.isp_columns().len() + halves.host_columns().len(),
+                plan.required_columns().len(),
+                "label included, every column on exactly one side"
+            );
+        }
+    }
+
+    #[test]
+    fn feature_halves_deal_every_class_of_work_evenly() {
+        // RM5: 42 LogNorm + Bucketize features (a shared dense column), 462
+        // LogNorm-only and 42 SigridHash features — each class splits in
+        // two, so both halves do the same work.
+        let plan = PreprocessPlan::from_config(&RmConfig::rm5(), 1).unwrap();
+        let halves = plan.feature_halves();
+        assert_eq!(halves.isp_columns().len(), 21 + 231 + 21);
+        assert_eq!(halves.host_columns().len(), 1 + 21 + 231 + 21);
+        for tag in [OpTag::LogNorm, OpTag::Bucketize, OpTag::SigridHash] {
+            let count = |stages: &[usize]| {
+                stages.iter().filter(|&&pos| plan.stages()[pos].ops()[0].tag() == tag).count()
+            };
+            assert_eq!(count(halves.isp_stages()), count(halves.host_stages()), "{tag:?}");
+        }
+        // RM1: 13 + 26 = 39 features; the odd class gives A the extra one
+        // (B also formats).
+        let plan = PreprocessPlan::from_config(&RmConfig::rm1(), 1).unwrap();
+        let halves = plan.feature_halves();
+        assert_eq!((halves.isp_columns().len(), halves.host_columns().len()), (7 + 13, 1 + 6 + 13));
+    }
+
+    #[test]
+    fn a_one_feature_plan_lands_whole_on_b() {
+        let plan = tiny_truncated_plan();
+        let sparse_only: Vec<ChainSpec> = plan
+            .graph()
+            .chains()
+            .iter()
+            .filter(|c| ["trunc_0", "sparse_0", "cross_0"].contains(&c.output.as_str()))
+            .cloned()
+            .collect();
+        let plan = PreprocessPlan::compile(PlanGraph::new(sparse_only), plan.config()).unwrap();
+        assert_eq!(plan.stages().len(), 3, "one raw column, three chained stages");
+        let halves = plan.feature_halves();
+        assert!(halves.isp_stages().is_empty() && halves.boundary().is_empty());
+        assert_eq!(halves.host_columns(), [LABEL_COLUMN, "sparse_0"]);
     }
 
     #[test]

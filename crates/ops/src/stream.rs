@@ -25,7 +25,9 @@
 //!   [`EpochCursor`] (shuffled fleet).
 //!
 //! Either way the source records per-device load ([`DeviceLoad`]): a unit
-//! occupies its device from claim until its device-side phase returns.
+//! occupies its device from the start of its device-side phase until every
+//! thread reading it is done — the one running that phase, or both threads
+//! of a host pair.
 //!
 //! # Phases
 //!
@@ -36,17 +38,32 @@
 //!
 //! | pipeline | device-side phase | host-side phase |
 //! |---|---|---|
-//! | [`Pipeline::Host`] | Extract (projected read + decode) | owned Transform + format |
+//! | [`Pipeline::Host`], fused | Extract (projected read + decode) | owned Transform + format |
+//! | [`Pipeline::Host`], paired | thread A: Extract + Transform of A's half of the features | thread B, concurrently: Extract + Transform of B's half and the label, then merge A's outputs + format |
 //! | [`Pipeline::Isp`] | P2P-counted Extract + chunked stages | full plan from pristine media (failover only) |
 //! | [`Pipeline::Split`] | P2P-counted Extract of the ISP projection + chunked stage prefix → [`BoundaryBatch`] | Extract of the host projection + stage suffix, or failover |
 //!
 //! The phase boundary is either fused on one thread
 //! ([`FleetConfig::without_prefetch`], the shuffled fleet, the service's
 //! pool workers via [`Run::run_unit`]) or a bounded channel: one slot per
-//! worker pair on the host fleet (double-buffered Extract: partition
-//! *i + 1* is read while *i* transforms), one shared
+//! worker pair on the host fleet, one shared
 //! [`FleetConfig::link_capacity`]-bounded device link on the split fleet,
 //! and the failover queue on the ISP fleet.
+//!
+//! # The host pair
+//!
+//! Features are independent columns, so a host-fleet worker's two threads
+//! split every unit **by feature, not by phase**:
+//! [`PreprocessPlan::feature_halves`] deals the plan's features (raw
+//! columns plus every chain that reads them) into two dependency-closed
+//! halves. Thread A claims a unit and *announces the claim* to thread B
+//! over the pair's one-slot link; both then open the partition, Extract
+//! only their own columns and run only their own stages, concurrently. A
+//! hands its emitted outputs across — the link's FIFO order per pair is
+//! `announce(u0), outputs(u0), announce(u1), …` — and moves on to the next
+//! unit while B merges them with its own and formats the mini-batch. No
+//! raw column crosses a core, A runs at most one half-unit ahead, and
+//! output is bit-identical to the fused path because every stage is pure.
 //!
 //! # Ordering
 //!
@@ -67,10 +84,13 @@
 //! * One retry loop wraps each phase attempt: *retryable* errors
 //!   ([`PreprocessError::is_retryable`]: storage-side faults) are retried
 //!   with capped exponential backoff until the attempt budget (shared by
-//!   both phases of a unit) runs out, the device's consecutive-failure
-//!   breaker trips (device-side attempts only), or the run is stopping.
-//!   Attempts outrunning [`RetryPolicy::straggler_deadline`] are counted.
-//! * A unit claimed against a quarantined device is not attempted.
+//!   both phases of a unit; the two concurrent halves of a host pair each
+//!   have the whole budget, A answering to the breaker as the device side)
+//!   runs out, the device's consecutive-failure breaker trips (device-side
+//!   attempts only), or the run is stopping. Attempts outrunning
+//!   [`RetryPolicy::straggler_deadline`] are counted.
+//! * A unit claimed against a quarantined device is not attempted (on a
+//!   host pair, by neither thread).
 //! * A device-side phase of an ISP or split pipeline that is quarantined or
 //!   out of retries **fails over** when the policy allows: the host-side
 //!   phase re-reads the pristine media
@@ -79,7 +99,8 @@
 //!   pipeline *is* the fallback path: it has nowhere to fail over to and
 //!   fails loudly instead.
 //! * Every claimed unit ends as exactly one `Ok` batch or one tagged `Err`
-//!   (`delivered + failed == units` under `fail_fast: false`). Under
+//!   (`delivered + failed == units` under `fail_fast: false`) — on a host
+//!   pair whichever half failed, delivered by thread B. Under
 //!   fail-fast the first error raises the stop flag *before* the possibly
 //!   blocking send, so sibling producers halt within one unit.
 //!
@@ -89,8 +110,8 @@
 use crate::executor::{
     extract_batch_from_reader, extract_columns_for_plan, extract_group_for_plan,
     preprocess_batch_owned, preprocess_partition_isp, preprocess_partition_with,
-    preprocess_split_host, preprocess_split_isp, projected_bytes, BoundaryBatch, PreprocessError,
-    ScratchSpace, StageTimings, FEATURE_BUFFER_ELEMS,
+    preprocess_split_host, preprocess_split_isp, projected_bytes, BoundaryBatch, HostSide,
+    PreprocessError, ScratchSpace, StageTimings, FEATURE_BUFFER_ELEMS,
 };
 use crate::minibatch::MiniBatch;
 use crate::plan::{PreprocessPlan, SplitPlan};
@@ -120,10 +141,12 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Output-channel capacity in mini-batches; producers block when full.
     pub capacity: usize,
-    /// Overlap Extract of the next partition with Transform of the current
-    /// one (host fleet only: one prefetch thread per worker,
-    /// double-buffered at the batch level through a one-slot hand-off
-    /// channel).
+    /// Pair each worker with a second thread that takes half of every
+    /// unit's features (host fleet only; see [the host pair](self#the-host-pair)):
+    /// both threads Extract and Transform their own columns of the same
+    /// unit at once, and the worker merges and formats. A unit's
+    /// `timings.extract` (and every op bucket) is then the *sum* over the
+    /// two threads — CPU time, which can exceed the unit's wall time.
     pub prefetch: bool,
     /// Failure handling (retry, quarantine, straggler detection, ISP→host
     /// failover); defaults to [`RetryPolicy::fail_fast`] on every fleet.
@@ -136,8 +159,8 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// `workers` pipelines over a `capacity`-bounded channel, prefetch on,
-    /// fail-fast failure handling.
+    /// `workers` pipelines over a `capacity`-bounded channel, host workers
+    /// paired, fail-fast failure handling.
     #[must_use]
     pub fn new(workers: usize, capacity: usize) -> Self {
         FleetConfig {
@@ -150,7 +173,8 @@ impl FleetConfig {
         }
     }
 
-    /// Disables the Extract prefetch thread (host-fleet ablation switch).
+    /// One thread per host-fleet worker, both phases fused on it (ablation
+    /// switch).
     #[must_use]
     pub fn without_prefetch(mut self) -> Self {
         self.prefetch = false;
@@ -262,9 +286,10 @@ pub struct DeviceLoad {
     pub device: usize,
     /// Units resident on the device.
     pub partitions: usize,
-    /// Peak simultaneously in-flight device-side phases (claim until the
-    /// phase returns — the window the device is actually busy). Values
-    /// above 1 mean workers contended for the device.
+    /// Peak simultaneously in-flight units (from the start of the
+    /// device-side phase until the last thread reading the unit is done —
+    /// the window the device is actually busy). Values above 1 mean
+    /// workers contended for the device.
     pub max_in_flight: usize,
     /// Units taken from this device by workers homed elsewhere.
     pub stolen_from: usize,
@@ -274,7 +299,8 @@ pub struct DeviceLoad {
 /// [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pipeline {
-    /// Extract, then owned Transform + format, on the host CPU.
+    /// Extract, Transform and format on the host CPU: fused on one thread,
+    /// or sliced by feature across a worker pair.
     Host,
     /// The whole plan on an emulated ISP unit, chunked through
     /// [`FEATURE_BUFFER_ELEMS`]-element on-chip feature buffers.
@@ -334,6 +360,11 @@ enum Staged {
     Boundary(BoundaryBatch, StageTimings),
     /// The device side gave up: run the full plan from pristine media.
     Fallback,
+    /// Host pair: thread A has just claimed the unit and starts on its half
+    /// of the features — the receiving thread B starts on its own now, and
+    /// A's [`Staged::Boundary`] for the same unit is the next hand-off on
+    /// the pair's link.
+    Claimed,
 }
 
 /// Which side of the phase boundary an attempt runs on. Device-side
@@ -460,6 +491,65 @@ impl Run {
         }
     }
 
+    /// Circuit open: a unit claimed against a quarantined device is not
+    /// attempted, but it is never dropped silently either — this is the
+    /// error it ends as.
+    fn quarantined(&self, unit: Unit) -> Option<PreprocessError> {
+        let device = self.partitions[unit.partition].device;
+        self.tracker.is_quarantined(self.tracker.slot_of(device)).then(|| {
+            PreprocessError::Extract(ColumnarError::Io {
+                detail: format!("device {device} quarantined (circuit breaker open)"),
+            })
+        })
+    }
+
+    /// Opens `unit`'s partition and Extracts `columns` of it, timed.
+    fn extract_side(
+        &self,
+        unit: Unit,
+        columns: &[String],
+        scratch: &mut ScratchSpace,
+    ) -> Result<(RowBatch, Duration), PreprocessError> {
+        let t0 = Instant::now();
+        let reader = FileReader::open(self.partitions[unit.partition].blob.clone())?;
+        let batch = extract_columns_for_plan(&self.plan, &reader, columns, scratch.read_scratch())?;
+        Ok((batch, t0.elapsed()))
+    }
+
+    /// One attempt of thread A's half of `unit` on a host pair: Extract
+    /// A's columns, run A's stages whole-column, pack the emitted outputs.
+    fn pair_first_attempt(
+        &self,
+        unit: Unit,
+        halves: &SplitPlan,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Staged, PreprocessError> {
+        if halves.isp_stages().is_empty() {
+            // A one-feature plan runs whole on B: nothing to read here.
+            return Ok(Staged::Boundary(BoundaryBatch::default(), StageTimings::default()));
+        }
+        let (batch, extract) = self.extract_side(unit, halves.isp_columns(), scratch)?;
+        let (outputs, mut timings, _) =
+            preprocess_split_isp(&self.plan, halves, batch, usize::MAX)?;
+        timings.extract = extract;
+        Ok(Staged::Boundary(outputs, timings))
+    }
+
+    /// One attempt of thread B's half: Extract the label and B's columns,
+    /// run B's stages. None of them reads an A-side output
+    /// ([`paired_halves`]), so this runs while A is still working.
+    fn pair_second_attempt(
+        &self,
+        unit: Unit,
+        halves: &SplitPlan,
+        scratch: &mut ScratchSpace,
+    ) -> Result<(HostSide, Duration), PreprocessError> {
+        let (batch, extract) = self.extract_side(unit, halves.host_columns(), scratch)?;
+        let mut side = HostSide::new(&self.plan);
+        side.run(&self.plan, halves, batch)?;
+        Ok((side, extract))
+    }
+
     /// One device-side attempt of `unit`; counts link traffic on success.
     fn device_attempt(
         &self,
@@ -519,16 +609,9 @@ impl Run {
             return (Ok(Staged::Boundary(BoundaryBatch::default(), StageTimings::default())), 1);
         }
         let slot = self.slot(unit);
-        let (result, attempts) = if self.tracker.is_quarantined(slot) {
-            // Circuit open: no attempt is made, but the unit is never
-            // dropped silently.
-            let device = self.partitions[unit.partition].device;
-            let e = PreprocessError::Extract(ColumnarError::Io {
-                detail: format!("device {device} quarantined (circuit breaker open)"),
-            });
-            (Err(e), 0)
-        } else {
-            self.attempt(unit, Side::Device, 1, |_| self.device_attempt(unit, scratch))
+        let (result, attempts) = match self.quarantined(unit) {
+            Some(e) => (Err(e), 0),
+            None => self.attempt(unit, Side::Device, 1, |_| self.device_attempt(unit, scratch)),
         };
         match result {
             // A retryable error that survived the retry loop means the
@@ -567,21 +650,13 @@ impl Run {
                         detail: "boundary hand-off outside a split pipeline".into(),
                     });
                 };
-                let blob = &self.partitions[unit.partition].blob;
                 let (result, attempts) = self.attempt(unit, Side::Host, attempts, |more| {
                     // Keep a copy only while another attempt is still
                     // allowed; the common no-retry path moves the payload.
                     let payload =
                         if more { boundary.clone() } else { std::mem::take(&mut boundary) };
-                    let t0 = Instant::now();
-                    let reader = FileReader::open(blob.clone())?;
-                    let batch = extract_columns_for_plan(
-                        &self.plan,
-                        &reader,
-                        split.host_columns(),
-                        scratch.read_scratch(),
-                    )?;
-                    let extract = t0.elapsed();
+                    let (batch, extract) =
+                        self.extract_side(unit, split.host_columns(), scratch)?;
                     let (batch, mut timings) =
                         preprocess_split_host(&self.plan, split, batch, payload)?;
                     timings.extract = extract;
@@ -596,6 +671,11 @@ impl Run {
                 let blob = self.partitions[unit.partition].blob.without_faults();
                 let (batch, timings) = preprocess_partition_with(&self.plan, blob, scratch)?;
                 (batch, timings, 1, true)
+            }
+            Staged::Claimed => {
+                return Err(PreprocessError::Plan {
+                    detail: "claim announcement outside a host pair".into(),
+                });
             }
         };
         Ok(Finished { batch, timings, attempts, via_failover })
@@ -672,10 +752,12 @@ impl Run {
 }
 
 /// A claimed unit: its sequence number plus the bookkeeping needed to
-/// release the device when its device-side phase returns.
+/// release the device when its last reader is done.
 #[derive(Debug, Clone, Copy)]
 struct Claim {
     seq: usize,
+    /// Position in [`UnitSource::units`].
+    index: usize,
     unit: Unit,
     slot: usize,
     stolen: bool,
@@ -707,14 +789,23 @@ struct UnitSource {
     units: Vec<Unit>,
     /// Device slot of each unit.
     slots: Vec<usize>,
+    /// Threads that have yet to finish reading each unit: one, or the two
+    /// of a host pair.
+    reading: Vec<AtomicUsize>,
     order: ClaimOrder,
     loads: Vec<DeviceCounters>,
 }
 
 impl UnitSource {
     /// `order = None` queues the units per device; `Some((order, start))`
-    /// claims `order[start..]` in sequence.
-    fn new(run: &Run, units: Vec<Unit>, order: Option<(Vec<usize>, usize)>) -> Self {
+    /// claims `order[start..]` in sequence. Each unit is read by `readers`
+    /// threads.
+    fn new(
+        run: &Run,
+        units: Vec<Unit>,
+        order: Option<(Vec<usize>, usize)>,
+        readers: usize,
+    ) -> Self {
         let mut loads: Vec<DeviceCounters> = run
             .tracker
             .devices()
@@ -736,7 +827,8 @@ impl UnitSource {
                 ClaimOrder::Affine { queues, cursors }
             }
         };
-        UnitSource { units, slots, order, loads }
+        let reading = units.iter().map(|_| AtomicUsize::new(readers)).collect();
+        UnitSource { units, slots, reading, order, loads }
     }
 
     /// Claims the next unit for a worker homed on device slot `home`.
@@ -756,19 +848,28 @@ impl UnitSource {
             }
         };
         let slot = self.slots[index];
-        let load = &self.loads[slot];
-        let now = load.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        load.max_in_flight.fetch_max(now, Ordering::Relaxed);
         if stolen {
-            load.stolen_from.fetch_add(1, Ordering::Relaxed);
+            self.loads[slot].stolen_from.fetch_add(1, Ordering::Relaxed);
         }
-        Some(Claim { seq, unit: self.units[index], slot, stolen })
+        Some(Claim { seq, index, unit: self.units[index], slot, stolen })
     }
 
-    /// The device is done with the claim once its device-side phase
-    /// returns.
+    /// The claim's unit occupies its device from now until every one of
+    /// its readers has called [`UnitSource::release`].
+    fn occupy(&self, claim: Claim) {
+        let load = &self.loads[claim.slot];
+        let now = load.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        load.max_in_flight.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// One reader of the claim's unit is done with the device; the last
+    /// one frees it. `AcqRel`: the last reader's decrement of `in_flight`
+    /// must come after the occupying thread's increment, which precedes
+    /// that thread's own release.
     fn release(&self, claim: Claim) {
-        self.loads[claim.slot].in_flight.fetch_sub(1, Ordering::Relaxed);
+        if self.reading[claim.index].fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.loads[claim.slot].in_flight.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     fn report(&self) -> Vec<DeviceLoad> {
@@ -789,13 +890,30 @@ impl UnitSource {
 struct Engine {
     run: Run,
     source: UnitSource,
+    /// Host pair only: the plan's features dealt to the two threads.
+    halves: Option<SplitPlan>,
 }
 
-/// A unit in flight between the two phases.
+/// A unit in flight between the two phases. Only thread A of a host pair
+/// sends an `Err`: thread B is already working on the unit, so the failure
+/// travels to it and the unit still ends as one item.
 struct Handoff {
     claim: Claim,
-    staged: Staged,
+    staged: Result<Staged, PreprocessError>,
     attempts: u32,
+}
+
+/// The feature halves a host pair runs, checked for what running them
+/// *concurrently* needs: no B-side stage may read an A-side output, because
+/// B runs its stages before A's outputs arrive.
+fn paired_halves(halves: SplitPlan) -> Result<SplitPlan, PreprocessError> {
+    if halves.demoted().is_empty() && halves.boundary().iter().all(|slot| !slot.read_by_host) {
+        Ok(halves)
+    } else {
+        Err(PreprocessError::Plan {
+            detail: "feature halves are not independent: one reads the other's output".into(),
+        })
+    }
 }
 
 impl Engine {
@@ -810,6 +928,7 @@ impl Engine {
             return None;
         }
         let claim = self.source.claim(home)?;
+        self.source.occupy(claim);
         let (staged, attempts) = self.run.first_phase(claim.unit, scratch);
         self.source.release(claim);
         Some((claim, staged, attempts))
@@ -837,13 +956,85 @@ impl Engine {
                     let done = self.run.finish(claim.unit, staged, attempts, &mut scratch);
                     self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, done)
                 }
-                Ok(staged) => link.send(Handoff { claim, staged, attempts }).is_ok(),
+                Ok(staged) => link.send(Handoff { claim, staged: Ok(staged), attempts }).is_ok(),
                 Err(e) => self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, Err(e)),
             };
             if !keep_going {
                 break;
             }
         }
+    }
+
+    /// Thread A of a host pair: claim → announce the claim to thread B →
+    /// A's half of the features → hand the outputs across. The link holds
+    /// one hand-off, so A starts on the next unit while B merges this one
+    /// and then waits: at most one half-unit ahead.
+    fn pair_first_loop(
+        &self,
+        home: usize,
+        halves: &SplitPlan,
+        link: &Sender<Handoff>,
+        tx: &Sender<SeqItem>,
+    ) {
+        let mut scratch = ScratchSpace::new();
+        while !self.run.stop.load(Ordering::Relaxed) {
+            let Some(claim) = self.source.claim(home) else { break };
+            let unit = claim.unit;
+            if let Some(e) = self.run.quarantined(unit) {
+                // Neither half attempts it, so B never hears of it.
+                if !self.run.deliver(tx, claim.seq, unit, claim.stolen, Err(e)) {
+                    break;
+                }
+                continue;
+            }
+            if link.send(Handoff { claim, staged: Ok(Staged::Claimed), attempts: 0 }).is_err() {
+                break;
+            }
+            // Occupied only now: the announcement was accepted, so B has
+            // finished reading the previous unit.
+            self.source.occupy(claim);
+            let (staged, attempts) = self.run.attempt(unit, Side::Device, 1, |_| {
+                self.run.pair_first_attempt(unit, halves, &mut scratch)
+            });
+            self.source.release(claim);
+            if link.send(Handoff { claim, staged, attempts }).is_err() {
+                break;
+            }
+        }
+    }
+
+    /// Thread B's side of one announced unit: B's half of the features
+    /// while A runs its own, then A's outputs merged in and the mini-batch
+    /// formatted. `None` when A is gone.
+    fn pair_second(
+        &self,
+        claim: Claim,
+        halves: &SplitPlan,
+        link: &Receiver<Handoff>,
+        scratch: &mut ScratchSpace,
+    ) -> Option<Result<Finished, PreprocessError>> {
+        let unit = claim.unit;
+        let (own, own_attempts) = self
+            .run
+            .attempt(unit, Side::Host, 1, |_| self.run.pair_second_attempt(unit, halves, scratch));
+        self.source.release(claim);
+        let Handoff { staged, attempts, .. } = link.recv().ok()?;
+        let plan = &self.run.plan;
+        Some(staged.and_then(|staged| {
+            let Staged::Boundary(outputs, mut timings) = staged else {
+                return Err(PreprocessError::Plan {
+                    detail: "a host pair's announcement was not followed by its outputs".into(),
+                });
+            };
+            let (mut side, extract) = own?;
+            side.seed(plan, halves, outputs)?;
+            let (batch, own_timings) = side.assemble(plan)?;
+            timings.absorb(&own_timings);
+            timings.extract += extract;
+            // Each half counts its attempts from 1.
+            let attempts = attempts + own_attempts - 1;
+            Ok(Finished { batch, timings, attempts, via_failover: false })
+        }))
     }
 
     /// Host-side worker: hand-off → host-side phase → deliver. Exits when
@@ -854,7 +1045,17 @@ impl Engine {
             if self.run.stop.load(Ordering::Relaxed) {
                 break;
             }
-            let outcome = self.run.finish(claim.unit, staged, attempts, &mut scratch);
+            let outcome = match (staged, &self.halves) {
+                (Ok(Staged::Claimed), Some(halves)) => {
+                    match self.pair_second(claim, halves, link, &mut scratch) {
+                        Some(outcome) => outcome,
+                        None => break,
+                    }
+                }
+                (staged, _) => {
+                    staged.and_then(|s| self.run.finish(claim.unit, s, attempts, &mut scratch))
+                }
+            };
             if !self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, outcome) {
                 break;
             }
@@ -913,8 +1114,8 @@ pub struct BatchStream {
 }
 
 impl BatchStream {
-    /// Starts a host-fleet run: device-affine claiming, Extract prefetch
-    /// per [`FleetConfig::prefetch`], batches yielded **as they complete**
+    /// Starts a host-fleet run: device-affine claiming, workers paired per
+    /// [`FleetConfig::prefetch`], batches yielded **as they complete**
     /// (wrap with [`BatchStream::into_ordered`] for partition order).
     /// Partition data is snapshotted via O(1) clones (`MemBlob` shares its
     /// bytes), so the stream is `'static` and outlives its arguments.
@@ -1012,9 +1213,13 @@ impl BatchStream {
         epoch: Option<(ShuffleSpec, u64)>,
         config: &FleetConfig,
     ) -> BatchStream {
-        let (units, spawn_error) = match units {
-            Ok(units) => (units, None),
-            Err(e) => (Vec::new(), Some(e)),
+        // Host pair: the plan's features dealt to the pair's two threads.
+        let halves = (pipeline == Pipeline::Host && epoch.is_none() && config.prefetch)
+            .then(|| paired_halves(plan.feature_halves()))
+            .transpose();
+        let (units, halves, spawn_error) = match (units, halves) {
+            (Ok(units), Ok(halves)) => (units, halves, None),
+            (Err(e), _) | (_, Err(e)) => (Vec::new(), None, Some(e)),
         };
         let n = units.len();
         let workers = config.workers.max(1).min(n.max(1));
@@ -1022,15 +1227,16 @@ impl BatchStream {
         let fused = |name| Layout { groups: 1, firsts: workers, link: None, names: [name; 2] };
         let layout = match &pipeline {
             Pipeline::Host if epoch.is_some() => fused("presto-shuffle"),
-            Pipeline::Host if !config.prefetch => fused("presto-stream"),
-            // Pipeline pair: the prefetcher extracts partition i+1 while
-            // its transform worker processes partition i; the one-slot
-            // hand-off bounds each pair to one extracted batch in flight.
+            Pipeline::Host if halves.is_none() => fused("presto-stream"),
+            // Feature-sliced pair: both threads work on the same unit, each
+            // on its half of the features; the one-slot link carries the
+            // claim announcement, then A's outputs, so A runs at most one
+            // half-unit ahead of B.
             Pipeline::Host => Layout {
                 groups: workers,
                 firsts: 1,
                 link: Some((1, 1)),
-                names: ["presto-prefetch", "presto-stream"],
+                names: ["presto-stream-half", "presto-stream"],
             },
             // The failover queue: each unit is enqueued at most once, so
             // the bound can never block a sender.
@@ -1052,14 +1258,14 @@ impl BatchStream {
                 names: ["presto-split-isp", "presto-split-host"],
             },
         };
-        let prefetch = pipeline == Pipeline::Host && layout.link.is_some();
+        let prefetch = halves.is_some();
 
         let run = Run::new(plan.clone(), partitions.to_vec(), pipeline, config.recovery.clone(), n);
         let start = epoch.map_or(0, |(_, next)| usize::try_from(next).unwrap_or(usize::MAX).min(n));
         let order = epoch.map(|(spec, _)| (epoch_order(n, spec.seed, spec.epoch), start));
         let ordered = order.is_some();
-        let source = UnitSource::new(&run, units, order);
-        let engine = Arc::new(Engine { run, source });
+        let source = UnitSource::new(&run, units, order, if prefetch { 2 } else { 1 });
+        let engine = Arc::new(Engine { run, source, halves });
 
         let (tx, rx) = bounded::<SeqItem>(capacity);
         if let Some(e) = spawn_error {
@@ -1084,7 +1290,10 @@ impl BatchStream {
                     None => Box::new(move || engine.fused_loop(home, &tx)),
                     Some((link_tx, _)) => {
                         let link_tx = link_tx.clone();
-                        Box::new(move || engine.first_loop(home, &link_tx, &tx))
+                        Box::new(move || match &engine.halves {
+                            Some(halves) => engine.pair_first_loop(home, halves, &link_tx, &tx),
+                            None => engine.first_loop(home, &link_tx, &tx),
+                        })
                     }
                 };
                 spawn(0, worker, body);
@@ -1136,7 +1345,7 @@ impl BatchStream {
         self.capacity
     }
 
-    /// Whether Extract prefetch is active (host fleet with
+    /// Whether the workers are feature-sliced pairs (host fleet with
     /// [`FleetConfig::prefetch`] only).
     #[must_use]
     pub fn prefetch(&self) -> bool {
@@ -1291,23 +1500,35 @@ mod tests {
         (c, ds)
     }
 
+    /// A plan with one feature: `sparse_0` alone. The dealing puts it whole
+    /// on thread B, so thread A of a pair reads nothing.
+    fn one_feature_plan(c: &RmConfig) -> PreprocessPlan {
+        let graph = crate::PlanGraph::new(vec![crate::ChainSpec::feature(
+            "sparse_0",
+            "sparse_0",
+            vec![crate::Op::SigridHash(crate::SigridHasher::new(1, 1000).unwrap())],
+        )]);
+        PreprocessPlan::compile(graph, c).unwrap()
+    }
+
     #[test]
     fn streaming_matches_serial_in_order() {
         let (c, ds) = dataset(6, 32, 2);
-        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let serial: Vec<MiniBatch> = ds
-            .partitions()
-            .iter()
-            .map(|p| crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap().0)
-            .collect();
-        for prefetch in [true, false] {
-            let mut config = FleetConfig::new(3, 2);
-            config.prefetch = prefetch;
-            let streamed: Vec<MiniBatch> = BatchStream::spawn(&plan, ds.partitions(), &config)
-                .into_ordered()
-                .map(|item| item.unwrap().batch)
+        for plan in [PreprocessPlan::from_config(&c, 1).unwrap(), one_feature_plan(&c)] {
+            let serial: Vec<MiniBatch> = ds
+                .partitions()
+                .iter()
+                .map(|p| crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap().0)
                 .collect();
-            assert_eq!(streamed, serial, "prefetch={prefetch}");
+            for prefetch in [true, false] {
+                let mut config = FleetConfig::new(3, 2);
+                config.prefetch = prefetch;
+                let streamed: Vec<MiniBatch> = BatchStream::spawn(&plan, ds.partitions(), &config)
+                    .into_ordered()
+                    .map(|item| item.unwrap().batch)
+                    .collect();
+                assert_eq!(streamed, serial, "prefetch={prefetch}");
+            }
         }
     }
 
@@ -1398,6 +1619,71 @@ mod tests {
             "4 workers on 1 device must contend (max_in_flight {})",
             report[0].max_in_flight
         );
+    }
+
+    #[test]
+    fn a_unit_occupies_its_device_until_both_halves_have_read() {
+        let (c, ds) = dataset(6, 16, 1);
+        // The rule itself: with two readers, the first release frees nothing.
+        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
+        let units: Vec<Unit> = (0..6).map(Unit::partition).collect();
+        let run = Run::new(
+            plan.clone(),
+            ds.partitions().to_vec(),
+            Pipeline::Host,
+            RetryPolicy::fail_fast(),
+            6,
+        );
+        let source = UnitSource::new(&run, units, None, 2);
+        let in_flight = || source.loads[0].in_flight.load(Ordering::Relaxed);
+        let claim = source.claim(0).unwrap();
+        assert_eq!(in_flight(), 0, "claimed, not yet read");
+        source.occupy(claim);
+        source.release(claim);
+        assert_eq!(in_flight(), 1, "one half is still reading");
+        source.release(claim);
+        assert_eq!(in_flight(), 0);
+
+        // One device, one pair, every read slow. With the one-feature plan
+        // only B reads at all, so A is done with each unit long before B:
+        // A must neither free the device early nor occupy it with the next
+        // unit while B still reads this one.
+        let slow: Vec<Partition> = ds
+            .partitions()
+            .iter()
+            .map(|p| Partition {
+                blob: p.blob.clone().with_read_latency(Duration::from_micros(300)),
+                ..p.clone()
+            })
+            .collect();
+        for plan in [one_feature_plan(&c), plan] {
+            let mut stream = BatchStream::spawn(&plan, &slow, &FleetConfig::new(1, 2));
+            assert!(stream.prefetch());
+            assert_eq!(stream.by_ref().filter(Result::is_ok).count(), 6);
+            let report = stream.device_report();
+            assert_eq!(report[0].max_in_flight, 1, "one pair reads one unit at a time");
+            let left = stream.engine.source.loads[0].in_flight.load(Ordering::Relaxed);
+            assert_eq!(left, 0, "every unit was released exactly once");
+        }
+    }
+
+    #[test]
+    fn halves_that_read_each_other_cannot_run_as_a_pair() {
+        // Dealing stages (not features) alternately puts `trunc_i` and its
+        // readers on opposite sides: B would read an output A has not
+        // produced yet.
+        let mut c = tiny_config(16);
+        c.avg_sparse_len = 4;
+        c.fixed_sparse_len = false;
+        let plan =
+            PreprocessPlan::compile(crate::PlanGraph::truncated_cross(&c, 7, 2, 2).unwrap(), &c)
+                .unwrap();
+        let interleaved: Vec<crate::Place> = (0..plan.stages().len())
+            .map(|i| if i % 2 == 0 { crate::Place::Isp } else { crate::Place::Host })
+            .collect();
+        let err = paired_halves(plan.split(&interleaved).unwrap()).unwrap_err();
+        assert!(matches!(err, PreprocessError::Plan { .. }), "{err}");
+        assert!(paired_halves(plan.feature_halves()).is_ok());
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! * dropping the consumer with a full capacity-1 channel joins every
 //!   worker.
 //!
+//! Two more rows are the host fleet's alone: its workers are pairs of
+//! threads that each read half of a unit's columns, and a fault that sits
+//! only in thread A's columns, or only in thread B's, must end the unit as
+//! one tagged error while the rest of the stream stays bit-identical.
+//!
 //! A dedicated stream and a service job over the same partitions must
 //! agree, so each case runs once per mode. The one place the modes differ
 //! by design is the shuffled fleet's unit: row groups on the stream, whole
@@ -414,6 +419,55 @@ fn dropping_a_full_capacity_one_channel_joins(mode: Mode) {
     }
 }
 
+/// The stored chunk of `column` in `p`'s first row group, damaged: every
+/// read of it fails its checksum, reads of every other column succeed.
+fn with_damaged_column(p: &Partition, column: &str) -> Partition {
+    let reader = FileReader::open(p.blob.clone()).expect("opens");
+    let meta = reader.meta();
+    let chunk = &meta.row_groups[0].columns[meta.schema.index_of(column).expect("stored")];
+    let mut bytes = p.blob.as_bytes().to_vec();
+    // The chunk ends in page payload, which the page checksum covers.
+    bytes[(chunk.offset + chunk.byte_len - 1) as usize] ^= 0xff;
+    Partition { blob: MemBlob::new(bytes), ..p.clone() }
+}
+
+/// A fault in the columns of one thread of a host pair: that half retries
+/// to exhaustion, the other half's finished work is dropped, and the unit
+/// ends as exactly one tagged error. A service job runs the same units on
+/// one thread each and must agree.
+fn a_fault_in_one_half_fails_exactly_its_unit(mode: Mode) {
+    let w = world();
+    let halves = w.plan.feature_halves();
+    let reference = reference(&w, &Fleet::Host, mode);
+    let seed = fault_seed() as usize;
+    let policy = RetryPolicy::recover()
+        .with_max_attempts(3)
+        .with_backoff(Duration::ZERO, Duration::ZERO)
+        .with_quarantine_after(0);
+    for (half, columns) in [("A", halves.isp_columns()), ("B", halves.host_columns())] {
+        let (victim, column) = (seed % PARTITIONS, &columns[seed % columns.len()]);
+        let what = format!("host {mode:?}, {column} of thread {half}");
+        let mut parts = w.ds.partitions().to_vec();
+        parts[victim] = with_damaged_column(&parts[victim], column);
+        let d = drain(start(&w, &Fleet::Host, mode, &parts, policy.clone(), 2, 2));
+        assert_eq!(d.errors.len(), 1, "{what}: one unit, one error: {:?}", d.errors);
+        let e = &d.errors[0];
+        assert!(matches!(e.root(), PreprocessError::Extract(_)), "{what}: {e}");
+        assert_eq!((e.partition(), e.device()), (Some(victim), Some(parts[victim].device)));
+        assert_eq!(d.ok.len(), PARTITIONS - 1, "{what}: every other unit delivers");
+        assert_bit_identical(&d, &reference, &parts, &what);
+        assert!(d.ok.iter().all(|b| b.attempts == 1), "{what}: nothing else retried");
+        assert_eq!(d.report.failed_partitions, vec![victim], "{what}");
+        assert_eq!(
+            d.report.delivered as usize + d.report.failed_partitions.len(),
+            d.report.partitions,
+            "{what}: nothing dropped silently"
+        );
+        // Only the damaged half faulted: three attempts, two of them retries.
+        assert_eq!((d.report.faults, d.report.retries), (3, 2), "{what}");
+    }
+}
+
 macro_rules! both_modes {
     ($($case:ident => $stream:ident, $service:ident;)*) => {$(
         #[test]
@@ -436,4 +490,6 @@ both_modes! {
     fail_fast_corrupt_unit_surfaces_one_error_and_stops =>
         fail_fast_stream, fail_fast_service_job;
     dropping_a_full_capacity_one_channel_joins => drop_full_stream, drop_full_service_job;
+    a_fault_in_one_half_fails_exactly_its_unit =>
+        half_fault_stream, half_fault_service_job;
 }

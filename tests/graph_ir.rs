@@ -12,7 +12,9 @@
 //!    and whatever compiles also executes without panicking.
 //! 4. Split execution is bit-identical to host-only and ISP-only execution
 //!    for arbitrary compiled graphs under *arbitrary* (not just
-//!    cost-optimal) stage-to-fleet assignments and any chunk size.
+//!    cost-optimal) stage-to-fleet assignments and any chunk size — and so
+//!    is the host fleet's feature-sliced worker pair, across every forced
+//!    encoding and 1, 2 and 4 pairs.
 
 use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig};
 use presto::ops::{
@@ -168,7 +170,8 @@ proptest! {
         mask in any::<u64>(),
         chunk in 1usize..1024,
     ) {
-        use presto::columnar::ReadScratch;
+        use presto::columnar::{Encoding, FileWriter, MemBlob, ReadScratch, WritePolicy};
+        use presto::datagen::Partition;
         use presto::ops::{preprocess_batch_owned_chunked, preprocess_partition_split, Place};
         let batch = generate_batch(&config, rows, seed ^ 0x51F);
         let blob = presto::datagen::write_partition(&batch).expect("serializes");
@@ -193,6 +196,35 @@ proptest! {
                 preprocess_partition_split(&plan, &split, blob.clone(), chunk, &mut read)
                     .expect("split path");
             prop_assert_eq!(&via_split, &host_only);
+            // The feature split of the host fleet's worker pair: the same
+            // plan dealt by feature to two concurrent threads, over every
+            // forced encoding and pair count.
+            for enc in [Encoding::Plain, Encoding::Delta, Encoding::DeltaBitpack, Encoding::Dictionary] {
+                let partitions: Vec<Partition> = (0..5)
+                    .map(|index| {
+                        let batch = generate_batch(&config, rows, seed ^ index as u64);
+                        let policy = WritePolicy::default().with_forced_encoding(enc);
+                        let mut writer = FileWriter::with_page_rows(batch.schema().clone(), 7)
+                            .with_policy(policy);
+                        writer.write_row_group(batch.columns()).expect("writes");
+                        let blob = MemBlob::new(writer.finish());
+                        Partition { index, device: index % 2, rows, blob }
+                    })
+                    .collect();
+                let serial: Vec<MiniBatch> = partitions
+                    .iter()
+                    .map(|p| preprocess_partition(&plan, p.blob.clone()).expect("serial").0)
+                    .collect();
+                for workers in [1, 2, 4] {
+                    let stream = BatchStream::spawn(&plan, &partitions, &FleetConfig::new(workers, 2));
+                    prop_assert!(stream.prefetch(), "workers are pairs by default");
+                    let paired: Vec<MiniBatch> = stream
+                        .into_ordered()
+                        .map(|item| item.expect("paired batch").batch)
+                        .collect();
+                    prop_assert!(paired == serial, "{enc} x {workers} pairs diverged");
+                }
+            }
         }
     }
 
