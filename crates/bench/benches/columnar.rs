@@ -2,6 +2,7 @@
 //! projected reads — the real work the Extract stage performs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use presto_columnar::checksum::crc32;
 use presto_columnar::{FileReader, MemBlob};
 use presto_datagen::{generate_batch, write_partition, RmConfig};
 use std::hint::black_box;
@@ -77,6 +78,21 @@ fn bench_mem_reader_open(c: &mut Criterion) {
     let _ = MemBlob::new(vec![]);
 }
 
+fn bench_crc32(c: &mut Criterion) {
+    // The checksum every page read pays, on its own: the shortest input
+    // the folded kernel takes, a typical page, and streaming.
+    let data: Vec<u8> =
+        (0..1usize << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    let mut group = c.benchmark_group("crc32");
+    for len in [64usize, 4 << 10, 1 << 20] {
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::new("bytes", len), &data[..len], |bench, data| {
+            bench.iter(|| black_box(crc32(black_box(data))));
+        });
+    }
+    group.finish();
+}
+
 /// Short measurement windows keep `cargo bench --workspace` to a few
 /// minutes while staying statistically useful.
 fn quick() -> Criterion {
@@ -89,6 +105,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_encode, bench_decode, bench_projection, bench_mem_reader_open
+    targets = bench_encode, bench_decode, bench_projection, bench_mem_reader_open, bench_crc32
 }
 criterion_main!(benches);

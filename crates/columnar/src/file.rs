@@ -236,21 +236,30 @@ impl FileMeta {
         }
     }
 
+    /// Parses a footer whose CRC already matched. A matching CRC is an
+    /// integrity check, not a trust boundary (whoever can write the footer
+    /// can write its checksum), so every count is bounded by the bytes left
+    /// before anything is allocated for it.
     fn read(buf: &[u8], version: FormatVersion) -> Result<Self> {
         let mut pos = 0usize;
-        let n_fields = varint::read_u64(buf, &mut pos)? as usize;
+        // A field is at least a name length and a type tag.
+        let n_fields = read_count(buf, &mut pos, 2, "field")?;
         let mut fields = Vec::with_capacity(n_fields);
         for _ in 0..n_fields {
-            let name_len = varint::read_u64(buf, &mut pos)? as usize;
-            if buf.len() < pos + name_len {
-                return Err(ColumnarError::UnexpectedEof { context: "field name" });
-            }
-            let name = std::str::from_utf8(&buf[pos..pos + name_len])
+            let name_len = varint::read_u64(buf, &mut pos)?;
+            let name_bytes = usize::try_from(name_len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .and_then(|end| buf.get(pos..end))
+                .ok_or_else(|| ColumnarError::CorruptFile {
+                    detail: format!("field name of {name_len} bytes exceeds the footer"),
+                })?;
+            let name = std::str::from_utf8(name_bytes)
                 .map_err(|_| ColumnarError::CorruptFile {
                     detail: "field name is not utf-8".into(),
                 })?
                 .to_owned();
-            pos += name_len;
+            pos += name_bytes.len();
             let Some(&tag) = buf.get(pos) else {
                 return Err(ColumnarError::UnexpectedEof { context: "field type tag" });
             };
@@ -258,7 +267,10 @@ impl FileMeta {
             fields.push(Field::new(name, DataType::from_tag(tag)?));
         }
         let schema = Schema::new(fields)?;
-        let n_groups = varint::read_u64(buf, &mut pos)? as usize;
+        // A group is a row count plus, per column, an offset, a length and
+        // the stats (rows, elements, [pages, null rows,] min/max flag).
+        let chunk_min = if version.v4_stats() { 7 } else { 5 };
+        let n_groups = read_count(buf, &mut pos, 1 + chunk_min * schema.len(), "row group")?;
         let mut row_groups = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
             let rows = varint::read_u64(buf, &mut pos)?;
@@ -273,6 +285,19 @@ impl FileMeta {
         }
         Ok(FileMeta { schema, row_groups })
     }
+}
+
+/// Reads a varint count of footer records of at least `min_bytes` each,
+/// refusing a count the rest of the footer is too short to hold.
+fn read_count(buf: &[u8], pos: &mut usize, min_bytes: usize, what: &str) -> Result<usize> {
+    let count = varint::read_u64(buf, pos)?;
+    let fits = (buf.len() - *pos) / min_bytes;
+    if count > fits as u64 {
+        return Err(ColumnarError::CorruptFile {
+            detail: format!("footer declares {count} {what}s, has room for {fits}"),
+        });
+    }
+    Ok(count as usize)
 }
 
 /// Streaming writer producing an in-memory columnar file.
@@ -1117,6 +1142,46 @@ mod tests {
         let idx = bytes.len() - 20;
         bytes[idx] ^= 0x01;
         assert!(FileReader::open(MemBlob::new(bytes)).is_err());
+    }
+
+    /// A container around `footer` whose checksum matches: what anyone able
+    /// to write a file can produce.
+    fn file_with_footer(footer: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(footer);
+        bytes.extend_from_slice(&crc32(footer).to_le_bytes());
+        bytes.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(MAGIC);
+        bytes
+    }
+
+    fn assert_corrupt(footer: &[u8]) {
+        let result = FileReader::open(MemBlob::new(file_with_footer(footer)));
+        assert!(matches!(result, Err(ColumnarError::CorruptFile { .. })), "{result:?}");
+    }
+
+    #[test]
+    fn hostile_footer_counts_are_bounded_by_the_footer() {
+        // 2^60 fields, then one honest field followed by 2^60 row groups:
+        // neither may reach `Vec::with_capacity`.
+        let mut footer = Vec::new();
+        varint::write_u64(&mut footer, 1 << 60);
+        footer.resize(20, 0);
+        assert_corrupt(&footer);
+
+        let mut footer = vec![1, 1, b'a', DataType::Int64.to_tag()];
+        varint::write_u64(&mut footer, 1 << 60);
+        footer.resize(20, 0);
+        assert_corrupt(&footer);
+    }
+
+    #[test]
+    fn hostile_footer_name_length_cannot_overflow() {
+        // One field whose name claims u64::MAX bytes: `pos + name_len` wraps.
+        let mut footer = vec![1];
+        varint::write_u64(&mut footer, u64::MAX);
+        footer.resize(20, b'a');
+        assert_corrupt(&footer);
     }
 
     #[test]

@@ -64,8 +64,19 @@
 //! [`WritePolicy`] can override; jagged list columns store an RLE run of row
 //! lengths before the value stream. Hot column types skip LZ compression by
 //! default so they stay lazy-decodable ("uncompressed-if-hot"). Pages are
-//! CRC-32 protected, as is the footer. See the [`encoding`] module for the
+//! CRC-32 protected, as is the footer: every read verifies every page it
+//! touches, through one function ([`checksum::crc32`]) that folds with
+//! carry-less multiplies where the CPU has them and walks lookup tables
+//! elsewhere, to the same value. See the [`encoding`] module for the
 //! bit-level details.
+//!
+//! ## `unsafe`
+//!
+//! The crate has two `unsafe` sites, each behind a safe interface and each
+//! with a `// SAFETY:` argument (CI's structure gate keeps it at these two
+//! files): [`buffer`] reinterprets aligned stored bytes as plain values for
+//! zero-copy views, and [`checksum`] calls the `PCLMULQDQ` kernel after
+//! detecting the CPU features it needs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

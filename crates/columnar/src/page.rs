@@ -516,15 +516,29 @@ mod tests {
 
     #[test]
     fn bitflip_in_payload_is_caught() {
-        let mut buf = Vec::new();
-        write_page(&Array::Int64((0..100).collect()), &mut buf).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 0x40;
-        let mut pos = 0;
-        assert!(matches!(
-            read_page(&buf, &mut pos, DataType::Int64),
-            Err(ColumnarError::ChecksumMismatch { .. })
-        ));
+        // A short page and a 16 KiB one (the checksum's folded route): one
+        // flipped bit in the first, a middle and the last payload byte.
+        let long = Array::Float32((0..4096).map(|i| i as f32 * 0.25).collect());
+        for (array, min_payload) in [(Array::Int64((0..100).collect()), 1), (long, 4096)] {
+            let mut buf = Vec::new();
+            write_page(&array, &mut buf).unwrap();
+            let header = read_page_header(&buf, &mut 0, 0).unwrap();
+            assert!(header.payload_len >= min_payload, "payload {}", header.payload_len);
+            assert_eq!(header.payload_start + header.payload_len, buf.len());
+            for offset in [0, header.payload_len / 2, header.payload_len - 1] {
+                buf[header.payload_start + offset] ^= 0x40;
+                assert!(
+                    matches!(
+                        read_page(&buf, &mut 0, array.data_type()),
+                        Err(ColumnarError::ChecksumMismatch { .. })
+                    ),
+                    "flip at payload byte {offset} of {}",
+                    header.payload_len
+                );
+                buf[header.payload_start + offset] ^= 0x40;
+            }
+            assert_eq!(read_page(&buf, &mut 0, array.data_type()).unwrap(), array);
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! arbitrary corruption always errors (never panics, never returns wrong
 //! data silently, never over-allocates from attacker-controlled counts).
 
+use presto::columnar::checksum::{crc32, Crc32};
 use presto::columnar::{
     encoding, Array, Compression, DataType, Encoding, Field, FileReader, FileWriter, MemBlob,
     Schema, WritePolicy,
@@ -55,6 +56,27 @@ proptest! {
     fn lz_codec_roundtrips_any_bytes(data in vec(any::<u8>(), 0..4096)) {
         let packed = presto::columnar::compress::compress(&data);
         prop_assert_eq!(presto::columnar::compress::decompress(&packed).expect("decodes"), data);
+    }
+
+    #[test]
+    fn crc_is_incremental_across_any_split(pieces in vec(vec(any::<u8>(), 0..160), 2..=3)) {
+        // Piece lengths fall on both sides of the checksum's 16-byte lane
+        // and 64-byte folding thresholds, so a split feeds one route's state
+        // into the other's; the bit-at-a-time loop is the reference.
+        let whole = pieces.concat();
+        let mut reference = !0u32;
+        for &byte in &whole {
+            reference ^= u32::from(byte);
+            for _ in 0..8 {
+                reference = if reference & 1 != 0 { (reference >> 1) ^ 0xedb8_8320 } else { reference >> 1 };
+            }
+        }
+        let mut hasher = Crc32::new();
+        for piece in &pieces {
+            hasher.update(piece);
+        }
+        prop_assert_eq!(hasher.finalize(), !reference);
+        prop_assert_eq!(crc32(&whole), !reference);
     }
 
     #[test]
