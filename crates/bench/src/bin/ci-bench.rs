@@ -26,10 +26,11 @@
 //!   the price of shuffling relative to `streaming_end_to_end`.
 //! * `extract_longseq_rows_per_sec` — the Extract stage on the
 //!   long-sequence scenario (`RmConfig::rm_longseq` through
-//!   `PlanGraph::long_history`) with prefix pushdown active: the plan's
-//!   `Prefix(8)` requirements let the reader decode only the head of each
-//!   512-element list. The full-decode rate is printed alongside for the
-//!   speedup figure; the gated number is the pushdown rate.
+//!   `PlanGraph::long_history`) with prefix pushdown active: lists this
+//!   long are stored as head + tail pages, and the plan's `Prefix(8)`
+//!   requirements let the reader fetch and decode the head pages alone. The
+//!   full-decode rate is printed alongside for the speedup figure; the
+//!   gated number is the pushdown rate.
 //!
 //! Writes the measurements to `BENCH_ci.json` (uploaded as a CI artifact),
 //! appends a per-metric delta table to `$GITHUB_STEP_SUMMARY` when that
@@ -176,8 +177,8 @@ fn multi_tenant() -> f64 {
 /// The prefix-pushdown Extract on the long-sequence scenario
 /// (`RmConfig::rm_longseq`: average list length 512, skewed, consumed
 /// through `FirstX(8)`-headed chains): the plan derives `Prefix(8)` for
-/// every sparse column, so the value streams decode only ~8/512 of their
-/// elements. Prints the full-decode rate of the same partition alongside,
+/// every sparse column, so each chunk's read stops at the end of its head
+/// pages. Prints the full-decode rate of the same partition alongside,
 /// so the pushdown speedup is a visible figure on every CI run; the gated
 /// metric is the pushdown rate.
 fn extract_longseq() -> f64 {

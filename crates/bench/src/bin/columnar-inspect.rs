@@ -8,11 +8,15 @@
 //! Without a file, a demo RM1 partition is generated in memory and
 //! inspected (handy for exploring the format).
 //!
-//! Inspecting reads only the footer. `--verify` instead reads every column
-//! of every row group, which checks every page's CRC-32, prints the pages
-//! and bytes verified and the rate, and exits non-zero naming the
+//! Inspecting reads the footer — and, of each chunk stored as head + tail
+//! pages (a long list column; the table's `head` and `K` columns), its page
+//! headers, to print both parts' page encodings and stored bytes. `--verify`
+//! instead reads every column of every row group in full, which checks
+//! every page's CRC-32 (head and tail pages alike), prints the pages and
+//! bytes verified and the rate, and exits non-zero naming the
 //! `(group, column)` of the first chunk that fails.
 
+use presto_columnar::column::{page_summaries, ChunkPart, PageSummary};
 use presto_columnar::{BlobRead, FileReader, FormatVersion, FsBlob, MemBlob, ReadScratch};
 use presto_datagen::{generate_batch, write_partition, RmConfig};
 use presto_metrics::TextTable;
@@ -52,7 +56,7 @@ fn run<B: BlobRead>(blob: B, verify: bool) -> Result<(), Box<dyn std::error::Err
 fn verify_pages<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> {
     let reader = FileReader::open(blob)?;
     let mut scratch = ReadScratch::new();
-    let (mut pages, mut bytes) = (0u64, 0u64);
+    let (mut pages, mut bytes, mut split) = (0u64, 0u64, 0u64);
     let start = std::time::Instant::now();
     for (g, rg) in reader.meta().row_groups.iter().enumerate() {
         for (c, chunk) in rg.columns.iter().enumerate() {
@@ -62,6 +66,7 @@ fn verify_pages<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> 
             })?;
             pages += chunk.stats.pages;
             bytes += chunk.byte_len;
+            split += u64::from(chunk.stats.head.is_some());
         }
     }
     let secs = start.elapsed().as_secs_f64();
@@ -69,17 +74,32 @@ fn verify_pages<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> 
     let pages =
         if reader.version() == FormatVersion::V4 { pages.to_string() } else { "unknown".into() };
     println!(
-        "verified {pages} pages, {bytes} bytes in {} row groups: every checksum matches \
-         ({:.2} GB/s read + verify + decode)",
+        "verified {pages} pages, {bytes} bytes in {} row groups ({split} chunks in head + tail \
+         parts, both read): every checksum matches ({:.2} GB/s read + verify + decode)",
         reader.row_group_count(),
         bytes as f64 / secs / 1e9
     );
     Ok(())
 }
 
+/// `3 pages, 2048 rows, 65536 values, 81234 B stored (delta_bitpack)`.
+fn describe_part(pages: &[PageSummary], part: ChunkPart) -> String {
+    let pages: Vec<&PageSummary> = pages.iter().filter(|p| p.part == part).collect();
+    let mut encodings: Vec<String> = pages.iter().map(|p| p.encoding.to_string()).collect();
+    encodings.dedup();
+    format!(
+        "{} pages, {} rows, {} values, {} B stored ({})",
+        pages.len(),
+        pages.iter().map(|p| p.rows).sum::<usize>(),
+        pages.iter().map(|p| p.elements).sum::<usize>(),
+        pages.iter().map(|p| p.stored_bytes).sum::<usize>(),
+        encodings.join(", ")
+    )
+}
+
 fn inspect<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> {
     let total_len = blob.blob_len();
-    let reader = FileReader::open(blob)?;
+    let reader = FileReader::open(&blob)?;
     let meta = reader.meta();
 
     println!(
@@ -112,7 +132,10 @@ fn inspect<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> {
             "bytes/elem",
             "min",
             "max",
+            "head",
+            "K",
         ]);
+        let mut parts = Vec::new();
         for (field, chunk) in meta.schema.fields().iter().zip(&rg.columns) {
             let per_elem = if chunk.stats.elements == 0 {
                 "-".to_owned()
@@ -128,9 +151,22 @@ fn inspect<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> {
                 per_elem,
                 fmt_opt(chunk.stats.min_i64),
                 fmt_opt(chunk.stats.max_i64),
+                chunk.stats.head.map_or_else(|| "-".to_owned(), |h| h.head_len.to_string()),
+                chunk.stats.head.map_or_else(|| "-".to_owned(), |h| h.k.to_string()),
             ]);
+            if chunk.stats.head.is_some() {
+                let bytes = blob.read_at(chunk.offset, usize::try_from(chunk.byte_len)?)?;
+                let pages = page_summaries(&bytes, chunk.offset)?;
+                parts.push(format!(
+                    "  {}: head {}; tail {}",
+                    field.name(),
+                    describe_part(&pages, ChunkPart::Head),
+                    describe_part(&pages, ChunkPart::Tail)
+                ));
+            }
         }
         print!("{}", t.render());
+        parts.iter().for_each(|line| println!("{line}"));
         let data_bytes: u64 = rg.columns.iter().map(|c| c.byte_len).sum();
         println!(
             "row-group data: {} bytes ({:.1}% of file)\n",

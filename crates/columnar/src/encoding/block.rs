@@ -173,11 +173,11 @@ pub fn decode_i64_into(
 /// Like [`decode_i64_into`], materializing only the elements covered by
 /// `ranges` (sorted, non-overlapping, half-open element-index intervals) —
 /// the prefix-pushdown path. Deltas are cumulative, so every miniblock up
-/// to the last needed element must still be *read*, but a miniblock that
-/// contains no needed element takes a summation-only path: its packed
-/// deltas are reduced to one running-value adjustment (a vectorizable sum
-/// with no per-element prefix chain and no stores). The decode hard-stops
-/// after the miniblock containing the last needed element. The stream count
+/// to the last needed element is still decoded, but only in-range elements
+/// are stored, and the decode hard-stops after the miniblock containing the
+/// last needed one. (Lists long enough for whole miniblocks to fall between
+/// two ranges are stored as head and tail pages — see [`crate::column`] —
+/// and a prefix read never walks their tails at all.) The stream count
 /// is validated against `expected` before any allocation, and a crafted
 /// header cannot allocate beyond the ranges' total length — the same
 /// [`super::MAX_PAGE_ELEMENTS`]-bounded budget discipline as the full
@@ -233,42 +233,6 @@ pub fn decode_i64_ranges(
             return Err(ColumnarError::UnexpectedEof { context: "miniblock payload" });
         };
         *pos += total_bytes;
-
-        // This miniblock covers elements [idx, idx + m). Skip-sum it when
-        // no range intersects: only the *sum* of its deltas is needed to
-        // carry `prev` forward.
-        let needed_here = ranges.peek().is_some_and(|&(start, _)| start < idx + m);
-        if !needed_here {
-            let mut sum = (m as i64).wrapping_mul(min_delta);
-            if width > 0 {
-                let mut done = 0usize;
-                while done < m {
-                    let take = (m - done).min(GROUP);
-                    if take == GROUP {
-                        let start = done * width as usize / 8;
-                        bitpack::unpack_group(
-                            &data[start..start + 8 * width as usize],
-                            width,
-                            &mut packed,
-                        );
-                        for &p in &packed {
-                            sum = sum.wrapping_add(p as i64);
-                        }
-                    } else {
-                        let mut bit = (done * width as usize) as u64;
-                        for _ in 0..take {
-                            sum = sum.wrapping_add(bitpack::read_bits(data, bit, width) as i64);
-                            bit += u64::from(width);
-                        }
-                    }
-                    done += take;
-                }
-            }
-            prev = prev.wrapping_add(sum);
-            idx += m;
-            remaining -= m;
-            continue;
-        }
 
         let mut done = 0usize;
         while done < m {

@@ -31,15 +31,26 @@ pub fn encode_i64(values: &[i64], out: &mut Vec<u8>) {
 ///
 /// Propagates varint decode errors on truncated or corrupt input.
 pub fn decode_i64(buf: &[u8], pos: &mut usize) -> Result<Vec<i64>> {
+    let mut values = Vec::new();
+    decode_i64_appending(buf, pos, &mut values)?;
+    Ok(values)
+}
+
+/// [`decode_i64`] appending to a caller-owned buffer, for streams whose
+/// count only the stream knows (a dictionary). Same clamped reservation.
+///
+/// # Errors
+///
+/// Same as [`decode_i64`].
+pub fn decode_i64_appending(buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> Result<()> {
     let count = varint::read_u64(buf, pos)? as usize;
     if count > super::MAX_PAGE_ELEMENTS {
         return Err(crate::ColumnarError::CorruptFile {
             detail: format!("delta stream declares {count} values"),
         });
     }
-    let mut values = Vec::with_capacity(count.min(buf.len().saturating_sub(*pos)));
-    decode_values(buf, pos, count, &mut values)?;
-    Ok(values)
+    out.reserve(count.min(buf.len().saturating_sub(*pos)));
+    decode_values(buf, pos, count, out)
 }
 
 /// Like [`decode_i64`], appending `expected` values to a caller-owned

@@ -65,6 +65,41 @@ pub fn decode_i64_into(
     lookup_into(&dict, &indices, out)
 }
 
+/// Recycled staging of the ranged dictionary decode: the page's dictionary
+/// and its index stream.
+#[derive(Debug, Default)]
+pub struct DictScratch {
+    dict: Vec<i64>,
+    indices: Vec<u64>,
+}
+
+/// Like [`decode_i64_into`], appending only the elements of `ranges`
+/// (already validated against `expected` by the caller). The dictionary and
+/// the index stream still decode whole — RLE runs have no random access —
+/// but into `scratch`, and only in-range indices are looked up, so a
+/// caller that recycles `scratch` allocates nothing here.
+///
+/// # Errors
+///
+/// Same as [`decode_i64_into`]; an out-of-range index outside every range
+/// is not looked at.
+pub fn decode_i64_ranges(
+    buf: &[u8],
+    pos: &mut usize,
+    expected: usize,
+    ranges: &[(usize, usize)],
+    scratch: &mut DictScratch,
+    out: &mut Vec<i64>,
+) -> Result<()> {
+    let DictScratch { dict, indices } = scratch;
+    dict.clear();
+    indices.clear();
+    delta::decode_i64_appending(buf, pos, dict)?;
+    rle::decode_into(buf, pos, Some(expected), indices)?;
+    out.reserve(ranges.iter().map(|&(start, stop)| stop - start).sum());
+    ranges.iter().try_for_each(|&(start, stop)| lookup_into(dict, &indices[start..stop], out))
+}
+
 /// Maps indices through the dictionary, validating range.
 fn lookup_into(dict: &[i64], indices: &[u64], out: &mut Vec<i64>) -> Result<()> {
     for &idx in indices {

@@ -310,10 +310,10 @@ pub(crate) fn validate_ranges(ranges: &[(usize, usize)], count: usize) -> Result
 /// appending them to `out` in order — the prefix-pushdown decode. Plain
 /// pages gather by direct byte-range slicing; the sequential delta codecs
 /// skip storing out-of-range elements and hard-stop after the last needed
-/// one; dictionary pages (cold path: low-cardinality columns, never the
-/// long-sequence id streams pushdown targets) decode fully into a staging
-/// buffer and gather. `*pos` is **not** guaranteed to advance past the whole
-/// stream — callers frame pages via the page header, not the codec.
+/// one; dictionary pages decode their dictionary and index stream into the
+/// recycled `dict` staging and look up the in-range indices only. `*pos` is
+/// **not** guaranteed to advance past the whole stream — callers frame
+/// pages via the page header, not the codec.
 ///
 /// Every encoding validates `count` against its own stream metadata before
 /// reserving, and the reservation is bounded by the ranges' covered length,
@@ -329,6 +329,7 @@ pub fn decode_i64_ranges(
     pos: &mut usize,
     count: usize,
     ranges: &[(usize, usize)],
+    dict: &mut dictionary::DictScratch,
     out: &mut Vec<i64>,
 ) -> Result<()> {
     let base = out.len();
@@ -338,12 +339,7 @@ pub fn decode_i64_ranges(
         Encoding::Delta => delta::decode_i64_ranges(buf, pos, count, ranges, out)?,
         Encoding::DeltaBitpack => block::decode_i64_ranges(buf, pos, count, ranges, out)?,
         Encoding::Dictionary => {
-            let mut staged = Vec::new();
-            dictionary::decode_i64_into(buf, pos, count, &mut staged)?;
-            out.reserve(need);
-            for &(start, stop) in ranges {
-                out.extend_from_slice(&staged[start..stop]);
-            }
+            dictionary::decode_i64_ranges(buf, pos, count, ranges, dict, out)?;
         }
     }
     debug_assert_eq!(out.len() - base, need);
@@ -453,6 +449,7 @@ mod tests {
     /// varint-group boundaries, the first element, singletons, and tails.
     #[test]
     fn ranged_decode_matches_full_decode_gather() {
+        let dict = &mut dictionary::DictScratch::default();
         let values: Vec<i64> = (0..1000).map(|i| (i * 37) % 450 - 20).collect();
         let range_sets: &[&[(usize, usize)]] = &[
             &[],
@@ -472,7 +469,7 @@ mod tests {
             for ranges in range_sets {
                 let mut out = Vec::new();
                 let mut pos = 0;
-                decode_i64_ranges(e, &buf, &mut pos, values.len(), ranges, &mut out)
+                decode_i64_ranges(e, &buf, &mut pos, values.len(), ranges, dict, &mut out)
                     .unwrap_or_else(|err| panic!("{e} {ranges:?}: {err}"));
                 let expect: Vec<i64> =
                     ranges.iter().flat_map(|&(s, t)| values[s..t].iter().copied()).collect();
@@ -483,6 +480,7 @@ mod tests {
 
     #[test]
     fn ranged_decode_handles_tiny_streams() {
+        let dict = &mut dictionary::DictScratch::default();
         for n in [0usize, 1, 2, 63, 64, 65, 127, 128, 129] {
             let values: Vec<i64> = (0..n as i64).map(|i| i * 3 - 7).collect();
             for &e in &ALL {
@@ -491,7 +489,7 @@ mod tests {
                 let mut out = Vec::new();
                 let mut pos = 0;
                 let take = n.min(2);
-                decode_i64_ranges(e, &buf, &mut pos, n, &[(0, take)], &mut out).unwrap();
+                decode_i64_ranges(e, &buf, &mut pos, n, &[(0, take)], dict, &mut out).unwrap();
                 assert_eq!(out, values[..take], "{e} n={n}");
             }
         }
@@ -499,6 +497,7 @@ mod tests {
 
     #[test]
     fn malformed_ranges_are_rejected_without_allocating() {
+        let dict = &mut dictionary::DictScratch::default();
         let values: Vec<i64> = (0..100).collect();
         // Unsorted, overlapping, inverted, and out-of-bounds range lists.
         let bad: &[&[(usize, usize)]] =
@@ -510,7 +509,7 @@ mod tests {
                 let mut out = Vec::new();
                 let mut pos = 0;
                 assert!(matches!(
-                    decode_i64_ranges(e, &buf, &mut pos, values.len(), ranges, &mut out),
+                    decode_i64_ranges(e, &buf, &mut pos, values.len(), ranges, dict, &mut out),
                     Err(ColumnarError::CorruptFile { .. })
                 ));
                 assert_eq!(out.capacity(), 0, "{e} {ranges:?} reserved before validation");
@@ -523,12 +522,14 @@ mod tests {
     /// cannot widen the budget a corrupt header would otherwise claim.
     #[test]
     fn ranged_decode_checks_stream_count_before_allocating() {
+        let dict = &mut dictionary::DictScratch::default();
         for &e in &ALL {
             let mut buf = Vec::new();
             encode_i64(e, &(0..16).collect::<Vec<i64>>(), &mut buf);
             let mut out = Vec::new();
             let mut pos = 0;
-            let err = decode_i64_ranges(e, &buf, &mut pos, 1 << 27, &[(0, 1 << 27)], &mut out);
+            let err =
+                decode_i64_ranges(e, &buf, &mut pos, 1 << 27, &[(0, 1 << 27)], dict, &mut out);
             assert!(err.is_err(), "{e}");
             assert_eq!(out.capacity(), 0, "{e} reserved before count validation");
         }

@@ -19,9 +19,15 @@
 //! index       := n_groups { group }*
 //! group       := rows { chunk }*            one chunk per schema field
 //! chunk       := offset byte_len stats      absolute offset + length in bytes
-//! stats       := rows elements pages null_rows minmax   (v4)
-//!              | rows elements minmax                    (v2/v3 legacy)
-//! minmax      := 0x00 | 0x01 min_i64 max_i64 (zigzag varints)
+//! stats       := rows elements pages null_rows flags [minmax] [head]   (v4)
+//!              | rows elements flags [minmax]             (v2/v3 legacy)
+//! flags       := one byte: 0x01 = minmax follows, 0x02 = head follows (v4
+//!                only); any other bit is corruption
+//! minmax      := min_i64 max_i64                (zigzag varints)
+//! head        := head_len k                     a chunk stored in two parts:
+//!                                               its head pages end head_len
+//!                                               bytes in and hold the first
+//!                                               k values of every list
 //! ```
 //!
 //! Version 4 makes the footer a true **row-group index**: writers emit
@@ -78,10 +84,24 @@
 //!   downstream `FirstX(x)` is a no-op. Lists shorter than `x` are
 //!   returned whole; empty lists stay empty. Row counts are unchanged,
 //!   which keeps the group-level `rows` invariant intact.
+//! - **What it costs.** One ranged read of [`ChunkMeta::read_len`] bytes.
+//!   For most chunks that is the whole chunk: every page is fetched and
+//!   checksummed, and the saving is in the decode. A list column whose
+//!   lists are long is different on disk: the writer stores such a chunk as
+//!   *head pages* (every list's length and first K values) followed by
+//!   *tail pages* (the rest), each page under its own CRC, and records
+//!   where the head pages end in the chunk's footer entry
+//!   ([`crate::stats::ChunkHead`]). A prefix read of at most K values then
+//!   fetches, checksums and decodes the head pages and touches nothing
+//!   else — on the long-history shape (lists of ≈ 512, `x` = 8) about a
+//!   fifteenth of the chunk. A deeper prefix, and every full read, takes
+//!   both parts and gets back exactly the array the writer was given. See
+//!   [`crate::column`] for the layout and the rule that picks it.
 //!
-//! The on-disk format is untouched: pushdown is purely a reader-side
-//! decode strategy, and full-decode reads of the same file are
-//! bit-identical to what they always were.
+//! A chunk without long lists is written, and read, byte for byte as it was
+//! before the two-part layout existed, and the layout needs no new magic:
+//! it is announced per chunk by a footer flag bit that older `PSTOCOL4`
+//! files never set.
 
 use crate::array::Array;
 use crate::checksum::crc32;
@@ -89,7 +109,7 @@ use crate::column;
 use crate::compress::Compression;
 use crate::encoding::varint;
 use crate::error::{ColumnarError, Result};
-use crate::io::BlobRead;
+use crate::io::{BlobRead, DecodeScratch};
 use crate::page::DEFAULT_PAGE_ROWS;
 use crate::schema::{DataType, Field, Schema, WritePolicy};
 use crate::stats::ColumnStats;
@@ -156,6 +176,21 @@ pub struct ChunkMeta {
     pub byte_len: u64,
     /// Column statistics.
     pub stats: ColumnStats,
+}
+
+impl ChunkMeta {
+    /// Bytes the one ranged read of this chunk fetches under an element
+    /// `limit` ([`FileReader::read_column_limit_with`]): the head pages
+    /// alone when the chunk has them and they reach `limit` values deep,
+    /// the whole chunk otherwise. This is both what the reader does and what
+    /// byte accounting (the ISP fleet's P2P traffic) should charge.
+    #[must_use]
+    pub fn read_len(&self, limit: Option<usize>) -> u64 {
+        match (self.stats.head, limit) {
+            (Some(head), Some(x)) if x as u64 <= head.k => head.head_len,
+            _ => self.byte_len,
+        }
+    }
 }
 
 /// Footer metadata for one row group.
@@ -279,6 +314,11 @@ impl FileMeta {
                 let offset = varint::read_u64(buf, &mut pos)?;
                 let byte_len = varint::read_u64(buf, &mut pos)?;
                 let stats = ColumnStats::read(buf, &mut pos, version.v4_stats())?;
+                if stats.head.is_some_and(|head| head.head_len > byte_len) {
+                    return Err(ColumnarError::CorruptFile {
+                        detail: format!("head pages run past their {byte_len}-byte chunk"),
+                    });
+                }
                 columns.push(ChunkMeta { offset, byte_len, stats });
             }
             row_groups.push(RowGroupMeta { rows, columns });
@@ -301,6 +341,19 @@ fn read_count(buf: &[u8], pos: &mut usize, min_bytes: usize, what: &str) -> Resu
 }
 
 /// Streaming writer producing an in-memory columnar file.
+///
+/// # Long list columns
+///
+/// A list chunk whose mean list length is at least 128 (four times the 32
+/// values a head page keeps per list) is written as head pages followed by
+/// tail pages, so that the prefix reads such columns mostly get
+/// ([`FileReader::read_column_limit_with`]) cost a fraction of the chunk;
+/// see [`crate::column`]. The choice is made per chunk from the data in it,
+/// and neither it nor the 32 can be set: a file's bytes are a function of
+/// the batch, the page and group sizes and the [`WritePolicy`] alone, the
+/// readers take both numbers from the file, and there is no second layout
+/// for anyone to forget to test. Legacy container versions
+/// ([`FileWriter::with_format_version`]) predate the layout and never use it.
 ///
 /// # Examples
 ///
@@ -454,8 +507,14 @@ impl FileWriter {
         let mut metas = Vec::with_capacity(columns.len());
         for col in columns {
             let offset = self.buf.len() as u64;
-            let stats =
-                column::write_chunk_policy(col, self.page_rows, &self.policy, &mut self.buf)?;
+            // Legacy containers predate the head/tail layout.
+            let stats = column::write_chunk_layout(
+                col,
+                self.page_rows,
+                &self.policy,
+                self.version.v4_stats(),
+                &mut self.buf,
+            )?;
             let byte_len = self.buf.len() as u64 - offset;
             metas.push(ChunkMeta { offset, byte_len, stats });
         }
@@ -610,6 +669,49 @@ impl<B: BlobRead> FileReader<B> {
         self.read_column_with(row_group, column, &mut crate::io::ReadScratch::new())
     }
 
+    /// The footer's entry for one chunk, with its group and column type.
+    fn chunk(
+        &self,
+        row_group: usize,
+        column: usize,
+    ) -> Result<(&RowGroupMeta, &ChunkMeta, DataType)> {
+        let rg = self.meta.row_groups.get(row_group).ok_or_else(|| {
+            ColumnarError::UnknownColumn { name: format!("row group {row_group}") }
+        })?;
+        let chunk = rg
+            .columns
+            .get(column)
+            .ok_or_else(|| ColumnarError::UnknownColumn { name: format!("column {column}") })?;
+        let field = self.meta.schema.field(column).expect("meta/schema in sync");
+        Ok((rg, chunk, field.data_type()))
+    }
+
+    /// The `len` bytes at `offset` for a decoder that copies what it keeps:
+    /// borrowed from storage memory when the backend exposes it
+    /// ([`BlobRead::as_slice`]), otherwise fetched with one positioned read
+    /// into the scratch's recycled buffer. Either way the scratch's decode
+    /// intermediates come along as a disjoint borrow.
+    fn stage<'a>(
+        &'a self,
+        offset: u64,
+        len: usize,
+        scratch: &'a mut crate::io::ReadScratch,
+    ) -> Result<(&'a [u8], &'a mut DecodeScratch)> {
+        let Some(all) = self.blob.as_slice() else {
+            return scratch.read_split(&self.blob, offset, len);
+        };
+        let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
+            detail: format!("chunk offset {offset} out of addressable range"),
+        })?;
+        // checked_add: corrupt metadata must surface as Err, not an
+        // overflow panic.
+        let bytes = start
+            .checked_add(len)
+            .and_then(|end| all.get(start..end))
+            .ok_or(ColumnarError::UnexpectedEof { context: "column chunk range" })?;
+        Ok((bytes, scratch.decode_parts()))
+    }
+
     /// Like [`FileReader::read_column`], staging the chunk bytes in a
     /// caller-provided [`crate::ReadScratch`] — the zero-copy Extract path.
     ///
@@ -629,15 +731,7 @@ impl<B: BlobRead> FileReader<B> {
         column: usize,
         scratch: &mut crate::io::ReadScratch,
     ) -> Result<Array> {
-        let rg = self.meta.row_groups.get(row_group).ok_or_else(|| {
-            ColumnarError::UnknownColumn { name: format!("row group {row_group}") }
-        })?;
-        let chunk = rg
-            .columns
-            .get(column)
-            .ok_or_else(|| ColumnarError::UnknownColumn { name: format!("column {column}") })?;
-        let field = self.meta.schema.field(column).expect("meta/schema in sync");
-        let data_type = field.data_type();
+        let (rg, chunk, data_type) = self.chunk(row_group, column)?;
         let (offset, len) = (chunk.offset, chunk.byte_len as usize);
         // Footer stats size the batched decoder's outputs exactly.
         let rows = usize::try_from(rg.rows).unwrap_or(usize::MAX);
@@ -646,54 +740,21 @@ impl<B: BlobRead> FileReader<B> {
         // Lazy decode: when the blob shares its allocation, aligned plain
         // pages are returned as views over the stored bytes — no staging
         // and no value copy (see `column::read_chunk_shared`). Multi-page
-        // integer chunks cannot stay lazy (concat copies anyway), so they
-        // take the batched single-output-buffer decode instead.
-        let array = if let Some(shared) = self.blob.as_shared() {
-            let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                detail: format!("chunk offset {offset} out of addressable range"),
-            })?;
-            let end = start
-                .checked_add(len)
-                .filter(|&e| e <= shared.len())
-                .ok_or(ColumnarError::UnexpectedEof { context: "column chunk range" })?;
-            if batchable && column::peek_page_count(&shared[..end], start)? > 1 {
-                let (_, staging, lengths) = scratch.split_parts();
-                let mut pos = start;
-                column::read_chunk_batched(
-                    &shared[..end],
-                    &mut pos,
-                    data_type,
-                    0,
-                    rows,
-                    elements,
-                    staging,
-                    lengths,
-                )?
-            } else {
-                column::read_chunk_shared(&shared, offset, len, data_type)?
-            }
+        // integer chunks cannot stay lazy (concat copies anyway) and a
+        // head/tail chunk (page count 0) has to be put back together, so
+        // they take the batched single-output-buffer decode instead.
+        let lazy = self.blob.as_shared().filter(|shared| {
+            let start = usize::try_from(offset).unwrap_or(usize::MAX);
+            !batchable || matches!(column::peek_page_count(shared, start), Ok(1))
+        });
+        let array = if let Some(shared) = lazy {
+            column::read_chunk_shared(&shared, offset, len, data_type)?
         } else {
-            let (bytes, staging, lengths): (&[u8], &mut Vec<u8>, &mut Vec<u64>) =
-                match self.blob.as_slice() {
-                    Some(all) => {
-                        let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                            detail: format!("chunk offset {offset} out of addressable range"),
-                        })?;
-                        // checked_add: corrupt metadata must surface as Err,
-                        // not an overflow panic.
-                        let bytes =
-                            start.checked_add(len).and_then(|end| all.get(start..end)).ok_or(
-                                ColumnarError::UnexpectedEof { context: "column chunk range" },
-                            )?;
-                        let (_, staging, lengths) = scratch.split_parts();
-                        (bytes, staging, lengths)
-                    }
-                    None => scratch.read_split(&self.blob, offset, len)?,
-                };
+            let (bytes, decode) = self.stage(offset, len, scratch)?;
             let mut pos = 0usize;
             if batchable {
                 column::read_chunk_batched(
-                    bytes, &mut pos, data_type, offset, rows, elements, staging, lengths,
+                    bytes, &mut pos, data_type, offset, rows, elements, decode,
                 )?
             } else {
                 column::read_chunk_at(bytes, &mut pos, data_type, offset)?
@@ -780,7 +841,8 @@ impl<B: BlobRead> FileReader<B> {
     /// the column is a list column, only the first `x` elements of every
     /// list are materialized (offsets in the returned array already reflect
     /// the truncation). `None` — or a non-list column — delegates to the
-    /// full read unchanged.
+    /// full read unchanged. Either way the chunk costs one ranged read, of
+    /// [`ChunkMeta::read_len`] bytes.
     ///
     /// # Errors
     ///
@@ -795,64 +857,38 @@ impl<B: BlobRead> FileReader<B> {
         let Some(prefix) = limit else {
             return self.read_column_with(row_group, column, scratch);
         };
-        let rg = self.meta.row_groups.get(row_group).ok_or_else(|| {
-            ColumnarError::UnknownColumn { name: format!("row group {row_group}") }
-        })?;
-        let chunk = rg
-            .columns
-            .get(column)
-            .ok_or_else(|| ColumnarError::UnknownColumn { name: format!("column {column}") })?;
-        let field = self.meta.schema.field(column).expect("meta/schema in sync");
-        if field.data_type() != DataType::ListInt64 {
+        let (rg, chunk, data_type) = self.chunk(row_group, column)?;
+        if data_type != DataType::ListInt64 {
             return self.read_column_with(row_group, column, scratch);
         }
-        let (offset, len) = (chunk.offset, chunk.byte_len as usize);
+        let head = chunk.stats.head;
+        if head.is_some_and(|head| prefix as u64 > head.k) {
+            // Deeper than the head pages reach: both parts, then cut.
+            let full = self.read_column_with(row_group, column, scratch)?;
+            return Ok(column::truncate_lists(full, prefix));
+        }
+        let len = chunk.read_len(limit);
         let rows = usize::try_from(rg.rows).unwrap_or(usize::MAX);
         let elements = usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX);
         // The prefix decode always gathers into a fresh compact buffer, so
-        // the lazy zero-copy paths never apply: route every blob flavor to
-        // `read_chunk_prefix` over the raw chunk bytes.
-        let array = if let Some(shared) = self.blob.as_shared() {
-            let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                detail: format!("chunk offset {offset} out of addressable range"),
-            })?;
-            let end = start
-                .checked_add(len)
-                .filter(|&e| e <= shared.len())
-                .ok_or(ColumnarError::UnexpectedEof { context: "column chunk range" })?;
-            let (_, staging, lengths) = scratch.split_parts();
-            let mut pos = start;
-            column::read_chunk_prefix(
-                &shared[..end],
-                &mut pos,
-                0,
-                rows,
-                elements,
-                prefix,
-                staging,
-                lengths,
-            )?
-        } else {
-            let (bytes, staging, lengths): (&[u8], &mut Vec<u8>, &mut Vec<u64>) =
-                match self.blob.as_slice() {
-                    Some(all) => {
-                        let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                            detail: format!("chunk offset {offset} out of addressable range"),
-                        })?;
-                        let bytes =
-                            start.checked_add(len).and_then(|end| all.get(start..end)).ok_or(
-                                ColumnarError::UnexpectedEof { context: "column chunk range" },
-                            )?;
-                        let (_, staging, lengths) = scratch.split_parts();
-                        (bytes, staging, lengths)
-                    }
-                    None => scratch.read_split(&self.blob, offset, len)?,
-                };
-            let mut pos = 0usize;
-            column::read_chunk_prefix(
-                bytes, &mut pos, offset, rows, elements, prefix, staging, lengths,
-            )?
-        };
+        // the lazy zero-copy path never applies: every blob flavor decodes
+        // the raw bytes — of the whole chunk, or of its head pages alone.
+        let (bytes, decode) = self.stage(chunk.offset, len as usize, scratch)?;
+        let mut pos = 0usize;
+        let array = column::read_chunk_prefix(
+            bytes,
+            &mut pos,
+            chunk.offset,
+            rows,
+            elements,
+            prefix,
+            decode,
+        )?;
+        if head.is_some() && pos != bytes.len() {
+            return Err(ColumnarError::CorruptFile {
+                detail: format!("head pages end at byte {pos}, the footer says {len}"),
+            });
+        }
         if array.len() as u64 != rg.rows {
             return Err(ColumnarError::CountMismatch {
                 declared: rg.rows as usize,
@@ -1368,5 +1404,277 @@ mod tests {
         assert_eq!(shared.read_row_group(last).unwrap(), expect);
         let opaque = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).unwrap();
         assert_eq!(opaque.read_row_group(last).unwrap(), expect);
+    }
+    fn history_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("label", DataType::Int64),
+            Field::new("history", DataType::ListInt64),
+            Field::new("recent", DataType::ListInt64),
+        ])
+        .unwrap()
+    }
+
+    /// `history` mixes empty, short, exactly-32 and very long lists at a
+    /// mean far past the split threshold; `recent` stays short.
+    fn history_columns(rows: usize) -> Vec<Array> {
+        let shapes = [0usize, 3, 32, 33, 31, 1500];
+        let history = (0..rows).map(|r| {
+            // splitmix-style scramble: neighbors are uncorrelated, so no
+            // codec shrinks the tail pages to nothing.
+            let scramble = |j: usize| {
+                let v = ((r * 2000 + j + 1) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                ((v ^ (v >> 31)) % 100_003) as i64
+            };
+            (0..shapes[r % shapes.len()]).map(scramble).collect()
+        });
+        vec![
+            Array::Int64((0..rows as i64).collect()),
+            Array::from_lists(history.collect::<Vec<Vec<i64>>>()).unwrap(),
+            Array::from_lists((0..rows).map(|r| vec![r as i64; r % 5]).collect::<Vec<_>>())
+                .unwrap(),
+        ]
+    }
+
+    fn history_file(page_rows: usize, group_rows: Option<usize>, policy: WritePolicy) -> Vec<u8> {
+        let mut w = FileWriter::with_page_rows(history_schema(), page_rows).with_policy(policy);
+        if let Some(group_rows) = group_rows {
+            w = w.with_group_rows(group_rows);
+        }
+        w.write_batch(&history_columns(40)).unwrap();
+        w.finish()
+    }
+
+    /// Every group of `reader` reads back as its window of the batch, in
+    /// full and under every limit worth telling apart.
+    fn assert_reads_back<B: BlobRead>(reader: &FileReader<B>, what: &str) {
+        let cols = history_columns(40);
+        let mut scratch = crate::io::ReadScratch::new();
+        let mut start = 0usize;
+        for g in 0..reader.row_group_count() {
+            let rows = reader.meta().row_groups[g].rows as usize;
+            let expect: Vec<Array> =
+                cols.iter().map(|c| column::slice_array(c, start, rows)).collect();
+            assert_eq!(reader.read_row_group(g).unwrap(), expect, "{what}: group {g}");
+            for x in [0, 1, 31, 32, 33, usize::MAX] {
+                let limited = reader
+                    .read_projected_limits_with(
+                        g,
+                        &["label", "history", "recent"],
+                        &[Some(x); 3],
+                        &mut scratch,
+                    )
+                    .unwrap();
+                assert_eq!(limited[0], expect[0], "{what}: group {g} x {x}");
+                for c in [1, 2] {
+                    let cut = truncate_lists(&expect[c], x);
+                    assert_eq!(limited[c], cut, "{what}: group {g} column {c} x {x}");
+                }
+            }
+            start += rows;
+        }
+        assert_eq!(start, 40);
+    }
+
+    #[test]
+    fn head_tail_chunks_read_back_on_every_route() {
+        use crate::fault::{FaultPlan, FaultyBlob};
+        for page_rows in [1usize, 7, 4096] {
+            for group_rows in [None, Some(16)] {
+                for policy in [
+                    WritePolicy::default(),
+                    WritePolicy::default()
+                        .with_compression(Compression::Lz)
+                        .compressing_hot_columns(),
+                    WritePolicy::default().with_forced_encoding(crate::Encoding::Dictionary),
+                ] {
+                    let what =
+                        format!("page_rows {page_rows} group_rows {group_rows:?} {policy:?}");
+                    let bytes = history_file(page_rows, group_rows, policy);
+                    let shared = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
+                    for rg in &shared.meta().row_groups {
+                        assert_eq!(rg.columns[1].stats.head.map(|h| h.k), Some(32), "{what}");
+                        assert_eq!(rg.columns[2].stats.head, None, "{what}");
+                    }
+                    assert_reads_back(&shared, &what);
+                    let opaque = CountingBlob::new(MemBlob::new(bytes.clone()));
+                    assert_reads_back(&FileReader::open(opaque).unwrap(), &what);
+                    let quiet = FaultPlan::new(page_rows as u64).arm();
+                    let armed = FaultyBlob::new(MemBlob::new(bytes), quiet, 0, 0);
+                    assert_reads_back(&FileReader::open(armed).unwrap(), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_prefix_read_fetches_the_head_pages_and_nothing_else() {
+        let bytes = history_file(4096, None, WritePolicy::default());
+        let reader = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).unwrap();
+        let chunk = reader.meta().row_groups[0].columns[1].clone();
+        let head = chunk.stats.head.unwrap();
+        assert!(head.head_len * 8 < chunk.byte_len, "{head:?} of {}", chunk.byte_len);
+        let mut scratch = crate::io::ReadScratch::new();
+        for (limit, bytes) in [
+            (Some(0), head.head_len),
+            (Some(8), head.head_len),
+            (Some(32), head.head_len),
+            (Some(33), chunk.byte_len),
+            (None, chunk.byte_len),
+        ] {
+            assert_eq!(chunk.read_len(limit), bytes, "{limit:?}");
+            reader.blob.reset();
+            reader.read_column_limit_with(0, 1, limit, &mut scratch).unwrap();
+            assert_eq!(
+                (reader.blob.read_calls(), reader.blob.bytes_read()),
+                (1, bytes),
+                "{limit:?}"
+            );
+        }
+        // A chunk with no head pages is fetched whole under any limit.
+        let recent = &reader.meta().row_groups[0].columns[2];
+        assert_eq!(recent.read_len(Some(1)), recent.byte_len);
+    }
+
+    /// `bytes` with its footer rewritten by `edit` (and re-checksummed):
+    /// what anyone able to write a file can produce.
+    fn refooter(bytes: &[u8], edit: impl FnOnce(&mut FileMeta)) -> Vec<u8> {
+        let mut meta = FileReader::open(MemBlob::new(bytes.to_vec())).unwrap().meta;
+        edit(&mut meta);
+        let footer_len = u32::from_le_bytes(bytes[bytes.len() - 12..][..4].try_into().unwrap());
+        let mut out = bytes[..bytes.len() - 16 - footer_len as usize].to_vec();
+        let mut footer = Vec::new();
+        meta.write(&mut footer, FormatVersion::V4);
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&crc32(&footer).to_le_bytes());
+        out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        out.extend_from_slice(MAGIC);
+        out
+    }
+
+    #[test]
+    fn a_footer_that_lies_about_the_head_is_an_error_or_the_exact_answer() {
+        use crate::stats::ChunkHead;
+        let bytes = history_file(7, None, WritePolicy::default());
+        let cols = history_columns(40);
+        let honest = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
+        let chunk = honest.meta().row_groups[0].columns[1].clone();
+        let head = chunk.stats.head.unwrap();
+        let with_head = |column: usize, head: Option<ChunkHead>| {
+            refooter(&bytes, |meta| meta.row_groups[0].columns[column].stats.head = head)
+        };
+        let mut scratch = crate::io::ReadScratch::new();
+        let mut prefix = |file: Vec<u8>, column: usize, x: usize| {
+            let reader = FileReader::open(MemBlob::new(file))?;
+            assert_eq!(reader.read_column(0, column)?, cols[column], "full reads ignore the head");
+            reader.read_column_limit_with(0, column, Some(x), &mut scratch)
+        };
+
+        // Past the chunk: refused at open, before any read is sized by it.
+        let past = ChunkHead { head_len: chunk.byte_len + 1, ..head };
+        let opened = FileReader::open(MemBlob::new(with_head(1, Some(past))));
+        assert!(matches!(opened, Err(ColumnarError::CorruptFile { .. })));
+        // Short of, or past, where the head pages really end.
+        for head_len in [0, 1, head.head_len - 1, head.head_len + 1, chunk.byte_len] {
+            let lie = ChunkHead { head_len, ..head };
+            assert!(prefix(with_head(1, Some(lie)), 1, 8).is_err(), "head_len {head_len}");
+        }
+        // A footer K deeper than the pages': the head pages refuse. One
+        // shallower, or no head at all: more is fetched, nothing is wrong.
+        let deep = ChunkHead { k: 100, ..head };
+        assert!(prefix(with_head(1, Some(deep)), 1, 50).is_err());
+        for shallow in [Some(ChunkHead { k: 4, ..head }), Some(ChunkHead { k: 0, ..head }), None] {
+            let got = prefix(with_head(1, shallow), 1, 8).unwrap();
+            assert_eq!(got, truncate_lists(&cols[1], 8), "{shallow:?}");
+        }
+        // A head claimed for a chunk that has none.
+        let recent = honest.meta().row_groups[0].columns[2].byte_len;
+        let whole = ChunkHead { head_len: recent, k: 32 };
+        assert_eq!(prefix(with_head(2, Some(whole)), 2, 2).unwrap(), truncate_lists(&cols[2], 2));
+        let part = ChunkHead { head_len: recent / 2, k: 32 };
+        assert!(prefix(with_head(2, Some(part)), 2, 2).is_err());
+    }
+
+    #[test]
+    fn a_flipped_bit_is_caught_by_the_part_that_holds_it() {
+        let bytes = history_file(4096, None, WritePolicy::default());
+        let cols = history_columns(40);
+        let chunk = FileReader::open(MemBlob::new(bytes.clone())).unwrap().meta().row_groups[0]
+            .columns[1]
+            .clone();
+        let head_len = chunk.stats.head.unwrap().head_len;
+        let flipped = |at: u64| {
+            let mut bytes = bytes.clone();
+            bytes[at as usize] ^= 0x10;
+            FileReader::open(MemBlob::new(bytes)).unwrap()
+        };
+        let mut scratch = crate::io::ReadScratch::new();
+        // In the head pages' payload: no read of the column survives.
+        for at in [chunk.offset + head_len / 2, chunk.offset + head_len - 1] {
+            let reader = flipped(at);
+            for limit in [Some(8), Some(33), None] {
+                let got = reader.read_column_limit_with(0, 1, limit, &mut scratch);
+                assert!(matches!(got, Err(ColumnarError::ChecksumMismatch { .. })), "{limit:?}");
+            }
+        }
+        // In the tail pages' payload: a prefix read never looks.
+        for at in
+            [chunk.offset + (head_len + chunk.byte_len) / 2, chunk.offset + chunk.byte_len - 1]
+        {
+            let reader = flipped(at);
+            let got = reader.read_column_limit_with(0, 1, Some(8), &mut scratch).unwrap();
+            assert_eq!(got, truncate_lists(&cols[1], 8));
+            for limit in [Some(33), None] {
+                let got = reader.read_column_limit_with(0, 1, limit, &mut scratch);
+                assert!(matches!(got, Err(ColumnarError::ChecksumMismatch { .. })), "{limit:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn reads_through_a_corrupting_medium_are_errors_or_exact() {
+        use crate::fault::{FaultPlan, FaultyBlob};
+        let cols = history_columns(40);
+        let mut scratch = crate::io::ReadScratch::new();
+        let (mut failed, mut exact) = (0, 0);
+        for page_rows in [1usize, 7, 4096] {
+            let bytes = history_file(page_rows, None, WritePolicy::default());
+            for seed in 0..40u64 {
+                let plan = FaultPlan::new(seed).with_corrupt_rate(0.3).with_transient_rate(0.1);
+                let blob = FaultyBlob::new(MemBlob::new(bytes.clone()), plan.arm(), 0, 0);
+                let Ok(reader) = FileReader::open(blob) else { continue };
+                for limit in [Some(8), Some(33), None] {
+                    match reader.read_column_limit_with(0, 1, limit, &mut scratch) {
+                        Ok(got) => {
+                            let expect =
+                                limit.map_or(cols[1].clone(), |x| truncate_lists(&cols[1], x));
+                            assert_eq!(got, expect, "page_rows {page_rows} seed {seed} {limit:?}");
+                            exact += 1;
+                        }
+                        Err(_) => failed += 1,
+                    }
+                }
+            }
+        }
+        assert!(failed > 20 && exact > 20, "{failed} failed, {exact} exact");
+    }
+
+    #[test]
+    fn legacy_containers_never_split() {
+        for version in [FormatVersion::V2, FormatVersion::V3] {
+            let cols = history_columns(40);
+            let mut w = FileWriter::with_page_rows(history_schema(), 7)
+                .with_policy(WritePolicy::default().with_forced_encoding(crate::Encoding::Delta))
+                .with_format_version(version);
+            w.write_row_group(&cols).unwrap();
+            let legacy = FileReader::open(MemBlob::new(w.finish())).unwrap();
+            assert_eq!(legacy.meta().row_groups[0].columns[1].stats.head, None);
+            // ...and what they store unsplit is what a v4 file stores split.
+            let mut w = FileWriter::with_page_rows(history_schema(), 7);
+            w.write_row_group(&cols).unwrap();
+            let split = FileReader::open(MemBlob::new(w.finish())).unwrap();
+            assert!(split.meta().row_groups[0].columns[1].stats.head.is_some());
+            assert_eq!(legacy.read_row_group(0).unwrap(), split.read_row_group(0).unwrap());
+            assert_eq!(split.read_row_group(0).unwrap(), cols);
+        }
     }
 }

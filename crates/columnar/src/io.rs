@@ -281,22 +281,37 @@ impl<B: BlobRead + ?Sized> BlobRead for &B {
     }
 }
 
+/// Recycled intermediates of the chunk decoders in [`crate::column`]: what
+/// a decode needs between the stored bytes and its output buffers. A caller
+/// outside [`ReadScratch`] (tests, tools) starts from `Default`.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    /// LZ decompress staging.
+    pub(crate) staging: Vec<u8>,
+    /// List lengths: one page's, or every row's of a head/tail chunk while
+    /// its tail pages decode.
+    pub(crate) lengths: Vec<u64>,
+    /// Head values of a head/tail chunk waiting to be interleaved.
+    pub(crate) values: Vec<i64>,
+    /// One page's element ranges on the prefix path.
+    pub(crate) ranges: Vec<(usize, usize)>,
+    /// Dictionary and index staging of dictionary pages on the prefix path.
+    pub(crate) dict: crate::encoding::dictionary::DictScratch,
+}
+
 /// Reusable per-worker buffers for the Extract read + decode path.
 ///
 /// One `ReadScratch` per worker turns every column-chunk read into a
 /// positioned read over recycled memory: after warm-up (the largest chunk
 /// seen so far) no further allocation occurs. Beyond the chunk staging
-/// buffer it recycles the batched chunk decoder's intermediates — the LZ
-/// decompress staging and the list-length stream — so decoded id/offset
-/// blocks go straight from storage bytes into their exactly-sized output
-/// buffers with nothing allocated in between.
+/// buffer it recycles the chunk decoders' intermediates ([`DecodeScratch`])
+/// — LZ staging, list lengths, prefix ranges, dictionary staging — so
+/// decoded id/offset blocks go straight from storage bytes into their
+/// exactly-sized output buffers with nothing allocated in between.
 #[derive(Debug, Default)]
 pub struct ReadScratch {
     buf: Vec<u8>,
-    /// LZ decompress staging for the batched chunk decoder.
-    staging: Vec<u8>,
-    /// List-length stream staging for the batched chunk decoder.
-    lengths: Vec<u64>,
+    decode: DecodeScratch,
 }
 
 impl ReadScratch {
@@ -306,18 +321,16 @@ impl ReadScratch {
         ReadScratch::default()
     }
 
-    /// All three recycled buffers as disjoint borrows:
-    /// (chunk staging, LZ staging, list-length staging). Lets a caller
-    /// stage a chunk read and run the batched decoder over it without
-    /// overlapping `&mut self` borrows.
-    pub(crate) fn split_parts(&mut self) -> (&mut Vec<u8>, &mut Vec<u8>, &mut Vec<u64>) {
-        (&mut self.buf, &mut self.staging, &mut self.lengths)
+    /// The decode intermediates alone, for a caller that decodes straight
+    /// from storage memory and stages no chunk bytes.
+    pub(crate) fn decode_parts(&mut self) -> &mut DecodeScratch {
+        &mut self.decode
     }
 
     /// Stages `len` bytes at `offset` from `blob` into the recycled chunk
-    /// buffer (same grow-and-fill as [`ReadScratch::read`]) and returns
+    /// buffer (grown to the largest chunk seen so far) and returns
     /// them together with the decode intermediates as disjoint borrows —
-    /// the batched chunk decoder's entry point for opaque backends.
+    /// the chunk decoders' entry point for opaque backends.
     ///
     /// # Errors
     ///
@@ -327,13 +340,13 @@ impl ReadScratch {
         blob: &B,
         offset: u64,
         len: usize,
-    ) -> Result<(&[u8], &mut Vec<u8>, &mut Vec<u64>)> {
+    ) -> Result<(&[u8], &mut DecodeScratch)> {
         if self.buf.len() < len {
             self.buf.resize(len, 0);
         }
         let dst = &mut self.buf[..len];
         blob.read_at_into(offset, dst)?;
-        Ok((dst, &mut self.staging, &mut self.lengths))
+        Ok((dst, &mut self.decode))
     }
 
     /// Reads `len` bytes at `offset` from `blob` into the recycled buffer
@@ -348,12 +361,7 @@ impl ReadScratch {
         offset: u64,
         len: usize,
     ) -> Result<&[u8]> {
-        if self.buf.len() < len {
-            self.buf.resize(len, 0);
-        }
-        let dst = &mut self.buf[..len];
-        blob.read_at_into(offset, dst)?;
-        Ok(dst)
+        Ok(self.read_split(blob, offset, len)?.0)
     }
 
     /// Current buffer capacity in bytes (diagnostic).

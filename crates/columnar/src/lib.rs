@@ -62,7 +62,10 @@
 //! [`Encoding::DeltaBitpack`] (delta-binary-packed miniblocks, the sparse-id
 //! hot path), chosen by a sample-based size estimate that a per-column
 //! [`WritePolicy`] can override; jagged list columns store an RLE run of row
-//! lengths before the value stream. Hot column types skip LZ compression by
+//! lengths before the value stream, and a chunk of long lists is stored as
+//! head pages (lengths + the first 32 values of each list) followed by tail
+//! pages, so that a prefix read fetches the head pages alone (see
+//! [`mod@column`]). Hot column types skip LZ compression by
 //! default so they stay lazy-decodable ("uncompressed-if-hot"). Pages are
 //! CRC-32 protected, as is the footer: every read verifies every page it
 //! touches, through one function ([`checksum::crc32`]) that folds with
@@ -109,4 +112,4 @@ pub use io::{
     BlobRead, CountingBlob, Device, DeviceModel, DeviceStats, FsBlob, MemBlob, ReadScratch,
 };
 pub use schema::{DataType, Field, Schema, WritePolicy};
-pub use stats::ColumnStats;
+pub use stats::{ChunkHead, ColumnStats};

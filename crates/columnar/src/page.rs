@@ -19,6 +19,22 @@
 //!          value stream, optionally LZ-compressed
 //! ```
 //!
+//! A long list column's chunk is written in two parts (see
+//! [`crate::column`]), each made of pages with this same header under their
+//! own CRC:
+//!
+//! ```text
+//! head page  rows = the page's rows, elements = Σ min(len, K)
+//!            payload: RLE row-length stream (the full lengths), varint K,
+//!            value encoding tag, padding, the first min(len, K) values of
+//!            every list back to back
+//! tail page  rows = the rows it continues, elements = Σ (len − min(len, K))
+//!            payload: the value stream alone, encoded as the header says
+//! ```
+//!
+//! so what a head page's header counts is what its payload holds, and K is
+//! covered by the page checksum.
+//!
 //! Encoding tags: `0` plain, `1` delta-varint, `2` dictionary, `3`
 //! delta-bitpacked miniblocks ([`crate::encoding::block`]: per-miniblock
 //! frame-of-reference + bit width, 128 values each, decoded 64 at a time
@@ -123,7 +139,6 @@ pub fn write_page_policy(
             ),
         });
     }
-    let compression = policy.compression_for(array.data_type());
     let mut payload = Vec::new();
     let encoding = match array {
         Array::Int64(values) => {
@@ -141,20 +156,78 @@ pub fn write_page_policy(
         }
         Array::ListInt64 { offsets, values } => {
             let lengths: Vec<u64> = offsets.windows(2).map(|w| u64::from(w[1] - w[0])).collect();
-            rle::encode(&lengths, &mut payload);
-            let enc = policy.i64_encoding(values);
-            payload.push(enc.to_tag());
-            // Align the value stream relative to the payload start; combined
-            // with the payload's own file alignment below, plain-encoded
-            // list values land on a PAYLOAD_ALIGN file boundary and become
-            // eligible for lazy decode.
-            let pad = padding_for(payload.len() as u64);
-            payload.resize(payload.len() + pad, 0);
-            encoding::encode_i64(enc, values, &mut payload);
-            enc
+            write_list_payload(&lengths, None, values, policy, &mut payload)
         }
     };
+    let compression = policy.compression_for(array.data_type());
+    seal_page(encoding, array.len(), array.element_count(), payload, compression, out);
+    Ok(encoding)
+}
 
+/// A list page's payload: the RLE length stream, `k` when this is a head
+/// page, the value encoding tag, then the values on a [`PAYLOAD_ALIGN`]
+/// boundary of the payload — which, with the payload's own file alignment,
+/// puts plain-encoded list values on a file boundary and makes them
+/// eligible for lazy decode.
+fn write_list_payload(
+    lengths: &[u64],
+    k: Option<u64>,
+    values: &[i64],
+    policy: &WritePolicy,
+    payload: &mut Vec<u8>,
+) -> Encoding {
+    rle::encode(lengths, payload);
+    if let Some(k) = k {
+        varint::write_u64(payload, k);
+    }
+    let enc = policy.i64_encoding(values);
+    payload.push(enc.to_tag());
+    let pad = padding_for(payload.len() as u64);
+    payload.resize(payload.len() + pad, 0);
+    encoding::encode_i64(enc, values, payload);
+    enc
+}
+
+/// Writes one head page of a head/tail list chunk: the full `lengths` of its
+/// rows, `k`, and `values` — the first `min(len, k)` values of each list.
+pub(crate) fn write_head_page(
+    lengths: &[u64],
+    k: u64,
+    values: &[i64],
+    policy: &WritePolicy,
+    out: &mut Vec<u8>,
+) {
+    let mut payload = Vec::new();
+    let enc = write_list_payload(lengths, Some(k), values, policy, &mut payload);
+    let compression = policy.compression_for(DataType::ListInt64);
+    seal_page(enc, lengths.len(), values.len(), payload, compression, out);
+}
+
+/// Writes one tail page: `values` is what the lists of `rows` rows hold
+/// past their first `k`, back to back.
+pub(crate) fn write_tail_page(
+    rows: usize,
+    values: &[i64],
+    policy: &WritePolicy,
+    out: &mut Vec<u8>,
+) {
+    let mut payload = Vec::new();
+    let enc = policy.i64_encoding(values);
+    encoding::encode_i64(enc, values, &mut payload);
+    let compression = policy.compression_for(DataType::ListInt64);
+    seal_page(enc, rows, values.len(), payload, compression, out);
+}
+
+/// Compresses `payload` when that makes it smaller, then appends the page
+/// header, the alignment padding and the stored payload to `out`.
+fn seal_page(
+    encoding: Encoding,
+    rows: usize,
+    elements: usize,
+    payload: Vec<u8>,
+    compression: Compression,
+    out: &mut Vec<u8>,
+) {
     let (stored_compression, stored) = match compression {
         Compression::None => (Compression::None, payload),
         Compression::Lz => {
@@ -168,8 +241,8 @@ pub fn write_page_policy(
     };
     out.push(encoding.to_tag());
     out.push(stored_compression.to_tag());
-    varint::write_u64(out, array.len() as u64);
-    varint::write_u64(out, array.element_count() as u64);
+    varint::write_u64(out, rows as u64);
+    varint::write_u64(out, elements as u64);
     varint::write_u64(out, stored.len() as u64);
     out.extend_from_slice(&crc32(&stored).to_le_bytes());
     // Pad the payload to PAYLOAD_ALIGN relative to the start of `out` —
@@ -178,7 +251,6 @@ pub fn write_page_policy(
     let pad = padding_for(out.len() as u64);
     out.resize(out.len() + pad, 0);
     out.extend_from_slice(&stored);
-    Ok(encoding)
 }
 
 /// Decodes one page of the given `data_type` from `buf` at `*pos`, where
@@ -377,18 +449,21 @@ pub(crate) fn extend_offsets_clamped(
     Ok(())
 }
 
-/// Locates the list value stream within a list page's payload: decodes the
-/// RLE length stream into `lengths`, reads the value encoding tag and skips
-/// the value-stream alignment padding. Returns the value encoding and the
-/// payload-relative offset where the value stream begins.
+/// Locates the list value stream within a list page's payload: appends the
+/// RLE length stream to `lengths` (the caller clears it when it wants one
+/// page's), reads `k` when this is a head page, then the value encoding tag,
+/// and skips the value-stream alignment padding. Returns the value encoding,
+/// the payload-relative offset where the value stream begins, and `k`
+/// (`u64::MAX` — every list whole — for an ordinary list page).
 pub(crate) fn read_list_prefix(
     payload: &[u8],
     rows: usize,
+    head: bool,
     lengths: &mut Vec<u64>,
-) -> Result<(Encoding, usize)> {
+) -> Result<(Encoding, usize, u64)> {
     let mut p = 0usize;
-    lengths.clear();
     rle::decode_into(payload, &mut p, Some(rows), lengths)?;
+    let k = if head { varint::read_u64(payload, &mut p)? } else { u64::MAX };
     let Some(&value_tag) = payload.get(p) else {
         return Err(ColumnarError::UnexpectedEof { context: "list value encoding tag" });
     };
@@ -397,7 +472,7 @@ pub(crate) fn read_list_prefix(
     // Skip the writer's value-stream alignment padding (relative to the
     // payload start, which is itself file-aligned).
     p += padding_for(p as u64);
-    Ok((value_enc, p))
+    Ok((value_enc, p, k))
 }
 
 /// Shared implementation of the `read_page*` family. When `shared` is
@@ -442,7 +517,7 @@ fn read_page_impl(
         }
         DataType::ListInt64 => {
             let mut lengths = Vec::new();
-            let (value_enc, value_start) = read_list_prefix(payload, rows, &mut lengths)?;
+            let (value_enc, value_start, _) = read_list_prefix(payload, rows, false, &mut lengths)?;
             p = value_start;
             let values: Buffer<i64> = if value_enc == Encoding::Plain {
                 match raw_values::<i64>(shared, payload_abs, payload, p, elements) {

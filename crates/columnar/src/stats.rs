@@ -14,10 +14,34 @@
 //! them). Files with the `PSTOCOL2`/`PSTOCOL3` magic carry the legacy layout;
 //! their stats read back with `pages == 0` and `null_rows == 0` (unknown —
 //! a real v4 chunk always has at least one page).
+//!
+//! Every entry ends in a flag byte: bit `0x01` says a min/max pair follows,
+//! bit `0x02` (`PSTOCOL4` only) that a [`ChunkHead`] follows — the chunk was
+//! written in two parts (see [`crate::column`]) and a prefix read may stop
+//! at the end of its head pages. Any other bit is rejected as corruption, so
+//! the next extension cannot be misread by this reader.
 
 use crate::array::Array;
 use crate::encoding::varint;
-use crate::error::Result;
+use crate::error::{ColumnarError, Result};
+
+/// Flag bit: a zigzag min/max pair follows.
+const FLAG_MINMAX: u8 = 0x01;
+/// Flag bit: a [`ChunkHead`] follows (`PSTOCOL4` footers only).
+const FLAG_HEAD: u8 = 0x02;
+
+/// The head region of a list chunk written in two parts: its head pages
+/// hold every list's length and first `k` values and end `head_len` bytes
+/// into the chunk; the tail pages after them hold the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkHead {
+    /// Bytes from the chunk's offset to the end of its last head page.
+    pub head_len: u64,
+    /// Values of each list the head pages hold. The head pages record the
+    /// same number themselves and decode by their own copy; this one only
+    /// decides how many bytes a prefix read fetches.
+    pub k: u64,
+}
 
 /// Statistics for one column chunk (one column of one row group).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,11 +61,14 @@ pub struct ColumnStats {
     pub min_i64: Option<i64>,
     /// Maximum integer value, when the column is integer-typed and non-empty.
     pub max_i64: Option<i64>,
+    /// The head region, when the chunk writer split a long list column into
+    /// head and tail pages; `None` for every other chunk.
+    pub head: Option<ChunkHead>,
 }
 
 impl ColumnStats {
-    /// Computes statistics from an in-memory array (`pages` is filled in by
-    /// the chunk writer, which decides the pagination).
+    /// Computes statistics from an in-memory array (`pages` and `head` are
+    /// filled in by the chunk writer, which decides the pagination).
     #[must_use]
     pub fn from_array(array: &Array) -> Self {
         let (min_i64, max_i64) = match array {
@@ -64,6 +91,7 @@ impl ColumnStats {
             null_rows,
             min_i64,
             max_i64,
+            head: None,
         }
     }
 
@@ -73,48 +101,62 @@ impl ColumnStats {
         varint::write_u64(out, self.elements);
         varint::write_u64(out, self.pages);
         varint::write_u64(out, self.null_rows);
-        self.write_minmax(out);
+        self.write_flagged(out, self.head);
     }
 
-    /// Writes the legacy (`PSTOCOL2`/`PSTOCOL3`) stats layout.
+    /// Writes the legacy (`PSTOCOL2`/`PSTOCOL3`) stats layout, which has no
+    /// page count, null-row count or head (legacy writers never split).
     pub(crate) fn write_legacy(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.rows);
         varint::write_u64(out, self.elements);
-        self.write_minmax(out);
+        self.write_flagged(out, None);
     }
 
-    fn write_minmax(&self, out: &mut Vec<u8>) {
-        match (self.min_i64, self.max_i64) {
-            (Some(min), Some(max)) => {
-                out.push(1);
-                varint::write_i64(out, min);
-                varint::write_i64(out, max);
-            }
-            _ => out.push(0),
+    fn write_flagged(&self, out: &mut Vec<u8>, head: Option<ChunkHead>) {
+        let minmax = self.min_i64.zip(self.max_i64);
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        out.push(flag(minmax.is_some(), FLAG_MINMAX) | flag(head.is_some(), FLAG_HEAD));
+        if let Some((min, max)) = minmax {
+            varint::write_i64(out, min);
+            varint::write_i64(out, max);
+        }
+        if let Some(head) = head {
+            varint::write_u64(out, head.head_len);
+            varint::write_u64(out, head.k);
         }
     }
 
     /// Reads the layout selected by `v4`: `true` for `PSTOCOL4` footers,
-    /// `false` for the legacy two-field layout (pages/null_rows read as 0).
+    /// `false` for the legacy two-field layout (pages/null_rows read as 0,
+    /// and the head bit is as unknown as any other).
     pub(crate) fn read(buf: &[u8], pos: &mut usize, v4: bool) -> Result<Self> {
         let rows = varint::read_u64(buf, pos)?;
         let elements = varint::read_u64(buf, pos)?;
         let (pages, null_rows) =
             if v4 { (varint::read_u64(buf, pos)?, varint::read_u64(buf, pos)?) } else { (0, 0) };
-        let has_minmax = {
-            let b = buf
-                .get(*pos)
-                .copied()
-                .ok_or(crate::error::ColumnarError::UnexpectedEof { context: "stats flag" })?;
-            *pos += 1;
-            b == 1
-        };
-        let (min_i64, max_i64) = if has_minmax {
+        let flags =
+            buf.get(*pos).copied().ok_or(ColumnarError::UnexpectedEof { context: "stats flag" })?;
+        *pos += 1;
+        let known = if v4 { FLAG_MINMAX | FLAG_HEAD } else { FLAG_MINMAX };
+        if flags & !known != 0 {
+            return Err(ColumnarError::CorruptFile {
+                detail: format!("unknown stats flag bits {flags:#04x}"),
+            });
+        }
+        let (min_i64, max_i64) = if flags & FLAG_MINMAX != 0 {
             (Some(varint::read_i64(buf, pos)?), Some(varint::read_i64(buf, pos)?))
         } else {
             (None, None)
         };
-        Ok(ColumnStats { rows, elements, pages, null_rows, min_i64, max_i64 })
+        let head = if flags & FLAG_HEAD != 0 {
+            Some(ChunkHead {
+                head_len: varint::read_u64(buf, pos)?,
+                k: varint::read_u64(buf, pos)?,
+            })
+        } else {
+            None
+        };
+        Ok(ColumnStats { rows, elements, pages, null_rows, min_i64, max_i64, head })
     }
 }
 
@@ -161,6 +203,7 @@ mod tests {
                 null_rows: 0,
                 min_i64: None,
                 max_i64: None,
+                head: None,
             },
             ColumnStats {
                 rows: 10,
@@ -169,6 +212,7 @@ mod tests {
                 null_rows: 4,
                 min_i64: Some(-5),
                 max_i64: Some(i64::MAX),
+                head: Some(ChunkHead { head_len: 77, k: 32 }),
             },
         ] {
             let mut buf = Vec::new();
@@ -188,14 +232,15 @@ mod tests {
             null_rows: 4,
             min_i64: Some(-5),
             max_i64: Some(7),
+            head: Some(ChunkHead { head_len: 9, k: 32 }),
         };
         let mut buf = Vec::new();
         s.write_legacy(&mut buf);
         let mut pos = 0;
         let back = ColumnStats::read(&buf, &mut pos, false).unwrap();
         assert_eq!(pos, buf.len());
-        // pages/null_rows are not representable in the legacy layout.
-        assert_eq!(back, ColumnStats { pages: 0, null_rows: 0, ..s });
+        // pages/null_rows/head are not representable in the legacy layout.
+        assert_eq!(back, ColumnStats { pages: 0, null_rows: 0, head: None, ..s });
     }
 
     #[test]
@@ -207,11 +252,33 @@ mod tests {
             null_rows: 0,
             min_i64: Some(1),
             max_i64: Some(2),
+            head: None,
         };
         let mut buf = Vec::new();
         s.write(&mut buf);
         buf.pop();
         let mut pos = 0;
         assert!(ColumnStats::read(&buf, &mut pos, true).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_bits_are_corruption() {
+        let s = ColumnStats::from_array(&Array::Int64(vec![1, 2].into()));
+        let mut buf = Vec::new();
+        s.write(&mut buf);
+        let flag_at = 4; // rows, elements, pages, null_rows: one byte each
+        assert_eq!(buf[flag_at], FLAG_MINMAX);
+        for bad in [0x04u8, 0x80, 0xff] {
+            let mut hostile = buf.clone();
+            hostile[flag_at] |= bad;
+            let err = ColumnStats::read(&hostile, &mut 0, true).unwrap_err();
+            assert!(matches!(err, ColumnarError::CorruptFile { .. }), "{bad:#x}: {err}");
+        }
+        // A legacy footer has no head bit to set.
+        let mut legacy = Vec::new();
+        s.write_legacy(&mut legacy);
+        legacy[2] |= FLAG_HEAD;
+        legacy.extend_from_slice(&[9, 32]);
+        assert!(ColumnStats::read(&legacy, &mut 0, false).is_err());
     }
 }

@@ -1351,14 +1351,18 @@ pub struct IspRunStats {
     pub elements: u64,
 }
 
-/// Bytes a P2P extract of `columns` pulls off the drive: the stored chunk
-/// sizes of the projection, summed over every row group.
+/// Bytes a P2P extract of `columns` pulls off the drive under `plan`'s
+/// column requirements, summed over every row group: what each chunk's one
+/// ranged read fetches ([`presto_columnar::ChunkMeta::read_len`]) — the head
+/// pages alone where a `Prefix(x)` column is stored head/tail and the head
+/// reaches `x` deep, the stored chunk otherwise.
 ///
 /// # Errors
 ///
 /// [`PreprocessError::BadColumn`] when a projected column is not in the
 /// file.
 pub fn projected_bytes<B: BlobRead>(
+    plan: &PreprocessPlan,
     reader: &FileReader<B>,
     columns: &[String],
 ) -> Result<u64, PreprocessError> {
@@ -1369,7 +1373,8 @@ pub fn projected_bytes<B: BlobRead>(
             .schema
             .index_of(name)
             .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-        bytes += meta.row_groups.iter().map(|rg| rg.columns[idx].byte_len).sum::<u64>();
+        let limit = plan.column_limit(name);
+        bytes += meta.row_groups.iter().map(|rg| rg.columns[idx].read_len(limit)).sum::<u64>();
     }
     Ok(bytes)
 }
@@ -1391,7 +1396,7 @@ pub fn preprocess_partition_isp<B: BlobRead>(
     scratch: &mut ScratchSpace,
 ) -> Result<(MiniBatch, IspRunStats), PreprocessError> {
     let reader = FileReader::open(blob)?;
-    let p2p_bytes = projected_bytes(&reader, plan.required_columns())?;
+    let p2p_bytes = projected_bytes(plan, &reader, plan.required_columns())?;
     let batch = extract_batch_from_reader(plan, &reader, &mut scratch.read)?;
     let (mini_batch, _, units) = preprocess_batch_owned_chunked(plan, batch, chunk_elems)?;
     let stats = IspRunStats {
@@ -1752,6 +1757,62 @@ mod tests {
         for (r, &x) in raw.iter().enumerate() {
             let y = mb.dense().row(r)[0];
             assert!((y - lognorm::log_normalize_one(x)).abs() < 1e-6);
+        }
+    }
+
+    /// The P2P byte count is what the device ships: on a long-history
+    /// partition (stored head/tail) under a `Prefix(8)` plan that is the
+    /// head pages of every sparse chunk, and a counting backend must see
+    /// exactly those bytes move, in one read per projected column per group
+    /// — for a whole-partition and a grouped file, and for the subset of
+    /// columns one side of a split run projects.
+    #[test]
+    fn p2p_bytes_are_the_bytes_the_reads_fetch() {
+        use presto_columnar::{CountingBlob, FileWriter, MemBlob};
+        let mut c = RmConfig::rm_longseq();
+        c.batch_size = 96;
+        let batch = generate_batch(&c, 96, 5);
+        let history =
+            |x| PreprocessPlan::compile(PlanGraph::long_history(&c, 3, x).unwrap(), &c).unwrap();
+        let (prefix_plan, deep_plan) = (history(8), history(4000));
+        let full_plan = PreprocessPlan::from_config(&c, 3).unwrap();
+        let mut stored_bytes = Vec::new();
+        for group_rows in [None, Some(40)] {
+            let mut writer = FileWriter::new(batch.schema().clone());
+            if let Some(group_rows) = group_rows {
+                writer = writer.with_group_rows(group_rows);
+            }
+            writer.write_batch(batch.columns()).unwrap();
+            let blob = CountingBlob::new(MemBlob::new(writer.finish()));
+            let (groups, open) = {
+                let reader = FileReader::open(&blob).unwrap();
+                (reader.row_group_count() as u64, (blob.read_calls(), blob.bytes_read()))
+            };
+            for plan in [&prefix_plan, &deep_plan, &full_plan] {
+                let columns = plan.required_columns().len() as u64;
+                blob.reset();
+                let mut scratch = ScratchSpace::new();
+                let (_, stats) =
+                    preprocess_partition_isp(plan, &blob, FEATURE_BUFFER_ELEMS, &mut scratch)
+                        .unwrap();
+                assert_eq!(blob.read_calls() - open.0, columns * groups);
+                assert_eq!(blob.bytes_read() - open.1, stats.p2p_bytes);
+                stored_bytes.push(stats.p2p_bytes);
+
+                let sparse_only: Vec<String> =
+                    (0..c.num_sparse).map(|i| format!("sparse_{i}")).collect();
+                blob.reset();
+                let reader = FileReader::open(&blob).unwrap();
+                let charged = projected_bytes(plan, &reader, &sparse_only).unwrap();
+                extract_columns_for_plan(plan, &reader, &sparse_only, &mut scratch.read).unwrap();
+                assert_eq!(blob.read_calls() - open.0, c.num_sparse as u64 * groups);
+                assert_eq!(blob.bytes_read() - open.1, charged);
+            }
+        }
+        // Only the plan whose prefix the head pages cover is charged less.
+        for file in stored_bytes.chunks(3) {
+            assert!(file[0] * 4 < file[1], "prefix {} vs deep prefix {}", file[0], file[1]);
+            assert_eq!(file[1], file[2], "a prefix past K costs the whole chunk");
         }
     }
 

@@ -577,7 +577,7 @@ impl Run {
             Pipeline::Split(split) => {
                 let t0 = Instant::now();
                 let reader = FileReader::open(blob)?;
-                let p2p_bytes = projected_bytes(&reader, split.isp_columns())?;
+                let p2p_bytes = projected_bytes(&self.plan, &reader, split.isp_columns())?;
                 let batch = extract_columns_for_plan(
                     &self.plan,
                     &reader,

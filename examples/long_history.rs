@@ -6,8 +6,10 @@
 //! through a `FirstX(x)`-headed chain. At compile time the plan derives a
 //! [`ColumnRequirement::Prefix`] per raw column — every reader truncates,
 //! so only the first `x` elements of each list can ever matter — and the
-//! columnar reader honors it: offsets still decode fully (row alignment),
-//! but the value stream stops at the last needed element.
+//! columnar layer honors it on both sides: the writer stores lists this
+//! long as head pages (every length, the first 32 values of each list) and
+//! tail pages (the rest), and a `Prefix(x ≤ 32)` read fetches, checksums
+//! and decodes the head pages alone.
 //!
 //! The example:
 //!
@@ -15,7 +17,10 @@
 //!    plan, next to the canonical plan's all-`Full` answer;
 //! 2. times the plan-aware Extract (prefix pushdown) against the
 //!    full-decode Extract of the same partitions;
-//! 3. asserts the pushed-down pipeline's mini-batches are bit-identical
+//! 3. counts the bytes each of the two reads per row through a
+//!    `CountingBlob`, and asserts the prefix read moves at least 8× fewer
+//!    (for `x` within the head pages' reach);
+//! 4. asserts the pushed-down pipeline's mini-batches are bit-identical
 //!    to the legacy full-decode + in-memory-`FirstX` pipeline.
 //!
 //! Run with: `cargo run --release --example long_history`
@@ -25,11 +30,11 @@
 //! * `PRESTO_LONGSEQ_PARTITIONS` — partitions to generate (default 4)
 //! * `PRESTO_LONGSEQ_X` — the FirstX prefix length (default 8)
 
-use presto::columnar::{FileReader, ReadScratch};
+use presto::columnar::{CountingBlob, FileReader, ReadScratch};
 use presto::datagen::{generate_batch, write_partition, RmConfig};
 use presto::ops::{
-    extract_columns_from_reader, extract_partition_with, preprocess_batch_owned,
-    preprocess_partition, ColumnRequirement, PlanGraph, PreprocessPlan,
+    extract_columns_for_plan, extract_columns_from_reader, extract_partition_with,
+    preprocess_batch_owned, preprocess_partition, ColumnRequirement, PlanGraph, PreprocessPlan,
 };
 use std::time::Instant;
 
@@ -106,7 +111,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     println!("  pushdown speedup: {:.1}x", full_secs / pushed_secs.max(1e-12));
 
-    // ── 3. bit-identity against the legacy full-decode pipeline ──────────
+    // ── 3. bytes moved per row, counted at the blob ──────────────────────
+    let mut bytes_per_row = [0.0f64; 2];
+    for (slot, pushdown) in [(0, true), (1, false)] {
+        let mut bytes = 0u64;
+        for blob in &blobs {
+            let counting = || FileReader::open(CountingBlob::new(blob.clone()));
+            let footer = counting()?.into_inner().bytes_read();
+            let reader = counting()?;
+            if pushdown {
+                extract_columns_for_plan(&plan, &reader, plan.required_columns(), &mut scratch)?;
+            } else {
+                extract_columns_from_reader(&reader, plan.required_columns(), &mut scratch)?;
+            }
+            bytes += reader.into_inner().bytes_read() - footer;
+        }
+        bytes_per_row[slot] = bytes as f64 / (partitions * rows) as f64;
+    }
+    let [pushed_bytes, full_bytes] = bytes_per_row;
+    println!(
+        "
+bytes read per row: prefix pushdown {pushed_bytes:.0}, full decode {full_bytes:.0} \
+         ({:.1}x fewer)",
+        full_bytes / pushed_bytes
+    );
+    if x <= 32 {
+        assert!(
+            pushed_bytes * 8.0 <= full_bytes,
+            "a Prefix({x}) read of head/tail chunks should move at least 8x fewer bytes"
+        );
+    }
+
+    // ── 4. bit-identity against the legacy full-decode pipeline ──────────
     for blob in &blobs {
         let (pushed, _) = preprocess_partition(&plan, blob.clone())?;
         let reader = FileReader::open(blob.clone())?;

@@ -23,6 +23,21 @@ fn arb_array(rows: usize) -> impl Strategy<Value = Array> {
     ]
 }
 
+/// One to two dozen lists of every shape the head/tail layout tells apart:
+/// empty, shorter than K = 32, exactly K, just past it, and far longer —
+/// weighted so that most draws reach the mean length of 128 that splits a
+/// chunk and some do not.
+fn arb_long_lists() -> impl Strategy<Value = Vec<Vec<i64>>> {
+    let len = (0usize..8, 0usize..600).prop_map(|(shape, n)| match shape {
+        0 => 0,
+        1 => n % 32,
+        2 => 32,
+        3 => 33 + n % 8,
+        _ => 128 + n,
+    });
+    vec(len.prop_flat_map(|len| vec(any::<i64>(), len..=len)), 1..24)
+}
+
 fn arb_table() -> impl Strategy<Value = (Schema, Vec<Array>)> {
     (1usize..5, 0usize..64).prop_flat_map(|(cols, rows)| {
         vec(arb_array(rows), cols..=cols).prop_map(move |arrays| {
@@ -283,6 +298,108 @@ proptest! {
     }
 
     #[test]
+    fn long_lists_read_back_whole_and_by_prefix_on_every_route(
+        lists in arb_long_lists(),
+        page_rows in 0usize..3,
+        group_rows in 0usize..3,
+        lz in any::<bool>(),
+    ) {
+        // Lists long enough to be stored as head + tail pages (and, when the
+        // draw comes out short, lists that are not): a full read is the
+        // input, a limited read is the input truncated — for every forced
+        // codec and the cost model, every page and group size, LZ on and
+        // off, from shared memory and through positioned reads.
+        use presto::columnar::{CountingBlob, ReadScratch};
+        let page_rows = [1usize, 7, 4096][page_rows];
+        let group_rows = [None, Some(5usize), Some(1000)][group_rows];
+        let schema = Schema::new(vec![Field::new("lists", DataType::ListInt64)]).expect("schema");
+        let whole = Array::from_lists(lists.clone()).expect("fits u32");
+        let mut scratch = ReadScratch::new();
+        for forced in [
+            None,
+            Some(Encoding::Plain),
+            Some(Encoding::Delta),
+            Some(Encoding::DeltaBitpack),
+            Some(Encoding::Dictionary),
+        ] {
+            let mut policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            if lz {
+                policy = policy.with_compression(Compression::Lz).compressing_hot_columns();
+            }
+            let mut writer =
+                FileWriter::with_page_rows(schema.clone(), page_rows).with_policy(policy);
+            if let Some(group_rows) = group_rows {
+                writer = writer.with_group_rows(group_rows);
+            }
+            writer.write_batch(std::slice::from_ref(&whole)).expect("writes");
+            let bytes = writer.finish();
+            let shared = FileReader::open(MemBlob::new(bytes.clone())).expect("opens");
+            let staged = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).expect("opens");
+            let mut start = 0usize;
+            for (g, group) in shared.meta().row_groups.iter().enumerate() {
+                let rows = group.rows as usize;
+                let window = &lists[start..start + rows];
+                let chunk = &group.columns[0];
+                let elements: usize = window.iter().map(Vec::len).sum();
+                prop_assert_eq!(chunk.stats.head.is_some(), rows > 0 && elements >= 128 * rows);
+                let k = chunk.stats.head.map_or(32, |head| head.k as usize);
+                let expect = Array::from_lists(window.to_vec()).expect("fits u32");
+                prop_assert!(shared.read_column(g, 0).expect("reads") == expect, "{forced:?} g={g}");
+                prop_assert!(staged.read_column(g, 0).expect("reads") == expect, "{forced:?} g={g}");
+                for x in [0, 1, k - 1, k, k + 1, usize::MAX] {
+                    let cut: Vec<Vec<i64>> =
+                        window.iter().map(|l| l[..l.len().min(x)].to_vec()).collect();
+                    let cut = Array::from_lists(cut).expect("fits u32");
+                    let a = shared.read_column_limit_with(g, 0, Some(x), &mut scratch);
+                    let b = staged.read_column_limit_with(g, 0, Some(x), &mut scratch);
+                    prop_assert!(a.expect("reads") == cut, "{forced:?} g={g} x={x} (shared)");
+                    prop_assert!(b.expect("reads") == cut, "{forced:?} g={g} x={x} (staged)");
+                }
+                start += rows;
+            }
+            prop_assert_eq!(start, lists.len());
+        }
+    }
+
+    #[test]
+    fn damage_to_a_head_tail_file_is_an_error_or_the_exact_answer(
+        lists in arb_long_lists(),
+        page_rows in 0usize..3,
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+    ) {
+        use presto::columnar::ReadScratch;
+        let schema = Schema::new(vec![Field::new("lists", DataType::ListInt64)]).expect("schema");
+        let whole = Array::from_lists(lists.clone()).expect("fits u32");
+        let mut writer = FileWriter::with_page_rows(schema, [1usize, 7, 4096][page_rows])
+            .with_policy(WritePolicy::default());
+        writer.write_row_group(std::slice::from_ref(&whole)).expect("writes");
+        let mut bytes = writer.finish();
+        // Anywhere but the footer and the tail (their CRC refuses at open):
+        // page payloads are checksummed, but page headers, page counts and
+        // the split marker are not, and a flip in the padding is harmless.
+        let body = FileReader::open(MemBlob::new(bytes.clone())).expect("opens").meta()
+            .row_groups[0].columns[0].byte_len as usize;
+        let at = 8 + ((body - 1) as f64 * pos_frac) as usize;
+        bytes[at] ^= flip;
+        let reader = FileReader::open(MemBlob::new(bytes)).expect("the footer is intact");
+        let mut scratch = ReadScratch::new();
+        if let Ok(full) = reader.read_column(0, 0) {
+            prop_assert!(full == whole, "a flip at {at} changed a full read silently");
+        }
+        for x in [1usize, 32, 33] {
+            if let Ok(got) = reader.read_column_limit_with(0, 0, Some(x), &mut scratch) {
+                let cut: Vec<Vec<i64>> =
+                    lists.iter().map(|l| l[..l.len().min(x)].to_vec()).collect();
+                prop_assert!(
+                    got == Array::from_lists(cut).expect("fits u32"),
+                    "a flip at {at} changed a prefix-{x} read silently"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn stats_match_data((schema, arrays) in arb_table()) {
         let mut writer = FileWriter::new(schema);
         writer.write_row_group(&arrays).expect("writes");
@@ -320,5 +437,32 @@ fn multi_row_group_files_roundtrip() {
     for g in 0..5 {
         let cols = reader.read_row_group(g).expect("reads");
         assert_eq!(cols[0].len(), 20);
+    }
+}
+
+/// The head/tail layout is for long lists only. Files of the RM1 and RM5
+/// shapes — mean list lengths 1 and 20 — must stay byte for byte what the
+/// commit before it wrote: `(length, CRC-32)` below were captured there, from
+/// this exact generator call, under the cost-model policy.
+#[test]
+fn files_without_long_lists_are_byte_identical_to_the_previous_layout() {
+    use presto::datagen::{generate_batch, RmConfig};
+    for (name, config, rows, group_rows, len, crc) in [
+        ("rm1", RmConfig::rm1(), 512usize, None, 62_370usize, 0x87bf_c2d2u32),
+        ("rm1 grouped", RmConfig::rm1(), 512, Some(100usize), 69_327, 0x5be9_f893),
+        ("rm5", RmConfig::rm5(), 256, None, 1_079_550, 0x982e_43c9),
+    ] {
+        let batch = generate_batch(&config, rows, 9);
+        let mut writer =
+            FileWriter::new(batch.schema().clone()).with_policy(WritePolicy::default());
+        if let Some(group_rows) = group_rows {
+            writer = writer.with_group_rows(group_rows);
+        }
+        writer.write_batch(batch.columns()).expect("writes");
+        let bytes = writer.finish();
+        assert_eq!((bytes.len(), crc32(&bytes)), (len, crc), "{name}");
+        let reader = FileReader::open(MemBlob::new(bytes)).expect("opens");
+        let chunks = reader.meta().row_groups.iter().flat_map(|rg| &rg.columns);
+        assert!(chunks.into_iter().all(|chunk| chunk.stats.head.is_none()), "{name}");
     }
 }
