@@ -60,7 +60,7 @@ fn verify_pages<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> 
     let start = std::time::Instant::now();
     for (g, rg) in reader.meta().row_groups.iter().enumerate() {
         for (c, chunk) in rg.columns.iter().enumerate() {
-            reader.read_column_with(g, c, &mut scratch).map_err(|err| {
+            reader.read_column_limit_with(g, c, None, &mut scratch).map_err(|err| {
                 let name = reader.schema().fields()[c].name();
                 format!("(group {g}, column {c} {name}): {err}")
             })?;

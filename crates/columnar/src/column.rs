@@ -1,23 +1,42 @@
 //! Column chunks: a column's worth of pages for one row group.
 //!
-//! A chunk is a page count followed by that many pages. Two decode
-//! strategies coexist:
+//! A chunk is a page count followed by that many pages, and there is one
+//! decoder for it, [`read_chunk`]: one walk over the pages (count → page
+//! header → footer budget → payload, see [`crate::page`]) feeding one sink
+//! per data type. Every read of [`crate::FileReader`] — whole file, one row
+//! group, projected, prefix — is this function over the chunk's bytes.
 //!
-//! * the page-at-a-time path ([`read_chunk_at`] / [`read_chunk_shared`]),
-//!   which can hand out zero-copy views over aligned plain pages; and
-//! * the **batched** path ([`read_chunk_batched`]), which decodes every
-//!   integer page of a chunk straight into one set of output buffers via
-//!   the `*_into` codec entry points — no per-page `Vec`, no concat copy.
-//!   [`crate::FileReader::read_column_with`] routes multi-page and encoded
-//!   chunks here, sizing the outputs exactly from the footer's column
-//!   statistics.
+//! # What the decoder decides, and from what
+//!
+//! No route is a caller's choice; each is selected by what the decoder sees
+//! in the bytes and arguments it was given.
+//!
+//! * **View** — a scalar or list value stream becomes a zero-copy
+//!   [`Buffer`] over the blob's own allocation. Selected when the blob
+//!   shares its allocation, the chunk is one plain, uncompressed, aligned
+//!   page, and the limit cuts no list.
+//! * **Append** — every page decodes straight into one exactly-sized output:
+//!   no per-page `Vec`, no concat. Selected otherwise.
+//! * **Ranged** — a list page's value stream goes through
+//!   [`encoding::decode_i64_ranges`], which stores only the kept prefixes
+//!   and stops after the last. Selected for the pages of which the limit
+//!   cuts at least one list.
+//! * **Head-only** — a head/tail chunk (below) is read to the end of its
+//!   head pages. Selected when a limit is given, which must be at most the
+//!   pages' K.
+//!
+//! A full read is `limit = None`, and an ordinary list page is a head page
+//! whose K is unbounded. Whatever the route, a page's row and element counts
+//! are added to the budget the footer declared for the chunk *before* its
+//! payload is decoded, outputs are reserved from the declared totals clamped
+//! to what the input could describe, and the result passes
+//! [`Array::validate`].
 //!
 //! # Head/tail chunks
 //!
 //! A list column whose lists are long is read, far more often than not,
-//! for the first few values of each list ([`read_chunk_prefix`]). When a
-//! chunk's mean list length reaches `4 * K` the writer therefore stores it
-//! in two parts:
+//! for the first few values of each list. When a chunk's mean list length
+//! reaches `4 * K` the writer therefore stores it in two parts:
 //!
 //! ```text
 //! 0x00                a page count of zero, which no other chunk has
@@ -43,13 +62,16 @@
 //! See [`crate::page`] for the two page layouts.
 
 use crate::array::Array;
+use crate::buffer::{Buffer, PlainValue};
 use crate::compress::Compression;
-use crate::encoding::{self, varint};
+use crate::encoding::dictionary::DictScratch;
+use crate::encoding::{self, plain, varint, Encoding};
 use crate::error::{ColumnarError, Result};
 use crate::io::DecodeScratch;
-use crate::page::{self, DEFAULT_PAGE_ROWS};
+use crate::page::{self, PageHeader};
 use crate::schema::{DataType, WritePolicy};
 use crate::stats::{ChunkHead, ColumnStats};
+use std::sync::Arc;
 
 /// Values of each list a head/tail chunk keeps in its head pages. Private:
 /// readers take it from the file, never from here.
@@ -116,27 +138,9 @@ pub fn concat_arrays(parts: &[Array]) -> Result<Array> {
         });
     }
     match dt {
-        DataType::Int64 => {
-            let mut out = Vec::with_capacity(parts.iter().map(Array::element_count).sum());
-            for p in parts {
-                out.extend_from_slice(p.as_int64().expect("checked type"));
-            }
-            Ok(Array::Int64(out.into()))
-        }
-        DataType::Float32 => {
-            let mut out = Vec::with_capacity(parts.iter().map(Array::element_count).sum());
-            for p in parts {
-                out.extend_from_slice(p.as_float32().expect("checked type"));
-            }
-            Ok(Array::Float32(out.into()))
-        }
-        DataType::Float64 => {
-            let mut out = Vec::with_capacity(parts.iter().map(Array::element_count).sum());
-            for p in parts {
-                out.extend_from_slice(p.as_float64().expect("checked type"));
-            }
-            Ok(Array::Float64(out.into()))
-        }
+        DataType::Int64 => Ok(Array::Int64(concat_values(parts, Array::as_int64))),
+        DataType::Float32 => Ok(Array::Float32(concat_values(parts, Array::as_float32))),
+        DataType::Float64 => Ok(Array::Float64(concat_values(parts, Array::as_float64))),
         DataType::ListInt64 => {
             let mut offsets = vec![0u32];
             let mut values: Vec<i64> = Vec::new();
@@ -157,29 +161,13 @@ pub fn concat_arrays(parts: &[Array]) -> Result<Array> {
     }
 }
 
-/// Writes `array` as a column chunk (page count + pages), returning its stats.
-///
-/// # Errors
-///
-/// Propagates page encoding failures.
-pub fn write_chunk(array: &Array, page_rows: usize, out: &mut Vec<u8>) -> Result<ColumnStats> {
-    write_chunk_compressed(array, page_rows, Compression::None, out)
-}
-
-/// Like [`write_chunk`] with per-page payload compression (applied to every
-/// column type — the per-column policy path is [`write_chunk_policy`]).
-///
-/// # Errors
-///
-/// Propagates page encoding failures.
-pub fn write_chunk_compressed(
-    array: &Array,
-    page_rows: usize,
-    compression: Compression,
-    out: &mut Vec<u8>,
-) -> Result<ColumnStats> {
-    let policy = WritePolicy::from_env().with_compression(compression).compressing_hot_columns();
-    write_chunk_policy(array, page_rows, &policy, out)
+/// The values of same-typed scalar `parts`, back to back.
+fn concat_values<T: Copy>(parts: &[Array], values: fn(&Array) -> Option<&[T]>) -> Buffer<T> {
+    let mut out = Vec::with_capacity(parts.iter().map(Array::element_count).sum());
+    for part in parts {
+        out.extend_from_slice(values(part).expect("checked type"));
+    }
+    out.into()
 }
 
 /// Writes `array` as a column chunk under a [`WritePolicy`]: the policy
@@ -191,22 +179,10 @@ pub fn write_chunk_compressed(
 /// # Errors
 ///
 /// Propagates page encoding failures.
-pub fn write_chunk_policy(
+pub fn write_chunk(
     array: &Array,
     page_rows: usize,
     policy: &WritePolicy,
-    out: &mut Vec<u8>,
-) -> Result<ColumnStats> {
-    write_chunk_layout(array, page_rows, policy, true, out)
-}
-
-/// [`write_chunk_policy`] with the head/tail layout as the caller's call:
-/// legacy container versions predate it and pass `false`.
-pub(crate) fn write_chunk_layout(
-    array: &Array,
-    page_rows: usize,
-    policy: &WritePolicy,
-    may_split: bool,
     out: &mut Vec<u8>,
 ) -> Result<ColumnStats> {
     // The element ceiling holds per chunk, not just per page: readers use
@@ -228,7 +204,7 @@ pub(crate) fn write_chunk_layout(
     let n_pages = rows.div_ceil(page_rows).max(1);
     let mut stats = ColumnStats::from_array(array);
     if let Array::ListInt64 { offsets, values } = array {
-        if may_split && rows > 0 && values.len() / rows >= SPLIT_MEAN_HEADS * HEAD_K {
+        if rows > 0 && values.len() / rows >= SPLIT_MEAN_HEADS * HEAD_K {
             let (head_len, pages) = write_split_chunk(offsets, values, page_rows, policy, out);
             stats.pages = pages;
             stats.head = Some(ChunkHead { head_len, k: HEAD_K as u64 });
@@ -306,37 +282,6 @@ fn write_split_chunk(
     (head_len, (head_pages + tail_ends.len()) as u64)
 }
 
-/// Reads a column chunk written by [`write_chunk`], for a `buf` starting at
-/// the beginning of the written buffer (alignment base 0).
-///
-/// # Errors
-///
-/// Propagates page decode failures.
-pub fn read_chunk(buf: &[u8], pos: &mut usize, data_type: DataType) -> Result<Array> {
-    read_chunk_at(buf, pos, data_type, 0)
-}
-
-/// Like [`read_chunk`] for a `buf` sliced (or staged) from `base` bytes into
-/// the written file, so page payload alignment can be recomputed.
-///
-/// # Errors
-///
-/// Same as [`read_chunk`].
-pub fn read_chunk_at(buf: &[u8], pos: &mut usize, data_type: DataType, base: u64) -> Result<Array> {
-    let n_pages = varint::read_u64(buf, pos)? as usize;
-    if n_pages == 0 {
-        return read_split_unbudgeted(buf, pos, data_type, base);
-    }
-    // Every page costs at least a header byte, so the remaining input
-    // bounds any legitimate page count — a corrupt count cannot
-    // over-reserve.
-    let mut parts = Vec::with_capacity(n_pages.min(buf.len().saturating_sub(*pos)));
-    for _ in 0..n_pages {
-        parts.push(page::read_page_at(buf, pos, data_type, base)?);
-    }
-    concat_arrays(&parts)
-}
-
 /// The running row and element totals of one chunk decode, held against
 /// what the footer declared for the chunk. A page's counts are added
 /// *before* its payload is decoded: the per-page element ceiling bounds one
@@ -352,7 +297,7 @@ struct Budget {
 
 impl Budget {
     /// The writer enforces the element ceiling per *chunk* (see
-    /// [`write_chunk_policy`]), so larger declared totals are corruption;
+    /// [`write_chunk`]), so larger declared totals are corruption;
     /// this bounds the whole-chunk decode the same way the page header
     /// check bounds one page.
     fn new(rows: usize, elements: usize) -> Result<Self> {
@@ -387,174 +332,356 @@ impl Budget {
     }
 }
 
-/// Exact-size reservations are clamped to what the remaining input could
-/// legitimately describe (codecs emit no fewer than one byte per ~64 values
-/// after framing), in case the footer stats are corrupt.
-fn reservation_limit(buf: &[u8], pos: usize) -> usize {
-    buf.len().saturating_sub(pos).saturating_mul(64).max(1024)
+/// The one page walk. Every page of every read passes through
+/// [`Walk::page`]: its header is parsed, bounded and checksummed, its counts
+/// are added to the footer's budget, and only then is its payload handed out
+/// to be decoded.
+struct Walk<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// File offset of `buf[0]`, from which payload alignment is recomputed.
+    base: u64,
+    budget: Budget,
 }
 
-/// Decodes a whole chunk of an integer column (`Int64` / `ListInt64`) in
-/// one pass: every page's id and offset blocks land directly in a single
-/// set of exactly-sized output buffers, with page payload staging (LZ,
-/// length streams) recycled through the caller's [`crate::ReadScratch`]. A
-/// head/tail list chunk decodes both parts and comes back as the array the
-/// writer was given.
+impl<'a> Walk<'a> {
+    /// A page count — or the `0x00` that opens a head/tail chunk.
+    fn count(&mut self) -> Result<usize> {
+        Ok(varint::read_u64(self.buf, &mut self.pos)? as usize)
+    }
+
+    /// Exact-size reservations are clamped to what the remaining input could
+    /// legitimately describe (codecs emit no fewer than one byte per ~64
+    /// values after framing), in case the footer stats are corrupt.
+    fn reservation_limit(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos).saturating_mul(64).max(1024)
+    }
+
+    /// The next page: its header, its decode-ready payload, and the
+    /// payload's file offset when (and only when) those are the stored bytes
+    /// — the precondition for a view. A tail page adds nothing to the
+    /// budget: the head pages counted its rows, and their lengths its values.
+    fn page<'s>(
+        &mut self,
+        part: ChunkPart,
+        staging: &'s mut Vec<u8>,
+    ) -> Result<(PageHeader, &'s [u8], Option<u64>)>
+    where
+        'a: 's,
+    {
+        let header = page::read_page_header(self.buf, &mut self.pos, self.base)?;
+        if part != ChunkPart::Tail {
+            self.budget.add(header.rows, header.elements)?;
+        }
+        let (payload, stored_at) = page::page_payload(&header, self.buf, staging)?;
+        Ok((header, payload, stored_at.map(|at| self.base + at as u64)))
+    }
+}
+
+/// Decodes the column chunk at the start of `bytes` — the one chunk decoder,
+/// see the module docs for what it decides and from what. `bytes` was read
+/// from `base` bytes into its file; `rows` and `elements` are what the footer
+/// declares for this chunk of this row group, and both size the outputs and
+/// bound the decode; `limit` keeps only the first so many values of every
+/// list (scalar columns ignore it); `shared` is the allocation holding the
+/// whole file when `bytes` is a window of it, which is what a view aliases.
+/// Returns the array and how many bytes of `bytes` the chunk's pages took.
 ///
-/// `rows` and `elements` come from the footer's column statistics **for the
-/// one row group being read** — chunk stats are per-group, so a random
-/// row-group access (the `PSTOCOL4` shuffled-read path) sizes its output
-/// buffers from that group's own index entry, never from file totals. The
-/// last row group of a partition whose row count is not a multiple of the
-/// group size therefore allocates exactly its short length. They
-/// size the outputs and every page's decoded counts are validated against
-/// the running totals. Float columns and zero-copy candidates stay on the
-/// page-at-a-time path ([`read_chunk_at`] / [`read_chunk_shared`]).
+/// Of a head/tail chunk under a `limit`, only the head pages are read, so
+/// `bytes` may end where they do ([`ChunkHead::head_len`]); a `limit` deeper
+/// than those pages reach is the caller's to turn into a full read.
 ///
 /// # Errors
 ///
-/// Same as [`read_chunk_at`], plus [`ColumnarError::CountMismatch`] when
-/// the pages disagree with the declared totals.
-pub fn read_chunk_batched(
-    buf: &[u8],
-    pos: &mut usize,
-    data_type: DataType,
+/// [`ColumnarError::CountMismatch`] when the pages disagree with the
+/// declared totals or with each other, [`ColumnarError::ChecksumMismatch`],
+/// [`ColumnarError::UnexpectedEof`] and [`ColumnarError::CorruptFile`] on
+/// damaged or truncated pages, plus the codecs' own decode errors.
+pub fn read_chunk(
+    bytes: &[u8],
     base: u64,
-    rows: usize,
-    elements: usize,
+    data_type: DataType,
+    (rows, elements): (usize, usize),
+    limit: Option<usize>,
+    shared: Option<&Arc<Vec<u8>>>,
     scratch: &mut DecodeScratch,
-) -> Result<Array> {
-    debug_assert!(matches!(data_type, DataType::Int64 | DataType::ListInt64));
-    let mut budget = Budget::new(rows, elements)?;
-    let n_pages = varint::read_u64(buf, pos)? as usize;
-    let cap_limit = reservation_limit(buf, *pos);
+) -> Result<(Array, usize)> {
+    let mut walk = Walk { buf: bytes, pos: 0, base, budget: Budget::new(rows, elements)? };
     let array = match data_type {
         DataType::Int64 => {
-            let mut values: Vec<i64> = Vec::with_capacity(rows.min(cap_limit));
-            for _ in 0..n_pages {
-                let header = page::read_page_header(buf, pos, base)?;
-                budget.add(header.rows, header.rows)?;
-                let (payload, _) = page::page_payload(&header, buf, &mut scratch.staging)?;
-                let mut p = 0usize;
-                encoding::decode_i64_into(
-                    header.encoding,
-                    payload,
-                    &mut p,
-                    header.rows,
-                    &mut values,
-                )?;
-            }
-            Array::Int64(values.into())
+            Array::Int64(read_scalars(&mut walk, shared, scratch, encoding::decode_i64_with)?)
         }
-        _ if n_pages == 0 => read_split_lists(buf, pos, base, &mut budget, scratch)?,
-        _ => {
-            let mut offsets: Vec<u32> = Vec::with_capacity(rows.saturating_add(1).min(cap_limit));
-            offsets.push(0);
-            let mut values: Vec<i64> = Vec::with_capacity(elements.min(cap_limit));
-            for _ in 0..n_pages {
-                let header = page::read_page_header(buf, pos, base)?;
-                budget.add(header.rows, header.elements)?;
-                let (payload, _) = page::page_payload(&header, buf, &mut scratch.staging)?;
-                scratch.lengths.clear();
-                let (value_enc, value_start, _) =
-                    page::read_list_prefix(payload, header.rows, false, &mut scratch.lengths)?;
-                let mut p = value_start;
-                encoding::decode_i64_into(
-                    value_enc,
-                    payload,
-                    &mut p,
-                    header.elements,
-                    &mut values,
-                )?;
-                page::extend_offsets(&scratch.lengths, header.rows, &mut offsets)?;
-            }
-            Array::ListInt64 { offsets: offsets.into(), values: values.into() }
-        }
+        DataType::Float32 => Array::Float32(read_scalars(
+            &mut walk,
+            shared,
+            scratch,
+            floats(plain::decode_f32_into),
+        )?),
+        DataType::Float64 => Array::Float64(read_scalars(
+            &mut walk,
+            shared,
+            scratch,
+            floats(plain::decode_f64_into),
+        )?),
+        DataType::ListInt64 => read_lists(&mut walk, shared, limit, scratch)?,
     };
-    budget.finish()?;
+    walk.budget.finish()?;
     array.validate()?;
-    Ok(array)
+    Ok((array, walk.pos))
 }
 
-/// The two parts of a head/tail chunk, after its `0x00` marker: the head
-/// pages give every row's length and its first `k` values, which wait in
-/// `scratch` while each tail page decodes straight into the output and is
+/// A float page's decode: the format stores floats plain and nothing else.
+fn floats<T>(
+    decode: fn(&[u8], &mut usize, usize, &mut Vec<T>) -> Result<()>,
+) -> impl Fn(Encoding, &[u8], &mut usize, usize, &mut DictScratch, &mut Vec<T>) -> Result<()> {
+    move |encoding, payload, pos, count, _, out| match encoding {
+        Encoding::Plain => decode(payload, pos, count, out),
+        other => Err(ColumnarError::CorruptFile { detail: format!("float page encoded {other}") }),
+    }
+}
+
+/// A zero-copy view of the `count` plain values at `value_start` of a stored
+/// payload, when they are all that is left of it; `None` means "copy-decode
+/// instead" (not shared, compressed, length mismatch or misaligned).
+fn view<T: PlainValue>(
+    shared: Option<&Arc<Vec<u8>>>,
+    stored_at: Option<u64>,
+    payload: &[u8],
+    value_start: usize,
+    count: usize,
+) -> Option<Buffer<T>> {
+    let at = usize::try_from(stored_at?).ok()?.checked_add(value_start)?;
+    let byte_len = count.checked_mul(std::mem::size_of::<T>())?;
+    if payload.len().checked_sub(value_start)? != byte_len {
+        return None;
+    }
+    Buffer::from_shared_le_bytes(Arc::clone(shared?), at, count)
+}
+
+/// Appends all `count` values of the stream at `pos` of a page's payload,
+/// which must end where the payload does: a page header's encoding tag sits
+/// outside the page checksum, and a stream read as another encoding, when it
+/// decodes at all, rarely ends on the same byte.
+fn decode_rest<T>(
+    decode: impl Fn(Encoding, &[u8], &mut usize, usize, &mut DictScratch, &mut Vec<T>) -> Result<()>,
+    encoding: Encoding,
+    payload: &[u8],
+    mut pos: usize,
+    count: usize,
+    dict: &mut DictScratch,
+    out: &mut Vec<T>,
+) -> Result<()> {
+    decode(encoding, payload, &mut pos, count, dict, out)?;
+    match payload.len() - pos {
+        0 => Ok(()),
+        left => Err(ColumnarError::CorruptFile {
+            detail: format!("{left} bytes left over after a page's {encoding} stream"),
+        }),
+    }
+}
+
+/// Sizes a chunk's output when its first page is about to be appended — a
+/// chunk that becomes a view never reserves.
+fn reserve_once<T>(out: &mut Vec<T>, want: usize) {
+    if out.capacity() == 0 {
+        out.reserve_exact(want);
+    }
+}
+
+/// The sink of scalar columns: the chunk's one page as a view when it can
+/// be one, else every page appended to one output.
+fn read_scalars<T: PlainValue>(
+    walk: &mut Walk<'_>,
+    shared: Option<&Arc<Vec<u8>>>,
+    scratch: &mut DecodeScratch,
+    decode: impl Fn(Encoding, &[u8], &mut usize, usize, &mut DictScratch, &mut Vec<T>) -> Result<()>,
+) -> Result<Buffer<T>> {
+    let n_pages = walk.count()?;
+    if n_pages == 0 {
+        return Err(ColumnarError::CorruptFile { detail: "scalar chunk declares no pages".into() });
+    }
+    let reserve = walk.budget.rows.min(walk.reservation_limit());
+    let mut values: Vec<T> = Vec::new();
+    for _ in 0..n_pages {
+        let (header, payload, stored_at) = walk.page(ChunkPart::Whole, &mut scratch.staging)?;
+        if header.elements != header.rows {
+            return Err(ColumnarError::CountMismatch {
+                declared: header.rows,
+                actual: header.elements,
+            });
+        }
+        let viewable = shared.filter(|_| n_pages == 1 && header.encoding == Encoding::Plain);
+        if let Some(values) = view(viewable, stored_at, payload, 0, header.rows) {
+            return Ok(values);
+        }
+        reserve_once(&mut values, reserve);
+        let (encoding, dict) = (header.encoding, &mut scratch.dict);
+        decode_rest(&decode, encoding, payload, 0, header.rows, dict, &mut values)?;
+    }
+    Ok(values.into())
+}
+
+/// The sink of list columns. Every row's length waits in `scratch` until the
+/// offsets are built from them, cut to the limit, in one pass at the end;
+/// the value streams go by the table in the module docs. The two parts of a
+/// head/tail chunk read in full meet here too: the head pages' values wait
+/// in `scratch` while each tail page decodes straight into the output and is
 /// then spread out, in place, to let its rows' head runs back in.
 ///
-/// Everything is held to `budget` before it is decoded or reserved: the
-/// lengths of a head page must sum to no more than the chunk may still
-/// hold, its `min(len, k)` to exactly the values the page header declares,
-/// and a tail page's header to exactly what its rows have left.
-fn read_split_lists(
-    buf: &[u8],
-    pos: &mut usize,
-    base: u64,
-    budget: &mut Budget,
+/// Everything is held to the page header and the budget before it is decoded
+/// or reserved: a page's lengths must put exactly the values its header
+/// declares into its value stream (`min(len, K)` of each list) and no more
+/// past it than the chunk may still hold, and a tail page's header must
+/// declare exactly what its rows have left.
+fn read_lists(
+    walk: &mut Walk<'_>,
+    shared: Option<&Arc<Vec<u8>>>,
+    limit: Option<usize>,
     scratch: &mut DecodeScratch,
 ) -> Result<Array> {
-    let head_pages = varint::read_u64(buf, pos)? as usize;
-    let cap_limit = reservation_limit(buf, *pos);
-    let DecodeScratch { staging, lengths, values: heads, .. } = scratch;
+    let marker = walk.count()?;
+    let split = marker == 0;
+    let head_pages = if split { walk.count()? } else { marker };
+    let (part, both_parts) =
+        if split { (ChunkPart::Head, limit.is_none()) } else { (ChunkPart::Whole, false) };
+    let reserve = limit
+        .map_or(walk.budget.elements, |x| walk.budget.rows.saturating_mul(x))
+        .min(walk.budget.elements)
+        .min(walk.reservation_limit());
+    let DecodeScratch { staging, lengths, values: heads, ranges, dict } = scratch;
     lengths.clear();
     heads.clear();
+    let mut values: Vec<i64> = Vec::new();
+    let mut viewed = None;
     let mut chunk_k = None;
     for _ in 0..head_pages {
-        let header = page::read_page_header(buf, pos, base)?;
-        budget.add(header.rows, header.elements)?;
-        let (payload, _) = page::page_payload(&header, buf, staging)?;
+        let (header, payload, stored_at) = walk.page(part, staging)?;
         let first = lengths.len();
         let (value_enc, value_start, k) =
-            page::read_list_prefix(payload, header.rows, true, lengths)?;
+            page::read_list_prefix(payload, header.rows, split, lengths)?;
         if *chunk_k.get_or_insert(k) != k {
             return Err(ColumnarError::CorruptFile {
                 detail: "head pages of one chunk disagree on K".into(),
             });
         }
-        let (in_head, in_tail) = split_lengths(&lengths[first..], k);
-        if in_head != header.elements as u64 {
-            return Err(ColumnarError::CountMismatch {
-                declared: header.elements,
-                actual: usize::try_from(in_head).unwrap_or(usize::MAX),
+        if header.encoding != value_enc {
+            return Err(ColumnarError::CorruptFile {
+                detail: format!("page header says {}, its payload {value_enc}", header.encoding),
             });
         }
-        budget.add(0, usize::try_from(in_tail).unwrap_or(usize::MAX))?;
-        let mut p = value_start;
-        encoding::decode_i64_into(value_enc, payload, &mut p, header.elements, heads)?;
+        if let Some(x) = limit.filter(|&x| x as u64 > k) {
+            return Err(ColumnarError::CorruptFile {
+                detail: format!("prefix {x} read from head pages that hold {k} per list"),
+            });
+        }
+        let (stored, beyond) = split_lengths(&lengths[first..], k);
+        if stored != header.elements as u64 {
+            return Err(ColumnarError::CountMismatch {
+                declared: header.elements,
+                actual: usize::try_from(stored).unwrap_or(usize::MAX),
+            });
+        }
+        walk.budget.add(0, usize::try_from(beyond).unwrap_or(usize::MAX))?;
+        let kept =
+            limit.map_or(stored as usize, |x| prefix_ranges(&lengths[first..], k, x, ranges));
+        let count = header.elements;
+        let viewable = shared.filter(|_| marker == 1 && value_enc == Encoding::Plain);
+        if kept < count {
+            reserve_once(&mut values, reserve);
+            let (pos, out) = (&mut { value_start }, &mut values);
+            encoding::decode_i64_ranges(value_enc, payload, pos, count, ranges, dict, out)?;
+        } else if let Some(all) = view(viewable, stored_at, payload, value_start, count) {
+            viewed = Some(all);
+        } else {
+            let decode = encoding::decode_i64_with;
+            let out = if both_parts {
+                &mut *heads
+            } else {
+                reserve_once(&mut values, reserve);
+                &mut values
+            };
+            decode_rest(decode, value_enc, payload, value_start, count, dict, out)?;
+        }
     }
-    let k = chunk_k.unwrap_or(0);
-    let rows = lengths.len();
-    let mut offsets: Vec<u32> = Vec::with_capacity(rows.saturating_add(1).min(cap_limit));
+    if both_parts {
+        let k = chunk_k.unwrap_or(0);
+        let tail_pages = walk.count()?;
+        let (mut row, mut head_at) = (0usize, 0usize);
+        for _ in 0..tail_pages {
+            let (header, payload, _) = walk.page(ChunkPart::Tail, staging)?;
+            let page_lengths = row
+                .checked_add(header.rows)
+                .and_then(|end| lengths.get(row..end))
+                .ok_or(ColumnarError::CountMismatch {
+                declared: lengths.len(),
+                actual: row.saturating_add(header.rows),
+            })?;
+            let (in_head, in_tail) = split_lengths(page_lengths, k);
+            if in_tail != header.elements as u64 {
+                return Err(ColumnarError::CountMismatch {
+                    declared: header.elements,
+                    actual: usize::try_from(in_tail).unwrap_or(usize::MAX),
+                });
+            }
+            let page_start = values.len();
+            reserve_once(&mut values, reserve);
+            let (decode, encoding, count) =
+                (encoding::decode_i64_with, header.encoding, header.elements);
+            decode_rest(decode, encoding, payload, 0, count, dict, &mut values)?;
+            // Both sums fit: the head pages' budget checks bounded them.
+            let head_end = head_at + in_head as usize;
+            interleave_heads(&mut values, page_start, page_lengths, k, &heads[head_at..head_end]);
+            row += header.rows;
+            head_at = head_end;
+        }
+        if row != lengths.len() {
+            return Err(ColumnarError::CountMismatch { declared: lengths.len(), actual: row });
+        }
+    }
+    let offsets = offsets_of(lengths, limit.unwrap_or(usize::MAX))?;
+    let values = viewed.unwrap_or_else(|| values.into());
+    Ok(Array::ListInt64 { offsets: offsets.into(), values })
+}
+
+/// The offsets of lists of these `lengths`, each cut to `prefix` values.
+fn offsets_of(lengths: &[u64], prefix: usize) -> Result<Vec<u32>> {
+    let mut offsets = Vec::with_capacity(lengths.len() + 1);
     offsets.push(0);
-    page::extend_offsets(lengths, rows, &mut offsets)?;
-    let mut values: Vec<i64> = Vec::with_capacity(budget.seen_elements.min(cap_limit));
-    let tail_pages = varint::read_u64(buf, pos)? as usize;
-    let (mut row, mut head_at) = (0usize, 0usize);
-    for _ in 0..tail_pages {
-        let header = page::read_page_header(buf, pos, base)?;
-        let page_lengths = row
-            .checked_add(header.rows)
-            .and_then(|end| lengths.get(row..end))
-            .ok_or(ColumnarError::CountMismatch { declared: rows, actual: row + header.rows })?;
-        let (in_head, in_tail) = split_lengths(page_lengths, k);
-        if in_tail != header.elements as u64 {
-            return Err(ColumnarError::CountMismatch {
-                declared: header.elements,
-                actual: usize::try_from(in_tail).unwrap_or(usize::MAX),
-            });
+    let mut acc = 0u64;
+    for &len in lengths {
+        acc = acc.saturating_add(len.min(prefix as u64));
+        offsets.push(u32::try_from(acc).map_err(|_| ColumnarError::ValueOutOfRange {
+            detail: "list offsets overflow u32".into(),
+        })?);
+    }
+    Ok(offsets)
+}
+
+/// Turns per-list prefixes into sorted element ranges over a page's value
+/// stream — in which a list takes up `min(len, k)` places, that sum already
+/// checked against the page header — merging lists whose kept prefixes are
+/// contiguous (always the case while lists are shorter than `prefix`).
+/// Returns how many values the ranges keep.
+fn prefix_ranges(
+    lengths: &[u64],
+    k: u64,
+    prefix: usize,
+    ranges: &mut Vec<(usize, usize)>,
+) -> usize {
+    ranges.clear();
+    let (mut start, mut kept) = (0usize, 0usize);
+    for &len in lengths {
+        let stored = len.min(k) as usize;
+        let stop = start + stored.min(prefix);
+        match ranges.last_mut() {
+            Some(last) if last.1 == start => last.1 = stop,
+            _ if stop > start => ranges.push((start, stop)),
+            _ => {}
         }
-        let (payload, _) = page::page_payload(&header, buf, staging)?;
-        let page_start = values.len();
-        encoding::decode_i64_into(header.encoding, payload, &mut 0, header.elements, &mut values)?;
-        // Both sums fit: the head pages' budget checks bounded them.
-        let head_end = head_at + in_head as usize;
-        interleave_heads(&mut values, page_start, page_lengths, k, &heads[head_at..head_end]);
-        row += header.rows;
-        head_at = head_end;
+        kept += stop - start;
+        start += stored;
     }
-    if row != rows {
-        return Err(ColumnarError::CountMismatch { declared: rows, actual: row });
-    }
-    Ok(Array::ListInt64 { offsets: offsets.into(), values: values.into() })
+    kept
 }
 
 /// How many of the values `lengths` describe sit in head pages and how many
@@ -593,130 +720,9 @@ fn interleave_heads(
     debug_assert_eq!((src, dst, head_end), (page_start, page_start, 0));
 }
 
-/// A head/tail chunk met on a path that has no footer totals to hold it to
-/// (`buf` at `*pos` is just past the `0x00` marker): only the format's own
-/// ceilings bound the decode.
-fn read_split_unbudgeted(
-    buf: &[u8],
-    pos: &mut usize,
-    data_type: DataType,
-    base: u64,
-) -> Result<Array> {
-    if data_type != DataType::ListInt64 {
-        return Err(ColumnarError::CorruptFile {
-            detail: format!("{data_type} chunk declares no pages"),
-        });
-    }
-    let mut budget = Budget::new(encoding::MAX_PAGE_ELEMENTS, encoding::MAX_PAGE_ELEMENTS)?;
-    let array = read_split_lists(buf, pos, base, &mut budget, &mut DecodeScratch::default())?;
-    array.validate()?;
-    Ok(array)
-}
-
-/// Prefix-pushdown chunk decode for list columns: like the list arm of
-/// [`read_chunk_batched`], but materializes only the first `prefix` elements
-/// of every list. The RLE length stream still decodes fully (it is cheap and
-/// row alignment depends on it); the value stream decodes through
-/// [`encoding::decode_i64_ranges`], which skips storing out-of-prefix
-/// elements and hard-stops after the last needed one. The returned array's
-/// offsets already reflect the truncation — downstream `FirstX` becomes a
-/// no-op.
-///
-/// Of a head/tail chunk only the head pages are read, so `buf` may end where
-/// they do ([`crate::stats::ChunkHead::head_len`]); a `prefix` deeper than
-/// the head pages reach is the caller's to route to a full read, and is an
-/// error here.
-///
-/// All of [`read_chunk_batched`]'s budget discipline applies unchanged: the
-/// chunk-level [`encoding::MAX_PAGE_ELEMENTS`] ceiling, per-page running
-/// totals checked before each decode, and reservations clamped to what the
-/// remaining input could describe. Additionally each page's length stream
-/// must account for exactly the values its header declares before any value
-/// byte is decoded, so a crafted header cannot widen the ranged decode's
-/// budget.
-///
-/// # Errors
-///
-/// Same as [`read_chunk_batched`].
-pub fn read_chunk_prefix(
-    buf: &[u8],
-    pos: &mut usize,
-    base: u64,
-    rows: usize,
-    elements: usize,
-    prefix: usize,
-    scratch: &mut DecodeScratch,
-) -> Result<Array> {
-    let mut budget = Budget::new(rows, elements)?;
-    let mut n_pages = varint::read_u64(buf, pos)? as usize;
-    let head_pages = n_pages == 0;
-    if head_pages {
-        n_pages = varint::read_u64(buf, pos)? as usize;
-    }
-    let cap_limit = reservation_limit(buf, *pos);
-    let mut offsets: Vec<u32> = Vec::with_capacity(rows.saturating_add(1).min(cap_limit));
-    offsets.push(0);
-    let mut values: Vec<i64> =
-        Vec::with_capacity(rows.saturating_mul(prefix).min(elements).min(cap_limit));
-    let DecodeScratch { staging, lengths, ranges, dict, .. } = scratch;
-    for _ in 0..n_pages {
-        let header = page::read_page_header(buf, pos, base)?;
-        budget.add(header.rows, header.elements)?;
-        let (payload, _) = page::page_payload(&header, buf, staging)?;
-        lengths.clear();
-        let (value_enc, value_start, k) =
-            page::read_list_prefix(payload, header.rows, head_pages, lengths)?;
-        if prefix as u64 > k {
-            return Err(ColumnarError::CorruptFile {
-                detail: format!("prefix {prefix} read from head pages that hold {k} per list"),
-            });
-        }
-        // Turn per-list prefixes into sorted element ranges over this page's
-        // value stream — in which a list takes up `min(len, k)` places —
-        // merging lists whose kept prefixes are contiguous (always the case
-        // while lists are shorter than `prefix`).
-        ranges.clear();
-        let mut start = 0usize;
-        let mut beyond = 0u64;
-        for &len in lengths.iter() {
-            let in_page = len.min(k);
-            let stored = usize::try_from(in_page).map_err(|_| ColumnarError::CorruptFile {
-                detail: "list length exceeds usize".into(),
-            })?;
-            beyond = beyond.saturating_add(len - in_page);
-            let stop = start.saturating_add(stored.min(prefix));
-            match ranges.last_mut() {
-                Some(last) if last.1 == start => last.1 = stop,
-                _ if stop > start => ranges.push((start, stop)),
-                _ => {}
-            }
-            start = start.saturating_add(stored);
-        }
-        if start != header.elements {
-            return Err(ColumnarError::CountMismatch { declared: header.elements, actual: start });
-        }
-        budget.add(0, usize::try_from(beyond).unwrap_or(usize::MAX))?;
-        let mut p = value_start;
-        encoding::decode_i64_ranges(
-            value_enc,
-            payload,
-            &mut p,
-            header.elements,
-            ranges,
-            dict,
-            &mut values,
-        )?;
-        page::extend_offsets_clamped(lengths, prefix, header.rows, &mut offsets)?;
-    }
-    budget.finish()?;
-    let array = Array::ListInt64 { offsets: offsets.into(), values: values.into() };
-    array.validate()?;
-    Ok(array)
-}
-
 /// Cuts every list of a list array down to its first `prefix` values, as
-/// [`read_chunk_prefix`] would have read it; any other array comes back as
-/// it is.
+/// [`read_chunk`] under that limit would have read it; any other array comes
+/// back as it is.
 pub(crate) fn truncate_lists(array: Array, prefix: usize) -> Array {
     let Array::ListInt64 { offsets, values } = &array else { return array };
     let mut new_offsets: Vec<u32> = Vec::with_capacity(offsets.len());
@@ -729,52 +735,6 @@ pub(crate) fn truncate_lists(array: Array, prefix: usize) -> Array {
         new_offsets.push(new_values.len() as u32);
     }
     Array::ListInt64 { offsets: new_offsets.into(), values: new_values.into() }
-}
-
-/// Reads the chunk at `offset..offset + byte_len` of a shared in-memory
-/// file, decoding aligned plain pages as zero-copy views over `shared`
-/// (see [`page::read_page_shared`]). Single-page chunks — the common case —
-/// reach the caller without any value copy.
-///
-/// # Errors
-///
-/// Same as [`read_chunk`], plus [`crate::ColumnarError::UnexpectedEof`] when
-/// the range exceeds the blob.
-pub fn read_chunk_shared(
-    shared: &std::sync::Arc<Vec<u8>>,
-    offset: u64,
-    byte_len: usize,
-    data_type: DataType,
-) -> Result<Array> {
-    let start = usize::try_from(offset).map_err(|_| crate::ColumnarError::Io {
-        detail: format!("chunk offset {offset} out of addressable range"),
-    })?;
-    let end = start
-        .checked_add(byte_len)
-        .filter(|&e| e <= shared.len())
-        .ok_or(crate::ColumnarError::UnexpectedEof { context: "column chunk range" })?;
-    let buf = &shared[..end];
-    let mut pos = start;
-    let n_pages = varint::read_u64(buf, &mut pos)? as usize;
-    if n_pages == 0 {
-        return read_split_unbudgeted(buf, &mut pos, data_type, 0);
-    }
-    let mut parts = Vec::with_capacity(n_pages.min(end.saturating_sub(pos)));
-    for _ in 0..n_pages {
-        parts.push(page::read_page_shared(shared, end, &mut pos, data_type)?);
-    }
-    concat_arrays(&parts)
-}
-
-/// Peeks the page count of the chunk at `offset` without decoding; zero
-/// marks a head/tail chunk.
-///
-/// # Errors
-///
-/// Propagates varint decode errors.
-pub(crate) fn peek_page_count(buf: &[u8], offset: usize) -> Result<usize> {
-    let mut pos = offset;
-    Ok(varint::read_u64(buf, &mut pos)? as usize)
 }
 
 /// Which part of its chunk a page belongs to.
@@ -836,27 +796,38 @@ pub fn page_summaries(buf: &[u8], base: u64) -> Result<Vec<PageSummary>> {
     Ok(pages)
 }
 
-/// Convenience wrapper using [`DEFAULT_PAGE_ROWS`].
-///
-/// # Errors
-///
-/// Same as [`write_chunk`].
-pub fn write_chunk_default(array: &Array, out: &mut Vec<u8>) -> Result<ColumnStats> {
-    write_chunk(array, DEFAULT_PAGE_ROWS, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn chunk_roundtrip(array: Array, page_rows: usize) {
+    /// `array` as one chunk at the start of a buffer, under the policy the
+    /// environment picks (CI's encoding matrix).
+    fn written(array: &Array, page_rows: usize) -> (Vec<u8>, ColumnStats) {
         let mut buf = Vec::new();
-        let stats = write_chunk(&array, page_rows, &mut buf).unwrap();
+        let stats = write_chunk(array, page_rows, &WritePolicy::from_env(), &mut buf).unwrap();
+        (buf, stats)
+    }
+
+    /// The decoder over a borrowed buffer, held to the totals of `like`:
+    /// the array and how many bytes it took.
+    fn decode(buf: &[u8], like: &Array, limit: Option<usize>) -> Result<(Array, usize)> {
+        let totals = (like.len(), like.element_count());
+        let scratch = &mut DecodeScratch::default();
+        read_chunk(buf, 0, like.data_type(), totals, limit, None, scratch)
+    }
+
+    /// ...and over a shared allocation, where one plain page is a view.
+    fn decode_shared(buf: &[u8], like: &Array) -> Result<(Array, usize)> {
+        let totals = (like.len(), like.element_count());
+        let (shared, scratch) = (Arc::new(buf.to_vec()), &mut DecodeScratch::default());
+        read_chunk(&shared, 0, like.data_type(), totals, None, Some(&shared), scratch)
+    }
+
+    fn chunk_roundtrip(array: Array, page_rows: usize) {
+        let (buf, stats) = written(&array, page_rows);
         assert_eq!(stats.rows, array.len() as u64);
-        let mut pos = 0;
-        let back = read_chunk(&buf, &mut pos, array.data_type()).unwrap();
-        assert_eq!(back, array);
-        assert_eq!(pos, buf.len());
+        assert_eq!(decode(&buf, &array, None).unwrap(), (array.clone(), buf.len()));
+        assert_eq!(decode_shared(&buf, &array).unwrap(), (array, buf.len()));
     }
 
     #[test]
@@ -883,22 +854,19 @@ mod tests {
 
     #[test]
     fn batched_reader_matches_page_at_a_time() {
+        // Ten pages appended to one output, and the same values as one page
+        // (a view, when that page is plain): one array.
         let array = Array::Int64((0..5000).map(|i| i * 7 % 997).collect());
-        let mut buf = Vec::new();
-        write_chunk(&array, 512, &mut buf).unwrap();
-        let mut pos = 0;
-        let back = read_chunk_batched(
-            &buf,
-            &mut pos,
-            DataType::Int64,
-            0,
-            5000,
-            5000,
-            &mut DecodeScratch::default(),
-        )
-        .unwrap();
-        assert_eq!(back, array);
-        assert_eq!(pos, buf.len());
+        let (paged, _) = written(&array, 512);
+        let (one_page, _) = written(&array, 5000);
+        assert_eq!(paged[0], 10);
+        assert_eq!(decode(&paged, &array, None).unwrap(), (array.clone(), paged.len()));
+        assert_eq!(decode_shared(&paged, &array).unwrap().0, array);
+        let (viewed, used) = decode_shared(&one_page, &array).unwrap();
+        assert_eq!((&viewed, used), (&array, one_page.len()));
+        let Array::Int64(values) = &viewed else { panic!("an Int64 chunk") };
+        let header = page::read_page_header(&one_page, &mut 1, 0).unwrap();
+        assert_eq!(values.is_byte_backed(), header.encoding == Encoding::Plain);
     }
 
     #[test]
@@ -907,36 +875,18 @@ mod tests {
         // header must trip the budget check *before* its payload decodes —
         // this is what stops a many-tiny-page chunk from amplifying the
         // per-page element ceiling.
-        let array = Array::Int64((0..5120).collect());
-        let mut buf = Vec::new();
-        write_chunk(&array, 512, &mut buf).unwrap();
-        let mut pos = 0;
-        let err = read_chunk_batched(
-            &buf,
-            &mut pos,
-            DataType::Int64,
-            0,
-            512,
-            512,
-            &mut DecodeScratch::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ColumnarError::CountMismatch { .. }));
+        let (buf, _) = written(&Array::Int64((0..5120).collect()), 512);
+        let declared = Array::Int64((0..512).collect());
+        for result in [decode(&buf, &declared, None), decode_shared(&buf, &declared)] {
+            assert!(matches!(result, Err(ColumnarError::CountMismatch { .. })));
+        }
     }
 
     #[test]
     fn batched_reader_rejects_absurd_chunk_totals() {
-        let mut pos = 0;
-        let err = read_chunk_batched(
-            &[1, 0, 0],
-            &mut pos,
-            DataType::ListInt64,
-            0,
-            usize::MAX,
-            usize::MAX,
-            &mut DecodeScratch::default(),
-        )
-        .unwrap_err();
+        let (absurd, scratch) = ((usize::MAX, usize::MAX), &mut DecodeScratch::default());
+        let err = read_chunk(&[1, 0, 0], 0, DataType::ListInt64, absurd, None, None, scratch)
+            .unwrap_err();
         assert!(matches!(err, ColumnarError::CorruptFile { .. }));
     }
 
@@ -951,24 +901,15 @@ mod tests {
         Array::from_lists(lists).unwrap()
     }
 
-    fn batched(buf: &[u8], array: &Array) -> Result<Array> {
-        let mut pos = 0;
-        let back = read_chunk_batched(
-            buf,
-            &mut pos,
-            DataType::ListInt64,
-            0,
-            array.len(),
-            array.element_count(),
-            &mut DecodeScratch::default(),
-        )?;
-        assert_eq!(pos, buf.len());
+    /// A full read, which must take all of `buf`.
+    fn whole(buf: &[u8], array: &Array) -> Result<Array> {
+        let (back, used) = decode(buf, array, None)?;
+        assert_eq!(used, buf.len());
         Ok(back)
     }
 
     fn prefix(buf: &[u8], array: &Array, x: usize) -> Result<Array> {
-        let (rows, elements) = (array.len(), array.element_count());
-        read_chunk_prefix(buf, &mut 0, 0, rows, elements, x, &mut DecodeScratch::default())
+        Ok(decode(buf, array, Some(x))?.0)
     }
 
     #[test]
@@ -980,17 +921,14 @@ mod tests {
             {
                 let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
                 let mut buf = Vec::new();
-                let stats = write_chunk_policy(&array, page_rows, &policy, &mut buf).unwrap();
+                let stats = write_chunk(&array, page_rows, &policy, &mut buf).unwrap();
                 let head = stats.head.expect("mean length is past the threshold");
                 assert_eq!(head.k, HEAD_K as u64);
                 assert_eq!(stats.pages, 2 * 50usize.div_ceil(page_rows) as u64);
                 assert_eq!(buf[0], 0, "a split chunk opens with a page count of zero");
-                // Every full-read path puts the two parts back together.
-                assert_eq!(batched(&buf, &array).unwrap(), array, "page_rows {page_rows}");
-                assert_eq!(read_chunk(&buf, &mut 0, DataType::ListInt64).unwrap(), array);
-                let shared = std::sync::Arc::new(buf.clone());
-                let lazy = read_chunk_shared(&shared, 0, buf.len(), DataType::ListInt64).unwrap();
-                assert_eq!(lazy, array);
+                // A full read puts the two parts back together on both routes.
+                assert_eq!(whole(&buf, &array).unwrap(), array, "page_rows {page_rows}");
+                assert_eq!(decode_shared(&buf, &array).unwrap(), (array.clone(), buf.len()));
                 // The page headers say which part is which.
                 let pages = page_summaries(&buf, 0).unwrap();
                 assert_eq!(pages.len() as u64, stats.pages);
@@ -1003,8 +941,9 @@ mod tests {
                 let head_bytes = &buf[..head.head_len as usize];
                 for x in [0, 1, HEAD_K - 1, HEAD_K] {
                     let expect = truncate_lists(array.clone(), x);
-                    assert_eq!(prefix(head_bytes, &array, x).unwrap(), expect, "x {x}");
-                    assert_eq!(prefix(&buf, &array, x).unwrap(), expect, "x {x}, whole chunk");
+                    let read = (expect, head_bytes.len());
+                    assert_eq!(decode(head_bytes, &array, Some(x)).unwrap(), read, "x {x}");
+                    assert_eq!(decode(&buf, &array, Some(x)).unwrap(), read, "x {x}, whole chunk");
                 }
                 assert!(matches!(
                     prefix(&buf, &array, HEAD_K + 1),
@@ -1021,16 +960,15 @@ mod tests {
         let lists: Vec<Vec<i64>> =
             (0..40).map(|r| (0..10_000).map(|j| (r * 31 + j) as i64).collect()).collect();
         let array = Array::from_lists(lists).unwrap();
-        let mut buf = Vec::new();
-        let stats = write_chunk(&array, 4096, &mut buf).unwrap();
+        let (buf, stats) = written(&array, 4096);
         let pages = page_summaries(&buf, 0).unwrap();
         assert_eq!(pages.len() as u64, stats.pages);
         let tails: Vec<_> = pages.iter().filter(|p| p.part == ChunkPart::Tail).collect();
         assert_eq!(pages.len() - tails.len(), 1);
         assert_eq!(tails.iter().map(|p| p.rows).collect::<Vec<_>>(), [7, 7, 7, 7, 7, 5]);
         assert!(tails.iter().all(|p| p.elements == p.rows * (10_000 - HEAD_K)));
-        assert_eq!(batched(&buf, &array).unwrap(), array);
-        assert_eq!(read_chunk(&buf, &mut 0, DataType::ListInt64).unwrap(), array);
+        assert_eq!(whole(&buf, &array).unwrap(), array);
+        assert_eq!(decode_shared(&buf, &array).unwrap().0, array);
     }
 
     #[test]
@@ -1043,21 +981,16 @@ mod tests {
             Array::from_lists(vec![Vec::<i64>::new(); 20]).unwrap(),
             Array::from_lists(Vec::<Vec<i64>>::new()).unwrap(),
         ] {
-            let mut buf = Vec::new();
-            let stats = write_chunk(&array, 4, &mut buf).unwrap();
+            let (buf, stats) = written(&array, 4);
             assert_eq!(stats.head, None);
             assert_ne!(buf[0], 0);
-            assert_eq!(read_chunk(&buf, &mut 0, DataType::ListInt64).unwrap(), array);
+            assert_eq!(whole(&buf, &array).unwrap(), array);
         }
-        // At the threshold it splits — unless the container predates it.
+        // At the threshold it splits.
         let array = Array::from_lists(vec![vec![7i64; SPLIT_MEAN_HEADS * HEAD_K]; 10]).unwrap();
-        let mut buf = Vec::new();
-        assert!(write_chunk(&array, 4, &mut buf).unwrap().head.is_some());
-        let mut legacy = Vec::new();
-        let stats =
-            write_chunk_layout(&array, 4, &WritePolicy::default(), false, &mut legacy).unwrap();
-        assert_eq!((stats.head, stats.pages), (None, 3));
-        assert_eq!(read_chunk(&legacy, &mut 0, DataType::ListInt64).unwrap(), array);
+        let (buf, stats) = written(&array, 4);
+        assert!(stats.head.is_some());
+        assert_eq!(whole(&buf, &array).unwrap(), array);
     }
 
     /// A hand-made head/tail chunk of one page per part: `lengths`, a head
@@ -1082,7 +1015,7 @@ mod tests {
             (u64::MAX, &all[..], &all[..0]),
         ] {
             let buf = crafted(&[3, 0, 2], k, head, tail);
-            assert_eq!(batched(&buf, &array).unwrap(), array, "k {k}");
+            assert_eq!(whole(&buf, &array).unwrap(), array, "k {k}");
             for x in 0..5usize {
                 let got = prefix(&buf, &array, x);
                 if x as u64 <= k {
@@ -1108,11 +1041,8 @@ mod tests {
                 crafted(&[3, 1, 2], 2, &[1, 2, 9, 4, 5], &[3]),
             ),
         ] {
-            assert!(batched(&buf, &array).is_err(), "{what}");
-            // Without footer totals only the chunk's own parts can disagree.
-            if !what.starts_with("lengths") {
-                assert!(read_chunk(&buf, &mut 0, DataType::ListInt64).is_err(), "{what}");
-            }
+            assert!(whole(&buf, &array).is_err(), "{what}");
+            assert!(decode_shared(&buf, &array).is_err(), "{what}");
             if !what.starts_with("tail") {
                 assert!(prefix(&buf, &array, 1).is_err(), "{what}");
             }
@@ -1126,15 +1056,19 @@ mod tests {
         buf.push(2);
         page::write_tail_page(2, &[3], &policy, &mut buf);
         page::write_tail_page(1, &[], &policy, &mut buf);
-        assert!(matches!(batched(&buf, &array), Err(ColumnarError::CorruptFile { .. })));
+        assert!(matches!(whole(&buf, &array), Err(ColumnarError::CorruptFile { .. })));
         let mut buf = vec![0, 1];
         page::write_head_page(&lengths, 2, &[1, 2, 4, 5], &policy, &mut buf);
         buf.push(1);
         page::write_tail_page(4, &[3], &policy, &mut buf);
-        assert!(matches!(batched(&buf, &array), Err(ColumnarError::CountMismatch { .. })));
+        assert!(matches!(whole(&buf, &array), Err(ColumnarError::CountMismatch { .. })));
         // A scalar chunk has no second part to find.
-        assert!(read_chunk(&[0, 1], &mut 0, DataType::Int64).is_err());
-        assert!(read_chunk(&[0, 1], &mut 0, DataType::Float32).is_err());
+        for scalar in [Array::Int64(Buffer::empty()), Array::Float32(Buffer::empty())] {
+            assert!(matches!(
+                decode(&[0, 1], &scalar, None),
+                Err(ColumnarError::CorruptFile { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1151,23 +1085,48 @@ mod tests {
         assert_eq!(buf[k_at], 2);
         for bit in 0..8 {
             buf[k_at] ^= 1 << bit;
-            for result in [batched_unframed(&buf, &array), prefix(&buf, &array, 1)] {
+            for result in [unframed(&buf, &array), prefix(&buf, &array, 1)] {
                 assert!(matches!(result, Err(ColumnarError::ChecksumMismatch { .. })), "bit {bit}");
             }
             buf[k_at] ^= 1 << bit;
         }
-        assert_eq!(batched(&buf, &array).unwrap(), array);
+        assert_eq!(whole(&buf, &array).unwrap(), array);
+    }
+
+    #[test]
+    fn a_page_read_as_another_encoding_is_caught_where_anything_can_tell() {
+        // The header's encoding tag is outside the page checksum. All-distinct
+        // values under the dictionary codec, read as plain deltas: the
+        // stream opens with the dictionary's size — the row count — and its
+        // sorted dictionary decodes as the values; only the index stream
+        // left over after it gives the page away.
+        let array = Array::Int64(vec![5, 3, 9, 1, 7].into());
+        let policy = WritePolicy::default().with_forced_encoding(Encoding::Dictionary);
+        let mut buf = Vec::new();
+        write_chunk(&array, 4096, &policy, &mut buf).unwrap();
+        assert_eq!(whole(&buf, &array).unwrap(), array);
+        assert_eq!(buf[1], Encoding::Dictionary.to_tag());
+        buf[1] = Encoding::Delta.to_tag();
+        assert!(matches!(decode(&buf, &array, None), Err(ColumnarError::CorruptFile { .. })));
+        // A list page names its value encoding in its payload too, and the
+        // two must agree.
+        let lists = Array::from_lists([vec![1i64, 2], vec![3]]).unwrap();
+        let (mut buf, _) = written(&lists, 4096);
+        buf[1] ^= 1;
+        for limit in [None, Some(1)] {
+            let got = decode(&buf, &lists, limit);
+            assert!(matches!(got, Err(ColumnarError::CorruptFile { .. })), "{limit:?}");
+        }
     }
 
     #[test]
     fn a_split_chunk_cut_anywhere_is_an_error_or_the_exact_prefix() {
         let array = long_lists(12);
-        let mut buf = Vec::new();
-        let stats = write_chunk(&array, 5, &mut buf).unwrap();
+        let (buf, stats) = written(&array, 5);
         let head_len = stats.head.unwrap().head_len as usize;
         let expect = truncate_lists(array.clone(), 3);
         for cut in 0..buf.len() {
-            assert!(batched_unframed(&buf[..cut], &array).is_err(), "cut {cut}");
+            assert!(unframed(&buf[..cut], &array).is_err(), "cut {cut}");
             match prefix(&buf[..cut], &array, 3) {
                 Ok(got) => {
                     assert!(cut >= head_len, "cut {cut} inside the head pages decoded");
@@ -1178,12 +1137,10 @@ mod tests {
         }
     }
 
-    /// [`batched`] without its own framing assertion, for inputs that are
+    /// [`whole`] without its own framing assertion, for inputs that are
     /// expected to fail.
-    fn batched_unframed(buf: &[u8], array: &Array) -> Result<Array> {
-        let (rows, elements) = (array.len(), array.element_count());
-        let scratch = &mut DecodeScratch::default();
-        read_chunk_batched(buf, &mut 0, DataType::ListInt64, 0, rows, elements, scratch)
+    fn unframed(buf: &[u8], array: &Array) -> Result<Array> {
+        Ok(decode(buf, array, None)?.0)
     }
 
     #[test]
@@ -1192,26 +1149,18 @@ mod tests {
         // fit, 10..12 do not) must trip the budget before its payload is
         // touched, and nothing may be reserved past what was declared.
         let array = long_lists(12);
-        let mut buf = Vec::new();
-        write_chunk(&array, 5, &mut buf).unwrap();
+        let (buf, _) = written(&array, 5);
         let mut scratch = DecodeScratch::default();
         for (rows, elements) in [(5, array.element_count()), (12, 100)] {
-            let err = read_chunk_batched(
-                &buf,
-                &mut 0,
-                DataType::ListInt64,
-                0,
-                rows,
-                elements,
-                &mut scratch,
-            )
-            .unwrap_err();
-            assert!(matches!(err, ColumnarError::CountMismatch { .. }), "{err}");
-            assert!(scratch.lengths.capacity() <= 64.max(2 * rows), "lengths over-reserved");
-            assert!(scratch.values.capacity() <= 64.max(2 * elements), "heads over-reserved");
-            let err =
-                read_chunk_prefix(&buf, &mut 0, 0, rows, elements, 4, &mut scratch).unwrap_err();
-            assert!(matches!(err, ColumnarError::CountMismatch { .. }), "{err}");
+            for limit in [None, Some(4)] {
+                let totals = (rows, elements);
+                let err =
+                    read_chunk(&buf, 0, DataType::ListInt64, totals, limit, None, &mut scratch)
+                        .unwrap_err();
+                assert!(matches!(err, ColumnarError::CountMismatch { .. }), "{err}");
+                assert!(scratch.lengths.capacity() <= 64.max(2 * rows), "lengths over-reserved");
+                assert!(scratch.values.capacity() <= 64.max(2 * elements), "heads over-reserved");
+            }
         }
     }
 

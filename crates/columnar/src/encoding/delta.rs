@@ -21,7 +21,8 @@ pub fn encode_i64(values: &[i64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a stream produced by [`encode_i64`].
+/// Decodes a stream produced by [`encode_i64`], whose count only the stream
+/// knows (a dictionary), appending to a caller-owned buffer.
 ///
 /// Preallocation is clamped to the bytes remaining in `buf`: every encoded
 /// delta occupies at least one byte, so a corrupt leading count can never
@@ -30,18 +31,6 @@ pub fn encode_i64(values: &[i64], out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Propagates varint decode errors on truncated or corrupt input.
-pub fn decode_i64(buf: &[u8], pos: &mut usize) -> Result<Vec<i64>> {
-    let mut values = Vec::new();
-    decode_i64_appending(buf, pos, &mut values)?;
-    Ok(values)
-}
-
-/// [`decode_i64`] appending to a caller-owned buffer, for streams whose
-/// count only the stream knows (a dictionary). Same clamped reservation.
-///
-/// # Errors
-///
-/// Same as [`decode_i64`].
 pub fn decode_i64_appending(buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> Result<()> {
     let count = varint::read_u64(buf, pos)? as usize;
     if count > super::MAX_PAGE_ELEMENTS {
@@ -53,7 +42,7 @@ pub fn decode_i64_appending(buf: &[u8], pos: &mut usize, out: &mut Vec<i64>) -> 
     decode_values(buf, pos, count, out)
 }
 
-/// Like [`decode_i64`], appending `expected` values to a caller-owned
+/// Like [`decode_i64_appending`], appending `expected` values to a caller-owned
 /// buffer. The stream's own count must equal `expected` (known to the
 /// caller from the page header), checked before any allocation.
 ///
@@ -176,8 +165,9 @@ mod tests {
     fn roundtrip(values: &[i64]) -> usize {
         let mut buf = Vec::new();
         encode_i64(values, &mut buf);
-        let mut pos = 0;
-        assert_eq!(decode_i64(&buf, &mut pos).unwrap(), values);
+        let (mut pos, mut back) = (0, Vec::new());
+        decode_i64_appending(&buf, &mut pos, &mut back).unwrap();
+        assert_eq!(back, values);
         assert_eq!(pos, buf.len());
         buf.len()
     }
@@ -225,8 +215,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_i64(&[1, 2, 3], &mut buf);
         buf.pop();
-        let mut pos = 0;
-        assert!(decode_i64(&buf, &mut pos).is_err());
+        assert!(decode_i64_appending(&buf, &mut 0, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -236,9 +225,9 @@ mod tests {
         // then fails on truncation instead of allocating terabytes.
         let mut buf = Vec::new();
         varint::write_u64(&mut buf, u64::MAX);
-        let mut pos = 0;
-        let err = decode_i64(&buf, &mut pos);
-        assert!(err.is_err());
+        let mut out = Vec::new();
+        assert!(decode_i64_appending(&buf, &mut 0, &mut out).is_err());
+        assert!(out.capacity() <= 64);
     }
 
     #[test]

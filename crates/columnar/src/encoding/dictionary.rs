@@ -27,57 +27,38 @@ pub fn encode_i64(values: &[i64], out: &mut Vec<u8>) {
     rle::encode(&indices, out);
 }
 
-/// Decodes a stream produced by [`encode_i64`].
-///
-/// # Errors
-///
-/// Returns [`ColumnarError::CorruptFile`] when an index exceeds the
-/// dictionary, plus any underlying decode error.
-pub fn decode_i64(buf: &[u8], pos: &mut usize) -> Result<Vec<i64>> {
-    let dict = delta::decode_i64(buf, pos)?;
-    let indices = rle::decode(buf, pos)?;
-    let mut out = Vec::with_capacity(indices.len());
-    lookup_into(&dict, &indices, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`decode_i64`], appending `expected` values into a caller-owned
-/// buffer; the index stream's declared count must equal `expected`.
-///
-/// # Errors
-///
-/// Same as [`decode_i64`], plus [`ColumnarError::CountMismatch`] when the
-/// stream disagrees with `expected`.
-pub fn decode_i64_into(
-    buf: &[u8],
-    pos: &mut usize,
-    expected: usize,
-    out: &mut Vec<i64>,
-) -> Result<()> {
-    // Unlike the other codecs this still allocates the dictionary and index
-    // staging per page — acceptable because dictionary pages sit on the
-    // cold path (low-cardinality label-class columns, small dictionaries),
-    // not the sparse-id streams the batched decode accelerates.
-    let dict = delta::decode_i64(buf, pos)?;
-    let mut indices = Vec::new();
-    rle::decode_into(buf, pos, Some(expected), &mut indices)?;
-    out.reserve(indices.len());
-    lookup_into(&dict, &indices, out)
-}
-
-/// Recycled staging of the ranged dictionary decode: the page's dictionary
-/// and its index stream.
+/// Recycled staging of the dictionary decode: the page's dictionary and
+/// its index stream.
 #[derive(Debug, Default)]
 pub struct DictScratch {
     dict: Vec<i64>,
     indices: Vec<u64>,
 }
 
+/// Decodes a stream produced by [`encode_i64`], appending `expected` values
+/// into a caller-owned buffer; the index stream's declared count must equal
+/// `expected`. Dictionary and indices are staged in `scratch`, so a caller
+/// that recycles it allocates nothing here.
+///
+/// # Errors
+///
+/// Returns [`ColumnarError::CorruptFile`] when an index exceeds the
+/// dictionary and [`ColumnarError::CountMismatch`] when the stream disagrees
+/// with `expected`, plus any underlying decode error.
+pub fn decode_i64_into(
+    buf: &[u8],
+    pos: &mut usize,
+    expected: usize,
+    scratch: &mut DictScratch,
+    out: &mut Vec<i64>,
+) -> Result<()> {
+    decode_i64_ranges(buf, pos, expected, &[(0, expected)], scratch, out)
+}
+
 /// Like [`decode_i64_into`], appending only the elements of `ranges`
 /// (already validated against `expected` by the caller). The dictionary and
 /// the index stream still decode whole — RLE runs have no random access —
-/// but into `scratch`, and only in-range indices are looked up, so a
-/// caller that recycles `scratch` allocates nothing here.
+/// and only in-range indices are looked up.
 ///
 /// # Errors
 ///
@@ -136,8 +117,10 @@ mod tests {
     fn roundtrip(values: &[i64]) -> usize {
         let mut buf = Vec::new();
         encode_i64(values, &mut buf);
-        let mut pos = 0;
-        assert_eq!(decode_i64(&buf, &mut pos).unwrap(), values);
+        let (mut pos, mut back) = (0, Vec::new());
+        decode_i64_into(&buf, &mut pos, values.len(), &mut DictScratch::default(), &mut back)
+            .unwrap();
+        assert_eq!(back, values);
         assert_eq!(pos, buf.len());
         buf.len()
     }
@@ -177,8 +160,9 @@ mod tests {
         // Dictionary with one entry, then hand-craft an index stream with 7.
         delta::encode_i64(&[10], &mut buf);
         rle::encode(&[7], &mut buf);
-        let mut pos = 0;
-        assert!(matches!(decode_i64(&buf, &mut pos), Err(ColumnarError::CorruptFile { .. })));
+        let decoded =
+            decode_i64_into(&buf, &mut 0, 1, &mut DictScratch::default(), &mut Vec::new());
+        assert!(matches!(decoded, Err(ColumnarError::CorruptFile { .. })));
     }
 
     #[test]

@@ -235,32 +235,16 @@ pub fn encode_i64(encoding: Encoding, values: &[i64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes `count` integers written by [`encode_i64`].
+/// Decodes `count` integers written by [`encode_i64`], appending to a
+/// caller-owned buffer. Every encoding validates `count` against its own
+/// stream metadata *before* decoding (and clamps any preallocation to what
+/// the remaining input could hold), so corrupt counts surface as errors
+/// instead of oversized reservations.
 ///
 /// # Errors
 ///
 /// Propagates decode errors; returns [`ColumnarError::CountMismatch`] when the
 /// self-describing encodings disagree with `count`.
-pub fn decode_i64(
-    encoding: Encoding,
-    buf: &[u8],
-    pos: &mut usize,
-    count: usize,
-) -> Result<Vec<i64>> {
-    let mut values = Vec::new();
-    decode_i64_into(encoding, buf, pos, count, &mut values)?;
-    Ok(values)
-}
-
-/// Decodes `count` integers written by [`encode_i64`], appending to a
-/// caller-owned buffer — the batched Extract path. Every encoding validates
-/// `count` against its own stream metadata *before* decoding (and clamps
-/// any preallocation to what the remaining input could hold), so corrupt
-/// counts surface as errors instead of oversized reservations.
-///
-/// # Errors
-///
-/// Same as [`decode_i64`].
 pub fn decode_i64_into(
     encoding: Encoding,
     buf: &[u8],
@@ -268,11 +252,29 @@ pub fn decode_i64_into(
     count: usize,
     out: &mut Vec<i64>,
 ) -> Result<()> {
+    decode_i64_with(encoding, buf, pos, count, &mut dictionary::DictScratch::default(), out)
+}
+
+/// [`decode_i64_into`] staging a dictionary page's dictionary and indices in
+/// the caller's recycled `dict` — what the chunk decoder calls, so that a
+/// warm read allocates its outputs and nothing else under every encoding.
+///
+/// # Errors
+///
+/// Same as [`decode_i64_into`].
+pub fn decode_i64_with(
+    encoding: Encoding,
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    dict: &mut dictionary::DictScratch,
+    out: &mut Vec<i64>,
+) -> Result<()> {
     let base = out.len();
     match encoding {
         Encoding::Plain => plain::decode_i64_into(buf, pos, count, out)?,
         Encoding::Delta => delta::decode_i64_into(buf, pos, count, out)?,
-        Encoding::Dictionary => dictionary::decode_i64_into(buf, pos, count, out)?,
+        Encoding::Dictionary => dictionary::decode_i64_into(buf, pos, count, dict, out)?,
         Encoding::DeltaBitpack => block::decode_i64_into(buf, pos, count, out)?,
     }
     debug_assert_eq!(out.len() - base, count);
@@ -425,8 +427,9 @@ mod tests {
         for e in [Encoding::Plain, Encoding::Delta, Encoding::Dictionary, Encoding::DeltaBitpack] {
             let mut buf = Vec::new();
             encode_i64(e, &values, &mut buf);
-            let mut pos = 0;
-            assert_eq!(decode_i64(e, &buf, &mut pos, values.len()).unwrap(), values, "{e}");
+            let mut back = Vec::new();
+            decode_i64_into(e, &buf, &mut 0, values.len(), &mut back).unwrap();
+            assert_eq!(back, values, "{e}");
         }
     }
 
@@ -434,9 +437,8 @@ mod tests {
     fn count_mismatch_detected() {
         let mut buf = Vec::new();
         encode_i64(Encoding::Delta, &[1, 2, 3], &mut buf);
-        let mut pos = 0;
         assert!(matches!(
-            decode_i64(Encoding::Delta, &buf, &mut pos, 4),
+            decode_i64_into(Encoding::Delta, &buf, &mut 0, 4, &mut Vec::new()),
             Err(ColumnarError::CountMismatch { .. })
         ));
     }

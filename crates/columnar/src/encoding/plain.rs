@@ -29,41 +29,72 @@ pub fn encode_f64(values: &[f64], out: &mut Vec<u8>) {
     }
 }
 
-/// Reads `count` little-endian `i64`s from `buf` at `*pos`.
+/// Appends the `count` fixed-width little-endian values at `*pos` to `out`.
+/// The bounds check precedes the reservation, so a corrupt count cannot
+/// over-reserve.
+fn decode_le<T, const W: usize>(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    context: &'static str,
+    from_le_bytes: impl Fn([u8; W]) -> T,
+    out: &mut Vec<T>,
+) -> Result<()> {
+    let end = count
+        .checked_mul(W)
+        .and_then(|need| pos.checked_add(need))
+        .filter(|&e| e <= buf.len())
+        .ok_or(ColumnarError::UnexpectedEof { context })?;
+    out.reserve(count);
+    out.extend(buf[*pos..end].chunks_exact(W).map(|c| from_le_bytes(c.try_into().expect("chunk"))));
+    *pos = end;
+    Ok(())
+}
+
+/// Appends `count` little-endian `i64`s read from `buf` at `*pos` to a
+/// caller-owned buffer.
 ///
 /// # Errors
 ///
 /// Returns [`ColumnarError::UnexpectedEof`] if fewer than `count * 8` bytes
 /// remain.
-pub fn decode_i64(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<i64>> {
-    let mut values = Vec::new();
-    decode_i64_into(buf, pos, count, &mut values)?;
-    Ok(values)
-}
-
-/// Like [`decode_i64`], appending into a caller-owned buffer. The bounds
-/// check precedes the reservation, so a corrupt count cannot over-reserve.
-///
-/// # Errors
-///
-/// Same as [`decode_i64`].
 pub fn decode_i64_into(
     buf: &[u8],
     pos: &mut usize,
     count: usize,
     out: &mut Vec<i64>,
 ) -> Result<()> {
-    let end = count
-        .checked_mul(8)
-        .and_then(|need| pos.checked_add(need))
-        .filter(|&e| e <= buf.len())
-        .ok_or(ColumnarError::UnexpectedEof { context: "plain i64" })?;
-    out.reserve(count);
-    out.extend(
-        buf[*pos..end].chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().expect("chunk"))),
-    );
-    *pos = end;
-    Ok(())
+    decode_le(buf, pos, count, "plain i64", i64::from_le_bytes, out)
+}
+
+/// Like [`decode_i64_into`] for little-endian IEEE-754 `f32`s.
+///
+/// # Errors
+///
+/// Returns [`ColumnarError::UnexpectedEof`] if fewer than `count * 4` bytes
+/// remain.
+pub fn decode_f32_into(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    out: &mut Vec<f32>,
+) -> Result<()> {
+    decode_le(buf, pos, count, "plain f32", f32::from_le_bytes, out)
+}
+
+/// Like [`decode_i64_into`] for little-endian IEEE-754 `f64`s.
+///
+/// # Errors
+///
+/// Returns [`ColumnarError::UnexpectedEof`] if fewer than `count * 8` bytes
+/// remain.
+pub fn decode_f64_into(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    decode_le(buf, pos, count, "plain f64", f64::from_le_bytes, out)
 }
 
 /// Like [`decode_i64_into`], but materializing only the elements covered by
@@ -102,49 +133,20 @@ pub fn decode_i64_ranges(
     Ok(())
 }
 
-/// Reads `count` little-endian `f32`s from `buf` at `*pos`.
-///
-/// # Errors
-///
-/// Returns [`ColumnarError::UnexpectedEof`] if fewer than `count * 4` bytes
-/// remain.
-pub fn decode_f32(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<f32>> {
-    let end = count
-        .checked_mul(4)
-        .and_then(|need| pos.checked_add(need))
-        .filter(|&e| e <= buf.len())
-        .ok_or(ColumnarError::UnexpectedEof { context: "plain f32" })?;
-    let values = buf[*pos..end]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect();
-    *pos = end;
-    Ok(values)
-}
-
-/// Reads `count` little-endian `f64`s from `buf` at `*pos`.
-///
-/// # Errors
-///
-/// Returns [`ColumnarError::UnexpectedEof`] if fewer than `count * 8` bytes
-/// remain.
-pub fn decode_f64(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<f64>> {
-    let end = count
-        .checked_mul(8)
-        .and_then(|need| pos.checked_add(need))
-        .filter(|&e| e <= buf.len())
-        .ok_or(ColumnarError::UnexpectedEof { context: "plain f64" })?;
-    let values = buf[*pos..end]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect();
-    *pos = end;
-    Ok(values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What one of the `decode_*_into` functions appends to an empty buffer.
+    fn decoded<T>(
+        decode: fn(&[u8], &mut usize, usize, &mut Vec<T>) -> Result<()>,
+        buf: &[u8],
+        pos: &mut usize,
+        count: usize,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::new();
+        decode(buf, pos, count, &mut out).map(|()| out)
+    }
 
     #[test]
     fn i64_roundtrip() {
@@ -152,8 +154,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_i64(&values, &mut buf);
         assert_eq!(buf.len(), values.len() * 8);
-        let mut pos = 0;
-        assert_eq!(decode_i64(&buf, &mut pos, values.len()).unwrap(), values);
+        assert_eq!(decoded(decode_i64_into, &buf, &mut 0, values.len()).unwrap(), values);
     }
 
     #[test]
@@ -161,8 +162,7 @@ mod tests {
         let values = [0.0f32, -0.0, 1.5, f32::INFINITY, f32::MIN_POSITIVE];
         let mut buf = Vec::new();
         encode_f32(&values, &mut buf);
-        let mut pos = 0;
-        let back = decode_f32(&buf, &mut pos, values.len()).unwrap();
+        let back = decoded(decode_f32_into, &buf, &mut 0, values.len()).unwrap();
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -173,8 +173,7 @@ mod tests {
         let values = [f32::NAN];
         let mut buf = Vec::new();
         encode_f32(&values, &mut buf);
-        let mut pos = 0;
-        let back = decode_f32(&buf, &mut pos, 1).unwrap();
+        let back = decoded(decode_f32_into, &buf, &mut 0, 1).unwrap();
         assert_eq!(values[0].to_bits(), back[0].to_bits());
     }
 
@@ -183,18 +182,15 @@ mod tests {
         let values = [std::f64::consts::PI, -1e300, 0.0];
         let mut buf = Vec::new();
         encode_f64(&values, &mut buf);
-        let mut pos = 0;
-        assert_eq!(decode_f64(&buf, &mut pos, 3).unwrap(), values);
+        assert_eq!(decoded(decode_f64_into, &buf, &mut 0, 3).unwrap(), values);
     }
 
     #[test]
     fn short_buffer_errors() {
         let mut buf = Vec::new();
         encode_i64(&[1, 2], &mut buf);
-        let mut pos = 0;
-        assert!(decode_i64(&buf, &mut pos, 3).is_err());
-        let mut pos = 0;
-        assert!(decode_f32(&buf[..3], &mut pos, 1).is_err());
+        assert!(decoded(decode_i64_into, &buf, &mut 0, 3).is_err());
+        assert!(decoded(decode_f32_into, &buf[..3], &mut 0, 1).is_err());
     }
 
     #[test]
@@ -203,8 +199,8 @@ mod tests {
         encode_i64(&[10, 20], &mut buf);
         encode_f32(&[1.0], &mut buf);
         let mut pos = 0;
-        assert_eq!(decode_i64(&buf, &mut pos, 2).unwrap(), vec![10, 20]);
-        assert_eq!(decode_f32(&buf, &mut pos, 1).unwrap(), vec![1.0]);
+        assert_eq!(decoded(decode_i64_into, &buf, &mut pos, 2).unwrap(), vec![10, 20]);
+        assert_eq!(decoded(decode_f32_into, &buf, &mut pos, 1).unwrap(), vec![1.0]);
         assert_eq!(pos, buf.len());
     }
 }

@@ -67,24 +67,12 @@ fn write_rle_run(value: u64, len: usize, width: u32, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a stream produced by [`encode`].
+/// Decodes a stream produced by [`encode`], appending into a caller-owned
+/// buffer.
 ///
 /// Preallocation is clamped to what the remaining input could describe
 /// (at most 8 values per byte once the run framing is paid), so a corrupt
 /// count cannot force an oversized reservation.
-///
-/// # Errors
-///
-/// Returns [`ColumnarError::UnexpectedEof`] on truncated input and
-/// [`ColumnarError::CountMismatch`] when the run headers disagree with the
-/// declared value count.
-pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Vec<u64>> {
-    let mut values = Vec::new();
-    decode_into(buf, pos, None, &mut values)?;
-    Ok(values)
-}
-
-/// Like [`decode`], appending into a caller-owned buffer.
 ///
 /// With `expected = Some(n)` the stream's declared count must equal `n`
 /// (checked before any allocation) — the page reader passes its row count
@@ -92,8 +80,9 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Vec<u64>> {
 ///
 /// # Errors
 ///
-/// Same as [`decode`], plus [`ColumnarError::CountMismatch`] when the
-/// declared count disagrees with `expected`.
+/// Returns [`ColumnarError::UnexpectedEof`] on truncated input and
+/// [`ColumnarError::CountMismatch`] when the run headers disagree with the
+/// declared value count, or the declared count with `expected`.
 pub fn decode_into(
     buf: &[u8],
     pos: &mut usize,
@@ -132,8 +121,8 @@ pub fn decode_into(
     decode_runs(buf, pos, width, count, base, values)
 }
 
-/// Run-decoding core shared by [`decode`] and [`decode_into`]; `base` is
-/// the output length before this stream's values.
+/// Run-decoding core of [`decode_into`]; `base` is the output length before
+/// this stream's values.
 fn decode_runs(
     buf: &[u8],
     pos: &mut usize,
@@ -182,8 +171,8 @@ mod tests {
     fn roundtrip(values: &[u64]) -> usize {
         let mut buf = Vec::new();
         encode(values, &mut buf);
-        let mut pos = 0;
-        let back = decode(&buf, &mut pos).unwrap();
+        let (mut pos, mut back) = (0, Vec::new());
+        decode_into(&buf, &mut pos, None, &mut back).unwrap();
         assert_eq!(back, values);
         assert_eq!(pos, buf.len());
         buf.len()
@@ -235,8 +224,8 @@ mod tests {
         let mut buf = Vec::new();
         encode(&[1, 2, 3, 4, 5, 5, 5, 5, 5, 5], &mut buf);
         for cut in 1..buf.len() {
-            let mut pos = 0;
-            assert!(decode(&buf[..cut], &mut pos).is_err(), "cut at {cut} decoded");
+            let cut_off = decode_into(&buf[..cut], &mut 0, None, &mut Vec::new());
+            assert!(cut_off.is_err(), "cut at {cut} decoded");
         }
     }
 
@@ -264,8 +253,10 @@ mod tests {
         let mut bomb = vec![0u8]; // width 0
         varint::write_u64(&mut bomb, 1u64 << 40); // count
         varint::write_u64(&mut bomb, (1u64 << 40) << 1); // one RLE run
-        let mut pos = 0;
-        assert!(matches!(decode(&bomb, &mut pos), Err(ColumnarError::CorruptFile { .. })));
+        assert!(matches!(
+            decode_into(&bomb, &mut 0, None, &mut Vec::new()),
+            Err(ColumnarError::CorruptFile { .. })
+        ));
         // With a caller-expected count the mismatch fires first.
         let mut out = Vec::new();
         let mut pos = 0;

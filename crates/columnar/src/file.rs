@@ -57,6 +57,25 @@
 //! which is the selective-extraction property the PreSto paper's Extract
 //! phase depends on (Section II-B).
 //!
+//! # Reading
+//!
+//! There is one chunk read, [`FileReader::read_column_limit_with`]: fetch
+//! the [`ChunkMeta::read_len`] bytes of one column chunk, decode them with
+//! [`column::read_chunk`] against the footer's row and element counts for
+//! that group, and require that the pages end exactly where the footer says
+//! the bytes do and hold the group's rows. It takes the two things a caller
+//! can bring — an element limit (below) and a [`ReadScratch`] to stage and
+//! decode in — and every other read method is a loop over it, kept because
+//! callers outside the crate use it: [`FileReader::read_projected_with`] and
+//! [`FileReader::read_projected_limits_with`] (`presto-ops`' Extract: columns
+//! by name, the worker's scratch, the plan's limits),
+//! [`FileReader::read_row_group`], [`FileReader::read_projected`] and
+//! [`FileReader::read_column`] (tools, examples and tests: they bring one
+//! scratch of their own per call). What the decoder does with the bytes —
+//! zero-copy views over a shared blob, one exactly-sized output otherwise —
+//! it decides itself; see [`crate::column`]. Files of all three magics go
+//! through the same read: the version only selects the footer's stats layout.
+//!
 //! # Prefix pushdown
 //!
 //! [`FileReader::read_projected_limits_with`] /
@@ -109,7 +128,7 @@ use crate::column;
 use crate::compress::Compression;
 use crate::encoding::varint;
 use crate::error::{ColumnarError, Result};
-use crate::io::{BlobRead, DecodeScratch};
+use crate::io::{BlobRead, ReadScratch};
 use crate::page::DEFAULT_PAGE_ROWS;
 use crate::schema::{DataType, Field, Schema, WritePolicy};
 use crate::stats::ColumnStats;
@@ -125,8 +144,9 @@ pub const MAGIC_V3: &[u8; 8] = b"PSTOCOL3";
 /// delta-bitpacked page encoding).
 pub const MAGIC_V2: &[u8; 8] = b"PSTOCOL2";
 
-/// Container format versions this crate can read (and, for fixtures and
-/// compatibility tests, write — see [`FileWriter::with_format_version`]).
+/// Container format versions this crate can read. It writes the newest
+/// only; the older two live on as checked-in fixtures
+/// (`tests/data/v{2,3}_rm1_200rows_seed42.pstocol`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FormatVersion {
     /// `PSTOCOL2`: aligned page payloads, legacy footer stats.
@@ -139,16 +159,6 @@ pub enum FormatVersion {
 }
 
 impl FormatVersion {
-    /// The magic bytes written at both ends of a file of this version.
-    #[must_use]
-    pub fn magic(self) -> &'static [u8; 8] {
-        match self {
-            FormatVersion::V2 => MAGIC_V2,
-            FormatVersion::V3 => MAGIC_V3,
-            FormatVersion::V4 => MAGIC,
-        }
-    }
-
     /// Resolves magic bytes to a version; `None` for unknown magics.
     #[must_use]
     pub fn from_magic(magic: &[u8]) -> Option<Self> {
@@ -249,7 +259,7 @@ impl FileMeta {
         candidate
     }
 
-    fn write(&self, out: &mut Vec<u8>, version: FormatVersion) {
+    fn write(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.schema.len() as u64);
         for field in self.schema.fields() {
             varint::write_u64(out, field.name().len() as u64);
@@ -262,11 +272,7 @@ impl FileMeta {
             for chunk in &rg.columns {
                 varint::write_u64(out, chunk.offset);
                 varint::write_u64(out, chunk.byte_len);
-                if version.v4_stats() {
-                    chunk.stats.write(out);
-                } else {
-                    chunk.stats.write_legacy(out);
-                }
+                chunk.stats.write(out);
             }
         }
     }
@@ -352,8 +358,7 @@ fn read_count(buf: &[u8], pos: &mut usize, min_bytes: usize, what: &str) -> Resu
 /// and neither it nor the 32 can be set: a file's bytes are a function of
 /// the batch, the page and group sizes and the [`WritePolicy`] alone, the
 /// readers take both numbers from the file, and there is no second layout
-/// for anyone to forget to test. Legacy container versions
-/// ([`FileWriter::with_format_version`]) predate the layout and never use it.
+/// for anyone to forget to test.
 ///
 /// # Examples
 ///
@@ -378,7 +383,6 @@ pub struct FileWriter {
     schema: Schema,
     page_rows: usize,
     group_rows: Option<usize>,
-    version: FormatVersion,
     policy: WritePolicy,
     buf: Vec<u8>,
     row_groups: Vec<RowGroupMeta>,
@@ -404,7 +408,6 @@ impl FileWriter {
             schema,
             page_rows: page_rows.max(1),
             group_rows: None,
-            version: FormatVersion::V4,
             policy: WritePolicy::from_env(),
             buf,
             row_groups: Vec::new(),
@@ -427,19 +430,6 @@ impl FileWriter {
         self
     }
 
-    /// Writes an older container version (magic + legacy footer stats
-    /// layout) — for compatibility fixtures and cross-version tests. Note
-    /// the page encodings are still chosen by the active [`WritePolicy`],
-    /// so a faithful [`FormatVersion::V2`] file also needs a policy that
-    /// avoids the delta-bitpack encoding v2 predates.
-    #[must_use]
-    pub fn with_format_version(mut self, version: FormatVersion) -> Self {
-        self.version = version;
-        // The leading magic is always bytes 0..8, already emitted.
-        self.buf[0..8].copy_from_slice(version.magic());
-        self
-    }
-
     /// Enables per-page payload compression for subsequently written row
     /// groups. Hot column types (sparse ids, integer labels/offsets) keep
     /// skipping compression so they stay lazy-decodable — the
@@ -456,18 +446,6 @@ impl FileWriter {
     pub fn with_policy(mut self, policy: WritePolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The active per-column write policy.
-    #[must_use]
-    pub fn policy(&self) -> &WritePolicy {
-        &self.policy
-    }
-
-    /// The schema this writer enforces.
-    #[must_use]
-    pub fn schema(&self) -> &Schema {
-        &self.schema
     }
 
     /// Appends one row group; `columns` must match the schema in count,
@@ -507,14 +485,7 @@ impl FileWriter {
         let mut metas = Vec::with_capacity(columns.len());
         for col in columns {
             let offset = self.buf.len() as u64;
-            // Legacy containers predate the head/tail layout.
-            let stats = column::write_chunk_layout(
-                col,
-                self.page_rows,
-                &self.policy,
-                self.version.v4_stats(),
-                &mut self.buf,
-            )?;
+            let stats = column::write_chunk(col, self.page_rows, &self.policy, &mut self.buf)?;
             let byte_len = self.buf.len() as u64 - offset;
             metas.push(ChunkMeta { offset, byte_len, stats });
         }
@@ -565,24 +536,18 @@ impl FileWriter {
         Ok(())
     }
 
-    /// The container version this writer emits.
-    #[must_use]
-    pub fn format_version(&self) -> FormatVersion {
-        self.version
-    }
-
     /// Finalizes the file and returns its bytes.
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
         let meta = FileMeta { schema: self.schema.clone(), row_groups: self.row_groups.clone() };
         let mut footer = Vec::new();
-        meta.write(&mut footer, self.version);
+        meta.write(&mut footer);
         let footer_crc = crc32(&footer);
         let footer_len = footer.len() as u32;
         self.buf.extend_from_slice(&footer);
         self.buf.extend_from_slice(&footer_crc.to_le_bytes());
         self.buf.extend_from_slice(&footer_len.to_le_bytes());
-        self.buf.extend_from_slice(self.version.magic());
+        self.buf.extend_from_slice(MAGIC);
         self.buf
     }
 }
@@ -659,14 +624,14 @@ impl<B: BlobRead> FileReader<B> {
         self.meta.row_groups.len()
     }
 
-    /// Reads one column of one row group with a single ranged read.
+    /// Reads one column of one row group in full, with a single ranged read.
     ///
     /// # Errors
     ///
     /// Returns [`ColumnarError::UnknownColumn`] for bad indices plus any
     /// decode error.
     pub fn read_column(&self, row_group: usize, column: usize) -> Result<Array> {
-        self.read_column_with(row_group, column, &mut crate::io::ReadScratch::new())
+        self.read_column_limit_with(row_group, column, None, &mut ReadScratch::new())
     }
 
     /// The footer's entry for one chunk, with its group and column type.
@@ -686,96 +651,87 @@ impl<B: BlobRead> FileReader<B> {
         Ok((rg, chunk, field.data_type()))
     }
 
-    /// The `len` bytes at `offset` for a decoder that copies what it keeps:
-    /// borrowed from storage memory when the backend exposes it
-    /// ([`BlobRead::as_slice`]), otherwise fetched with one positioned read
-    /// into the scratch's recycled buffer. Either way the scratch's decode
-    /// intermediates come along as a disjoint borrow.
-    fn stage<'a>(
-        &'a self,
-        offset: u64,
-        len: usize,
-        scratch: &'a mut crate::io::ReadScratch,
-    ) -> Result<(&'a [u8], &'a mut DecodeScratch)> {
-        let Some(all) = self.blob.as_slice() else {
-            return scratch.read_split(&self.blob, offset, len);
-        };
-        let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-            detail: format!("chunk offset {offset} out of addressable range"),
-        })?;
-        // checked_add: corrupt metadata must surface as Err, not an
-        // overflow panic.
-        let bytes = start
-            .checked_add(len)
-            .and_then(|end| all.get(start..end))
-            .ok_or(ColumnarError::UnexpectedEof { context: "column chunk range" })?;
-        Ok((bytes, scratch.decode_parts()))
-    }
-
-    /// Like [`FileReader::read_column`], staging the chunk bytes in a
-    /// caller-provided [`crate::ReadScratch`] — the zero-copy Extract path.
+    /// The one chunk read, of which every other read method is a loop: the
+    /// [`ChunkMeta::read_len`] bytes of one column chunk, decoded by
+    /// [`column::read_chunk`] against the footer's row and element counts
+    /// for that group, which must end exactly where the footer says the
+    /// bytes do and hold the group's rows.
     ///
-    /// When the backend can expose its bytes directly
-    /// ([`BlobRead::as_slice`]), the chunk is decoded straight from storage
-    /// memory and the scratch is not touched at all; otherwise the chunk is
-    /// read into the scratch's recycled buffer. Either way, a caller that
-    /// reuses one scratch across columns and partitions performs no
-    /// per-chunk staging allocation.
+    /// The bytes are borrowed from storage memory when the backend exposes
+    /// it ([`BlobRead::as_shared`], under which aligned plain pages come
+    /// back as views of it, or [`BlobRead::as_slice`]) and the scratch's
+    /// staging buffer is then not touched; otherwise they are fetched with
+    /// one positioned read into that recycled buffer. Either way a caller
+    /// that reuses one [`ReadScratch`] across columns and partitions stages
+    /// and decodes without allocating anything but the returned array.
+    ///
+    /// `limit` is the prefix pushdown (see the module docs): `Some(x)` on a
+    /// list column materializes only the first `x` elements of every list,
+    /// and the offsets of the returned array already reflect the truncation;
+    /// `None` — or any limit on a scalar column — reads the column in full.
     ///
     /// # Errors
     ///
-    /// Same as [`FileReader::read_column`].
-    pub fn read_column_with(
+    /// Returns [`ColumnarError::UnknownColumn`] for bad indices,
+    /// [`ColumnarError::CorruptFile`] when the chunk's pages do not fill the
+    /// byte range the footer gives them, [`ColumnarError::CountMismatch`]
+    /// when they do not hold the group's rows, plus any storage or decode
+    /// error.
+    pub fn read_column_limit_with(
         &self,
         row_group: usize,
         column: usize,
-        scratch: &mut crate::io::ReadScratch,
+        limit: Option<usize>,
+        scratch: &mut ReadScratch,
     ) -> Result<Array> {
         let (rg, chunk, data_type) = self.chunk(row_group, column)?;
-        let (offset, len) = (chunk.offset, chunk.byte_len as usize);
-        // Footer stats size the batched decoder's outputs exactly.
-        let rows = usize::try_from(rg.rows).unwrap_or(usize::MAX);
-        let elements = usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX);
-        let batchable = matches!(data_type, DataType::Int64 | DataType::ListInt64);
-        // Lazy decode: when the blob shares its allocation, aligned plain
-        // pages are returned as views over the stored bytes — no staging
-        // and no value copy (see `column::read_chunk_shared`). Multi-page
-        // integer chunks cannot stay lazy (concat copies anyway) and a
-        // head/tail chunk (page count 0) has to be put back together, so
-        // they take the batched single-output-buffer decode instead.
-        let lazy = self.blob.as_shared().filter(|shared| {
-            let start = usize::try_from(offset).unwrap_or(usize::MAX);
-            !batchable || matches!(column::peek_page_count(shared, start), Ok(1))
-        });
-        let array = if let Some(shared) = lazy {
-            column::read_chunk_shared(&shared, offset, len, data_type)?
-        } else {
-            let (bytes, decode) = self.stage(offset, len, scratch)?;
-            let mut pos = 0usize;
-            if batchable {
-                column::read_chunk_batched(
-                    bytes, &mut pos, data_type, offset, rows, elements, decode,
-                )?
-            } else {
-                column::read_chunk_at(bytes, &mut pos, data_type, offset)?
+        let limit = limit.filter(|_| data_type == DataType::ListInt64);
+        // Deeper than the head pages reach: both parts, then cut.
+        let deep = limit.filter(|&x| chunk.stats.head.is_some_and(|head| x as u64 > head.k));
+        let len = usize::try_from(chunk.read_len(limit)).unwrap_or(usize::MAX);
+        // Corrupt metadata must surface as Err — not as an overflow panic, and
+        // not after a staging buffer has been sized by it.
+        let past_the_blob = ColumnarError::UnexpectedEof { context: "column chunk range" };
+        if chunk.offset.checked_add(len as u64).is_none_or(|end| end > self.blob.blob_len()) {
+            return Err(past_the_blob);
+        }
+        let shared = self.blob.as_shared();
+        let memory = shared.as_deref().map(Vec::as_slice).or_else(|| self.blob.as_slice());
+        let (bytes, decode) = match memory {
+            None => scratch.read_split(&self.blob, chunk.offset, len)?,
+            Some(all) => {
+                let start = chunk.offset as usize;
+                (all.get(start..start + len).ok_or(past_the_blob)?, scratch.decode_parts())
             }
         };
+        let totals = (
+            usize::try_from(rg.rows).unwrap_or(usize::MAX),
+            usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX),
+        );
+        let (array, used) = column::read_chunk(
+            bytes,
+            chunk.offset,
+            data_type,
+            totals,
+            if deep.is_some() { None } else { limit },
+            shared.as_ref(),
+            decode,
+        )?;
+        if used != bytes.len() {
+            return Err(ColumnarError::CorruptFile {
+                detail: format!("chunk's pages end at byte {used}, the footer says {len}"),
+            });
+        }
         if array.len() as u64 != rg.rows {
             return Err(ColumnarError::CountMismatch {
                 declared: rg.rows as usize,
                 actual: array.len(),
             });
         }
-        Ok(array)
-    }
-
-    /// Reads several columns by index (the projection path).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileReader::read_column`].
-    pub fn read_columns(&self, row_group: usize, columns: &[usize]) -> Result<Vec<Array>> {
-        columns.iter().map(|&c| self.read_column(row_group, c)).collect()
+        Ok(match deep {
+            Some(x) => column::truncate_lists(array, x),
+            None => array,
+        })
     }
 
     /// Reads several columns by name.
@@ -785,12 +741,11 @@ impl<B: BlobRead> FileReader<B> {
     /// Returns [`ColumnarError::UnknownColumn`] for unknown names plus any
     /// decode error.
     pub fn read_projected(&self, row_group: usize, names: &[&str]) -> Result<Vec<Array>> {
-        let idx = self.meta.schema.project(names)?;
-        self.read_columns(row_group, &idx)
+        self.read_projected_with(row_group, names, &mut ReadScratch::new())
     }
 
-    /// Like [`FileReader::read_projected`], reusing a [`crate::ReadScratch`]
-    /// for every chunk read (see [`FileReader::read_column_with`]).
+    /// Like [`FileReader::read_projected`], reusing a [`ReadScratch`] for
+    /// every chunk read (see [`FileReader::read_column_limit_with`]).
     ///
     /// # Errors
     ///
@@ -799,10 +754,10 @@ impl<B: BlobRead> FileReader<B> {
         &self,
         row_group: usize,
         names: &[&str],
-        scratch: &mut crate::io::ReadScratch,
+        scratch: &mut ReadScratch,
     ) -> Result<Vec<Array>> {
         let idx = self.meta.schema.project(names)?;
-        idx.iter().map(|&c| self.read_column_with(row_group, c, scratch)).collect()
+        idx.iter().map(|&c| self.read_column_limit_with(row_group, c, None, scratch)).collect()
     }
 
     /// Like [`FileReader::read_projected_with`], honoring a per-column
@@ -821,7 +776,7 @@ impl<B: BlobRead> FileReader<B> {
         row_group: usize,
         names: &[&str],
         limits: &[Option<usize>],
-        scratch: &mut crate::io::ReadScratch,
+        scratch: &mut ReadScratch,
     ) -> Result<Vec<Array>> {
         if limits.len() != names.len() {
             return Err(ColumnarError::CountMismatch {
@@ -836,76 +791,16 @@ impl<B: BlobRead> FileReader<B> {
             .collect()
     }
 
-    /// Prefix-pushdown single-column read: like
-    /// [`FileReader::read_column_with`], but when `limit` is `Some(x)` and
-    /// the column is a list column, only the first `x` elements of every
-    /// list are materialized (offsets in the returned array already reflect
-    /// the truncation). `None` — or a non-list column — delegates to the
-    /// full read unchanged. Either way the chunk costs one ranged read, of
-    /// [`ChunkMeta::read_len`] bytes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileReader::read_column_with`].
-    pub fn read_column_limit_with(
-        &self,
-        row_group: usize,
-        column: usize,
-        limit: Option<usize>,
-        scratch: &mut crate::io::ReadScratch,
-    ) -> Result<Array> {
-        let Some(prefix) = limit else {
-            return self.read_column_with(row_group, column, scratch);
-        };
-        let (rg, chunk, data_type) = self.chunk(row_group, column)?;
-        if data_type != DataType::ListInt64 {
-            return self.read_column_with(row_group, column, scratch);
-        }
-        let head = chunk.stats.head;
-        if head.is_some_and(|head| prefix as u64 > head.k) {
-            // Deeper than the head pages reach: both parts, then cut.
-            let full = self.read_column_with(row_group, column, scratch)?;
-            return Ok(column::truncate_lists(full, prefix));
-        }
-        let len = chunk.read_len(limit);
-        let rows = usize::try_from(rg.rows).unwrap_or(usize::MAX);
-        let elements = usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX);
-        // The prefix decode always gathers into a fresh compact buffer, so
-        // the lazy zero-copy path never applies: every blob flavor decodes
-        // the raw bytes — of the whole chunk, or of its head pages alone.
-        let (bytes, decode) = self.stage(chunk.offset, len as usize, scratch)?;
-        let mut pos = 0usize;
-        let array = column::read_chunk_prefix(
-            bytes,
-            &mut pos,
-            chunk.offset,
-            rows,
-            elements,
-            prefix,
-            decode,
-        )?;
-        if head.is_some() && pos != bytes.len() {
-            return Err(ColumnarError::CorruptFile {
-                detail: format!("head pages end at byte {pos}, the footer says {len}"),
-            });
-        }
-        if array.len() as u64 != rg.rows {
-            return Err(ColumnarError::CountMismatch {
-                declared: rg.rows as usize,
-                actual: array.len(),
-            });
-        }
-        Ok(array)
-    }
-
     /// Reads an entire row group in schema order.
     ///
     /// # Errors
     ///
     /// Same as [`FileReader::read_column`].
     pub fn read_row_group(&self, row_group: usize) -> Result<Vec<Array>> {
-        let all: Vec<usize> = (0..self.meta.schema.len()).collect();
-        self.read_columns(row_group, &all)
+        let mut scratch = ReadScratch::new();
+        (0..self.meta.schema.len())
+            .map(|c| self.read_column_limit_with(row_group, c, None, &mut scratch))
+            .collect()
     }
 
     /// Returns the wrapped blob.
@@ -917,7 +812,9 @@ impl<B: BlobRead> FileReader<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{CountingBlob, MemBlob};
+    use crate::fault::{FaultPlan, FaultyBlob};
+    use crate::io::{CountingBlob, Device, DeviceModel, MemBlob};
+    use std::sync::Arc;
 
     fn sample_schema() -> Schema {
         Schema::new(vec![
@@ -943,6 +840,80 @@ mod tests {
             w.write_row_group(&sample_columns(rows, g as i64)).unwrap();
         }
         w.finish()
+    }
+
+    /// Truncates every list of a `ListInt64` array to its first `x`
+    /// elements (any other array is returned as it is) — the reference
+    /// semantics prefix pushdown must match.
+    fn truncate_lists(array: &Array, x: usize) -> Array {
+        let Array::ListInt64 { offsets, values } = array else { return array.clone() };
+        let lists: Vec<Vec<i64>> = offsets
+            .windows(2)
+            .map(|w| {
+                let (s, e) = (w[0] as usize, w[1] as usize);
+                values[s..s + (e - s).min(x)].to_vec()
+            })
+            .collect();
+        Array::from_lists(lists).unwrap()
+    }
+
+    /// What the tables below need of a reader, whatever blob it reads through.
+    trait Route {
+        fn meta(&self) -> &FileMeta;
+        fn read(&self, group: usize, column: usize, limit: Option<usize>) -> Result<Array>;
+    }
+
+    impl<B: BlobRead> Route for FileReader<B> {
+        fn meta(&self) -> &FileMeta {
+            FileReader::meta(self)
+        }
+
+        fn read(&self, group: usize, column: usize, limit: Option<usize>) -> Result<Array> {
+            self.read_column_limit_with(group, column, limit, &mut ReadScratch::new())
+        }
+    }
+
+    /// `bytes` opened on every way a file's bytes reach the decoder: borrowed
+    /// from the blob's shared allocation (where one plain page is a view),
+    /// and staged by positioned reads — through a blob that exposes no
+    /// memory, from behind an emulated device, and past a fault injector
+    /// with nothing to inject.
+    fn routes(bytes: &[u8]) -> Vec<(&'static str, Box<dyn Route>)> {
+        let mem = MemBlob::new(bytes.to_vec());
+        let device = Arc::new(Device::new(DeviceModel::new(std::time::Duration::from_nanos(1), 4)));
+        let quiet = FaultPlan::new(7).arm();
+        vec![
+            ("shared", Box::new(FileReader::open(mem.clone()).unwrap())),
+            ("staged", Box::new(FileReader::open(CountingBlob::new(mem.clone())).unwrap())),
+            ("device", Box::new(FileReader::open(mem.clone().behind_device(device)).unwrap())),
+            ("faulty", Box::new(FileReader::open(FaultyBlob::new(mem, quiet, 0, 0)).unwrap())),
+        ]
+    }
+
+    /// No limit, then limits on every side of the 32 values a head page keeps.
+    const LIMITS: [Option<usize>; 7] =
+        [None, Some(0), Some(1), Some(31), Some(32), Some(33), Some(usize::MAX)];
+
+    /// The one table of the one decoder: on every route, every group of the
+    /// file reads back as its window of `expect`, in full and — a limit being
+    /// the truncation of the full read — under every limit.
+    fn assert_table(bytes: &[u8], expect: &[Array], what: &str) {
+        for (route, reader) in routes(bytes) {
+            let mut start = 0usize;
+            for (g, rg) in reader.meta().row_groups.iter().enumerate() {
+                let rows = rg.rows as usize;
+                for (c, whole) in expect.iter().enumerate() {
+                    let window = column::slice_array(whole, start, rows);
+                    for limit in LIMITS {
+                        let cut = truncate_lists(&window, limit.unwrap_or(usize::MAX));
+                        let got = reader.read(g, c, limit).unwrap();
+                        assert_eq!(got, cut, "{what}: {route}, group {g}, column {c}, {limit:?}");
+                    }
+                }
+                start += rows;
+            }
+            assert_eq!(start, expect[0].len(), "{what}: {route}");
+        }
     }
 
     #[test]
@@ -1010,53 +981,21 @@ mod tests {
         assert!(scratch.capacity() > 0);
     }
 
-    /// Truncates every list of a `ListInt64` array to its first `x`
-    /// elements — the reference semantics prefix pushdown must match.
-    fn truncate_lists(array: &Array, x: usize) -> Array {
-        let Array::ListInt64 { offsets, values } = array else { panic!("list array") };
-        let lists: Vec<Vec<i64>> = offsets
-            .windows(2)
-            .map(|w| {
-                let (s, e) = (w[0] as usize, w[1] as usize);
-                values[s..s + (e - s).min(x)].to_vec()
-            })
-            .collect();
-        Array::from_lists(lists).unwrap()
-    }
-
     #[test]
     fn prefix_limit_reads_match_truncated_full_reads() {
-        use crate::io::ReadScratch;
-        let bytes = sample_file(2, 300); // list lengths 0..=3: shorter than and equal to x
-        let mut scratch = ReadScratch::new();
-        for x in [1usize, 2, 8] {
-            // Shared blob path...
-            let reader = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
-            for g in 0..2 {
-                let full = reader.read_projected(g, &["label", "sparse_0"]).unwrap();
-                let limited = reader
-                    .read_projected_limits_with(
-                        g,
-                        &["label", "sparse_0"],
-                        &[None, Some(x)],
-                        &mut scratch,
-                    )
-                    .unwrap();
-                assert_eq!(limited[0], full[0]);
-                assert_eq!(limited[1], truncate_lists(&full[1], x), "x={x} g={g}");
-            }
-            // ...and the opaque staging path.
-            let reader = FileReader::open(CountingBlob::new(MemBlob::new(bytes.clone()))).unwrap();
-            let full = reader.read_projected(1, &["sparse_0"]).unwrap();
-            let limited = reader
-                .read_projected_limits_with(1, &["sparse_0"], &[Some(x)], &mut scratch)
-                .unwrap();
-            assert_eq!(limited[0], truncate_lists(&full[0], x));
-        }
+        // List lengths 0..=3: shorter than, equal to and longer than a limit.
+        let bytes = sample_file(2, 300);
+        let expect: Vec<Array> = (0..3)
+            .map(|c| {
+                let groups = [sample_columns(300, 0).remove(c), sample_columns(300, 1).remove(c)];
+                column::concat_arrays(&groups).unwrap()
+            })
+            .collect();
+        assert_table(&bytes, &expect, "two groups of short lists");
         // Mismatched limits length is rejected.
         let reader = FileReader::open(MemBlob::new(bytes)).unwrap();
         assert!(reader
-            .read_projected_limits_with(0, &["label"], &[None, Some(1)], &mut scratch)
+            .read_projected_limits_with(0, &["label"], &[None, Some(1)], &mut ReadScratch::new())
             .is_err());
     }
 
@@ -1119,14 +1058,7 @@ mod tests {
         for page_rows in [1usize, 7, 128, 4096] {
             let mut w = FileWriter::with_page_rows(sample_schema(), page_rows);
             w.write_row_group(&sample_columns(300, 3)).unwrap();
-            let bytes = w.finish();
-            let lazy = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
-            let copy = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).unwrap();
-            assert_eq!(
-                lazy.read_row_group(0).unwrap(),
-                copy.read_row_group(0).unwrap(),
-                "page_rows {page_rows}"
-            );
+            assert_table(&w.finish(), &sample_columns(300, 3), &format!("page_rows {page_rows}"));
         }
     }
 
@@ -1135,8 +1067,7 @@ mod tests {
         let bytes = sample_file(1, 100);
         let reader = FileReader::open(MemBlob::new(bytes)).unwrap();
         let by_name = reader.read_projected(0, &["sparse_0"]).unwrap();
-        let by_idx = reader.read_columns(0, &[2]).unwrap();
-        assert_eq!(by_name, by_idx);
+        assert_eq!(by_name, [reader.read_column(0, 2).unwrap()]);
     }
 
     #[test]
@@ -1256,8 +1187,7 @@ mod tests {
             w.finish()
         };
         assert!(packed.len() <= plain.len(), "{} > {}", packed.len(), plain.len());
-        let reader = FileReader::open(MemBlob::new(packed)).unwrap();
-        assert_eq!(reader.read_row_group(0).unwrap(), cols);
+        assert_table(&packed, &cols, "lz");
     }
 
     #[test]
@@ -1354,24 +1284,81 @@ mod tests {
         assert_eq!(rg.columns[0].stats.null_rows, 0);
     }
 
+    /// `bytes` — a `PSTOCOL4` file none of whose chunks is in two parts — as
+    /// the container `magic` names would hold it: that magic at both ends,
+    /// and the footer in the legacy layout, written here by hand.
+    fn as_legacy(bytes: &[u8], magic: &[u8; 8]) -> Vec<u8> {
+        let meta = FileReader::open(MemBlob::new(bytes.to_vec())).unwrap().meta;
+        let mut footer = Vec::new();
+        FileMeta { row_groups: Vec::new(), ..meta.clone() }.write(&mut footer);
+        footer.pop(); // the (zero) group count, rewritten below
+        varint::write_u64(&mut footer, meta.row_groups.len() as u64);
+        for rg in &meta.row_groups {
+            varint::write_u64(&mut footer, rg.rows);
+            for chunk in &rg.columns {
+                assert_eq!(chunk.stats.head, None);
+                for field in [chunk.offset, chunk.byte_len, chunk.stats.rows, chunk.stats.elements]
+                {
+                    varint::write_u64(&mut footer, field);
+                }
+                let minmax = chunk.stats.min_i64.zip(chunk.stats.max_i64);
+                footer.push(u8::from(minmax.is_some()));
+                for bound in minmax.into_iter().flat_map(|(min, max)| [min, max]) {
+                    varint::write_i64(&mut footer, bound);
+                }
+            }
+        }
+        let footer_len = u32::from_le_bytes(bytes[bytes.len() - 12..][..4].try_into().unwrap());
+        let mut out = bytes[..bytes.len() - 16 - footer_len as usize].to_vec();
+        out[..8].copy_from_slice(magic);
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&crc32(&footer).to_le_bytes());
+        out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        out.extend_from_slice(magic);
+        out
+    }
+
     #[test]
     fn legacy_versions_write_and_read_back() {
-        for version in [FormatVersion::V2, FormatVersion::V3] {
-            let cols = sample_columns(300, 2);
-            let mut w = FileWriter::with_page_rows(sample_schema(), 128)
-                .with_policy(WritePolicy::default())
-                .with_format_version(version);
-            w.write_row_group(&cols).unwrap();
-            let bytes = w.finish();
-            assert_eq!(&bytes[0..8], version.magic());
-            assert_eq!(&bytes[bytes.len() - 8..], version.magic());
-            let reader = FileReader::open(MemBlob::new(bytes)).unwrap();
+        // Nothing writes the legacy containers any more, so "write" is by
+        // hand (`as_legacy`); reading them is the reader's own business.
+        let cols = sample_columns(300, 2);
+        let mut w =
+            FileWriter::with_page_rows(sample_schema(), 128).with_policy(WritePolicy::default());
+        w.write_row_group(&cols).unwrap();
+        let current = w.finish();
+        for (version, magic) in [(FormatVersion::V2, MAGIC_V2), (FormatVersion::V3, MAGIC_V3)] {
+            let bytes = as_legacy(&current, magic);
+            assert_eq!((&bytes[..8], &bytes[bytes.len() - 8..]), (&magic[..], &magic[..]));
+            let reader = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
             assert_eq!(reader.version(), version);
             // Legacy footers carry no page/null counts.
             let chunk = &reader.meta().row_groups[0].columns[0];
             assert_eq!(chunk.stats.pages, 0);
             assert_eq!(chunk.stats.null_rows, 0);
-            assert_eq!(reader.read_row_group(0).unwrap(), cols, "{version:?}");
+            assert_table(&bytes, &cols, &format!("{version:?}"));
+        }
+    }
+
+    #[test]
+    fn legacy_fixtures_read_the_same_on_every_route_and_under_every_limit() {
+        // What these files hold is pinned, against the generator that wrote
+        // them, in `tests/format_compat.rs`; here they are two more shapes
+        // for the table.
+        for (fixture, version) in [
+            (
+                &include_bytes!("../../../tests/data/v2_rm1_200rows_seed42.pstocol")[..],
+                FormatVersion::V2,
+            ),
+            (
+                &include_bytes!("../../../tests/data/v3_rm1_200rows_seed42.pstocol")[..],
+                FormatVersion::V3,
+            ),
+        ] {
+            let reader = FileReader::open(MemBlob::new(fixture.to_vec())).unwrap();
+            assert_eq!((reader.version(), reader.meta().total_rows()), (version, 200));
+            let expect = reader.read_row_group(0).unwrap();
+            assert_table(fixture, &expect, &format!("{version:?} fixture"));
         }
     }
 
@@ -1397,14 +1384,11 @@ mod tests {
         let mut w = FileWriter::with_page_rows(sample_schema(), 4).with_group_rows(64);
         w.write_batch(&cols).unwrap();
         let bytes = w.finish();
-        let expect: Vec<Array> = cols.iter().map(|c| column::slice_array(c, 192, 8)).collect();
         let shared = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
-        let last = shared.row_group_count() - 1;
-        assert_eq!(shared.meta().row_groups[last].rows, 8);
-        assert_eq!(shared.read_row_group(last).unwrap(), expect);
-        let opaque = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).unwrap();
-        assert_eq!(opaque.read_row_group(last).unwrap(), expect);
+        assert_eq!(shared.meta().row_groups.last().unwrap().rows, 8);
+        assert_table(&bytes, &cols, "64-row groups of 4-row pages");
     }
+
     fn history_schema() -> Schema {
         Schema::new(vec![
             Field::new("label", DataType::Int64),
@@ -1444,40 +1428,8 @@ mod tests {
         w.finish()
     }
 
-    /// Every group of `reader` reads back as its window of the batch, in
-    /// full and under every limit worth telling apart.
-    fn assert_reads_back<B: BlobRead>(reader: &FileReader<B>, what: &str) {
-        let cols = history_columns(40);
-        let mut scratch = crate::io::ReadScratch::new();
-        let mut start = 0usize;
-        for g in 0..reader.row_group_count() {
-            let rows = reader.meta().row_groups[g].rows as usize;
-            let expect: Vec<Array> =
-                cols.iter().map(|c| column::slice_array(c, start, rows)).collect();
-            assert_eq!(reader.read_row_group(g).unwrap(), expect, "{what}: group {g}");
-            for x in [0, 1, 31, 32, 33, usize::MAX] {
-                let limited = reader
-                    .read_projected_limits_with(
-                        g,
-                        &["label", "history", "recent"],
-                        &[Some(x); 3],
-                        &mut scratch,
-                    )
-                    .unwrap();
-                assert_eq!(limited[0], expect[0], "{what}: group {g} x {x}");
-                for c in [1, 2] {
-                    let cut = truncate_lists(&expect[c], x);
-                    assert_eq!(limited[c], cut, "{what}: group {g} column {c} x {x}");
-                }
-            }
-            start += rows;
-        }
-        assert_eq!(start, 40);
-    }
-
     #[test]
     fn head_tail_chunks_read_back_on_every_route() {
-        use crate::fault::{FaultPlan, FaultyBlob};
         for page_rows in [1usize, 7, 4096] {
             for group_rows in [None, Some(16)] {
                 for policy in [
@@ -1495,12 +1447,38 @@ mod tests {
                         assert_eq!(rg.columns[1].stats.head.map(|h| h.k), Some(32), "{what}");
                         assert_eq!(rg.columns[2].stats.head, None, "{what}");
                     }
-                    assert_reads_back(&shared, &what);
-                    let opaque = CountingBlob::new(MemBlob::new(bytes.clone()));
-                    assert_reads_back(&FileReader::open(opaque).unwrap(), &what);
-                    let quiet = FaultPlan::new(page_rows as u64).arm();
-                    let armed = FaultyBlob::new(MemBlob::new(bytes), quiet, 0, 0);
-                    assert_reads_back(&FileReader::open(armed).unwrap(), &what);
+                    assert_table(&bytes, &history_columns(40), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_list_shape_under_every_forced_encoding_passes_the_table() {
+        // Lists below, at and far above the mean of 4 × 32 that splits a
+        // chunk, and none at all; pages of one row, a few, and all of them.
+        let schema = Schema::new(vec![Field::new("lists", DataType::ListInt64)]).unwrap();
+        for len in [0usize, 127, 128, 1500] {
+            let lists: Vec<Vec<i64>> = (0..24)
+                .map(|r| (0..len).map(|j| ((r * 7919 + j * 31) % 1009) as i64).collect())
+                .collect();
+            let column = [Array::from_lists(lists).unwrap()];
+            for forced in [
+                None,
+                Some(crate::Encoding::Plain),
+                Some(crate::Encoding::Delta),
+                Some(crate::Encoding::DeltaBitpack),
+                Some(crate::Encoding::Dictionary),
+            ] {
+                for page_rows in [1usize, 5, 4096] {
+                    let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+                    let mut w =
+                        FileWriter::with_page_rows(schema.clone(), page_rows).with_policy(policy);
+                    w.write_row_group(&column).unwrap();
+                    let bytes = w.finish();
+                    let split = FileReader::open(MemBlob::new(bytes.clone())).unwrap().meta;
+                    assert_eq!(split.row_groups[0].columns[0].stats.head.is_some(), len >= 128);
+                    assert_table(&bytes, &column, &format!("{len}-long lists, {forced:?}"));
                 }
             }
         }
@@ -1513,7 +1491,7 @@ mod tests {
         let chunk = reader.meta().row_groups[0].columns[1].clone();
         let head = chunk.stats.head.unwrap();
         assert!(head.head_len * 8 < chunk.byte_len, "{head:?} of {}", chunk.byte_len);
-        let mut scratch = crate::io::ReadScratch::new();
+        let mut scratch = ReadScratch::new();
         for (limit, bytes) in [
             (Some(0), head.head_len),
             (Some(8), head.head_len),
@@ -1543,7 +1521,7 @@ mod tests {
         let footer_len = u32::from_le_bytes(bytes[bytes.len() - 12..][..4].try_into().unwrap());
         let mut out = bytes[..bytes.len() - 16 - footer_len as usize].to_vec();
         let mut footer = Vec::new();
-        meta.write(&mut footer, FormatVersion::V4);
+        meta.write(&mut footer);
         out.extend_from_slice(&footer);
         out.extend_from_slice(&crc32(&footer).to_le_bytes());
         out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
@@ -1579,13 +1557,17 @@ mod tests {
             assert!(prefix(with_head(1, Some(lie)), 1, 8).is_err(), "head_len {head_len}");
         }
         // A footer K deeper than the pages': the head pages refuse. One
-        // shallower, or no head at all: more is fetched, nothing is wrong.
+        // shallower: both parts are fetched and cut, nothing is wrong. No
+        // head at all: the whole chunk is fetched and the decoder, stopping
+        // where the head pages do, has not used what the footer says is there.
         let deep = ChunkHead { k: 100, ..head };
         assert!(prefix(with_head(1, Some(deep)), 1, 50).is_err());
-        for shallow in [Some(ChunkHead { k: 4, ..head }), Some(ChunkHead { k: 0, ..head }), None] {
-            let got = prefix(with_head(1, shallow), 1, 8).unwrap();
+        for shallow in [ChunkHead { k: 4, ..head }, ChunkHead { k: 0, ..head }] {
+            let got = prefix(with_head(1, Some(shallow)), 1, 8).unwrap();
             assert_eq!(got, truncate_lists(&cols[1], 8), "{shallow:?}");
         }
+        let unannounced = prefix(with_head(1, None), 1, 8);
+        assert!(matches!(unannounced, Err(ColumnarError::CorruptFile { .. })), "{unannounced:?}");
         // A head claimed for a chunk that has none.
         let recent = honest.meta().row_groups[0].columns[2].byte_len;
         let whole = ChunkHead { head_len: recent, k: 32 };
@@ -1659,22 +1641,56 @@ mod tests {
     }
 
     #[test]
-    fn legacy_containers_never_split() {
-        for version in [FormatVersion::V2, FormatVersion::V3] {
-            let cols = history_columns(40);
-            let mut w = FileWriter::with_page_rows(history_schema(), 7)
-                .with_policy(WritePolicy::default().with_forced_encoding(crate::Encoding::Delta))
-                .with_format_version(version);
-            w.write_row_group(&cols).unwrap();
-            let legacy = FileReader::open(MemBlob::new(w.finish())).unwrap();
-            assert_eq!(legacy.meta().row_groups[0].columns[1].stats.head, None);
-            // ...and what they store unsplit is what a v4 file stores split.
-            let mut w = FileWriter::with_page_rows(history_schema(), 7);
-            w.write_row_group(&cols).unwrap();
-            let split = FileReader::open(MemBlob::new(w.finish())).unwrap();
-            assert!(split.meta().row_groups[0].columns[1].stats.head.is_some());
-            assert_eq!(legacy.read_row_group(0).unwrap(), split.read_row_group(0).unwrap());
-            assert_eq!(split.read_row_group(0).unwrap(), cols);
+    fn a_byte_range_past_the_file_is_refused_before_anything_is_sized_by_it() {
+        let bytes = sample_file(1, 50);
+        for (offset, byte_len) in [(8, 1u64 << 60), (u64::MAX, 16), (u64::MAX - 7, 8), (1 << 40, 0)]
+        {
+            let lie = refooter(&bytes, |meta| {
+                let chunk = &mut meta.row_groups[0].columns[1];
+                (chunk.offset, chunk.byte_len) = (offset, byte_len);
+            });
+            for (route, reader) in routes(&lie) {
+                let got = reader.read(0, 1, None);
+                assert!(
+                    matches!(got, Err(ColumnarError::UnexpectedEof { .. })),
+                    "{route}: {offset} + {byte_len}: {got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_must_end_where_the_footer_says_its_bytes_do() {
+        // `byte_len` one longer than the chunk's pages (still inside the
+        // file: the next chunk, or the footer, lends the byte), and one
+        // shorter. Longer used to be accepted in silence by every full read.
+        let bytes = history_file(7, None, WritePolicy::default());
+        let cols = history_columns(40);
+        for column in 0..3 {
+            for longer in [true, false] {
+                let lie = refooter(&bytes, |meta| {
+                    let chunk = &mut meta.row_groups[0].columns[column];
+                    chunk.byte_len = if longer { chunk.byte_len + 1 } else { chunk.byte_len - 1 };
+                });
+                for (route, reader) in routes(&lie) {
+                    for limit in LIMITS {
+                        let what = format!("column {column}, longer {longer}, {route}, {limit:?}");
+                        let got = reader.read(0, column, limit);
+                        // The head pages of `history` are where they were,
+                        // and a prefix read looks at nothing else.
+                        if column == 1 && limit.is_some_and(|x| x <= 32) {
+                            assert_eq!(got.unwrap(), truncate_lists(&cols[1], limit.unwrap()));
+                        } else if longer {
+                            assert!(
+                                matches!(got, Err(ColumnarError::CorruptFile { .. })),
+                                "{what}"
+                            );
+                        } else {
+                            assert!(got.is_err(), "{what}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

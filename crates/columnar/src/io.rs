@@ -281,21 +281,25 @@ impl<B: BlobRead + ?Sized> BlobRead for &B {
     }
 }
 
-/// Recycled intermediates of the chunk decoders in [`crate::column`]: what
-/// a decode needs between the stored bytes and its output buffers. A caller
-/// outside [`ReadScratch`] (tests, tools) starts from `Default`.
+/// Recycled intermediates of the chunk decoder ([`crate::column::read_chunk`]):
+/// what a decode needs between the stored bytes and its output buffers, so
+/// that a warm read allocates those outputs and nothing else. Which fields a
+/// read touches follows the decoder's route — none of them on the view
+/// route. A caller outside [`ReadScratch`] (tests, tools) starts from
+/// `Default`.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     /// LZ decompress staging.
     pub(crate) staging: Vec<u8>,
-    /// List lengths: one page's, or every row's of a head/tail chunk while
-    /// its tail pages decode.
+    /// The length of every list of the chunk, from which its offsets are
+    /// built once its pages are through.
     pub(crate) lengths: Vec<u64>,
-    /// Head values of a head/tail chunk waiting to be interleaved.
+    /// Head values of a head/tail chunk read in full, waiting to be
+    /// interleaved with its tail pages.
     pub(crate) values: Vec<i64>,
-    /// One page's element ranges on the prefix path.
+    /// One page's kept element ranges, when a limit cuts it.
     pub(crate) ranges: Vec<(usize, usize)>,
-    /// Dictionary and index staging of dictionary pages on the prefix path.
+    /// Dictionary and index staging of dictionary pages.
     pub(crate) dict: crate::encoding::dictionary::DictScratch,
 }
 
@@ -304,7 +308,7 @@ pub struct DecodeScratch {
 /// One `ReadScratch` per worker turns every column-chunk read into a
 /// positioned read over recycled memory: after warm-up (the largest chunk
 /// seen so far) no further allocation occurs. Beyond the chunk staging
-/// buffer it recycles the chunk decoders' intermediates ([`DecodeScratch`])
+/// buffer it recycles the chunk decoder's intermediates ([`DecodeScratch`])
 /// — LZ staging, list lengths, prefix ranges, dictionary staging — so
 /// decoded id/offset blocks go straight from storage bytes into their
 /// exactly-sized output buffers with nothing allocated in between.
@@ -347,21 +351,6 @@ impl ReadScratch {
         let dst = &mut self.buf[..len];
         blob.read_at_into(offset, dst)?;
         Ok((dst, &mut self.decode))
-    }
-
-    /// Reads `len` bytes at `offset` from `blob` into the recycled buffer
-    /// and returns them as a slice.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BlobRead::read_at_into`].
-    pub fn read<B: BlobRead + ?Sized>(
-        &mut self,
-        blob: &B,
-        offset: u64,
-        len: usize,
-    ) -> Result<&[u8]> {
-        Ok(self.read_split(blob, offset, len)?.0)
     }
 
     /// Current buffer capacity in bytes (diagnostic).
@@ -716,11 +705,11 @@ mod tests {
     fn read_scratch_recycles_buffer() {
         let blob = MemBlob::new((0u8..64).collect());
         let mut scratch = ReadScratch::new();
-        assert_eq!(scratch.read(&blob, 0, 16).unwrap()[15], 15);
+        assert_eq!(scratch.read_split(&blob, 0, 16).unwrap().0[15], 15);
         let cap = scratch.capacity();
         // Smaller and equal reads must not grow the buffer.
-        assert_eq!(scratch.read(&blob, 32, 8).unwrap(), (32u8..40).collect::<Vec<_>>());
-        assert_eq!(scratch.read(&blob, 0, 16).unwrap().len(), 16);
+        assert_eq!(scratch.read_split(&blob, 32, 8).unwrap().0, (32u8..40).collect::<Vec<_>>());
+        assert_eq!(scratch.read_split(&blob, 0, 16).unwrap().0.len(), 16);
         assert_eq!(scratch.capacity(), cap);
     }
 

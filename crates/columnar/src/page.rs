@@ -54,28 +54,26 @@
 //! metadata. Their purpose is **lazy plain-page decode**: with the payload
 //! and the list value stream pinned to 8-byte file offsets, a reader over an
 //! in-memory blob ([`crate::BlobRead::as_shared`]) can hand out
-//! [`Buffer`] views that alias the stored bytes directly —
-//! an aligned plain-encoded page is decoded by an alignment-checked cast,
-//! not a copy (falling back to the copying decode whenever any precondition
-//! fails). Non-plain integer pages decode through the `*_into` codec entry
-//! points, appending straight into the caller's output buffers (see
-//! [`crate::column`]'s batched chunk reader) with no per-page intermediate
-//! `Vec`.
+//! [`crate::Buffer`] views that alias the stored bytes directly.
+//!
+//! This module writes pages and takes them apart — `read_page_header`
+//! (parse, bound, checksum), `page_payload` (decompress) and
+//! `read_list_prefix` (a list payload's length stream, K and value
+//! encoding) — and decodes nothing: what becomes of a page's values is
+//! decided per chunk, by the one decoder in [`crate::column`].
 
 use crate::array::Array;
-use crate::buffer::{Buffer, PlainValue};
 use crate::checksum::crc32;
 use crate::compress::{self, Compression};
 use crate::encoding::{self, rle, varint, Encoding};
 use crate::error::{ColumnarError, Result};
 use crate::schema::{DataType, WritePolicy};
-use std::sync::Arc;
 
 /// Default number of rows the writer packs into one page.
 pub const DEFAULT_PAGE_ROWS: usize = 4096;
 
 /// File-offset alignment the writer gives every page payload and list value
-/// stream; 8 covers every [`PlainValue`] type.
+/// stream; 8 covers every [`crate::PlainValue`] type.
 pub const PAYLOAD_ALIGN: usize = 8;
 
 /// Zero bytes needed to advance `pos` to the next [`PAYLOAD_ALIGN`] boundary.
@@ -86,43 +84,15 @@ fn padding_for(pos: u64) -> usize {
 }
 
 /// Encodes `array` (already sliced to page size by the caller) into `out`
-/// without compression.
-///
-/// Returns the encoding that was chosen.
-///
-/// # Errors
-///
-/// Returns [`ColumnarError::ValueOutOfRange`] when list lengths overflow the
-/// RLE stream (practically impossible for sane page sizes).
-pub fn write_page(array: &Array, out: &mut Vec<u8>) -> Result<Encoding> {
-    write_page_with(array, Compression::None, out)
-}
-
-/// Encodes `array` into `out`, compressing the payload with `compression`
-/// when that makes it smaller (falls back to stored-uncompressed
-/// otherwise). Applies `compression` regardless of column temperature; the
-/// per-column "uncompressed-if-hot" rule lives in
-/// [`WritePolicy::compression_for`], which [`write_page_policy`] consults.
+/// under a [`WritePolicy`]: the policy picks the integer encoding (cost model
+/// or forced) and decides per column type whether the payload is
+/// LZ-compressed, which is kept only when it makes the page smaller. Returns
+/// the encoding that was chosen.
 ///
 /// # Errors
 ///
-/// Same as [`write_page`].
-pub fn write_page_with(
-    array: &Array,
-    compression: Compression,
-    out: &mut Vec<u8>,
-) -> Result<Encoding> {
-    let policy = WritePolicy::from_env().with_compression(compression).compressing_hot_columns();
-    write_page_policy(array, &policy, out)
-}
-
-/// Encodes `array` into `out` under a [`WritePolicy`]: the policy picks the
-/// integer encoding (cost model or forced) and decides per column type
-/// whether the payload is LZ-compressed.
-///
-/// # Errors
-///
-/// Same as [`write_page`].
+/// Returns [`ColumnarError::ValueOutOfRange`] for a page past
+/// [`encoding::MAX_PAGE_ELEMENTS`].
 pub fn write_page_policy(
     array: &Array,
     policy: &WritePolicy,
@@ -253,72 +223,8 @@ fn seal_page(
     out.extend_from_slice(&stored);
 }
 
-/// Decodes one page of the given `data_type` from `buf` at `*pos`, where
-/// `buf` starts at the beginning of the buffer the page was written into
-/// (alignment base 0).
-///
-/// # Errors
-///
-/// Returns [`ColumnarError::ChecksumMismatch`] on payload corruption,
-/// [`ColumnarError::UnexpectedEof`] on truncation and decode errors from the
-/// underlying encodings.
-pub fn read_page(buf: &[u8], pos: &mut usize, data_type: DataType) -> Result<Array> {
-    read_page_at(buf, pos, data_type, 0)
-}
-
-/// Like [`read_page`] for a `buf` that is a slice starting `base` bytes into
-/// the written file — the information the reader needs to recompute the
-/// writer's alignment padding.
-///
-/// # Errors
-///
-/// Same as [`read_page`].
-pub fn read_page_at(buf: &[u8], pos: &mut usize, data_type: DataType, base: u64) -> Result<Array> {
-    read_page_impl(buf, pos, data_type, base, None)
-}
-
-/// Like [`read_page`] over a shared in-memory file: `shared` holds the whole
-/// file, `*pos` is the absolute page offset and `end` bounds the chunk. When
-/// a plain uncompressed value stream is aligned, the returned array's
-/// buffers alias `shared` instead of copying (lazy decode).
-///
-/// # Errors
-///
-/// Same as [`read_page`], plus [`ColumnarError::UnexpectedEof`] when `end`
-/// exceeds the blob.
-pub fn read_page_shared(
-    shared: &Arc<Vec<u8>>,
-    end: usize,
-    pos: &mut usize,
-    data_type: DataType,
-) -> Result<Array> {
-    let buf =
-        shared.get(..end).ok_or(ColumnarError::UnexpectedEof { context: "shared chunk range" })?;
-    read_page_impl(buf, pos, data_type, 0, Some(shared))
-}
-
-/// A typed alias of the shared blob covering exactly the payload's
-/// remaining `count` values at `value_start`; `None` means "copy-decode
-/// instead" (not shared, compressed, length mismatch or misaligned).
-fn raw_values<T: PlainValue>(
-    shared: Option<&Arc<Vec<u8>>>,
-    payload_abs: Option<usize>,
-    payload: &[u8],
-    value_start: usize,
-    count: usize,
-) -> Option<Buffer<T>> {
-    let shared = shared?;
-    let abs = payload_abs?.checked_add(value_start)?;
-    let byte_len = count.checked_mul(std::mem::size_of::<T>())?;
-    if payload.len().checked_sub(value_start)? != byte_len {
-        return None;
-    }
-    Buffer::from_shared_le_bytes(Arc::clone(shared), abs, count)
-}
-
 /// Parsed page header, with the payload located (and checksummed) but not
-/// yet decoded. The batched chunk reader in [`crate::column`] uses this to
-/// decode many pages straight into one set of output buffers.
+/// yet decoded.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PageHeader {
     /// Value-stream encoding.
@@ -406,49 +312,6 @@ pub(crate) fn page_payload<'a>(
     }
 }
 
-/// Appends one list page's lengths to `offsets` (rebased onto the running
-/// total) after validating them against the header's row count.
-pub(crate) fn extend_offsets(lengths: &[u64], rows: usize, offsets: &mut Vec<u32>) -> Result<()> {
-    if lengths.len() != rows {
-        return Err(ColumnarError::CountMismatch { declared: rows, actual: lengths.len() });
-    }
-    let mut acc = u64::from(*offsets.last().unwrap_or(&0));
-    offsets.reserve(lengths.len());
-    for len in lengths {
-        acc = acc.saturating_add(*len);
-        let off = u32::try_from(acc).map_err(|_| ColumnarError::ValueOutOfRange {
-            detail: "list offsets overflow u32".into(),
-        })?;
-        offsets.push(off);
-    }
-    Ok(())
-}
-
-/// Prefix-pushdown variant of [`extend_offsets`]: appends each list's
-/// length clamped to `prefix`, so the produced offsets already describe the
-/// truncated lists. Validation (row count, u32 overflow) matches
-/// [`extend_offsets`] exactly — the clamp only narrows values.
-pub(crate) fn extend_offsets_clamped(
-    lengths: &[u64],
-    prefix: usize,
-    rows: usize,
-    offsets: &mut Vec<u32>,
-) -> Result<()> {
-    if lengths.len() != rows {
-        return Err(ColumnarError::CountMismatch { declared: rows, actual: lengths.len() });
-    }
-    let mut acc = u64::from(*offsets.last().unwrap_or(&0));
-    offsets.reserve(lengths.len());
-    for len in lengths {
-        acc = acc.saturating_add((*len).min(prefix as u64));
-        let off = u32::try_from(acc).map_err(|_| ColumnarError::ValueOutOfRange {
-            detail: "list offsets overflow u32".into(),
-        })?;
-        offsets.push(off);
-    }
-    Ok(())
-}
-
 /// Locates the list value stream within a list page's payload: appends the
 /// RLE length stream to `lengths` (the caller clears it when it wants one
 /// page's), reads `k` when this is a head page, then the value encoding tag,
@@ -475,89 +338,31 @@ pub(crate) fn read_list_prefix(
     Ok((value_enc, p, k))
 }
 
-/// Shared implementation of the `read_page*` family. When `shared` is
-/// `Some`, `buf` must be a prefix of it (so positions in `buf` are absolute
-/// blob offsets) and `base` must be 0.
-fn read_page_impl(
-    buf: &[u8],
-    pos: &mut usize,
-    data_type: DataType,
-    base: u64,
-    shared: Option<&Arc<Vec<u8>>>,
-) -> Result<Array> {
-    let header = read_page_header(buf, pos, base)?;
-    let PageHeader { encoding, rows, elements, .. } = header;
-    let mut staging = Vec::new();
-    let (payload, stored_at) = page_payload(&header, buf, &mut staging)?;
-    // In shared mode `buf` is a prefix of the blob, so a stored payload's
-    // offset is its absolute blob offset.
-    let payload_abs = if shared.is_some() { stored_at } else { None };
-
-    let mut p = 0usize;
-    let array = match data_type {
-        DataType::Int64 => {
-            if encoding == Encoding::Plain {
-                if let Some(values) = raw_values::<i64>(shared, payload_abs, payload, 0, rows) {
-                    return finish_page(Array::Int64(values), elements);
-                }
-            }
-            Array::Int64(encoding::decode_i64(encoding, payload, &mut p, rows)?.into())
-        }
-        DataType::Float32 => {
-            if let Some(values) = raw_values::<f32>(shared, payload_abs, payload, 0, rows) {
-                return finish_page(Array::Float32(values), elements);
-            }
-            Array::Float32(encoding::plain::decode_f32(payload, &mut p, rows)?.into())
-        }
-        DataType::Float64 => {
-            if let Some(values) = raw_values::<f64>(shared, payload_abs, payload, 0, rows) {
-                return finish_page(Array::Float64(values), elements);
-            }
-            Array::Float64(encoding::plain::decode_f64(payload, &mut p, rows)?.into())
-        }
-        DataType::ListInt64 => {
-            let mut lengths = Vec::new();
-            let (value_enc, value_start, _) = read_list_prefix(payload, rows, false, &mut lengths)?;
-            p = value_start;
-            let values: Buffer<i64> = if value_enc == Encoding::Plain {
-                match raw_values::<i64>(shared, payload_abs, payload, p, elements) {
-                    Some(buf) => buf,
-                    None => encoding::decode_i64(value_enc, payload, &mut p, elements)?.into(),
-                }
-            } else {
-                encoding::decode_i64(value_enc, payload, &mut p, elements)?.into()
-            };
-            let mut offsets = vec![0u32];
-            extend_offsets(&lengths, rows, &mut offsets)?;
-            Array::ListInt64 { offsets: offsets.into(), values }
-        }
-    };
-    finish_page(array, elements)
-}
-
-/// Common element-count and invariant validation for every decode path.
-fn finish_page(array: Array, elements: usize) -> Result<Array> {
-    if array.element_count() != elements {
-        return Err(ColumnarError::CountMismatch {
-            declared: elements,
-            actual: array.element_count(),
-        });
-    }
-    array.validate()?;
-    Ok(array)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::read_chunk;
+    use crate::io::DecodeScratch;
+
+    /// `array` as the one page of a chunk (a page count of one, then the
+    /// page), under the policy the environment picks.
+    fn write_page(array: &Array) -> Vec<u8> {
+        let mut buf = vec![1];
+        write_page_policy(array, &WritePolicy::from_env(), &mut buf).unwrap();
+        buf
+    }
+
+    /// That chunk through the chunk decoder, read as `like`: pages are not
+    /// decoded anywhere else.
+    fn read_page(buf: &[u8], like: &Array) -> Result<(Array, usize)> {
+        let totals = (like.len(), like.element_count());
+        let scratch = &mut DecodeScratch::default();
+        read_chunk(buf, 0, like.data_type(), totals, None, None, scratch)
+    }
 
     fn roundtrip(array: Array) {
-        let mut buf = Vec::new();
-        write_page(&array, &mut buf).unwrap();
-        let mut pos = 0;
-        let back = read_page(&buf, &mut pos, array.data_type()).unwrap();
-        assert_eq!(back, array);
-        assert_eq!(pos, buf.len());
+        let buf = write_page(&array);
+        assert_eq!(read_page(&buf, &array).unwrap(), (array, buf.len()));
     }
 
     #[test]
@@ -595,34 +400,29 @@ mod tests {
         // flipped bit in the first, a middle and the last payload byte.
         let long = Array::Float32((0..4096).map(|i| i as f32 * 0.25).collect());
         for (array, min_payload) in [(Array::Int64((0..100).collect()), 1), (long, 4096)] {
-            let mut buf = Vec::new();
-            write_page(&array, &mut buf).unwrap();
-            let header = read_page_header(&buf, &mut 0, 0).unwrap();
+            let mut buf = write_page(&array);
+            let header = read_page_header(&buf, &mut 1, 0).unwrap();
             assert!(header.payload_len >= min_payload, "payload {}", header.payload_len);
             assert_eq!(header.payload_start + header.payload_len, buf.len());
             for offset in [0, header.payload_len / 2, header.payload_len - 1] {
                 buf[header.payload_start + offset] ^= 0x40;
                 assert!(
-                    matches!(
-                        read_page(&buf, &mut 0, array.data_type()),
-                        Err(ColumnarError::ChecksumMismatch { .. })
-                    ),
+                    matches!(read_page(&buf, &array), Err(ColumnarError::ChecksumMismatch { .. })),
                     "flip at payload byte {offset} of {}",
                     header.payload_len
                 );
                 buf[header.payload_start + offset] ^= 0x40;
             }
-            assert_eq!(read_page(&buf, &mut 0, array.data_type()).unwrap(), array);
+            assert_eq!(read_page(&buf, &array).unwrap().0, array);
         }
     }
 
     #[test]
     fn truncated_page_is_caught() {
-        let mut buf = Vec::new();
-        write_page(&Array::Float32(vec![1.0; 64].into()), &mut buf).unwrap();
+        let array = Array::Float32(vec![1.0; 64].into());
+        let buf = write_page(&array);
         for cut in 0..buf.len() {
-            let mut pos = 0;
-            assert!(read_page(&buf[..cut], &mut pos, DataType::Float32).is_err());
+            assert!(read_page(&buf[..cut], &array).is_err());
         }
     }
 
@@ -630,10 +430,8 @@ mod tests {
     fn wrong_type_fails_cleanly() {
         // A list page read as Int64 must error, not panic.
         let lists = Array::from_lists([vec![1i64, 2, 3]]).unwrap();
-        let mut buf = Vec::new();
-        write_page(&lists, &mut buf).unwrap();
-        let mut pos = 0;
-        assert!(read_page(&buf, &mut pos, DataType::Int64).is_err());
+        let buf = write_page(&lists);
+        assert!(read_page(&buf, &Array::Int64(vec![1].into())).is_err());
     }
 
     #[test]
@@ -641,18 +439,14 @@ mod tests {
         // A crafted header claiming 2^40 rows must fail before any decode
         // allocation — RLE-class payloads expand, so this ceiling is the
         // only bound on a zero-width allocation bomb.
-        let mut buf = Vec::new();
-        buf.push(Encoding::Plain.to_tag());
+        let mut buf = vec![1, Encoding::Plain.to_tag()];
         buf.push(Compression::None.to_tag());
         varint::write_u64(&mut buf, 1u64 << 40); // rows
         varint::write_u64(&mut buf, 1u64 << 40); // elements
         varint::write_u64(&mut buf, 0); // payload len
         buf.extend_from_slice(&crc32(&[]).to_le_bytes());
-        let mut pos = 0;
-        assert!(matches!(
-            read_page(&buf, &mut pos, DataType::ListInt64),
-            Err(ColumnarError::CorruptFile { .. })
-        ));
+        let like = Array::from_lists([vec![1i64]]).unwrap();
+        assert!(matches!(read_page(&buf, &like), Err(ColumnarError::CorruptFile { .. })));
     }
 
     #[test]
@@ -663,8 +457,7 @@ mod tests {
             .collect();
         let a = Array::from_lists(lists).unwrap();
         let raw = a.byte_size();
-        let mut buf = Vec::new();
-        write_page(&a, &mut buf).unwrap();
+        let buf = write_page(&a);
         assert!(buf.len() < raw, "encoded {} raw {raw}", buf.len());
     }
 }

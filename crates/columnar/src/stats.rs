@@ -2,9 +2,9 @@
 //!
 //! Readers use these to size buffers and (in the hwsim layer) to price decode
 //! work without touching payload bytes. Because every column chunk belongs to
-//! exactly one row group, these stats are **per-group** metadata: the batched
-//! decoder ([`crate::column::read_chunk_batched`]) sizes its output buffers
-//! from the claimed group's own `rows`/`elements`, never from file totals —
+//! exactly one row group, these stats are **per-group** metadata: the chunk
+//! decoder ([`crate::column`]) sizes its output buffers from, and holds every
+//! page to, the claimed group's own `rows`/`elements`, never file totals —
 //! which is what makes random row-group access as exactly-sized as a
 //! whole-partition read, including the last short group of a
 //! group-size-misaligned partition.
@@ -95,32 +95,20 @@ impl ColumnStats {
         }
     }
 
-    /// Writes the `PSTOCOL4` stats layout.
+    /// Writes the `PSTOCOL4` stats layout (the legacy one is only ever read).
     pub(crate) fn write(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.rows);
         varint::write_u64(out, self.elements);
         varint::write_u64(out, self.pages);
         varint::write_u64(out, self.null_rows);
-        self.write_flagged(out, self.head);
-    }
-
-    /// Writes the legacy (`PSTOCOL2`/`PSTOCOL3`) stats layout, which has no
-    /// page count, null-row count or head (legacy writers never split).
-    pub(crate) fn write_legacy(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.rows);
-        varint::write_u64(out, self.elements);
-        self.write_flagged(out, None);
-    }
-
-    fn write_flagged(&self, out: &mut Vec<u8>, head: Option<ChunkHead>) {
         let minmax = self.min_i64.zip(self.max_i64);
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-        out.push(flag(minmax.is_some(), FLAG_MINMAX) | flag(head.is_some(), FLAG_HEAD));
+        out.push(flag(minmax.is_some(), FLAG_MINMAX) | flag(self.head.is_some(), FLAG_HEAD));
         if let Some((min, max)) = minmax {
             varint::write_i64(out, min);
             varint::write_i64(out, max);
         }
-        if let Some(head) = head {
+        if let Some(head) = self.head {
             varint::write_u64(out, head.head_len);
             varint::write_u64(out, head.k);
         }
@@ -225,22 +213,20 @@ mod tests {
 
     #[test]
     fn legacy_layout_roundtrips_without_v4_fields() {
-        let s = ColumnStats {
-            rows: 10,
-            elements: 200,
-            pages: 3,
-            null_rows: 4,
-            min_i64: Some(-5),
-            max_i64: Some(7),
-            head: Some(ChunkHead { head_len: 9, k: 32 }),
-        };
+        // rows, elements, the flag byte, then the pair it announces: the
+        // legacy layout has no place for pages, null rows or a head.
         let mut buf = Vec::new();
-        s.write_legacy(&mut buf);
+        varint::write_u64(&mut buf, 10);
+        varint::write_u64(&mut buf, 200);
+        buf.push(FLAG_MINMAX);
+        varint::write_i64(&mut buf, -5);
+        varint::write_i64(&mut buf, 7);
         let mut pos = 0;
         let back = ColumnStats::read(&buf, &mut pos, false).unwrap();
         assert_eq!(pos, buf.len());
-        // pages/null_rows/head are not representable in the legacy layout.
-        assert_eq!(back, ColumnStats { pages: 0, null_rows: 0, head: None, ..s });
+        let s = ColumnStats::from_array(&Array::Int64(vec![-5, 7].into()));
+        assert_eq!(back, ColumnStats { rows: 10, elements: 200, ..s });
+        assert_eq!((back.pages, back.null_rows, back.head), (0, 0, None));
     }
 
     #[test]
@@ -275,9 +261,9 @@ mod tests {
             assert!(matches!(err, ColumnarError::CorruptFile { .. }), "{bad:#x}: {err}");
         }
         // A legacy footer has no head bit to set.
-        let mut legacy = Vec::new();
-        s.write_legacy(&mut legacy);
-        legacy[2] |= FLAG_HEAD;
+        let mut legacy = vec![2, 2, FLAG_MINMAX | FLAG_HEAD];
+        varint::write_i64(&mut legacy, 1);
+        varint::write_i64(&mut legacy, 2);
         legacy.extend_from_slice(&[9, 32]);
         assert!(ColumnStats::read(&legacy, &mut 0, false).is_err());
     }

@@ -1,49 +1,19 @@
-//! Heap-allocation spot-check for the prefix-pushdown read: once a
-//! [`ReadScratch`] is warm, `read_column_limit_with(.., Some(x))` allocates
-//! its two output buffers (offsets and values, plus the shared handle each
-//! is wrapped in) and nothing else — under every integer encoding, the
-//! dictionary one included, whose ranged decode used to stage a full decode
-//! in a fresh `Vec` per page.
+//! Heap-allocation spot-check for the chunk read: once a [`ReadScratch`] is
+//! warm, `read_column_limit_with` allocates its two output buffers (offsets
+//! and values, plus the shared handle each is wrapped in) and nothing else —
+//! under a limit and in full, from memory and through positioned reads,
+//! under every integer encoding, the dictionary one included, which used to
+//! stage its dictionary and indices in fresh `Vec`s per page.
 //!
-//! The counting allocator is process-global, so this file contains exactly
-//! one `#[test]`: nothing else runs concurrently in this binary to perturb
-//! the counters.
+//! One `#[test]` per file: see `common`.
 
+mod common;
+
+use common::allocations_of;
 use presto_columnar::{
     Array, CountingBlob, DataType, Encoding, Field, FileReader, FileWriter, MemBlob, ReadScratch,
     Schema, WritePolicy,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Forwards to the system allocator, counting every allocation call.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Two output buffers, each a `Vec` moved behind a shared handle.
 const ALLOCATIONS_PER_READ: u64 = 4;
@@ -74,20 +44,26 @@ fn warm_prefix_reads_allocate_only_their_output() {
         assert!(in_memory.meta().row_groups[0].columns[1].stats.head.is_none());
         let staged = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).expect("opens");
 
-        let mut scratch = ReadScratch::new();
-        let mut reads = |count: usize| {
-            for _ in 0..count {
-                for column in 0..2 {
-                    let a = in_memory.read_column_limit_with(0, column, Some(8), &mut scratch);
-                    let b = staged.read_column_limit_with(0, column, Some(8), &mut scratch);
-                    assert_eq!(a.expect("reads"), b.expect("reads"));
+        // A prefix read, then a full one: the multi-page chunks here never
+        // become views, so both routes append into fresh outputs.
+        for limit in [Some(8), None] {
+            let mut scratch = ReadScratch::new();
+            let mut reads = |count: usize| {
+                for _ in 0..count {
+                    for column in 0..2 {
+                        let a = in_memory.read_column_limit_with(0, column, limit, &mut scratch);
+                        let b = staged.read_column_limit_with(0, column, limit, &mut scratch);
+                        assert_eq!(a.expect("reads"), b.expect("reads"));
+                    }
                 }
-            }
-        };
-        reads(2); // warm-up: sizes every recycled buffer
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        reads(8);
-        let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(delta, 8 * 4 * ALLOCATIONS_PER_READ, "{encoding}: {delta} allocations");
+            };
+            reads(2); // warm-up: sizes every recycled buffer
+            let delta = allocations_of(|| reads(8));
+            assert_eq!(
+                delta,
+                8 * 4 * ALLOCATIONS_PER_READ,
+                "{encoding} {limit:?}: {delta} allocations"
+            );
+        }
     }
 }

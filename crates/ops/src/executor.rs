@@ -1626,7 +1626,7 @@ fn extract_columns_limited<B: BlobRead>(
 /// reader — the random-access Extract of the shuffled epoch path
 /// ([`crate::BatchStream::spawn_shuffled`]). No merge: the group's decoded
 /// arrays become the [`RowBatch`] directly, sized from the group's own
-/// footer index entry (see [`presto_columnar::column::read_chunk_batched`]).
+/// footer index entry (see [`presto_columnar::column::read_chunk`]).
 ///
 /// # Errors
 ///

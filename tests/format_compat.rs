@@ -1,12 +1,13 @@
 //! Format-version compatibility and encoding-matrix pinning.
 //!
-//! * A checked-in `PSTOCOL2` fixture (written by the PR 3 code base) must
-//!   keep decoding bit-identically under the current reader, all the way
-//!   through preprocessing.
-//! * A freshly written `PSTOCOL3` file (the previous format, emitted via
-//!   [`FileWriter::with_format_version`]) must read back through the v4
-//!   reader with the same preprocessing fingerprint — the cross-version
-//!   leg of CI's `shuffle-determinism` job.
+//! * Two checked-in fixtures — `PSTOCOL2`, written by the PR 3 code base,
+//!   and `PSTOCOL3`, written by the last code base that could write one
+//!   (PR 20's `FileWriter::with_format_version`, cost-model policy), both
+//!   from `generate_batch(rm1 × 200 rows, seed 42)` — must keep decoding
+//!   bit-identically under the current reader, all the way through
+//!   preprocessing, to the fingerprint pinned when the first was made — the
+//!   cross-version leg of CI's `shuffle-determinism` job. Nothing writes
+//!   either container any more; they are read, and only read.
 //! * Files written with every forced encoding must decode to the same
 //!   arrays and preprocess to the same mini-batch as the default policy —
 //!   the in-process counterpart of CI's `PRESTO_FORCE_ENCODING` matrix.
@@ -19,6 +20,7 @@ use presto::datagen::{generate_batch, write_partition, RmConfig};
 use presto::ops::{preprocess_partition, MiniBatch, PreprocessPlan};
 
 const V2_FIXTURE: &[u8] = include_bytes!("data/v2_rm1_200rows_seed42.pstocol");
+const V3_FIXTURE: &[u8] = include_bytes!("data/v3_rm1_200rows_seed42.pstocol");
 
 /// The fixture's generation parameters (fixed forever).
 fn fixture_config() -> RmConfig {
@@ -93,34 +95,26 @@ fn v4_writer_output_matches_v2_content() {
 }
 
 #[test]
-fn fresh_v3_file_reads_through_v4_reader() {
-    // The previous on-disk version, written by today's writer in
-    // compatibility mode, must round-trip through the current reader with
-    // unchanged content — the "one release back" guarantee.
-    let config = fixture_config();
-    let batch = generate_batch(&config, 200, 42);
-    let mut writer = FileWriter::new(batch.schema().clone()).with_format_version(FormatVersion::V3);
-    writer.write_row_group(batch.columns()).expect("writes");
-    let blob = MemBlob::new(writer.finish());
-    assert_eq!(&blob.as_bytes()[..8], MAGIC_V3);
-    let reader = FileReader::open(blob.clone()).expect("v3 file opens");
+fn v3_fixture_reads_through_v4_reader() {
+    // The previous on-disk version must read through the current reader
+    // with unchanged content — the "one release back" guarantee.
+    assert_eq!(&V3_FIXTURE[..8], MAGIC_V3, "fixture must really be a v3 file");
+    let reader = FileReader::open(MemBlob::new(V3_FIXTURE.to_vec())).expect("v3 file opens");
     assert_eq!(reader.version(), FormatVersion::V3);
+    let batch = generate_batch(&fixture_config(), 200, 42);
     assert_eq!(reader.read_row_group(0).expect("decodes"), batch.columns());
     // Legacy footers carry no page/null statistics; rows still size
     // everything the reader needs.
     assert_eq!(reader.meta().total_rows(), 200);
+    assert!(reader.meta().row_groups[0].columns.iter().all(|chunk| chunk.stats.pages == 0));
 }
 
 #[test]
 #[cfg_attr(feature = "fast-math", ignore = "fast-math ln_1p is not bit-identical by design")]
-fn fresh_v3_file_preprocesses_to_pinned_fingerprint() {
-    let config = fixture_config();
-    let batch = generate_batch(&config, 200, 42);
-    let mut writer = FileWriter::new(batch.schema().clone()).with_format_version(FormatVersion::V3);
-    writer.write_row_group(batch.columns()).expect("writes");
-    let blob = MemBlob::new(writer.finish());
-    let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
-    let (mb, _) = preprocess_partition(&plan, blob).expect("preprocesses");
+fn v3_fixture_preprocesses_to_pinned_fingerprint() {
+    let plan = PreprocessPlan::from_config(&fixture_config(), 1).expect("plan");
+    let (mb, _) =
+        preprocess_partition(&plan, MemBlob::new(V3_FIXTURE.to_vec())).expect("preprocesses");
     assert_eq!(
         fingerprint(&mb),
         0x8c2b_dfa5_d504_2341,

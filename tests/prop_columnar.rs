@@ -10,6 +10,110 @@ use presto::columnar::{
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Forwards to the system allocator, remembering per thread the largest
+/// single request — what a read driven by damaged counts must keep bounded.
+/// (Per thread, because the tests of this binary run side by side.)
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// A run of bytes that no page checksum covers.
+#[derive(Clone, Copy, PartialEq)]
+enum Unchecksummed {
+    /// A page count, or the `0x00` that opens a head/tail chunk.
+    Count,
+    /// The header of a page whose payload names the value encoding too (a
+    /// list page, ordinary or head), or does not depend on one (floats).
+    Header,
+    /// The header of a page whose encoding tag is the only copy: an integer
+    /// page, or a tail page.
+    HeaderWithTheOnlyTag,
+}
+
+/// The bytes of a chunk that no page checksum covers, as file offsets: its
+/// page counts, then every page header whole. Parsed here from the format's
+/// description, not by the reader: a header is two tag bytes (encoding,
+/// compression), three varints (rows, elements, stored payload length) and a
+/// 4-byte CRC, and its payload starts at the next 8-byte file offset.
+fn unchecksummed_spans(
+    bytes: &[u8],
+    offset: usize,
+    byte_len: usize,
+    data_type: DataType,
+) -> Vec<(std::ops::Range<usize>, Unchecksummed)> {
+    let varint = |pos: &mut usize| {
+        let (mut value, mut shift) = (0u64, 0);
+        loop {
+            let byte = bytes[*pos];
+            *pos += 1;
+            value |= u64::from(byte & 0x7f) << shift;
+            shift += 7;
+            if byte & 0x80 == 0 {
+                return value;
+            }
+        }
+    };
+    let mut spans = Vec::new();
+    let mut pos = offset;
+    let count = |pos: &mut usize, spans: &mut Vec<_>| {
+        let start = *pos;
+        let value = varint(pos);
+        spans.push((start..*pos, Unchecksummed::Count));
+        value
+    };
+    let marker = count(&mut pos, &mut spans);
+    let parts = if marker == 0 { 2 } else { 1 };
+    for part in 0..parts {
+        let pages = if marker == 0 { count(&mut pos, &mut spans) } else { marker };
+        for _ in 0..pages {
+            let start = pos;
+            pos += 2;
+            let (_rows, _elements, payload_len) =
+                (varint(&mut pos), varint(&mut pos), varint(&mut pos));
+            pos += 4;
+            let only_tag = data_type == DataType::Int64 || part == 1;
+            let kind =
+                if only_tag { Unchecksummed::HeaderWithTheOnlyTag } else { Unchecksummed::Header };
+            spans.push((start..pos, kind));
+            pos = pos.next_multiple_of(8) + payload_len as usize;
+        }
+        assert!(part + 1 < parts || pos == offset + byte_len, "the chunk's pages fill it");
+    }
+    spans
+}
 
 fn arb_array(rows: usize) -> impl Strategy<Value = Array> {
     prop_oneof![
@@ -395,6 +499,101 @@ proptest! {
                     got == Array::from_lists(cut).expect("fits u32"),
                     "a flip at {at} changed a prefix-{x} read silently"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn damage_to_any_page_header_byte_is_an_error_or_the_exact_answer(
+        lists in arb_long_lists(),
+        page_rows in 0usize..3,
+        flip in 1u8..=255,
+    ) {
+        // Page payloads are checksummed; page headers, page counts and the
+        // split marker are not. What stands behind them is the footer: every
+        // page's counts are held to the chunk's declared rows and elements
+        // before its payload is decoded, on every route. So for *each* such
+        // byte — of a long-list chunk (head/tail when the draw is long
+        // enough), an integer chunk and a float chunk — a flip is an error
+        // or changes nothing, never a panic and never a reservation sized by
+        // the damage.
+        use presto::columnar::{CountingBlob, FaultPlan, FaultyBlob, ReadScratch};
+        let schema = Schema::new(vec![
+            Field::new("lists", DataType::ListInt64),
+            Field::new("lengths", DataType::Int64),
+            Field::new("halves", DataType::Float32),
+        ])
+        .expect("schema");
+        let columns = [
+            Array::from_lists(lists.clone()).expect("fits u32"),
+            Array::Int64(lists.iter().map(|l| l.len() as i64).collect()),
+            Array::Float32(lists.iter().map(|l| l.len() as f32 * 0.5).collect()),
+        ];
+        let mut writer = FileWriter::with_page_rows(schema, [1usize, 7, 4096][page_rows])
+            .with_policy(WritePolicy::default());
+        writer.write_row_group(&columns).expect("writes");
+        let bytes = writer.finish();
+        let meta = FileReader::open(MemBlob::new(bytes.clone())).expect("opens").meta().clone();
+        let values: usize = lists.iter().map(Vec::len).sum();
+        // Outputs, recycled lengths and the staged chunk are each within the
+        // declared totals; growth doubles at worst.
+        let declared = 4 * (8 * values + 16 * lists.len() + bytes.len()) + 4096;
+        let mut scratch = ReadScratch::new();
+        for (column, chunk) in meta.row_groups[0].columns.iter().enumerate() {
+            let expect = |x: Option<usize>| match (&columns[column], x) {
+                (Array::ListInt64 { .. }, Some(x)) => {
+                    let cut: Vec<Vec<i64>> =
+                        lists.iter().map(|l| l[..l.len().min(x)].to_vec()).collect();
+                    Array::from_lists(cut).expect("fits u32")
+                }
+                (whole, _) => whole.clone(),
+            };
+            let (offset, byte_len) = (chunk.offset as usize, chunk.byte_len as usize);
+            let spans = unchecksummed_spans(&bytes, offset, byte_len, columns[column].data_type());
+            prop_assert!(spans.len() as u64 > chunk.stats.pages);
+            for (span, kind) in spans {
+                for at in span.clone() {
+                    let mut damaged = bytes.clone();
+                    damaged[at] ^= flip;
+                    let blob = MemBlob::new(damaged);
+                    let quiet = FaultPlan::new(1).arm();
+                    let shared = FileReader::open(blob.clone()).expect("the footer is intact");
+                    let staged = FileReader::open(CountingBlob::new(blob.clone())).expect("opens");
+                    let faulty = FileReader::open(FaultyBlob::new(blob, quiet, 0, 0)).expect("opens");
+                    // The compression tag is the one header byte whose damage
+                    // sizes a reservation the footer does not bound: the LZ
+                    // staging, clamped by the codec to 256× the stored payload.
+                    let lz_tag = kind != Unchecksummed::Count && at == span.start + 1;
+                    let bound = if lz_tag { 256 * bytes.len() } else { declared };
+                    // And the encoding tag, where it is the only copy, is the
+                    // one byte whose damage can still change an answer: a few
+                    // values bit-packed and the same values as varints can be
+                    // streams of one length, and then nothing tells the codecs
+                    // apart (ROADMAP 2(a): the header joins the checksum).
+                    let exact = !(kind == Unchecksummed::HeaderWithTheOnlyTag && at == span.start);
+                    LARGEST.with(|largest| largest.set(0));
+                    for limit in [None, Some(1), Some(32), Some(33)] {
+                        for (route, got) in [
+                            ("shared", shared.read_column_limit_with(0, column, limit, &mut scratch)),
+                            ("staged", staged.read_column_limit_with(0, column, limit, &mut scratch)),
+                            ("faulty", faulty.read_column_limit_with(0, column, limit, &mut scratch)),
+                        ] {
+                            if let Ok(got) = got {
+                                prop_assert!(
+                                    !exact || got == expect(limit),
+                                    "a flip at {at} (column {column}) changed a {limit:?} read \
+                                     silently on the {route} route"
+                                );
+                            }
+                        }
+                    }
+                    let largest = LARGEST.with(Cell::get);
+                    prop_assert!(
+                        largest <= bound,
+                        "a flip at {at} (column {column}) drove a {largest}-byte reservation, \
+                         past {bound}"
+                    );
+                }
             }
         }
     }
