@@ -204,11 +204,12 @@ impl PlanGraph {
                 vec![Op::SigridHash(sparse_hasher(config, seed, i)?)],
             ));
         }
+        let bucketizer = log_bucketizer(config);
         for i in 0..config.num_generated {
             chains.push(ChainSpec::feature(
                 format!("gen_{i}"),
                 generated_source_column(config, i),
-                vec![Op::Bucketize(log_bucketizer(config, i)?)],
+                vec![Op::Bucketize(bucketizer(i)?)],
             ));
         }
         Ok(PlanGraph::new(chains))
@@ -267,11 +268,12 @@ impl PlanGraph {
                 vec![Op::NGram { n, hasher }],
             ));
         }
+        let bucketizer = log_bucketizer(config);
         for i in 0..config.num_generated {
             chains.push(ChainSpec::feature(
                 format!("gen_{i}"),
                 generated_source_column(config, i),
-                vec![Op::Bucketize(log_bucketizer(config, i)?)],
+                vec![Op::Bucketize(bucketizer(i)?)],
             ));
         }
         Ok(PlanGraph::new(chains))
@@ -301,6 +303,7 @@ impl PlanGraph {
                 vec![Op::MapId(map), Op::SigridHash(sparse_hasher(config, seed, i)?)],
             ));
         }
+        let bucketizer = log_bucketizer(config);
         for i in 0..config.num_generated {
             let map = IdMap::shuffled(
                 seed ^ 0x9E4D ^ i as u64,
@@ -310,7 +313,7 @@ impl PlanGraph {
             chains.push(ChainSpec::feature(
                 format!("gen_{i}"),
                 generated_source_column(config, i),
-                vec![Op::Bucketize(log_bucketizer(config, i)?), Op::MapId(map)],
+                vec![Op::Bucketize(bucketizer(i)?), Op::MapId(map)],
             ));
         }
         Ok(PlanGraph::new(chains))
@@ -344,11 +347,12 @@ impl PlanGraph {
                 vec![Op::FirstX(x), Op::SigridHash(sparse_hasher(config, seed, i)?)],
             ));
         }
+        let bucketizer = log_bucketizer(config);
         for i in 0..config.num_generated {
             chains.push(ChainSpec::feature(
                 format!("gen_{i}"),
                 generated_source_column(config, i),
-                vec![Op::Bucketize(log_bucketizer(config, i)?)],
+                vec![Op::Bucketize(bucketizer(i)?)],
             ));
         }
         Ok(PlanGraph::new(chains))
@@ -386,6 +390,7 @@ impl PlanGraph {
                 vec![Op::SigridHash(sparse_hasher(config, seed, i)?)],
             ));
         }
+        let bucketizer = log_bucketizer(config);
         for i in 0..config.num_generated {
             let source = generated_source_column(config, i);
             // Re-route through the cleanup intermediate when one exists for
@@ -395,7 +400,7 @@ impl PlanGraph {
             chains.push(ChainSpec::feature(
                 format!("gen_{i}"),
                 input,
-                vec![Op::Bucketize(log_bucketizer(config, i)?)],
+                vec![Op::Bucketize(bucketizer(i)?)],
             ));
         }
         Ok(PlanGraph::new(chains))
@@ -409,10 +414,15 @@ fn sparse_hasher(config: &RmConfig, seed: u64, i: usize) -> Result<SigridHasher,
         .map_err(|e| GraphError::BadParam { output: format!("sparse_{i}"), detail: e.to_string() })
 }
 
-/// The canonical log-spaced bucketizer.
-fn log_bucketizer(config: &RmConfig, i: usize) -> Result<Bucketizer, GraphError> {
-    Bucketizer::log_spaced(config.bucket_size, DENSE_VALUE_CEILING)
-        .map_err(|e| GraphError::BadParam { output: format!("gen_{i}"), detail: e.to_string() })
+/// The canonical log-spaced bucketizer of generated feature `i`, built once
+/// per graph: every generated feature shares its boundaries and table.
+fn log_bucketizer(config: &RmConfig) -> impl Fn(usize) -> Result<Bucketizer, GraphError> {
+    let built = Bucketizer::log_spaced(config.bucket_size, DENSE_VALUE_CEILING);
+    move |i| {
+        built
+            .clone()
+            .map_err(|e| GraphError::BadParam { output: format!("gen_{i}"), detail: e.to_string() })
+    }
 }
 
 /// Where a resolved chain reads its input from.

@@ -4,11 +4,12 @@
 //! real, executable implementations of the operations the paper offloads to
 //! in-storage accelerators:
 //!
-//! * [`Bucketizer`] — feature generation via boundary binary search
+//! * [`Bucketizer`] — feature generation via a table-guided boundary search
 //!   (Algorithm 1, TorchArrow `bucketize`).
 //! * [`SigridHasher`] — sparse feature normalization via seeded hashing
 //!   modulo the embedding-table size (Algorithm 2, TorchArrow `sigrid_hash`).
-//! * [`lognorm`] — dense feature normalization (`ln(1 + x)`).
+//! * [`lognorm`] — dense feature normalization (`ln(1 + x)`, by its own
+//!   branch-free kernel rather than libm).
 //! * [`op`] / [`graph`] — the typed operator vocabulary ([`Op`]: the
 //!   paper's three ops plus `FirstX`, `NGram` feature crosses and `MapId`
 //!   dictionary remaps) and the per-column chain graph IR ([`PlanGraph`])

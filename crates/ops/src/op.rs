@@ -53,7 +53,7 @@ impl fmt::Display for ValueKind {
 pub enum OpTag {
     /// Seeded hash modulo the embedding-table size (Algorithm 2).
     SigridHash,
-    /// Boundary binary search turning dense values into ids (Algorithm 1).
+    /// Boundary search turning dense values into ids (Algorithm 1).
     Bucketize,
     /// Dense `ln(1 + x)` normalization.
     LogNorm,
@@ -194,7 +194,7 @@ pub enum Op {
     /// Sparse normalization: seeded hash modulo the table size, elementwise
     /// over `List` or `Ids` input.
     SigridHash(SigridHasher),
-    /// Feature generation: boundary binary search, `Dense → Ids`.
+    /// Feature generation: table-guided boundary search, `Dense → Ids`.
     Bucketize(Bucketizer),
     /// Dense normalization: `ln(1 + max(x, 0))`, `Dense → Dense`.
     LogNorm,

@@ -22,6 +22,10 @@ use presto::ops::{preprocess_partition, MiniBatch, PreprocessPlan};
 const V2_FIXTURE: &[u8] = include_bytes!("data/v2_rm1_200rows_seed42.pstocol");
 const V3_FIXTURE: &[u8] = include_bytes!("data/v3_rm1_200rows_seed42.pstocol");
 
+/// What both fixtures preprocess to under [`fixture_config`]'s plan. Was
+/// `0x8c2b_dfa5_d504_2341` while LogNorm was libm's `ln_1p` (PRs 3–21).
+const FIXTURE_FINGERPRINT: u64 = 0xe760_b0df_2cda_808a;
+
 /// The fixture's generation parameters (fixed forever).
 fn fixture_config() -> RmConfig {
     let mut config = RmConfig::rm1();
@@ -66,16 +70,15 @@ fn v2_fixture_still_opens_and_decodes() {
 }
 
 #[test]
-#[cfg_attr(feature = "fast-math", ignore = "fast-math ln_1p is not bit-identical by design")]
 fn v2_fixture_preprocesses_bit_identically() {
-    // Fingerprint recorded by the PR 3 code base when the fixture was
-    // written: decode + full preprocessing must not have changed a bit.
-    // (The fast-math feature intentionally relaxes dense-normalization
-    // bit-identity to ≤ 8 ULP, so this pin only holds in default builds.)
+    // Fingerprint of decode + full preprocessing of the fixture. Recorded
+    // by the PR 3 code base when the fixture was written, and re-pinned
+    // once when LogNorm stopped being libm's `ln_1p` (its own kernel, see
+    // `presto_ops::lognorm`): nothing else may change a bit.
     let plan = PreprocessPlan::from_config(&fixture_config(), 1).expect("plan");
     let (mb, _) =
         preprocess_partition(&plan, MemBlob::new(V2_FIXTURE.to_vec())).expect("preprocesses");
-    assert_eq!(fingerprint(&mb), 0x8c2b_dfa5_d504_2341);
+    assert_eq!(fingerprint(&mb), FIXTURE_FINGERPRINT);
 }
 
 #[test]
@@ -110,14 +113,13 @@ fn v3_fixture_reads_through_v4_reader() {
 }
 
 #[test]
-#[cfg_attr(feature = "fast-math", ignore = "fast-math ln_1p is not bit-identical by design")]
 fn v3_fixture_preprocesses_to_pinned_fingerprint() {
     let plan = PreprocessPlan::from_config(&fixture_config(), 1).expect("plan");
     let (mb, _) =
         preprocess_partition(&plan, MemBlob::new(V3_FIXTURE.to_vec())).expect("preprocesses");
     assert_eq!(
         fingerprint(&mb),
-        0x8c2b_dfa5_d504_2341,
+        FIXTURE_FINGERPRINT,
         "v3-written data must preprocess bit-identically to the v2 fixture"
     );
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the preprocessing kernels: the algorithmic
 //! invariants of Algorithms 1 and 2 hold for arbitrary inputs.
 
-use presto::ops::{lognorm, Bucketizer, SigridHasher};
+use presto::ops::{lognorm, Bucketizer, SigridHasher, FEATURE_BUFFER_ELEMS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -156,63 +156,108 @@ proptest! {
 
     #[test]
     fn lognorm_variants_bit_match(
-        values in vec(any::<f32>(), 0..300),
+        values in vec(any::<f32>(), 0..=80),
+        start in 0usize..=13,
+        len in 0usize..=67,
         garbage in vec(any::<f32>(), 0..64),
     ) {
-        let expected: Vec<f32> =
-            values.iter().map(|&v| lognorm::log_normalize_one(v)).collect();
-        let expected_bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
-        let as_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        prop_assert_eq!(as_bits(&lognorm::log_normalize(&values)), expected_bits.clone());
-        let mut out = garbage;
-        lognorm::log_normalize_into(&values, &mut out);
-        prop_assert_eq!(as_bits(&out), expected_bits.clone());
-        let mut in_place = values.clone();
-        lognorm::log_normalize_in_place(&mut in_place);
-        prop_assert_eq!(as_bits(&in_place), expected_bits);
-    }
-}
-
-// The `fast-math` accuracy contract: bit-identical to `f32::ln_1p` with the
-// feature off, ULP-bounded against it with the feature on.
-#[cfg(not(feature = "fast-math"))]
-mod lognorm_default_build {
-    use super::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn log_normalize_is_bit_identical_to_std_ln_1p(
-            values in vec(any::<f32>(), 0..300),
-        ) {
-            for (&x, y) in values.iter().zip(lognorm::log_normalize(&values)) {
-                let want = if x.is_nan() { 0.0f32 } else { x.max(0.0).ln_1p() };
-                prop_assert_eq!(y.to_bits(), want.to_bits());
+        // An unaligned sub-slice of 0..=67 elements, whole and cut into
+        // every chunk size the executor can use: each variant equals the
+        // scalar kernel bit for bit.
+        let start = start.min(values.len());
+        let slice = &values[start..(start + len).min(values.len())];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let expected: Vec<u32> =
+            slice.iter().map(|&v| lognorm::log_normalize_one(v).to_bits()).collect();
+        prop_assert_eq!(bits(&lognorm::log_normalize(slice)), expected.clone());
+        // A dirty, reused buffer must end up bit-identical too.
+        let mut piece = garbage;
+        for chunk in chunk_sizes(slice.len()) {
+            let mut out = Vec::new();
+            for part in slice.chunks(chunk) {
+                lognorm::log_normalize_into(part, &mut piece);
+                out.extend_from_slice(&piece);
             }
+            prop_assert!(bits(&out) == expected, "into, chunk {}", chunk);
+            let mut in_place = slice.to_vec();
+            for part in in_place.chunks_mut(chunk) {
+                lognorm::log_normalize_in_place(part);
+            }
+            prop_assert!(bits(&in_place) == expected, "in place, chunk {}", chunk);
         }
     }
 }
 
-#[cfg(feature = "fast-math")]
-mod lognorm_fast_build {
-    use super::*;
+/// The accuracy oracle of `LogNorm`: `ln(1 + x)` in `f64`, rounded once.
+fn lognorm_oracle(x: f32) -> f32 {
+    if x > 0.0 {
+        (x as f64).ln_1p() as f32
+    } else {
+        0.0
+    }
+}
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+/// The ids' definition: the number of boundaries `<= v`.
+fn bucketize_reference(boundaries: &[f32], v: f32) -> i64 {
+    boundaries.partition_point(|&b| b <= v) as i64
+}
 
-        #[test]
-        fn log_normalize_is_ulp_bounded_against_std_ln_1p(
-            values in vec(any::<f32>(), 0..300),
-        ) {
-            for (&x, y) in values.iter().zip(lognorm::log_normalize(&values)) {
-                let want = if x.is_nan() { 0.0f32 } else { x.max(0.0).ln_1p() };
-                let ulp = if y == want { 0 } else { y.to_bits().abs_diff(want.to_bits()) };
-                prop_assert!(
-                    ulp <= lognorm::fast::MAX_ULP_ERROR,
-                    "x = {:e}: got {:e}, want {:e} ({} ulp)", x, y, want, ulp
-                );
+/// Strictly increasing boundaries of any magnitude and sign: sorted,
+/// deduplicated arbitrary finite floats (subnormals and extremes included).
+fn arb_wide_boundaries() -> impl Strategy<Value = Vec<f32>> {
+    vec(any::<f32>(), 1..300).prop_map(|mut b| {
+        b.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
+        b.dedup_by(|x, y| x <= y);
+        b
+    })
+}
+
+/// Every way the executor can cut a column of `len` elements into chunks:
+/// each size from 1 to whole, and the in-storage unit's buffer.
+fn chunk_sizes(len: usize) -> impl Iterator<Item = usize> {
+    (1..=len + 1).chain([FEATURE_BUFFER_ELEMS])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn log_normalize_is_within_one_ulp_of_f64_ln_1p(values in vec(any::<f32>(), 0..300)) {
+        for (&x, y) in values.iter().zip(lognorm::log_normalize(&values)) {
+            let want = lognorm_oracle(x);
+            let ulp = y.to_bits().abs_diff(want.to_bits());
+            prop_assert!(ulp <= 1, "x = {:e}: got {:e}, want {:e} ({} ulp)", x, y, want, ulp);
+        }
+    }
+
+    #[test]
+    fn bucketize_ids_equal_the_reference(
+        boundaries in arb_wide_boundaries(),
+        values in vec(any::<f32>(), 0..300),
+        start in 0usize..=13,
+    ) {
+        let b = Bucketizer::new(boundaries.clone()).expect("strictly increasing");
+        let start = start.min(values.len());
+        let slice = &values[start..];
+        let expected: Vec<i64> =
+            slice.iter().map(|&v| bucketize_reference(&boundaries, v)).collect();
+        for (&v, &want) in slice.iter().zip(&expected) {
+            prop_assert!(b.bucket_id(v) == want, "bucket_id({:e})", v);
+        }
+        prop_assert_eq!(&b.apply(slice), &expected);
+        // Boundaries themselves and their neighbours, through the lockstep route.
+        let edges: Vec<f32> =
+            boundaries.iter().flat_map(|&x| [x.next_down(), x, x.next_up()]).collect();
+        let want: Vec<i64> = edges.iter().map(|&v| bucketize_reference(&boundaries, v)).collect();
+        prop_assert_eq!(b.apply(&edges), want);
+        for chunk in [1, 7, 64, 65, FEATURE_BUFFER_ELEMS] {
+            let mut out = Vec::new();
+            let mut piece = Vec::new();
+            for part in slice.chunks(chunk) {
+                b.apply_into(part, &mut piece);
+                out.extend_from_slice(&piece);
             }
+            prop_assert!(out == expected, "chunk {}", chunk);
         }
     }
 }
