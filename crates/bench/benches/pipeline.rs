@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use presto_core::experiments;
 use presto_datagen::{generate_batch, write_partition, RmConfig};
-use presto_ops::{preprocess_batch, preprocess_partition, PlanGraph, PreprocessPlan};
+use presto_ops::{
+    preprocess_batch_with, preprocess_partition, PlanGraph, PreprocessPlan, ScratchSpace,
+};
 use std::hint::black_box;
 
 fn bench_preprocess_batch(c: &mut Criterion) {
@@ -18,7 +20,13 @@ fn bench_preprocess_batch(c: &mut Criterion) {
             BenchmarkId::new("model", name),
             &(plan, batch),
             |bench, (plan, batch)| {
-                bench.iter(|| black_box(preprocess_batch(plan, batch).expect("preprocesses")));
+                // One-shot: a fresh scratch per batch.
+                bench.iter(|| {
+                    let mut scratch = ScratchSpace::new();
+                    black_box(
+                        preprocess_batch_with(plan, batch, &mut scratch).expect("preprocesses"),
+                    )
+                });
             },
         );
     }

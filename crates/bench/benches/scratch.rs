@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use presto_columnar::{FileReader, MemBlob};
 use presto_datagen::{generate_batch, write_partition, RmConfig, RowBatch};
 use presto_ops::{
-    preprocess_batch, preprocess_partition_with, transform_batch_into, MiniBatch, PreprocessPlan,
-    ScratchSpace,
+    preprocess_batch_with, preprocess_partition_with, transform_batch_into, MiniBatch,
+    PreprocessPlan, ScratchSpace,
 };
 use std::hint::black_box;
 
@@ -61,7 +61,7 @@ fn alloc_baseline(plan: &PreprocessPlan, blob: &MemBlob) -> MiniBatch {
             .collect()
     };
     let batch = RowBatch::new(schema, merged).expect("batch");
-    preprocess_batch(plan, &batch).expect("preprocess").0
+    preprocess_batch_with(plan, &batch, &mut ScratchSpace::new()).expect("preprocess").0
 }
 
 fn bench_partition_paths(c: &mut Criterion) {

@@ -15,10 +15,10 @@
 //!    drained to completion: adds the overlap win.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use presto_columnar::{BlobRead, MemBlob, ReadScratch, Result as ColumnarResult};
+use presto_columnar::{BlobRead, FileReader, MemBlob, ReadScratch, Result as ColumnarResult};
 use presto_datagen::{generate_batch, write_partition, Dataset, Partition, RmConfig};
 use presto_ops::{
-    extract_partition_with, preprocess_partition_with, run_workers_materialized, BatchStream,
+    extract_columns_for_plan, preprocess_partition_with, run_workers_materialized, BatchStream,
     FleetConfig, MiniBatch, PlanGraph, PreprocessPlan, ScratchSpace,
 };
 use std::hint::black_box;
@@ -182,6 +182,17 @@ fn bench_latency_hiding(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Extract stage alone: open + the plan's projected read and decode
+/// into one `RowBatch`.
+fn extract_partition(
+    plan: &PreprocessPlan,
+    blob: MemBlob,
+    read: &mut ReadScratch,
+) -> presto_datagen::RowBatch {
+    let reader = FileReader::open(blob).expect("opens");
+    extract_columns_for_plan(plan, &reader, plan.required_columns(), read).expect("extracts")
+}
+
 fn bench_extract_only(c: &mut Criterion) {
     // The Extract stage in isolation — projected read + block decode into
     // one RowBatch — the subject of the delta-bitpacked codec work. RM1 is
@@ -198,10 +209,7 @@ fn bench_extract_only(c: &mut Criterion) {
         let mut scratch = ReadScratch::new();
         group.bench_function(name, |bench| {
             bench.iter(|| {
-                black_box(
-                    extract_partition_with(&plan, black_box(blob.clone()), &mut scratch)
-                        .expect("extracts"),
-                )
+                black_box(extract_partition(&plan, black_box(blob.clone()), &mut scratch))
             });
         });
     }
@@ -219,10 +227,7 @@ fn bench_extract_only(c: &mut Criterion) {
         let mut scratch = ReadScratch::new();
         group.bench_function("longseq", |bench| {
             bench.iter(|| {
-                black_box(
-                    extract_partition_with(&plan, black_box(blob.clone()), &mut scratch)
-                        .expect("extracts"),
-                )
+                black_box(extract_partition(&plan, black_box(blob.clone()), &mut scratch))
             });
         });
     }

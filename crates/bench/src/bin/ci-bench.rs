@@ -4,7 +4,7 @@
 //! Measures (best-of-N wall-clock, small enough for a CI leg):
 //!
 //! * `extract_rm1_rows_per_sec` — the Extract stage alone
-//!   (`extract_partition_with`: projected read + block decode into one
+//!   (open + `extract_columns_for_plan`: projected read + block decode into one
 //!   `RowBatch`), the `extract_partition/rm1` criterion bench's subject and
 //!   the path the delta-bitpacked codec accelerates.
 //! * `preprocess_partition_rm1_rows_per_sec` — the single-worker
@@ -51,14 +51,14 @@
 //! measured code paths — a stale baseline silently weakens the gate.
 
 use presto_bench::{banner, parse_flat_json, print_table, render_flat_json};
-use presto_columnar::ReadScratch;
+use presto_columnar::{FileReader, MemBlob, ReadScratch};
 use presto_core::placement::{place_stages, OpCostModel};
 use presto_core::{Fleet, JobSpec, PreprocessService, ServiceConfig, Trainer, TrainerConfig};
-use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig};
+use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig, RowBatch};
 use presto_hwsim::fpga::IspModel;
 use presto_metrics::TextTable;
 use presto_ops::{
-    extract_partition_with, preprocess_partition_with, BatchStream, FleetConfig, PreprocessPlan,
+    extract_columns_for_plan, preprocess_partition_with, BatchStream, FleetConfig, PreprocessPlan,
     ScratchSpace, ShuffleSpec,
 };
 use std::time::Instant;
@@ -79,6 +79,13 @@ fn best_of<F: FnMut() -> usize>(reps: usize, mut run: F) -> f64 {
     best
 }
 
+/// The Extract stage alone: open + the plan's projected read and decode
+/// into one `RowBatch`.
+fn extract_partition(plan: &PreprocessPlan, blob: MemBlob, read: &mut ReadScratch) -> RowBatch {
+    let reader = FileReader::open(blob).expect("opens");
+    extract_columns_for_plan(plan, &reader, plan.required_columns(), read).expect("extracts")
+}
+
 fn extract_rm1() -> f64 {
     let mut config = RmConfig::rm1();
     config.batch_size = 4096;
@@ -86,11 +93,8 @@ fn extract_rm1() -> f64 {
     let batch = generate_batch(&config, 4096, 7);
     let blob = write_partition(&batch).expect("serializes");
     let mut scratch = ReadScratch::new();
-    extract_partition_with(&plan, blob.clone(), &mut scratch).expect("extracts");
-    best_of(5, || {
-        let (rb, _) = extract_partition_with(&plan, blob.clone(), &mut scratch).expect("extracts");
-        rb.rows()
-    })
+    extract_partition(&plan, blob.clone(), &mut scratch);
+    best_of(5, || extract_partition(&plan, blob.clone(), &mut scratch).rows())
 }
 
 fn preprocess_partition_rm1() -> f64 {
@@ -182,7 +186,6 @@ fn multi_tenant() -> f64 {
 /// so the pushdown speedup is a visible figure on every CI run; the gated
 /// metric is the pushdown rate.
 fn extract_longseq() -> f64 {
-    use presto_columnar::FileReader;
     use presto_ops::{extract_columns_from_reader, PlanGraph};
     let mut config = RmConfig::rm_longseq();
     config.batch_size = 2048;
@@ -191,11 +194,8 @@ fn extract_longseq() -> f64 {
     let batch = generate_batch(&config, 2048, 7);
     let blob = write_partition(&batch).expect("serializes");
     let mut scratch = ReadScratch::new();
-    extract_partition_with(&plan, blob.clone(), &mut scratch).expect("extracts");
-    let pushdown = best_of(5, || {
-        let (rb, _) = extract_partition_with(&plan, blob.clone(), &mut scratch).expect("extracts");
-        rb.rows()
-    });
+    extract_partition(&plan, blob.clone(), &mut scratch);
+    let pushdown = best_of(5, || extract_partition(&plan, blob.clone(), &mut scratch).rows());
     let reader = FileReader::open(blob).expect("opens");
     let full = best_of(5, || {
         extract_columns_from_reader(&reader, plan.required_columns(), &mut scratch)

@@ -8,8 +8,8 @@
 //! per unit (double buffering), exactly the structure of Section IV-C. The
 //! worker drives the *same* compiled
 //! [`PreprocessPlan::stages`](presto_ops::PreprocessPlan::stages) as the
-//! host executor ([`presto_ops::preprocess_partition_isp`], with the
-//! on-chip buffer size as the chunk bound), so any operator graph runs in
+//! host executor (the one unit call, [`presto_ops::UnitState::run`], with
+//! the on-chip buffer size as the chunk bound), so any operator graph runs in
 //! storage with output bit-identical to the host CPU pipeline by
 //! construction, which is the correctness argument for the offload. It
 //! shares the host executor's zero-copy substrate (recycled
@@ -25,7 +25,7 @@ use presto_columnar::BlobRead;
 use presto_ops::executor::PreprocessError;
 use presto_ops::minibatch::MiniBatch;
 use presto_ops::plan::PreprocessPlan;
-use presto_ops::{preprocess_partition_isp, ScratchSpace};
+use presto_ops::{ScratchSpace, Side, UnitState};
 
 pub use presto_ops::executor::{IspRunStats, FEATURE_BUFFER_ELEMS};
 
@@ -91,7 +91,10 @@ impl IspWorker {
         blob: B,
         scratch: &mut ScratchSpace,
     ) -> Result<(MiniBatch, IspRunStats), PreprocessError> {
-        preprocess_partition_isp(&self.plan, blob, self.chunk_elems, scratch)
+        let side = Side::whole(&self.plan, self.chunk_elems);
+        let unit = UnitState::read(&self.plan, blob, None, side, scratch.read_scratch())?;
+        let stats = IspRunStats { p2p_bytes: unit.fetched(), units: unit.stats() };
+        Ok((unit.assemble(&self.plan)?.0, stats))
     }
 }
 
@@ -117,7 +120,7 @@ mod tests {
         let (isp_out, stats) = worker.preprocess(blob.clone()).expect("isp path");
         let (cpu_out, _) = preprocess_partition(&plan, blob).expect("cpu path");
         assert_eq!(isp_out, cpu_out);
-        assert!(stats.elements > 0);
+        assert!(stats.units.elements > 0);
         assert!(stats.p2p_bytes > 0);
     }
 
@@ -148,8 +151,8 @@ mod tests {
             .expect("runs")
             .1;
         let large = IspWorker::new(plan).with_buffer_elems(512).preprocess(blob).expect("runs").1;
-        assert!(small.bucketize_chunks > large.bucketize_chunks);
-        assert_eq!(small.elements, large.elements);
+        assert!(small.units.generation_chunks > large.units.generation_chunks);
+        assert_eq!(small.units.elements, large.units.elements);
     }
 
     #[test]

@@ -7,26 +7,34 @@
 //! (`presto_core::placement`); the paper-scale performance projections come
 //! from `presto-hwsim` instead.
 //!
-//! # One runner, every backend
+//! # One unit call, every fleet
 //!
-//! All execution paths drive the same compiled
-//! [`PreprocessPlan::stages`](crate::PreprocessPlan::stages) in topological
-//! order, so the host CPU pipeline, the streaming workers and the
-//! in-storage unit emulation are one dataflow with different parameters:
+//! Stages run over stored data one way: [`UnitState::run`] Extracts one
+//! [`Side`] of a unit — a column projection, a set of stage positions and a
+//! chunk size — from an open file (every row group, or one), then runs
+//! those stages of the compiled
+//! [`PreprocessPlan::stages`](crate::PreprocessPlan::stages) in
+//! topological order, writing into the unit's [`UnitState`]: labels, one
+//! slot per stage, timings and [`UnitStats`]. The state then assembles the
+//! mini-batch, or packs a [`BoundaryBatch`] that the other side seeds into
+//! its own state. Every fleet of [`crate::stream`] is one or two sides of
+//! that call:
 //!
-//! * the host paths run each op over the whole column (`chunk = ∞`);
-//! * the ISP emulation ([`preprocess_batch_owned_chunked`]) streams every
-//!   op through fixed-size on-chip feature-buffer chunks and counts them in
-//!   a [`UnitStats`] — bit-identical output by construction, since every op
-//!   is pure and elementwise ops are chunk-invariant;
-//! * the split paths run the *same* stages partitioned across two fleets: a
-//!   [`SplitPlan`] names the ISP stage prefix and the
-//!   host suffix, [`preprocess_split_isp`] runs the prefix chunked and
-//!   packs the boundary-crossing outputs into a typed [`BoundaryBatch`],
-//!   and [`preprocess_split_host`] resumes from that hand-off (validating
-//!   kinds against the boundary schema) and assembles the mini-batch.
-//!   [`preprocess_partition_split`] is the serial single-blob composition
-//!   of the two; the split fleet of [`crate::stream`] pipelines them.
+//! | caller | projection | stages | chunk | then |
+//! |---|---|---|---|---|
+//! | host (fused, row group, failover) | `required_columns` | all | ∞ | assemble |
+//! | ISP | `required_columns` | all | [`FEATURE_BUFFER_ELEMS`] | assemble |
+//! | split, device side | `isp_columns` | `isp_stages` | [`FEATURE_BUFFER_ELEMS`] | pack boundary |
+//! | split host side / pair B | `host_columns` | `host_stages` | ∞ | seed + assemble |
+//! | pair A | halves' `isp_columns` | `isp_stages` | ∞ | pack boundary |
+//!
+//! A finite chunk is the in-storage unit emulation: elementwise and
+//! Bucketize ops stream through `chunk`-element on-chip feature buffers and
+//! [`UnitStats`] counts the chunks per unit class — bit-identical output
+//! for any chunk, since every op is pure and elementwise ops are
+//! chunk-invariant. The public `preprocess_*` / `extract_*` functions are
+//! wrappers of a few lines over this call, or over its Extract or Transform
+//! half where the caller holds a [`RowBatch`].
 //!
 //! # The allocation-free hot path
 //!
@@ -35,23 +43,23 @@
 //! per-batch copies and allocations in steady state:
 //!
 //! * [`ScratchSpace`] owns every reusable buffer — the Extract chunk buffer
-//!   and one stage-value slot per compiled stage. A worker that keeps
-//!   its scratch across partitions performs **zero heap allocation** inside
-//!   the transform loop once the buffers are warm (asserted by the
-//!   counting-allocator test in `tests/alloc_free.rs`).
-//! * [`preprocess_batch_owned`] consumes the decoded columns instead of
-//!   copying them: stages whose chain is fully elementwise and whose raw
-//!   column has no other reader
-//!   ([`consumes_raw`](crate::plan::CompiledStage::consumes_raw)) transform
-//!   **in place** on the uniquely owned decode buffers, and labels/offsets
-//!   move into the mini-batch without a copy.
-//! * [`transform_batch_into`] is the borrowed-batch variant used by
-//!   [`preprocess_batch_with`]: kernels write into the scratch slots
-//!   through their `*_into` entry points.
+//!   and one stage-value slot per compiled stage.
+//! * The unit call consumes the decoded columns instead of copying them:
+//!   stages whose chain is fully elementwise and whose raw column has no
+//!   other reader ([`consumes_raw`](crate::plan::CompiledStage::consumes_raw))
+//!   transform **in place** on the uniquely owned decode buffers, and
+//!   labels/offsets move into the mini-batch without a copy.
+//! * [`transform_batch_into`] is the one separate loop: it runs over a
+//!   *borrowed* batch into the scratch's slots, which outlive the call, so
+//!   a worker that keeps its scratch performs **zero heap allocation**
+//!   inside it once the buffers are warm (asserted by the counting-allocator
+//!   test in `tests/alloc_free.rs`). [`preprocess_batch_with`] formats from
+//!   it.
 //!
-//! All variants are bit-identical to the straightforward allocating kernels;
+//! Both loops are bit-identical to the straightforward allocating kernels;
 //! property tests in `tests/` pin that equivalence.
 
+use crate::graph::LABEL_COLUMN;
 use crate::lognorm;
 use crate::minibatch::{DenseMatrix, JaggedFeature, MiniBatch, ShapeError};
 use crate::op::{
@@ -296,9 +304,8 @@ impl StageTimings {
 
 /// Chunk counters of one emulated in-storage run, bucketed by unit class
 /// (generation = Bucketize, normalization = SigridHash/MapId/LogNorm,
-/// restructure = FirstX/NGram). Filled by
-/// [`preprocess_batch_owned_chunked`]; the host paths leave it at one chunk
-/// per op application.
+/// restructure = FirstX/NGram), filled by [`UnitState::run`]: a
+/// whole-column side counts one chunk per op application.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitStats {
     /// Chunks through the feature-generation unit.
@@ -878,59 +885,26 @@ fn assemble_mini_batch(
     Ok(MiniBatch::new(labels, dense, sparse)?)
 }
 
-/// Preprocesses an already-decoded row batch (Transform + format
-/// conversion).
-///
-/// One-shot path: stage outputs are built in a private scratch and move
-/// into the mini-batch. Callers in a steady-state loop should prefer
-/// [`preprocess_batch_with`] (bounded allocation via a reused scratch) or
-/// [`preprocess_batch_owned`] (in-place transforms); all three produce
-/// bit-identical output.
+/// Like [`transform_batch_into`], then format conversion: the scratch
+/// outputs are copied into owned buffers (they must outlive the scratch)
+/// and assembled. The transform loop itself allocates nothing once the
+/// scratch is warm; only the returned mini-batch does.
 ///
 /// # Errors
 ///
-/// Returns [`PreprocessError::BadColumn`] when the batch does not contain a
-/// column the plan requires.
-pub fn preprocess_batch(
-    plan: &PreprocessPlan,
-    batch: &RowBatch,
-) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let labels = batch
-        .column("label")
-        .and_then(Array::as_int64)
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?
-        .to_vec();
-    let mut scratch = ScratchSpace::new();
-    let mut timings = transform_batch_into(plan, batch, &mut scratch)?;
-    let t0 = Instant::now();
-    let slots = &mut scratch.slots;
-    let mini_batch = assemble_mini_batch(plan, labels, |pos| std::mem::take(&mut slots[pos]))?;
-    timings.format = t0.elapsed();
-    Ok((mini_batch, timings))
-}
-
-/// Like [`preprocess_batch`], threading stage outputs through a reusable
-/// [`ScratchSpace`] so the transform loop itself allocates nothing once the
-/// scratch is warm. Only the final mini-batch assembly allocates (its
-/// buffers are the returned value and cannot be recycled).
-///
-/// # Errors
-///
-/// Same as [`preprocess_batch`].
+/// Returns [`PreprocessError::BadColumn`] when the batch lacks the label or
+/// a column the plan requires.
 pub fn preprocess_batch_with(
     plan: &PreprocessPlan,
     batch: &RowBatch,
     scratch: &mut ScratchSpace,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
     let labels = batch
-        .column("label")
+        .column(LABEL_COLUMN)
         .and_then(Array::as_int64)
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?
+        .ok_or_else(|| PreprocessError::BadColumn { column: LABEL_COLUMN.into() })?
         .to_vec();
     let mut timings = transform_batch_into(plan, batch, scratch)?;
-
-    // Format conversion: copy the scratch outputs into owned buffers (they
-    // must outlive the scratch) and assemble.
     let t0 = Instant::now();
     let slots = &scratch.slots;
     let mini_batch = assemble_mini_batch(plan, labels, |pos| slots[pos].clone())?;
@@ -949,235 +923,234 @@ fn take_column(
     Some(std::mem::replace(&mut columns[idx], Array::empty(dt)))
 }
 
-/// Preprocesses a batch it *owns*: stages marked
-/// [`consumes_raw`](crate::plan::CompiledStage::consumes_raw) run their
-/// (fully elementwise) chains in
-/// place on the uniquely owned column buffers and move the results into the
-/// mini-batch without copying. This is the fast path
-/// [`preprocess_partition_with`] takes after decoding — identical output to
-/// [`preprocess_batch`], fewer allocations and about half the transform
-/// memory traffic on sparse-heavy plans.
-///
-/// # Errors
-///
-/// Same as [`preprocess_batch`].
-pub fn preprocess_batch_owned(
-    plan: &PreprocessPlan,
-    batch: RowBatch,
-) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    preprocess_batch_owned_chunked(plan, batch, usize::MAX).map(|(mb, t, _)| (mb, t))
+/// One *side* of a unit: the projection it Extracts, the stage positions it
+/// runs and the chunk size it runs them at. Every fleet is one or two sides
+/// of [`UnitState::run`] (see the [module docs](self)).
+#[derive(Debug, Clone, Copy)]
+pub struct Side<'a> {
+    /// Raw columns to Extract, in projection order. The side whose
+    /// projection holds the label carries the unit's labels.
+    pub(crate) columns: &'a [String],
+    /// Plan stage positions to run (dependency-closed, increasing), or
+    /// `None` for every stage.
+    pub(crate) stages: Option<&'a [usize]>,
+    /// Elements per on-chip feature-buffer chunk; `usize::MAX` runs every
+    /// op over the whole column.
+    pub(crate) chunk: usize,
 }
 
-/// [`preprocess_batch_owned`] with the in-storage unit emulation engaged:
-/// elementwise and Bucketize ops stream through `chunk_elems`-element
-/// on-chip feature-buffer chunks (two buffers per unit — one transforms
-/// while the other drains), and the returned [`UnitStats`] counts the
-/// chunks per unit class. List-restructuring ops (FirstX/NGram) run
-/// whole-column — their windows span chunk boundaries — with their unit
-/// traffic counted arithmetically (see
-/// [`UnitStats::restructure_chunks`]). Output is bit-identical to the host
-/// paths for any chunk size, because every op is pure and the chunked
-/// kernels are chunk-invariant.
-///
-/// # Errors
-///
-/// Same as [`preprocess_batch`].
-pub fn preprocess_batch_owned_chunked(
-    plan: &PreprocessPlan,
-    batch: RowBatch,
-    chunk_elems: usize,
-) -> Result<(MiniBatch, StageTimings, UnitStats), PreprocessError> {
-    let chunk = chunk_elems.max(1);
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
-    let (schema, mut columns) = batch.into_parts();
-
-    let labels = take_column(&schema, &mut columns, "label")
-        .and_then(|a| match a {
-            Array::Int64(buf) => Some(buf.into_vec()),
-            _ => None,
-        })
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?;
-
-    let mut outputs: Vec<StageValue> = Vec::new();
-    outputs.resize_with(plan.stages().len(), StageValue::default);
-    run_stage_subset(
-        plan,
-        0..plan.stages().len(),
-        &schema,
-        &mut columns,
-        chunk,
-        &mut outputs,
-        &mut timings,
-        &mut stats,
-    )?;
-    drop(columns);
-
-    let t0 = Instant::now();
-    let mini_batch = assemble_mini_batch(plan, labels, |pos| std::mem::take(&mut outputs[pos]))?;
-    timings.format = t0.elapsed();
-    Ok((mini_batch, timings, stats))
-}
-
-/// Executes the stages at `positions` (a dependency-closed, increasing
-/// subset of the plan) over an owned batch, writing each stage's result
-/// into `outputs[pos]`. Stage-to-stage inputs resolve through `outputs`,
-/// so pre-seeded slots (a split run's boundary hand-off) feed stages whose
-/// producers ran elsewhere. The shared loop under
-/// [`preprocess_batch_owned_chunked`], [`preprocess_split_isp`] and
-/// [`preprocess_split_host`].
-#[allow(clippy::too_many_arguments)]
-fn run_stage_subset(
-    plan: &PreprocessPlan,
-    positions: impl IntoIterator<Item = usize>,
-    schema: &presto_columnar::Schema,
-    columns: &mut [Array],
-    chunk: usize,
-    outputs: &mut [StageValue],
-    timings: &mut StageTimings,
-    stats: &mut UnitStats,
-) -> Result<(), PreprocessError> {
-    let stages = plan.stages();
-    let mut staged = StagedBufs::default();
-    let mut temp = StageValue::default();
-    for i in positions {
-        let stage = &stages[i];
-        let mut slot = StageValue::default();
-        if stage.consumes_raw() {
-            let StageInput::Raw(name) = stage.input() else {
-                return Err(plan_violation(format!("stage {i} consumes a non-raw input")));
-            };
-            let column = take_column(schema, columns, name)
-                .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-            run_stage_owned(
-                stage.ops(),
-                column,
-                name,
-                stage.input_kind(),
-                &mut slot,
-                &mut temp,
-                chunk,
-                &mut staged,
-                timings,
-                stats,
-            )?;
-        } else {
-            let input = match stage.input() {
-                StageInput::Raw(name) => {
-                    let idx = schema
-                        .index_of(name)
-                        .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-                    array_value_ref(&columns[idx], name, stage.input_kind())?
-                }
-                StageInput::Stage(j) => outputs[*j].as_value_ref(),
-            };
-            // A leading `FirstX(x)` over lists already no longer than `x`
-            // is the identity — the common case once prefix pushdown has
-            // truncated the column at decode time (clamping still happens
-            // here when the extracted prefix was a looser max). Skip the
-            // op instead of copying the lists through it.
-            let ops = match (stage.ops().first(), &input) {
-                (Some(Op::FirstX(x)), ValueRef::List { offsets, values })
-                    if offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= *x) =>
-                {
-                    if stage.ops().len() == 1 {
-                        // Identity chain: materialize the input directly
-                        // (run_chain rejects empty op lists).
-                        slot =
-                            StageValue::List { offsets: offsets.to_vec(), values: values.to_vec() };
-                        outputs[i] = slot;
-                        continue;
-                    }
-                    &stage.ops()[1..]
-                }
-                _ => stage.ops(),
-            };
-            run_chain(ops, input, &mut slot, &mut temp, chunk, &mut staged, timings, stats)?;
-        }
-        outputs[i] = slot;
-    }
-    Ok(())
-}
-
-/// The typed intermediate hand-off of one split batch: every boundary
-/// stage's materialized output, keyed by parent-plan stage position. This —
-/// and only this — is what crosses the ISP → host link in a split run;
-/// on-device intermediates consumed by later ISP stages never leave the
-/// drive.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BoundaryBatch {
-    /// `(stage position, value)` pairs in execution order.
-    pub values: Vec<(usize, StageValue)>,
-}
-
-impl BoundaryBatch {
-    /// Total serialized payload crossing the link, in bytes — the quantity
-    /// the placement cost model prices against the device link rate.
+impl<'a> Side<'a> {
+    /// The whole plan at `chunk`: the host fleet (`usize::MAX`) or an
+    /// emulated ISP unit ([`FEATURE_BUFFER_ELEMS`]).
     #[must_use]
-    pub fn byte_len(&self) -> u64 {
-        self.values.iter().map(|(_, v)| v.byte_len()).sum()
+    pub fn whole(plan: &'a PreprocessPlan, chunk: usize) -> Self {
+        Side { columns: plan.required_columns(), stages: None, chunk }
+    }
+
+    /// The ISP side of `split`: its projection (never the label) and stage
+    /// prefix at `chunk`.
+    #[must_use]
+    pub(crate) fn isp(split: &'a SplitPlan, chunk: usize) -> Self {
+        Side { columns: split.isp_columns(), stages: Some(split.isp_stages()), chunk }
+    }
+
+    /// The host side of `split`, whole-column: the label, the host
+    /// projection and the host-resident stages.
+    #[must_use]
+    pub(crate) fn host(split: &'a SplitPlan) -> Self {
+        Side { columns: split.host_columns(), stages: Some(split.host_stages()), chunk: usize::MAX }
     }
 }
 
-/// Runs the ISP side of a split plan over an owned batch (extracted with
-/// the [`SplitPlan::isp_columns`] projection) through the chunked
-/// on-chip-buffer emulation, and packs the boundary outputs for transfer.
-///
-/// # Errors
-///
-/// Returns [`PreprocessError::BadColumn`] when the batch is missing an
-/// ISP-side raw input, [`PreprocessError::Plan`] on kind violations.
-pub fn preprocess_split_isp(
-    plan: &PreprocessPlan,
-    split: &SplitPlan,
-    batch: RowBatch,
-    chunk_elems: usize,
-) -> Result<(BoundaryBatch, StageTimings, UnitStats), PreprocessError> {
-    let chunk = chunk_elems.max(1);
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
-    let (schema, mut columns) = batch.into_parts();
-    let mut outputs: Vec<StageValue> = Vec::new();
-    outputs.resize_with(plan.stages().len(), StageValue::default);
-    run_stage_subset(
-        plan,
-        split.isp_stages().iter().copied(),
-        &schema,
-        &mut columns,
-        chunk,
-        &mut outputs,
-        &mut timings,
-        &mut stats,
-    )?;
-    let values = split
-        .boundary()
-        .iter()
-        .map(|slot| (slot.stage, std::mem::take(&mut outputs[slot.stage])))
-        .collect();
-    Ok((BoundaryBatch { values }, timings, stats))
-}
-
-/// The host side of a split plan in progress: the label column, one output
-/// slot per plan stage and the timings so far. A serial split run seeds the
-/// boundary, runs the host stages, then assembles; thread B of a host-fleet
-/// worker pair ([`crate::stream`]) runs its stages *first* — they read no
-/// boundary value — and seeds thread A's outputs when they arrive.
+/// The output state of one unit: labels, one output slot per plan stage,
+/// timings, unit counters and the bytes its Extract fetched. The one unit
+/// call ([`UnitState::run`]) returns it; the caller then assembles the
+/// mini-batch, or packs the boundary a [`SplitPlan`]'s other side seeds
+/// into its own state.
 #[derive(Debug)]
-pub(crate) struct HostSide {
+pub struct UnitState {
     labels: Vec<i64>,
     outputs: Vec<StageValue>,
     timings: StageTimings,
+    stats: UnitStats,
+    fetched: u64,
 }
 
-impl HostSide {
+impl UnitState {
+    /// An empty state for a unit of `plan`.
+    #[must_use]
     pub(crate) fn new(plan: &PreprocessPlan) -> Self {
         let mut outputs: Vec<StageValue> = Vec::new();
         outputs.resize_with(plan.stages().len(), StageValue::default);
-        HostSide { labels: Vec::new(), outputs, timings: StageTimings::default() }
+        UnitState {
+            labels: Vec::new(),
+            outputs,
+            timings: StageTimings::default(),
+            stats: UnitStats::default(),
+            fetched: 0,
+        }
+    }
+
+    /// The one unit call: Extracts `side`'s projection of every row group
+    /// (or of `group` alone) under the plan's prefix requirements, then
+    /// runs `side`'s stages at `side.chunk` over the decoded columns into a
+    /// new state.
+    ///
+    /// # Errors
+    ///
+    /// [`PreprocessError::BadColumn`] when a projected column is not in the
+    /// file or has the wrong type, [`PreprocessError::Extract`] on storage
+    /// and decode failures, [`PreprocessError::Plan`] on kind violations.
+    pub fn run<B: BlobRead>(
+        plan: &PreprocessPlan,
+        reader: &FileReader<B>,
+        group: Option<usize>,
+        side: Side<'_>,
+        read: &mut ReadScratch,
+    ) -> Result<Self, PreprocessError> {
+        let t0 = Instant::now();
+        let (batch, fetched) = extract(Some(plan), reader, side.columns, group, read)?;
+        UnitState::transformed(plan, side, batch, fetched, t0.elapsed())
+    }
+
+    /// [`UnitState::run`] over a `blob` it opens, the open counted as
+    /// Extract. The reader (the parsed footer) is dropped before Transform
+    /// and the state is allocated after Extract, so neither sits in the
+    /// worker's heap across the unit: holding them measurably raised
+    /// `rm5_host_mem`'s peak RSS.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`UnitState::run`], plus the open's storage errors.
+    pub fn read<B: BlobRead>(
+        plan: &PreprocessPlan,
+        blob: B,
+        group: Option<usize>,
+        side: Side<'_>,
+        read: &mut ReadScratch,
+    ) -> Result<Self, PreprocessError> {
+        let t0 = Instant::now();
+        let (batch, fetched) =
+            extract(Some(plan), &FileReader::open(blob)?, side.columns, group, read)?;
+        UnitState::transformed(plan, side, batch, fetched, t0.elapsed())
+    }
+
+    /// A new state holding `side`'s Transform of an extracted `batch`.
+    fn transformed(
+        plan: &PreprocessPlan,
+        side: Side<'_>,
+        batch: RowBatch,
+        fetched: u64,
+        extract: Duration,
+    ) -> Result<Self, PreprocessError> {
+        let mut unit = UnitState::new(plan);
+        unit.timings.extract = extract;
+        unit.fetched = fetched;
+        unit.transform(plan, side, batch)?;
+        Ok(unit)
+    }
+
+    /// The Transform half of [`UnitState::run`], over an owned batch of
+    /// `side`'s projection. Stage-to-stage inputs resolve through the
+    /// state's slots, so seeded boundary values feed stages whose producers
+    /// ran on the other side.
+    fn transform(
+        &mut self,
+        plan: &PreprocessPlan,
+        side: Side<'_>,
+        batch: RowBatch,
+    ) -> Result<(), PreprocessError> {
+        let (schema, mut columns) = batch.into_parts();
+        if side.columns.iter().any(|c| c == LABEL_COLUMN) {
+            self.labels = take_column(&schema, &mut columns, LABEL_COLUMN)
+                .and_then(|a| match a {
+                    Array::Int64(buf) => Some(buf.into_vec()),
+                    _ => None,
+                })
+                .ok_or_else(|| PreprocessError::BadColumn { column: LABEL_COLUMN.into() })?;
+        }
+        let chunk = side.chunk.max(1);
+        let stages = plan.stages();
+        let mut staged = StagedBufs::default();
+        let mut temp = StageValue::default();
+        for k in 0..side.stages.map_or(stages.len(), <[usize]>::len) {
+            let i = side.stages.map_or(k, |positions| positions[k]);
+            let stage = &stages[i];
+            let mut slot = StageValue::default();
+            if stage.consumes_raw() {
+                let StageInput::Raw(name) = stage.input() else {
+                    return Err(plan_violation(format!("stage {i} consumes a non-raw input")));
+                };
+                let column = take_column(&schema, &mut columns, name)
+                    .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
+                run_stage_owned(
+                    stage.ops(),
+                    column,
+                    name,
+                    stage.input_kind(),
+                    &mut slot,
+                    &mut temp,
+                    chunk,
+                    &mut staged,
+                    &mut self.timings,
+                    &mut self.stats,
+                )?;
+            } else {
+                let input = match stage.input() {
+                    StageInput::Raw(name) => {
+                        let idx = schema
+                            .index_of(name)
+                            .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
+                        array_value_ref(&columns[idx], name, stage.input_kind())?
+                    }
+                    StageInput::Stage(j) => self.outputs[*j].as_value_ref(),
+                };
+                // A leading `FirstX(x)` over lists already no longer than `x`
+                // is the identity — the common case once prefix pushdown has
+                // truncated the column at decode time (clamping still happens
+                // here when the extracted prefix was a looser max). Skip the
+                // op instead of copying the lists through it.
+                let ops = match (stage.ops().first(), &input) {
+                    (Some(Op::FirstX(x)), ValueRef::List { offsets, values })
+                        if offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= *x) =>
+                    {
+                        if stage.ops().len() == 1 {
+                            // Identity chain: materialize the input directly
+                            // (run_chain rejects empty op lists).
+                            slot = StageValue::List {
+                                offsets: offsets.to_vec(),
+                                values: values.to_vec(),
+                            };
+                            self.outputs[i] = slot;
+                            continue;
+                        }
+                        &stage.ops()[1..]
+                    }
+                    _ => stage.ops(),
+                };
+                run_chain(
+                    ops,
+                    input,
+                    &mut slot,
+                    &mut temp,
+                    chunk,
+                    &mut staged,
+                    &mut self.timings,
+                    &mut self.stats,
+                )?;
+            }
+            self.outputs[i] = slot;
+        }
+        Ok(())
     }
 
     /// Validates the transferred boundary values against `split`'s boundary
     /// schema and moves them into their stages' slots.
+    ///
+    /// # Errors
+    ///
+    /// [`PreprocessError::Plan`] when the hand-off does not cover the
+    /// boundary schema or a value's kind mismatches its stage.
     pub(crate) fn seed(
         &mut self,
         plan: &PreprocessPlan,
@@ -1210,36 +1183,42 @@ impl HostSide {
         }
     }
 
-    /// Takes the label out of `batch` (extracted with the
-    /// [`SplitPlan::host_columns`] projection) and runs the host-resident
-    /// stages whole-column over it.
-    pub(crate) fn run(
-        &mut self,
-        plan: &PreprocessPlan,
-        split: &SplitPlan,
-        batch: RowBatch,
-    ) -> Result<(), PreprocessError> {
-        let (schema, mut columns) = batch.into_parts();
-        self.labels = take_column(&schema, &mut columns, "label")
-            .and_then(|a| match a {
-                Array::Int64(buf) => Some(buf.into_vec()),
-                _ => None,
-            })
-            .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?;
-        run_stage_subset(
-            plan,
-            split.host_stages().iter().copied(),
-            &schema,
-            &mut columns,
-            usize::MAX,
-            &mut self.outputs,
-            &mut self.timings,
-            &mut UnitStats::default(),
-        )
+    /// Moves `split`'s boundary-crossing outputs out into a hand-off.
+    pub(crate) fn boundary(&mut self, split: &SplitPlan) -> BoundaryBatch {
+        let outputs = &mut self.outputs;
+        let values = split
+            .boundary()
+            .iter()
+            .map(|slot| (slot.stage, std::mem::take(&mut outputs[slot.stage])));
+        BoundaryBatch { values: values.collect() }
+    }
+
+    /// Timings so far (Extract includes the open under [`UnitState::read`]).
+    #[must_use]
+    pub(crate) fn timings(&self) -> StageTimings {
+        self.timings
+    }
+
+    /// On-chip buffer chunk counters of the stages run so far.
+    #[must_use]
+    pub fn stats(&self) -> UnitStats {
+        self.stats
+    }
+
+    /// Bytes the Extracts fetched ([`presto_columnar::ChunkMeta::read_len`]
+    /// per projected chunk) — what a device side moves over its P2P link.
+    #[must_use]
+    pub fn fetched(&self) -> u64 {
+        self.fetched
     }
 
     /// Format conversion over the seeded and computed slots.
-    pub(crate) fn assemble(
+    ///
+    /// # Errors
+    ///
+    /// [`PreprocessError::Shape`] / [`PreprocessError::Plan`] when the slots
+    /// do not make a mini-batch of the plan.
+    pub fn assemble(
         mut self,
         plan: &PreprocessPlan,
     ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
@@ -1252,10 +1231,47 @@ impl HostSide {
     }
 }
 
-/// Runs the host side of a split plan: validates and seeds the transferred
-/// boundary values, executes the host-resident stages whole-column over an
-/// owned batch (extracted with the [`SplitPlan::host_columns`] projection,
-/// label included), and assembles the mini-batch.
+/// The typed intermediate hand-off of one split batch: every boundary
+/// stage's materialized output, keyed by parent-plan stage position. This —
+/// and only this — is what crosses the ISP → host link in a split run;
+/// on-device intermediates consumed by later ISP stages never leave the
+/// drive.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct BoundaryBatch {
+    /// `(stage position, value)` pairs in execution order.
+    pub values: Vec<(usize, StageValue)>,
+}
+
+impl BoundaryBatch {
+    /// Total serialized payload crossing the link, in bytes — the quantity
+    /// the placement cost model prices against the device link rate.
+    #[must_use]
+    pub fn byte_len(&self) -> u64 {
+        self.values.iter().map(|(_, v)| v.byte_len()).sum()
+    }
+}
+
+/// Runs the ISP side of a split plan over an owned batch of its projection
+/// and packs the boundary outputs for transfer.
+///
+/// # Errors
+///
+/// Returns [`PreprocessError::BadColumn`] when the batch is missing an
+/// ISP-side raw input, [`PreprocessError::Plan`] on kind violations.
+pub fn preprocess_split_isp(
+    plan: &PreprocessPlan,
+    split: &SplitPlan,
+    batch: RowBatch,
+    chunk_elems: usize,
+) -> Result<(BoundaryBatch, StageTimings, UnitStats), PreprocessError> {
+    let side = Side::isp(split, chunk_elems);
+    let mut unit = UnitState::transformed(plan, side, batch, 0, Duration::ZERO)?;
+    Ok((unit.boundary(split), unit.timings, unit.stats))
+}
+
+/// Runs the host side of a split plan: seeds the transferred boundary
+/// values, runs the host-resident stages over an owned batch of the host
+/// projection (label included) and assembles.
 ///
 /// # Errors
 ///
@@ -1269,61 +1285,10 @@ pub fn preprocess_split_host(
     batch: RowBatch,
     boundary: BoundaryBatch,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let mut side = HostSide::new(plan);
-    side.seed(plan, split, boundary)?;
-    side.run(plan, split, batch)?;
-    side.assemble(plan)
-}
-
-/// Timing and traffic breakdown of one split partition run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SplitReport {
-    /// Wall-clock of the Extract step (one file open, both projections).
-    pub extract: Duration,
-    /// ISP-side transform timings.
-    pub isp: StageTimings,
-    /// Host-side transform + assembly timings.
-    pub host: StageTimings,
-    /// On-chip buffer chunk counters of the ISP side.
-    pub stats: UnitStats,
-    /// Bytes that crossed the fleet boundary.
-    pub boundary_bytes: u64,
-}
-
-/// Full split pipeline over one stored partition, serially: extract both
-/// fleet projections from one file open, run the ISP prefix through the
-/// chunked emulation, hand the boundary across, run the host suffix and
-/// assemble. Bit-identical to [`preprocess_partition`] — the streaming
-/// equivalent (ISP and host sides pipelined on separate threads) is the
-/// split fleet of [`crate::stream`].
-///
-/// # Errors
-///
-/// Propagates storage, decode and shape failures.
-pub fn preprocess_partition_split<B: BlobRead>(
-    plan: &PreprocessPlan,
-    split: &SplitPlan,
-    blob: B,
-    chunk_elems: usize,
-    read: &mut ReadScratch,
-) -> Result<(MiniBatch, SplitReport), PreprocessError> {
-    let t0 = Instant::now();
-    let reader = FileReader::open(blob)?;
-    let isp_batch = (!split.isp_stages().is_empty())
-        .then(|| extract_columns_for_plan(plan, &reader, split.isp_columns(), read))
-        .transpose()?;
-    let host_batch = extract_columns_for_plan(plan, &reader, split.host_columns(), read)?;
-    let extract = t0.elapsed();
-
-    let (boundary, isp_timings, stats) = match isp_batch {
-        Some(batch) => preprocess_split_isp(plan, split, batch, chunk_elems)?,
-        None => (BoundaryBatch::default(), StageTimings::default(), UnitStats::default()),
-    };
-    let boundary_bytes = boundary.byte_len();
-    let (mini_batch, host_timings) = preprocess_split_host(plan, split, host_batch, boundary)?;
-    let report =
-        SplitReport { extract, isp: isp_timings, host: host_timings, stats, boundary_bytes };
-    Ok((mini_batch, report))
+    let mut unit = UnitState::new(plan);
+    unit.seed(plan, split, boundary)?;
+    unit.transform(plan, Side::host(split), batch)?;
+    unit.assemble(plan)
 }
 
 /// On-chip feature-buffer capacity in elements. The SmartSSD build's
@@ -1337,76 +1302,8 @@ pub const FEATURE_BUFFER_ELEMS: usize = 512;
 pub struct IspRunStats {
     /// Bytes moved over the emulated P2P link.
     pub p2p_bytes: u64,
-    /// Chunks processed by the feature-generation unit (Bucketize).
-    pub bucketize_chunks: u64,
-    /// Chunks processed by the normalization units (SigridHash, MapId,
-    /// LogNorm).
-    pub normalize_chunks: u64,
-    /// Chunks attributed to the list-restructuring unit (FirstX, NGram).
-    /// Accounting-only: these ops execute whole-column and the count
-    /// models the streaming unit's traffic (see
-    /// [`UnitStats::restructure_chunks`]).
-    pub restructure_chunks: u64,
-    /// Total elements transformed.
-    pub elements: u64,
-}
-
-/// Bytes a P2P extract of `columns` pulls off the drive under `plan`'s
-/// column requirements, summed over every row group: what each chunk's one
-/// ranged read fetches ([`presto_columnar::ChunkMeta::read_len`]) — the head
-/// pages alone where a `Prefix(x)` column is stored head/tail and the head
-/// reaches `x` deep, the stored chunk otherwise.
-///
-/// # Errors
-///
-/// [`PreprocessError::BadColumn`] when a projected column is not in the
-/// file.
-pub fn projected_bytes<B: BlobRead>(
-    plan: &PreprocessPlan,
-    reader: &FileReader<B>,
-    columns: &[String],
-) -> Result<u64, PreprocessError> {
-    let meta = reader.meta();
-    let mut bytes = 0u64;
-    for name in columns {
-        let idx = meta
-            .schema
-            .index_of(name)
-            .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-        let limit = plan.column_limit(name);
-        bytes += meta.row_groups.iter().map(|rg| rg.columns[idx].read_len(limit)).sum::<u64>();
-    }
-    Ok(bytes)
-}
-
-/// The full in-storage pipeline over one partition blob: P2P extract (the
-/// projected ranges only, counted as the bytes the link would carry) →
-/// decoder unit (staged through the caller's recycled Extract scratch) →
-/// the compiled stages streamed through `chunk_elems`-sized on-chip feature
-/// buffers → output assembly. Bit-identical to [`preprocess_partition`] for
-/// any chunk size (see [`preprocess_batch_owned_chunked`]).
-///
-/// # Errors
-///
-/// Propagates storage/decode failures and missing-column errors.
-pub fn preprocess_partition_isp<B: BlobRead>(
-    plan: &PreprocessPlan,
-    blob: B,
-    chunk_elems: usize,
-    scratch: &mut ScratchSpace,
-) -> Result<(MiniBatch, IspRunStats), PreprocessError> {
-    let reader = FileReader::open(blob)?;
-    let p2p_bytes = projected_bytes(plan, &reader, plan.required_columns())?;
-    let batch = extract_batch_from_reader(plan, &reader, &mut scratch.read)?;
-    let (mini_batch, _, units) = preprocess_batch_owned_chunked(plan, batch, chunk_elems)?;
-    let stats = IspRunStats {
-        p2p_bytes,
-        bucketize_chunks: units.generation_chunks,
-        normalize_chunks: units.normalize_chunks,
-        restructure_chunks: units.restructure_chunks,
-        elements: units.elements,
-    };
-    Ok((mini_batch, stats))
+    /// Chunks through each unit class and elements transformed.
+    pub units: UnitStats,
 }
 
 /// Runs a fully elementwise chain on an owned column: uniquely held buffers
@@ -1490,8 +1387,8 @@ pub fn preprocess_partition<B: BlobRead>(
 }
 
 /// Like [`preprocess_partition`], staging Extract reads in the worker's
-/// [`ScratchSpace`] and transforming the decoded columns in place — the
-/// steady-state path [`crate::run_workers`] drives.
+/// [`ScratchSpace`]: the host side ([`Side::whole`], whole-column) of one
+/// whole partition.
 ///
 /// # Errors
 ///
@@ -1501,175 +1398,15 @@ pub fn preprocess_partition_with<B: BlobRead>(
     blob: B,
     scratch: &mut ScratchSpace,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let (batch, extract) = extract_partition_with(plan, blob, &mut scratch.read)?;
-    let (mini_batch, mut timings) = preprocess_batch_owned(plan, batch)?;
-    timings.extract = extract;
-    Ok((mini_batch, timings))
+    let side = Side::whole(plan, usize::MAX);
+    UnitState::read(plan, blob, None, side, &mut scratch.read)?.assemble(plan)
 }
 
-/// The Extract stage alone: projected read + decode + row-group merge into
-/// one owned [`RowBatch`], with its wall-clock cost.
-///
-/// [`preprocess_partition_with`] is exactly this followed by
-/// [`preprocess_batch_owned`].
-///
-/// # Errors
-///
-/// Propagates storage, decode and schema failures.
-pub fn extract_partition_with<B: BlobRead>(
-    plan: &PreprocessPlan,
-    blob: B,
-    read: &mut ReadScratch,
-) -> Result<(RowBatch, Duration), PreprocessError> {
-    let t0 = Instant::now();
-    let reader = FileReader::open(blob)?;
-    let batch = extract_batch_from_reader(plan, &reader, read)?;
-    Ok((batch, t0.elapsed()))
-}
-
-/// Decodes the plan's projected columns from an already-open reader into
-/// one owned [`RowBatch`] (row groups merged). Split out of
-/// [`extract_partition_with`] so callers that need the file metadata first
-/// — like the ISP worker's P2P byte accounting — reuse one open.
-///
-/// # Errors
-///
-/// Propagates storage, decode and schema failures.
-pub fn extract_batch_from_reader<B: BlobRead>(
-    plan: &PreprocessPlan,
-    reader: &FileReader<B>,
-    read: &mut ReadScratch,
-) -> Result<RowBatch, PreprocessError> {
-    extract_columns_for_plan(plan, reader, plan.required_columns(), read)
-}
-
-/// Like [`extract_columns_from_reader`], honoring the plan's per-column
-/// [`crate::plan::ColumnRequirement`]s: a `Prefix(x)` column decodes only
-/// the first `x` elements of each list (see
-/// [`presto_columnar::FileReader::read_projected_limits_with`]). `needed`
-/// may be any subset of the plan's columns — the per-fleet projections of a
-/// split run included — because requirements are derived from *all* of a
-/// column's readers, not from the projection. This is the Extract every
-/// plan-driven path (host, ISP chunked, split, shuffled row-group) goes
-/// through.
-///
-/// # Errors
-///
-/// Propagates storage, decode and schema failures.
-pub fn extract_columns_for_plan<B: BlobRead>(
-    plan: &PreprocessPlan,
-    reader: &FileReader<B>,
-    needed: &[String],
-    read: &mut ReadScratch,
-) -> Result<RowBatch, PreprocessError> {
-    let limits: Vec<Option<usize>> = needed.iter().map(|n| plan.column_limit(n)).collect();
-    extract_columns_limited(reader, needed, Some(&limits), read)
-}
-
-/// Decodes an arbitrary column projection from an already-open reader into
-/// one owned [`RowBatch`] (row groups merged), always in full — the
-/// plan-free Extract (and the full-decode comparator the benches measure
-/// prefix pushdown against). Plan-driven callers use
-/// [`extract_columns_for_plan`] instead.
-///
-/// # Errors
-///
-/// Propagates storage, decode and schema failures.
-pub fn extract_columns_from_reader<B: BlobRead>(
-    reader: &FileReader<B>,
-    needed: &[String],
-    read: &mut ReadScratch,
-) -> Result<RowBatch, PreprocessError> {
-    extract_columns_limited(reader, needed, None, read)
-}
-
-/// Shared body of the merged-row-group Extract: read every row group
-/// (optionally with per-column decode limits), then reassemble column-major.
-fn extract_columns_limited<B: BlobRead>(
-    reader: &FileReader<B>,
-    needed: &[String],
-    limits: Option<&[Option<usize>]>,
-    read: &mut ReadScratch,
-) -> Result<RowBatch, PreprocessError> {
-    let names: Vec<&str> = needed.iter().map(String::as_str).collect();
-    let mut columns = Vec::with_capacity(reader.row_group_count());
-    for rg in 0..reader.row_group_count() {
-        columns.push(match limits {
-            Some(limits) => reader.read_projected_limits_with(rg, &names, limits, read)?,
-            None => reader.read_projected_with(rg, &names, read)?,
-        });
-    }
-
-    // Reassemble into one RowBatch (single row group is the common case).
-    let schema = projected_schema(reader, needed)?;
-    let merged: Vec<Array> = if columns.len() == 1 {
-        columns.pop().expect("one row group")
-    } else {
-        // Transpose row-group-major -> column-major by value: the decoded
-        // arrays move into the per-column part lists without cloning.
-        let mut per_column: Vec<Vec<Array>> =
-            (0..needed.len()).map(|_| Vec::with_capacity(columns.len())).collect();
-        for row_group in columns {
-            for (c, array) in row_group.into_iter().enumerate() {
-                per_column[c].push(array);
-            }
-        }
-        per_column
-            .into_iter()
-            .map(|parts| presto_columnar::column::concat_arrays(&parts))
-            .collect::<Result<_, _>>()?
-    };
-    Ok(RowBatch::new(schema, merged)?)
-}
-
-/// Decodes a column projection of **one row group** from an already-open
-/// reader — the random-access Extract of the shuffled epoch path
-/// ([`crate::BatchStream::spawn_shuffled`]). No merge: the group's decoded
-/// arrays become the [`RowBatch`] directly, sized from the group's own
-/// footer index entry (see [`presto_columnar::column::read_chunk`]).
-///
-/// # Errors
-///
-/// Propagates storage, decode and schema failures (including out-of-range
-/// group indices).
-pub fn extract_group_from_reader<B: BlobRead>(
-    reader: &FileReader<B>,
-    needed: &[String],
-    row_group: usize,
-    read: &mut ReadScratch,
-) -> Result<RowBatch, PreprocessError> {
-    let names: Vec<&str> = needed.iter().map(String::as_str).collect();
-    let columns = reader.read_projected_with(row_group, &names, read)?;
-    let schema = projected_schema(reader, needed)?;
-    Ok(RowBatch::new(schema, columns)?)
-}
-
-/// Prefix-pushdown sibling of [`extract_group_from_reader`]: decodes one
-/// row group of the plan's projection, honoring the plan's per-column
-/// requirements — the random-access Extract of the shuffled epoch path.
-///
-/// # Errors
-///
-/// Same as [`extract_group_from_reader`].
-pub fn extract_group_for_plan<B: BlobRead>(
-    plan: &PreprocessPlan,
-    reader: &FileReader<B>,
-    row_group: usize,
-    read: &mut ReadScratch,
-) -> Result<RowBatch, PreprocessError> {
-    let needed = plan.required_columns();
-    let names: Vec<&str> = needed.iter().map(String::as_str).collect();
-    let limits: Vec<Option<usize>> = needed.iter().map(|n| plan.column_limit(n)).collect();
-    let columns = reader.read_projected_limits_with(row_group, &names, &limits, read)?;
-    let schema = projected_schema(reader, needed)?;
-    Ok(RowBatch::new(schema, columns)?)
-}
-
-/// Full pipeline over one row group of an already-open partition: group
-/// Extract + Transform + format conversion. Row-group preprocessing is
-/// row-wise, so concatenating the mini-batches of a partition's groups in
-/// file order is bit-identical to preprocessing the whole partition at
-/// once — the invariant the shuffle determinism suite pins.
+/// Full pipeline over one row group of an already-open partition. Row-group
+/// preprocessing is row-wise, so concatenating the mini-batches of a
+/// partition's groups in file order is bit-identical to preprocessing the
+/// whole partition at once — the invariant the shuffle determinism suite
+/// pins.
 ///
 /// # Errors
 ///
@@ -1680,27 +1417,101 @@ pub fn preprocess_group_with<B: BlobRead>(
     row_group: usize,
     scratch: &mut ScratchSpace,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let t0 = Instant::now();
-    let batch = extract_group_for_plan(plan, reader, row_group, &mut scratch.read)?;
-    let extract = t0.elapsed();
-    let (mini_batch, mut timings) = preprocess_batch_owned(plan, batch)?;
-    timings.extract = extract;
-    Ok((mini_batch, timings))
+    let side = Side::whole(plan, usize::MAX);
+    UnitState::run(plan, reader, Some(row_group), side, &mut scratch.read)?.assemble(plan)
 }
 
-/// Schema of a projection, in projection order.
-fn projected_schema<B: BlobRead>(
+/// Decodes `needed` (any subset of the plan's columns) from an open reader
+/// into one owned [`RowBatch`], row groups merged, honoring the plan's
+/// per-column [`crate::plan::ColumnRequirement`]s: a `Prefix(x)` column
+/// decodes only the first `x` elements of each list. Requirements come from
+/// *all* of a column's readers, not from the projection, so a split side's
+/// projection reads what the whole plan would. The Extract of
+/// [`UnitState::run`].
+///
+/// # Errors
+///
+/// Same as [`UnitState::run`]'s Extract.
+pub fn extract_columns_for_plan<B: BlobRead>(
+    plan: &PreprocessPlan,
     reader: &FileReader<B>,
     needed: &[String],
-) -> Result<presto_columnar::Schema, PreprocessError> {
-    let fields: Vec<presto_columnar::Field> = needed
-        .iter()
-        .map(|n| {
-            let idx = reader.schema().index_of(n).expect("projected name resolves");
-            reader.schema().field(idx).expect("index valid").clone()
-        })
-        .collect();
-    Ok(presto_columnar::Schema::new(fields)?)
+    read: &mut ReadScratch,
+) -> Result<RowBatch, PreprocessError> {
+    Ok(extract(Some(plan), reader, needed, None, read)?.0)
+}
+
+/// Decodes an arbitrary column projection from an open reader into one
+/// owned [`RowBatch`], always in full — the plan-free Extract (and the
+/// full-decode comparator the benches measure prefix pushdown against).
+///
+/// # Errors
+///
+/// Same as [`extract_columns_for_plan`].
+pub fn extract_columns_from_reader<B: BlobRead>(
+    reader: &FileReader<B>,
+    needed: &[String],
+    read: &mut ReadScratch,
+) -> Result<RowBatch, PreprocessError> {
+    Ok(extract(None, reader, needed, None, read)?.0)
+}
+
+/// The one Extract: resolves `needed` against the file schema (a missing
+/// name is [`PreprocessError::BadColumn`] before anything is read), reads
+/// the projection of every row group or of `group` alone — under `plan`'s
+/// prefix limits when given — and merges groups column-major. A file with
+/// no row groups yields a 0-row batch. Also returns the bytes fetched.
+fn extract<B: BlobRead>(
+    plan: Option<&PreprocessPlan>,
+    reader: &FileReader<B>,
+    needed: &[String],
+    group: Option<usize>,
+    read: &mut ReadScratch,
+) -> Result<(RowBatch, u64), PreprocessError> {
+    let meta = reader.meta();
+    let fields = meta.schema.fields();
+    let mut chunks = Vec::with_capacity(needed.len());
+    for name in needed {
+        let c = meta
+            .schema
+            .index_of(name)
+            .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
+        chunks.push((c, plan.and_then(|p| p.column_limit(name))));
+    }
+    let groups = group.map_or(0..reader.row_group_count(), |g| g..g + 1);
+    let read_group = |g: usize, read: &mut ReadScratch| -> Result<Vec<Array>, ColumnarError> {
+        chunks.iter().map(|&(c, limit)| reader.read_column_limit_with(g, c, limit, read)).collect()
+    };
+    let columns = if groups.len() == 1 {
+        read_group(groups.start, read)?
+    } else {
+        // Group-major reads, transposed by value into per-column parts.
+        let mut parts: Vec<Vec<Array>> =
+            chunks.iter().map(|_| Vec::with_capacity(groups.len())).collect();
+        for g in groups.clone() {
+            for (part, array) in parts.iter_mut().zip(read_group(g, read)?) {
+                part.push(array);
+            }
+        }
+        // Consumed column by column, so each column's parts are freed as
+        // soon as it is merged.
+        parts
+            .into_iter()
+            .zip(&chunks)
+            .map(|(part, &(c, _))| match part.as_slice() {
+                [] => Ok(Array::empty(fields[c].data_type())),
+                part => presto_columnar::column::concat_arrays(part),
+            })
+            .collect::<Result<_, _>>()?
+    };
+    let schema =
+        presto_columnar::Schema::new(chunks.iter().map(|&(c, _)| fields[c].clone()).collect())?;
+    // Every group in `groups` was just read, so it indexes the footer.
+    let fetched = groups
+        .flat_map(|g| chunks.iter().map(move |&(c, limit)| (g, c, limit)))
+        .map(|(g, c, limit)| meta.row_groups[g].columns[c].read_len(limit))
+        .sum();
+    Ok((RowBatch::new(schema, columns)?, fetched))
 }
 
 #[cfg(test)]
@@ -1715,6 +1526,25 @@ mod tests {
         let mut c = RmConfig::rm1();
         c.batch_size = 64;
         c
+    }
+
+    /// The borrowed loop on a fresh scratch: the reference every other path
+    /// is compared against.
+    fn preprocess_batch(
+        plan: &PreprocessPlan,
+        batch: &RowBatch,
+    ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
+        preprocess_batch_with(plan, batch, &mut ScratchSpace::new())
+    }
+
+    /// The unit call's Transform half over an owned in-memory batch: the
+    /// host side of an everything-on-the-host split.
+    fn preprocess_owned(
+        plan: &PreprocessPlan,
+        batch: RowBatch,
+    ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
+        let split = plan.split(&vec![crate::plan::Place::Host; plan.stages().len()]).unwrap();
+        preprocess_split_host(plan, &split, batch, BoundaryBatch::default())
     }
 
     #[test]
@@ -1790,23 +1620,21 @@ mod tests {
             };
             for plan in [&prefix_plan, &deep_plan, &full_plan] {
                 let columns = plan.required_columns().len() as u64;
+                let mut read = ReadScratch::default();
                 blob.reset();
-                let mut scratch = ScratchSpace::new();
-                let (_, stats) =
-                    preprocess_partition_isp(plan, &blob, FEATURE_BUFFER_ELEMS, &mut scratch)
-                        .unwrap();
+                let side = Side::whole(plan, FEATURE_BUFFER_ELEMS);
+                let unit = UnitState::read(plan, &blob, None, side, &mut read).unwrap();
                 assert_eq!(blob.read_calls() - open.0, columns * groups);
-                assert_eq!(blob.bytes_read() - open.1, stats.p2p_bytes);
-                stored_bytes.push(stats.p2p_bytes);
+                assert_eq!(blob.bytes_read() - open.1, unit.fetched());
+                stored_bytes.push(unit.fetched());
 
                 let sparse_only: Vec<String> =
                     (0..c.num_sparse).map(|i| format!("sparse_{i}")).collect();
                 blob.reset();
-                let reader = FileReader::open(&blob).unwrap();
-                let charged = projected_bytes(plan, &reader, &sparse_only).unwrap();
-                extract_columns_for_plan(plan, &reader, &sparse_only, &mut scratch.read).unwrap();
+                let side = Side { columns: &sparse_only, stages: Some(&[]), chunk: usize::MAX };
+                let unit = UnitState::read(plan, &blob, None, side, &mut read).unwrap();
                 assert_eq!(blob.read_calls() - open.0, c.num_sparse as u64 * groups);
-                assert_eq!(blob.bytes_read() - open.1, charged);
+                assert_eq!(blob.bytes_read() - open.1, unit.fetched());
             }
         }
         // Only the plan whose prefix the head pages cover is charged less.
@@ -1834,8 +1662,16 @@ mod tests {
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let batch = generate_batch(&c, 64, 9);
         let (borrowed, _) = preprocess_batch(&plan, &batch).unwrap();
-        let (owned, _) = preprocess_batch_owned(&plan, batch).unwrap();
+        let (owned, _) = preprocess_owned(&plan, batch).unwrap();
         assert_eq!(owned, borrowed);
+    }
+
+    /// The columns of `batch` one side of a split projects, as their own
+    /// batch.
+    fn extract_split_side(batch: &RowBatch, columns: &[String]) -> RowBatch {
+        let blob = write_partition(batch).unwrap();
+        let reader = FileReader::open(blob).unwrap();
+        extract_columns_from_reader(&reader, columns, &mut ReadScratch::default()).unwrap()
     }
 
     #[test]
@@ -1847,9 +1683,14 @@ mod tests {
             PreprocessPlan::compile(PlanGraph::truncated_cross(&c, 3, 3, 2).unwrap(), &c).unwrap();
         let batch = generate_batch(&c, 64, 9);
         let (whole, _) = preprocess_batch(&plan, &batch).unwrap();
+        let split = plan.split(&vec![crate::plan::Place::Isp; plan.stages().len()]).unwrap();
+        let isp = |b: &RowBatch| extract_split_side(b, split.isp_columns());
+        let host = |b: &RowBatch| extract_split_side(b, split.host_columns());
         for chunk in [1usize, 7, 64, 4096] {
-            let (chunked, _, stats) =
-                preprocess_batch_owned_chunked(&plan, batch.clone(), chunk).unwrap();
+            let (boundary, _, stats) =
+                preprocess_split_isp(&plan, &split, isp(&batch), chunk).unwrap();
+            let (chunked, _) =
+                preprocess_split_host(&plan, &split, host(&batch), boundary).unwrap();
             assert_eq!(chunked, whole, "chunk {chunk}");
             assert!(stats.elements > 0);
             assert!(stats.restructure_chunks > 0, "FirstX/NGram counted");
@@ -1881,16 +1722,29 @@ mod tests {
             ];
             for assignment in assignments {
                 let split = plan.split(&assignment).unwrap();
+                let reader = FileReader::open(blob.clone()).unwrap();
                 let mut read = ReadScratch::default();
-                let (mb, report) =
-                    preprocess_partition_split(&plan, &split, blob.clone(), 512, &mut read)
+                let (boundary, stats) = if split.isp_stages().is_empty() {
+                    (BoundaryBatch::default(), UnitStats::default())
+                } else {
+                    let batch =
+                        extract_columns_for_plan(&plan, &reader, split.isp_columns(), &mut read)
+                            .unwrap();
+                    let (boundary, _, stats) =
+                        preprocess_split_isp(&plan, &split, batch, 512).unwrap();
+                    (boundary, stats)
+                };
+                let boundary_bytes = boundary.byte_len();
+                let host_batch =
+                    extract_columns_for_plan(&plan, &reader, split.host_columns(), &mut read)
                         .unwrap();
+                let (mb, _) = preprocess_split_host(&plan, &split, host_batch, boundary).unwrap();
                 assert_eq!(mb, reference, "split {:?}", split.fleet());
                 if split.isp_stages().is_empty() {
-                    assert_eq!(report.boundary_bytes, 0);
+                    assert_eq!(boundary_bytes, 0);
                 } else {
-                    assert!(report.boundary_bytes > 0);
-                    assert!(report.stats.elements > 0);
+                    assert!(boundary_bytes > 0);
+                    assert!(stats.elements > 0);
                 }
             }
         }
@@ -2011,8 +1865,47 @@ mod tests {
         big.num_tables = big.num_sparse + big.num_generated;
         let plan = PreprocessPlan::from_config(&big, 1).unwrap();
         let batch = generate_batch(&c, 8, 1);
-        let err = preprocess_batch_owned(&plan, batch).unwrap_err();
+        let blob = write_partition(&batch).unwrap();
+        let err = preprocess_owned(&plan, batch).unwrap_err();
         assert!(matches!(err, PreprocessError::BadColumn { .. }));
+        // Stored: resolved against the file schema before any read.
+        let err = preprocess_partition(&plan, blob).unwrap_err();
+        assert!(matches!(&err, PreprocessError::BadColumn { column } if column == "dense_13"));
+    }
+
+    /// A file of `c`'s schema with no row groups.
+    fn zero_row_group_file(c: &RmConfig) -> presto_columnar::MemBlob {
+        let schema = generate_batch(c, 4, 1).schema().clone();
+        presto_columnar::MemBlob::new(presto_columnar::FileWriter::new(schema).finish())
+    }
+
+    /// No row groups to read: a missing name is still `BadColumn`, not a
+    /// panic.
+    #[test]
+    fn zero_row_group_file_reports_a_missing_column() {
+        let reader = FileReader::open(zero_row_group_file(&tiny_config())).unwrap();
+        assert_eq!(reader.row_group_count(), 0);
+        let mut read = ReadScratch::default();
+        let err =
+            extract_columns_from_reader(&reader, &["nope".to_owned()], &mut read).unwrap_err();
+        assert!(matches!(&err, PreprocessError::BadColumn { column } if column == "nope"), "{err}");
+    }
+
+    /// No row groups to read: a present projection is a 0-row batch and the
+    /// whole unit a 0-row mini-batch.
+    #[test]
+    fn zero_row_group_file_extracts_zero_rows() {
+        let c = tiny_config();
+        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
+        let blob = zero_row_group_file(&c);
+        let reader = FileReader::open(blob.clone()).unwrap();
+        let mut read = ReadScratch::default();
+        let batch =
+            extract_columns_from_reader(&reader, plan.required_columns(), &mut read).unwrap();
+        assert_eq!((batch.rows(), batch.columns().len()), (0, plan.required_columns().len()));
+        let (mb, _) = preprocess_partition(&plan, blob).unwrap();
+        assert_eq!(mb.rows(), 0);
+        assert_eq!(mb.sparse().len(), 26 + 13);
     }
 
     #[test]
@@ -2042,7 +1935,7 @@ mod tests {
         let (with_scratch, _) =
             preprocess_batch_with(&plan, &batch, &mut ScratchSpace::new()).unwrap();
         assert_eq!(with_scratch, reference);
-        let (owned, _) = preprocess_batch_owned(&plan, batch).unwrap();
+        let (owned, _) = preprocess_owned(&plan, batch).unwrap();
         assert_eq!(owned, reference);
         let (from_disk, _) = preprocess_partition(&plan, blob).unwrap();
         assert_eq!(from_disk, reference);
@@ -2095,7 +1988,7 @@ mod tests {
         .unwrap();
         let err = preprocess_batch(&plan, &batch).unwrap_err();
         assert!(matches!(err, PreprocessError::BadColumn { .. }), "{err}");
-        let err = preprocess_batch_owned(&plan, batch).unwrap_err();
+        let err = preprocess_owned(&plan, batch).unwrap_err();
         assert!(matches!(err, PreprocessError::BadColumn { .. }), "{err}");
     }
 

@@ -33,8 +33,8 @@
 //!
 //! ## The zero-copy / allocation-free hot path
 //!
-//! Each worker owns a [`ScratchSpace`] and drives
-//! [`executor::preprocess_partition_with`]: Extract stages chunk bytes in a
+//! Each worker owns a [`ScratchSpace`] and drives the one unit call,
+//! [`UnitState::run`]: Extract stages chunk bytes in a
 //! recycled buffer (or decodes straight from storage memory for in-memory
 //! blobs), SigridHash and Log run **in place** on the uniquely owned decode
 //! buffers, and labels/offsets move into the mini-batch without copying.
@@ -47,13 +47,13 @@
 //!
 //! ```
 //! use presto_datagen::{generate_batch, RmConfig};
-//! use presto_ops::{preprocess_batch, PreprocessPlan};
+//! use presto_ops::{preprocess_batch_with, PreprocessPlan, ScratchSpace};
 //!
 //! let mut config = RmConfig::rm1();
 //! config.batch_size = 128;
 //! let plan = PreprocessPlan::from_config(&config, 42)?;
 //! let raw = generate_batch(&config, 128, 7);
-//! let (mini_batch, timings) = preprocess_batch(&plan, &raw)?;
+//! let (mini_batch, timings) = preprocess_batch_with(&plan, &raw, &mut ScratchSpace::new())?;
 //! assert_eq!(mini_batch.rows(), 128);
 //! assert_eq!(mini_batch.sparse().len(), 26 + 13); // raw + generated
 //! let _ = timings.total();
@@ -81,14 +81,11 @@ pub mod stream;
 pub use bucketize::{BucketizeError, Bucketizer};
 pub use dedup::{hash_deduped, plan_dedup, DedupPlan};
 pub use executor::{
-    extract_batch_from_reader, extract_columns_for_plan, extract_columns_from_reader,
-    extract_group_for_plan, extract_group_from_reader, extract_partition_with, preprocess_batch,
-    preprocess_batch_owned, preprocess_batch_owned_chunked, preprocess_batch_with,
-    preprocess_group_with, preprocess_partition, preprocess_partition_isp,
-    preprocess_partition_split, preprocess_partition_with, preprocess_split_host,
-    preprocess_split_isp, projected_bytes, transform_batch_into, BoundaryBatch, IspRunStats,
-    OpBucket, OpTimings, PreprocessError, ScratchSpace, SplitReport, StageTimings, StageValue,
-    UnitStats, FEATURE_BUFFER_ELEMS,
+    extract_columns_for_plan, extract_columns_from_reader, preprocess_batch_with,
+    preprocess_group_with, preprocess_partition, preprocess_partition_with, preprocess_split_host,
+    preprocess_split_isp, transform_batch_into, BoundaryBatch, IspRunStats, OpBucket, OpTimings,
+    PreprocessError, ScratchSpace, Side, StageTimings, StageValue, UnitState, UnitStats,
+    FEATURE_BUFFER_ELEMS,
 };
 pub use graph::{ChainSpec, GraphError, PlanGraph};
 pub use minibatch::{DenseMatrix, JaggedFeature, MiniBatch, ShapeError};

@@ -44,6 +44,10 @@ pub struct RetryPolicy {
     pub quarantine_after: u32,
     /// An attempt running longer than this is counted as a straggler in the
     /// [`RunReport`] (detection is post-hoc; the attempt still completes).
+    /// An attempt is one phase of a unit (see
+    /// [`crate::stream`]'s failure semantics): the whole unit — Extract,
+    /// Transform and format — on the host and ISP pipelines, one side on a
+    /// split pipeline or a host pair.
     pub straggler_deadline: Option<Duration>,
     /// Whether a quarantined ISP device's partitions fail over to the host
     /// preprocessing path (ignored by the host fleet, which *is* the
@@ -115,7 +119,9 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the straggler deadline.
+    /// Sets the straggler deadline. The clock times a whole phase attempt,
+    /// Transform included — on the host pipeline too, whose first phase
+    /// runs the whole unit ([`RetryPolicy::straggler_deadline`]).
     #[must_use]
     pub fn with_straggler_deadline(mut self, deadline: Duration) -> Self {
         self.straggler_deadline = Some(deadline);

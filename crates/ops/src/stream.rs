@@ -34,14 +34,15 @@
 //! A [`Pipeline`] is at most two phases. The *device-side* phase reads the
 //! unit's stored bytes and ends in a finished batch, a staged hand-off, or
 //! a fall-back-to-host marker; the *host-side* phase finishes whichever it
-//! receives.
+//! receives. Every cell that reads stored bytes is one side of the one unit
+//! call, [`UnitState::run`] (its [side table](crate::executor)).
 //!
 //! | pipeline | device-side phase | host-side phase |
 //! |---|---|---|
-//! | [`Pipeline::Host`], fused | Extract (projected read + decode) | owned Transform + format |
-//! | [`Pipeline::Host`], paired | thread A: Extract + Transform of A's half of the features | thread B, concurrently: Extract + Transform of B's half and the label, then merge A's outputs + format |
-//! | [`Pipeline::Isp`] | P2P-counted Extract + chunked stages | full plan from pristine media (failover only) |
-//! | [`Pipeline::Split`] | P2P-counted Extract of the ISP projection + chunked stage prefix → [`BoundaryBatch`] | Extract of the host projection + stage suffix, or failover |
+//! | [`Pipeline::Host`], fused | the whole unit: Extract + Transform + format | — |
+//! | [`Pipeline::Host`], paired | thread A: A's half of the features → its outputs | thread B, concurrently: B's half and the label, then A's outputs seeded + format |
+//! | [`Pipeline::Isp`] | the whole unit, P2P-counted and chunked | full plan from pristine media (failover only) |
+//! | [`Pipeline::Split`] | the ISP side, P2P-counted and chunked → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
 //!
 //! The phase boundary is either fused on one thread
 //! ([`FleetConfig::without_prefetch`], the shuffled fleet, the service's
@@ -81,14 +82,18 @@
 //! [`FleetConfig::recovery`] (fail-fast by default on every fleet) governs
 //! the rest, identically for every fleet:
 //!
-//! * One retry loop wraps each phase attempt: *retryable* errors
-//!   ([`PreprocessError::is_retryable`]: storage-side faults) are retried
+//! * One retry loop wraps each phase attempt — the whole unit on the host
+//!   and ISP pipelines, one side on a split pipeline or a host pair. Every
+//!   failed attempt counts as a fault against its device, and only
+//!   *retryable* errors ([`PreprocessError::is_retryable`]: storage-side
+//!   faults, which all happen in Extract, before Transform) are retried
 //!   with capped exponential backoff until the attempt budget (shared by
 //!   both phases of a unit; the two concurrent halves of a host pair each
 //!   have the whole budget, A answering to the breaker as the device side)
 //!   runs out, the device's consecutive-failure breaker trips (device-side
 //!   attempts only), or the run is stopping. Attempts outrunning
-//!   [`RetryPolicy::straggler_deadline`] are counted.
+//!   [`RetryPolicy::straggler_deadline`] are counted; the clock covers the
+//!   whole attempt, Transform included.
 //! * A unit claimed against a quarantined device is not attempted (on a
 //!   host pair, by neither thread).
 //! * A device-side phase of an ISP or split pipeline that is quarantined or
@@ -108,18 +113,16 @@
 //! every worker and re-raises worker panics.
 
 use crate::executor::{
-    extract_batch_from_reader, extract_columns_for_plan, extract_group_for_plan,
-    preprocess_batch_owned, preprocess_partition_isp, preprocess_partition_with,
-    preprocess_split_host, preprocess_split_isp, projected_bytes, BoundaryBatch, HostSide,
-    PreprocessError, ScratchSpace, StageTimings, FEATURE_BUFFER_ELEMS,
+    BoundaryBatch, PreprocessError, ScratchSpace, Side, StageTimings, UnitState,
+    FEATURE_BUFFER_ELEMS,
 };
 use crate::minibatch::MiniBatch;
 use crate::plan::{PreprocessPlan, SplitPlan};
 use crate::recovery::{RecoveryTracker, RetryPolicy, RunReport};
 use crate::shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec};
 use crossbeam_channel::{bounded, Receiver, Sender};
-use presto_columnar::{ColumnarError, FileReader};
-use presto_datagen::{Partition, RowBatch};
+use presto_columnar::ColumnarError;
+use presto_datagen::Partition;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -347,15 +350,10 @@ pub type StreamItem = Result<StreamedBatch, PreprocessError>;
 pub type SeqItem = (usize, StreamItem);
 
 /// What a device-side phase leaves behind for the host-side phase.
-// `Boundary` and `Extracted` are the payload-laden common cases, moved once
-// per unit; boxing them to appease `large_enum_variant` would buy nothing
-// but an extra allocation.
-#[allow(clippy::large_enum_variant)]
 enum Staged {
-    /// Nothing left to do (ISP pipeline).
+    /// The whole unit ran in the device-side phase (host and ISP
+    /// pipelines): nothing left to do.
     Done(MiniBatch, StageTimings),
-    /// Extracted, awaiting Transform (host pipeline).
-    Extracted(RowBatch, Duration),
     /// ISP prefix finished: the boundary payload and device-side timings.
     Boundary(BoundaryBatch, StageTimings),
     /// The device side gave up: run the full plan from pristine media.
@@ -371,7 +369,7 @@ enum Staged {
 /// attempts go through the unit's (possibly dying) device and answer to its
 /// circuit breaker; host-side attempts use the host's own block-I/O path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
+enum Phase {
     Device,
     Host,
 }
@@ -460,7 +458,7 @@ impl Run {
     fn attempt<T>(
         &self,
         unit: Unit,
-        side: Side,
+        phase: Phase,
         first: u32,
         mut f: impl FnMut(bool) -> Result<T, PreprocessError>,
     ) -> (Result<T, PreprocessError>, u32) {
@@ -478,7 +476,7 @@ impl Run {
             self.tracker.note_fault(slot, unit.partition);
             let retry = e.is_retryable()
                 && attempt < policy.max_attempts
-                && (side == Side::Host || !self.tracker.is_quarantined(slot))
+                && (phase == Phase::Host || !self.tracker.is_quarantined(slot))
                 && !self.stop.load(Ordering::Relaxed);
             if !retry {
                 return (Err(e), attempt);
@@ -503,21 +501,20 @@ impl Run {
         })
     }
 
-    /// Opens `unit`'s partition and Extracts `columns` of it, timed.
-    fn extract_side(
+    /// The one unit call over `unit`'s stored partition: open, Extract
+    /// `side`'s projection of the unit, run its stages.
+    fn run_side(
         &self,
         unit: Unit,
-        columns: &[String],
+        side: Side<'_>,
         scratch: &mut ScratchSpace,
-    ) -> Result<(RowBatch, Duration), PreprocessError> {
-        let t0 = Instant::now();
-        let reader = FileReader::open(self.partitions[unit.partition].blob.clone())?;
-        let batch = extract_columns_for_plan(&self.plan, &reader, columns, scratch.read_scratch())?;
-        Ok((batch, t0.elapsed()))
+    ) -> Result<UnitState, PreprocessError> {
+        let blob = self.partitions[unit.partition].blob.clone();
+        UnitState::read(&self.plan, blob, unit.group, side, scratch.read_scratch())
     }
 
-    /// One attempt of thread A's half of `unit` on a host pair: Extract
-    /// A's columns, run A's stages whole-column, pack the emitted outputs.
+    /// One attempt of thread A's half of `unit` on a host pair: A's columns
+    /// and stages, whole-column, the emitted outputs packed.
     fn pair_first_attempt(
         &self,
         unit: Unit,
@@ -528,26 +525,8 @@ impl Run {
             // A one-feature plan runs whole on B: nothing to read here.
             return Ok(Staged::Boundary(BoundaryBatch::default(), StageTimings::default()));
         }
-        let (batch, extract) = self.extract_side(unit, halves.isp_columns(), scratch)?;
-        let (outputs, mut timings, _) =
-            preprocess_split_isp(&self.plan, halves, batch, usize::MAX)?;
-        timings.extract = extract;
-        Ok(Staged::Boundary(outputs, timings))
-    }
-
-    /// One attempt of thread B's half: Extract the label and B's columns,
-    /// run B's stages. None of them reads an A-side output
-    /// ([`paired_halves`]), so this runs while A is still working.
-    fn pair_second_attempt(
-        &self,
-        unit: Unit,
-        halves: &SplitPlan,
-        scratch: &mut ScratchSpace,
-    ) -> Result<(HostSide, Duration), PreprocessError> {
-        let (batch, extract) = self.extract_side(unit, halves.host_columns(), scratch)?;
-        let mut side = HostSide::new(&self.plan);
-        side.run(&self.plan, halves, batch)?;
-        Ok((side, extract))
+        let mut side = self.run_side(unit, Side::isp(halves, usize::MAX), scratch)?;
+        Ok(Staged::Boundary(side.boundary(halves), side.timings()))
     }
 
     /// One device-side attempt of `unit`; counts link traffic on success.
@@ -556,41 +535,25 @@ impl Run {
         unit: Unit,
         scratch: &mut ScratchSpace,
     ) -> Result<Staged, PreprocessError> {
-        let blob = self.partitions[unit.partition].blob.clone();
         match &self.pipeline {
-            Pipeline::Host => {
-                let t0 = Instant::now();
-                let reader = FileReader::open(blob)?;
-                let read = scratch.read_scratch();
-                let batch = match unit.group {
-                    None => extract_batch_from_reader(&self.plan, &reader, read)?,
-                    Some(group) => extract_group_for_plan(&self.plan, &reader, group, read)?,
-                };
-                Ok(Staged::Extracted(batch, t0.elapsed()))
-            }
-            Pipeline::Isp => {
-                let (batch, stats) =
-                    preprocess_partition_isp(&self.plan, blob, FEATURE_BUFFER_ELEMS, scratch)?;
-                self.p2p_bytes.fetch_add(stats.p2p_bytes, Ordering::Relaxed);
-                Ok(Staged::Done(batch, StageTimings::default()))
+            Pipeline::Host | Pipeline::Isp => {
+                let isp = self.pipeline == Pipeline::Isp;
+                let chunk = if isp { FEATURE_BUFFER_ELEMS } else { usize::MAX };
+                let side = self.run_side(unit, Side::whole(&self.plan, chunk), scratch)?;
+                let fetched = side.fetched();
+                let (batch, timings) = side.assemble(&self.plan)?;
+                if isp {
+                    self.p2p_bytes.fetch_add(fetched, Ordering::Relaxed);
+                }
+                Ok(Staged::Done(batch, timings))
             }
             Pipeline::Split(split) => {
-                let t0 = Instant::now();
-                let reader = FileReader::open(blob)?;
-                let p2p_bytes = projected_bytes(&self.plan, &reader, split.isp_columns())?;
-                let batch = extract_columns_for_plan(
-                    &self.plan,
-                    &reader,
-                    split.isp_columns(),
-                    scratch.read_scratch(),
-                )?;
-                let extract = t0.elapsed();
-                let (boundary, mut timings, _) =
-                    preprocess_split_isp(&self.plan, split, batch, FEATURE_BUFFER_ELEMS)?;
-                timings.extract = extract;
-                self.p2p_bytes.fetch_add(p2p_bytes, Ordering::Relaxed);
+                let mut side =
+                    self.run_side(unit, Side::isp(split, FEATURE_BUFFER_ELEMS), scratch)?;
+                let boundary = side.boundary(split);
+                self.p2p_bytes.fetch_add(side.fetched(), Ordering::Relaxed);
                 self.boundary_bytes.fetch_add(boundary.byte_len(), Ordering::Relaxed);
-                Ok(Staged::Boundary(boundary, timings))
+                Ok(Staged::Boundary(boundary, side.timings()))
             }
         }
     }
@@ -611,7 +574,7 @@ impl Run {
         let slot = self.slot(unit);
         let (result, attempts) = match self.quarantined(unit) {
             Some(e) => (Err(e), 0),
-            None => self.attempt(unit, Side::Device, 1, |_| self.device_attempt(unit, scratch)),
+            None => self.attempt(unit, Phase::Device, 1, |_| self.device_attempt(unit, scratch)),
         };
         match result {
             // A retryable error that survived the retry loop means the
@@ -639,28 +602,20 @@ impl Run {
     ) -> Result<Finished, PreprocessError> {
         let (batch, timings, attempts, via_failover) = match staged {
             Staged::Done(batch, timings) => (batch, timings, attempts, false),
-            Staged::Extracted(batch, extract) => {
-                let (batch, mut timings) = preprocess_batch_owned(&self.plan, batch)?;
-                timings.extract = extract;
-                (batch, timings, attempts, false)
-            }
             Staged::Boundary(mut boundary, isp_timings) => {
                 let Pipeline::Split(split) = &self.pipeline else {
                     return Err(PreprocessError::Plan {
                         detail: "boundary hand-off outside a split pipeline".into(),
                     });
                 };
-                let (result, attempts) = self.attempt(unit, Side::Host, attempts, |more| {
+                let (result, attempts) = self.attempt(unit, Phase::Host, attempts, |more| {
                     // Keep a copy only while another attempt is still
                     // allowed; the common no-retry path moves the payload.
                     let payload =
                         if more { boundary.clone() } else { std::mem::take(&mut boundary) };
-                    let (batch, extract) =
-                        self.extract_side(unit, split.host_columns(), scratch)?;
-                    let (batch, mut timings) =
-                        preprocess_split_host(&self.plan, split, batch, payload)?;
-                    timings.extract = extract;
-                    Ok((batch, timings))
+                    let mut side = self.run_side(unit, Side::host(split), scratch)?;
+                    side.seed(&self.plan, split, payload)?;
+                    side.assemble(&self.plan)
                 });
                 let (batch, host_timings) = result?;
                 let mut timings = isp_timings;
@@ -669,7 +624,10 @@ impl Run {
             }
             Staged::Fallback => {
                 let blob = self.partitions[unit.partition].blob.without_faults();
-                let (batch, timings) = preprocess_partition_with(&self.plan, blob, scratch)?;
+                let side = Side::whole(&self.plan, usize::MAX);
+                let read = scratch.read_scratch();
+                let (batch, timings) = UnitState::read(&self.plan, blob, unit.group, side, read)?
+                    .assemble(&self.plan)?;
                 (batch, timings, 1, true)
             }
             Staged::Claimed => {
@@ -993,7 +951,7 @@ impl Engine {
             // Occupied only now: the announcement was accepted, so B has
             // finished reading the previous unit.
             self.source.occupy(claim);
-            let (staged, attempts) = self.run.attempt(unit, Side::Device, 1, |_| {
+            let (staged, attempts) = self.run.attempt(unit, Phase::Device, 1, |_| {
                 self.run.pair_first_attempt(unit, halves, &mut scratch)
             });
             self.source.release(claim);
@@ -1014,9 +972,9 @@ impl Engine {
         scratch: &mut ScratchSpace,
     ) -> Option<Result<Finished, PreprocessError>> {
         let unit = claim.unit;
-        let (own, own_attempts) = self
-            .run
-            .attempt(unit, Side::Host, 1, |_| self.run.pair_second_attempt(unit, halves, scratch));
+        let (own, own_attempts) = self.run.attempt(unit, Phase::Host, 1, |_| {
+            self.run.run_side(unit, Side::host(halves), scratch)
+        });
         self.source.release(claim);
         let Handoff { staged, attempts, .. } = link.recv().ok()?;
         let plan = &self.run.plan;
@@ -1026,11 +984,10 @@ impl Engine {
                     detail: "a host pair's announcement was not followed by its outputs".into(),
                 });
             };
-            let (mut side, extract) = own?;
+            let mut side = own?;
             side.seed(plan, halves, outputs)?;
             let (batch, own_timings) = side.assemble(plan)?;
             timings.absorb(&own_timings);
-            timings.extract += extract;
             // Each half counts its attempts from 1.
             let attempts = attempts + own_attempts - 1;
             Ok(Finished { batch, timings, attempts, via_failover: false })

@@ -7,7 +7,7 @@
 
 use presto::datagen::criteo;
 use presto::datagen::{write_partition, RmConfig};
-use presto::ops::{preprocess_batch, PreprocessPlan};
+use presto::ops::{preprocess_batch_with, PreprocessPlan, ScratchSpace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let text = match std::env::args().nth(1) {
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = RmConfig::rm1();
     config.batch_size = batch.rows();
     let plan = PreprocessPlan::from_config(&config, 1)?;
-    let (mini_batch, timings) = preprocess_batch(&plan, &batch)?;
+    let (mini_batch, timings) = preprocess_batch_with(&plan, &batch, &mut ScratchSpace::new())?;
     println!(
         "preprocessed into {} samples x ({} dense + {} jagged features)",
         mini_batch.rows(),

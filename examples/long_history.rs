@@ -33,8 +33,8 @@
 use presto::columnar::{CountingBlob, FileReader, ReadScratch};
 use presto::datagen::{generate_batch, write_partition, RmConfig};
 use presto::ops::{
-    extract_columns_for_plan, extract_columns_from_reader, extract_partition_with,
-    preprocess_batch_owned, preprocess_partition, ColumnRequirement, PlanGraph, PreprocessPlan,
+    extract_columns_for_plan, extract_columns_from_reader, preprocess_batch_with,
+    preprocess_partition, ColumnRequirement, PlanGraph, PreprocessPlan, ScratchSpace,
 };
 use std::time::Instant;
 
@@ -92,9 +92,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         blobs
             .iter()
             .map(|b| {
-                let (rb, _) =
-                    extract_partition_with(&plan, b.clone(), &mut scratch).expect("extracts");
-                rb.rows()
+                let reader = FileReader::open(b.clone()).expect("opens");
+                extract_columns_for_plan(&plan, &reader, plan.required_columns(), &mut scratch)
+                    .expect("extracts")
+                    .rows()
             })
             .sum()
     });
@@ -147,7 +148,7 @@ bytes read per row: prefix pushdown {pushed_bytes:.0}, full decode {full_bytes:.
         let (pushed, _) = preprocess_partition(&plan, blob.clone())?;
         let reader = FileReader::open(blob.clone())?;
         let raw = extract_columns_from_reader(&reader, plan.required_columns(), &mut scratch)?;
-        let (legacy, _) = preprocess_batch_owned(&plan, raw)?;
+        let (legacy, _) = preprocess_batch_with(&plan, &raw, &mut ScratchSpace::new())?;
         assert_eq!(pushed, legacy, "pushdown must be invisible in the output");
     }
     println!(

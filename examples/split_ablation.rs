@@ -32,13 +32,14 @@
 //! values); `PRESTO_ABLATION_STRICT=1` additionally requires the split to
 //! beat both single-fleet runs on at least one scenario.
 
-use presto::columnar::ReadScratch;
+use presto::columnar::{FileReader, ReadScratch};
 use presto::core::placement::{place_stages, OpCostModel};
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::hwsim::fpga::IspModel;
 use presto::ops::{
-    preprocess_partition, preprocess_partition_split, BatchStream, ChainSpec, ColumnRequirement,
-    FleetConfig, MiniBatch, Op, Pipeline, PlanGraph, PreprocessPlan, SigridHasher,
+    extract_columns_for_plan, preprocess_partition, preprocess_split_host, preprocess_split_isp,
+    BatchStream, BoundaryBatch, ChainSpec, ColumnRequirement, FleetConfig, MiniBatch, Op, Pipeline,
+    PlanGraph, PreprocessPlan, SigridHasher, StageTimings,
 };
 use std::time::{Duration, Instant};
 
@@ -196,14 +197,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // Planner-predicted per-stage costs vs the measured split run.
+        // The same split serially over partition 0: both projections from
+        // one open, the ISP side chunked, the host side seeded.
         let mut read = ReadScratch::new();
-        let (check, report) = preprocess_partition_split(
-            &plan,
-            &split,
-            dataset.partitions()[0].blob.clone(),
-            512,
-            &mut read,
-        )?;
+        let reader = FileReader::open(dataset.partitions()[0].blob.clone())?;
+        let (boundary, isp_timings) = if split.isp_stages().is_empty() {
+            (BoundaryBatch::default(), StageTimings::default())
+        } else {
+            let batch = extract_columns_for_plan(&plan, &reader, split.isp_columns(), &mut read)?;
+            let (boundary, timings, _) = preprocess_split_isp(&plan, &split, batch, 512)?;
+            (boundary, timings)
+        };
+        let boundary_bytes = boundary.byte_len();
+        let host_batch = extract_columns_for_plan(&plan, &reader, split.host_columns(), &mut read)?;
+        let (check, host_timings) = preprocess_split_host(&plan, &split, host_batch, boundary)?;
         assert_eq!(check, serial[0], "{name}: serial split must match too");
         let output_bytes = plan.stage_output_bytes(rows);
         let predicted_boundary: u64 =
@@ -224,11 +231,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  per partition, predicted vs measured: ISP transform {:.2} / {:.2} ms, \
              host transform {:.2} / {:.2} ms, boundary {:.1} / {:.1} KiB",
             predicted_isp * 1e3,
-            report.isp.ops.total().as_secs_f64() * 1e3,
+            isp_timings.ops.total().as_secs_f64() * 1e3,
             predicted_host * 1e3,
-            report.host.ops.total().as_secs_f64() * 1e3,
+            host_timings.ops.total().as_secs_f64() * 1e3,
             predicted_boundary as f64 / 1024.0,
-            report.boundary_bytes as f64 / 1024.0,
+            boundary_bytes as f64 / 1024.0,
         );
         println!(
             "  streamed boundary traffic: {:.1} KiB over {} partitions",

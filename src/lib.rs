@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use presto::datagen::{generate_batch, RmConfig};
-//! use presto::ops::{preprocess_batch, PreprocessPlan};
+//! use presto::ops::{preprocess_batch_with, PreprocessPlan, ScratchSpace};
 //!
 //! // Build the public-Criteo-shaped model (Table I, RM1) at a small batch.
 //! let mut config = RmConfig::rm1();
@@ -27,7 +27,7 @@
 //! // Generate raw features and preprocess them into a train-ready batch.
 //! let plan = PreprocessPlan::from_config(&config, 42)?;
 //! let raw = generate_batch(&config, 256, 7);
-//! let (mini_batch, _) = preprocess_batch(&plan, &raw)?;
+//! let (mini_batch, _) = preprocess_batch_with(&plan, &raw, &mut ScratchSpace::new())?;
 //! assert_eq!(mini_batch.rows(), 256);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

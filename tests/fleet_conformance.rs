@@ -14,6 +14,9 @@
 //! * dropping the consumer with a full capacity-1 channel joins every
 //!   worker.
 //!
+//! A sixth pins the I/O shape: the device reads of a clean run, per fleet
+//! and mode, counted on a zero-latency [`Device`].
+//!
 //! Two more rows are the host fleet's alone: its workers are pairs of
 //! threads that each read half of a unit's columns, and a fault that sits
 //! only in thread A's columns, or only in thread B's, must end the unit as
@@ -468,6 +471,38 @@ fn a_fault_in_one_half_fails_exactly_its_unit(mode: Mode) {
     }
 }
 
+/// Device reads of a clean run on one zero-latency device, per fleet (in
+/// [`fleets`] order) and mode: three reads per footer open plus one per
+/// projected column chunk per row group. Six partitions of two groups, 40
+/// projected columns: 6 × (3 + 2 × 40) = 498 for one open per unit. The
+/// host pair opens twice (A and B, 40 columns between them); the split
+/// opens once per side and reads the columns both sides project twice; the
+/// shuffled stream enumerates every footer first, then opens once per row
+/// group. Only a change to the I/O shape itself may move these.
+fn clean_run_io_shape(mode: Mode) {
+    let w = world();
+    let want: [u64; 4] = match mode {
+        Mode::Stream => [516, 498, 672, 534],
+        Mode::Service => [498, 498, 672, 498],
+    };
+    for (fleet, want) in fleets(&w.plan).into_iter().zip(want) {
+        let what = format!("{} {mode:?}", fleet.name());
+        let probe = Arc::new(Device::new(DeviceModel::new(Duration::ZERO, 1)));
+        let parts: Vec<Partition> =
+            w.ds.partitions()
+                .iter()
+                .map(|p| Partition {
+                    blob: p.blob.clone().behind_device(Arc::clone(&probe)),
+                    ..p.clone()
+                })
+                .collect();
+        let d = drain(start(&w, &fleet, mode, &parts, RetryPolicy::fail_fast(), 2, 4));
+        assert!(d.errors.is_empty(), "{what}: {:?}", d.errors);
+        assert_eq!(d.ok.len(), reference(&w, &fleet, mode).len(), "{what}: every unit delivered");
+        assert_eq!(probe.stats().reads, want, "{what}: device reads");
+    }
+}
+
 macro_rules! both_modes {
     ($($case:ident => $stream:ident, $service:ident;)*) => {$(
         #[test]
@@ -492,4 +527,5 @@ both_modes! {
     dropping_a_full_capacity_one_channel_joins => drop_full_stream, drop_full_service_job;
     a_fault_in_one_half_fails_exactly_its_unit =>
         half_fault_stream, half_fault_service_job;
+    clean_run_io_shape => io_shape_stream, io_shape_service_job;
 }

@@ -45,7 +45,9 @@ fn minibatch_size_tracks_tensor_bytes_estimate() {
     let config = small(&mut config, 1024);
     let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
     let batch = generate_batch(&config, 1024, 9);
-    let (mb, _) = presto::ops::preprocess_batch(&plan, &batch).expect("preprocesses");
+    let (mb, _) =
+        presto::ops::preprocess_batch_with(&plan, &batch, &mut presto::ops::ScratchSpace::new())
+            .expect("preprocesses");
     let profile = WorkloadProfile::of_batch(&config, &batch, 0);
     // Host mini-batch stores i64 ids (vs int32 on the wire): allow 2.2x.
     let ratio = mb.byte_size() as f64 / profile.tensor_bytes as f64;
@@ -96,7 +98,9 @@ fn hashed_ids_fit_paper_embedding_tables() {
     let config = small(&mut config, 128);
     let plan = PreprocessPlan::from_config(&config, 3).expect("plan");
     let batch = generate_batch(&config, 128, 21);
-    let (mb, _) = presto::ops::preprocess_batch(&plan, &batch).expect("preprocesses");
+    let (mb, _) =
+        presto::ops::preprocess_batch_with(&plan, &batch, &mut presto::ops::ScratchSpace::new())
+            .expect("preprocesses");
     for feat in mb.sparse() {
         let bound = if feat.name.starts_with("gen_") {
             config.bucket_size as i64 + 1

@@ -16,13 +16,45 @@
 //!    is the host fleet's feature-sliced worker pair, across every forced
 //!    encoding and 1, 2 and 4 pairs.
 
+use presto::columnar::{FileReader, ReadScratch};
+use presto::datagen::RowBatch;
 use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig};
 use presto::ops::{
-    lognorm, preprocess_batch, preprocess_partition, BatchStream, Bucketizer, ChainSpec,
-    DenseMatrix, FleetConfig, IdMap, JaggedFeature, MiniBatch, Op, Pipeline, PlanGraph,
-    PreprocessPlan, SigridHasher,
+    extract_columns_for_plan, lognorm, preprocess_batch_with, preprocess_partition,
+    preprocess_split_host, preprocess_split_isp, BatchStream, BoundaryBatch, Bucketizer, ChainSpec,
+    DenseMatrix, FleetConfig, IdMap, JaggedFeature, MiniBatch, Op, Pipeline, Place, PlanGraph,
+    PreprocessError, PreprocessPlan, ScratchSpace, SigridHasher, SplitPlan, StageTimings,
 };
 use proptest::prelude::*;
+
+/// The borrowed in-memory path on a fresh scratch.
+fn preprocess_batch(
+    plan: &PreprocessPlan,
+    batch: &RowBatch,
+) -> Result<(MiniBatch, StageTimings), PreprocessError> {
+    preprocess_batch_with(plan, batch, &mut ScratchSpace::new())
+}
+
+/// A split run over one stored partition, serially: both sides' projections
+/// from one open, the ISP side at `chunk`, the host side seeded with its
+/// boundary.
+fn run_split(
+    plan: &PreprocessPlan,
+    split: &SplitPlan,
+    blob: presto::columnar::MemBlob,
+    chunk: usize,
+) -> Result<MiniBatch, PreprocessError> {
+    let reader = FileReader::open(blob)?;
+    let mut read = ReadScratch::default();
+    let boundary = if split.isp_stages().is_empty() {
+        BoundaryBatch::default()
+    } else {
+        let batch = extract_columns_for_plan(plan, &reader, split.isp_columns(), &mut read)?;
+        preprocess_split_isp(plan, split, batch, chunk)?.0
+    };
+    let batch = extract_columns_for_plan(plan, &reader, split.host_columns(), &mut read)?;
+    Ok(preprocess_split_host(plan, split, batch, boundary)?.0)
+}
 
 /// The historical fixed three-stage pipeline, straight from the kernels:
 /// the reference the compiled canonical graph must reproduce bit for bit.
@@ -170,9 +202,8 @@ proptest! {
         mask in any::<u64>(),
         chunk in 1usize..1024,
     ) {
-        use presto::columnar::{Encoding, FileWriter, MemBlob, ReadScratch, WritePolicy};
+        use presto::columnar::{Encoding, FileWriter, MemBlob, WritePolicy};
         use presto::datagen::Partition;
-        use presto::ops::{preprocess_batch_owned_chunked, preprocess_partition_split, Place};
         let batch = generate_batch(&config, rows, seed ^ 0x51F);
         let blob = presto::datagen::write_partition(&batch).expect("serializes");
         for graph in [
@@ -182,8 +213,8 @@ proptest! {
         ] {
             let plan = PreprocessPlan::compile(graph, &config).expect("compiles");
             let (host_only, _) = preprocess_partition(&plan, blob.clone()).expect("host path");
-            let (isp_only, _, _) = preprocess_batch_owned_chunked(&plan, batch.clone(), chunk)
-                .expect("isp path");
+            let everything_isp = plan.split(&vec![Place::Isp; plan.stages().len()]).expect("splits");
+            let isp_only = run_split(&plan, &everything_isp, blob.clone(), chunk).expect("isp path");
             prop_assert_eq!(&isp_only, &host_only);
             // An arbitrary — not cost-optimal — stage-to-fleet assignment,
             // one bit per stage.
@@ -191,10 +222,7 @@ proptest! {
                 .map(|i| if (mask >> (i % 64)) & 1 == 1 { Place::Isp } else { Place::Host })
                 .collect();
             let split = plan.split(&assignment).expect("splits");
-            let mut read = ReadScratch::default();
-            let (via_split, _) =
-                preprocess_partition_split(&plan, &split, blob.clone(), chunk, &mut read)
-                    .expect("split path");
+            let via_split = run_split(&plan, &split, blob.clone(), chunk).expect("split path");
             prop_assert_eq!(&via_split, &host_only);
             // The feature split of the host fleet's worker pair: the same
             // plan dealt by feature to two concurrent threads, over every
@@ -296,9 +324,7 @@ proptest! {
         group_pick in 0usize..3,
     ) {
         use presto::columnar::{Encoding, FileReader, FileWriter, MemBlob, WritePolicy};
-        use presto::ops::{
-            preprocess_batch_owned, preprocess_group_with, ColumnRequirement, ScratchSpace,
-        };
+        use presto::ops::{extract_columns_from_reader, preprocess_group_with, ColumnRequirement};
         let group_rows = [1usize, 3, 16][group_pick]; // groups down to one row
         for graph in [
             PlanGraph::long_history(&config, 5, x).expect("long-history graph"),
@@ -333,18 +359,25 @@ proptest! {
                     // FirstX kernel over the untruncated lists.
                     let (reference, _) =
                         preprocess_batch(&plan, raw).expect("legacy borrowed path");
-                    // Reference 2: plan-free full decode of this group +
-                    // the legacy owned path (extract_columns_from_reader
-                    // never pushes down — it is the full-decode comparator).
-                    let full = presto::ops::extract_group_from_reader(
-                        &reader,
+                    // Reference 2: plan-free full decode of this group,
+                    // stored alone, + the owned Transform (the host side of
+                    // an everything-on-the-host split).
+                    // extract_columns_from_reader never pushes down — it is
+                    // the full-decode comparator.
+                    let mut alone =
+                        FileWriter::with_page_rows(raw.schema().clone(), 7).with_policy(policy);
+                    alone.write_row_group(raw.columns()).expect("writes");
+                    let alone = FileReader::open(MemBlob::new(alone.finish())).expect("opens");
+                    let full = extract_columns_from_reader(
+                        &alone,
                         plan.required_columns(),
-                        g,
                         scratch.read_scratch(),
                     )
                     .expect("full decode");
+                    let host = plan.split(&vec![Place::Host; plan.stages().len()]).expect("splits");
                     let (via_full, _) =
-                        preprocess_batch_owned(&plan, full).expect("legacy owned path");
+                        preprocess_split_host(&plan, &host, full, BoundaryBatch::default())
+                            .expect("owned path");
                     prop_assert!(via_full == reference, "{enc} group {g}: full-decode diverged");
                     // Pushdown: the shuffled row-group Extract with limits +
                     // passthrough FirstX.

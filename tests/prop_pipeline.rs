@@ -5,9 +5,9 @@
 
 use presto::datagen::{generate_batch, write_partition, Dataset, RmConfig};
 use presto::ops::{
-    preprocess_batch, preprocess_batch_owned, preprocess_batch_with, preprocess_partition,
-    preprocess_partition_with, run_workers, run_workers_materialized, BatchStream, FleetConfig,
-    MiniBatch, PreprocessPlan, ScratchSpace,
+    preprocess_batch_with, preprocess_partition, preprocess_partition_with, preprocess_split_host,
+    run_workers, run_workers_materialized, BatchStream, BoundaryBatch, FleetConfig, MiniBatch,
+    Place, PreprocessPlan, ScratchSpace,
 };
 use proptest::prelude::*;
 
@@ -47,17 +47,19 @@ proptest! {
         let batch = generate_batch(&config, rows, seed);
         let blob = write_partition(&batch).expect("serializes");
 
-        let (reference, _) = preprocess_batch(&plan, &batch).expect("borrowed path");
-        let (with_scratch, _) =
+        let (reference, _) =
             preprocess_batch_with(&plan, &batch, &mut ScratchSpace::new())
-                .expect("scratch path");
-        prop_assert_eq!(&with_scratch, &reference);
+                .expect("borrowed path");
 
         let (from_disk, _) =
             preprocess_partition(&plan, blob.clone()).expect("partition path");
         prop_assert_eq!(&from_disk, &reference);
 
-        let (owned, _) = preprocess_batch_owned(&plan, batch).expect("owned path");
+        // The owned Transform over the in-memory batch: the host side of an
+        // everything-on-the-host split.
+        let host = plan.split(&vec![Place::Host; plan.stages().len()]).expect("splits");
+        let (owned, _) = preprocess_split_host(&plan, &host, batch, BoundaryBatch::default())
+            .expect("owned path");
         prop_assert_eq!(&owned, &reference);
 
         // Re-processing the same partition must be repeatable (the in-place
