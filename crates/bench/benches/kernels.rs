@@ -62,34 +62,6 @@ fn bench_log(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dedup(c: &mut Criterion) {
-    // RecD-style duplication: sessions of 8 near-identical rows.
-    use presto_ops::dedup::{hash_deduped, inject_duplication};
-    let hasher = SigridHasher::new(7, 500_000).expect("positive max");
-    let mut offsets = vec![0u32];
-    let mut values = Vec::new();
-    let mut rng = DataRng::seed_from_u64(17);
-    for _ in 0..BATCH {
-        for _ in 0..20 {
-            values.push(rng.sparse_id(500_000));
-        }
-        offsets.push(values.len() as u32);
-    }
-    let (dup_offsets, dup_values) = inject_duplication(&offsets, &values, 8);
-
-    let mut group = c.benchmark_group("sigridhash_dedup");
-    group.throughput(Throughput::Elements(dup_values.len() as u64));
-    group.bench_function("direct", |b| {
-        b.iter(|| black_box(hasher.apply(black_box(&dup_values))));
-    });
-    group.bench_function("deduped_8x_sessions", |b| {
-        b.iter(|| {
-            black_box(hash_deduped(&hasher, black_box(&dup_offsets), black_box(&dup_values)))
-        });
-    });
-    group.finish();
-}
-
 /// Short measurement windows keep `cargo bench --workspace` to a few
 /// minutes while staying statistically useful.
 fn quick() -> Criterion {
@@ -102,6 +74,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_bucketize, bench_sigridhash, bench_log, bench_dedup
+    targets = bench_bucketize, bench_sigridhash, bench_log
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
-//! Ablation study of the ISP accelerator's design choices (the knobs
-//! DESIGN.md §6 calls out): PE scaling, double buffering, feed path and
-//! per-stage dispatch overhead. All runs use RM5, the paper's heaviest
-//! model.
+//! Ablation study of the ISP accelerator's design choices (the knobs of
+//! `presto_hwsim::fpga::IspModel`): PE scaling, double buffering, feed
+//! path and per-stage dispatch overhead. All runs use RM5, the paper's
+//! heaviest model.
 
 use presto_bench::{banner, print_table};
 use presto_datagen::{RmConfig, WorkloadProfile};

@@ -52,6 +52,6 @@ fn main() {
     println!("-- Provisioning headroom --");
     print_table(&t);
     println!("One unit below ceil(T/P) costs utilization immediately; one above");
-    println!("buys margin for failures (see the failure-injection API in");
-    println!("presto_core::failure) at one SmartSSD's 25 W.");
+    println!("buys margin for failures (see the retry / failover policy in");
+    println!("presto_ops::recovery::RetryPolicy) at one SmartSSD's 25 W.");
 }

@@ -13,9 +13,7 @@ use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::ssd::SsdModel;
 use presto_hwsim::units::Secs;
 use presto_metrics::{percent, TextTable};
-use presto_ops::{
-    inter_arrivals, run_workers_materialized, BatchStream, FleetConfig, PreprocessPlan,
-};
+use presto_ops::{inter_arrivals, BatchStream, FleetConfig, PreprocessPlan};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,7 +44,7 @@ fn throughput(rows: usize, elapsed: Duration) -> String {
 fn main() {
     banner(
         "Ablation: streaming executor — capacity x workers x devices (RM1)",
-        "bounded-channel streaming vs materialized collection; device-affine claiming; measured-arrival calibration",
+        "bounded-channel streaming; device-affine claiming; measured-arrival calibration",
     );
     let config = RmConfig::rm1();
     let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
@@ -106,16 +104,11 @@ fn main() {
             blob: p.blob.clone().with_read_latency(latency),
         })
         .collect();
-    let mut t = TextTable::new(vec!["workers", "materialized samples/s", "streaming samples/s"]);
+    let mut t = TextTable::new(vec!["workers", "streaming samples/s"]);
     for workers in [1usize, 2, 4] {
-        let m = {
-            let start = Instant::now();
-            run_workers_materialized(&plan, &slow, workers).expect("preprocesses");
-            start.elapsed()
-        };
         let cfg = FleetConfig::new(workers, 2 * workers);
         let (s, _, _, _) = run_stream(&plan, &slow, &cfg);
-        t.row(vec![workers.to_string(), throughput(total_rows, m), throughput(total_rows, s)]);
+        t.row(vec![workers.to_string(), throughput(total_rows, s)]);
     }
     println!("-- Emulated SSD latency (25us/read): a worker pair keeps two reads in flight --");
     print_table(&t);

@@ -18,5 +18,5 @@ fn main() {
     print_table(&t);
     println!("Shape check: production-scale models (RM2-5) require hundreds of");
     println!("cores; RM1 requires tens. Exact values depend on the calibrated");
-    println!("per-core throughput and A100 training demand (DESIGN.md #4).");
+    println!("per-core throughput and A100 training demand (presto_hwsim::calib).");
 }

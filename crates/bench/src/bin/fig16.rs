@@ -35,5 +35,5 @@ fn main() {
         get("PreSto (SmartSSD)") / get("U280"),
     );
     println!("Known deviation: our PreSto(U280) build lands ~2x PreSto(SmartSSD)");
-    println!("instead of 'slightly higher' — see EXPERIMENTS.md.");
+    println!("instead of 'slightly higher' — see presto_hwsim::calib::u280.");
 }

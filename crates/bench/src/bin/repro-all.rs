@@ -1,5 +1,6 @@
-//! Runs every table/figure reproduction in sequence (the EXPERIMENTS.md
-//! source of truth).
+//! Runs every table/figure reproduction in sequence; each prints the
+//! paper's value next to the model's, and `tests/paper_shape.rs` pins the
+//! same claims as bands.
 
 use std::process::Command;
 
@@ -32,6 +33,6 @@ fn main() {
             }
         }
     }
-    println!("All 2 tables and 11 figures reproduced. See EXPERIMENTS.md for the");
-    println!("paper-vs-measured record.");
+    println!("All 2 tables and 11 figures reproduced, each next to the paper's values;");
+    println!("`cargo test --test paper_shape` asserts the same claims as bands.");
 }

@@ -22,7 +22,8 @@
 //! | `repro-all` | Everything above in sequence |
 //!
 //! Criterion benches (`cargo bench`) measure the *real* kernels in
-//! `presto-ops` and the columnar codec, not the simulation.
+//! `presto-ops` and the columnar codec, not the simulation. The end-to-end
+//! benchmark is `presto-e2e` (its own README).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -65,83 +66,10 @@ pub fn print_table(table: &TextTable) {
     println!();
 }
 
-/// Renders a flat `name → value` map as JSON, preserving insertion order.
-///
-/// This is the interchange format of the CI bench-regression gate
-/// (`BENCH_ci.json` / `BENCH_baseline.json`): one flat object of numeric
-/// fields, no nesting — trivially diffable and parseable without a JSON
-/// dependency (the build environment has no crates registry).
-#[must_use]
-pub fn render_flat_json(entries: &[(String, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        out.push_str(&format!("  \"{key}\": {value:.1}{comma}\n"));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Parses the flat JSON [`render_flat_json`] emits (and hand-edited
-/// equivalents): every `"key": number` pair, in order. Non-numeric fields
-/// are skipped; nested structure is not supported.
-#[must_use]
-pub fn parse_flat_json(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(open) = rest.find('"') {
-        rest = &rest[open + 1..];
-        let Some(close) = rest.find('"') else { break };
-        let key = &rest[..close];
-        rest = &rest[close + 1..];
-        // A key is a quoted string immediately followed by a colon; quoted
-        // strings elsewhere (values, prose) are skipped.
-        let after_key = rest.trim_start();
-        let Some(after_colon) = after_key.strip_prefix(':') else { continue };
-        let after = after_colon.trim_start();
-        rest = after;
-        if after.starts_with('"') {
-            continue; // string value: let the loop skip over it
-        }
-        let end = after
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-            .unwrap_or(after.len());
-        if let Ok(value) = after[..end].parse::<f64>() {
-            out.push((key.to_owned(), value));
-        }
-        rest = &after[end..];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use presto_hwsim::units::Secs;
-
-    #[test]
-    fn flat_json_roundtrips() {
-        let entries = vec![
-            ("preprocess_partition_rm1_rows_per_sec".to_owned(), 1_440_000.0),
-            ("streaming_end_to_end_rows_per_sec".to_owned(), 512_345.5),
-        ];
-        let json = render_flat_json(&entries);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        let parsed = parse_flat_json(&json);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, entries[0].0);
-        assert!((parsed[0].1 - entries[0].1).abs() < 0.1);
-        assert!((parsed[1].1 - entries[1].1).abs() < 0.1);
-    }
-
-    #[test]
-    fn flat_json_parser_survives_hand_edits() {
-        let text = "{\n\t\"a\" : 12,  \"note\": \"text\",\n\"b\":3.5e2 }";
-        let parsed = parse_flat_json(text);
-        assert_eq!(parsed, vec![("a".to_owned(), 12.0), ("b".to_owned(), 350.0)]);
-        assert!(parse_flat_json("").is_empty());
-        assert!(parse_flat_json("{}").is_empty());
-    }
 
     #[test]
     fn breakdown_row_shares_sum_to_100() {

@@ -6,9 +6,8 @@
 //! * [`systems::System`] — the four preprocessing architectures the paper
 //!   compares (co-located, disaggregated CPU pool, accelerator pools,
 //!   PreSto ISP).
-//! * [`provision::Provisioner`] — the `⌈T/P⌉` sizing rule (Figs. 4/14).
-//! * [`managers`] — the train manager / preprocess manager control flow of
-//!   Fig. 9.
+//! * [`provision::Provisioner`] — the `⌈T/P⌉` sizing rule of Fig. 9's
+//!   train and preprocess managers (Figs. 4/14).
 //! * [`pipeline`] — the discrete-event producer–consumer simulation behind
 //!   GPU-utilization numbers (Fig. 3).
 //! * [`placement`] — cost-model-driven host/ISP placement of a compiled
@@ -37,12 +36,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod datacenter;
 pub mod experiments;
-pub mod failure;
 pub mod fleet;
 pub mod isp_worker;
-pub mod managers;
 pub mod pipeline;
 pub mod placement;
 pub mod provision;
@@ -51,15 +47,9 @@ pub mod service;
 mod split;
 pub mod systems;
 
-pub use datacenter::{
-    analyze as analyze_contention, measure_throttle, ContentionReport, Fabric, FleetKind,
-    MeasuredThrottle,
-};
 pub use experiments::{isp_vs_cpu_end_to_end, EndToEndPoint};
-pub use failure::{simulate_with_failures, FailureEvent, FaultyRunReport, RecoveryPolicy};
 pub use fleet::Fleet;
 pub use isp_worker::{IspRunStats, IspWorker};
-pub use managers::{Backend, EndToEndReport, PreprocessManager, TrainManager, TrainingJob};
 pub use pipeline::{
     simulate, simulate_measured, BatchSource, PipelineConfig, PipelineReport, Trainer,
     TrainerConfig, TrainerReport,

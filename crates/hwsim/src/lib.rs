@@ -5,7 +5,7 @@
 //! pools, 10 GbE), so this crate models each device from first-order
 //! quantities — bytes moved, elements transformed, unit rates, link
 //! bandwidths — with constants calibrated against the paper's own PoC
-//! measurements (see [`calib`] and DESIGN.md §4).
+//! measurements (see [`calib`]; `tests/paper_shape.rs` pins the bands).
 //!
 //! * [`cpu::CpuWorkerModel`] — one TorchArrow worker on one Xeon core
 //!   (the Fig. 5 baseline).

@@ -24,9 +24,8 @@
 //! * [`stream`] — the streaming engine: one claim → attempt → deliver
 //!   core behind every fleet (host, ISP, split, shuffled), yielding
 //!   [`BatchStream`].
-//! * [`parallel`] — [`run_workers`], the drain-the-stream-into-a-`Vec`
-//!   wrapper, plus the pre-streaming materialized baseline kept for
-//!   ablations.
+//! * [`recovery`] — the retry / straggler / quarantine policy and the
+//!   nothing-dropped accounting every fleet runs under.
 //! * [`shuffle`] — the seeded deterministic epoch permutation over every
 //!   `PSTOCOL4` row group, and the serializable [`EpochCursor`] a shuffled
 //!   stream resumes from.
@@ -64,14 +63,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bucketize;
-pub mod dedup;
 pub mod executor;
 pub mod graph;
 pub mod listops;
 pub mod lognorm;
 pub mod minibatch;
 pub mod op;
-pub mod parallel;
 pub mod plan;
 pub mod recovery;
 pub mod shuffle;
@@ -79,7 +76,6 @@ pub mod sigridhash;
 pub mod stream;
 
 pub use bucketize::{BucketizeError, Bucketizer};
-pub use dedup::{hash_deduped, plan_dedup, DedupPlan};
 pub use executor::{
     extract_columns_for_plan, extract_columns_from_reader, preprocess_batch_with,
     preprocess_group_with, preprocess_partition, preprocess_partition_with, preprocess_split_host,
@@ -90,7 +86,6 @@ pub use executor::{
 pub use graph::{ChainSpec, GraphError, PlanGraph};
 pub use minibatch::{DenseMatrix, JaggedFeature, MiniBatch, ShapeError};
 pub use op::{firstx_into, ngram_into, IdMap, Op, OpTag, ValueKind};
-pub use parallel::{run_workers, run_workers_materialized, ParallelReport};
 pub use plan::{
     BoundarySlot, ColumnRequirement, CompiledStage, Place, PreprocessPlan, SplitPlan, StageInput,
 };

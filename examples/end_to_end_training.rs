@@ -1,10 +1,10 @@
 //! End-to-end training run: the Fig. 9 control flow of the paper, with the
 //! trainer **in the loop**.
 //!
-//! Part 1 (analytic): the train manager measures the GPUs' demand, the
-//! preprocess manager provisions `⌈T/P⌉` devices, and the discrete-event
-//! pipeline simulation plays out the producer–consumer loop — once with
-//! the Disagg baseline, once with PreSto SmartSSDs.
+//! Part 1 (analytic): the [`Provisioner`] measures the GPUs' demand `T`
+//! and one device's rate `P`, spawns `⌈T/P⌉` devices, and the discrete-event
+//! pipeline simulation plays out the producer–consumer loop — with the
+//! Disagg baseline, PreSto SmartSSDs and PreSto storage-node U280s.
 //!
 //! Part 2 (executed): the same producer–consumer loop runs for real on
 //! this host. The host streaming executor and the emulated ISP fleet each
@@ -24,10 +24,11 @@
 //!   (default 1.0; use e.g. 0.1 to shrink wall-clock time)
 
 use presto::core::{
-    isp_vs_cpu_end_to_end, Backend, PipelineConfig, PreprocessManager, System, TrainManager,
-    TrainerConfig, TrainingJob,
+    isp_vs_cpu_end_to_end, simulate, PipelineConfig, Provisioner, System, TrainerConfig,
 };
-use presto::datagen::{Dataset, RmConfig};
+use presto::datagen::{Dataset, RmConfig, WorkloadProfile};
+use presto::hwsim::cpu::CpuWorkerModel;
+use presto::hwsim::fpga::IspModel;
 use presto::hwsim::gpu::GpuTrainModel;
 use presto::metrics::{percent, samples_per_sec, TextTable};
 use presto::ops::PreprocessPlan;
@@ -42,14 +43,17 @@ fn env_f64(name: &str, default: f64) -> f64 {
 
 fn main() {
     // ---- Part 1: analytic provisioning (Fig. 9 on the paper's models) ----
-    let job = TrainingJob { config: RmConfig::rm5(), num_gpus: 8, batches: 96 };
-    let train_manager = TrainManager::new();
+    let model = RmConfig::rm5();
+    let job = PipelineConfig { batches: 96, queue_capacity: 8, num_gpus: 8 };
+    let poc = Provisioner::poc();
+    let u280 =
+        Provisioner::new(GpuTrainModel::a100(), CpuWorkerModel::poc(), IspModel::u280_in_storage());
 
     println!(
         "training job: {} on {} GPUs, {} mini-batches of {}",
-        job.config.name, job.num_gpus, job.batches, job.config.batch_size
+        model.name, job.num_gpus, job.batches, model.batch_size
     );
-    let demand = train_manager.measure_training_demand(&job);
+    let demand = poc.training_demand(&model, job.num_gpus);
     println!("stress-tested training demand T = {} samples/s\n", samples_per_sec(demand));
 
     let mut table = TextTable::new(vec![
@@ -59,15 +63,22 @@ fn main() {
         "GPU utilization",
         "training throughput",
     ]);
-    for backend in [Backend::DisaggCpu, Backend::PrestoSmartSsd, Backend::PrestoU280] {
-        let manager = PreprocessManager::new(backend);
-        let report = train_manager.launch(&job, &manager);
+    let profile = WorkloadProfile::from_config(&model);
+    for system in [
+        System::disagg(poc.cpu_cores_required(&model, job.num_gpus)),
+        System::presto_smartssd(poc.isp_units_required(&model, job.num_gpus)),
+        System::Presto {
+            units: u280.isp_units_required(&model, job.num_gpus),
+            isp: u280.isp().clone(),
+        },
+    ] {
+        let report = simulate(&system, poc.gpu(), &model, &job);
         table.row(vec![
-            report.provision.system.name(),
-            report.provision.devices.to_string(),
-            samples_per_sec(report.provision.per_device_throughput),
-            percent(report.pipeline.gpu_utilization),
-            samples_per_sec(report.pipeline.training_throughput),
+            system.name(),
+            system.parallelism().to_string(),
+            samples_per_sec(system.per_worker_throughput(&profile)),
+            percent(report.gpu_utilization),
+            samples_per_sec(report.training_throughput),
         ]);
     }
     print!("{}", table.render());

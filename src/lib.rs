@@ -11,7 +11,7 @@
 //! | [`datagen`] | Table I model configs + synthetic RecSys data |
 //! | [`ops`] | Real Bucketize / SigridHash / Log kernels + mini-batch assembly |
 //! | [`hwsim`] | Calibrated device models: CPU, SmartSSD ISP, GPU, network, LLC |
-//! | [`core`] | The PreSto system: managers, provisioning, pipeline simulation |
+//! | [`core`] | The PreSto system: provisioning, fleets, service, pipeline simulation |
 //! | [`metrics`] | Energy / TCO models and report formatting |
 //!
 //! ## Quick start
@@ -36,9 +36,10 @@
 //!
 //! Every table and figure in the paper's evaluation has a dedicated binary
 //! in `presto-bench` (e.g. `cargo run -p presto-bench --bin fig12`), and
-//! `cargo run -p presto-bench --bin repro-all` regenerates everything.
-//! DESIGN.md documents the hardware substitutions and the calibration
-//! methodology; EXPERIMENTS.md records paper-vs-measured values.
+//! `cargo run -p presto-bench --bin repro-all` regenerates everything,
+//! printing each paper value next to the model's. [`hwsim::calib`] names
+//! the paper measurement behind every device-model constant, and
+//! `tests/paper_shape.rs` pins each headline claim as a band.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -3,7 +3,7 @@
 
 use presto::columnar::{CountingBlob, FileReader};
 use presto::datagen::{generate_batch, write_partition, Dataset, RmConfig, WorkloadProfile};
-use presto::ops::{preprocess_partition, run_workers, PreprocessPlan};
+use presto::ops::{preprocess_partition, BatchStream, FleetConfig, MiniBatch, PreprocessPlan};
 
 fn small(config: &mut RmConfig, batch: usize) -> RmConfig {
     config.batch_size = batch;
@@ -60,10 +60,14 @@ fn dataset_round_robin_feeds_parallel_workers() {
     let config = small(&mut config, 48);
     let ds = Dataset::generate(&config, 8, 48, 4, 77).expect("dataset");
     let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
-    let report = run_workers(&plan, ds.partitions(), 4).expect("workers run");
-    assert_eq!(report.batches.len(), 8);
+    let batches: Vec<MiniBatch> =
+        BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(4, 8))
+            .into_ordered()
+            .map(|item| item.expect("workers run").batch)
+            .collect();
+    assert_eq!(batches.len(), 8);
     // Every partition produced a distinct mini-batch (different data).
-    for window in report.batches.windows(2) {
+    for window in batches.windows(2) {
         assert_ne!(window[0], window[1]);
     }
 }

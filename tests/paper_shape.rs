@@ -1,6 +1,7 @@
 //! The paper-shape contract: every headline claim of the PreSto paper,
 //! asserted as a band over the full model stack. If calibration drifts,
-//! these tests fail before EXPERIMENTS.md can go stale.
+//! these tests fail before the `presto-bench` figure binaries' tables can
+//! silently drift from the paper.
 //!
 //! Bands are intentionally loose enough to tolerate constant tweaks but
 //! tight enough that "who wins, by roughly what factor, where the

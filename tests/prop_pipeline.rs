@@ -6,8 +6,7 @@
 use presto::datagen::{generate_batch, write_partition, Dataset, RmConfig};
 use presto::ops::{
     preprocess_batch_with, preprocess_partition, preprocess_partition_with, preprocess_split_host,
-    run_workers, run_workers_materialized, BatchStream, BoundaryBatch, FleetConfig, MiniBatch,
-    Place, PreprocessPlan, ScratchSpace,
+    BatchStream, BoundaryBatch, FleetConfig, MiniBatch, Place, PreprocessPlan, ScratchSpace,
 };
 use proptest::prelude::*;
 
@@ -76,9 +75,8 @@ proptest! {
         devices in 1usize..4,
     ) {
         // The whole executor matrix over one multi-partition dataset:
-        // serial, streaming (ordered, with and without Extract prefetch),
-        // the run_workers wrapper and the materialized baseline must all
-        // produce the same bytes.
+        // serial and streaming (ordered, with and without Extract prefetch)
+        // must produce the same bytes.
         let partitions = 1 + (seed % 5) as usize;
         let ds = Dataset::generate(&config, partitions, rows, devices, seed ^ 0x51ED)
             .expect("dataset generates");
@@ -101,12 +99,6 @@ proptest! {
                     .collect();
             prop_assert_eq!(&streamed, &serial);
         }
-
-        let wrapped = run_workers(&plan, ds.partitions(), workers).expect("wrapper");
-        prop_assert_eq!(&wrapped.batches, &serial);
-        let materialized =
-            run_workers_materialized(&plan, ds.partitions(), workers).expect("baseline");
-        prop_assert_eq!(&materialized.batches, &serial);
     }
 
     #[test]

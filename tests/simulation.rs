@@ -1,51 +1,76 @@
 //! Integration tests of the simulation stack: provisioning feeds the
-//! pipeline, the pipeline respects physics, and the managers close the
-//! loop (Fig. 9 end to end).
+//! pipeline and the pipeline respects physics (Fig. 9 end to end: measure
+//! `T`, measure `P`, spawn `⌈T/P⌉` devices, simulate the producer–consumer
+//! loop).
 
-use presto::core::pipeline::{simulate, PipelineConfig};
+use presto::core::pipeline::{simulate, PipelineConfig, PipelineReport};
 use presto::core::provision::Provisioner;
 use presto::core::systems::System;
-use presto::core::{Backend, PreprocessManager, TrainManager, TrainingJob};
 use presto::datagen::RmConfig;
+use presto::hwsim::cpu::CpuWorkerModel;
+use presto::hwsim::fpga::IspModel;
 use presto::hwsim::gpu::GpuTrainModel;
+
+const GPUS: usize = 8;
+
+/// The `⌈T/P⌉`-sized fleets that keep `GPUS` A100s fed on `config`: Disagg
+/// CPU cores, PreSto SmartSSDs and PreSto storage-node U280s.
+fn provisioned_fleets(config: &RmConfig) -> [System; 3] {
+    let poc = Provisioner::poc();
+    let u280 =
+        Provisioner::new(GpuTrainModel::a100(), CpuWorkerModel::poc(), IspModel::u280_in_storage());
+    [
+        System::disagg(poc.cpu_cores_required(config, GPUS)),
+        System::presto_smartssd(poc.isp_units_required(config, GPUS)),
+        System::Presto { units: u280.isp_units_required(config, GPUS), isp: u280.isp().clone() },
+    ]
+}
+
+fn train(system: &System, config: &RmConfig, batches: usize) -> PipelineReport {
+    simulate(
+        system,
+        &GpuTrainModel::a100(),
+        config,
+        &PipelineConfig { batches, queue_capacity: 8, num_gpus: GPUS },
+    )
+}
 
 #[test]
 fn provisioned_systems_reach_high_utilization_for_every_model() {
-    let tm = TrainManager::new();
     for config in RmConfig::all() {
-        let job = TrainingJob { config: config.clone(), num_gpus: 8, batches: 64 };
-        for backend in [Backend::DisaggCpu, Backend::PrestoSmartSsd] {
-            let report = tm.launch(&job, &PreprocessManager::new(backend));
+        let reports =
+            provisioned_fleets(&config).map(|system| (train(&system, &config, 64), system));
+        for (report, system) in &reports {
             assert!(
-                report.pipeline.gpu_utilization > 0.85,
-                "{} {:?}: utilization {:.2}",
+                report.gpu_utilization > 0.85,
+                "{} {}: utilization {:.2}",
                 config.name,
-                backend,
-                report.pipeline.gpu_utilization
+                system.name(),
+                report.gpu_utilization
             );
+            assert_eq!(report.batches_trained, 64);
+        }
+        // Every fleet meets the same demand, the premise of comparing them
+        // on power and cost alone (Sec. V-C).
+        let baseline = reports[0].0.training_throughput;
+        for (report, system) in &reports[1..] {
+            let ratio = report.training_throughput / baseline;
+            assert!((0.9..=1.1).contains(&ratio), "{} {}: {ratio:.2}", config.name, system.name());
         }
     }
 }
 
 #[test]
 fn under_provisioning_shows_up_as_starvation() {
-    let tm = TrainManager::new();
-    let job = TrainingJob { config: RmConfig::rm5(), num_gpus: 8, batches: 48 };
-    let full = tm.launch(&job, &PreprocessManager::new(Backend::PrestoSmartSsd));
-    // Halve the fleet manually and re-simulate.
-    let gpu = GpuTrainModel::a100();
-    let halved = System::presto_smartssd((full.provision.devices / 2).max(1));
-    let starved = simulate(
-        &halved,
-        &gpu,
-        &RmConfig::rm5(),
-        &PipelineConfig { batches: 48, queue_capacity: 8, num_gpus: 8 },
-    );
+    let config = RmConfig::rm5();
+    let units = Provisioner::poc().isp_units_required(&config, GPUS);
+    let full = train(&System::presto_smartssd(units), &config, 48);
+    let starved = train(&System::presto_smartssd((units / 2).max(1)), &config, 48);
     assert!(
-        starved.gpu_utilization < full.pipeline.gpu_utilization,
+        starved.gpu_utilization < full.gpu_utilization,
         "halved fleet {:.2} vs full {:.2}",
         starved.gpu_utilization,
-        full.pipeline.gpu_utilization
+        full.gpu_utilization
     );
 }
 
@@ -65,24 +90,6 @@ fn utilization_is_always_a_fraction() {
             assert!(report.peak_queue <= queue + 1);
             assert!(report.makespan.seconds() > 0.0);
         }
-    }
-}
-
-#[test]
-fn provisioner_and_managers_agree() {
-    let p = Provisioner::poc();
-    let tm = TrainManager::new();
-    let pm = PreprocessManager::new(Backend::DisaggCpu);
-    for config in RmConfig::all() {
-        let job = TrainingJob { config: config.clone(), num_gpus: 8, batches: 1 };
-        let demand = tm.measure_training_demand(&job);
-        let outcome = pm.provision(&config, demand);
-        assert_eq!(
-            outcome.devices,
-            p.cpu_cores_required(&config, 8),
-            "{}: manager and provisioner disagree",
-            config.name
-        );
     }
 }
 
