@@ -1,21 +1,167 @@
-//! Ablation: the streaming pipelined executor — queue capacity × workers ×
-//! devices, device contention, Extract-latency hiding, and calibration of
-//! the pipeline simulation from measured inter-arrival times.
-//!
-//! Run with `cargo run --release -p presto-bench --bin ablation-stream`.
+//! Ablations beyond the paper's figures: the ISP accelerator's design
+//! choices, the input queue and provisioning headroom, and the streaming
+//! executor run on real data.
 
-use presto_bench::{banner, print_table};
+use crate::{banner, print_table};
 use presto_columnar::{Device, DeviceModel};
 use presto_core::pipeline::{simulate, simulate_measured, PipelineConfig};
+use presto_core::provision::Provisioner;
 use presto_core::systems::System;
-use presto_datagen::{Dataset, Partition, RmConfig};
+use presto_datagen::{Dataset, Partition, RmConfig, WorkloadProfile};
+use presto_hwsim::fpga::{FeedPath, IspModel};
 use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::ssd::SsdModel;
 use presto_hwsim::units::Secs;
-use presto_metrics::{percent, TextTable};
+use presto_metrics::{percent, samples_per_sec, TextTable};
 use presto_ops::{inter_arrivals, BatchStream, FleetConfig, PreprocessPlan};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The ISP accelerator's design choices (the knobs of
+/// `presto_hwsim::fpga::IspModel`): PE scaling, double buffering, feed
+/// path and per-stage dispatch overhead. All runs use RM5, the paper's
+/// heaviest model.
+pub(crate) fn isp() {
+    banner(
+        "Ablation: ISP design choices (RM5)",
+        "quantifies the Sec. IV-C design decisions the paper motivates qualitatively",
+    );
+    let profile = WorkloadProfile::from_config(&RmConfig::rm5());
+    let base = IspModel::smartssd();
+    let base_lat = base.latency(&profile);
+    let base_tput = base.throughput(&profile);
+
+    // 1. PE-count sweep.
+    let mut t =
+        TextTable::new(vec!["unit scale", "latency (ms)", "throughput (samples/s)", "vs baseline"]);
+    for scale in [0.5f64, 1.0, 2.0, 4.0] {
+        let m = IspModel::smartssd().with_unit_scale(scale);
+        let tput = m.throughput(&profile);
+        t.row(vec![
+            format!("{scale}x"),
+            format!("{:.1}", m.latency(&profile).millis()),
+            samples_per_sec(tput),
+            format!("{:.2}x", tput / base_tput),
+        ]);
+    }
+    println!("-- PE-count sweep (all units scaled together) --");
+    print_table(&t);
+    println!("Doubling units helps sub-linearly: the P2P feed and DRAM-bound");
+    println!("format stage do not scale with PEs (why the paper right-sizes");
+    println!("units to the 25 W envelope instead of maximizing them).\n");
+
+    // 2. Double buffering.
+    let no_db = IspModel::smartssd().without_double_buffering();
+    let mut t =
+        TextTable::new(vec!["double buffering", "latency (ms)", "throughput", "speedup lost"]);
+    t.row(vec![
+        "on (paper design)".to_owned(),
+        format!("{:.1}", base_lat.millis()),
+        samples_per_sec(base_tput),
+        "-".to_owned(),
+    ]);
+    let lat = no_db.latency(&profile);
+    t.row(vec![
+        "off".to_owned(),
+        format!("{:.1}", lat.millis()),
+        samples_per_sec(no_db.throughput(&profile)),
+        format!("{:.0}%", 100.0 * (lat.seconds() / base_lat.seconds() - 1.0)),
+    ]);
+    println!("-- Double buffering (Sec. IV-C intra-feature overlap) --");
+    print_table(&t);
+
+    // 3. Feed path.
+    let mut t = TextTable::new(vec!["feed path", "extract read (ms)", "latency (ms)"]);
+    for (label, m) in [
+        ("P2P (SmartSSD)", IspModel::smartssd()),
+        ("host-staged", IspModel::smartssd().with_feed(FeedPath::HostStaged)),
+    ] {
+        let b = m.stage_breakdown(&profile);
+        t.row(vec![
+            label.to_owned(),
+            format!("{:.1}", b.extract_read.millis()),
+            format!("{:.1}", b.total().millis()),
+        ]);
+    }
+    println!("-- Feed path: P2P vs host-staged --");
+    print_table(&t);
+    println!("Host staging is faster per device (3.2 GB/s host path vs 1.2 GB/s");
+    println!("P2P) but costs host CPU/PCIe bandwidth and breaks the drop-in");
+    println!("deployment story; P2P keeps preprocessing self-contained.\n");
+
+    // 4. Dispatch-overhead sweep (matters most for small models).
+    let rm1 = WorkloadProfile::from_config(&RmConfig::rm1());
+    let mut t = TextTable::new(vec![
+        "stage overhead",
+        "RM1 latency (ms)",
+        "RM5 latency (ms)",
+        "RM1 speedup vs Disagg",
+    ]);
+    let disagg_rm1 = System::disagg(1).worker_latency(&rm1).seconds();
+    for overhead_ms in [0.0f64, 0.5, 1.5, 5.0] {
+        let m = IspModel::smartssd().with_stage_overhead(Secs::from_millis(overhead_ms));
+        t.row(vec![
+            format!("{overhead_ms} ms"),
+            format!("{:.1}", m.latency(&rm1).millis()),
+            format!("{:.1}", m.latency(&profile).millis()),
+            format!("{:.1}x", disagg_rm1 / m.latency(&rm1).seconds()),
+        ]);
+    }
+    println!("-- Kernel-dispatch overhead sweep --");
+    print_table(&t);
+    println!("Dispatch overhead is why RM1's speedup (Fig. 12) trails the");
+    println!("production models': six 1.5 ms stage launches are a third of its");
+    println!("entire preprocessing budget.");
+}
+
+/// Input-queue depth and provisioning headroom in the producer–consumer
+/// pipeline (Fig. 9's input queue).
+pub(crate) fn queue() {
+    banner(
+        "Ablation: input-queue depth and provisioning headroom (RM5, 8x A100)",
+        "the paper sizes fleets at exactly ceil(T/P); this quantifies the slack those choices leave",
+    );
+    let gpu = GpuTrainModel::a100();
+    let config = RmConfig::rm5();
+    let p = Provisioner::poc();
+    let exact = p.isp_units_required(&config, 8);
+
+    // 1. Queue-depth sweep at exact provisioning.
+    let mut t = TextTable::new(vec!["queue capacity", "GPU utilization", "peak queue"]);
+    for capacity in [1usize, 2, 4, 8, 16, 64] {
+        let report = simulate(
+            &System::presto_smartssd(exact),
+            &gpu,
+            &config,
+            &PipelineConfig { batches: 256, queue_capacity: capacity, num_gpus: 8 },
+        );
+        t.row(vec![
+            capacity.to_string(),
+            percent(report.gpu_utilization),
+            report.peak_queue.to_string(),
+        ]);
+    }
+    println!("-- Queue depth at exact ceil(T/P) = {exact} SmartSSDs --");
+    print_table(&t);
+
+    // 2. Provisioning headroom sweep at queue capacity 8.
+    let mut t = TextTable::new(vec!["ISP units", "vs ceil(T/P)", "GPU utilization"]);
+    for delta in [-2i64, -1, 0, 1, 2] {
+        let units = (exact as i64 + delta).max(1) as usize;
+        let report = simulate(
+            &System::presto_smartssd(units),
+            &gpu,
+            &config,
+            &PipelineConfig { batches: 256, queue_capacity: 8, num_gpus: 8 },
+        );
+        t.row(vec![units.to_string(), format!("{delta:+}"), percent(report.gpu_utilization)]);
+    }
+    println!("-- Provisioning headroom --");
+    print_table(&t);
+    println!("One unit below ceil(T/P) costs utilization immediately; one above");
+    println!("buys margin for failures (see the retry / failover policy in");
+    println!("presto_ops::recovery::RetryPolicy) at one SmartSSD's 25 W.");
+}
 
 /// Drains one streaming run; returns (elapsed, arrival stamps, device
 /// report rows, cross-device steals).
@@ -41,7 +187,11 @@ fn throughput(rows: usize, elapsed: Duration) -> String {
     format!("{:>8.0} ", rows as f64 / elapsed.as_secs_f64().max(1e-12))
 }
 
-fn main() {
+/// The streaming pipelined executor — queue capacity × workers × devices,
+/// device contention, Extract-latency hiding, and calibration of the
+/// pipeline simulation from measured inter-arrival times. Its rows are
+/// measured on this host, so they vary run to run.
+pub(crate) fn stream() {
     banner(
         "Ablation: streaming executor — capacity x workers x devices (RM1)",
         "bounded-channel streaming; device-affine claiming; measured-arrival calibration",

@@ -1,38 +1,37 @@
-//! Runs every table/figure reproduction in sequence; each prints the
-//! paper's value next to the model's, and `tests/paper_shape.rs` pins the
-//! same claims as bands.
+//! Runs the paper's tables, figures and ablations in-process:
+//!
+//! ```text
+//! repro-all [NAME ...]
+//! ```
+//!
+//! With no names, every entry of [`presto_bench::EXPERIMENTS`] in paper
+//! order; otherwise the named ones, in the order given, separated by a
+//! blank line. An unknown name prints the list of names and exits 2 before
+//! anything runs. Each experiment prints the paper's value next to the
+//! model's, and `tests/paper_shape.rs` pins the same claims as bands.
 
-use std::process::Command;
+use presto_bench::EXPERIMENTS;
+use std::process::ExitCode;
 
-fn main() {
-    let binaries = [
-        "table1", "table2", "fig03", "fig04", "fig05", "fig06", "fig11", "fig12", "fig13", "fig14",
-        "fig15", "fig16", "fig17",
-    ];
-    // Prefer running sibling binaries from the same build directory.
-    let self_path = std::env::current_exe().expect("current exe path");
-    let dir = self_path.parent().expect("exe dir").to_path_buf();
-    for bin in binaries {
-        let path = dir.join(bin);
-        let status = if path.exists() {
-            Command::new(&path).status()
-        } else {
-            Command::new("cargo")
-                .args(["run", "--quiet", "-p", "presto-bench", "--bin", bin])
-                .status()
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let mut chosen: Vec<fn()> = Vec::new();
+    for name in &names {
+        let Some(&(_, run)) = EXPERIMENTS.iter().find(|(known, _)| known == name) else {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|&(known, _)| known).collect();
+            eprintln!("unknown experiment `{name}`; the experiments are: {}", known.join(" "));
+            return ExitCode::from(2);
         };
-        match status {
-            Ok(s) if s.success() => println!(),
-            Ok(s) => {
-                eprintln!("{bin} exited with {s}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("failed to launch {bin}: {e}");
-                std::process::exit(1);
-            }
-        }
+        chosen.push(run);
     }
-    println!("All 2 tables and 11 figures reproduced, each next to the paper's values;");
-    println!("`cargo test --test paper_shape` asserts the same claims as bands.");
+    if names.is_empty() {
+        chosen = EXPERIMENTS.iter().map(|&(_, run)| run).collect();
+    }
+    for (i, run) in chosen.into_iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        run();
+    }
+    ExitCode::SUCCESS
 }

@@ -1,10 +1,17 @@
 //! # presto-bench
 //!
-//! Benchmark harness for the PreSto reproduction (ISCA 2024). One binary
-//! per table/figure regenerates the paper's rows and prints the paper's
+//! The reproduction harness for PreSto (ISCA 2024). Every table, figure
+//! and ablation of the evaluation is one entry of [`EXPERIMENTS`], and the
+//! `repro-all` binary runs them in-process — all of them in paper order,
+//! or the ones named on its command line — each printing the paper's
 //! reported value next to the model's output:
 //!
-//! | Binary | Experiment |
+//! ```text
+//! cargo run --release -p presto-bench --bin repro-all               # all 16
+//! cargo run --release -p presto-bench --bin repro-all fig12 table1  # just those
+//! ```
+//!
+//! | Name | Experiment |
 //! |---|---|
 //! | `table1` | Table I — dataset/model configurations |
 //! | `table2` | Table II — FPGA resource utilization |
@@ -19,20 +26,46 @@
 //! | `fig15` | Energy- and cost-efficiency |
 //! | `fig16` | Accelerated alternatives (A100/U280/PreSto) |
 //! | `fig17` | Sensitivity to feature count |
-//! | `repro-all` | Everything above in sequence |
+//! | `ablation-isp` | ISP design choices: PE scaling, double buffering, feed path, dispatch overhead |
+//! | `ablation-queue` | Input-queue depth and provisioning headroom |
+//! | `ablation-stream` | The streaming executor on real data (measured, so its rows vary run to run) |
 //!
-//! Criterion benches (`cargo bench`) measure the *real* kernels in
-//! `presto-ops` and the columnar codec, not the simulation. The end-to-end
-//! benchmark is `presto-e2e` (its own README).
+//! The speed of the real kernels, the columnar codec and the executors is
+//! measured by the end-to-end benchmark `presto-e2e` (its own README) and
+//! its `--trace 1` per-layer ledger, not here. The package's third binary,
+//! `columnar-inspect`, is the columnar format's command-line inspector.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod ablation;
+mod paper;
+
 use presto_hwsim::breakdown::{Stage, StageBreakdown};
 use presto_metrics::TextTable;
 
+/// Every experiment `repro-all` can run, by name, in paper order.
+pub const EXPERIMENTS: [(&str, fn()); 16] = [
+    ("table1", paper::table1),
+    ("table2", paper::table2),
+    ("fig03", paper::fig03),
+    ("fig04", paper::fig04),
+    ("fig05", paper::fig05),
+    ("fig06", paper::fig06),
+    ("fig11", paper::fig11),
+    ("fig12", paper::fig12),
+    ("fig13", paper::fig13),
+    ("fig14", paper::fig14),
+    ("fig15", paper::fig15),
+    ("fig16", paper::fig16),
+    ("fig17", paper::fig17),
+    ("ablation-isp", ablation::isp),
+    ("ablation-queue", ablation::queue),
+    ("ablation-stream", ablation::stream),
+];
+
 /// Prints a standard experiment banner with the paper's headline claim.
-pub fn banner(experiment: &str, paper_claim: &str) {
+fn banner(experiment: &str, paper_claim: &str) {
     println!("==================================================================");
     println!("{experiment}");
     println!("paper: {paper_claim}");
@@ -40,8 +73,7 @@ pub fn banner(experiment: &str, paper_claim: &str) {
 }
 
 /// Adds a breakdown's stage shares to a table as percentage cells.
-#[must_use]
-pub fn breakdown_row(label: &str, b: &StageBreakdown) -> Vec<String> {
+fn breakdown_row(label: &str, b: &StageBreakdown) -> Vec<String> {
     let total = b.total().seconds();
     let mut row = vec![label.to_owned()];
     for stage in Stage::ALL {
@@ -52,8 +84,7 @@ pub fn breakdown_row(label: &str, b: &StageBreakdown) -> Vec<String> {
 }
 
 /// Header matching [`breakdown_row`].
-#[must_use]
-pub fn breakdown_header() -> Vec<String> {
+fn breakdown_header() -> Vec<String> {
     let mut h = vec!["system".to_owned()];
     h.extend(Stage::ALL.iter().map(|s| s.label().to_owned()));
     h.push("total".to_owned());
@@ -61,7 +92,7 @@ pub fn breakdown_header() -> Vec<String> {
 }
 
 /// Renders and prints a table.
-pub fn print_table(table: &TextTable) {
+fn print_table(table: &TextTable) {
     print!("{}", table.render());
     println!();
 }

@@ -1,0 +1,422 @@
+//! The paper's evaluation: Tables I–II and Figs. 3–6 and 11–17, each
+//! printed next to the value the paper reports.
+
+use crate::{banner, breakdown_header, breakdown_row, print_table};
+use presto_core::experiments;
+use presto_datagen::RmConfig;
+use presto_hwsim::fpga::{table2_resources, table2_total};
+use presto_metrics::efficiency;
+use presto_metrics::{percent, samples_per_sec, TextTable};
+
+/// Table I — RecSys dataset configurations and model architectures.
+pub(crate) fn table1() {
+    banner(
+        "Table I: dataset configurations and target model architectures",
+        "RM1 = public Criteo; RM2-5 synthetic production-scale per Meta's characteristics",
+    );
+    let mut t = TextTable::new(vec![
+        "model",
+        "#dense",
+        "#sparse",
+        "avg sparse len",
+        "#generated",
+        "bucket size",
+        "bottom MLP",
+        "top MLP",
+        "#tables",
+        "avg #embeddings",
+    ]);
+    for c in RmConfig::all() {
+        let mlp = |v: &[usize]| v.iter().map(ToString::to_string).collect::<Vec<_>>().join("-");
+        t.row(vec![
+            c.name.clone(),
+            c.num_dense.to_string(),
+            c.num_sparse.to_string(),
+            if c.fixed_sparse_len {
+                format!("{} (fixed)", c.avg_sparse_len)
+            } else {
+                c.avg_sparse_len.to_string()
+            },
+            c.num_generated.to_string(),
+            c.bucket_size.to_string(),
+            mlp(&c.bottom_mlp),
+            mlp(&c.top_mlp),
+            c.num_tables.to_string(),
+            c.avg_embeddings.to_string(),
+        ]);
+    }
+    print_table(&t);
+    println!("All five rows match Table I of the paper by construction;");
+    println!("`presto-datagen` generates data with exactly these shapes.");
+}
+
+/// Table II — FPGA resource utilization of the PreSto accelerator.
+pub(crate) fn table2() {
+    banner(
+        "Table II: FPGA resource utilization (SmartSSD build @ 223 MHz)",
+        "totals: LUT 54.02%, REG 28.03%, BRAM 48.05%, URAM 27.59%, DSP 29.81%",
+    );
+    let mut t = TextTable::new(vec!["unit", "LUT", "REG", "BRAM", "URAM", "DSP"]);
+    let pct = |v: f64| format!("{v:.2}%");
+    for r in table2_resources() {
+        t.row(vec![
+            r.unit.to_owned(),
+            pct(r.lut_pct),
+            pct(r.reg_pct),
+            pct(r.bram_pct),
+            pct(r.uram_pct),
+            pct(r.dsp_pct),
+        ]);
+    }
+    let total = table2_total();
+    t.row(vec![
+        total.unit.to_owned(),
+        pct(total.lut_pct),
+        pct(total.reg_pct),
+        pct(total.bram_pct),
+        pct(total.uram_pct),
+        pct(total.dsp_pct),
+    ]);
+    print_table(&t);
+    println!("The resource table parameterizes the ISP model's unit mix:");
+    println!("SigridHash is the largest compute unit, Bucketize owns the URAM");
+    println!("boundary store, and the Decoder dominates BRAM — consistent with");
+    println!("the per-unit rates in presto_hwsim::calib::smartssd.");
+}
+
+/// Fig. 3 — preprocessing throughput and GPU utilization vs the number of
+/// co-located CPU cores (RM5, one A100).
+pub(crate) fn fig03() {
+    banner(
+        "Fig. 3: co-located preprocessing scaling (RM5, 1x A100)",
+        "~15x throughput scaling from 1 to 16 workers; <20% GPU utilization at 16",
+    );
+    let (points, max_tput) = experiments::fig3(&RmConfig::rm5());
+    let mut t =
+        TextTable::new(vec!["CPU cores", "preproc throughput (samples/s)", "GPU utilization"]);
+    for p in &points {
+        t.row(vec![
+            p.cores.to_string(),
+            samples_per_sec(p.preprocess_throughput),
+            percent(p.gpu_utilization),
+        ]);
+    }
+    print_table(&t);
+    println!("max training throughput (dotted line): {} samples/s", samples_per_sec(max_tput));
+    let first = &points[0];
+    let last = points.last().expect("non-empty sweep");
+    println!(
+        "scaling 1 -> 16 workers: {:.1}x (paper: ~15x); GPU utilization at 16: {} (paper: <20%)",
+        last.preprocess_throughput / first.preprocess_throughput,
+        percent(last.gpu_utilization),
+    );
+}
+
+/// Fig. 4 — CPU cores required for CPU-centric preprocessing to fully
+/// utilize a training node with 8 A100 GPUs.
+pub(crate) fn fig04() {
+    banner(
+        "Fig. 4: CPU cores required to feed 8x A100",
+        "up to 367 cores for RM5; hundreds of cores for production-scale models",
+    );
+    let mut t = TextTable::new(vec!["model", "CPU cores (model)", "paper (approx.)"]);
+    let paper = ["~40", "~300", "~320", "~340", "367"];
+    for ((model, cores), p) in experiments::fig4().into_iter().zip(paper) {
+        t.row(vec![model, cores.to_string(), p.to_owned()]);
+    }
+    print_table(&t);
+    println!("Shape check: production-scale models (RM2-5) require hundreds of");
+    println!("cores; RM1 requires tens. Exact values depend on the calibrated");
+    println!("per-core throughput and A100 training demand (presto_hwsim::calib).");
+}
+
+/// Fig. 5 — latency to preprocess one mini-batch with a single CPU worker,
+/// broken into pipeline stages, normalized to RM1.
+pub(crate) fn fig05() {
+    banner(
+        "Fig. 5: single-worker preprocessing latency breakdown (Disagg)",
+        "transform ops = 79% of time on average; RM5 ~14x RM1; compute-bound, not I/O-bound",
+    );
+    let rows = experiments::fig5();
+    let rm1_total = rows[0].1.total().seconds();
+
+    let mut t = TextTable::new(breakdown_header());
+    for (model, b) in &rows {
+        t.row(breakdown_row(model, b));
+    }
+    print_table(&t);
+
+    let mut norm = TextTable::new(vec!["model", "normalized to RM1", "transform share"]);
+    let mut shares = Vec::new();
+    for (model, b) in &rows {
+        shares.push(b.transform_fraction());
+        norm.row(vec![
+            model.clone(),
+            format!("{:.1}x", b.total().seconds() / rm1_total),
+            format!("{:.1}%", 100.0 * b.transform_fraction()),
+        ]);
+    }
+    print_table(&norm);
+    let mean = shares.iter().sum::<f64>() / shares.len() as f64;
+    println!(
+        "mean transform share: {:.1}% (paper: 79%); RM5/RM1: {:.1}x (paper: ~14x)",
+        100.0 * mean,
+        rows[4].1.total().seconds() / rm1_total
+    );
+}
+
+/// Fig. 6 — CPU utilization, memory-bandwidth utilization and LLC hit rate
+/// of Bucketize / SigridHash / Log on RM1 and RM5.
+pub(crate) fn fig06() {
+    banner(
+        "Fig. 6: microarchitectural characterization of the key ops",
+        "high CPU utilization, <15% memory-bandwidth utilization, high LLC hit rates (~85% for Bucketize)",
+    );
+    // Full paper-scale batch drives the LLC trace simulation.
+    let rows = experiments::fig6(RmConfig::rm1().batch_size);
+    let mut t = TextTable::new(vec![
+        "model",
+        "op",
+        "CPU utilization",
+        "mem BW utilization",
+        "LLC hit rate",
+    ]);
+    for (model, op, m) in &rows {
+        t.row(vec![
+            model.clone(),
+            op.to_string(),
+            percent(m.cpu_utilization),
+            percent(m.mem_bw_utilization),
+            percent(m.llc_hit_rate),
+        ]);
+    }
+    print_table(&t);
+    println!("Shape check: every op is compute-bound (high CPU utilization, low");
+    println!("memory bandwidth); RM5 shows more memory traffic than RM1 because");
+    println!("its decoded batch no longer fits the 16 MiB LLC slice.");
+}
+
+/// Fig. 11 — preprocessing throughput of PreSto (one SmartSSD) vs
+/// Disagg(N), normalized to Disagg(1).
+pub(crate) fn fig11() {
+    banner(
+        "Fig. 11: throughput, PreSto (1 SmartSSD) vs Disagg(N) [normalized to Disagg(1)]",
+        "one SmartSSD beats 32 CPU cores; Disagg(64) wins back by ~27% at 2x the cost",
+    );
+    let groups = experiments::fig11();
+    let header: Vec<String> = std::iter::once("model".to_owned())
+        .chain(groups[0].bars.iter().map(|(n, _)| n.clone()))
+        .collect();
+    let mut t = TextTable::new(header);
+    for g in &groups {
+        let mut row = vec![g.model.clone()];
+        row.extend(g.bars.iter().map(|(_, v)| format!("{v:.1}")));
+        t.row(row);
+    }
+    print_table(&t);
+    let mut ratios = Vec::new();
+    for g in &groups {
+        let d64 = g.bars.iter().find(|(n, _)| n == "Disagg(64)").expect("d64").1;
+        let presto = g.bars.iter().find(|(n, _)| n.contains("PreSto")).expect("presto").1;
+        ratios.push(d64 / presto);
+    }
+    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+    println!("Disagg(64) / PreSto mean: {mean:.2}x (paper: ~1.27x)");
+}
+
+/// Fig. 12 — single-worker latency breakdown, Disagg vs PreSto, plus the
+/// end-to-end preprocessing speedup.
+pub(crate) fn fig12() {
+    banner(
+        "Fig. 12: latency breakdown and speedup, Disagg vs PreSto",
+        "9.6x average / 11.6x max speedup; Extract = 40.8% of PreSto's time",
+    );
+    let groups = experiments::fig12();
+    let mut t = TextTable::new(breakdown_header());
+    for g in &groups {
+        t.row(breakdown_row(&format!("{} Disagg", g.model), &g.disagg));
+        t.row(breakdown_row(&format!("{} PreSto", g.model), &g.presto));
+    }
+    print_table(&t);
+
+    let mut s = TextTable::new(vec!["model", "speedup", "PreSto extract share"]);
+    let mut speedups = Vec::new();
+    for g in &groups {
+        speedups.push(g.speedup);
+        s.row(vec![
+            g.model.clone(),
+            format!("{:.1}x", g.speedup),
+            format!("{:.1}%", 100.0 * g.presto.extract_fraction()),
+        ]);
+    }
+    print_table(&s);
+    let mean = speedups.iter().sum::<f64>() / speedups.len() as f64;
+    let max = speedups.iter().fold(0.0f64, |a, &b| a.max(b));
+    println!("mean speedup {mean:.1}x (paper 9.6x); max {max:.1}x (paper 11.6x)");
+}
+
+/// Fig. 13 — aggregate latency of RPC calls for inter-node communication
+/// during preprocessing.
+pub(crate) fn fig13() {
+    banner(
+        "Fig. 13: aggregate RPC / inter-node communication time per mini-batch",
+        "PreSto reduces RPC-invoked inter-node communication time by ~2.9x",
+    );
+    let rows = experiments::fig13();
+    let base = rows[0].1.seconds();
+    let mut t = TextTable::new(vec![
+        "model",
+        "Disagg (ms)",
+        "PreSto (ms)",
+        "Disagg (norm. to RM1 Disagg)",
+        "PreSto (norm.)",
+        "reduction",
+    ]);
+    let mut reductions = Vec::new();
+    for (model, disagg, presto) in &rows {
+        reductions.push(disagg.seconds() / presto.seconds());
+        t.row(vec![
+            model.clone(),
+            format!("{:.1}", disagg.millis()),
+            format!("{:.1}", presto.millis()),
+            format!("{:.2}", disagg.seconds() / base),
+            format!("{:.2}", presto.seconds() / base),
+            format!("{:.1}x", disagg.seconds() / presto.seconds()),
+        ]);
+    }
+    print_table(&t);
+    let mean = reductions.iter().sum::<f64>() / reductions.len() as f64;
+    println!("mean RPC-time reduction: {mean:.1}x (paper: 2.9x)");
+    println!("Disagg copies raw features in and tensors out; PreSto only ships");
+    println!("train-ready tensors because extraction is P2P inside the SmartSSD.");
+}
+
+/// Fig. 14 — ISP units (PreSto) and CPU cores (Disagg) required to sustain
+/// a training node with 8 A100 GPUs.
+pub(crate) fn fig14() {
+    banner(
+        "Fig. 14: devices required to feed 8x A100",
+        "PreSto needs at most 9 SmartSSDs (<=225 W); Disagg up to 367 cores (12 nodes)",
+    );
+    let mut t = TextTable::new(vec![
+        "model",
+        "PreSto ISP units",
+        "worst-case ISP power (W)",
+        "Disagg CPU cores",
+        "CPU nodes",
+    ]);
+    for (model, units, cores) in experiments::fig14() {
+        t.row(vec![
+            model,
+            units.to_string(),
+            format!("{}", units * 25),
+            cores.to_string(),
+            cores.div_ceil(32).to_string(),
+        ]);
+    }
+    print_table(&t);
+    println!("Every model stays in single-digit ISP units while Disagg needs");
+    println!("hundreds of cores — the provisioning asymmetry behind Fig. 15.");
+}
+
+/// Fig. 15 — energy-efficiency (a) and cost-efficiency (b) of PreSto vs
+/// the Disagg baseline at deployment scale.
+pub(crate) fn fig15() {
+    banner(
+        "Fig. 15: energy-efficiency and cost-efficiency (8x A100 demand, 3-year TCO)",
+        "11.3x avg / 15.1x max energy-efficiency; 4.3x avg / 5.6x max cost-efficiency",
+    );
+    let rows = efficiency::fig15();
+    let mut t = TextTable::new(vec![
+        "model",
+        "Disagg power (W)",
+        "PreSto power (W)",
+        "energy-eff gain",
+        "Disagg cost ($)",
+        "PreSto cost ($)",
+        "cost-eff gain",
+    ]);
+    for r in &rows {
+        t.row(vec![
+            r.model.clone(),
+            format!("{:.0}", r.disagg.power.raw()),
+            format!("{:.0}", r.presto.power.raw()),
+            format!("{:.1}x", r.energy_efficiency_gain),
+            format!("{:.0}", r.disagg.total_cost_usd()),
+            format!("{:.0}", r.presto.total_cost_usd()),
+            format!("{:.1}x", r.cost_efficiency_gain),
+        ]);
+    }
+    print_table(&t);
+    let e: Vec<f64> = rows.iter().map(|r| r.energy_efficiency_gain).collect();
+    let c: Vec<f64> = rows.iter().map(|r| r.cost_efficiency_gain).collect();
+    println!(
+        "energy-efficiency: mean {:.1}x, max {:.1}x (paper: 11.3x / 15.1x)",
+        efficiency::mean(&e),
+        e.iter().fold(0.0f64, |a, &b| a.max(b))
+    );
+    println!(
+        "cost-efficiency:   mean {:.1}x, max {:.1}x (paper: 4.3x / 5.6x)",
+        efficiency::mean(&c),
+        c.iter().fold(0.0f64, |a, &b| a.max(b))
+    );
+}
+
+/// Fig. 16 — accelerated preprocessing alternatives: A100 (NVTabular),
+/// disaggregated U280, PreSto (U280) and PreSto (SmartSSD).
+pub(crate) fn fig16() {
+    banner(
+        "Fig. 16: throughput and performance/Watt of accelerated alternatives",
+        "PreSto(SmartSSD) ~2.5x A100, ~5% below disaggregated U280, far better perf/W",
+    );
+    let groups = experiments::fig16();
+    let mut t =
+        TextTable::new(vec!["model", "system", "throughput (samples/s)", "perf/W (samples/s/W)"]);
+    for g in &groups {
+        for (name, tput, perf_w) in &g.entries {
+            t.row(vec![
+                g.model.clone(),
+                name.clone(),
+                samples_per_sec(*tput),
+                format!("{perf_w:.0}"),
+            ]);
+        }
+    }
+    print_table(&t);
+    // Summary ratios on RM5.
+    let rm5 = groups.last().expect("five groups");
+    let get = |name: &str| {
+        rm5.entries.iter().find(|(n, _, _)| n == name).map(|(_, t, _)| *t).expect("entry")
+    };
+    println!(
+        "RM5: PreSto(SmartSSD)/A100 = {:.1}x (paper ~2.5x); PreSto(SmartSSD)/U280 = {:.2} (paper ~0.95)",
+        get("PreSto (SmartSSD)") / get("A100"),
+        get("PreSto (SmartSSD)") / get("U280"),
+    );
+    println!("Known deviation: our PreSto(U280) build lands ~2x PreSto(SmartSSD)");
+    println!("instead of 'slightly higher' — see presto_hwsim::calib::u280.");
+}
+
+/// Fig. 17 — sensitivity of Bucketize / SigridHash / Log latency to the
+/// number of features (1x / 2x / 4x of the RM5 configuration).
+pub(crate) fn fig17() {
+    banner(
+        "Fig. 17: op latency vs feature count (RM5 scaled 1x/2x/4x)",
+        "Disagg latency grows ~linearly with feature count; PreSto keeps large speedups",
+    );
+    let points = experiments::fig17();
+    let mut t = TextTable::new(vec!["op", "features", "Disagg (ms)", "PreSto (ms)", "speedup"]);
+    for p in &points {
+        t.row(vec![
+            p.op.to_string(),
+            format!("{}x", p.factor),
+            format!("{:.1}", p.disagg.millis()),
+            format!("{:.1}", p.presto.millis()),
+            format!("{:.0}x", p.speedup),
+        ]);
+    }
+    print_table(&t);
+    println!("Shape check: each op's Disagg latency scales with the feature");
+    println!("multiplier while PreSto's per-op speedup stays roughly constant —");
+    println!("the inter-/intra-feature parallelism argument of Sec. VI-D.");
+}

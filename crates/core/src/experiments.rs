@@ -1,5 +1,5 @@
-//! Data generators for every evaluation figure, consumed by the
-//! `presto-bench` binaries and by the shape tests.
+//! Data generators for every evaluation figure, consumed by `presto-bench`'s
+//! `repro-all` and by the shape tests.
 //!
 //! Each function returns plain data in the same organization as the paper's
 //! figure so a harness can print the rows/series directly.

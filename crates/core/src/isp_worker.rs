@@ -101,8 +101,8 @@ impl IspWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use presto_datagen::{generate_batch, write_partition, Partition, RmConfig};
-    use presto_ops::{preprocess_partition, BatchStream, FleetConfig, Pipeline};
+    use presto_datagen::{generate_batch, write_partition, RmConfig};
+    use presto_ops::preprocess_partition;
 
     fn setup(rows: usize) -> (RmConfig, PreprocessPlan, presto_columnar::MemBlob) {
         let mut c = RmConfig::rm1();
@@ -203,170 +203,6 @@ mod tests {
         assert_eq!(shared_out, opaque_out);
         assert_eq!(shared_stats, opaque_stats);
         assert!(counting.bytes_read() > 0);
-    }
-
-    #[test]
-    fn isp_stream_matches_serial_isp_and_cpu_paths() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 48;
-        let plan = PreprocessPlan::from_config(&c, 11).expect("plan");
-        let ds = presto_datagen::Dataset::generate(&c, 6, 48, 2, 21).expect("dataset");
-        let serial: Vec<MiniBatch> = ds
-            .partitions()
-            .iter()
-            .map(|p| preprocess_partition(&plan, p.blob.clone()).unwrap().0)
-            .collect();
-        let mut stream = BatchStream::spawn_pipeline(
-            &plan,
-            ds.partitions(),
-            Pipeline::Isp,
-            &FleetConfig::new(2, 2),
-        );
-        let mut got: Vec<(usize, MiniBatch)> = Vec::new();
-        for item in stream.by_ref() {
-            let b = item.expect("preprocesses");
-            got.push((b.partition, b.batch));
-        }
-        assert!(stream.p2p_bytes() > 0);
-        assert_eq!(stream.completed(), 6);
-        got.sort_by_key(|(p, _)| *p);
-        assert_eq!(got.len(), 6);
-        for (pos, batch) in got {
-            assert_eq!(batch, serial[pos], "partition {pos}");
-        }
-    }
-
-    #[test]
-    fn isp_stream_surfaces_errors_and_stops() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 32;
-        let plan = PreprocessPlan::from_config(&c, 11).expect("plan");
-        let ds = presto_datagen::Dataset::generate(&c, 5, 32, 1, 3).expect("dataset");
-        let mut partitions = ds.partitions().to_vec();
-        let bytes = partitions[1].blob.as_bytes().to_vec();
-        partitions[1].blob = presto_columnar::MemBlob::new(bytes[..bytes.len() / 4].to_vec());
-        // One worker claims partitions in order: 0 ok, 1 errors, then stop.
-        let mut stream =
-            BatchStream::spawn_pipeline(&plan, &partitions, Pipeline::Isp, &FleetConfig::new(1, 1));
-        let mut ok = 0usize;
-        let mut errors = 0usize;
-        for item in stream.by_ref() {
-            match item {
-                Ok(_) => ok += 1,
-                Err(_) => errors += 1,
-            }
-        }
-        assert_eq!((ok, errors), (1, 1));
-        assert_eq!(stream.completed(), 1, "fleet halts within one partition");
-    }
-
-    #[test]
-    fn dead_isp_device_fails_over_to_host_with_identical_output() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 32;
-        let plan = PreprocessPlan::from_config(&c, 11).expect("plan");
-        let ds = presto_datagen::Dataset::generate(&c, 8, 32, 2, 9).expect("dataset");
-        let serial: Vec<MiniBatch> = ds
-            .partitions()
-            .iter()
-            .map(|p| preprocess_partition(&plan, p.blob.clone()).unwrap().0)
-            .collect();
-        // ISP device 1 is dead on arrival; device 0 stays healthy.
-        let injector = presto_columnar::FaultPlan::new(3).with_device_death(1, 0).arm();
-        let partitions: Vec<Partition> = ds
-            .partitions()
-            .iter()
-            .map(|p| Partition {
-                index: p.index,
-                device: p.device,
-                rows: p.rows,
-                blob: p.blob.clone().with_faults(&injector, p.device, p.index),
-            })
-            .collect();
-        let recovery = presto_ops::RetryPolicy::recover()
-            .with_max_attempts(2)
-            .with_backoff(std::time::Duration::ZERO, std::time::Duration::ZERO)
-            .with_quarantine_after(2);
-        let mut stream = BatchStream::spawn_pipeline(
-            &plan,
-            &partitions,
-            Pipeline::Isp,
-            &FleetConfig::new(2, 4).with_recovery(recovery),
-        );
-        let mut got: Vec<(usize, MiniBatch, bool)> = Vec::new();
-        for item in stream.by_ref() {
-            let b = item.expect("every partition must deliver (failover covers device 1)");
-            got.push((b.partition, b.batch, b.via_failover));
-        }
-        let report = stream.run_report();
-        got.sort_by_key(|(p, _, _)| *p);
-        assert_eq!(got.len(), 8, "no partition lost");
-        for (pos, batch, _) in &got {
-            assert_eq!(batch, &serial[*pos], "partition {pos} must be bit-identical");
-        }
-        assert!(
-            got.iter().any(|(_, _, via)| *via),
-            "dead-device partitions must arrive via failover"
-        );
-        assert!(report.failovers > 0, "report must record the failovers");
-        assert!(report.quarantined.contains(&1), "device 1 must be quarantined");
-        assert!(report.failed_partitions.is_empty());
-        assert_eq!(report.delivered, 8);
-        // Failover batches moved no P2P bytes; healthy ones did.
-        assert!(stream.p2p_bytes() > 0);
-    }
-
-    #[test]
-    fn quarantine_without_failover_surfaces_tagged_errors_not_silence() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 24;
-        let plan = PreprocessPlan::from_config(&c, 11).expect("plan");
-        let ds = presto_datagen::Dataset::generate(&c, 6, 24, 2, 13).expect("dataset");
-        let injector = presto_columnar::FaultPlan::new(4).with_device_death(0, 0).arm();
-        let partitions: Vec<Partition> = ds
-            .partitions()
-            .iter()
-            .map(|p| Partition {
-                index: p.index,
-                device: p.device,
-                rows: p.rows,
-                blob: p.blob.clone().with_faults(&injector, p.device, p.index),
-            })
-            .collect();
-        let recovery = presto_ops::RetryPolicy::recover()
-            .with_max_attempts(2)
-            .with_backoff(std::time::Duration::ZERO, std::time::Duration::ZERO)
-            .with_quarantine_after(2)
-            .with_failover(false);
-        let mut stream = BatchStream::spawn_pipeline(
-            &plan,
-            &partitions,
-            Pipeline::Isp,
-            &FleetConfig::new(2, 4).with_recovery(recovery),
-        );
-        let mut ok = 0usize;
-        let mut failed: Vec<usize> = Vec::new();
-        for item in stream.by_ref() {
-            match item {
-                Ok(b) => {
-                    assert_ne!(b.device, 0, "dead device cannot deliver");
-                    ok += 1;
-                }
-                Err(e) => {
-                    assert_eq!(e.device(), Some(0), "error names the dead device");
-                    failed.push(e.partition().expect("provenance"));
-                }
-            }
-        }
-        let report = stream.run_report();
-        let on_dead = partitions.iter().filter(|p| p.device == 0).count();
-        assert_eq!(ok, 6 - on_dead);
-        assert_eq!(failed.len(), on_dead, "every dead partition fails loudly");
-        assert_eq!(
-            report.delivered as usize + report.failed_partitions.len(),
-            report.partitions,
-            "quarantine never drops a partition silently"
-        );
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub mod pipeline;
 pub mod placement;
 pub mod provision;
 pub mod service;
-#[cfg(test)]
-mod split;
 pub mod systems;
 
 pub use experiments::{isp_vs_cpu_end_to_end, EndToEndPoint};

@@ -68,6 +68,10 @@ use crate::fleet::Fleet;
 use crate::pipeline::BatchSource;
 
 /// Pool sizing and admission limits of a [`PreprocessService`].
+///
+/// The fields are plain settings: [`PreprocessService::new`] raises
+/// `pool_workers`, `job_capacity` and `max_active_jobs` to at least 1, since
+/// at 0 an admitted job would never be dispatched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Shared pool worker threads (the device fleet every job time-shares).
@@ -88,25 +92,20 @@ impl ServiceConfig {
     /// (4 active jobs, 4 queued, 4-deep per-job channels).
     #[must_use]
     pub fn new(pool_workers: usize) -> Self {
-        ServiceConfig {
-            pool_workers: pool_workers.max(1),
-            job_capacity: 4,
-            max_active_jobs: 4,
-            max_queued_jobs: 4,
-        }
+        ServiceConfig { pool_workers, job_capacity: 4, max_active_jobs: 4, max_queued_jobs: 4 }
     }
 
     /// Sets the per-job output-channel capacity.
     #[must_use]
     pub fn with_job_capacity(mut self, job_capacity: usize) -> Self {
-        self.job_capacity = job_capacity.max(1);
+        self.job_capacity = job_capacity;
         self
     }
 
     /// Sets the concurrent-job admission limit.
     #[must_use]
     pub fn with_max_active_jobs(mut self, max_active_jobs: usize) -> Self {
-        self.max_active_jobs = max_active_jobs.max(1);
+        self.max_active_jobs = max_active_jobs;
         self
     }
 
@@ -179,18 +178,6 @@ impl JobSpec {
     #[must_use]
     pub fn with_recovery(mut self, recovery: RetryPolicy) -> Self {
         self.recovery = recovery;
-        self
-    }
-
-    /// Shuffles the job's partition order with the seeded epoch
-    /// permutation ([`presto_ops::epoch_order`], epoch 0): the service's
-    /// claim machinery then serves the tenant a deterministic shuffled
-    /// epoch at partition granularity without any scheduler changes. For
-    /// row-group-granular shuffling, spawn [`Fleet::Shuffled`] directly.
-    #[must_use]
-    pub fn with_shuffle(mut self, seed: u64) -> Self {
-        let order = presto_ops::epoch_order(self.partitions.len(), seed, 0);
-        self.partitions = order.into_iter().map(|i| self.partitions[i].clone()).collect();
         self
     }
 }
@@ -343,9 +330,16 @@ impl fmt::Debug for PreprocessService {
 
 impl PreprocessService {
     /// Starts the pool: `config.pool_workers` threads, idle until jobs
-    /// arrive.
+    /// arrive. The pool size, per-job channel capacity and active-job limit
+    /// are raised to at least 1 here, whichever way the config was built.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
+        let config = ServiceConfig {
+            pool_workers: config.pool_workers.max(1),
+            job_capacity: config.job_capacity.max(1),
+            max_active_jobs: config.max_active_jobs.max(1),
+            ..config
+        };
         let inner = Arc::new(ServiceInner {
             config: config.clone(),
             state: Mutex::new(SchedState {
@@ -915,6 +909,42 @@ mod tests {
         assert_eq!(report.jobs[0].delivered, 6);
         assert_eq!(report.jobs[0].recovery.delivered, 6);
         assert!(report.jobs[0].recovery.failed_partitions.is_empty());
+    }
+
+    #[test]
+    fn a_zero_in_a_config_literal_still_serves_the_job() {
+        let (plan, ds, serial) = setup(3, 16, 11);
+        let base = ServiceConfig::new(2);
+        let zeroed = [
+            ServiceConfig { pool_workers: 0, ..base.clone() },
+            ServiceConfig { job_capacity: 0, ..base.clone() },
+            ServiceConfig { max_active_jobs: 0, ..base.clone() },
+            ServiceConfig { max_queued_jobs: 0, ..base },
+        ];
+        for config in zeroed {
+            let what = format!("{config:?}");
+            let (plan, partitions) = (plan.clone(), ds.partitions().to_vec());
+            // A job no worker dispatches blocks its consumer and `shutdown`
+            // forever: run both on a thread and fail at a deadline instead,
+            // leaving a thread that timed out blocked where it is.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let service = PreprocessService::new(config);
+                let handle = service.submit(JobSpec::new("zero", plan, partitions));
+                let got = drain(handle.expect("admitted"));
+                let _ = tx.send((got, service.shutdown().jobs[0].status));
+            });
+            let served = rx.recv_timeout(Duration::from_secs(10));
+            let timed_out = matches!(served, Err(std::sync::mpsc::RecvTimeoutError::Timeout));
+            assert!(!timed_out, "{what}: the job was never served");
+            worker.join().expect("the service thread does not panic");
+            let (got, status) = served.expect("served before the thread ended");
+            assert_eq!(got.len(), 3, "{what}");
+            for (pos, batch) in got {
+                assert_eq!(batch, serial[pos], "{what}: partition {pos}");
+            }
+            assert_eq!(status, JobStatus::Completed, "{what}");
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! This is the *real* data path — every mini-batch it produces went through
 //! the actual kernels. The timings it reports are host-CPU measurements used
-//! by the criterion benches and by the placement cost model
-//! (`presto_core::placement`); the paper-scale performance projections come
-//! from `presto-hwsim` instead.
+//! by `presto-e2e`'s per-layer ledger and by the placement cost model
+//! (`presto_core::placement`); the paper-scale performance projections that
+//! `repro-all <name>` prints come from `presto-hwsim` instead.
 //!
 //! # One unit call, every fleet
 //!

@@ -47,9 +47,9 @@
 //! The phase boundary is either fused on one thread
 //! ([`FleetConfig::without_prefetch`], the shuffled fleet, the service's
 //! pool workers via [`Run::run_unit`]) or a bounded channel: one slot per
-//! worker pair on the host fleet, one shared
-//! [`FleetConfig::link_capacity`]-bounded device link on the split fleet,
-//! and the failover queue on the ISP fleet.
+//! worker pair on the host fleet, one shared device link of
+//! [`FleetConfig::capacity`] hand-offs on the split fleet, and the failover
+//! queue on the ISP fleet.
 //!
 //! # The host pair
 //!
@@ -133,16 +133,18 @@ use std::time::{Duration, Instant};
 ///
 /// `workers`, `capacity` and `recovery` mean the same thing on every fleet;
 /// `recovery` defaults to **fail-fast** ([`RetryPolicy::fail_fast`])
-/// everywhere. `prefetch` only affects the host fleet; `host_workers` and
-/// `link_capacity` only affect the split fleet. Knobs that do not apply to
-/// a fleet are ignored, so one config drives an apples-to-apples
-/// comparison across all of them.
+/// everywhere. `prefetch` only affects the host fleet, which ignores it
+/// elsewhere, so one config drives an apples-to-apples comparison across
+/// all of them.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker (pipeline) count; clamped to `1..=units`. On the split
-    /// fleet this is the ISP-side unit count.
+    /// fleet this is both the ISP-side unit count and the host-side worker
+    /// count.
     pub workers: usize,
     /// Output-channel capacity in mini-batches; producers block when full.
+    /// On the split fleet it also bounds the ISP → host hand-offs in
+    /// flight on the emulated device link.
     pub capacity: usize,
     /// Pair each worker with a second thread that takes half of every
     /// unit's features (host fleet only; see [the host pair](self#the-host-pair)):
@@ -154,11 +156,6 @@ pub struct FleetConfig {
     /// Failure handling (retry, quarantine, straggler detection, ISP→host
     /// failover); defaults to [`RetryPolicy::fail_fast`] on every fleet.
     pub recovery: RetryPolicy,
-    /// Split fleet only: host-side worker count. `None` mirrors `workers`.
-    pub host_workers: Option<usize>,
-    /// Split fleet only: capacity of the bounded ISP → host hand-off
-    /// channel (the emulated device link). `None` mirrors `capacity`.
-    pub link_capacity: Option<usize>,
 }
 
 impl FleetConfig {
@@ -166,14 +163,7 @@ impl FleetConfig {
     /// paired, fail-fast failure handling.
     #[must_use]
     pub fn new(workers: usize, capacity: usize) -> Self {
-        FleetConfig {
-            workers,
-            capacity,
-            prefetch: true,
-            recovery: RetryPolicy::fail_fast(),
-            host_workers: None,
-            link_capacity: None,
-        }
+        FleetConfig { workers, capacity, prefetch: true, recovery: RetryPolicy::fail_fast() }
     }
 
     /// One thread per host-fleet worker, both phases fused on it (ablation
@@ -189,32 +179,6 @@ impl FleetConfig {
     pub fn with_recovery(mut self, recovery: RetryPolicy) -> Self {
         self.recovery = recovery;
         self
-    }
-
-    /// Sets the split fleet's host-side worker count.
-    #[must_use]
-    pub fn with_host_workers(mut self, host_workers: usize) -> Self {
-        self.host_workers = Some(host_workers);
-        self
-    }
-
-    /// Sets the split fleet's ISP → host hand-off channel capacity.
-    #[must_use]
-    pub fn with_link_capacity(mut self, link_capacity: usize) -> Self {
-        self.link_capacity = Some(link_capacity);
-        self
-    }
-
-    /// Effective host-side worker count for the split fleet.
-    #[must_use]
-    pub fn effective_host_workers(&self) -> usize {
-        self.host_workers.unwrap_or(self.workers)
-    }
-
-    /// Effective ISP → host link capacity for the split fleet.
-    #[must_use]
-    pub fn effective_link_capacity(&self) -> usize {
-        self.link_capacity.unwrap_or(self.capacity)
     }
 }
 
@@ -1208,10 +1172,7 @@ impl BatchStream {
             Pipeline::Split(_) => Layout {
                 groups: 1,
                 firsts: workers,
-                link: Some((
-                    config.effective_link_capacity().max(1),
-                    config.effective_host_workers().max(1).min(n.max(1)),
-                )),
+                link: Some((capacity, workers)),
                 names: ["presto-split-isp", "presto-split-host"],
             },
         };
@@ -1901,15 +1862,5 @@ mod tests {
         let recovery = stats.recovery.expect("host fleet tracks recovery");
         assert_eq!(recovery.delivered, 4);
         assert!(recovery.failed_partitions.is_empty());
-    }
-
-    #[test]
-    fn fleet_config_split_knobs_mirror_the_shared_ones_by_default() {
-        let config = FleetConfig::new(3, 5);
-        assert_eq!(config.effective_host_workers(), 3);
-        assert_eq!(config.effective_link_capacity(), 5);
-        let config = config.with_host_workers(2).with_link_capacity(9);
-        assert_eq!(config.effective_host_workers(), 2);
-        assert_eq!(config.effective_link_capacity(), 9);
     }
 }

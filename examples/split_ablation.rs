@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let plan = PreprocessPlan::compile(PlanGraph::canonical(&config, 7)?, &config)?;
         let placement = place_stages(&plan, rows, &model);
         let split = plan.split(&placement.fleet_assignment())?;
-        let warm = FleetConfig::new(2, 4).with_host_workers(2);
+        let warm = FleetConfig::new(2, 4);
         for item in BatchStream::spawn_pipeline(&plan, &slow, Pipeline::Split(split.clone()), &warm)
         {
             item?;
@@ -145,7 +145,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Hybrid split fleet: ISP prefix pipelined against host suffix.
         let t0 = Instant::now();
-        let split_config = FleetConfig::new(2, 4).with_host_workers(2);
+        let split_config = FleetConfig::new(2, 4);
         let mut split_stream = BatchStream::spawn_pipeline(
             &plan,
             &slow,
@@ -338,7 +338,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Result<_, _>>()?;
         let split = plan.split(&placed.fleet_assignment())?;
         let t0 = Instant::now();
-        let split_config = FleetConfig::new(2, 4).with_host_workers(2);
+        let split_config = FleetConfig::new(2, 4);
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
         for item in BatchStream::spawn_pipeline(
             &plan,

@@ -34,12 +34,13 @@
 //!
 //! ## Reproducing the paper
 //!
-//! Every table and figure in the paper's evaluation has a dedicated binary
-//! in `presto-bench` (e.g. `cargo run -p presto-bench --bin fig12`), and
-//! `cargo run -p presto-bench --bin repro-all` regenerates everything,
-//! printing each paper value next to the model's. [`hwsim::calib`] names
-//! the paper measurement behind every device-model constant, and
-//! `tests/paper_shape.rs` pins each headline claim as a band.
+//! Every table, figure and ablation of the paper's evaluation is a
+//! subcommand of one binary in `presto-bench`: `cargo run --release -p
+//! presto-bench --bin repro-all` regenerates everything, and `repro-all
+//! fig12` (any names) just those, printing each paper value next to the
+//! model's. [`hwsim::calib`] names the paper measurement behind every
+//! device-model constant, and `tests/paper_shape.rs` pins each headline
+//! claim as a band.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

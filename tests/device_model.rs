@@ -97,7 +97,7 @@ proptest! {
 
 /// A backlogged depth-1 device driven by more threads than slots: the
 /// scheduled makespan must match the hwsim prediction within 10% — the
-/// agreement the streaming ablation (`ablation-stream`) reports.
+/// agreement the streaming ablation (`repro-all ablation-stream`) reports.
 #[test]
 fn backlogged_depth_one_matches_hwsim_within_ten_percent() {
     let latency = Duration::from_millis(2);

@@ -5,10 +5,14 @@
 //!
 //! * a clean run is bit-identical to the serial reference
 //!   (`preprocess_partition`, or `preprocess_group_with` where the unit is
-//!   a row group), with every unit delivered exactly once;
+//!   a row group), with every unit delivered exactly once — here the split
+//!   fleet also runs with every stage on the host (no device work: no P2P
+//!   and no boundary bytes), every stage on ISP (the host still assembles,
+//!   from boundary bytes alone) and at a cost-model placement;
 //! * transient faults are retried to a bit-identical stream;
 //! * a dead device fails over (ISP, split) or fails loudly with tagged
-//!   errors (host, shuffled), and `delivered + failed == units` either way;
+//!   errors (host, shuffled, and ISP and split again with failover off),
+//!   and `delivered + failed == units` either way;
 //! * a fail-fast corrupt unit surfaces exactly one tagged error and stops
 //!   the producers;
 //! * dropping the consumer with a full capacity-1 channel joins every
@@ -36,9 +40,11 @@ use std::time::Duration;
 
 use presto::columnar::{Device, DeviceModel, FaultInjector, FaultPlan, FileReader, MemBlob};
 use presto::core::{
-    BatchSource, Fleet, JobReport, JobSpec, JobStatus, PreprocessService, ServiceConfig,
+    place_stages, BatchSource, Fleet, JobReport, JobSpec, JobStatus, OpCostModel,
+    PreprocessService, ServiceConfig,
 };
 use presto::datagen::{Dataset, Partition, RmConfig};
+use presto::hwsim::fpga::IspModel;
 use presto::ops::{
     epoch_order, epoch_units, preprocess_group_with, preprocess_partition, FleetConfig, MiniBatch,
     Place, PreprocessError, PreprocessPlan, RetryPolicy, RunReport, ScratchSpace, ShuffleSpec,
@@ -83,6 +89,29 @@ fn fleets(plan: &PreprocessPlan) -> Vec<Fleet> {
     let split = plan.split(&tags).expect("splits");
     assert!(!split.is_single_fleet());
     vec![Fleet::Host, Fleet::Isp, Fleet::Split(split), Fleet::Shuffled(SHUFFLE)]
+}
+
+/// More placements of the split fleet: every stage on the host, every
+/// stage on ISP, and the mix the cost model picks for a paper-sized batch
+/// (at [`ROWS`] it keeps everything on the host).
+fn more_splits(plan: &PreprocessPlan) -> Vec<Fleet> {
+    let n = plan.stages().len();
+    let model = OpCostModel::analytic(&IspModel::smartssd());
+    let placed = place_stages(plan, RmConfig::rm1().batch_size, &model).fleet_assignment();
+    [vec![Place::Host; n], vec![Place::Isp; n], placed]
+        .iter()
+        .map(|tags| Fleet::Split(plan.split(tags).expect("splits")))
+        .collect()
+}
+
+/// A fleet's name in assertion messages; a split one names its placement.
+fn label(fleet: &Fleet) -> String {
+    match fleet {
+        Fleet::Split(split) => {
+            format!("split ({} ISP / {} host)", split.isp_stages().len(), split.host_stages().len())
+        }
+        _ => fleet.name().to_owned(),
+    }
 }
 
 fn by_group(fleet: &Fleet, mode: Mode) -> bool {
@@ -236,8 +265,8 @@ fn recover_hard() -> RetryPolicy {
 
 fn clean_run_is_bit_identical_to_serial(mode: Mode) {
     let w = world();
-    for fleet in fleets(&w.plan) {
-        let what = format!("{} {mode:?}", fleet.name());
+    for fleet in fleets(&w.plan).into_iter().chain(more_splits(&w.plan)) {
+        let what = format!("{} {mode:?}", label(&fleet));
         let reference = reference(&w, &fleet, mode);
         let parts = w.ds.partitions();
         let d = drain(start(&w, &fleet, mode, parts, RetryPolicy::fail_fast(), 2, 4));
@@ -258,9 +287,16 @@ fn clean_run_is_bit_identical_to_serial(mode: Mode) {
         assert_eq!(d.report.partitions, reference.len(), "{what}: the report counts units");
         assert_eq!(d.report.delivered as usize, reference.len(), "{what}");
         assert!(d.report.clean(), "{what}: {:?}", d.report);
-        // Link traffic is a property of the pipeline, not of who runs it.
+        // Link traffic is a property of the pipeline, not of who runs it:
+        // P2P bytes wherever stages run on the device, boundary bytes where
+        // a split hands its ISP side's outputs to the host.
+        let offloads = match &fleet {
+            Fleet::Isp => true,
+            Fleet::Split(split) => !split.isp_stages().is_empty(),
+            _ => false,
+        };
         let (p2p, boundary) = (d.stats.p2p_bytes > 0, d.stats.boundary_bytes > 0);
-        let want = (fails_over(&fleet), matches!(fleet, Fleet::Split(_)));
+        let want = (offloads, offloads && matches!(fleet, Fleet::Split(_)));
         assert_eq!((p2p, boundary), want, "{what}: {:?}", d.stats);
         if mode == Mode::Service {
             let stream =
@@ -316,8 +352,14 @@ fn transient_faults_are_retried_to_a_bit_identical_stream(mode: Mode) {
 
 fn dead_device_fails_over_or_fails_loudly(mode: Mode) {
     let w = world();
-    for fleet in fleets(&w.plan) {
-        let what = format!("{} {mode:?}", fleet.name());
+    // The fleets that fail over run twice, the second time with failover
+    // off, where they must fail as loudly as the host fleet.
+    let inputs = fleets(&w.plan).into_iter().flat_map(|fleet| {
+        let failover_off = fails_over(&fleet).then(|| (fleet.clone(), false));
+        std::iter::once((fleet, true)).chain(failover_off)
+    });
+    for (fleet, failover) in inputs {
+        let what = format!("{} {mode:?}, failover {failover}", fleet.name());
         let reference = reference(&w, &fleet, mode);
         // Dead on arrival — or, where spawning itself reads footers, on the
         // first read after that.
@@ -328,7 +370,8 @@ fn dead_device_fails_over_or_fails_loudly(mode: Mode) {
         };
         let injector = FaultPlan::new(fault_seed()).with_device_death(DEAD_DEVICE, lifetime).arm();
         let parts = armed(w.ds.partitions(), &injector);
-        let d = drain(start(&w, &fleet, mode, &parts, recover_hard(), 2, 4));
+        let policy = recover_hard().with_failover(failover);
+        let d = drain(start(&w, &fleet, mode, &parts, policy, 2, 4));
         assert_bit_identical(&d, &reference, &parts, &what);
         let dead_slot = 1; // devices sorted distinct: [0, 1]
         assert!(d.report.quarantined.contains(&dead_slot), "{what}: breaker must trip");
@@ -340,7 +383,7 @@ fn dead_device_fails_over_or_fails_loudly(mode: Mode) {
         assert_eq!(d.report.partitions, reference.len(), "{what}");
         let on_dead: Vec<(usize, usize)> =
             reference.keys().copied().filter(|&(p, _)| parts[p].device == DEAD_DEVICE).collect();
-        if fails_over(&fleet) {
+        if fails_over(&fleet) && failover {
             assert!(d.errors.is_empty(), "{what}: failover covers the dead device");
             assert_eq!(d.ok.len(), reference.len(), "{what}: no unit lost");
             let mut via: Vec<(usize, usize)> =
@@ -352,7 +395,8 @@ fn dead_device_fails_over_or_fails_loudly(mode: Mode) {
             assert!(d.stats.p2p_bytes > 0, "{what}: healthy units still crossed the link");
         } else {
             // The host pipeline is the fallback path: with `failover: true`
-            // it still has nowhere to go, so the dead units fail loudly.
+            // it still has nowhere to go, so the dead units fail loudly —
+            // as they do on every fleet with failover off.
             let mut ok: Vec<(usize, usize)> = d.ok.iter().map(|b| (b.partition, b.group)).collect();
             ok.sort_unstable();
             let healthy: Vec<(usize, usize)> =
