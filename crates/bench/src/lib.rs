@@ -7,9 +7,12 @@
 //! reported value next to the model's output:
 //!
 //! ```text
-//! cargo run --release -p presto-bench --bin repro-all               # all 16
+//! cargo run --release -p presto-bench --bin repro-all               # all 20
 //! cargo run --release -p presto-bench --bin repro-all fig12 table1  # just those
 //! ```
+//!
+//! Sizes and seeds are constants: no experiment reads an option or the
+//! environment.
 //!
 //! | Name | Experiment |
 //! |---|---|
@@ -29,6 +32,10 @@
 //! | `ablation-isp` | ISP design choices: PE scaling, double buffering, feed path, dispatch overhead |
 //! | `ablation-queue` | Input-queue depth and provisioning headroom |
 //! | `ablation-stream` | The streaming executor on real data (measured, so its rows vary run to run) |
+//! | `ablation-chaos` | Goodput vs injected transient-fault rate, host vs ISP fleet (measured) |
+//! | `ablation-tenants` | Three tenants on one service pool: per-job report and fairness (measured) |
+//! | `ablation-shuffle` | Shuffle granularity vs MiB read per epoch, by rows per group |
+//! | `ablation-pushdown` | Prefix pushdown on long histories: requirements, Extract time (measured), bytes per row |
 //!
 //! The speed of the real kernels, the columnar codec and the executors is
 //! measured by the end-to-end benchmark `presto-e2e` (its own README) and
@@ -45,7 +52,7 @@ use presto_hwsim::breakdown::{Stage, StageBreakdown};
 use presto_metrics::TextTable;
 
 /// Every experiment `repro-all` can run, by name, in paper order.
-pub const EXPERIMENTS: [(&str, fn()); 16] = [
+pub const EXPERIMENTS: [(&str, fn()); 20] = [
     ("table1", paper::table1),
     ("table2", paper::table2),
     ("fig03", paper::fig03),
@@ -62,6 +69,10 @@ pub const EXPERIMENTS: [(&str, fn()); 16] = [
     ("ablation-isp", ablation::isp),
     ("ablation-queue", ablation::queue),
     ("ablation-stream", ablation::stream),
+    ("ablation-chaos", ablation::chaos),
+    ("ablation-tenants", ablation::tenants),
+    ("ablation-shuffle", ablation::shuffle),
+    ("ablation-pushdown", ablation::pushdown),
 ];
 
 /// Prints a standard experiment banner with the paper's headline claim.

@@ -800,12 +800,26 @@ pub fn page_summaries(buf: &[u8], base: u64) -> Result<Vec<PageSummary>> {
 mod tests {
     use super::*;
 
-    /// `array` as one chunk at the start of a buffer, under the policy the
-    /// environment picks (CI's encoding matrix).
+    /// `array` as one chunk at the start of a buffer, under the cost model's
+    /// codecs.
     fn written(array: &Array, page_rows: usize) -> (Vec<u8>, ColumnStats) {
+        written_under(array, page_rows, WritePolicy::default())
+    }
+
+    fn written_under(
+        array: &Array,
+        page_rows: usize,
+        policy: WritePolicy,
+    ) -> (Vec<u8>, ColumnStats) {
         let mut buf = Vec::new();
-        let stats = write_chunk(array, page_rows, &WritePolicy::from_env(), &mut buf).unwrap();
+        let stats = write_chunk(array, page_rows, &policy, &mut buf).unwrap();
         (buf, stats)
+    }
+
+    /// The cost model's policy, then each encoding forced.
+    fn every_policy() -> impl Iterator<Item = WritePolicy> {
+        let forced = Encoding::ALL.map(|e| WritePolicy::default().with_forced_encoding(e));
+        [WritePolicy::default()].into_iter().chain(forced)
     }
 
     /// The decoder over a borrowed buffer, held to the totals of `like`:
@@ -824,10 +838,13 @@ mod tests {
     }
 
     fn chunk_roundtrip(array: Array, page_rows: usize) {
-        let (buf, stats) = written(&array, page_rows);
-        assert_eq!(stats.rows, array.len() as u64);
-        assert_eq!(decode(&buf, &array, None).unwrap(), (array.clone(), buf.len()));
-        assert_eq!(decode_shared(&buf, &array).unwrap(), (array, buf.len()));
+        for policy in every_policy() {
+            let (buf, stats) = written_under(&array, page_rows, policy);
+            assert_eq!(stats.rows, array.len() as u64);
+            let back = (array.clone(), buf.len());
+            assert_eq!(decode(&buf, &array, None).unwrap(), back, "{policy:?}");
+            assert_eq!(decode_shared(&buf, &array).unwrap(), back, "{policy:?}");
+        }
     }
 
     #[test]
@@ -916,10 +933,7 @@ mod tests {
     fn long_lists_are_written_head_then_tail_and_read_back_whole() {
         let array = long_lists(50);
         for page_rows in [1usize, 7, 4096] {
-            for forced in
-                [None, Some(encoding::Encoding::Plain), Some(encoding::Encoding::Dictionary)]
-            {
-                let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            for policy in every_policy() {
                 let mut buf = Vec::new();
                 let stats = write_chunk(&array, page_rows, &policy, &mut buf).unwrap();
                 let head = stats.head.expect("mean length is past the threshold");

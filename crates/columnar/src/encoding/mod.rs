@@ -4,8 +4,8 @@
 //! The writer picks an encoding per page based on estimated size (see
 //! [`choose_i64_encoding`]); the page header records the choice so readers
 //! can dispatch without configuration. The chooser can be overridden per
-//! writer through [`crate::schema::WritePolicy`] (and, for CI's encoding
-//! matrix, the `PRESTO_FORCE_ENCODING` environment variable).
+//! writer through [`crate::schema::WritePolicy`]; tests force each of
+//! [`Encoding::ALL`] in turn that way.
 
 pub mod bitpack;
 pub mod block;
@@ -33,6 +33,10 @@ pub enum Encoding {
 }
 
 impl Encoding {
+    /// Every encoding, in on-disk tag order.
+    pub const ALL: [Encoding; 4] =
+        [Encoding::Plain, Encoding::Delta, Encoding::Dictionary, Encoding::DeltaBitpack];
+
     /// Stable on-disk tag.
     pub(crate) fn to_tag(self) -> u8 {
         match self {
@@ -64,19 +68,6 @@ impl Encoding {
             Encoding::Delta => "delta",
             Encoding::Dictionary => "dictionary",
             Encoding::DeltaBitpack => "delta_bitpack",
-        }
-    }
-
-    /// Parses a forced-encoding name as used by `PRESTO_FORCE_ENCODING`
-    /// (`plain`, `delta_varint`, `delta_bitpack`, `dictionary`).
-    #[must_use]
-    pub fn from_force_name(name: &str) -> Option<Self> {
-        match name {
-            "plain" => Some(Encoding::Plain),
-            "delta" | "delta_varint" => Some(Encoding::Delta),
-            "dictionary" => Some(Encoding::Dictionary),
-            "delta_bitpack" => Some(Encoding::DeltaBitpack),
-            _ => None,
         }
     }
 }
@@ -354,19 +345,11 @@ mod tests {
 
     #[test]
     fn tags_roundtrip() {
-        for e in [Encoding::Plain, Encoding::Delta, Encoding::Dictionary, Encoding::DeltaBitpack] {
+        for (tag, e) in Encoding::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(e.to_tag()), tag);
             assert_eq!(Encoding::from_tag(e.to_tag()).unwrap(), e);
         }
         assert!(Encoding::from_tag(200).is_err());
-    }
-
-    #[test]
-    fn force_names_resolve() {
-        assert_eq!(Encoding::from_force_name("plain"), Some(Encoding::Plain));
-        assert_eq!(Encoding::from_force_name("delta_varint"), Some(Encoding::Delta));
-        assert_eq!(Encoding::from_force_name("delta_bitpack"), Some(Encoding::DeltaBitpack));
-        assert_eq!(Encoding::from_force_name("dictionary"), Some(Encoding::Dictionary));
-        assert_eq!(Encoding::from_force_name("zstd"), None);
     }
 
     #[test]
@@ -424,7 +407,7 @@ mod tests {
     #[test]
     fn all_encodings_roundtrip_same_data() {
         let values: Vec<i64> = (0..1000).map(|i| (i % 50) * 3 - 20).collect();
-        for e in [Encoding::Plain, Encoding::Delta, Encoding::Dictionary, Encoding::DeltaBitpack] {
+        for e in Encoding::ALL {
             let mut buf = Vec::new();
             encode_i64(e, &values, &mut buf);
             let mut back = Vec::new();
@@ -442,9 +425,6 @@ mod tests {
             Err(ColumnarError::CountMismatch { .. })
         ));
     }
-
-    const ALL: [Encoding; 4] =
-        [Encoding::Plain, Encoding::Delta, Encoding::Dictionary, Encoding::DeltaBitpack];
 
     /// Ranged decode must equal gathering the same ranges from a full decode,
     /// for every encoding and for range shapes that exercise miniblock /
@@ -465,7 +445,7 @@ mod tests {
             &[(500, 500), (600, 608)], // empty range is legal
             &[(0, 0), (5, 9)],         // leading empty range must not emit element 0
         ];
-        for &e in &ALL {
+        for e in Encoding::ALL {
             let mut buf = Vec::new();
             encode_i64(e, &values, &mut buf);
             for ranges in range_sets {
@@ -485,7 +465,7 @@ mod tests {
         let dict = &mut dictionary::DictScratch::default();
         for n in [0usize, 1, 2, 63, 64, 65, 127, 128, 129] {
             let values: Vec<i64> = (0..n as i64).map(|i| i * 3 - 7).collect();
-            for &e in &ALL {
+            for e in Encoding::ALL {
                 let mut buf = Vec::new();
                 encode_i64(e, &values, &mut buf);
                 let mut out = Vec::new();
@@ -504,7 +484,7 @@ mod tests {
         // Unsorted, overlapping, inverted, and out-of-bounds range lists.
         let bad: &[&[(usize, usize)]] =
             &[&[(5, 10), (0, 3)], &[(0, 10), (5, 20)], &[(10, 5)], &[(90, 101)], &[(101, 101)]];
-        for &e in &ALL {
+        for e in Encoding::ALL {
             let mut buf = Vec::new();
             encode_i64(e, &values, &mut buf);
             for ranges in bad {
@@ -525,7 +505,7 @@ mod tests {
     #[test]
     fn ranged_decode_checks_stream_count_before_allocating() {
         let dict = &mut dictionary::DictScratch::default();
-        for &e in &ALL {
+        for e in Encoding::ALL {
             let mut buf = Vec::new();
             encode_i64(e, &(0..16).collect::<Vec<i64>>(), &mut buf);
             let mut out = Vec::new();

@@ -397,9 +397,8 @@ impl FileWriter {
 
     /// Creates a writer with an explicit page size (rows per page).
     ///
-    /// The starting [`WritePolicy`] is [`WritePolicy::from_env`]: cost-model
-    /// encoding selection, no compression, and any process-wide
-    /// `PRESTO_FORCE_ENCODING` override applied (CI's encoding matrix).
+    /// The starting [`WritePolicy`] is [`WritePolicy::default`]: cost-model
+    /// encoding selection and no compression.
     #[must_use]
     pub fn with_page_rows(schema: Schema, page_rows: usize) -> Self {
         let mut buf = Vec::new();
@@ -408,7 +407,7 @@ impl FileWriter {
             schema,
             page_rows: page_rows.max(1),
             group_rows: None,
-            policy: WritePolicy::from_env(),
+            policy: WritePolicy::default(),
             buf,
             row_groups: Vec::new(),
         }
@@ -422,7 +421,7 @@ impl FileWriter {
     ///
     /// Smaller groups give a shuffled reader finer-grained randomness and
     /// work stealing but amplify per-group read overhead (footer entries,
-    /// page headers, ranged reads); `examples/shuffle_epochs` sweeps the
+    /// page headers, ranged reads); `repro-all ablation-shuffle` sweeps the
     /// trade-off.
     #[must_use]
     pub fn with_group_rows(mut self, group_rows: usize) -> Self {
@@ -930,15 +929,7 @@ mod tests {
 
     #[test]
     fn projection_reads_only_requested_chunks() {
-        // A traffic-ratio assertion: pin the cost-model policy so the CI
-        // encoding matrix (PRESTO_FORCE_ENCODING=plain inflates the label
-        // chunk) cannot skew the ratio.
-        let bytes = {
-            let mut w = FileWriter::with_page_rows(sample_schema(), 128)
-                .with_policy(WritePolicy::default());
-            w.write_row_group(&sample_columns(2000, 0)).unwrap();
-            w.finish()
-        };
+        let bytes = sample_file(1, 2000);
         let total_len = bytes.len() as u64;
         let blob = CountingBlob::new(MemBlob::new(bytes));
         let reader = FileReader::open(blob).unwrap();
@@ -983,17 +974,24 @@ mod tests {
 
     #[test]
     fn prefix_limit_reads_match_truncated_full_reads() {
-        // List lengths 0..=3: shorter than, equal to and longer than a limit.
-        let bytes = sample_file(2, 300);
+        // List lengths 0..=3: shorter than, equal to and longer than a limit;
+        // the cost model's codecs, then each one forced.
         let expect: Vec<Array> = (0..3)
             .map(|c| {
                 let groups = [sample_columns(300, 0).remove(c), sample_columns(300, 1).remove(c)];
                 column::concat_arrays(&groups).unwrap()
             })
             .collect();
-        assert_table(&bytes, &expect, "two groups of short lists");
+        for forced in [None].into_iter().chain(crate::Encoding::ALL.map(Some)) {
+            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let mut w = FileWriter::with_page_rows(sample_schema(), 128).with_policy(policy);
+            for g in 0..2 {
+                w.write_row_group(&sample_columns(300, g)).unwrap();
+            }
+            assert_table(&w.finish(), &expect, &format!("two groups of short lists, {forced:?}"));
+        }
         // Mismatched limits length is rejected.
-        let reader = FileReader::open(MemBlob::new(bytes)).unwrap();
+        let reader = FileReader::open(MemBlob::new(sample_file(2, 300))).unwrap();
         assert!(reader
             .read_projected_limits_with(0, &["label"], &[None, Some(1)], &mut ReadScratch::new())
             .is_err());
@@ -1026,8 +1024,7 @@ mod tests {
     #[test]
     fn shared_blob_decodes_plain_list_values_lazily() {
         // Plain-encoded list values are the lazy-decode subject, so pin the
-        // encoding explicitly (immune to PRESTO_FORCE_ENCODING in the CI
-        // encoding matrix).
+        // encoding rather than rely on the cost model's choice.
         let lists: Vec<Vec<i64>> = (0..600u64)
             .map(|i| {
                 (0..(i % 5))
@@ -1323,8 +1320,7 @@ mod tests {
         // Nothing writes the legacy containers any more, so "write" is by
         // hand (`as_legacy`); reading them is the reader's own business.
         let cols = sample_columns(300, 2);
-        let mut w =
-            FileWriter::with_page_rows(sample_schema(), 128).with_policy(WritePolicy::default());
+        let mut w = FileWriter::with_page_rows(sample_schema(), 128);
         w.write_row_group(&cols).unwrap();
         let current = w.finish();
         for (version, magic) in [(FormatVersion::V2, MAGIC_V2), (FormatVersion::V3, MAGIC_V3)] {
@@ -1432,13 +1428,10 @@ mod tests {
     fn head_tail_chunks_read_back_on_every_route() {
         for page_rows in [1usize, 7, 4096] {
             for group_rows in [None, Some(16)] {
-                for policy in [
-                    WritePolicy::default(),
-                    WritePolicy::default()
-                        .with_compression(Compression::Lz)
-                        .compressing_hot_columns(),
-                    WritePolicy::default().with_forced_encoding(crate::Encoding::Dictionary),
-                ] {
+                let base = WritePolicy::default();
+                let lz = base.with_compression(Compression::Lz).compressing_hot_columns();
+                let forced = crate::Encoding::ALL.map(|e| base.with_forced_encoding(e));
+                for policy in [base, lz].into_iter().chain(forced) {
                     let what =
                         format!("page_rows {page_rows} group_rows {group_rows:?} {policy:?}");
                     let bytes = history_file(page_rows, group_rows, policy);
@@ -1463,13 +1456,7 @@ mod tests {
                 .map(|r| (0..len).map(|j| ((r * 7919 + j * 31) % 1009) as i64).collect())
                 .collect();
             let column = [Array::from_lists(lists).unwrap()];
-            for forced in [
-                None,
-                Some(crate::Encoding::Plain),
-                Some(crate::Encoding::Delta),
-                Some(crate::Encoding::DeltaBitpack),
-                Some(crate::Encoding::Dictionary),
-            ] {
+            for forced in [None].into_iter().chain(crate::Encoding::ALL.map(Some)) {
                 for page_rows in [1usize, 5, 4096] {
                     let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
                     let mut w =

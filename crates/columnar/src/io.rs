@@ -4,7 +4,8 @@
 //! makes *selective column extraction* possible — exactly the property the
 //! PreSto paper relies on to avoid overfetching unwanted features
 //! (Section II-B, Extract). [`CountingBlob`] measures the bytes actually
-//! touched, which the overfetch ablation bench uses.
+//! touched, which the exact-count tests and `repro-all ablation-pushdown`
+//! use.
 //!
 //! # Zero-copy Extract
 //!

@@ -345,10 +345,14 @@ mod tests {
     use crate::io::DecodeScratch;
 
     /// `array` as the one page of a chunk (a page count of one, then the
-    /// page), under the policy the environment picks.
+    /// page), under the cost model's codecs.
     fn write_page(array: &Array) -> Vec<u8> {
+        write_page_under(array, &WritePolicy::default())
+    }
+
+    fn write_page_under(array: &Array, policy: &WritePolicy) -> Vec<u8> {
         let mut buf = vec![1];
-        write_page_policy(array, &WritePolicy::from_env(), &mut buf).unwrap();
+        write_page_policy(array, policy, &mut buf).unwrap();
         buf
     }
 
@@ -360,9 +364,13 @@ mod tests {
         read_chunk(buf, 0, like.data_type(), totals, None, None, scratch)
     }
 
+    /// Under the cost model's codecs, then with each encoding forced.
     fn roundtrip(array: Array) {
-        let buf = write_page(&array);
-        assert_eq!(read_page(&buf, &array).unwrap(), (array, buf.len()));
+        let forced = Encoding::ALL.map(|e| WritePolicy::default().with_forced_encoding(e));
+        for policy in [WritePolicy::default()].into_iter().chain(forced) {
+            let buf = write_page_under(&array, &policy);
+            assert_eq!(read_page(&buf, &array).unwrap(), (array.clone(), buf.len()), "{policy:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::compress::Compression;
 use crate::encoding::{self, Encoding};
 use crate::error::{ColumnarError, Result};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Physical/logical data type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,19 +85,6 @@ impl DataType {
     }
 }
 
-/// Cached `PRESTO_FORCE_ENCODING` parse (read once per process).
-fn forced_encoding_from_env() -> Option<Encoding> {
-    static FORCED: OnceLock<Option<Encoding>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        let name = std::env::var("PRESTO_FORCE_ENCODING").ok()?;
-        let parsed = Encoding::from_force_name(name.trim());
-        if parsed.is_none() {
-            eprintln!("warning: unknown PRESTO_FORCE_ENCODING value {name:?}, ignoring");
-        }
-        parsed
-    })
-}
-
 /// Per-column write-side policy: which compression each column's pages get
 /// and how integer value streams are encoded.
 ///
@@ -113,10 +99,13 @@ fn forced_encoding_from_env() -> Option<Encoding> {
 /// * **Encoding override** — [`WritePolicy::i64_encoding`] normally runs
 ///   the sample-based cost model ([`encoding::choose_i64_encoding`]); a
 ///   [`WritePolicy::forced_encoding`] pins every integer stream to one
-///   codec. CI's encoding matrix forces each codec in turn via the
-///   `PRESTO_FORCE_ENCODING` environment variable
-///   (`plain | delta_varint | delta_bitpack | dictionary`), which
-///   [`WritePolicy::from_env`] folds into the default policy.
+///   codec. Tests loop over [`Encoding::ALL`] through
+///   [`WritePolicy::with_forced_encoding`] so each decode path runs on
+///   data the cost model would not route to it.
+///
+/// The policy is the writer's only input besides the data: nothing is read
+/// from the process environment, so the same columns always give the same
+/// bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WritePolicy {
     /// Compression for cold (and, with `compress_hot`, all) columns.
@@ -128,13 +117,6 @@ pub struct WritePolicy {
 }
 
 impl WritePolicy {
-    /// The default policy with the process-wide `PRESTO_FORCE_ENCODING`
-    /// override applied — what [`crate::FileWriter`] starts from.
-    #[must_use]
-    pub fn from_env() -> Self {
-        WritePolicy { forced_encoding: forced_encoding_from_env(), ..WritePolicy::default() }
-    }
-
     /// Returns this policy with the given cold-column compression.
     #[must_use]
     pub fn with_compression(mut self, compression: Compression) -> Self {

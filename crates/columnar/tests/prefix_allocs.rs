@@ -33,8 +33,7 @@ fn warm_prefix_reads_allocate_only_their_output() {
     let columns =
         [Array::from_lists(history).expect("lists"), Array::from_lists(recent).expect("lists")];
 
-    for encoding in [Encoding::Plain, Encoding::Delta, Encoding::DeltaBitpack, Encoding::Dictionary]
-    {
+    for encoding in Encoding::ALL {
         let policy = WritePolicy::default().with_forced_encoding(encoding);
         let mut writer = FileWriter::with_page_rows(schema.clone(), 64).with_policy(policy);
         writer.write_row_group(&columns).expect("writes");

@@ -4,19 +4,15 @@
 //! Each function returns plain data in the same organization as the paper's
 //! figure so a harness can print the rows/series directly.
 
-use presto_datagen::{Dataset, RmConfig, WorkloadProfile};
+use presto_datagen::{RmConfig, WorkloadProfile};
 use presto_hwsim::breakdown::StageBreakdown;
 use presto_hwsim::cache::CacheConfig;
 use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::net::NetworkModel;
 use presto_hwsim::trace::{characterize_op, OpCharacterization, OpKind};
 use presto_hwsim::units::Secs;
-use presto_ops::executor::PreprocessError;
-use presto_ops::{BatchStream, FleetConfig, GraphError, PlanGraph, PreprocessPlan};
 
-use crate::fleet::Fleet;
-use crate::pipeline::{simulate, PipelineConfig, Trainer, TrainerConfig, TrainerReport};
-use crate::placement::PlacementPlan;
+use crate::pipeline::{simulate, PipelineConfig};
 use crate::provision::Provisioner;
 use crate::systems::System;
 
@@ -254,78 +250,6 @@ pub fn fig17() -> Vec<Fig17Point> {
     out
 }
 
-/// Host/ISP placement of every scenario graph's stages on a SmartSSD-backed
-/// PreSto system — the "which operator runs where" table the plan IR makes
-/// answerable per stage instead of per pipeline. Returns
-/// `(scenario name, placement)` for the canonical, truncated-cross and
-/// dictionary-remap scenarios compiled against `config`.
-///
-/// # Errors
-///
-/// Propagates graph construction/compilation failures (degenerate configs).
-pub fn scenario_placements(
-    config: &RmConfig,
-    rows: usize,
-) -> Result<Vec<(String, PlacementPlan)>, GraphError> {
-    let presto = System::presto_smartssd(1);
-    let scenarios = [
-        ("canonical", PlanGraph::canonical(config, 1)?),
-        ("truncated-cross", PlanGraph::truncated_cross(config, 1, 4, 2)?),
-        ("remapped", PlanGraph::remapped(config, 1, 4096)?),
-    ];
-    scenarios
-        .into_iter()
-        .map(|(name, graph)| {
-            let plan = PreprocessPlan::compile(graph, config)?;
-            Ok((name.to_owned(), presto.plan_placement(&plan, rows)))
-        })
-        .collect()
-}
-
-/// One trainer-in-the-loop end-to-end run: a real producer fleet measured
-/// at the consuming trainer.
-#[derive(Debug, Clone)]
-pub struct EndToEndPoint {
-    /// System under test (figure-legend name).
-    pub system: String,
-    /// What the trainer observed.
-    pub report: TrainerReport,
-}
-
-/// ISP-vs-CPU **end to end**: runs the same partitions through the host
-/// streaming executor (sized by `cpu.stream_config()`) and through the
-/// emulated in-storage fleet (`isp_units` devices), each consumed by a
-/// [`Trainer`] with the given compute model. Throughput is therefore
-/// measured where the paper measures it — at the trainer — instead of at a
-/// materialized `Vec` drain; stall share and queue occupancy come along
-/// for free.
-///
-/// # Errors
-///
-/// Propagates the first preprocessing failure from either fleet.
-pub fn isp_vs_cpu_end_to_end(
-    plan: &PreprocessPlan,
-    dataset: &Dataset,
-    cpu: &System,
-    isp_units: usize,
-    trainer: TrainerConfig,
-) -> Result<Vec<EndToEndPoint>, PreprocessError> {
-    let consumer = Trainer::new(trainer);
-    let mut out = Vec::with_capacity(2);
-
-    let host = BatchStream::spawn(plan, dataset.partitions(), &cpu.stream_config());
-    out.push(EndToEndPoint { system: cpu.name(), report: consumer.run(host)? });
-
-    let isp_units = isp_units.max(1);
-    let isp =
-        Fleet::Isp.spawn(plan, dataset.partitions(), &FleetConfig::new(isp_units, 2 * isp_units));
-    out.push(EndToEndPoint {
-        system: System::presto_smartssd(isp_units).name(),
-        report: consumer.run(isp)?,
-    });
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,46 +328,6 @@ mod tests {
             let best = group.entries.iter().max_by(|a, b| a.2.partial_cmp(&b.2).unwrap()).unwrap();
             assert_eq!(best.0, "PreSto (SmartSSD)", "{}", group.model);
         }
-    }
-
-    #[test]
-    fn isp_vs_cpu_end_to_end_trains_everything_on_both_paths() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 48;
-        let plan = PreprocessPlan::from_config(&c, 1).expect("plan");
-        let ds = Dataset::generate(&c, 6, 48, 2, 13).expect("dataset");
-        let points =
-            isp_vs_cpu_end_to_end(&plan, &ds, &System::disagg(2), 2, TrainerConfig::instant())
-                .expect("both fleets preprocess");
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].system, "Disagg(2)");
-        assert_eq!(points[1].system, "PreSto (SmartSSD) x2");
-        for p in &points {
-            assert_eq!(p.report.batches, 6, "{}", p.system);
-            assert_eq!(p.report.rows, 6 * 48, "{}", p.system);
-            assert!(p.report.goodput > 0.0, "{}", p.system);
-            assert_eq!(p.report.occupancy.iter().sum::<u64>(), 6, "{}", p.system);
-        }
-    }
-
-    #[test]
-    fn scenario_placements_cover_all_three_graphs() {
-        let mut c = RmConfig::rm1();
-        c.avg_sparse_len = 8;
-        c.fixed_sparse_len = false;
-        let rows = 8192;
-        let placements = scenario_placements(&c, rows).expect("scenarios compile");
-        assert_eq!(placements.len(), 3);
-        for (name, p) in &placements {
-            assert_eq!(p.rows, rows, "{name}");
-            assert!(p.offloaded() > 0, "{name}: heavy stages offload at paper scale");
-            assert!(p.speedup() >= 1.0, "{name}");
-        }
-        let cross = &placements[1].1;
-        assert!(
-            cross.offloaded() < cross.stages.len(),
-            "truncated-cross keeps its trivial copies on the host"
-        );
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod provision;
 pub mod service;
 pub mod systems;
 
-pub use experiments::{isp_vs_cpu_end_to_end, EndToEndPoint};
 pub use fleet::Fleet;
 pub use isp_worker::{IspRunStats, IspWorker};
 pub use pipeline::{

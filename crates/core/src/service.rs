@@ -949,27 +949,45 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_with_distinct_plans_match_their_solo_outputs() {
+        use crate::placement::{place_stages, OpCostModel};
+        use presto_hwsim::fpga::IspModel;
+        use presto_ops::PlanGraph;
         let (plan_a, ds_a, serial_a) = setup(5, 32, 11);
         let (plan_b, ds_b, serial_b) = setup(4, 24, 77);
+        // The third tenant: the `cleaned` graph over list-shaped RM1, split
+        // where the cost model places its stages at the paper's batch size.
+        let lists = RmConfig::rm1_lists();
+        let graph = PlanGraph::cleaned(&lists, 23).expect("cleaned graph");
+        let plan_c = PreprocessPlan::compile(graph, &lists).expect("plan");
+        let model = OpCostModel::analytic(&IspModel::smartssd());
+        let placed = place_stages(&plan_c, lists.batch_size, &model).fleet_assignment();
+        let split = plan_c.split(&placed).expect("splits");
+        assert!(!split.isp_stages().is_empty() && !split.host_stages().is_empty());
+        let ds_c = Dataset::generate(&lists, 4, 16, 2, 23).expect("dataset");
+        let serial_c: Vec<MiniBatch> = ds_c
+            .partitions()
+            .iter()
+            .map(|p| preprocess_partition(&plan_c, p.blob.clone()).unwrap().0)
+            .collect();
         let service = PreprocessService::new(ServiceConfig::new(3));
-        let h_a = service
-            .submit(JobSpec::new("a", plan_a, ds_a.partitions().to_vec()).with_fleet(Fleet::Isp))
-            .expect("admitted");
-        let h_b = service
-            .submit(JobSpec::new("b", plan_b, ds_b.partitions().to_vec()))
-            .expect("admitted");
-        let (got_a, got_b) = std::thread::scope(|s| {
-            let ta = s.spawn(|| drain(h_a));
-            let tb = s.spawn(|| drain(h_b));
-            (ta.join().unwrap(), tb.join().unwrap())
+        let handles = [
+            JobSpec::new("a", plan_a, ds_a.partitions().to_vec())
+                .with_fleet(Fleet::Isp)
+                .with_weight(2.0),
+            JobSpec::new("b", plan_b, ds_b.partitions().to_vec()),
+            JobSpec::new("c", plan_c, ds_c.partitions().to_vec()).with_fleet(Fleet::Split(split)),
+        ]
+        .map(|spec| service.submit(spec).expect("admitted"));
+        let got = std::thread::scope(|s| {
+            handles.map(|h| s.spawn(move || drain(h))).map(|t| t.join().unwrap())
         });
-        assert_eq!(got_a.len(), 5);
-        assert_eq!(got_b.len(), 4);
-        for (pos, batch) in got_a {
-            assert_eq!(batch, serial_a[pos], "job a partition {pos}");
-        }
-        for (pos, batch) in got_b {
-            assert_eq!(batch, serial_b[pos], "job b partition {pos}");
+        for ((name, got), serial) in
+            ["a", "b", "c"].iter().zip(got).zip([serial_a, serial_b, serial_c])
+        {
+            assert_eq!(got.len(), serial.len(), "job {name}");
+            for (pos, batch) in got {
+                assert_eq!(batch, serial[pos], "job {name} partition {pos}");
+            }
         }
         let report = service.shutdown();
         assert!(report.jobs.iter().all(|j| j.status == JobStatus::Completed));

@@ -14,7 +14,6 @@
 //!   ids, variable-length sparse lists).
 //! * [`Dataset`] — partitioning into device-placed columnar files, the
 //!   storage layout of Figure 1.
-//! * [`criteo`] — TSV interop with the real Criteo dataset format.
 //! * [`WorkloadProfile`] — the per-mini-batch counts that the hardware cost
 //!   models in `presto-hwsim` consume.
 //!
@@ -34,7 +33,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
-pub mod criteo;
 pub mod profile;
 pub mod rng;
 pub mod table;

@@ -25,7 +25,7 @@
 //! historical hardcoded plan; [`PlanGraph::truncated_cross`] and
 //! [`PlanGraph::remapped`] are the non-canonical scenarios (FirstX
 //! truncation, NGram feature crossing, MapId dictionary remap) exercised
-//! end to end by `examples/plan_scenarios.rs`.
+//! end to end on the host and ISP fleets by `tests/graph_ir.rs`.
 
 use crate::bucketize::Bucketizer;
 use crate::op::{IdMap, Op, ValueKind};

@@ -31,7 +31,7 @@
 //! partition order. Sized at the training mini-batch (the intended
 //! configuration), within-group order is fixed but groups — and therefore
 //! mini-batches — are drawn uniformly, which is the standard trade
-//! recommendation pipelines make. `examples/shuffle_epochs` sweeps the
+//! recommendation pipelines make. `repro-all ablation-shuffle` sweeps the
 //! trade-off.
 
 use crate::executor::PreprocessError;

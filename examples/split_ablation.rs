@@ -155,16 +155,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
         for item in split_stream.by_ref() {
             let b = item?;
-            if std::env::var("PRESTO_ABLATION_DEBUG").is_ok() {
-                eprintln!(
-                    "    [dbg] part {} arrived {:.1}ms extract {:.2}ms ops {:.2}ms format {:.2}ms",
-                    b.partition,
-                    b.arrived.as_secs_f64() * 1e3,
-                    b.timings.extract.as_secs_f64() * 1e3,
-                    b.timings.ops.total().as_secs_f64() * 1e3,
-                    b.timings.format.as_secs_f64() * 1e3,
-                );
-            }
             hybrid.push((b.partition, b.batch));
         }
         let split_time = t0.elapsed();

@@ -11,8 +11,11 @@
 //! | [`datagen`] | Table I model configs + synthetic RecSys data |
 //! | [`ops`] | Real Bucketize / SigridHash / Log kernels + mini-batch assembly |
 //! | [`hwsim`] | Calibrated device models: CPU, SmartSSD ISP, GPU, network, LLC |
-//! | [`core`] | The PreSto system: provisioning, fleets, service, pipeline simulation |
+//! | [`core`] | The PreSto system: provisioning, fleets, service, pipeline simulation, per-figure data |
 //! | [`metrics`] | Energy / TCO models and report formatting |
+//!
+//! None of them reads the process environment: what a writer stores and
+//! what a run computes depend on their arguments alone.
 //!
 //! ## Quick start
 //!
@@ -38,7 +41,9 @@
 //! subcommand of one binary in `presto-bench`: `cargo run --release -p
 //! presto-bench --bin repro-all` regenerates everything, and `repro-all
 //! fig12` (any names) just those, printing each paper value next to the
-//! model's. [`hwsim::calib`] names the paper measurement behind every
+//! model's. Its ablations also run the real engine: goodput under storage
+//! faults, tenants sharing a pool, shuffle granularity and prefix
+//! pushdown. [`hwsim::calib`] names the paper measurement behind every
 //! device-model constant, and `tests/paper_shape.rs` pins each headline
 //! claim as a band.
 

@@ -8,9 +8,9 @@
 //!   preprocessing, to the fingerprint pinned when the first was made — the
 //!   cross-version leg of CI's `shuffle-determinism` job. Nothing writes
 //!   either container any more; they are read, and only read.
-//! * Files written with every forced encoding must decode to the same
-//!   arrays and preprocess to the same mini-batch as the default policy —
-//!   the in-process counterpart of CI's `PRESTO_FORCE_ENCODING` matrix.
+//! * Files written with each of [`Encoding::ALL`] forced (and with LZ on
+//!   cold and on all columns) must decode to the same arrays and preprocess
+//!   to the same mini-batch as the default policy.
 
 use presto::columnar::{
     Compression, Encoding, FileReader, FileWriter, FormatVersion, MemBlob, WritePolicy, MAGIC,
@@ -141,18 +141,16 @@ fn mixed_magic_versions_are_rejected() {
     assert!(FileReader::open(MemBlob::new(v1)).is_err());
 }
 
-/// Every encoding the matrix forces, plus the default cost model.
-fn matrix_policies() -> Vec<(&'static str, WritePolicy)> {
+/// The default cost model, every encoding forced, and LZ on cold and on all
+/// columns.
+fn matrix_policies() -> Vec<(String, WritePolicy)> {
     let base = WritePolicy::default();
-    vec![
-        ("default", base),
-        ("plain", base.with_forced_encoding(Encoding::Plain)),
-        ("delta_varint", base.with_forced_encoding(Encoding::Delta)),
-        ("delta_bitpack", base.with_forced_encoding(Encoding::DeltaBitpack)),
-        ("dictionary", base.with_forced_encoding(Encoding::Dictionary)),
-        ("lz", base.with_compression(Compression::Lz)),
-        ("lz_hot", base.with_compression(Compression::Lz).compressing_hot_columns()),
-    ]
+    let mut policies = vec![("default".to_owned(), base)];
+    policies.extend(Encoding::ALL.map(|e| (e.to_string(), base.with_forced_encoding(e))));
+    policies.push(("lz".to_owned(), base.with_compression(Compression::Lz)));
+    let lz_hot = base.with_compression(Compression::Lz).compressing_hot_columns();
+    policies.push(("lz_hot".to_owned(), lz_hot));
+    policies
 }
 
 #[test]

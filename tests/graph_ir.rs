@@ -12,9 +12,9 @@
 //!    and whatever compiles also executes without panicking.
 //! 4. Split execution is bit-identical to host-only and ISP-only execution
 //!    for arbitrary compiled graphs under *arbitrary* (not just
-//!    cost-optimal) stage-to-fleet assignments and any chunk size — and so
-//!    is the host fleet's feature-sliced worker pair, across every forced
-//!    encoding and 1, 2 and 4 pairs.
+//!    cost-optimal) stage-to-fleet assignments and any chunk size, across
+//!    every forced encoding — and so is the host fleet's feature-sliced
+//!    worker pair, across every forced encoding and 1, 2 and 4 pairs.
 
 use presto::columnar::{FileReader, ReadScratch};
 use presto::datagen::RowBatch;
@@ -109,7 +109,7 @@ fn assert_canonical_matches_legacy(config: &RmConfig, seed: u64, batch_seed: u64
     let (compiled, _) = preprocess_batch(&plan, &batch).expect("compiled plan runs");
     assert_eq!(compiled, reference, "{}: borrowed path diverged", config.name);
 
-    for enc in [Encoding::Plain, Encoding::Delta, Encoding::DeltaBitpack, Encoding::Dictionary] {
+    for enc in Encoding::ALL {
         let policy = WritePolicy::default().with_forced_encoding(enc);
         let mut writer = FileWriter::with_page_rows(batch.schema().clone(), 7).with_policy(policy);
         writer.write_row_group(batch.columns()).expect("writes");
@@ -226,8 +226,9 @@ proptest! {
             prop_assert_eq!(&via_split, &host_only);
             // The feature split of the host fleet's worker pair: the same
             // plan dealt by feature to two concurrent threads, over every
-            // forced encoding and pair count.
-            for enc in [Encoding::Plain, Encoding::Delta, Encoding::DeltaBitpack, Encoding::Dictionary] {
+            // forced encoding and pair count — and the ISP-only and split
+            // paths again under each encoding.
+            for enc in Encoding::ALL {
                 let partitions: Vec<Partition> = (0..5)
                     .map(|index| {
                         let batch = generate_batch(&config, rows, seed ^ index as u64);
@@ -243,6 +244,11 @@ proptest! {
                     .iter()
                     .map(|p| preprocess_partition(&plan, p.blob.clone()).expect("serial").0)
                     .collect();
+                let first = partitions[0].blob.clone();
+                let isp_only = run_split(&plan, &everything_isp, first.clone(), chunk).expect("isp");
+                prop_assert!(isp_only == serial[0], "{enc}: isp path diverged");
+                let via_split = run_split(&plan, &split, first, chunk).expect("split path");
+                prop_assert!(via_split == serial[0], "{enc}: split path diverged");
                 for workers in [1, 2, 4] {
                     let stream = BatchStream::spawn(&plan, &partitions, &FleetConfig::new(workers, 2));
                     prop_assert!(stream.prefetch(), "workers are pairs by default");
@@ -339,12 +345,7 @@ proptest! {
             let batches: Vec<_> = (0..rows.div_ceil(group_rows))
                 .map(|g| generate_batch(&config, group_rows, seed ^ g as u64))
                 .collect();
-            for enc in [
-                Encoding::Plain,
-                Encoding::Delta,
-                Encoding::DeltaBitpack,
-                Encoding::Dictionary,
-            ] {
+            for enc in Encoding::ALL {
                 let policy = WritePolicy::default().with_forced_encoding(enc);
                 let mut writer =
                     FileWriter::with_page_rows(batches[0].schema().clone(), 7).with_policy(policy);

@@ -200,14 +200,17 @@ proptest! {
 
     #[test]
     fn truncation_errors_cleanly((schema, arrays) in arb_table(), cut_frac in 0.0f64..1.0) {
-        let mut writer = FileWriter::new(schema);
-        writer.write_row_group(&arrays).expect("writes");
-        let bytes = writer.finish();
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        if cut < bytes.len() {
-            // Opening or reading a truncated file must error, never panic.
-            if let Ok(reader) = FileReader::open(MemBlob::new(bytes[..cut].to_vec())) {
-                let _ = reader.read_row_group(0);
+        for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
+            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let mut writer = FileWriter::new(schema.clone()).with_policy(policy);
+            writer.write_row_group(&arrays).expect("writes");
+            let bytes = writer.finish();
+            let cut = ((bytes.len() as f64) * cut_frac) as usize;
+            if cut < bytes.len() {
+                // Opening or reading a truncated file must error, never panic.
+                if let Ok(reader) = FileReader::open(MemBlob::new(bytes[..cut].to_vec())) {
+                    let _ = reader.read_row_group(0);
+                }
             }
         }
     }
@@ -218,15 +221,18 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let mut writer = FileWriter::new(schema);
-        writer.write_row_group(&arrays).expect("writes");
-        let mut bytes = writer.finish();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] ^= flip;
-        // Any result is acceptable except a panic; checksums catch payload
-        // damage, structural validation catches the rest.
-        if let Ok(reader) = FileReader::open(MemBlob::new(bytes)) {
-            let _ = reader.read_row_group(0);
+        for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
+            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let mut writer = FileWriter::new(schema.clone()).with_policy(policy);
+            writer.write_row_group(&arrays).expect("writes");
+            let mut bytes = writer.finish();
+            let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+            bytes[pos] ^= flip;
+            // Any result is acceptable except a panic; checksums catch payload
+            // damage, structural validation catches the rest.
+            if let Ok(reader) = FileReader::open(MemBlob::new(bytes)) {
+                let _ = reader.read_row_group(0);
+            }
         }
     }
 
@@ -249,15 +255,9 @@ proptest! {
         (schema, arrays) in arb_table(),
         page_rows in 1usize..64,
     ) {
-        // The CI encoding matrix, in-process: every codec must roundtrip
-        // arbitrary integer data, not just the data the cost model would
-        // route to it.
-        for enc in [
-            Encoding::Plain,
-            Encoding::Delta,
-            Encoding::DeltaBitpack,
-            Encoding::Dictionary,
-        ] {
+        // Every codec must roundtrip arbitrary integer data, not just the
+        // data the cost model would route to it.
+        for enc in Encoding::ALL {
             let policy = WritePolicy::default().with_forced_encoding(enc);
             let mut writer = FileWriter::with_page_rows(schema.clone(), page_rows)
                 .with_policy(policy);
@@ -328,12 +328,7 @@ proptest! {
         // `x`, empty lists, and row groups as small as one row.
         use presto::columnar::ReadScratch;
         let schema = Schema::new(vec![Field::new("lists", DataType::ListInt64)]).expect("schema");
-        for enc in [
-            Encoding::Plain,
-            Encoding::Delta,
-            Encoding::DeltaBitpack,
-            Encoding::Dictionary,
-        ] {
+        for enc in Encoding::ALL {
             let policy = WritePolicy::default().with_forced_encoding(enc);
             let mut writer =
                 FileWriter::with_page_rows(schema.clone(), page_rows).with_policy(policy);
@@ -419,13 +414,7 @@ proptest! {
         let schema = Schema::new(vec![Field::new("lists", DataType::ListInt64)]).expect("schema");
         let whole = Array::from_lists(lists.clone()).expect("fits u32");
         let mut scratch = ReadScratch::new();
-        for forced in [
-            None,
-            Some(Encoding::Plain),
-            Some(Encoding::Delta),
-            Some(Encoding::DeltaBitpack),
-            Some(Encoding::Dictionary),
-        ] {
+        for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
             let mut policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
             if lz {
                 policy = policy.with_compression(Compression::Lz).compressing_hot_columns();
@@ -475,8 +464,7 @@ proptest! {
         use presto::columnar::ReadScratch;
         let schema = Schema::new(vec![Field::new("lists", DataType::ListInt64)]).expect("schema");
         let whole = Array::from_lists(lists.clone()).expect("fits u32");
-        let mut writer = FileWriter::with_page_rows(schema, [1usize, 7, 4096][page_rows])
-            .with_policy(WritePolicy::default());
+        let mut writer = FileWriter::with_page_rows(schema, [1usize, 7, 4096][page_rows]);
         writer.write_row_group(std::slice::from_ref(&whole)).expect("writes");
         let mut bytes = writer.finish();
         // Anywhere but the footer and the tail (their CRC refuses at open):
@@ -529,8 +517,7 @@ proptest! {
             Array::Int64(lists.iter().map(|l| l.len() as i64).collect()),
             Array::Float32(lists.iter().map(|l| l.len() as f32 * 0.5).collect()),
         ];
-        let mut writer = FileWriter::with_page_rows(schema, [1usize, 7, 4096][page_rows])
-            .with_policy(WritePolicy::default());
+        let mut writer = FileWriter::with_page_rows(schema, [1usize, 7, 4096][page_rows]);
         writer.write_row_group(&columns).expect("writes");
         let bytes = writer.finish();
         let meta = FileReader::open(MemBlob::new(bytes.clone())).expect("opens").meta().clone();
@@ -652,8 +639,7 @@ fn files_without_long_lists_are_byte_identical_to_the_previous_layout() {
         ("rm5", RmConfig::rm5(), 256, None, 1_079_550, 0x982e_43c9),
     ] {
         let batch = generate_batch(&config, rows, 9);
-        let mut writer =
-            FileWriter::new(batch.schema().clone()).with_policy(WritePolicy::default());
+        let mut writer = FileWriter::new(batch.schema().clone());
         if let Some(group_rows) = group_rows {
             writer = writer.with_group_rows(group_rows);
         }

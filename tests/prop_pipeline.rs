@@ -115,12 +115,7 @@ proptest! {
         let batch = generate_batch(&config, rows, seed);
         let blob = write_partition(&batch).expect("serializes");
         let (reference, _) = preprocess_partition(&plan, blob).expect("default policy");
-        for enc in [
-            Encoding::Plain,
-            Encoding::Delta,
-            Encoding::DeltaBitpack,
-            Encoding::Dictionary,
-        ] {
+        for enc in Encoding::ALL {
             let policy = WritePolicy::default().with_forced_encoding(enc);
             let mut writer = FileWriter::with_page_rows(batch.schema().clone(), page_rows)
                 .with_policy(policy);

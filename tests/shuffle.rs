@@ -10,19 +10,22 @@
 //! * Resuming from a mid-epoch [`EpochCursor`] is bit-identical to the
 //!   uninterrupted run.
 //! * After sorting by `(partition, group)`, the shuffled epoch equals the
-//!   sequential whole-partition pipeline on RM1, RM3 and the `cleaned`
-//!   scenario graph.
+//!   sequential in-memory pipeline on RM1, RM3, the `cleaned` scenario
+//!   graph and the long-history graph (whose lists are stored as head +
+//!   tail pages and read by prefix), with files written by the cost model
+//!   and with each encoding forced.
 //! * Property test: for arbitrary shapes × group sizes (including groups
 //!   of one row and groups larger than a partition), every row is
 //!   delivered exactly once per epoch.
 
+use presto::columnar::{Encoding, FileWriter, MemBlob, WritePolicy};
 use presto::core::fleet::Fleet;
 use presto::core::pipeline::{Trainer, TrainerConfig};
-use presto::datagen::{Dataset, RmConfig};
+use presto::datagen::{generate_batch, Dataset, Partition, RmConfig};
 use presto::ops::graph::PlanGraph;
 use presto::ops::{
-    epoch_order, epoch_units, preprocess_partition, BatchStream, EpochCursor, FleetConfig,
-    MiniBatch, PreprocessPlan, ShuffleSpec,
+    epoch_order, epoch_units, preprocess_batch_with, preprocess_partition, BatchStream,
+    EpochCursor, FleetConfig, MiniBatch, PreprocessPlan, ScratchSpace, ShuffleSpec,
 };
 use proptest::prelude::*;
 
@@ -40,11 +43,11 @@ fn rm1(rows: usize) -> RmConfig {
 /// Collects a full shuffled epoch as `((partition, group), batch)` pairs.
 fn collect_epoch(
     plan: &PreprocessPlan,
-    ds: &Dataset,
+    partitions: &[Partition],
     spec: ShuffleSpec,
     workers: usize,
 ) -> Vec<((usize, usize), MiniBatch)> {
-    BatchStream::spawn_shuffled(plan, ds.partitions(), spec, &FleetConfig::new(workers, 3))
+    BatchStream::spawn_shuffled(plan, partitions, spec, &FleetConfig::new(workers, 3))
         .map(|item| {
             let b = item.expect("no faults injected");
             ((b.partition, b.group), b.batch)
@@ -58,10 +61,10 @@ fn same_seed_is_bit_identical_across_worker_counts() {
     let plan = PreprocessPlan::from_config(&c, 1).expect("plan");
     let ds = Dataset::generate_grouped(&c, 3, 48, 2, 9, 16).expect("dataset");
     let spec = ShuffleSpec::new(matrix_seed());
-    let reference = collect_epoch(&plan, &ds, spec, 1);
+    let reference = collect_epoch(&plan, ds.partitions(), spec, 1);
     assert_eq!(reference.len(), 9, "3 partitions x 3 groups");
     for workers in [4usize, 8] {
-        let got = collect_epoch(&plan, &ds, spec, workers);
+        let got = collect_epoch(&plan, ds.partitions(), spec, workers);
         assert_eq!(got, reference, "workers={workers} must not change the epoch");
     }
 }
@@ -81,12 +84,15 @@ fn different_seeds_draw_different_permutations() {
     let c = rm1(8);
     let plan = PreprocessPlan::from_config(&c, 1).expect("plan");
     let ds = Dataset::generate_grouped(&c, 4, 24, 2, 5, 8).expect("dataset");
-    let a: Vec<_> =
-        collect_epoch(&plan, &ds, ShuffleSpec::new(seed), 2).into_iter().map(|(k, _)| k).collect();
-    let b: Vec<_> = collect_epoch(&plan, &ds, ShuffleSpec::new(seed.wrapping_add(7)), 2)
+    let a: Vec<_> = collect_epoch(&plan, ds.partitions(), ShuffleSpec::new(seed), 2)
         .into_iter()
         .map(|(k, _)| k)
         .collect();
+    let b: Vec<_> =
+        collect_epoch(&plan, ds.partitions(), ShuffleSpec::new(seed.wrapping_add(7)), 2)
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
     assert_ne!(a, b, "12 units give a 1/479M collision chance; a match is a bug");
     let mut a_sorted = a.clone();
     let mut b_sorted = b.clone();
@@ -111,7 +117,7 @@ fn resume_from_cursor_equals_uninterrupted_run() {
     let plan = PreprocessPlan::from_config(&c, 1).expect("plan");
     let ds = Dataset::generate_grouped(&c, 4, 32, 2, 3, 8).expect("dataset");
     let spec = ShuffleSpec::new(matrix_seed()).with_epoch(1);
-    let full = collect_epoch(&plan, &ds, spec, 3);
+    let full = collect_epoch(&plan, ds.partitions(), spec, 3);
     assert_eq!(full.len(), 16);
     for interrupt_at in [1usize, 5, 15] {
         let mut first =
@@ -143,12 +149,17 @@ fn resume_from_cursor_equals_uninterrupted_run() {
     }
 }
 
-/// The three scenario plans of the repo's multi-tenant examples.
+/// The scenario plans: RM1, RM3, RM1 through the `cleaned` graph, and the
+/// long-history graph, whose `FirstX(8)` heads make every history column a
+/// prefix read of head + tail chunks.
 fn scenarios() -> Vec<(&'static str, RmConfig, PreprocessPlan)> {
     let rm1 = rm1(16);
     let mut rm3 = RmConfig::rm3();
     rm3.batch_size = 16;
+    let mut longseq = RmConfig::rm_longseq();
+    longseq.batch_size = 16;
     let cleaned_graph = PlanGraph::cleaned(&rm1, 3).expect("cleaned graph");
+    let history_graph = PlanGraph::long_history(&longseq, 3, 8).expect("long-history graph");
     vec![
         ("rm1", rm1.clone(), PreprocessPlan::from_config(&rm1, 1).expect("rm1 plan")),
         ("rm3", rm3.clone(), PreprocessPlan::from_config(&rm3, 1).expect("rm3 plan")),
@@ -157,29 +168,53 @@ fn scenarios() -> Vec<(&'static str, RmConfig, PreprocessPlan)> {
             rm1.clone(),
             PreprocessPlan::compile(cleaned_graph, &rm1).expect("cleaned plan"),
         ),
+        (
+            "long-history",
+            longseq.clone(),
+            PreprocessPlan::compile(history_graph, &longseq).expect("long-history plan"),
+        ),
     ]
 }
 
 #[test]
 fn shuffled_epoch_matches_sequential_on_all_scenarios() {
     for (name, config, plan) in scenarios() {
-        let ds = Dataset::generate_grouped(&config, 3, 40, 2, 11, 16).expect("dataset");
-        let mut epoch = collect_epoch(&plan, &ds, ShuffleSpec::new(matrix_seed()), 4);
-        epoch.sort_by_key(|(key, _)| *key);
-        assert_eq!(epoch.len(), 9, "{name}: 3 partitions x groups [16,16,8]");
-        for (pos, p) in ds.partitions().iter().enumerate() {
-            let (serial, _) = preprocess_partition(&plan, p.blob.clone()).expect("serial");
-            let mut start = 0usize;
-            for ((partition, group), batch) in epoch.iter().filter(|((pp, _), _)| *pp == pos) {
-                let rows = batch.rows();
-                assert_eq!(
-                    batch,
-                    &serial.slice_rows(start, rows).expect("window"),
-                    "{name}: partition {partition} group {group}"
-                );
-                start += rows;
+        let batches: Vec<_> = (0..3u64).map(|p| generate_batch(&config, 40, 11 ^ p)).collect();
+        let serial: Vec<MiniBatch> = batches
+            .iter()
+            .map(|b| preprocess_batch_with(&plan, b, &mut ScratchSpace::new()).expect("serial").0)
+            .collect();
+        for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
+            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let partitions: Vec<Partition> = batches
+                .iter()
+                .enumerate()
+                .map(|(index, batch)| {
+                    let mut writer = FileWriter::new(batch.schema().clone())
+                        .with_policy(policy)
+                        .with_group_rows(16);
+                    writer.write_batch(batch.columns()).expect("writes");
+                    let blob = MemBlob::new(writer.finish());
+                    Partition { index, device: index % 2, rows: 40, blob }
+                })
+                .collect();
+            let what = format!("{name}, {forced:?}");
+            let mut epoch = collect_epoch(&plan, &partitions, ShuffleSpec::new(matrix_seed()), 4);
+            epoch.sort_by_key(|(key, _)| *key);
+            assert_eq!(epoch.len(), 9, "{what}: 3 partitions x groups [16,16,8]");
+            for (pos, serial) in serial.iter().enumerate() {
+                let mut start = 0usize;
+                for ((partition, group), batch) in epoch.iter().filter(|((pp, _), _)| *pp == pos) {
+                    let rows = batch.rows();
+                    assert_eq!(
+                        batch,
+                        &serial.slice_rows(start, rows).expect("window"),
+                        "{what}: partition {partition} group {group}"
+                    );
+                    start += rows;
+                }
+                assert_eq!(start, serial.rows(), "{what}: partition {pos} fully covered");
             }
-            assert_eq!(start, serial.rows(), "{name}: partition {pos} fully covered");
         }
     }
 }
@@ -207,7 +242,7 @@ fn ungrouped_files_degrade_to_partition_shuffle() {
     let units = epoch_units(ds.partitions()).expect("units");
     assert_eq!(units.len(), 5, "one unit per partition");
     assert!(units.iter().all(|u| u.group == 0));
-    let epoch = collect_epoch(&plan, &ds, ShuffleSpec::new(matrix_seed()), 2);
+    let epoch = collect_epoch(&plan, ds.partitions(), ShuffleSpec::new(matrix_seed()), 2);
     assert_eq!(epoch.len(), 5);
 }
 
@@ -232,7 +267,7 @@ proptest! {
         let ds = Dataset::generate_grouped(&c, partitions, rows, 2, seed ^ 0xa5, group_rows)
             .expect("dataset");
         let plan = PreprocessPlan::from_config(&c, 1).expect("plan");
-        let mut epoch = collect_epoch(&plan, &ds, ShuffleSpec::new(seed), 4);
+        let mut epoch = collect_epoch(&plan, ds.partitions(), ShuffleSpec::new(seed), 4);
         // Every unit exactly once.
         let mut keys: Vec<_> = epoch.iter().map(|(k, _)| *k).collect();
         let unique: std::collections::HashSet<_> = keys.iter().copied().collect();
