@@ -3,6 +3,17 @@
 //! Packs each value into exactly `bit_width` bits, LSB-first within bytes —
 //! the same layout Parquet's RLE/bit-packing hybrid uses. A `bit_width` of 0
 //! encodes a run of zeros in zero bytes.
+//!
+//! Every packed stream in the crate decodes through one kernel,
+//! [`unpack_group`]: block ids (full and ranged, [`super::block`]) and the
+//! RLE literal runs behind list lengths ([`super::rle`], via
+//! [`unpack_into`]). It works on groups of [`GROUP`] = 64 values, which at
+//! width `W` take exactly `8 × W` bytes; each group is eight byte-aligned
+//! sub-groups of eight values in `W` bytes each. The kernel dispatches on
+//! the width once per group to a copy specialized for it, where each value
+//! is one unaligned little-endian word load at a constant offset, a
+//! constant shift and a mask — no per-value width arithmetic, and no
+//! separate path for a stream's partial last group.
 
 use crate::error::{ColumnarError, Result};
 
@@ -132,18 +143,18 @@ pub fn unpack(buf: &[u8], pos: &mut usize, count: usize, bit_width: u32) -> Resu
     Ok(values)
 }
 
-/// Values per batched-unpack group: 64 values of `w` bits occupy exactly
-/// `8 * w` bytes, so every full group is byte-aligned and decodes with plain
-/// `u64` word loads — no per-value byte assembly.
+/// Values per unpack group: 64 values of `w` bits occupy exactly `8 * w`
+/// bytes, so every full group starts byte-aligned.
 pub const GROUP: usize = 64;
 
 /// Like [`unpack`], appending to a caller-owned buffer instead of
 /// allocating.
 ///
-/// Full 64-value groups take the word-based kernel ([`unpack_group`]); only
-/// a trailing partial group falls back to per-value bit reads. Preallocation
-/// is clamped to what the remaining input could possibly hold, so a corrupt
-/// `count` cannot force an oversized reservation.
+/// Every group, the tail included, goes through [`unpack_group`]. The
+/// reservation is `count`, which the length check bounds by the input (a
+/// zero-width run carries no payload: its count is bounded by the caller,
+/// whose run headers and block counts are validated against the declared
+/// element count before this is reached).
 ///
 /// # Errors
 ///
@@ -160,15 +171,7 @@ pub fn unpack_into(
             detail: format!("bit width {bit_width} exceeds 64"),
         });
     }
-    if bit_width == 0 {
-        // Zero-width runs carry no payload bytes; the count is bounded by
-        // the caller (run headers / block counts are validated against the
-        // declared element count before this is reached).
-        out.extend(std::iter::repeat_n(0, count));
-        return Ok(());
-    }
-    let total_bits = count as u128 * u128::from(bit_width);
-    let end = usize::try_from(total_bits.div_ceil(8))
+    let end = usize::try_from((count as u128 * u128::from(bit_width)).div_ceil(8))
         .ok()
         .and_then(|need| pos.checked_add(need))
         .filter(|&e| e <= buf.len())
@@ -176,74 +179,90 @@ pub fn unpack_into(
     let data = &buf[*pos..end];
     *pos = end;
     out.reserve(count);
-
-    let width = bit_width as usize;
-    let full_groups = count / GROUP;
-    let mut scratch = [0u64; GROUP];
-    for g in 0..full_groups {
-        // Each full group is exactly `8 * width` bytes.
-        unpack_group(&data[g * 8 * width..(g + 1) * 8 * width], bit_width, &mut scratch);
-        out.extend_from_slice(&scratch);
-    }
-    let done = full_groups * GROUP;
-    let mut bit_pos = (done * width) as u64;
-    for _ in done..count {
-        out.push(read_bits(data, bit_pos, bit_width));
-        bit_pos += u64::from(bit_width);
-    }
+    for_each_group(data, count, bit_width, |values| out.extend_from_slice(values));
     Ok(())
 }
 
-/// Unpacks one full group of [`GROUP`] values from `bytes`
-/// (`bytes.len() == 8 * bit_width`, `1 <= bit_width <= 64`) into `out`.
-///
-/// The packed bits are copied into zero-padded `u64` words once, then each
-/// value is assembled from at most two adjacent words with branch-free
-/// shifts — the `(hi << 1) << (63 - shift)` form keeps the high-word
-/// contribution defined (and zero) when `shift == 0`.
-pub fn unpack_group(bytes: &[u8], bit_width: u32, out: &mut [u64; GROUP]) {
-    debug_assert_eq!(bytes.len(), 8 * bit_width as usize);
-    debug_assert!((1..=64).contains(&bit_width));
-    let width = bit_width as usize;
-    // One padding word so the `idx + 1` load below never branches.
-    let mut words = [0u64; 65];
-    for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
-        *w = u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-    }
-    let mask = if bit_width == 64 { u64::MAX } else { (1u64 << bit_width) - 1 };
-    let mut bit = 0usize;
-    for o in out.iter_mut() {
-        let idx = bit >> 6;
-        let shift = (bit & 63) as u32;
-        let lo = words[idx] >> shift;
-        let hi = (words[idx + 1] << 1) << (63 - shift);
-        *o = (lo | hi) & mask;
-        bit += width;
+/// Unpacks `count` values of `bit_width` bits (`0..=64`) from `data`
+/// (`packed_len(count, bit_width)` bytes), handing them to `each` one group
+/// of up to [`GROUP`] at a time: every group but the last holds exactly
+/// [`GROUP`].
+pub(crate) fn for_each_group(
+    data: &[u8],
+    count: usize,
+    bit_width: u32,
+    mut each: impl FnMut(&[u64]),
+) {
+    let group_bytes = 8 * bit_width as usize;
+    let mut values = [0u64; GROUP];
+    let mut done = 0;
+    while done < count {
+        let start = done / GROUP * group_bytes;
+        unpack_group(&data[start..data.len().min(start + group_bytes)], bit_width, &mut values);
+        let take = (count - done).min(GROUP);
+        each(&values[..take]);
+        done += take;
     }
 }
 
-/// Reads `width` bits starting at absolute bit offset `bit_pos` (LSB-first).
+/// Unpacks one group of [`GROUP`] values at `bit_width` bits (`0..=64`)
+/// from `bytes` into `out`: `8 × bit_width` bytes for a full group, fewer
+/// for a stream's tail, whose missing values come out as zeros.
 ///
-/// Scalar fallback for partial groups; `data` must hold the addressed bits
-/// and `width` must be `1..=64` (callers validate both).
-pub(crate) fn read_bits(data: &[u8], bit_pos: u64, width: u32) -> u64 {
-    let mut value: u64 = 0;
-    let mut got: u32 = 0;
-    let mut byte_idx = (bit_pos / 8) as usize;
-    let mut bit_in_byte = (bit_pos % 8) as u32;
-    while got < width {
-        let avail = 8 - bit_in_byte;
-        let take = avail.min(width - got);
-        let chunk = (u64::from(data[byte_idx]) >> bit_in_byte) & ((1u64 << take) - 1);
-        value |= chunk << got;
-        got += take;
-        bit_in_byte += take;
-        if bit_in_byte == 8 {
-            bit_in_byte = 0;
-            byte_idx += 1;
+/// Dispatches on the width once, to a kernel specialized for it
+/// (`unpack_width`). A full group is read in place; a tail is first copied
+/// into a zero-padded stack group, so both take the same kernel.
+///
+/// # Panics
+///
+/// If `bit_width > 64` (every caller has rejected such a width already).
+pub fn unpack_group(bytes: &[u8], bit_width: u32, out: &mut [u64; GROUP]) {
+    let full = 8 * bit_width as usize;
+    if bytes.len() < full {
+        let mut staged = [0u8; 8 * 64];
+        staged[..bytes.len()].copy_from_slice(bytes);
+        return unpack_group(&staged[..full], bit_width, out);
+    }
+    macro_rules! by_width {
+        ($($w:literal)*) => {
+            match bit_width {
+                0 => out.fill(0),
+                $($w => unpack_width::<$w>(&bytes[..full], out),)*
+                _ => unreachable!("bit width {bit_width} exceeds 64"),
+            }
+        };
+    }
+    by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63
+        64);
+}
+
+/// The group kernel at width `W` (`1..=64`) over a full group's `8 × W`
+/// bytes. Eight values of `W` bits take exactly `W` bytes, so the group is
+/// eight byte-aligned sub-groups of eight, and value `k` starts at byte
+/// `k·W / 8`, bit `k·W % 8` — constants once the loops unroll. Each value
+/// is one unaligned little-endian load (`u64`, or `u128` where the value
+/// ends past the eighth byte: only `W > 57`), one constant shift and one
+/// mask. A load that would run past the group ends at its last byte
+/// instead, with the shift grown to match.
+fn unpack_width<const W: usize>(group: &[u8], out: &mut [u64; GROUP]) {
+    let group = &group[..8 * W];
+    let mask = ((1u128 << W) - 1) as u64;
+    for j in 0..8 {
+        for i in 0..8 {
+            let bit = (8 * j + i) * W;
+            let wide = bit % 8 + W > 64;
+            let at = (bit / 8).min(8 * W - if wide { 16 } else { 8 });
+            let shift = bit - 8 * at;
+            let word = if wide {
+                (u128::from_le_bytes(group[at..at + 16].try_into().expect("16 bytes")) >> shift)
+                    as u64
+            } else {
+                u64::from_le_bytes(group[at..at + 8].try_into().expect("8 bytes")) >> shift
+            };
+            out[8 * j + i] = word & mask;
         }
     }
-    value
 }
 
 /// Number of bytes `count` values occupy at `bit_width` bits.
@@ -340,8 +359,9 @@ mod tests {
 
     #[test]
     fn group_kernel_matches_scalar_reads_at_every_width() {
-        // 3 full groups + a partial tail per width: the word kernel and the
-        // per-value fallback must agree bit for bit.
+        // 3 full groups + a partial tail per width: the kernel reads full
+        // groups in place and the tail from a padded copy, and both must
+        // round-trip bit for bit.
         for width in 1..=64u32 {
             let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
             let mut x = 0x0123_4567_89ab_cdefu64 ^ u64::from(width);

@@ -3,10 +3,12 @@
 //! The Parquet `DELTA_BINARY_PACKED` idea adapted to this crate: deltas are
 //! grouped into miniblocks of [`MINIBLOCK`] values, each miniblock carries
 //! its own frame-of-reference (`min_delta`) and bit width, and the packed
-//! bits decode through the word-based group kernel in
-//! [`super::bitpack::unpack_group`] — 64 values per step, no per-value
-//! branches and no intermediate `Vec` (miniblocks stage through one stack
-//! buffer and prefix-sum straight into the caller's output).
+//! bits decode through the width-specialized group kernel
+//! [`super::bitpack::unpack_group`]: 64 values per step, eight byte-aligned
+//! sub-groups of eight values in `width` bytes each, one word load per
+//! value. One miniblock walk sits under both decodes and hands each
+//! decoded group to its caller: the full decode prefix-sums it straight
+//! into the output, the ranged decode gathers its ranges from it.
 //!
 //! Stream layout (all integers varint unless noted):
 //!
@@ -28,8 +30,8 @@ use super::bitpack::{self, GROUP};
 use super::varint;
 use crate::error::{ColumnarError, Result};
 
-/// Values per miniblock. A multiple of [`GROUP`] so every full miniblock
-/// decodes through the word kernel alone.
+/// Values per miniblock. A multiple of [`GROUP`], so only a stream's last
+/// miniblock can end in a partial group.
 pub const MINIBLOCK: usize = 128;
 
 /// Derives one miniblock's frame: fills `deltas[..chunk.len()]`, advances
@@ -98,7 +100,8 @@ pub fn encoded_len(values: &[i64]) -> usize {
 ///
 /// The stream's own count must equal `expected` (the caller knows it from
 /// the page header); checking *before* any allocation means a corrupt count
-/// can neither over-reserve nor over-produce.
+/// can neither over-reserve nor over-produce. The prefix sum writes each
+/// decoded group straight into `out`'s reserved tail.
 ///
 /// # Errors
 ///
@@ -111,63 +114,23 @@ pub fn decode_i64_into(
     expected: usize,
     out: &mut Vec<i64>,
 ) -> Result<()> {
-    let count = varint::read_u64(buf, pos)? as usize;
-    if count != expected {
-        return Err(ColumnarError::CountMismatch { declared: expected, actual: count });
-    }
+    let count = read_count(buf, pos, expected)?;
     if count == 0 {
         return Ok(());
     }
     out.reserve(count);
     let mut prev = varint::read_i64(buf, pos)?;
     out.push(prev);
-    let mut remaining = count - 1;
-    let mut packed = [0u64; GROUP];
-    let mut decoded = [0i64; GROUP];
-    while remaining > 0 {
-        let m = remaining.min(MINIBLOCK);
-        let min_delta = varint::read_i64(buf, pos)?;
-        let Some(&width) = buf.get(*pos) else {
-            return Err(ColumnarError::UnexpectedEof { context: "miniblock bit width" });
-        };
-        *pos += 1;
-        let width = u32::from(width);
-        if width > 64 {
-            return Err(ColumnarError::ValueOutOfRange {
-                detail: format!("miniblock bit width {width} exceeds 64"),
-            });
-        }
-        let total_bytes = bitpack::packed_len(m, width);
-        let Some(data) = pos.checked_add(total_bytes).and_then(|end| buf.get(*pos..end)) else {
-            return Err(ColumnarError::UnexpectedEof { context: "miniblock payload" });
-        };
-        *pos += total_bytes;
-
-        let mut done = 0usize;
-        while done < m {
-            let take = (m - done).min(GROUP);
-            if take == GROUP && width > 0 {
-                let start = done * width as usize / 8; // byte-aligned: done is a GROUP multiple
-                bitpack::unpack_group(&data[start..start + 8 * width as usize], width, &mut packed);
-            } else if width == 0 {
-                packed[..take].fill(0);
-            } else {
-                let mut bit = (done * width as usize) as u64;
-                for p in &mut packed[..take] {
-                    *p = bitpack::read_bits(data, bit, width);
-                    bit += u64::from(width);
-                }
-            }
-            for (d, &p) in decoded.iter_mut().zip(&packed[..take]) {
-                prev = prev.wrapping_add(min_delta).wrapping_add(p as i64);
-                *d = prev;
-            }
-            out.extend_from_slice(&decoded[..take]);
-            done += take;
-        }
-        remaining -= m;
-    }
-    Ok(())
+    walk(buf, pos, count, count, |_, min_delta, deltas| {
+        // A local running sum: `prev` itself is a captured reference the
+        // compiler keeps in memory, one store-to-load round trip a value.
+        let mut sum = prev;
+        out.extend(deltas.iter().map(|&d| {
+            sum = sum.wrapping_add(min_delta.wrapping_add(d as i64));
+            sum
+        }));
+        prev = sum;
+    })
 }
 
 /// Like [`decode_i64_into`], materializing only the elements covered by
@@ -194,29 +157,70 @@ pub fn decode_i64_ranges(
     ranges: &[(usize, usize)],
     out: &mut Vec<i64>,
 ) -> Result<()> {
-    let count = varint::read_u64(buf, pos)? as usize;
-    if count != expected {
-        return Err(ColumnarError::CountMismatch { declared: expected, actual: count });
-    }
+    let count = read_count(buf, pos, expected)?;
     let need = super::validate_ranges(ranges, count)?;
     if count == 0 || need == 0 {
         return Ok(());
     }
     out.reserve(need);
-    let last_needed = ranges.last().map_or(0, |&(_, stop)| stop);
-    let mut prev = varint::read_i64(buf, pos)?;
+    let stop = ranges.last().map_or(0, |&(_, stop)| stop);
     let mut ranges = ranges.iter().copied().peekable();
-    if let Some(&(start, stop)) = ranges.peek() {
-        if start == 0 && stop > 0 {
-            out.push(prev);
+    // Appends the in-range overlap of elements [lo, lo + values.len()).
+    let mut gather = |lo: usize, values: &[i64]| {
+        let hi = lo + values.len();
+        while let Some(&(start, stop)) = ranges.peek() {
+            if start >= hi {
+                break;
+            }
+            let (s, e) = (start.max(lo), stop.min(hi));
+            if s < e {
+                out.extend_from_slice(&values[s - lo..e - lo]);
+            }
+            if stop > hi {
+                break;
+            }
+            let _ = ranges.next();
         }
-    }
-    let mut idx = 1usize; // element index of the next delta-coded value
-    let mut remaining = count - 1;
-    let mut packed = [0u64; GROUP];
+    };
+    let mut prev = varint::read_i64(buf, pos)?;
+    gather(0, &[prev]);
     let mut decoded = [0i64; GROUP];
-    while remaining > 0 && idx < last_needed {
-        let m = remaining.min(MINIBLOCK);
+    walk(buf, pos, count, stop, |lo, min_delta, deltas| {
+        let decoded = &mut decoded[..deltas.len()];
+        let mut sum = prev;
+        for (v, &d) in decoded.iter_mut().zip(deltas) {
+            sum = sum.wrapping_add(min_delta.wrapping_add(d as i64));
+            *v = sum;
+        }
+        prev = sum;
+        gather(lo, decoded);
+    })
+}
+
+/// Reads the stream's value count, which must equal `expected`.
+fn read_count(buf: &[u8], pos: &mut usize, expected: usize) -> Result<usize> {
+    let count = varint::read_u64(buf, pos)? as usize;
+    if count != expected {
+        return Err(ColumnarError::CountMismatch { declared: expected, actual: count });
+    }
+    Ok(count)
+}
+
+/// The one miniblock walk under both decodes: reads the miniblocks of a
+/// `count`-value stream (positioned after its first value) up to the one
+/// holding element `stop - 1`, and hands each group of up to [`GROUP`]
+/// deltas to `group` as `(element index of its first value, min_delta,
+/// frame-relative deltas)`.
+fn walk(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    stop: usize,
+    mut group: impl FnMut(usize, i64, &[u64]),
+) -> Result<()> {
+    let mut idx = 1usize; // element index of the next delta-coded value
+    while idx < stop {
+        let m = (count - idx).min(MINIBLOCK);
         let min_delta = varint::read_i64(buf, pos)?;
         let Some(&width) = buf.get(*pos) else {
             return Err(ColumnarError::UnexpectedEof { context: "miniblock bit width" });
@@ -233,48 +237,12 @@ pub fn decode_i64_ranges(
             return Err(ColumnarError::UnexpectedEof { context: "miniblock payload" });
         };
         *pos += total_bytes;
-
-        let mut done = 0usize;
-        while done < m {
-            let take = (m - done).min(GROUP);
-            if take == GROUP && width > 0 {
-                let start = done * width as usize / 8; // byte-aligned: done is a GROUP multiple
-                bitpack::unpack_group(&data[start..start + 8 * width as usize], width, &mut packed);
-            } else if width == 0 {
-                packed[..take].fill(0);
-            } else {
-                let mut bit = (done * width as usize) as u64;
-                for p in &mut packed[..take] {
-                    *p = bitpack::read_bits(data, bit, width);
-                    bit += u64::from(width);
-                }
-            }
-            for (d, &p) in decoded.iter_mut().zip(&packed[..take]) {
-                prev = prev.wrapping_add(min_delta).wrapping_add(p as i64);
-                *d = prev;
-            }
-            // Gather the in-range overlap of elements [lo, lo + take).
-            let lo = idx + done;
-            let hi = lo + take;
-            while let Some(&(start, stop)) = ranges.peek() {
-                if start >= hi {
-                    break;
-                }
-                let s = start.max(lo);
-                let e = stop.min(hi);
-                if s < e {
-                    out.extend_from_slice(&decoded[s - lo..e - lo]);
-                }
-                if stop <= hi {
-                    let _ = ranges.next();
-                } else {
-                    break;
-                }
-            }
-            done += take;
-        }
+        let mut lo = idx;
+        bitpack::for_each_group(data, m, width, |deltas| {
+            group(lo, min_delta, deltas);
+            lo += deltas.len();
+        });
         idx += m;
-        remaining -= m;
     }
     Ok(())
 }
@@ -400,6 +368,78 @@ mod tests {
             decode_i64_into(&bad, &mut pos, 2, &mut out),
             Err(ColumnarError::ValueOutOfRange { .. })
         ));
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// The reference the kernel is checked against: `width` bits from bit
+    /// `bit` of `data`, LSB-first, one bit at a time.
+    fn read_bits_naive(data: &[u8], bit: usize, width: u32) -> u64 {
+        (0..width as usize)
+            .map(|b| u64::from(data[(bit + b) / 8] >> ((bit + b) % 8) & 1) << b)
+            .fold(0, |v, b| v | b)
+    }
+
+    /// Every width 0..=64, every group-tail length 0..64, through each of
+    /// the kernel's callers: `unpack_into` (three full groups plus the
+    /// tail), the full block decode and the ranged block decode (a full
+    /// miniblock, then a full group and the tail), all against the naive
+    /// reader; the ranged decode must equal the full decode gathered.
+    #[test]
+    fn kernel_matches_a_bit_at_a_time_reader_at_every_width_and_tail() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for width in 0..=64u32 {
+            let mask = ((1u128 << width) - 1) as u64;
+            for tail in 0..GROUP {
+                let n = 3 * GROUP + tail;
+                let values: Vec<u64> = (0..n).map(|_| xorshift(&mut x) & mask).collect();
+                let mut packed = Vec::new();
+                bitpack::pack(&values, width, &mut packed).unwrap();
+                let naive: Vec<u64> =
+                    (0..n).map(|i| read_bits_naive(&packed, i * width as usize, width)).collect();
+                assert_eq!(naive, values, "pack, width {width}");
+                let mut got = vec![7];
+                bitpack::unpack_into(&packed, &mut 0, n, width, &mut got).unwrap();
+                assert_eq!(got[1..], naive, "unpack_into, width {width} tail {tail}");
+
+                // One stream of n + 1 values: the first, then n deltas of
+                // `width` bits over one frame of reference.
+                let (first, min_delta) = (xorshift(&mut x) as i64, xorshift(&mut x) as i64);
+                let mut stream = Vec::new();
+                varint::write_u64(&mut stream, n as u64 + 1);
+                varint::write_i64(&mut stream, first);
+                let mut expect = vec![first];
+                for chunk in values.chunks(MINIBLOCK) {
+                    varint::write_i64(&mut stream, min_delta);
+                    stream.push(width as u8);
+                    let at = stream.len();
+                    bitpack::pack(chunk, width, &mut stream).unwrap();
+                    for i in 0..chunk.len() {
+                        let d = read_bits_naive(&stream[at..], i * width as usize, width);
+                        let prev = expect[expect.len() - 1];
+                        expect.push(prev.wrapping_add(min_delta.wrapping_add(d as i64)));
+                    }
+                }
+                let mut full = Vec::new();
+                decode_i64_into(&stream, &mut 0, n + 1, &mut full).unwrap();
+                assert_eq!(full, expect, "full decode, width {width} tail {tail}");
+
+                let mut cuts: Vec<usize> =
+                    (0..6).map(|_| xorshift(&mut x) as usize % (n + 2)).collect();
+                cuts.sort_unstable();
+                let ranges: Vec<(usize, usize)> = cuts.chunks(2).map(|c| (c[0], c[1])).collect();
+                let mut ranged = Vec::new();
+                decode_i64_ranges(&stream, &mut 0, n + 1, &ranges, &mut ranged).unwrap();
+                let gathered: Vec<i64> =
+                    ranges.iter().flat_map(|&(s, e)| full[s..e].iter().copied()).collect();
+                assert_eq!(ranged, gathered, "ranged decode, width {width} ranges {ranges:?}");
+            }
+        }
     }
 
     #[test]

@@ -295,11 +295,9 @@ impl FileMeta {
                 .ok_or_else(|| ColumnarError::CorruptFile {
                     detail: format!("field name of {name_len} bytes exceeds the footer"),
                 })?;
-            let name = std::str::from_utf8(name_bytes)
-                .map_err(|_| ColumnarError::CorruptFile {
-                    detail: "field name is not utf-8".into(),
-                })?
-                .to_owned();
+            let name = std::str::from_utf8(name_bytes).map_err(|_| ColumnarError::CorruptFile {
+                detail: "field name is not utf-8".into(),
+            })?;
             pos += name_bytes.len();
             let Some(&tag) = buf.get(pos) else {
                 return Err(ColumnarError::UnexpectedEof { context: "field type tag" });

@@ -11,6 +11,7 @@ use crate::compress::Compression;
 use crate::encoding::{self, Encoding};
 use crate::error::{ColumnarError, Result};
 use std::fmt;
+use std::sync::Arc;
 
 /// Physical/logical data type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,16 +163,19 @@ impl fmt::Display for DataType {
 }
 
 /// A named, typed column in a table schema.
+///
+/// The name is shared, so cloning a field (as every projected schema does)
+/// copies a pointer, not the string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
-    name: String,
+    name: Arc<str>,
     data_type: DataType,
 }
 
 impl Field {
     /// Creates a field with the given name and type.
     #[must_use]
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         Field { name: name.into(), data_type }
     }
 
@@ -190,6 +194,11 @@ impl Field {
 
 /// An ordered collection of uniquely named [`Field`]s.
 ///
+/// Name lookups ([`Schema::index_of`], [`Schema::project`]) are binary
+/// searches over one permutation of the field positions sorted by name,
+/// built once in [`Schema::new`] — which is also how duplicates are found,
+/// as equal neighbours. The names themselves are not copied.
+///
 /// # Examples
 ///
 /// ```
@@ -207,6 +216,8 @@ impl Field {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<Field>,
+    /// Field positions in name order.
+    by_name: Vec<usize>,
 }
 
 impl Schema {
@@ -220,14 +231,15 @@ impl Schema {
         if fields.is_empty() {
             return Err(ColumnarError::InvalidSchema { detail: "schema has no fields".into() });
         }
-        for (i, f) in fields.iter().enumerate() {
-            if fields[..i].iter().any(|g| g.name() == f.name()) {
-                return Err(ColumnarError::InvalidSchema {
-                    detail: format!("duplicate field name {:?}", f.name()),
-                });
-            }
+        let mut by_name: Vec<usize> = (0..fields.len()).collect();
+        by_name.sort_unstable_by(|&a, &b| fields[a].name().cmp(fields[b].name()));
+        if let Some(pair) = by_name.windows(2).find(|p| fields[p[0]].name() == fields[p[1]].name())
+        {
+            return Err(ColumnarError::InvalidSchema {
+                detail: format!("duplicate field name {:?}", fields[pair[0]].name()),
+            });
         }
-        Ok(Schema { fields })
+        Ok(Schema { fields, by_name })
     }
 
     /// Number of fields.
@@ -257,7 +269,8 @@ impl Schema {
     /// Index of the field named `name`.
     #[must_use]
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name() == name)
+        let at = self.by_name.binary_search_by(|&i| self.fields[i].name().cmp(name)).ok()?;
+        Some(self.by_name[at])
     }
 
     /// Resolves a list of column names to indices, preserving order.
@@ -314,6 +327,30 @@ mod tests {
             Schema::new(vec![Field::new("x", DataType::Int64), Field::new("x", DataType::Float32)])
                 .unwrap_err();
         assert!(err.to_string().contains("duplicate"));
+    }
+
+    #[test]
+    fn wide_schema_resolves_every_name_and_rejects_duplicates() {
+        let names: Vec<String> =
+            (0..4096).map(|i| format!("f{}", (i * 2654435761u64) % 4099)).collect();
+        let fields = names.iter().map(|n| Field::new(n.as_str(), DataType::Int64)).collect();
+        let s = Schema::new(fields).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(s.index_of(name), Some(i));
+        }
+        assert_eq!(s.index_of("f4099"), None);
+        let refs: Vec<&str> = names.iter().rev().map(String::as_str).collect();
+        assert_eq!(s.project(&refs).unwrap(), (0..4096).rev().collect::<Vec<_>>());
+        let mut fields: Vec<Field> = s.fields().to_vec();
+        fields.push(Field::new(names[1234].as_str(), DataType::Float32));
+        let err = Schema::new(fields).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            ColumnarError::InvalidSchema {
+                detail: format!("duplicate field name {:?}", names[1234])
+            }
+            .to_string()
+        );
     }
 
     #[test]

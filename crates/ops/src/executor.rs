@@ -931,6 +931,8 @@ pub struct Side<'a> {
     /// Raw columns to Extract, in projection order. The side whose
     /// projection holds the label carries the unit's labels.
     pub(crate) columns: &'a [String],
+    /// Decode limits parallel to `columns`, resolved once by the plan.
+    pub(crate) limits: &'a [Option<usize>],
     /// Plan stage positions to run (dependency-closed, increasing), or
     /// `None` for every stage.
     pub(crate) stages: Option<&'a [usize]>,
@@ -944,21 +946,24 @@ impl<'a> Side<'a> {
     /// emulated ISP unit ([`FEATURE_BUFFER_ELEMS`]).
     #[must_use]
     pub fn whole(plan: &'a PreprocessPlan, chunk: usize) -> Self {
-        Side { columns: plan.required_columns(), stages: None, chunk }
+        let (columns, limits) = (plan.required_columns(), &plan.required_limits[..]);
+        Side { columns, limits, stages: None, chunk }
     }
 
     /// The ISP side of `split`: its projection (never the label) and stage
     /// prefix at `chunk`.
     #[must_use]
     pub(crate) fn isp(split: &'a SplitPlan, chunk: usize) -> Self {
-        Side { columns: split.isp_columns(), stages: Some(split.isp_stages()), chunk }
+        let (columns, limits) = (split.isp_columns(), &split.limits[..split.isp_columns().len()]);
+        Side { columns, limits, stages: Some(split.isp_stages()), chunk }
     }
 
     /// The host side of `split`, whole-column: the label, the host
     /// projection and the host-resident stages.
     #[must_use]
     pub(crate) fn host(split: &'a SplitPlan) -> Self {
-        Side { columns: split.host_columns(), stages: Some(split.host_stages()), chunk: usize::MAX }
+        let (columns, limits) = (split.host_columns(), &split.limits[split.isp_columns().len()..]);
+        Side { columns, limits, stages: Some(split.host_stages()), chunk: usize::MAX }
     }
 }
 
@@ -1009,7 +1014,7 @@ impl UnitState {
         read: &mut ReadScratch,
     ) -> Result<Self, PreprocessError> {
         let t0 = Instant::now();
-        let (batch, fetched) = extract(Some(plan), reader, side.columns, group, read)?;
+        let (batch, fetched) = extract(reader, side.columns, side.limits, group, read)?;
         UnitState::transformed(plan, side, batch, fetched, t0.elapsed())
     }
 
@@ -1031,7 +1036,7 @@ impl UnitState {
     ) -> Result<Self, PreprocessError> {
         let t0 = Instant::now();
         let (batch, fetched) =
-            extract(Some(plan), &FileReader::open(blob)?, side.columns, group, read)?;
+            extract(&FileReader::open(blob)?, side.columns, side.limits, group, read)?;
         UnitState::transformed(plan, side, batch, fetched, t0.elapsed())
     }
 
@@ -1438,7 +1443,8 @@ pub fn extract_columns_for_plan<B: BlobRead>(
     needed: &[String],
     read: &mut ReadScratch,
 ) -> Result<RowBatch, PreprocessError> {
-    Ok(extract(Some(plan), reader, needed, None, read)?.0)
+    let limits: Vec<_> = needed.iter().map(|name| plan.column_limit(name)).collect();
+    Ok(extract(reader, needed, &limits, None, read)?.0)
 }
 
 /// Decodes an arbitrary column projection from an open reader into one
@@ -1453,30 +1459,32 @@ pub fn extract_columns_from_reader<B: BlobRead>(
     needed: &[String],
     read: &mut ReadScratch,
 ) -> Result<RowBatch, PreprocessError> {
-    Ok(extract(None, reader, needed, None, read)?.0)
+    Ok(extract(reader, needed, &[], None, read)?.0)
 }
 
-/// The one Extract: resolves `needed` against the file schema (a missing
-/// name is [`PreprocessError::BadColumn`] before anything is read), reads
-/// the projection of every row group or of `group` alone — under `plan`'s
-/// prefix limits when given — and merges groups column-major. A file with
-/// no row groups yields a 0-row batch. Also returns the bytes fetched.
+/// The one Extract: resolves `needed` through the footer's name index (a
+/// missing name is [`PreprocessError::BadColumn`] before anything is read),
+/// reads the projection of every row group or of `group` alone — each
+/// column under its entry of `limits`, whose missing entries (all of them,
+/// for an empty slice) read in full — and merges groups column-major. A
+/// file with no row groups yields a 0-row batch. Also returns the bytes
+/// fetched.
 fn extract<B: BlobRead>(
-    plan: Option<&PreprocessPlan>,
     reader: &FileReader<B>,
     needed: &[String],
+    limits: &[Option<usize>],
     group: Option<usize>,
     read: &mut ReadScratch,
 ) -> Result<(RowBatch, u64), PreprocessError> {
     let meta = reader.meta();
     let fields = meta.schema.fields();
     let mut chunks = Vec::with_capacity(needed.len());
-    for name in needed {
+    for (k, name) in needed.iter().enumerate() {
         let c = meta
             .schema
             .index_of(name)
             .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-        chunks.push((c, plan.and_then(|p| p.column_limit(name))));
+        chunks.push((c, limits.get(k).copied().flatten()));
     }
     let groups = group.map_or(0..reader.row_group_count(), |g| g..g + 1);
     let read_group = |g: usize, read: &mut ReadScratch| -> Result<Vec<Array>, ColumnarError> {
@@ -1631,7 +1639,9 @@ mod tests {
                 let sparse_only: Vec<String> =
                     (0..c.num_sparse).map(|i| format!("sparse_{i}")).collect();
                 blob.reset();
-                let side = Side { columns: &sparse_only, stages: Some(&[]), chunk: usize::MAX };
+                let limits: Vec<_> = sparse_only.iter().map(|n| plan.column_limit(n)).collect();
+                let (columns, stages) = (&sparse_only, Some(&[][..]));
+                let side = Side { columns, limits: &limits, stages, chunk: usize::MAX };
                 let unit = UnitState::read(plan, &blob, None, side, &mut read).unwrap();
                 assert_eq!(blob.read_calls() - open.0, c.num_sparse as u64 * groups);
                 assert_eq!(blob.bytes_read() - open.1, unit.fetched());

@@ -12,8 +12,9 @@
 //!
 //! * [`PreprocessPlan::required_columns`] — the exact Extract projection
 //!   (only raw columns some chain actually reads, plus the label);
-//! * [`PreprocessPlan::column_requirements`] — per-column read depth for
-//!   the prefix-pushdown contract (see below);
+//! * [`PreprocessPlan::requirement_for`] — per-column read depth for the
+//!   prefix-pushdown contract (see below), held as decode limits parallel
+//!   to the projection so Extract looks nothing up by name;
 //! * per-stage *consume* flags — whether a stage is the last reader of its
 //!   raw column and fully elementwise, so the owned executor path can
 //!   transform the decoded buffer in place instead of copying;
@@ -130,6 +131,9 @@ pub struct SplitPlan {
     boundary: Vec<BoundarySlot>,
     isp_columns: Vec<String>,
     host_columns: Vec<String>,
+    /// Extract decode limits parallel to `isp_columns`, then to
+    /// `host_columns`.
+    pub(crate) limits: Vec<Option<usize>>,
     demoted: Vec<usize>,
 }
 
@@ -267,8 +271,12 @@ pub struct PreprocessPlan {
     graph: PlanGraph,
     stages: Vec<CompiledStage>,
     required_columns: Vec<String>,
-    /// Per-entry read requirement, parallel to `required_columns`.
-    column_requirements: Vec<ColumnRequirement>,
+    /// Per-entry Extract decode limit, parallel to `required_columns`:
+    /// `Some(x)` is [`ColumnRequirement::Prefix`]`(x)`.
+    pub(crate) required_limits: Vec<Option<usize>>,
+    /// Positions into `required_columns` in name order, for
+    /// [`PreprocessPlan::column_limit`]'s binary search.
+    required_by_name: Vec<usize>,
     /// Stage positions of emitted Dense stages, declaration order.
     emit_dense: Vec<usize>,
     /// Stage positions of emitted List stages, declaration order.
@@ -388,11 +396,11 @@ impl PreprocessPlan {
         // the prefix is the loosest (max) `x` across readers. Anything
         // else — a full-list reader, an `NGram` head, raw emission with no
         // ops, a non-list column, the label — forces a full decode.
-        let column_requirements: Vec<ColumnRequirement> = required_columns
+        let required_limits = required_columns
             .iter()
             .map(|name| {
                 if name == LABEL_COLUMN || raw_kinds.get(name.as_str()) != Some(&ValueKind::List) {
-                    return ColumnRequirement::Full;
+                    return None;
                 }
                 let mut prefix: Option<usize> = None;
                 for stage in &stages {
@@ -401,12 +409,14 @@ impl PreprocessPlan {
                     }
                     match stage.ops.first() {
                         Some(Op::FirstX(x)) => prefix = Some(prefix.map_or(*x, |p| p.max(*x))),
-                        _ => return ColumnRequirement::Full,
+                        _ => return None,
                     }
                 }
-                prefix.map_or(ColumnRequirement::Full, ColumnRequirement::Prefix)
+                prefix
             })
             .collect();
+        let mut required_by_name: Vec<usize> = (0..required_columns.len()).collect();
+        required_by_name.sort_unstable_by_key(|&i| &required_columns[i]);
 
         // Emission order: declaration order within each kind; assembly
         // emits List features before Ids features (raw jagged features,
@@ -433,7 +443,8 @@ impl PreprocessPlan {
             graph,
             stages,
             required_columns,
-            column_requirements,
+            required_limits,
+            required_by_name,
             emit_dense,
             emit_list,
             emit_ids,
@@ -503,36 +514,23 @@ impl PreprocessPlan {
         &self.required_columns
     }
 
-    /// Per-column read requirements, parallel to
-    /// [`PreprocessPlan::required_columns`]: `Prefix(x)` when every reader
-    /// of that list column truncates to its first `x` elements, `Full`
-    /// otherwise. Derived once at compile time; the Extract paths turn
-    /// these into per-column decode limits.
-    #[must_use]
-    pub fn column_requirements(&self) -> &[ColumnRequirement] {
-        &self.column_requirements
-    }
-
     /// The read requirement for one raw column; columns the plan does not
     /// extract report `Full` (a conservative default — nothing reads them,
     /// so nothing is lost by decoding more).
     #[must_use]
     pub fn requirement_for(&self, name: &str) -> ColumnRequirement {
-        self.required_columns
-            .iter()
-            .position(|c| c == name)
-            .map_or(ColumnRequirement::Full, |i| self.column_requirements[i])
+        self.column_limit(name).map_or(ColumnRequirement::Full, ColumnRequirement::Prefix)
     }
 
     /// The Extract decode limit for one raw column: `Some(x)` iff its
     /// requirement is [`ColumnRequirement::Prefix`] — the value to hand to
-    /// `FileReader::read_projected_limits_with`.
+    /// `FileReader::read_projected_limits_with`. A binary search over the
+    /// projection's names.
     #[must_use]
     pub fn column_limit(&self, name: &str) -> Option<usize> {
-        match self.requirement_for(name) {
-            ColumnRequirement::Prefix(x) => Some(x),
-            ColumnRequirement::Full => None,
-        }
+        let by_name = &self.required_by_name;
+        let at = by_name.binary_search_by(|&i| self.required_columns[i].as_str().cmp(name)).ok()?;
+        self.required_limits[by_name[at]]
     }
 
     /// Estimated elements flowing into each op of each stage for a
@@ -583,12 +581,10 @@ impl PreprocessPlan {
                     // op, so the cost model must price the truncated
                     // length — this is what lets placement see the reduced
                     // ISP extract/P2P bytes for long-sequence columns.
-                    ValueKind::List => match self.requirement_for(name) {
-                        ColumnRequirement::Prefix(p) => {
-                            (self.config.avg_sparse_len as f64).min(p as f64)
-                        }
-                        ColumnRequirement::Full => self.config.avg_sparse_len as f64,
-                    },
+                    ValueKind::List => {
+                        let full = self.config.avg_sparse_len as f64;
+                        self.column_limit(name).map_or(full, |p| full.min(p as f64))
+                    }
                     ValueKind::Dense | ValueKind::Ids => 1.0,
                 },
                 StageInput::Stage(pos) => per_row[*pos],
@@ -682,24 +678,23 @@ impl PreprocessPlan {
             })
             .collect();
 
-        // Per-side raw projections. The label always lands host-side —
-        // mini-batch assembly is a host concern.
-        let mut isp_columns: Vec<String> = Vec::new();
-        for &pos in &isp_stages {
-            if let StageInput::Raw(name) = &self.stages[pos].input {
-                if !isp_columns.iter().any(|c| c == name) {
-                    isp_columns.push(name.clone());
+        // Per-side raw projections, and their decode limits resolved once.
+        // The label always lands host-side — mini-batch assembly is a host
+        // concern.
+        let projection = |stages: &[usize], mut columns: Vec<String>| {
+            for &pos in stages {
+                if let StageInput::Raw(name) = &self.stages[pos].input {
+                    if !columns.contains(name) {
+                        columns.push(name.clone());
+                    }
                 }
             }
-        }
-        let mut host_columns: Vec<String> = vec![LABEL_COLUMN.to_owned()];
-        for &pos in &host_stages {
-            if let StageInput::Raw(name) = &self.stages[pos].input {
-                if !host_columns.iter().any(|c| c == name) {
-                    host_columns.push(name.clone());
-                }
-            }
-        }
+            columns
+        };
+        let isp_columns = projection(&isp_stages, Vec::new());
+        let host_columns = projection(&host_stages, vec![LABEL_COLUMN.to_owned()]);
+        let limits =
+            isp_columns.iter().chain(&host_columns).map(|c| self.column_limit(c)).collect();
 
         Ok(SplitPlan {
             fleet,
@@ -708,6 +703,7 @@ impl PreprocessPlan {
             boundary,
             isp_columns,
             host_columns,
+            limits,
             demoted,
         })
     }
@@ -883,7 +879,7 @@ mod tests {
         // readers), so nothing may be prefix-extracted.
         let c = RmConfig::rm1();
         let plan = PreprocessPlan::from_config(&c, 42).unwrap();
-        assert!(plan.column_requirements().iter().all(|r| *r == ColumnRequirement::Full));
+        assert!(plan.required_columns().iter().all(|c| plan.column_limit(c).is_none()));
         assert_eq!(plan.column_limit("sparse_0"), None);
         // Truncated-cross graph: every sparse reader is FirstX(4)-headed.
         let mut c = RmConfig::rm1();
@@ -901,7 +897,7 @@ mod tests {
         assert_eq!(plan.requirement_for("dense_0"), ColumnRequirement::Full);
         // Unknown columns conservatively report Full.
         assert_eq!(plan.requirement_for("no_such"), ColumnRequirement::Full);
-        assert_eq!(plan.column_requirements().len(), plan.required_columns().len());
+        assert_eq!(plan.required_limits.len(), plan.required_columns().len());
     }
 
     fn tiny_truncated_plan() -> PreprocessPlan {
