@@ -3,6 +3,7 @@
 //! executor run on real data, goodput under storage faults, tenants
 //! sharing one pool, shuffle granularity, and prefix pushdown.
 
+use crate::report::{percent, samples_per_sec, TextTable};
 use crate::{banner, print_table};
 use presto_columnar::{BlobRead, CountingBlob, Device, DeviceModel, FaultPlan, FileReader};
 use presto_columnar::{MemBlob, ReadScratch};
@@ -18,7 +19,6 @@ use presto_hwsim::fpga::{FeedPath, IspModel};
 use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::ssd::SsdModel;
 use presto_hwsim::units::Secs;
-use presto_metrics::{percent, samples_per_sec, TextTable};
 use presto_ops::{extract_columns_for_plan, extract_columns_from_reader, inter_arrivals};
 use presto_ops::{BatchStream, FleetConfig, PlanGraph, PreprocessPlan, RetryPolicy};
 use std::sync::Arc;

@@ -16,10 +16,10 @@
 //! bytes verified and the rate, and exits non-zero naming the
 //! `(group, column)` of the first chunk that fails.
 
+use presto_bench::report::TextTable;
 use presto_columnar::column::{page_summaries, ChunkPart, PageSummary};
 use presto_columnar::{BlobRead, FileReader, FormatVersion, FsBlob, MemBlob, ReadScratch};
 use presto_datagen::{generate_batch, write_partition, RmConfig};
-use presto_metrics::TextTable;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (flags, paths): (Vec<String>, Vec<String>) =

@@ -10,6 +10,18 @@
 //! Both systems sustain the same training demand, so `Throughput × Duration`
 //! cancels in every ratio: energy-efficiency compares power draw,
 //! cost-efficiency compares `CapEx + OpEx`.
+//!
+//! ```
+//! use presto_bench::efficiency::fig15;
+//!
+//! let rows = fig15();
+//! assert_eq!(rows.len(), 5);
+//! for row in &rows {
+//!     // PreSto wins on both axes for every model.
+//!     assert!(row.energy_efficiency_gain > 1.0);
+//!     assert!(row.cost_efficiency_gain > 1.0);
+//! }
+//! ```
 
 use crate::deployment::Deployment;
 use presto_core::provision::Provisioner;

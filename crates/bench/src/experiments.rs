@@ -1,5 +1,5 @@
-//! Data generators for every evaluation figure, consumed by `presto-bench`'s
-//! `repro-all` and by the shape tests.
+//! Data generators for every evaluation figure, consumed by `repro-all` and
+//! by the paper-shape tests.
 //!
 //! Each function returns plain data in the same organization as the paper's
 //! figure so a harness can print the rows/series directly.
@@ -12,9 +12,9 @@ use presto_hwsim::net::NetworkModel;
 use presto_hwsim::trace::{characterize_op, OpCharacterization, OpKind};
 use presto_hwsim::units::Secs;
 
-use crate::pipeline::{simulate, PipelineConfig};
-use crate::provision::Provisioner;
-use crate::systems::System;
+use presto_core::pipeline::{simulate, PipelineConfig};
+use presto_core::provision::Provisioner;
+use presto_core::systems::System;
 
 /// One point of Fig. 3: co-located preprocessing scaling on RM5.
 #[derive(Debug, Clone, Copy, PartialEq)]

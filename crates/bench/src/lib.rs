@@ -45,11 +45,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod deployment;
+pub mod efficiency;
+pub mod experiments;
+pub mod report;
+
 mod ablation;
 mod paper;
 
 use presto_hwsim::breakdown::{Stage, StageBreakdown};
-use presto_metrics::TextTable;
+use report::TextTable;
 
 /// Every experiment `repro-all` can run, by name, in paper order.
 pub const EXPERIMENTS: [(&str, fn()); 20] = [

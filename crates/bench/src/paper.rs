@@ -1,12 +1,12 @@
 //! The paper's evaluation: Tables I–II and Figs. 3–6 and 11–17, each
 //! printed next to the value the paper reports.
 
+use crate::efficiency;
+use crate::experiments;
+use crate::report::{percent, samples_per_sec, TextTable};
 use crate::{banner, breakdown_header, breakdown_row, print_table};
-use presto_core::experiments;
 use presto_datagen::RmConfig;
 use presto_hwsim::fpga::{table2_resources, table2_total};
-use presto_metrics::efficiency;
-use presto_metrics::{percent, samples_per_sec, TextTable};
 
 /// Table I — RecSys dataset configurations and model architectures.
 pub(crate) fn table1() {

@@ -7,12 +7,12 @@
 //! tight enough that "who wins, by roughly what factor, where the
 //! crossovers fall" cannot silently invert.
 
-use presto::core::experiments;
-use presto::core::provision::Provisioner;
-use presto::core::systems::System;
-use presto::datagen::{RmConfig, WorkloadProfile};
-use presto::hwsim::net::NetworkModel;
-use presto::metrics::efficiency::{fig15, mean};
+use presto_bench::efficiency::{fig15, mean};
+use presto_bench::experiments;
+use presto_core::provision::Provisioner;
+use presto_core::systems::System;
+use presto_datagen::{RmConfig, WorkloadProfile};
+use presto_hwsim::net::NetworkModel;
 
 fn profiles() -> Vec<(RmConfig, WorkloadProfile)> {
     RmConfig::all().into_iter().map(|c| (c.clone(), WorkloadProfile::from_config(&c))).collect()
@@ -149,7 +149,7 @@ fn smartssd_wins_perf_per_watt_everywhere() {
 fn disagg_op_latency_scales_with_features_presto_keeps_speedup() {
     // Fig. 17: 1x/2x/4x feature sweep.
     let points = experiments::fig17();
-    for op in presto::hwsim::trace::OpKind::ALL {
+    for op in presto_hwsim::trace::OpKind::ALL {
         let series: Vec<_> = points.iter().filter(|p| p.op == op).collect();
         let growth = series[2].disagg / series[0].disagg;
         assert!((3.0..=5.0).contains(&growth), "{op}: Disagg growth {growth:.2}");

@@ -1,25 +1,27 @@
 //! # presto-core
 //!
 //! The PreSto system layer of the ISCA 2024 reproduction: everything above
-//! the device models and below the benchmark harness.
+//! the device models and the streaming engine, and below the reproduction
+//! harness.
 //!
 //! * [`systems::System`] — the four preprocessing architectures the paper
 //!   compares (co-located, disaggregated CPU pool, accelerator pools,
 //!   PreSto ISP).
 //! * [`provision::Provisioner`] — the `⌈T/P⌉` sizing rule of Fig. 9's
 //!   train and preprocess managers (Figs. 4/14).
-//! * [`pipeline`] — the discrete-event producer–consumer simulation behind
-//!   GPU-utilization numbers (Fig. 3).
 //! * [`placement`] — cost-model-driven host/ISP placement of a compiled
 //!   plan's operator stages.
-//! * [`fleet::Fleet`] — the fleet spec: host, ISP, split or shuffled, each
-//!   a configuration of the one streaming engine
-//!   ([`presto_ops::stream`]), spawned as an interchangeable
-//!   [`pipeline::BatchSource`].
 //! * [`service::PreprocessService`] — the multi-tenant preprocessing
 //!   service: N concurrent jobs share one device pool under weighted-fair
 //!   dispatch with admission control and per-job SLO tracking.
-//! * [`experiments`] — one data generator per evaluation figure.
+//! * [`pipeline`] — the [`Trainer`] that consumes any [`BatchSource`], and
+//!   the discrete-event producer–consumer simulation behind GPU-utilization
+//!   numbers (Fig. 3).
+//!
+//! [`Fleet`] and [`BatchSource`] are the streaming engine's
+//! ([`presto_ops::stream`]), re-exported here beside the service and the
+//! trainer that take them. The per-figure data generators live in
+//! `presto-bench`, with the harness that prints them.
 //!
 //! ## Example: reproduce the headline comparison on RM5
 //!
@@ -36,8 +38,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod experiments;
-pub mod fleet;
 pub mod isp_worker;
 pub mod pipeline;
 pub mod placement;
@@ -45,13 +45,13 @@ pub mod provision;
 pub mod service;
 pub mod systems;
 
-pub use fleet::Fleet;
 pub use isp_worker::{IspRunStats, IspWorker};
 pub use pipeline::{
-    simulate, simulate_measured, BatchSource, PipelineConfig, PipelineReport, Trainer,
-    TrainerConfig, TrainerReport,
+    simulate, simulate_measured, PipelineConfig, PipelineReport, Trainer, TrainerConfig,
+    TrainerReport,
 };
 pub use placement::{place_stages, OpCostModel, Place, PlacementPlan, StagePlacement};
+pub use presto_ops::stream::{BatchSource, Fleet};
 pub use provision::{MeasuredThroughput, Provisioner};
 pub use service::{
     AdmissionError, JobHandle, JobReport, JobSpec, JobStatus, PreprocessService, ServiceConfig,

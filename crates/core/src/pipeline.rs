@@ -31,7 +31,7 @@ use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::units::Secs;
 use presto_ops::executor::PreprocessError;
 use presto_ops::recovery::RunReport;
-use presto_ops::stream::{inter_arrivals, BatchStream, StreamStats, StreamedBatch};
+use presto_ops::stream::{inter_arrivals, BatchSource, StreamStats};
 use std::time::{Duration, Instant};
 
 use crate::systems::System;
@@ -444,70 +444,6 @@ impl TrainerReport {
     }
 }
 
-/// A producer the trainer can consume: a blocking pull of preprocessed
-/// mini-batches plus the channel introspection the occupancy histogram
-/// needs. Implemented by the engine's one handle
-/// ([`presto_ops::stream::BatchStream`], whichever fleet it runs) and by
-/// the multi-tenant service's per-job handle
-/// ([`crate::service::JobHandle`]), so a `Trainer` plugs into any of them
-/// unchanged.
-pub trait BatchSource {
-    /// Pulls the next mini-batch, blocking until one is ready; `None` ends
-    /// the stream.
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>>;
-
-    /// Output-channel capacity (sizes the occupancy histogram).
-    fn capacity(&self) -> usize;
-
-    /// Mini-batches currently buffered in the output channel.
-    fn queued(&self) -> usize;
-
-    /// Consolidated fleet counters ([`StreamStats`]): queue depth,
-    /// completed partitions, emulated P2P / boundary link traffic, and the
-    /// recovery snapshot. The default covers sources without
-    /// instrumentation (capacity and live queue depth only; everything
-    /// else zero / `None`).
-    fn stats(&self) -> StreamStats {
-        StreamStats { capacity: self.capacity(), queued: self.queued(), ..StreamStats::default() }
-    }
-}
-
-impl BatchSource for BatchStream {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.next()
-    }
-
-    fn capacity(&self) -> usize {
-        BatchStream::capacity(self)
-    }
-
-    fn queued(&self) -> usize {
-        BatchStream::queued(self)
-    }
-
-    fn stats(&self) -> StreamStats {
-        BatchStream::stats(self)
-    }
-}
-
-impl<S: BatchSource + ?Sized> BatchSource for Box<S> {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        (**self).next_batch()
-    }
-
-    fn capacity(&self) -> usize {
-        (**self).capacity()
-    }
-
-    fn queued(&self) -> usize {
-        (**self).queued()
-    }
-
-    fn stats(&self) -> StreamStats {
-        (**self).stats()
-    }
-}
-
 /// The consuming trainer: pulls mini-batches from a [`BatchSource`],
 /// spends [`TrainerConfig`]'s compute on each, and reports consumer-side
 /// goodput, stall time and queue occupancy.
@@ -747,7 +683,7 @@ mod tests {
     // --- Trainer in the loop ---
 
     use presto_datagen::Dataset;
-    use presto_ops::{FleetConfig, PreprocessPlan};
+    use presto_ops::{BatchStream, FleetConfig, PreprocessPlan};
 
     fn tiny_dataset(partitions: usize, rows: usize) -> (RmConfig, PreprocessPlan, Dataset) {
         let mut c = RmConfig::rm1();

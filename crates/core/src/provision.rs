@@ -10,8 +10,8 @@ use presto_hwsim::cpu::{CpuWorkerModel, DataLocality};
 use presto_hwsim::fpga::IspModel;
 use presto_hwsim::gpu::GpuTrainModel;
 use presto_ops::plan::PreprocessPlan;
+use presto_ops::stream::Fleet;
 
-use crate::fleet::Fleet;
 use crate::service::{JobSpec, PreprocessService, ServiceConfig};
 
 /// Provisioning calculator binding the device models together.

@@ -55,7 +55,7 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 use presto_datagen::Partition;
 use presto_ops::plan::PreprocessPlan;
 use presto_ops::recovery::{RetryPolicy, RunReport};
-use presto_ops::stream::{Run, SeqItem, StreamItem, StreamStats, Unit};
+use presto_ops::stream::{BatchSource, Fleet, Run, SeqItem, StreamItem, StreamStats, Unit};
 use presto_ops::ScratchSpace;
 use std::collections::VecDeque;
 use std::fmt;
@@ -63,9 +63,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crate::fleet::Fleet;
-use crate::pipeline::BatchSource;
 
 /// Pool sizing and admission limits of a [`PreprocessService`].
 ///
@@ -409,7 +406,7 @@ impl PreprocessService {
             fleet: spec.fleet.name(),
             weight: if spec.weight > 0.0 { spec.weight } else { 1.0 },
             goodput_slo: spec.goodput_slo,
-            run: Run::new(spec.plan, spec.partitions, spec.fleet.pipeline(), spec.recovery, units),
+            run: Run::new(spec.plan, spec.partitions, spec.fleet, spec.recovery, units),
             cancelled: AtomicBool::new(false),
             stall_nanos: AtomicU64::new(0),
             rows: AtomicU64::new(0),

@@ -95,6 +95,6 @@ pub use recovery::{
 pub use shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec};
 pub use sigridhash::{InvalidMaxValueError, SigridHasher};
 pub use stream::{
-    inter_arrivals, BatchStream, DeviceLoad, Finished, FleetConfig, Pipeline, Run, SeqItem,
-    StreamItem, StreamStats, StreamedBatch, Unit,
+    inter_arrivals, BatchSource, BatchStream, DeviceLoad, Finished, Fleet, FleetConfig, Run,
+    SeqItem, StreamItem, StreamStats, StreamedBatch, Unit,
 };

@@ -9,7 +9,7 @@
 //! this cheap: every mini-batch-aligned row group is independently
 //! addressable with one ranged read per projected column. This module
 //! defines the order; the engine ([`crate::stream`], shuffled fleet:
-//! [`BatchStream::spawn_shuffled`](crate::BatchStream::spawn_shuffled))
+//! [`Fleet::Shuffled`](crate::Fleet::Shuffled))
 //! streams it.
 //!
 //! * [`epoch_units`] enumerates every row group of every partition into a
@@ -187,7 +187,7 @@ impl EpochCursor {
 mod tests {
     use super::*;
     use crate::plan::PreprocessPlan;
-    use crate::stream::{BatchStream, FleetConfig};
+    use crate::stream::{BatchStream, Fleet, FleetConfig};
     use presto_datagen::{Dataset, RmConfig};
 
     fn tiny(rows: usize) -> RmConfig {
@@ -234,26 +234,22 @@ mod tests {
         let (c, ds) = grouped_dataset(3, 48, 16);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let spec = ShuffleSpec::new(42);
-        let reference: Vec<(usize, usize)> =
-            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(1, 2))
-                .map(|i| {
-                    let b = i.unwrap();
-                    (b.partition, b.group)
-                })
-                .collect();
-        assert_eq!(reference.len(), 9, "3 partitions x 3 groups");
-        for workers in [4usize, 8] {
-            let got: Vec<(usize, usize)> = BatchStream::spawn_shuffled(
-                &plan,
-                ds.partitions(),
-                spec,
-                &FleetConfig::new(workers, 2),
-            )
+        let reference: Vec<(usize, usize)> = Fleet::Shuffled(spec)
+            .stream(&plan, ds.partitions(), &FleetConfig::new(1, 2))
             .map(|i| {
                 let b = i.unwrap();
                 (b.partition, b.group)
             })
             .collect();
+        assert_eq!(reference.len(), 9, "3 partitions x 3 groups");
+        for workers in [4usize, 8] {
+            let got: Vec<(usize, usize)> = Fleet::Shuffled(spec)
+                .stream(&plan, ds.partitions(), &FleetConfig::new(workers, 2))
+                .map(|i| {
+                    let b = i.unwrap();
+                    (b.partition, b.group)
+                })
+                .collect();
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -263,14 +259,14 @@ mod tests {
         let (c, ds) = grouped_dataset(4, 40, 8);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let spec = ShuffleSpec::new(7).with_epoch(2);
-        let full: Vec<_> =
-            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2))
-                .map(|i| i.unwrap())
-                .collect();
+        let full: Vec<_> = Fleet::Shuffled(spec)
+            .stream(&plan, ds.partitions(), &FleetConfig::new(3, 2))
+            .map(|i| i.unwrap())
+            .collect();
         assert_eq!(full.len(), 20);
         // Interrupt after 7 batches, snapshot the cursor, resume.
         let mut first =
-            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2));
+            Fleet::Shuffled(spec).stream(&plan, ds.partitions(), &FleetConfig::new(3, 2));
         let head: Vec<_> = first.by_ref().take(7).map(|i| i.unwrap()).collect();
         let cursor = first.cursor().expect("shuffled stream");
         drop(first);
@@ -304,14 +300,10 @@ mod tests {
         // sequential whole-partition pipeline.
         let (c, ds) = grouped_dataset(3, 40, 16); // groups of 16,16,8
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let mut shuffled: Vec<_> = BatchStream::spawn_shuffled(
-            &plan,
-            ds.partitions(),
-            ShuffleSpec::new(991_217),
-            &FleetConfig::new(4, 2),
-        )
-        .map(|i| i.unwrap())
-        .collect();
+        let mut shuffled: Vec<_> = Fleet::Shuffled(ShuffleSpec::new(991_217))
+            .stream(&plan, ds.partitions(), &FleetConfig::new(4, 2))
+            .map(|i| i.unwrap())
+            .collect();
         shuffled.sort_by_key(|b| (b.partition, b.group));
         for (pos, p) in ds.partitions().iter().enumerate() {
             let (serial, _) = crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap();
@@ -342,13 +334,9 @@ mod tests {
             *b ^= 0xff;
         }
         partitions[1].blob = presto_columnar::MemBlob::new(bytes);
-        let items: Vec<_> = BatchStream::spawn_shuffled(
-            &plan,
-            &partitions,
-            ShuffleSpec::new(3),
-            &FleetConfig::new(2, 2),
-        )
-        .collect();
+        let items: Vec<_> = Fleet::Shuffled(ShuffleSpec::new(3))
+            .stream(&plan, &partitions, &FleetConfig::new(2, 2))
+            .collect();
         let errs: Vec<_> = items.iter().filter_map(|i| i.as_ref().err()).collect();
         assert!(!errs.is_empty(), "corruption must surface");
         for e in &errs {
@@ -374,10 +362,9 @@ mod tests {
         // No quarantine so partition 0's groups are never collateral.
         let policy =
             crate::recovery::RetryPolicy::recover().with_quarantine_after(0).with_failover(false);
-        let stream = BatchStream::spawn_shuffled(
+        let stream = Fleet::Shuffled(ShuffleSpec::new(3)).stream(
             &plan,
             &partitions,
-            ShuffleSpec::new(3),
             &FleetConfig::new(2, 2).with_recovery(policy),
         );
         let items: Vec<_> = stream.collect();

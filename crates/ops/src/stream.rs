@@ -31,18 +31,19 @@
 //!
 //! # Phases
 //!
-//! A [`Pipeline`] is at most two phases. The *device-side* phase reads the
-//! unit's stored bytes and ends in a finished batch, a staged hand-off, or
-//! a fall-back-to-host marker; the *host-side* phase finishes whichever it
-//! receives. Every cell that reads stored bytes is one side of the one unit
-//! call, [`UnitState::run`] (its [side table](crate::executor)).
+//! A [`Fleet`] runs each unit in at most two phases. The *device-side*
+//! phase reads the unit's stored bytes and ends in a finished batch, a
+//! staged hand-off, or a fall-back-to-host marker; the *host-side* phase
+//! finishes whichever it receives. Every cell that reads stored bytes is
+//! one side of the one unit call, [`UnitState::run`] (its
+//! [side table](crate::executor)).
 //!
-//! | pipeline | device-side phase | host-side phase |
+//! | fleet | device-side phase | host-side phase |
 //! |---|---|---|
-//! | [`Pipeline::Host`], fused | the whole unit: Extract + Transform + format | — |
-//! | [`Pipeline::Host`], paired | thread A: A's half of the features → its outputs | thread B, concurrently: B's half and the label, then A's outputs seeded + format |
-//! | [`Pipeline::Isp`] | the whole unit, P2P-counted and chunked | full plan from pristine media (failover only) |
-//! | [`Pipeline::Split`] | the ISP side, P2P-counted and chunked → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
+//! | [`Fleet::Host`] fused, [`Fleet::Shuffled`] | the whole unit: Extract + Transform + format | — |
+//! | [`Fleet::Host`], paired | thread A: A's half of the features → its outputs | thread B, concurrently: B's half and the label, then A's outputs seeded + format |
+//! | [`Fleet::Isp`] | the whole unit, P2P-counted and chunked | full plan from pristine media (failover only) |
+//! | [`Fleet::Split`] | the ISP side, P2P-counted and chunked → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
 //!
 //! The phase boundary is either fused on one thread
 //! ([`FleetConfig::without_prefetch`], the shuffled fleet, the service's
@@ -262,19 +263,142 @@ pub struct DeviceLoad {
     pub stolen_from: usize,
 }
 
-/// Where a run's stages execute — the phases of one unit (see the
-/// [module docs](self)).
+/// Which fleet runs a stream: where each unit's stages execute, and which
+/// units are claimed in which order (see the [module docs](self)).
+///
+/// ```
+/// use presto_datagen::{Dataset, RmConfig};
+/// use presto_ops::{Fleet, FleetConfig, PreprocessPlan};
+///
+/// let mut c = RmConfig::rm1();
+/// c.batch_size = 32;
+/// let plan = PreprocessPlan::from_config(&c, 7)?;
+/// let ds = Dataset::generate(&c, 2, 32, 1, 7)?;
+/// let config = FleetConfig::new(2, 4);
+/// for fleet in [Fleet::Host, Fleet::Isp] {
+///     let mut source = fleet.spawn(&plan, ds.partitions(), &config);
+///     while let Some(item) = source.next_batch() {
+///         item?;
+///     }
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub enum Pipeline {
-    /// Extract, Transform and format on the host CPU: fused on one thread,
-    /// or sliced by feature across a worker pair.
+pub enum Fleet {
+    /// Host CPU fleet: Extract, Transform and format fused on one thread,
+    /// or sliced by feature across a worker pair; device-affine claiming
+    /// with work stealing.
     Host,
-    /// The whole plan on an emulated ISP unit, chunked through
-    /// [`FEATURE_BUFFER_ELEMS`]-element on-chip feature buffers.
+    /// In-storage fleet: the whole plan on one emulated ISP unit per
+    /// worker, chunked through [`FEATURE_BUFFER_ELEMS`]-element on-chip
+    /// feature buffers, with host failover for quarantined devices.
     Isp,
-    /// The carried split's stage prefix on an ISP unit, its suffix on the
-    /// host, with the typed [`BoundaryBatch`] crossing between them.
+    /// Hybrid split fleet: the carried split's stage prefix on ISP units,
+    /// its suffix on host workers, with the typed [`BoundaryBatch`]
+    /// crossing the bounded device link between them.
     Split(SplitPlan),
+    /// Shuffled-epoch fleet: every `PSTOCOL4` row group of the partitions
+    /// through the host pipeline, claimed and **delivered in the seeded
+    /// permutation order** of the carried spec's epoch, whatever the worker
+    /// count. Partitions written without row grouping degrade to a
+    /// whole-partition shuffle.
+    Shuffled(ShuffleSpec),
+}
+
+impl Fleet {
+    /// Starts this fleet over `partitions` and returns the concrete handle
+    /// (for `cursor`, `device_report`, `run_report`, …). Partition data is
+    /// snapshotted via O(1) clones (`MemBlob` shares its bytes), so the
+    /// stream is `'static` and outlives its arguments. Batches come in
+    /// completion order ([`BatchStream::into_ordered`] for partition
+    /// order), except on the shuffled fleet, which yields its permutation
+    /// order. Errors — including the shuffled fleet's up-front footer
+    /// enumeration ([`epoch_units`]) — surface on the stream.
+    #[must_use]
+    pub fn stream(
+        &self,
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        config: &FleetConfig,
+    ) -> BatchStream {
+        let units = match self {
+            Fleet::Shuffled(_) => epoch_units(partitions).map(group_units),
+            _ => Ok((0..partitions.len()).map(Unit::partition).collect()),
+        };
+        BatchStream::start(plan, partitions, self.clone(), units, 0, config)
+    }
+
+    /// [`Fleet::stream`] type-erased behind [`BatchSource`], for callers —
+    /// a trainer, the benchmark — that treat fleets interchangeably.
+    #[must_use]
+    pub fn spawn(
+        &self,
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        config: &FleetConfig,
+    ) -> Box<dyn BatchSource + Send> {
+        Box::new(self.stream(plan, partitions, config))
+    }
+
+    /// Short human-readable fleet name for reports and logs.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Fleet::Host => "host",
+            Fleet::Isp => "isp",
+            Fleet::Split(_) => "split",
+            Fleet::Shuffled(_) => "shuffled",
+        }
+    }
+}
+
+/// The shuffled fleet's units: one per row group.
+fn group_units(groups: Vec<GroupRef>) -> Vec<Unit> {
+    groups.iter().map(|g| Unit { partition: g.partition, group: Some(g.group) }).collect()
+}
+
+/// A producer a consumer can drain: a blocking pull of preprocessed
+/// mini-batches plus the channel introspection a trainer's occupancy
+/// histogram needs. Implemented by [`BatchStream`], whichever fleet runs
+/// it, and by the multi-tenant service's per-job handle, so a trainer
+/// plugs into any of them unchanged.
+pub trait BatchSource {
+    /// Pulls the next mini-batch, blocking until one is ready; `None` ends
+    /// the stream.
+    fn next_batch(&mut self) -> Option<StreamItem>;
+
+    /// Output-channel capacity (sizes the occupancy histogram).
+    fn capacity(&self) -> usize;
+
+    /// Mini-batches currently buffered in the output channel.
+    fn queued(&self) -> usize;
+
+    /// Consolidated fleet counters ([`StreamStats`]): queue depth,
+    /// completed partitions, emulated P2P / boundary link traffic, and the
+    /// recovery snapshot. The default covers sources without
+    /// instrumentation (capacity and live queue depth only; everything
+    /// else zero / `None`).
+    fn stats(&self) -> StreamStats {
+        StreamStats { capacity: self.capacity(), queued: self.queued(), ..StreamStats::default() }
+    }
+}
+
+impl<S: BatchSource + ?Sized> BatchSource for Box<S> {
+    fn next_batch(&mut self) -> Option<StreamItem> {
+        (**self).next_batch()
+    }
+
+    fn capacity(&self) -> usize {
+        (**self).capacity()
+    }
+
+    fn queued(&self) -> usize {
+        (**self).queued()
+    }
+
+    fn stats(&self) -> StreamStats {
+        (**self).stats()
+    }
 }
 
 /// What one delivered batch is made from: a whole partition or one of its
@@ -345,7 +469,7 @@ enum Phase {
 pub struct Run {
     plan: PreprocessPlan,
     partitions: Vec<Partition>,
-    pipeline: Pipeline,
+    fleet: Fleet,
     tracker: RecoveryTracker,
     /// Raised on a fail-fast error (and on consumer drop); producers
     /// observe it between units and between attempts.
@@ -358,13 +482,12 @@ pub struct Run {
 }
 
 impl Run {
-    /// A run of `units` units of `partitions` through `pipeline` under
-    /// `recovery`.
+    /// A run of `units` units of `partitions` on `fleet` under `recovery`.
     #[must_use]
     pub fn new(
         plan: PreprocessPlan,
         partitions: Vec<Partition>,
-        pipeline: Pipeline,
+        fleet: Fleet,
         recovery: RetryPolicy,
         units: usize,
     ) -> Self {
@@ -373,7 +496,7 @@ impl Run {
             tracker: RecoveryTracker::new(recovery, &devices, units),
             plan,
             partitions,
-            pipeline,
+            fleet,
             stop: AtomicBool::new(false),
             completed: AtomicUsize::new(0),
             p2p_bytes: AtomicU64::new(0),
@@ -499,9 +622,9 @@ impl Run {
         unit: Unit,
         scratch: &mut ScratchSpace,
     ) -> Result<Staged, PreprocessError> {
-        match &self.pipeline {
-            Pipeline::Host | Pipeline::Isp => {
-                let isp = self.pipeline == Pipeline::Isp;
+        match &self.fleet {
+            Fleet::Host | Fleet::Isp | Fleet::Shuffled(_) => {
+                let isp = matches!(self.fleet, Fleet::Isp);
                 let chunk = if isp { FEATURE_BUFFER_ELEMS } else { usize::MAX };
                 let side = self.run_side(unit, Side::whole(&self.plan, chunk), scratch)?;
                 let fetched = side.fetched();
@@ -511,7 +634,7 @@ impl Run {
                 }
                 Ok(Staged::Done(batch, timings))
             }
-            Pipeline::Split(split) => {
+            Fleet::Split(split) => {
                 let mut side =
                     self.run_side(unit, Side::isp(split, FEATURE_BUFFER_ELEMS), scratch)?;
                 let boundary = side.boundary(split);
@@ -532,7 +655,7 @@ impl Run {
     ) -> (Result<Staged, PreprocessError>, u32) {
         // Nothing offloaded (host-only split): hand the unit straight across
         // — no device work, no P2P traffic.
-        if matches!(&self.pipeline, Pipeline::Split(split) if split.isp_stages().is_empty()) {
+        if matches!(&self.fleet, Fleet::Split(split) if split.isp_stages().is_empty()) {
             return (Ok(Staged::Boundary(BoundaryBatch::default(), StageTimings::default())), 1);
         }
         let slot = self.slot(unit);
@@ -547,7 +670,7 @@ impl Run {
             Err(e)
                 if e.is_retryable()
                     && self.tracker.policy().failover
-                    && !matches!(self.pipeline, Pipeline::Host) =>
+                    && matches!(self.fleet, Fleet::Isp | Fleet::Split(_)) =>
             {
                 self.tracker.note_failover(slot, unit.partition);
                 (Ok(Staged::Fallback), attempts)
@@ -567,7 +690,7 @@ impl Run {
         let (batch, timings, attempts, via_failover) = match staged {
             Staged::Done(batch, timings) => (batch, timings, attempts, false),
             Staged::Boundary(mut boundary, isp_timings) => {
-                let Pipeline::Split(split) = &self.pipeline else {
+                let Fleet::Split(split) = &self.fleet else {
                     return Err(PreprocessError::Plan {
                         detail: "boundary hand-off outside a split pipeline".into(),
                     });
@@ -1035,48 +1158,16 @@ pub struct BatchStream {
 }
 
 impl BatchStream {
-    /// Starts a host-fleet run: device-affine claiming, workers paired per
-    /// [`FleetConfig::prefetch`], batches yielded **as they complete**
-    /// (wrap with [`BatchStream::into_ordered`] for partition order).
-    /// Partition data is snapshotted via O(1) clones (`MemBlob` shares its
-    /// bytes), so the stream is `'static` and outlives its arguments.
+    /// Starts a host-fleet run, [`Fleet::Host`]'s [`Fleet::stream`]:
+    /// device-affine claiming, workers paired per
+    /// [`FleetConfig::prefetch`], batches yielded **as they complete**.
     #[must_use]
     pub fn spawn(
         plan: &PreprocessPlan,
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> BatchStream {
-        Self::spawn_pipeline(plan, partitions, Pipeline::Host, config)
-    }
-
-    /// Starts a run of `pipeline` over whole partitions: the host fleet
-    /// ([`BatchStream::spawn`]), or the ISP / split fleet claiming
-    /// partitions in order, in completion order.
-    #[must_use]
-    pub fn spawn_pipeline(
-        plan: &PreprocessPlan,
-        partitions: &[Partition],
-        pipeline: Pipeline,
-        config: &FleetConfig,
-    ) -> BatchStream {
-        let units = (0..partitions.len()).map(Unit::partition).collect();
-        Self::start(plan, partitions, pipeline, Ok(units), None, config)
-    }
-
-    /// Starts the shuffled fleet: every row group of `partitions` through
-    /// the host pipeline, claimed and **delivered in the seeded
-    /// permutation order** of epoch `spec.epoch`. Partitions written
-    /// without row grouping degrade to a whole-partition shuffle. A
-    /// footer-enumeration failure ([`epoch_units`]) is delivered as the
-    /// stream's only item.
-    #[must_use]
-    pub fn spawn_shuffled(
-        plan: &PreprocessPlan,
-        partitions: &[Partition],
-        spec: ShuffleSpec,
-        config: &FleetConfig,
-    ) -> BatchStream {
-        Self::start_shuffled(plan, partitions, epoch_units(partitions), (spec, 0), config)
+        Fleet::Host.stream(plan, partitions, config)
     }
 
     /// Resumes a shuffled epoch from a serialized [`EpochCursor`]: unit
@@ -1105,37 +1196,28 @@ impl BatchStream {
                 ),
             }));
         }
-        let spec = ShuffleSpec { seed: cursor.seed, epoch: cursor.epoch };
-        Ok(Self::start_shuffled(plan, partitions, Ok(units), (spec, cursor.next), config))
+        let fleet = Fleet::Shuffled(ShuffleSpec { seed: cursor.seed, epoch: cursor.epoch });
+        Ok(Self::start(plan, partitions, fleet, Ok(group_units(units)), cursor.next, config))
     }
 
-    fn start_shuffled(
-        plan: &PreprocessPlan,
-        partitions: &[Partition],
-        units: Result<Vec<GroupRef>, PreprocessError>,
-        epoch: (ShuffleSpec, u64),
-        config: &FleetConfig,
-    ) -> BatchStream {
-        let units = units.map(|groups| {
-            groups.iter().map(|g| Unit { partition: g.partition, group: Some(g.group) }).collect()
-        });
-        Self::start(plan, partitions, Pipeline::Host, units, Some(epoch), config)
-    }
-
-    /// Spawns the fleet: `epoch = None` streams in completion order from a
-    /// per-pipeline source; `Some((spec, next))` streams `spec`'s
-    /// permutation from position `next` in sequence order. A failed `units`
-    /// becomes the stream's only item.
+    /// Spawns `fleet` over `units`: the shuffled fleet streams its
+    /// permutation from position `next` in sequence order, every other
+    /// fleet streams in completion order from its own source. A failed
+    /// `units` becomes the stream's only item.
     fn start(
         plan: &PreprocessPlan,
         partitions: &[Partition],
-        pipeline: Pipeline,
+        fleet: Fleet,
         units: Result<Vec<Unit>, PreprocessError>,
-        epoch: Option<(ShuffleSpec, u64)>,
+        next: u64,
         config: &FleetConfig,
     ) -> BatchStream {
+        let shuffle = match fleet {
+            Fleet::Shuffled(spec) => Some(spec),
+            _ => None,
+        };
         // Host pair: the plan's features dealt to the pair's two threads.
-        let halves = (pipeline == Pipeline::Host && epoch.is_none() && config.prefetch)
+        let halves = (fleet == Fleet::Host && config.prefetch)
             .then(|| paired_halves(plan.feature_halves()))
             .transpose();
         let (units, halves, spawn_error) = match (units, halves) {
@@ -1146,14 +1228,14 @@ impl BatchStream {
         let workers = config.workers.max(1).min(n.max(1));
         let capacity = config.capacity.max(1);
         let fused = |name| Layout { groups: 1, firsts: workers, link: None, names: [name; 2] };
-        let layout = match &pipeline {
-            Pipeline::Host if epoch.is_some() => fused("presto-shuffle"),
-            Pipeline::Host if halves.is_none() => fused("presto-stream"),
+        let layout = match &fleet {
+            Fleet::Shuffled(_) => fused("presto-shuffle"),
+            Fleet::Host if halves.is_none() => fused("presto-stream"),
             // Feature-sliced pair: both threads work on the same unit, each
             // on its half of the features; the one-slot link carries the
             // claim announcement, then A's outputs, so A runs at most one
             // half-unit ahead of B.
-            Pipeline::Host => Layout {
+            Fleet::Host => Layout {
                 groups: workers,
                 firsts: 1,
                 link: Some((1, 1)),
@@ -1161,7 +1243,7 @@ impl BatchStream {
             },
             // The failover queue: each unit is enqueued at most once, so
             // the bound can never block a sender.
-            Pipeline::Isp => Layout {
+            Fleet::Isp => Layout {
                 groups: 1,
                 firsts: workers,
                 link: Some((n.max(1), 1)),
@@ -1169,7 +1251,7 @@ impl BatchStream {
             },
             // The hand-off channel models the bounded device link: ISP
             // units stall once that many boundary payloads are in flight.
-            Pipeline::Split(_) => Layout {
+            Fleet::Split(_) => Layout {
                 groups: 1,
                 firsts: workers,
                 link: Some((capacity, workers)),
@@ -1178,9 +1260,9 @@ impl BatchStream {
         };
         let prefetch = halves.is_some();
 
-        let run = Run::new(plan.clone(), partitions.to_vec(), pipeline, config.recovery.clone(), n);
-        let start = epoch.map_or(0, |(_, next)| usize::try_from(next).unwrap_or(usize::MAX).min(n));
-        let order = epoch.map(|(spec, _)| (epoch_order(n, spec.seed, spec.epoch), start));
+        let run = Run::new(plan.clone(), partitions.to_vec(), fleet, config.recovery.clone(), n);
+        let start = shuffle.map_or(0, |_| usize::try_from(next).unwrap_or(usize::MAX).min(n));
+        let order = shuffle.map(|spec| (epoch_order(n, spec.seed, spec.epoch), start));
         let ordered = order.is_some();
         let source = UnitSource::new(&run, units, order, if prefetch { 2 } else { 1 });
         let engine = Arc::new(Engine { run, source, halves });
@@ -1237,7 +1319,7 @@ impl BatchStream {
             ordered,
             pending: BTreeMap::new(),
             next_seq: start,
-            shuffle: epoch.map(|(spec, _)| spec),
+            shuffle,
             workers,
             capacity,
             prefetch,
@@ -1401,6 +1483,24 @@ impl Drop for BatchStream {
     }
 }
 
+impl BatchSource for BatchStream {
+    fn next_batch(&mut self) -> Option<StreamItem> {
+        self.next()
+    }
+
+    fn capacity(&self) -> usize {
+        BatchStream::capacity(self)
+    }
+
+    fn queued(&self) -> usize {
+        BatchStream::queued(self)
+    }
+
+    fn stats(&self) -> StreamStats {
+        BatchStream::stats(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1548,7 +1648,7 @@ mod tests {
         let run = Run::new(
             plan.clone(),
             ds.partitions().to_vec(),
-            Pipeline::Host,
+            Fleet::Host,
             RetryPolicy::fail_fast(),
             6,
         );
@@ -1836,6 +1936,29 @@ mod tests {
             report.partitions,
             "nothing dropped silently"
         );
+    }
+
+    #[test]
+    fn shuffled_fleet_surfaces_spawn_failure_on_the_stream() {
+        let (c, ds) = dataset(1, 16, 1);
+        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
+        let mut partitions = ds.partitions().to_vec();
+        // Destroy the footer so epoch enumeration itself fails.
+        let bytes = partitions[0].blob.as_bytes().to_vec();
+        partitions[0].blob = presto_columnar::MemBlob::new(bytes[..bytes.len() / 2].to_vec());
+        let fleet = Fleet::Shuffled(ShuffleSpec::new(1));
+        let mut source = fleet.spawn(&plan, &partitions, &FleetConfig::new(1, 1));
+        assert_eq!(source.queued(), 1);
+        let first = source.next_batch().expect("one item");
+        assert!(first.is_err());
+        assert!(source.next_batch().is_none(), "error ends the stream");
+    }
+
+    #[test]
+    fn fleet_names_are_stable() {
+        assert_eq!(Fleet::Host.name(), "host");
+        assert_eq!(Fleet::Isp.name(), "isp");
+        assert_eq!(Fleet::Shuffled(ShuffleSpec::new(0)).name(), "shuffled");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::hwsim::fpga::IspModel;
 use presto::ops::{
     extract_columns_for_plan, preprocess_partition, preprocess_split_host, preprocess_split_isp,
-    BatchStream, BoundaryBatch, ChainSpec, ColumnRequirement, FleetConfig, MiniBatch, Op, Pipeline,
+    BatchStream, BoundaryBatch, ChainSpec, ColumnRequirement, Fleet, FleetConfig, MiniBatch, Op,
     PlanGraph, PreprocessPlan, SigridHasher, StageTimings,
 };
 use std::time::{Duration, Instant};
@@ -90,8 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let placement = place_stages(&plan, rows, &model);
         let split = plan.split(&placement.fleet_assignment())?;
         let warm = FleetConfig::new(2, 4);
-        for item in BatchStream::spawn_pipeline(&plan, &slow, Pipeline::Split(split.clone()), &warm)
-        {
+        for item in Fleet::Split(split.clone()).stream(&plan, &slow, &warm) {
             item?;
         }
         for item in BatchStream::spawn(&plan, &slow, &FleetConfig::new(2, 4)) {
@@ -129,8 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ISP-only fleet.
         let t0 = Instant::now();
-        let mut isp_stream =
-            BatchStream::spawn_pipeline(&plan, &slow, Pipeline::Isp, &FleetConfig::new(2, 4));
+        let mut isp_stream = Fleet::Isp.stream(&plan, &slow, &FleetConfig::new(2, 4));
         let mut isp: Vec<(usize, MiniBatch)> = Vec::new();
         for item in isp_stream.by_ref() {
             let b = item?;
@@ -146,12 +144,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Hybrid split fleet: ISP prefix pipelined against host suffix.
         let t0 = Instant::now();
         let split_config = FleetConfig::new(2, 4);
-        let mut split_stream = BatchStream::spawn_pipeline(
-            &plan,
-            &slow,
-            Pipeline::Split(split.clone()),
-            &split_config,
-        );
+        let mut split_stream = Fleet::Split(split.clone()).stream(&plan, &slow, &split_config);
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
         for item in split_stream.by_ref() {
             let b = item?;
@@ -330,12 +323,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t0 = Instant::now();
         let split_config = FleetConfig::new(2, 4);
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
-        for item in BatchStream::spawn_pipeline(
-            &plan,
-            &ls_slow,
-            Pipeline::Split(split.clone()),
-            &split_config,
-        ) {
+        for item in Fleet::Split(split.clone()).stream(&plan, &ls_slow, &split_config) {
             let b = item?;
             hybrid.push((b.partition, b.batch));
         }

@@ -9,10 +9,9 @@
 //! |---|---|
 //! | [`columnar`] | From-scratch columnar file format (Parquet substitute) |
 //! | [`datagen`] | Table I model configs + synthetic RecSys data |
-//! | [`ops`] | Real Bucketize / SigridHash / Log kernels + mini-batch assembly |
+//! | [`ops`] | Real kernels, the plan IR, the executor and the streaming engine with its fleets |
 //! | [`hwsim`] | Calibrated device models: CPU, SmartSSD ISP, GPU, network, LLC |
-//! | [`core`] | The PreSto system: provisioning, fleets, service, pipeline simulation, per-figure data |
-//! | [`metrics`] | Energy / TCO models and report formatting |
+//! | [`core`] | The PreSto system: architectures, provisioning, placement, the multi-tenant service, the trainer |
 //!
 //! None of them reads the process environment: what a writer stores and
 //! what a run computes depend on their arguments alone.
@@ -44,8 +43,8 @@
 //! model's. Its ablations also run the real engine: goodput under storage
 //! faults, tenants sharing a pool, shuffle granularity and prefix
 //! pushdown. [`hwsim::calib`] names the paper measurement behind every
-//! device-model constant, and `tests/paper_shape.rs` pins each headline
-//! claim as a band.
+//! device-model constant, and `presto-bench`'s `tests/paper_shape.rs` pins
+//! each headline claim as a band.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -54,5 +53,4 @@ pub use presto_columnar as columnar;
 pub use presto_core as core;
 pub use presto_datagen as datagen;
 pub use presto_hwsim as hwsim;
-pub use presto_metrics as metrics;
 pub use presto_ops as ops;

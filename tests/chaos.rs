@@ -18,8 +18,7 @@ use presto::columnar::{FaultInjector, FaultPlan};
 use presto::core::{Trainer, TrainerConfig};
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::ops::{
-    preprocess_partition, BatchStream, FleetConfig, MiniBatch, Pipeline, PreprocessPlan,
-    RetryPolicy,
+    preprocess_partition, BatchStream, Fleet, FleetConfig, MiniBatch, PreprocessPlan, RetryPolicy,
 };
 
 fn fault_seed() -> u64 {
@@ -94,10 +93,9 @@ fn isp_fleet_transient_faults_stream_bit_identical() {
 
     let injector = FaultPlan::new(fault_seed()).with_transient_rate(0.08).arm();
     let partitions = armed(&ds, &injector);
-    let mut stream = BatchStream::spawn_pipeline(
+    let mut stream = Fleet::Isp.stream(
         &plan,
         &partitions,
-        Pipeline::Isp,
         &FleetConfig::new(2, 2).with_recovery(transient_policy()),
     );
     let mut batches: Vec<(usize, MiniBatch)> =
@@ -142,12 +140,8 @@ fn dead_isp_device_fails_over_bit_identically_and_reports_it() {
     let injector = FaultPlan::new(fault_seed()).with_device_death(1, 60).arm();
     let partitions = armed(&ds, &injector);
     let policy = RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2);
-    let mut stream = BatchStream::spawn_pipeline(
-        &plan,
-        &partitions,
-        Pipeline::Isp,
-        &FleetConfig::new(2, 4).with_recovery(policy),
-    );
+    let mut stream =
+        Fleet::Isp.stream(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
     let mut batches: Vec<(usize, bool, MiniBatch)> = stream
         .by_ref()
         .map(|i| i.unwrap())
@@ -176,12 +170,8 @@ fn quarantine_without_failover_drops_nothing_silently() {
     let on_dead = partitions.iter().filter(|p| p.device == 0).count();
     let policy =
         RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2).with_failover(false);
-    let mut stream = BatchStream::spawn_pipeline(
-        &plan,
-        &partitions,
-        Pipeline::Isp,
-        &FleetConfig::new(2, 4).with_recovery(policy),
-    );
+    let mut stream =
+        Fleet::Isp.stream(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
     let mut ok = 0usize;
     let mut errors = Vec::new();
     for item in stream.by_ref() {

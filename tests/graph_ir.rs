@@ -22,7 +22,7 @@ use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig
 use presto::ops::{
     extract_columns_for_plan, lognorm, preprocess_batch_with, preprocess_partition,
     preprocess_split_host, preprocess_split_isp, BatchStream, BoundaryBatch, Bucketizer, ChainSpec,
-    DenseMatrix, FleetConfig, IdMap, JaggedFeature, MiniBatch, Op, Pipeline, Place, PlanGraph,
+    DenseMatrix, Fleet, FleetConfig, IdMap, JaggedFeature, MiniBatch, Op, Place, PlanGraph,
     PreprocessError, PreprocessPlan, ScratchSpace, SigridHasher, SplitPlan, StageTimings,
 };
 use proptest::prelude::*;
@@ -185,7 +185,7 @@ proptest! {
             prop_assert_eq!(&cpu, &serial);
             let config = FleetConfig::new(2, 2);
             let mut isp: Vec<(usize, MiniBatch)> =
-                BatchStream::spawn_pipeline(&plan, ds.partitions(), Pipeline::Isp, &config)
+                Fleet::Isp.stream(&plan, ds.partitions(), &config)
                 .map(|item| item.expect("isp batch"))
                 .map(|b| (b.partition, b.batch))
                 .collect();

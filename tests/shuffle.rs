@@ -19,13 +19,12 @@
 //!   delivered exactly once per epoch.
 
 use presto::columnar::{Encoding, FileWriter, MemBlob, WritePolicy};
-use presto::core::fleet::Fleet;
 use presto::core::pipeline::{Trainer, TrainerConfig};
 use presto::datagen::{generate_batch, Dataset, Partition, RmConfig};
 use presto::ops::graph::PlanGraph;
 use presto::ops::{
     epoch_order, epoch_units, preprocess_batch_with, preprocess_partition, BatchStream,
-    EpochCursor, FleetConfig, MiniBatch, PreprocessPlan, ScratchSpace, ShuffleSpec,
+    EpochCursor, Fleet, FleetConfig, MiniBatch, PreprocessPlan, ScratchSpace, ShuffleSpec,
 };
 use proptest::prelude::*;
 
@@ -47,7 +46,8 @@ fn collect_epoch(
     spec: ShuffleSpec,
     workers: usize,
 ) -> Vec<((usize, usize), MiniBatch)> {
-    BatchStream::spawn_shuffled(plan, partitions, spec, &FleetConfig::new(workers, 3))
+    Fleet::Shuffled(spec)
+        .stream(plan, partitions, &FleetConfig::new(workers, 3))
         .map(|item| {
             let b = item.expect("no faults injected");
             ((b.partition, b.group), b.batch)
@@ -121,7 +121,7 @@ fn resume_from_cursor_equals_uninterrupted_run() {
     assert_eq!(full.len(), 16);
     for interrupt_at in [1usize, 5, 15] {
         let mut first =
-            BatchStream::spawn_shuffled(&plan, ds.partitions(), spec, &FleetConfig::new(3, 2));
+            Fleet::Shuffled(spec).stream(&plan, ds.partitions(), &FleetConfig::new(3, 2));
         let head: Vec<_> = first
             .by_ref()
             .take(interrupt_at)
