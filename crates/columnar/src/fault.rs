@@ -180,12 +180,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan this injector executes.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Faults injected so far, across every armed blob.
     #[must_use]
     pub fn stats(&self) -> FaultStats {
@@ -259,12 +253,6 @@ impl FaultSite {
     #[must_use]
     pub fn new(injector: Arc<FaultInjector>, device: usize, partition: usize) -> Self {
         FaultSite { injector, device, partition, next_read: AtomicU64::new(0) }
-    }
-
-    /// The injector this site feeds.
-    #[must_use]
-    pub fn injector(&self) -> &Arc<FaultInjector> {
-        &self.injector
     }
 
     /// Runs one read through the injector: sleeps out spikes, fails
@@ -431,6 +419,54 @@ mod tests {
         assert_eq!(plan.transient_rate, 1.0);
         assert_eq!(plan.corrupt_rate, 0.0);
         assert_eq!(plan.spike_rate, 1.0);
+    }
+
+    #[test]
+    fn a_submission_stops_at_its_first_refused_read_like_a_loop() {
+        use crate::{Device, DeviceModel};
+        const N: usize = 8;
+        let plan = |seed| FaultPlan::new(seed).with_transient_rate(0.2).arm();
+        // A seed whose first transient fault on (0, 0) is read k, mid-way.
+        let (seed, k) = (0..)
+            .find_map(|seed| {
+                let probe = FaultyBlob::new(MemBlob::new(vec![0]), plan(seed), 0, 0);
+                let k = (0..N).position(|_| probe.read_at(0, 1).is_err())?;
+                (2..N - 1).contains(&k).then_some((seed, k))
+            })
+            .unwrap();
+        let device = Arc::new(Device::new(DeviceModel::new(Duration::from_micros(1), 2)));
+        let blob = MemBlob::new((0u8..64).collect())
+            .behind_device(Arc::clone(&device))
+            .with_faults(&plan(seed), 0, 0);
+        let mut bufs = [[0u8; 4]; N];
+        let mut reads = bufs.iter_mut().enumerate().map(|(i, b)| (4 * i as u64, &mut b[..]));
+        assert!(blob.read_many_into(&mut reads).is_err());
+        drop(reads);
+        let site = blob.fault_site().unwrap();
+        assert_eq!(site.next_read.load(Ordering::Relaxed), k as u64 + 1, "as in the loop");
+        assert_eq!(device.stats().reads, k as u64, "nothing from the refused read on");
+        for (i, buf) in bufs.iter().enumerate() {
+            let stored: Vec<u8> = (4 * i as u8..4 * i as u8 + 4).collect();
+            assert_eq!(buf[..] == stored, i < k, "range {i}, fault at {k}");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_flag_flips_bytes_in_its_own_range_only() {
+        let stored: Vec<u8> = (0u8..64).collect();
+        let plan = || FaultPlan::new(5).with_corrupt_rate(0.5).arm();
+        let looped = FaultyBlob::new(MemBlob::new(stored.clone()), plan(), 0, 0);
+        let expect: Vec<Vec<u8>> = (0..8).map(|i| looped.read_at(8 * i, 8).unwrap()).collect();
+        let blob = MemBlob::new(stored.clone()).with_faults(&plan(), 0, 0);
+        let mut bufs = [[0u8; 8]; 8];
+        let mut reads = bufs.iter_mut().enumerate().map(|(i, b)| (8 * i as u64, &mut b[..]));
+        blob.read_many_into(&mut reads).unwrap();
+        drop(reads);
+        let flipped = (0..8).filter(|&i| bufs[i][..] != stored[8 * i..8 * i + 8]).count();
+        assert!((1..8).contains(&flipped), "{flipped} of 8 ranges corrupted");
+        for (i, buf) in bufs.iter().enumerate() {
+            assert_eq!(buf[..], expect[i][..], "range {i}: the loop's bytes");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! [`FileWriter::write_batch`]) and every chunk entry carries the group's
 //! own page count and null-row count next to its offset/size/row/element
 //! stats, so a reader can fetch any single group — `read_row_group(g)` /
-//! `read_projected_with(g, ..)` — with exactly one ranged read per
+//! `read_columns_with(g, ..)` — with exactly one ranged read per
 //! projected column and exactly-sized decode buffers, without touching any
 //! other group. This random access is what the shuffled epoch streaming in
 //! `presto-ops` (the shuffled fleet) is built on. [`FileMeta::locate_row`] /
@@ -52,35 +52,40 @@
 //! open with a clear bad-magic error instead of a misleading decode
 //! failure. Mixed leading/trailing magics are rejected as corruption.
 //!
-//! The footer-at-the-end design is what lets a reader fetch metadata with two
-//! small reads and then issue *exactly one ranged read per projected column*,
+//! The footer-at-the-end design is what lets a reader fetch metadata in two
+//! waves (the head magic and the tail together, then the footer the tail
+//! locates) and then issue *exactly one ranged read per projected column*,
 //! which is the selective-extraction property the PreSto paper's Extract
 //! phase depends on (Section II-B).
 //!
 //! # Reading
 //!
-//! There is one chunk read, [`FileReader::read_column_limit_with`]: fetch
-//! the [`ChunkMeta::read_len`] bytes of one column chunk, decode them with
+//! There is one read, the group read [`FileReader::read_columns_with`]: for
+//! each `(column, limit)` asked of one row group, fetch the
+//! [`ChunkMeta::read_len`] bytes of its chunk, decode them with
 //! [`column::read_chunk`] against the footer's row and element counts for
 //! that group, and require that the pages end exactly where the footer says
-//! the bytes do and hold the group's rows. It takes the two things a caller
-//! can bring — an element limit (below) and a [`ReadScratch`] to stage and
-//! decode in — and every other read method is a loop over it, kept because
-//! callers outside the crate use it: [`FileReader::read_projected_with`] and
-//! [`FileReader::read_projected_limits_with`] (`presto-ops`' Extract: columns
-//! by name, the worker's scratch, the plan's limits),
-//! [`FileReader::read_row_group`], [`FileReader::read_projected`] and
-//! [`FileReader::read_column`] (tools, examples and tests: they bring one
-//! scratch of their own per call). What the decoder does with the bytes —
-//! zero-copy views over a shared blob, one exactly-sized output otherwise —
-//! it decides itself; see [`crate::column`]. Files of all three magics go
-//! through the same read: the version only selects the footer's stats layout.
+//! the bytes do and hold the group's rows. Every range is checked against
+//! the blob first; a blob that exposes reads and not memory then gets all of
+//! them as one [`BlobRead::read_many_into`] submission, staged back to back
+//! in the caller's [`ReadScratch`], so a device serves a group's chunks at
+//! its queue depth. Every other read method is a case of it, kept because
+//! callers outside the crate use it: [`FileReader::read_column_limit_with`]
+//! (one chunk), [`FileReader::read_projected_with`] (columns by name, with
+//! per-column limits), and [`FileReader::read_row_group`],
+//! [`FileReader::read_projected`] and [`FileReader::read_column`] (tools,
+//! examples and tests: they bring one scratch of their own per call).
+//! `presto-ops`' Extract calls the group read itself, once per group, with
+//! the worker's scratch and the plan's limits. What the decoder does with
+//! the bytes — zero-copy views over a shared blob, one exactly-sized output
+//! otherwise — it decides itself; see [`crate::column`]. Files of all three
+//! magics go through the same read: the version only selects the footer's
+//! stats layout.
 //!
 //! # Prefix pushdown
 //!
-//! [`FileReader::read_projected_limits_with`] /
-//! [`FileReader::read_column_limit_with`] accept a per-column element
-//! limit: `Some(x)` on a list column materializes only the first `x`
+//! [`FileReader::read_columns_with`] and its cases accept a per-column
+//! element limit: `Some(x)` on a list column materializes only the first `x`
 //! elements of every list. This is the storage half of the late-
 //! materialization contract with `presto-ops`:
 //!
@@ -190,7 +195,7 @@ pub struct ChunkMeta {
 
 impl ChunkMeta {
     /// Bytes the one ranged read of this chunk fetches under an element
-    /// `limit` ([`FileReader::read_column_limit_with`]): the head pages
+    /// `limit` ([`FileReader::read_columns_with`]): the head pages
     /// alone when the chunk has them and they reach `limit` values deep,
     /// the whole chunk otherwise. This is both what the reader does and what
     /// byte accounting (the ISP fleet's P2P traffic) should charge.
@@ -351,7 +356,7 @@ fn read_count(buf: &[u8], pos: &mut usize, min_bytes: usize, what: &str) -> Resu
 /// A list chunk whose mean list length is at least 128 (four times the 32
 /// values a head page keeps per list) is written as head pages followed by
 /// tail pages, so that the prefix reads such columns mostly get
-/// ([`FileReader::read_column_limit_with`]) cost a fraction of the chunk;
+/// ([`FileReader::read_columns_with`]) cost a fraction of the chunk;
 /// see [`crate::column`]. The choice is made per chunk from the data in it,
 /// and neither it nor the 32 can be set: a file's bytes are a function of
 /// the batch, the page and group sizes and the [`WritePolicy`] alone, the
@@ -572,17 +577,19 @@ impl<B: BlobRead> FileReader<B> {
                 detail: format!("file of {total} bytes is too small"),
             });
         }
-        let head = blob.read_at(0, 8)?;
+        // The head magic and the tail go to the device as one submission;
+        // only the footer read waits on what the tail says.
+        let (mut head, mut tail) = ([0u8; 8], [0u8; 8 + 4 + 4]);
+        let footer_end = total - tail_len as u64;
+        blob.read_many_into(&mut [(0, &mut head[..]), (footer_end, &mut tail[..])].into_iter())?;
         let Some(version) = FormatVersion::from_magic(&head) else {
             return Err(ColumnarError::CorruptFile { detail: "bad leading magic".into() });
         };
-        let tail = blob.read_at(total - tail_len as u64, tail_len)?;
         if tail[8..] != head {
             return Err(ColumnarError::CorruptFile { detail: "bad trailing magic".into() });
         }
         let footer_crc = u32::from_le_bytes(tail[0..4].try_into().expect("4 bytes"));
         let footer_len = u32::from_le_bytes(tail[4..8].try_into().expect("4 bytes")) as u64;
-        let footer_end = total - tail_len as u64;
         if footer_len > footer_end - 8 {
             return Err(ColumnarError::CorruptFile {
                 detail: format!("footer length {footer_len} exceeds file"),
@@ -631,49 +638,13 @@ impl<B: BlobRead> FileReader<B> {
         self.read_column_limit_with(row_group, column, None, &mut ReadScratch::new())
     }
 
-    /// The footer's entry for one chunk, with its group and column type.
-    fn chunk(
-        &self,
-        row_group: usize,
-        column: usize,
-    ) -> Result<(&RowGroupMeta, &ChunkMeta, DataType)> {
-        let rg = self.meta.row_groups.get(row_group).ok_or_else(|| {
-            ColumnarError::UnknownColumn { name: format!("row group {row_group}") }
-        })?;
-        let chunk = rg
-            .columns
-            .get(column)
-            .ok_or_else(|| ColumnarError::UnknownColumn { name: format!("column {column}") })?;
-        let field = self.meta.schema.field(column).expect("meta/schema in sync");
-        Ok((rg, chunk, field.data_type()))
-    }
-
-    /// The one chunk read, of which every other read method is a loop: the
-    /// [`ChunkMeta::read_len`] bytes of one column chunk, decoded by
-    /// [`column::read_chunk`] against the footer's row and element counts
-    /// for that group, which must end exactly where the footer says the
-    /// bytes do and hold the group's rows.
-    ///
-    /// The bytes are borrowed from storage memory when the backend exposes
-    /// it ([`BlobRead::as_shared`], under which aligned plain pages come
-    /// back as views of it, or [`BlobRead::as_slice`]) and the scratch's
-    /// staging buffer is then not touched; otherwise they are fetched with
-    /// one positioned read into that recycled buffer. Either way a caller
-    /// that reuses one [`ReadScratch`] across columns and partitions stages
-    /// and decodes without allocating anything but the returned array.
-    ///
-    /// `limit` is the prefix pushdown (see the module docs): `Some(x)` on a
-    /// list column materializes only the first `x` elements of every list,
-    /// and the offsets of the returned array already reflect the truncation;
-    /// `None` — or any limit on a scalar column — reads the column in full.
+    /// The one-chunk case of [`FileReader::read_columns_with`]: one column
+    /// of one group under an element `limit`, staged and decoded in
+    /// `scratch`.
     ///
     /// # Errors
     ///
-    /// Returns [`ColumnarError::UnknownColumn`] for bad indices,
-    /// [`ColumnarError::CorruptFile`] when the chunk's pages do not fill the
-    /// byte range the footer gives them, [`ColumnarError::CountMismatch`]
-    /// when they do not hold the group's rows, plus any storage or decode
-    /// error.
+    /// Same as [`FileReader::read_columns_with`].
     pub fn read_column_limit_with(
         &self,
         row_group: usize,
@@ -681,111 +652,169 @@ impl<B: BlobRead> FileReader<B> {
         limit: Option<usize>,
         scratch: &mut ReadScratch,
     ) -> Result<Array> {
-        let (rg, chunk, data_type) = self.chunk(row_group, column)?;
+        let mut one = None;
+        self.read_group(row_group, &[(column, limit)], scratch, |array| one = Some(array))?;
+        Ok(one.expect("a one-chunk read decodes one array"))
+    }
+
+    /// The footer's entry for one chunk of a group read, its column type,
+    /// the limit that applies to it (none on a scalar column) and the
+    /// [`ChunkMeta::read_len`] bytes its read fetches, which must lie
+    /// within the blob.
+    fn chunk(
+        &self,
+        row_group: usize,
+        (column, limit): (usize, Option<usize>),
+    ) -> Result<(&ChunkMeta, DataType, Option<usize>, usize)> {
+        let unknown = |name: String| ColumnarError::UnknownColumn { name };
+        let rg = self.meta.row_groups.get(row_group);
+        let rg = rg.ok_or_else(|| unknown(format!("row group {row_group}")))?;
+        let chunk = rg.columns.get(column).ok_or_else(|| unknown(format!("column {column}")))?;
+        let data_type = self.meta.schema.field(column).expect("meta/schema in sync").data_type();
         let limit = limit.filter(|_| data_type == DataType::ListInt64);
-        // Deeper than the head pages reach: both parts, then cut.
-        let deep = limit.filter(|&x| chunk.stats.head.is_some_and(|head| x as u64 > head.k));
-        let len = usize::try_from(chunk.read_len(limit)).unwrap_or(usize::MAX);
-        // Corrupt metadata must surface as Err — not as an overflow panic, and
-        // not after a staging buffer has been sized by it.
-        let past_the_blob = ColumnarError::UnexpectedEof { context: "column chunk range" };
-        if chunk.offset.checked_add(len as u64).is_none_or(|end| end > self.blob.blob_len()) {
-            return Err(past_the_blob);
+        let len = chunk.read_len(limit);
+        if chunk.offset.checked_add(len).is_none_or(|end| end > self.blob.blob_len()) {
+            return Err(ColumnarError::UnexpectedEof { context: "column chunk range" });
         }
+        Ok((chunk, data_type, limit, len as usize))
+    }
+
+    /// The group read, of which every other read method is a case: the
+    /// [`ChunkMeta::read_len`] bytes of each `(column, limit)` chunk of one
+    /// row group, each decoded by [`column::read_chunk`] against the
+    /// footer's row and element counts for that group, which must end
+    /// exactly where the footer says the chunk's bytes do and hold the
+    /// group's rows. Arrays come back in the order of `columns`.
+    ///
+    /// Every chunk's range is checked against the blob before anything is
+    /// fetched. The bytes are then borrowed from storage memory when the
+    /// backend exposes it ([`BlobRead::as_shared`], under which aligned
+    /// plain pages come back as views of it, or [`BlobRead::as_slice`]) and
+    /// the scratch's staging buffer is not touched; otherwise every range is
+    /// fetched with one [`BlobRead::read_many_into`] submission, back to
+    /// back into that recycled buffer — so a group's chunks reach an
+    /// emulated device together and take ⌈chunks / queue depth⌉ waves, not
+    /// one latency each. Either way a caller that reuses one
+    /// [`ReadScratch`] across groups and partitions stages and decodes
+    /// without allocating anything but the returned arrays.
+    ///
+    /// A `limit` is the prefix pushdown (see the module docs): `Some(x)` on
+    /// a list column materializes only the first `x` elements of every
+    /// list, and the offsets of the returned array already reflect the
+    /// truncation; `None` — or any limit on a scalar column — reads the
+    /// column in full.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ColumnarError::UnknownColumn`] for bad indices,
+    /// [`ColumnarError::UnexpectedEof`] for a chunk range past the blob
+    /// (before any read), [`ColumnarError::CorruptFile`] when a chunk's
+    /// pages do not fill the byte range the footer gives them,
+    /// [`ColumnarError::CountMismatch`] when they do not hold the group's
+    /// rows, plus any storage or decode error.
+    pub fn read_columns_with(
+        &self,
+        row_group: usize,
+        columns: &[(usize, Option<usize>)],
+        scratch: &mut ReadScratch,
+    ) -> Result<Vec<Array>> {
+        let mut arrays = Vec::with_capacity(columns.len());
+        self.read_group(row_group, columns, scratch, |array| arrays.push(array))?;
+        Ok(arrays)
+    }
+
+    /// [`FileReader::read_columns_with`], handing each array to `sink`.
+    fn read_group(
+        &self,
+        row_group: usize,
+        columns: &[(usize, Option<usize>)],
+        scratch: &mut ReadScratch,
+        mut sink: impl FnMut(Array),
+    ) -> Result<()> {
+        // Corrupt metadata must surface as Err before anything is sized or
+        // fetched by it — not as an overflow panic, not as a staging buffer
+        // of its size, and not after earlier ranges took device slots.
+        let total =
+            columns.iter().map(|&read| Ok(self.chunk(row_group, read)?.3)).sum::<Result<_>>()?;
+        let rows = self.meta.row_groups[row_group].rows;
+        let size = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+        // Ranges that passed the check above, in order.
+        let ranges = || columns.iter().flat_map(|&read| self.chunk(row_group, read));
         let shared = self.blob.as_shared();
         let memory = shared.as_deref().map(Vec::as_slice).or_else(|| self.blob.as_slice());
         let (bytes, decode) = match memory {
-            None => scratch.read_split(&self.blob, chunk.offset, len)?,
-            Some(all) => {
-                let start = chunk.offset as usize;
-                (all.get(start..start + len).ok_or(past_the_blob)?, scratch.decode_parts())
+            Some(all) => (all, &mut scratch.decode),
+            None => {
+                scratch.stage(&self.blob, total, ranges().map(|(c, .., len)| (c.offset, len)))?
             }
         };
-        let totals = (
-            usize::try_from(rg.rows).unwrap_or(usize::MAX),
-            usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX),
-        );
-        let (array, used) = column::read_chunk(
-            bytes,
-            chunk.offset,
-            data_type,
-            totals,
-            if deep.is_some() { None } else { limit },
-            shared.as_ref(),
-            decode,
-        )?;
-        if used != bytes.len() {
-            return Err(ColumnarError::CorruptFile {
-                detail: format!("chunk's pages end at byte {used}, the footer says {len}"),
-            });
+        let mut staged_at = 0;
+        for (chunk, data_type, limit, len) in ranges() {
+            let start = if memory.is_some() { chunk.offset as usize } else { staged_at };
+            staged_at += len;
+            // Deeper than the head pages reach: both parts, then cut.
+            let deep = limit.filter(|&x| chunk.stats.head.is_some_and(|head| x as u64 > head.k));
+            let (array, used) = column::read_chunk(
+                &bytes[start..start + len],
+                chunk.offset,
+                data_type,
+                (size(rows), size(chunk.stats.elements)),
+                if deep.is_some() { None } else { limit },
+                shared.as_ref(),
+                decode,
+            )?;
+            if used != len {
+                return Err(ColumnarError::CorruptFile {
+                    detail: format!("chunk's pages end at byte {used}, the footer says {len}"),
+                });
+            }
+            if array.len() as u64 != rows {
+                return Err(ColumnarError::CountMismatch {
+                    declared: size(rows),
+                    actual: array.len(),
+                });
+            }
+            sink(if let Some(x) = deep { column::truncate_lists(array, x) } else { array });
         }
-        if array.len() as u64 != rg.rows {
-            return Err(ColumnarError::CountMismatch {
-                declared: rg.rows as usize,
-                actual: array.len(),
-            });
-        }
-        Ok(match deep {
-            Some(x) => column::truncate_lists(array, x),
-            None => array,
-        })
+        Ok(())
     }
 
-    /// Reads several columns by name.
+    /// Reads several columns by name, in full.
     ///
     /// # Errors
     ///
     /// Returns [`ColumnarError::UnknownColumn`] for unknown names plus any
     /// decode error.
     pub fn read_projected(&self, row_group: usize, names: &[&str]) -> Result<Vec<Array>> {
-        self.read_projected_with(row_group, names, &mut ReadScratch::new())
+        self.read_projected_with(row_group, names, &[], &mut ReadScratch::new())
     }
 
-    /// Like [`FileReader::read_projected`], reusing a [`ReadScratch`] for
-    /// every chunk read (see [`FileReader::read_column_limit_with`]).
+    /// The projected read: columns by name through one
+    /// [`FileReader::read_columns_with`], staged in `scratch`. `limits[i]`
+    /// is the prefix pushdown for `names[i]` (see the module docs); an
+    /// empty `limits` reads every column in full.
     ///
     /// # Errors
     ///
-    /// Same as [`FileReader::read_projected`].
+    /// Same as [`FileReader::read_columns_with`], plus
+    /// [`ColumnarError::UnknownColumn`] for unknown names and
+    /// [`ColumnarError::CountMismatch`] when a non-empty `limits` and
+    /// `names` disagree in length.
     pub fn read_projected_with(
-        &self,
-        row_group: usize,
-        names: &[&str],
-        scratch: &mut ReadScratch,
-    ) -> Result<Vec<Array>> {
-        let idx = self.meta.schema.project(names)?;
-        idx.iter().map(|&c| self.read_column_limit_with(row_group, c, None, scratch)).collect()
-    }
-
-    /// Like [`FileReader::read_projected_with`], honoring a per-column
-    /// element limit — the prefix-pushdown read (see the module docs).
-    /// `limits[i]` applies to `names[i]`: `Some(x)` materializes only the
-    /// first `x` elements of each list in that column; `None` reads the
-    /// column in full.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileReader::read_projected_with`], plus
-    /// [`ColumnarError::CountMismatch`] when `limits` and `names` disagree
-    /// in length.
-    pub fn read_projected_limits_with(
         &self,
         row_group: usize,
         names: &[&str],
         limits: &[Option<usize>],
         scratch: &mut ReadScratch,
     ) -> Result<Vec<Array>> {
-        if limits.len() != names.len() {
-            return Err(ColumnarError::CountMismatch {
-                declared: names.len(),
-                actual: limits.len(),
-            });
+        let mismatch = ColumnarError::CountMismatch { declared: names.len(), actual: limits.len() };
+        if !limits.is_empty() && limits.len() != names.len() {
+            return Err(mismatch);
         }
         let idx = self.meta.schema.project(names)?;
-        idx.iter()
-            .zip(limits)
-            .map(|(&c, &limit)| self.read_column_limit_with(row_group, c, limit, scratch))
-            .collect()
+        let limit = |i: usize| limits.get(i).copied().flatten();
+        let columns: Vec<_> = idx.into_iter().enumerate().map(|(i, c)| (c, limit(i))).collect();
+        self.read_columns_with(row_group, &columns, scratch)
     }
 
     /// Reads an entire row group in schema order.
@@ -794,10 +823,8 @@ impl<B: BlobRead> FileReader<B> {
     ///
     /// Same as [`FileReader::read_column`].
     pub fn read_row_group(&self, row_group: usize) -> Result<Vec<Array>> {
-        let mut scratch = ReadScratch::new();
-        (0..self.meta.schema.len())
-            .map(|c| self.read_column_limit_with(row_group, c, None, &mut scratch))
-            .collect()
+        let columns: Vec<_> = (0..self.meta.schema.len()).map(|c| (c, None)).collect();
+        self.read_columns_with(row_group, &columns, &mut ReadScratch::new())
     }
 
     /// Returns the wrapped blob.
@@ -958,13 +985,13 @@ mod tests {
         for g in 0..2 {
             let plain = reader.read_projected(g, &["label", "sparse_0"]).unwrap();
             let scratched =
-                reader.read_projected_with(g, &["label", "sparse_0"], &mut scratch).unwrap();
+                reader.read_projected_with(g, &["label", "sparse_0"], &[], &mut scratch).unwrap();
             assert_eq!(plain, scratched);
         }
         assert_eq!(scratch.capacity(), 0, "slice-backed blob must not touch the scratch");
         // ...while an opaque backend stages chunks in the recycled buffer.
         let reader = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).unwrap();
-        let a = reader.read_projected_with(0, &["dense_0"], &mut scratch).unwrap();
+        let a = reader.read_projected_with(0, &["dense_0"], &[], &mut scratch).unwrap();
         let b = reader.read_projected(0, &["dense_0"]).unwrap();
         assert_eq!(a, b);
         assert!(scratch.capacity() > 0);
@@ -991,7 +1018,7 @@ mod tests {
         // Mismatched limits length is rejected.
         let reader = FileReader::open(MemBlob::new(sample_file(2, 300))).unwrap();
         assert!(reader
-            .read_projected_limits_with(0, &["label"], &[None, Some(1)], &mut ReadScratch::new())
+            .read_projected_with(0, &["label"], &[None, Some(1)], &mut ReadScratch::new())
             .is_err());
     }
 
@@ -1623,6 +1650,104 @@ mod tests {
             }
         }
         assert!(failed > 20 && exact > 20, "{failed} failed, {exact} exact");
+    }
+
+    /// Reads every group of `group` with one group read and of `looped`
+    /// with a loop of one-chunk reads — two readers of the same bytes over
+    /// blobs built alike — and asserts the same outcome, error text included.
+    fn group_and_loop<B: BlobRead>(
+        group: &FileReader<B>,
+        looped: &FileReader<B>,
+        columns: &[(usize, Option<usize>)],
+        what: &str,
+    ) -> (usize, usize) {
+        let (mut scratch, mut outcomes) = (ReadScratch::new(), (0, 0));
+        for g in 0..group.row_group_count() {
+            let a = group.read_columns_with(g, columns, &mut scratch);
+            let b: Result<Vec<_>> = columns
+                .iter()
+                .map(|&(c, limit)| looped.read_column_limit_with(g, c, limit, &mut scratch))
+                .collect();
+            let (a, b) = (a.map_err(|e| e.to_string()), b.map_err(|e| e.to_string()));
+            assert_eq!(a, b, "{what}, group {g}");
+            if a.is_ok() {
+                outcomes.0 += 1
+            } else {
+                outcomes.1 += 1
+            }
+        }
+        outcomes
+    }
+
+    #[test]
+    fn a_group_read_is_the_loop_of_its_chunk_reads() {
+        let fixtures = [
+            &include_bytes!("../../../tests/data/v2_rm1_200rows_seed42.pstocol")[..],
+            &include_bytes!("../../../tests/data/v3_rm1_200rows_seed42.pstocol")[..],
+        ];
+        let files = crate::Encoding::ALL
+            .map(|e| history_file(7, Some(16), WritePolicy::default().with_forced_encoding(e)))
+            .into_iter()
+            .chain(fixtures.map(<[u8]>::to_vec));
+        let (mut ok, mut failed, mut site) = (0, 0, 0);
+        for (f, bytes) in files.enumerate() {
+            let mem = MemBlob::new(bytes);
+            let n = FileReader::open(mem.clone()).unwrap().schema().len();
+            // Full, then a prefix below, at and above the K = 32 values of
+            // the head pages; columns in reverse, so order is checked too.
+            for limit in [None, Some(31), Some(32), Some(33)] {
+                let columns: Vec<_> = (0..n).rev().map(|c| (c, limit)).collect();
+                let what = format!("file {f}, {limit:?}");
+                let [a, b] = [0, 1].map(|_| FileReader::open(mem.clone()).unwrap());
+                group_and_loop(&a, &b, &columns, &format!("{what}, in memory"));
+
+                let model = DeviceModel::new(std::time::Duration::from_nanos(1), 2);
+                let devices = [0, 1].map(|_| Arc::new(Device::new(model)));
+                let [a, b] = devices
+                    .clone()
+                    .map(|d| FileReader::open(mem.clone().behind_device(d)).unwrap());
+                group_and_loop(&a, &b, &columns, &format!("{what}, device"));
+                assert_eq!(devices[0].stats().reads, devices[1].stats().reads, "{what}");
+
+                let [a, b] = [0, 1].map(|_| FileReader::open(CountingBlob::new(mem.clone())));
+                let (a, b) = (a.unwrap(), b.unwrap());
+                group_and_loop(&a, &b, &columns, &format!("{what}, counting"));
+                let traffic = |r: &FileReader<CountingBlob<MemBlob>>| {
+                    (r.blob.read_calls(), r.blob.bytes_read())
+                };
+                assert_eq!(traffic(&a), traffic(&b), "{what}");
+
+                // A fault site of its own per file and limit (partition
+                // `site`); a failed open fails alike on both sides.
+                let plans = [0, 1].map(|_| FaultPlan::new(11).with_transient_rate(0.1).arm());
+                let [a, b] =
+                    plans.clone().map(|p| FileReader::open(mem.clone().with_faults(&p, 0, site)));
+                site += 1;
+                let (Ok(a), Ok(b)) = (a, b) else { continue };
+                let (o, e) = group_and_loop(&a, &b, &columns, &format!("{what}, faulty"));
+                assert_eq!(plans[0].stats(), plans[1].stats(), "{what}");
+                (ok, failed) = (ok + o, failed + e);
+            }
+        }
+        assert!(ok > 10 && failed > 10, "faulty route: {ok} groups read, {failed} failed");
+    }
+
+    #[test]
+    fn a_group_with_a_chunk_past_the_blob_reads_nothing() {
+        let bytes = sample_file(1, 50);
+        let lie = refooter(&bytes, |meta| meta.row_groups[0].columns[2].offset = 1 << 40);
+        let model = DeviceModel::new(std::time::Duration::from_nanos(1), 2);
+        let device = Arc::new(Device::new(model));
+        let blob = CountingBlob::new(MemBlob::new(lie).behind_device(Arc::clone(&device)));
+        let reader = FileReader::open(blob).unwrap();
+        let (calls, reads) = (reader.blob.read_calls(), device.stats().reads);
+        let got = reader.read_columns_with(
+            0,
+            &[(0, None), (1, None), (2, None)],
+            &mut ReadScratch::new(),
+        );
+        assert!(matches!(got, Err(ColumnarError::UnexpectedEof { .. })), "{got:?}");
+        assert_eq!((reader.blob.read_calls(), device.stats().reads), (calls, reads));
     }
 
     #[test]

@@ -32,6 +32,14 @@
 //! SSD model in `presto_hwsim` predicts. Place blobs behind a shared device
 //! with [`MemBlob::behind_device`] to make contention measurable on any
 //! host.
+//!
+//! A reader hands the device several ranges at once with
+//! [`BlobRead::read_many_into`]: one submission fills up to the queue depth
+//! and queues the rest, so from an idle device `n` ranges finish in
+//! [`DeviceModel::serialized_time`]`(n)` — ⌈n / depth⌉ waves — instead of
+//! the `n × latency` a read-at-a-time loop pays. [`FsBlob`] (and every
+//! decorator) still reads one range at a time: the trait's default
+//! submission is that loop.
 
 use crate::error::Result;
 use crate::fault::{FaultInjector, FaultSite};
@@ -41,10 +49,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Queue depth used by [`MemBlob::with_read_latency`]: deep enough that any
-/// realistic worker fleet in this workspace (≤ 16 pipelines) never queues,
-/// so the legacy "every read pays the latency independently" behavior is
-/// preserved while still routing through the shared [`Device`] gate.
+/// Queue depth used by [`MemBlob::with_read_latency`]: deep enough that the
+/// single reads of any realistic worker fleet in this workspace (≤ 16
+/// pipelines) never queue, so the legacy "every read pays the latency
+/// independently" behavior is preserved while still routing through the
+/// shared [`Device`] gate. A submission of more ranges than this takes
+/// ⌈ranges / 32⌉ waves, as on any device.
 pub const DEFAULT_EMULATED_QUEUE_DEPTH: usize = 32;
 
 /// Parameters of an emulated storage device.
@@ -94,7 +104,9 @@ pub struct DeviceStats {
     pub reads: u64,
     /// Total service time (`reads × read_latency`).
     pub busy: Duration,
-    /// Total time reads spent queued waiting for a device slot.
+    /// Total time reads spent queued waiting for a device slot, summed over
+    /// reads: a submission of `n` reads on a depth-`d` device adds every
+    /// queued read's wait, so this can exceed the wall time it spans.
     pub queue_wait: Duration,
     /// Schedule makespan: first read's start to last read's completion, as
     /// scheduled by the token queue (free of host sleep jitter).
@@ -117,8 +129,10 @@ struct DeviceSchedule {
 /// positioned read on the device passes through.
 ///
 /// Each read claims the earliest-free of `queue_depth` service slots; its
-/// completion deadline is `max(now, slot_free) + read_latency` and the
-/// reading thread sleeps until that *absolute* deadline. Scheduling against
+/// completion deadline is `max(now, slot_free) + read_latency`. The reads of
+/// one submission ([`BlobRead::read_many_into`]) claim their slots at the
+/// same instant, and the reading thread sleeps until the *absolute*
+/// deadline of the latest of them. Scheduling against
 /// absolute deadlines keeps the emulation faithful: sleep overshoot on one
 /// read does not accumulate into the device's schedule, so a backlogged
 /// queue-depth-1 device serializes `N` reads into `N × latency` wall time
@@ -157,29 +171,29 @@ impl Device {
         self.model
     }
 
-    /// Admits one read: claims the earliest-free slot and returns the
-    /// absolute completion deadline the caller must sleep until.
-    fn admit(&self) -> Instant {
+    /// Admits `reads` reads submitted together: each claims the
+    /// earliest-free slot at the same instant, so from idle they finish in
+    /// [`DeviceModel::serialized_time`]`(reads)`. Returns the absolute
+    /// deadline of the latest of them, which the caller must sleep until.
+    fn admit(&self, reads: u64) -> Instant {
         let now = Instant::now();
         let latency = u64::try_from(self.model.read_latency.as_nanos()).unwrap_or(u64::MAX);
         let mut s = self.schedule.lock().expect("device schedule lock");
         let origin = *s.origin.get_or_insert(now);
         let now_off = u64::try_from(now.duration_since(origin).as_nanos()).unwrap_or(u64::MAX);
-        let slot = s
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &free)| free)
-            .map(|(i, _)| i)
-            .expect("at least one slot");
-        let start = now_off.max(s.free_at[slot]);
-        let completion = start.saturating_add(latency);
-        s.free_at[slot] = completion;
-        s.last_completion = s.last_completion.max(completion);
+        let (mut latest, mut waited) = (now_off, 0);
+        for _ in 0..reads {
+            let slot = (0..s.free_at.len()).min_by_key(|&i| s.free_at[i]).expect("a slot");
+            let start = now_off.max(s.free_at[slot]);
+            latest = start.saturating_add(latency);
+            s.free_at[slot] = latest;
+            waited += start - now_off;
+        }
+        s.last_completion = s.last_completion.max(latest);
         drop(s);
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.waited_nanos.fetch_add(start - now_off, Ordering::Relaxed);
-        origin + Duration::from_nanos(completion)
+        self.reads.fetch_add(reads, Ordering::Relaxed);
+        self.waited_nanos.fetch_add(waited, Ordering::Relaxed);
+        origin + Duration::from_nanos(latest)
     }
 
     /// Statistics accumulated so far.
@@ -230,6 +244,20 @@ pub trait BlobRead {
     /// medium fails.
     fn read_at_into(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
 
+    /// Fills every `(offset, buf)` of one submission, in order, stopping at
+    /// the first read that fails. The default is a loop over
+    /// [`BlobRead::read_at_into`], so a backend that does not override it
+    /// behaves and counts exactly as that loop; [`MemBlob`] overrides it to
+    /// hand the whole submission to its [`Device`] at once (see the module
+    /// docs).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BlobRead::read_at_into`], for any of the reads.
+    fn read_many_into(&self, mut reads: &mut dyn Iterator<Item = (u64, &mut [u8])>) -> Result<()> {
+        (&mut reads).try_for_each(|(offset, buf)| self.read_at_into(offset, buf))
+    }
+
     /// Reads exactly `len` bytes starting at `offset` into a fresh buffer.
     ///
     /// # Errors
@@ -269,8 +297,8 @@ impl<B: BlobRead + ?Sized> BlobRead for &B {
         (**self).read_at_into(offset, buf)
     }
 
-    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        (**self).read_at(offset, len)
+    fn read_many_into(&self, reads: &mut dyn Iterator<Item = (u64, &mut [u8])>) -> Result<()> {
+        (**self).read_many_into(reads)
     }
 
     fn as_slice(&self) -> Option<&[u8]> {
@@ -316,7 +344,7 @@ pub struct DecodeScratch {
 #[derive(Debug, Default)]
 pub struct ReadScratch {
     buf: Vec<u8>,
-    decode: DecodeScratch,
+    pub(crate) decode: DecodeScratch,
 }
 
 impl ReadScratch {
@@ -326,32 +354,30 @@ impl ReadScratch {
         ReadScratch::default()
     }
 
-    /// The decode intermediates alone, for a caller that decodes straight
-    /// from storage memory and stages no chunk bytes.
-    pub(crate) fn decode_parts(&mut self) -> &mut DecodeScratch {
-        &mut self.decode
-    }
-
-    /// Stages `len` bytes at `offset` from `blob` into the recycled chunk
-    /// buffer (grown to the largest chunk seen so far) and returns
-    /// them together with the decode intermediates as disjoint borrows —
-    /// the chunk decoders' entry point for opaque backends.
+    /// Stages the `(offset, len)` ranges of one submission, fetched from
+    /// `blob` with one [`BlobRead::read_many_into`], back to back in the
+    /// recycled buffer (grown to the largest `total` seen so far), and
+    /// returns those `total` bytes together with the decode intermediates as
+    /// disjoint borrows — the chunk decoder's entry point for backends that
+    /// expose reads and not memory. `total` is the sum of the lengths.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BlobRead::read_at_into`].
-    pub(crate) fn read_split<B: BlobRead + ?Sized>(
+    /// Same conditions as [`BlobRead::read_many_into`].
+    pub(crate) fn stage<B: BlobRead + ?Sized>(
         &mut self,
         blob: &B,
-        offset: u64,
-        len: usize,
+        total: usize,
+        ranges: impl Iterator<Item = (u64, usize)>,
     ) -> Result<(&[u8], &mut DecodeScratch)> {
-        if self.buf.len() < len {
-            self.buf.resize(len, 0);
-        }
-        let dst = &mut self.buf[..len];
-        blob.read_at_into(offset, dst)?;
-        Ok((dst, &mut self.decode))
+        self.buf.resize(total.max(self.buf.len()), 0);
+        let mut rest = &mut self.buf[..total];
+        blob.read_many_into(&mut ranges.map(|(offset, len)| {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            (offset, dst)
+        }))?;
+        Ok((&self.buf[..total], &mut self.decode))
     }
 
     /// Current buffer capacity in bytes (diagnostic).
@@ -423,10 +449,10 @@ impl MemBlob {
         self.faults.as_ref()
     }
 
-    /// Places the blob behind an emulated storage device: every
-    /// `read_at`/`read_at_into` is scheduled through `device`'s queue-depth
-    /// gate, and [`BlobRead::as_slice`] / [`BlobRead::as_shared`] report
-    /// `None` (reads must go through the "device"). Shares the same
+    /// Places the blob behind an emulated storage device: every read, and
+    /// every range of a submission, is scheduled through `device`'s
+    /// queue-depth gate, and [`BlobRead::as_slice`] / [`BlobRead::as_shared`]
+    /// report `None` (reads must go through the "device"). Shares the same
     /// underlying bytes as `self`; share the same `Arc<Device>` across all
     /// blobs resident on one physical device so they contend for its slots.
     #[must_use]
@@ -437,7 +463,7 @@ impl MemBlob {
 
     /// Emulates device latency with a private, deep-queued device
     /// ([`DEFAULT_EMULATED_QUEUE_DEPTH`] slots): every read pays `latency`
-    /// but reads never queue behind each other — the pre-queue-model
+    /// but single reads never queue behind each other — the pre-queue-model
     /// behavior, kept for overlap experiments where contention is not the
     /// subject. Use [`MemBlob::behind_device`] with an explicit
     /// [`DeviceModel`] to model a real queue depth.
@@ -490,28 +516,37 @@ impl BlobRead for MemBlob {
     }
 
     fn read_at_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        // Faults fire before the device gate: a read refused by the medium
-        // never occupies a device slot, and injected corruption touches the
-        // destination buffer only (stored bytes stay pristine).
-        let corrupt = match &self.faults {
-            Some(site) => site.intercept()?,
-            None => false,
-        };
-        if let Some(device) = &self.device {
-            sleep_until(device.admit());
+        self.read_many_into(&mut std::iter::once((offset, buf)))
+    }
+
+    /// One pass in submission order, allocating nothing: check the range,
+    /// let the fault site refuse or flag the read, copy, and corrupt the
+    /// flagged copy alone (stored bytes stay pristine). Faults fire before
+    /// the device gate, so a refused read — and every read after it, as in
+    /// a loop of single reads — never occupies a device slot; a range past
+    /// the blob fails the submission before any read is admitted. The reads
+    /// that got through then go to the device together, and the caller
+    /// sleeps once, until the latest of them completes.
+    fn read_many_into(&self, mut reads: &mut dyn Iterator<Item = (u64, &mut [u8])>) -> Result<()> {
+        let mut served = 0;
+        let result = (&mut reads).try_for_each(|(offset, buf)| {
+            let at = usize::try_from(offset).ok();
+            let Some(src) = at.and_then(|at| self.data.get(at..at.checked_add(buf.len())?)) else {
+                served = 0;
+                return Err(crate::ColumnarError::UnexpectedEof { context: "blob range read" });
+            };
+            let corrupt = self.faults.as_deref().map_or(Ok(false), FaultSite::intercept)?;
+            buf.copy_from_slice(src);
+            if corrupt {
+                FaultSite::corrupt(buf);
+            }
+            served += 1;
+            Ok(())
+        });
+        if let Some(device) = self.device.as_ref().filter(|_| served > 0) {
+            sleep_until(device.admit(served));
         }
-        let start = usize::try_from(offset).map_err(|_| crate::ColumnarError::Io {
-            detail: format!("offset {offset} out of addressable range"),
-        })?;
-        let end = start
-            .checked_add(buf.len())
-            .filter(|&e| e <= self.data.len())
-            .ok_or(crate::ColumnarError::UnexpectedEof { context: "blob range read" })?;
-        buf.copy_from_slice(&self.data[start..end]);
-        if corrupt {
-            FaultSite::corrupt(buf);
-        }
-        Ok(())
+        result
     }
 
     fn as_slice(&self) -> Option<&[u8]> {
@@ -613,7 +648,9 @@ impl<B: BlobRead> CountingBlob<B> {
         self.bytes_read.load(Ordering::Relaxed)
     }
 
-    /// Total `read_at` / `read_at_into` invocations so far.
+    /// Total ranges read so far: one per `read_at` / `read_at_into` call,
+    /// and one per range of a [`BlobRead::read_many_into`] submission (the
+    /// decorator reads a submission one range at a time).
     #[must_use]
     pub fn read_calls(&self) -> u64 {
         self.read_calls.load(Ordering::Relaxed)
@@ -706,12 +743,58 @@ mod tests {
     fn read_scratch_recycles_buffer() {
         let blob = MemBlob::new((0u8..64).collect());
         let mut scratch = ReadScratch::new();
-        assert_eq!(scratch.read_split(&blob, 0, 16).unwrap().0[15], 15);
+        let (bytes, _) = scratch.stage(&blob, 16, [(0, 4), (40, 12)].into_iter()).unwrap();
+        assert_eq!(bytes, [0, 1, 2, 3].iter().copied().chain(40..52).collect::<Vec<u8>>());
         let cap = scratch.capacity();
-        // Smaller and equal reads must not grow the buffer.
-        assert_eq!(scratch.read_split(&blob, 32, 8).unwrap().0, (32u8..40).collect::<Vec<_>>());
-        assert_eq!(scratch.read_split(&blob, 0, 16).unwrap().0.len(), 16);
+        // Smaller and equal submissions must not grow the buffer.
+        let (bytes, _) = scratch.stage(&blob, 8, std::iter::once((32, 8))).unwrap();
+        assert_eq!(bytes, (32u8..40).collect::<Vec<_>>());
+        assert_eq!(scratch.stage(&blob, 16, std::iter::once((0, 16))).unwrap().0.len(), 16);
         assert_eq!(scratch.capacity(), cap);
+    }
+
+    #[test]
+    fn a_submission_reads_every_range_in_order() {
+        let blob = MemBlob::new((0u8..32).collect());
+        let (mut a, mut b, mut c) = ([0u8; 2], [0u8; 0], [0u8; 3]);
+        blob.read_many_into(&mut [(30, &mut a[..]), (32, &mut b[..]), (0, &mut c[..])].into_iter())
+            .unwrap();
+        assert_eq!((a, c), ([30, 31], [0, 1, 2]));
+        // The default loop and `&B` agree with the override.
+        let counted = CountingBlob::new(&blob);
+        counted.read_many_into(&mut [(1, &mut a[..]), (4, &mut c[..])].into_iter()).unwrap();
+        assert_eq!((a, c, counted.read_calls(), counted.bytes_read()), ([1, 2], [4, 5, 6], 2, 5));
+    }
+
+    #[test]
+    fn an_out_of_range_read_is_refused_before_the_device_sees_anything() {
+        let device = Arc::new(Device::new(DeviceModel::new(Duration::from_millis(50), 2)));
+        let blob = MemBlob::new(vec![1; 64]).behind_device(Arc::clone(&device));
+        let t0 = Instant::now();
+        assert!(blob.read_at(60, 8).is_err(), "alone");
+        let (mut a, mut b, mut c) = ([0u8; 8], [0u8; 8], [0u8; 8]);
+        let mut reads = [(0, &mut a[..]), (u64::MAX, &mut b[..]), (8, &mut c[..])].into_iter();
+        assert!(blob.read_many_into(&mut reads).is_err(), "inside a submission");
+        drop(reads);
+        assert_eq!(device.stats(), DeviceStats::default());
+        assert!(t0.elapsed() < Duration::from_millis(50), "no latency paid: {:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn one_submission_from_idle_finishes_in_serialized_time() {
+        let model = DeviceModel::new(Duration::from_millis(3), 2);
+        let device = Arc::new(Device::new(model));
+        let blob = MemBlob::new((0u8..64).collect()).behind_device(Arc::clone(&device));
+        let mut bufs = [[0u8; 4]; 5];
+        let t0 = Instant::now();
+        let mut reads = bufs.iter_mut().enumerate().map(|(i, b)| (8 * i as u64, &mut b[..]));
+        blob.read_many_into(&mut reads).unwrap();
+        assert!(t0.elapsed() >= model.serialized_time(5), "the caller sleeps out every wave");
+        assert_eq!(bufs[4], [32, 33, 34, 35]);
+        let stats = device.stats();
+        assert_eq!((stats.reads, stats.makespan), (5, model.serialized_time(5)));
+        // Waits of 0, 0, 1, 1 and 2 latencies behind the two slots.
+        assert_eq!(stats.queue_wait, Duration::from_millis(3 * 4));
     }
 
     #[test]

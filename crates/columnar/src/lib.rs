@@ -43,10 +43,11 @@
 //!
 //! The read path is built to touch column bytes once:
 //!
-//! * [`BlobRead::read_at_into`] fills caller-provided buffers; a reused
-//!   [`ReadScratch`] makes chunk staging allocation-free, and in-memory
-//!   blobs skip staging entirely (decoders run straight over
-//!   [`MemBlob`]'s shared bytes).
+//! * [`BlobRead::read_at_into`] / [`BlobRead::read_many_into`] fill
+//!   caller-provided buffers; a reused [`ReadScratch`] makes a row group's
+//!   chunk staging allocation-free (all of a group's chunks go out as one
+//!   submission, see [`io`]), and in-memory blobs skip staging entirely
+//!   (decoders run straight over [`MemBlob`]'s shared bytes).
 //! * [`Array`] payloads live in reference-counted [`Buffer`]s: cloning an
 //!   array, slicing it on a page boundary, or concatenating a single part
 //!   shares storage instead of copying, and uniquely owned buffers hand

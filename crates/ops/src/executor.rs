@@ -1487,9 +1487,8 @@ fn extract<B: BlobRead>(
         chunks.push((c, limits.get(k).copied().flatten()));
     }
     let groups = group.map_or(0..reader.row_group_count(), |g| g..g + 1);
-    let read_group = |g: usize, read: &mut ReadScratch| -> Result<Vec<Array>, ColumnarError> {
-        chunks.iter().map(|&(c, limit)| reader.read_column_limit_with(g, c, limit, read)).collect()
-    };
+    // One submission per group: its chunk reads reach the device together.
+    let read_group = |g: usize, read: &mut ReadScratch| reader.read_columns_with(g, &chunks, read);
     let columns = if groups.len() == 1 {
         read_group(groups.start, read)?
     } else {

@@ -41,10 +41,10 @@
 //! and the label.
 //!
 //! The executor turns `Prefix(x)` into a decode limit for
-//! `presto-columnar`'s `read_projected_limits_with`, which truncates the
-//! *value* stream at decode time while still decoding the offsets/length
-//! stream in full — row alignment, budget validation and the row-group
-//! `rows` invariant all hang off the lengths, and they are a tiny
+//! `presto-columnar`'s group read (`FileReader::read_columns_with`), which
+//! truncates the *value* stream at decode time while still decoding the
+//! offsets/length stream in full — row alignment, budget validation and the
+//! row-group `rows` invariant all hang off the lengths, and they are a tiny
 //! fraction of a long-sequence column's bytes. Because the plan is the
 //! only party allowed to request a prefix, and only under the
 //! every-reader-truncates proof above, prefix-extracted execution is
@@ -524,7 +524,7 @@ impl PreprocessPlan {
 
     /// The Extract decode limit for one raw column: `Some(x)` iff its
     /// requirement is [`ColumnRequirement::Prefix`] — the value to hand to
-    /// `FileReader::read_projected_limits_with`. A binary search over the
+    /// `FileReader::read_columns_with`. A binary search over the
     /// projection's names.
     #[must_use]
     pub fn column_limit(&self, name: &str) -> Option<usize> {

@@ -340,7 +340,7 @@ proptest! {
             let mut scratch = ReadScratch::new();
             for (g, lists) in groups.iter().enumerate() {
                 let limited = reader
-                    .read_projected_limits_with(g, &["lists"], &[Some(x)], &mut scratch)
+                    .read_projected_with(g, &["lists"], &[Some(x)], &mut scratch)
                     .expect("prefix read");
                 let truncated: Vec<Vec<i64>> = lists
                     .iter()
