@@ -279,21 +279,20 @@ impl RunReport {
     }
 }
 
-/// Per-device mutable health state.
+/// Per-device state the breaker decides on.
 #[derive(Debug, Default)]
 struct DeviceState {
     consecutive_failures: AtomicU64,
-    faults: AtomicU64,
-    delivered: AtomicU64,
     quarantined: std::sync::atomic::AtomicBool,
 }
 
 /// Shared recovery bookkeeping for one streaming run.
 ///
 /// One tracker is created per run and shared (behind the run's existing
-/// `Arc`d shared state) by every worker. All counters are atomics; only the
-/// event log takes a mutex, and only on recovery-path events plus one
-/// delivery stamp per partition — nothing on the per-row hot path.
+/// `Arc`d shared state) by every worker. The event log is the one record:
+/// every count a [`RunReport`] carries is derived from it. It takes a mutex
+/// only on recovery-path events plus one delivery stamp per unit — nothing
+/// on the per-row hot path. The breaker's per-device state is atomics.
 #[derive(Debug)]
 pub struct RecoveryTracker {
     policy: RetryPolicy,
@@ -301,12 +300,6 @@ pub struct RecoveryTracker {
     devices: Vec<usize>,
     states: Vec<DeviceState>,
     partitions: usize,
-    delivered: AtomicU64,
-    retries: AtomicU64,
-    faults: AtomicU64,
-    failovers: AtomicU64,
-    stragglers: AtomicU64,
-    failed: Mutex<Vec<usize>>,
     events: Mutex<Vec<RecoveryEvent>>,
     started: Instant,
 }
@@ -329,12 +322,6 @@ impl RecoveryTracker {
             devices: distinct,
             states,
             partitions,
-            delivered: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            stragglers: AtomicU64::new(0),
-            failed: Mutex::new(Vec::new()),
             events: Mutex::new(Vec::new()),
             started: Instant::now(),
         }
@@ -375,10 +362,8 @@ impl RecoveryTracker {
     /// failure tripped the quarantine breaker (transition only: the caller
     /// that trips it handles the quarantine consequences once).
     pub fn note_fault(&self, device_slot: usize, partition: usize) -> bool {
-        self.faults.fetch_add(1, Ordering::Relaxed);
         self.log(device_slot, partition, RecoveryEventKind::Fault);
         let Some(state) = self.states.get(device_slot) else { return false };
-        state.faults.fetch_add(1, Ordering::Relaxed);
         let consecutive = state.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         if self.policy.quarantine_after > 0
             && consecutive >= u64::from(self.policy.quarantine_after)
@@ -394,7 +379,6 @@ impl RecoveryTracker {
     /// the backoff to sleep before it.
     #[must_use]
     pub fn note_retry(&self, device_slot: usize, partition: usize, attempt: u32) -> Duration {
-        self.retries.fetch_add(1, Ordering::Relaxed);
         self.log(device_slot, partition, RecoveryEventKind::Retry { attempt });
         self.policy.backoff_for(attempt.saturating_sub(1))
     }
@@ -402,19 +386,14 @@ impl RecoveryTracker {
     /// Records a successful delivery; resets the device's consecutive
     /// failure streak (the breaker counts *consecutive* failures).
     pub fn note_delivered(&self, device_slot: usize, partition: usize, via_failover: bool) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        if let Some(state) = self.states.get(device_slot) {
-            state.delivered.fetch_add(1, Ordering::Relaxed);
-            if !via_failover {
-                state.consecutive_failures.store(0, Ordering::Relaxed);
-            }
+        if let Some(state) = self.states.get(device_slot).filter(|_| !via_failover) {
+            state.consecutive_failures.store(0, Ordering::Relaxed);
         }
         self.log(device_slot, partition, RecoveryEventKind::Delivered { via_failover });
     }
 
     /// Records an attempt that outran the straggler deadline.
     pub fn note_straggler(&self, device_slot: usize, partition: usize, elapsed: Duration) {
-        self.stragglers.fetch_add(1, Ordering::Relaxed);
         self.log(device_slot, partition, RecoveryEventKind::Straggler { elapsed });
     }
 
@@ -430,49 +409,47 @@ impl RecoveryTracker {
 
     /// Records a partition handed to the host failover path.
     pub fn note_failover(&self, device_slot: usize, partition: usize) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
         self.log(device_slot, partition, RecoveryEventKind::Failover);
     }
 
     /// Records a partition whose error was surfaced to the consumer.
     pub fn note_failed(&self, device_slot: usize, partition: usize) {
-        self.failed.lock().expect("recovery failed-partition lock").push(partition);
         self.log(device_slot, partition, RecoveryEventKind::Failed);
     }
 
-    /// Snapshots the run's recovery activity.
+    /// Snapshots the run's recovery activity, counted from the event log.
     #[must_use]
     pub fn report(&self) -> RunReport {
-        let device_health = self
-            .states
-            .iter()
-            .map(|s| DeviceHealth {
-                faults: s.faults.load(Ordering::Relaxed),
-                delivered: s.delivered.load(Ordering::Relaxed),
-                quarantined: s.quarantined.load(Ordering::Relaxed),
-            })
-            .collect::<Vec<_>>();
-        let quarantined = device_health
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.quarantined)
-            .map(|(slot, _)| slot)
-            .collect();
-        let mut failed_partitions =
-            self.failed.lock().expect("recovery failed-partition lock").clone();
-        failed_partitions.sort_unstable();
-        RunReport {
-            partitions: self.partitions,
-            delivered: self.delivered.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            stragglers: self.stragglers.load(Ordering::Relaxed),
-            quarantined,
-            failed_partitions,
-            device_health,
-            events: self.events.lock().expect("recovery event log lock").clone(),
+        use RecoveryEventKind as K;
+        let events = self.events.lock().expect("recovery event log lock").clone();
+        let mut health = vec![DeviceHealth::default(); self.states.len()];
+        let mut r = RunReport { partitions: self.partitions, ..RunReport::default() };
+        for e in &events {
+            let (total, device) = match e.kind {
+                K::Fault => (&mut r.faults, health.get_mut(e.device).map(|h| &mut h.faults)),
+                K::Delivered { .. } => {
+                    (&mut r.delivered, health.get_mut(e.device).map(|h| &mut h.delivered))
+                }
+                K::Retry { .. } => (&mut r.retries, None),
+                K::Failover => (&mut r.failovers, None),
+                K::Straggler { .. } => (&mut r.stragglers, None),
+                K::Failed => {
+                    r.failed_partitions.push(e.partition);
+                    continue;
+                }
+                K::Quarantine => continue,
+            };
+            *total += 1;
+            if let Some(n) = device {
+                *n += 1;
+            }
         }
+        for (slot, (h, s)) in health.iter_mut().zip(&self.states).enumerate() {
+            h.quarantined = s.quarantined.load(Ordering::Relaxed);
+            r.quarantined.extend(h.quarantined.then_some(slot));
+        }
+        r.failed_partitions.sort_unstable();
+        RunReport { device_health: health, events, ..r }
     }
 }
 

@@ -13,11 +13,19 @@
 //! streams it.
 //!
 //! * [`epoch_units`] enumerates every row group of every partition into a
-//!   flat list of [`GroupRef`] units — the shuffle's sample space.
+//!   flat list of [`GroupRef`] units — the shuffle's sample space. The
+//!   footers it parses are the epoch's footers: the shuffled stream keeps
+//!   the readers the enumeration opened and reads every unit through its
+//!   partition's, so a unit costs its row group's chunk reads and no open.
 //! * [`epoch_order`] derives the epoch's permutation of those units from
 //!   `(seed, epoch)` with a SplitMix64-keyed Fisher–Yates shuffle. Same
 //!   inputs ⇒ same permutation, on every worker count, forever; the epoch
 //!   number folds in so successive epochs reshuffle without new seeds.
+//!   The order is known up front, so the stream's claims look ahead in it:
+//!   inside a window of [`FleetConfig::capacity`](crate::FleetConfig::capacity)
+//!   positions a worker takes the earliest unit whose device is idle, and
+//!   the consumer's reorder buffer restores the order — BagPipe's
+//!   lookahead, applied to devices.
 //! * [`EpochCursor`] ([`BatchStream::cursor`](crate::BatchStream::cursor))
 //!   is a serializable checkpoint of how far the epoch got;
 //!   [`BatchStream::resume`](crate::BatchStream::resume) continues from it
@@ -35,7 +43,7 @@
 //! trade-off.
 
 use crate::executor::PreprocessError;
-use presto_columnar::{ColumnarError, FileReader};
+use presto_columnar::{ColumnarError, FileReader, MemBlob};
 use presto_datagen::Partition;
 
 /// What to shuffle: the seed and which epoch of it to stream.
@@ -93,7 +101,16 @@ fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// Propagates open/footer failures (tagged with the partition and device).
 pub fn epoch_units(partitions: &[Partition]) -> Result<Vec<GroupRef>, PreprocessError> {
+    epoch_readers(partitions).map(|(units, _)| units)
+}
+
+/// [`epoch_units`], plus the reader it opened for each partition: the
+/// shuffled stream reads every unit through them.
+pub(crate) fn epoch_readers(
+    partitions: &[Partition],
+) -> Result<(Vec<GroupRef>, Vec<FileReader<MemBlob>>), PreprocessError> {
     let mut units = Vec::new();
+    let mut readers = Vec::with_capacity(partitions.len());
     for (pos, p) in partitions.iter().enumerate() {
         let reader = FileReader::open(p.blob.clone())
             .map_err(|e| PreprocessError::from(e).with_location(pos, p.device))?;
@@ -102,8 +119,9 @@ pub fn epoch_units(partitions: &[Partition]) -> Result<Vec<GroupRef>, Preprocess
                 units.push(GroupRef { partition: pos, group, rows: rg.rows });
             }
         }
+        readers.push(reader);
     }
-    Ok(units)
+    Ok((units, readers))
 }
 
 /// The epoch's permutation: a seeded Fisher–Yates shuffle of

@@ -17,17 +17,29 @@
 //! run counts — [`RunReport::partitions`] is the unit count. Workers claim
 //! units from one source per run, in one of two layouts:
 //!
-//! * **device-affine queues** (host fleet): units are queued per storage
-//!   device; workers are pinned round-robin to devices and steal
+//! * **device-affine queues** (host, ISP and split fleets): units are
+//!   queued per storage device, a unit's sequence number is its partition
+//!   position; workers are pinned round-robin to devices and steal
 //!   cross-device only when their home queue drains;
-//! * **a sequence cursor** over a delivery order: partition order (ISP and
-//!   split fleets) or the seeded [`epoch_order`] permutation starting at an
-//!   [`EpochCursor`] (shuffled fleet).
+//! * **a claim window** over the seeded [`epoch_order`] permutation,
+//!   starting at an [`EpochCursor`] (shuffled fleet only). The window spans
+//!   [`FleetConfig::capacity`] positions from the lowest unclaimed one; a
+//!   claim takes the lowest-sequence unclaimed unit in it whose device has
+//!   no unit in flight, or else the lowest unclaimed unit. Two workers
+//!   therefore keep two devices busy when the next two units of the
+//!   permutation share one. With one device, or a capacity of 1, claims
+//!   follow the permutation exactly.
 //!
 //! Either way the source records per-device load ([`DeviceLoad`]): a unit
 //! occupies its device from the start of its device-side phase until every
 //! thread reading it is done — the one running that phase, or both threads
-//! of a host pair.
+//! of a host pair. A windowed claim occupies its device under the window's
+//! lock, so two racing claimers never both see one device idle.
+//!
+//! The shuffled fleet reads every unit through the partition's
+//! [`FileReader`] its footer enumeration opened, so a unit's device work is
+//! its row group's chunk reads alone. Every other fleet opens the
+//! partition per unit.
 //!
 //! # Phases
 //!
@@ -73,8 +85,9 @@
 //! source's delivery order. Fleets yield in completion order by default;
 //! the shuffled fleet, and any stream after [`BatchStream::into_ordered`],
 //! yields in sequence order through one reorder buffer at the consumer.
-//! Shuffled output is therefore bit-identical across worker counts, and
-//! [`BatchStream::cursor`] counts units *yielded*, not claimed.
+//! Shuffled output is therefore bit-identical across worker counts and
+//! claim windows, and [`BatchStream::cursor`] counts units *yielded*, not
+//! claimed.
 //!
 //! # Failure semantics
 //!
@@ -120,13 +133,13 @@ use crate::executor::{
 use crate::minibatch::MiniBatch;
 use crate::plan::{PreprocessPlan, SplitPlan};
 use crate::recovery::{RecoveryTracker, RetryPolicy, RunReport};
-use crate::shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec};
+use crate::shuffle::{epoch_order, epoch_readers, EpochCursor, GroupRef, ShuffleSpec};
 use crossbeam_channel::{bounded, Receiver, Sender};
-use presto_columnar::ColumnarError;
+use presto_columnar::{ColumnarError, FileReader, MemBlob};
 use presto_datagen::Partition;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -145,7 +158,9 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Output-channel capacity in mini-batches; producers block when full.
     /// On the split fleet it also bounds the ISP → host hand-offs in
-    /// flight on the emulated device link.
+    /// flight on the emulated device link; on the shuffled fleet it is the
+    /// claim window, how far past the lowest unclaimed unit of the
+    /// permutation a claim may look for an idle device.
     pub capacity: usize,
     /// Pair each worker with a second thread that takes half of every
     /// unit's features (host fleet only; see [the host pair](self#the-host-pair)):
@@ -202,6 +217,8 @@ pub struct StreamStats {
     pub completed: usize,
     /// Bytes moved over the emulated P2P / device link (ISP and split
     /// fleets; the host fleet reads through the page cache and reports 0).
+    /// Failed-over units contribute nothing: their bytes moved over the
+    /// host's block-I/O path.
     pub p2p_bytes: u64,
     /// Bytes of typed boundary hand-offs crossing the split fleet's
     /// ISP → host link (0 on single-fleet executors).
@@ -313,7 +330,8 @@ impl Fleet {
     /// completion order ([`BatchStream::into_ordered`] for partition
     /// order), except on the shuffled fleet, which yields its permutation
     /// order. Errors — including the shuffled fleet's up-front footer
-    /// enumeration ([`epoch_units`]) — surface on the stream.
+    /// enumeration ([`epoch_units`](crate::epoch_units)) — surface on the
+    /// stream.
     #[must_use]
     pub fn stream(
         &self,
@@ -322,8 +340,8 @@ impl Fleet {
         config: &FleetConfig,
     ) -> BatchStream {
         let units = match self {
-            Fleet::Shuffled(_) => epoch_units(partitions).map(group_units),
-            _ => Ok((0..partitions.len()).map(Unit::partition).collect()),
+            Fleet::Shuffled(_) => epoch_readers(partitions).map(group_units),
+            _ => Ok(((0..partitions.len()).map(Unit::partition).collect(), Vec::new())),
         };
         BatchStream::start(plan, partitions, self.clone(), units, 0, config)
     }
@@ -352,10 +370,17 @@ impl Fleet {
     }
 }
 
-/// The shuffled fleet's units: one per row group.
-fn group_units(groups: Vec<GroupRef>) -> Vec<Unit> {
-    groups.iter().map(|g| Unit { partition: g.partition, group: Some(g.group) }).collect()
+/// The shuffled fleet's units, one per row group, with the readers the
+/// enumeration opened.
+fn group_units((groups, readers): (Vec<GroupRef>, Readers)) -> (Vec<Unit>, Readers) {
+    (
+        groups.iter().map(|g| Unit { partition: g.partition, group: Some(g.group) }).collect(),
+        readers,
+    )
 }
+
+/// One opened reader per partition (the shuffled fleet's), or none.
+type Readers = Vec<FileReader<MemBlob>>;
 
 /// A producer a consumer can drain: a blocking pull of preprocessed
 /// mini-batches plus the channel introspection a trainer's occupancy
@@ -469,6 +494,10 @@ enum Phase {
 pub struct Run {
     plan: PreprocessPlan,
     partitions: Vec<Partition>,
+    /// The shuffled stream's enumerated readers, one per partition; empty
+    /// where every unit opens its partition (every other fleet, and the
+    /// service's jobs).
+    readers: Readers,
     fleet: Fleet,
     tracker: RecoveryTracker,
     /// Raised on a fail-fast error (and on consumer drop); producers
@@ -496,6 +525,7 @@ impl Run {
             tracker: RecoveryTracker::new(recovery, &devices, units),
             plan,
             partitions,
+            readers: Vec::new(),
             fleet,
             stop: AtomicBool::new(false),
             completed: AtomicUsize::new(0),
@@ -588,16 +618,21 @@ impl Run {
         })
     }
 
-    /// The one unit call over `unit`'s stored partition: open, Extract
-    /// `side`'s projection of the unit, run its stages.
+    /// The one unit call over `unit`'s stored partition: open (unless the
+    /// enumeration already did), Extract `side`'s projection of the unit,
+    /// run its stages.
     fn run_side(
         &self,
         unit: Unit,
         side: Side<'_>,
         scratch: &mut ScratchSpace,
     ) -> Result<UnitState, PreprocessError> {
-        let blob = self.partitions[unit.partition].blob.clone();
-        UnitState::read(&self.plan, blob, unit.group, side, scratch.read_scratch())
+        let (plan, p, group, read) =
+            (&self.plan, unit.partition, unit.group, scratch.read_scratch());
+        match self.readers.get(p) {
+            Some(reader) => UnitState::run(plan, reader, group, side, read),
+            None => UnitState::read(plan, self.partitions[p].blob.clone(), group, side, read),
+        }
     }
 
     /// One attempt of thread A's half of `unit` on a host pair: A's columns
@@ -815,8 +850,11 @@ enum ClaimOrder {
     /// queue, then steals round-robin. A unit's sequence number is its
     /// index.
     Affine { queues: Vec<Vec<usize>>, cursors: Vec<AtomicUsize> },
-    /// `order[seq]` is the unit claimed at sequence number `seq`.
-    Sequence { order: Vec<usize>, next: AtomicUsize },
+    /// `order[seq]` is the unit at sequence number `seq`, claimed inside a
+    /// window of `window` positions (see [the module docs](self#unit-source)).
+    /// `claimed` holds the lowest unclaimed position and, per position,
+    /// whether it is claimed.
+    Sequence { order: Vec<usize>, window: usize, claimed: Mutex<(usize, Vec<bool>)> },
 }
 
 #[derive(Debug, Default)]
@@ -842,13 +880,13 @@ struct UnitSource {
 }
 
 impl UnitSource {
-    /// `order = None` queues the units per device; `Some((order, start))`
-    /// claims `order[start..]` in sequence. Each unit is read by `readers`
-    /// threads.
+    /// `order = None` queues the units per device; `Some((order, start,
+    /// window))` claims `order[start..]` through a window of `window`
+    /// positions. Each unit is read by `readers` threads.
     fn new(
         run: &Run,
         units: Vec<Unit>,
-        order: Option<(Vec<usize>, usize)>,
+        order: Option<(Vec<usize>, usize, usize)>,
         readers: usize,
     ) -> Self {
         let mut loads: Vec<DeviceCounters> = run
@@ -862,7 +900,10 @@ impl UnitSource {
             loads[slot].resident += 1;
         }
         let order = match order {
-            Some((order, start)) => ClaimOrder::Sequence { order, next: AtomicUsize::new(start) },
+            Some((order, start, window)) => {
+                let claimed = Mutex::new((start, vec![false; order.len()]));
+                ClaimOrder::Sequence { order, window: window.max(1), claimed }
+            }
             None => {
                 let mut queues = vec![Vec::new(); loads.len()];
                 for (index, &slot) in slots.iter().enumerate() {
@@ -876,27 +917,46 @@ impl UnitSource {
         UnitSource { units, slots, reading, order, loads }
     }
 
-    /// Claims the next unit for a worker homed on device slot `home`.
-    fn claim(&self, home: usize) -> Option<Claim> {
-        let (seq, index, stolen) = match &self.order {
+    /// Claims the next unit for a worker homed on device slot `home`, and
+    /// with `occupy` occupies its device ([`UnitSource::occupy`]) — under
+    /// the window's lock on a sequence, so the next claimer sees it.
+    fn claim(&self, home: usize, occupy: bool) -> Option<Claim> {
+        // `_held`: a sequence's window lock, held until the claim has
+        // occupied its device.
+        let (seq, index, stolen, _held) = match &self.order {
             ClaimOrder::Affine { queues, cursors } => {
                 let n = queues.len();
                 (0..n).find_map(|k| {
                     let slot = (home + k) % n;
                     let at = cursors[slot].fetch_add(1, Ordering::Relaxed);
-                    queues[slot].get(at).map(|&index| (index, index, k != 0))
+                    queues[slot].get(at).map(|&index| (index, index, k != 0, None))
                 })?
             }
-            ClaimOrder::Sequence { order, next } => {
-                let seq = next.fetch_add(1, Ordering::Relaxed);
-                (seq, *order.get(seq)?, false)
+            ClaimOrder::Sequence { order, window, claimed } => {
+                let mut guard = claimed.lock().expect("claim window lock");
+                let (low, taken) = &mut *guard;
+                let mut ahead = *low..order.len().min(*low + window);
+                let idle = |&seq: &usize| {
+                    !taken[seq]
+                        && self.loads[self.slots[order[seq]]].in_flight.load(Ordering::Relaxed) == 0
+                };
+                let seq = ahead.clone().find(idle).or_else(|| ahead.next())?;
+                taken[seq] = true;
+                while taken.get(*low) == Some(&true) {
+                    *low += 1;
+                }
+                (seq, order[seq], false, Some(guard))
             }
         };
         let slot = self.slots[index];
         if stolen {
             self.loads[slot].stolen_from.fetch_add(1, Ordering::Relaxed);
         }
-        Some(Claim { seq, index, unit: self.units[index], slot, stolen })
+        let claim = Claim { seq, index, unit: self.units[index], slot, stolen };
+        if occupy {
+            self.occupy(claim);
+        }
+        Some(claim)
     }
 
     /// The claim's unit occupies its device from now until every one of
@@ -972,8 +1032,7 @@ impl Engine {
         if self.run.stop.load(Ordering::Relaxed) {
             return None;
         }
-        let claim = self.source.claim(home)?;
-        self.source.occupy(claim);
+        let claim = self.source.claim(home, true)?;
         let (staged, attempts) = self.run.first_phase(claim.unit, scratch);
         self.source.release(claim);
         Some((claim, staged, attempts))
@@ -1023,7 +1082,7 @@ impl Engine {
     ) {
         let mut scratch = ScratchSpace::new();
         while !self.run.stop.load(Ordering::Relaxed) {
-            let Some(claim) = self.source.claim(home) else { break };
+            let Some(claim) = self.source.claim(home, false) else { break };
             let unit = claim.unit;
             if let Some(e) = self.run.quarantined(unit) {
                 // Neither half attempts it, so B never hears of it.
@@ -1143,8 +1202,11 @@ pub struct BatchStream {
     /// Yield in sequence order (through `pending`) instead of arrival
     /// order.
     ordered: bool,
-    /// The reorder buffer: out-of-order arrivals by sequence number,
-    /// bounded by workers + channel capacity.
+    /// The reorder buffer: out-of-order arrivals by sequence number. No
+    /// configuration bounds it: the consumer drains the channel into it
+    /// while it waits, so it holds every unit finished past the one it
+    /// waits for — at most what the other workers complete while that unit
+    /// is in flight.
     pending: BTreeMap<usize, StreamItem>,
     /// Next sequence number to yield in ordered mode — the consumer-side
     /// watermark the cursor is derived from, so a resumed run never
@@ -1185,7 +1247,7 @@ impl BatchStream {
         cursor: EpochCursor,
         config: &FleetConfig,
     ) -> Result<BatchStream, PreprocessError> {
-        let units = epoch_units(partitions)?;
+        let (units, readers) = group_units(epoch_readers(partitions)?);
         if cursor.units != units.len() as u64 {
             return Err(PreprocessError::Extract(ColumnarError::CorruptFile {
                 detail: format!(
@@ -1197,10 +1259,11 @@ impl BatchStream {
             }));
         }
         let fleet = Fleet::Shuffled(ShuffleSpec { seed: cursor.seed, epoch: cursor.epoch });
-        Ok(Self::start(plan, partitions, fleet, Ok(group_units(units)), cursor.next, config))
+        Ok(Self::start(plan, partitions, fleet, Ok((units, readers)), cursor.next, config))
     }
 
-    /// Spawns `fleet` over `units`: the shuffled fleet streams its
+    /// Spawns `fleet` over `units` (with the partitions' readers, when the
+    /// enumeration opened them): the shuffled fleet streams its
     /// permutation from position `next` in sequence order, every other
     /// fleet streams in completion order from its own source. A failed
     /// `units` becomes the stream's only item.
@@ -1208,7 +1271,7 @@ impl BatchStream {
         plan: &PreprocessPlan,
         partitions: &[Partition],
         fleet: Fleet,
-        units: Result<Vec<Unit>, PreprocessError>,
+        units: Result<(Vec<Unit>, Readers), PreprocessError>,
         next: u64,
         config: &FleetConfig,
     ) -> BatchStream {
@@ -1220,9 +1283,9 @@ impl BatchStream {
         let halves = (fleet == Fleet::Host && config.prefetch)
             .then(|| paired_halves(plan.feature_halves()))
             .transpose();
-        let (units, halves, spawn_error) = match (units, halves) {
+        let ((units, readers), halves, spawn_error) = match (units, halves) {
             (Ok(units), Ok(halves)) => (units, halves, None),
-            (Err(e), _) | (_, Err(e)) => (Vec::new(), None, Some(e)),
+            (Err(e), _) | (_, Err(e)) => ((Vec::new(), Vec::new()), None, Some(e)),
         };
         let n = units.len();
         let workers = config.workers.max(1).min(n.max(1));
@@ -1260,9 +1323,11 @@ impl BatchStream {
         };
         let prefetch = halves.is_some();
 
-        let run = Run::new(plan.clone(), partitions.to_vec(), fleet, config.recovery.clone(), n);
+        let recovery = config.recovery.clone();
+        let run =
+            Run { readers, ..Run::new(plan.clone(), partitions.to_vec(), fleet, recovery, n) };
         let start = shuffle.map_or(0, |_| usize::try_from(next).unwrap_or(usize::MAX).min(n));
-        let order = shuffle.map(|spec| (epoch_order(n, spec.seed, spec.epoch), start));
+        let order = shuffle.map(|spec| (epoch_order(n, spec.seed, spec.epoch), start, capacity));
         let ordered = order.is_some();
         let source = UnitSource::new(&run, units, order, if prefetch { 2 } else { 1 });
         let engine = Arc::new(Engine { run, source, halves });
@@ -1332,13 +1397,6 @@ impl BatchStream {
         self.engine.run.stats(self.workers, self.capacity, self.queued())
     }
 
-    /// Effective worker count (after clamping); device-side workers on a
-    /// two-phase fleet.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Effective channel capacity (after clamping).
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -1350,29 +1408,6 @@ impl BatchStream {
     #[must_use]
     pub fn prefetch(&self) -> bool {
         self.prefetch
-    }
-
-    /// Units fully preprocessed so far (producer-side counter; a consumer
-    /// can compare it against the unit count to observe streaming
-    /// overlap).
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.engine.run.completed.load(Ordering::Relaxed)
-    }
-
-    /// Bytes pulled over the emulated P2P links so far. Failed-over units
-    /// contribute nothing: their bytes moved over the host's block-I/O
-    /// path.
-    #[must_use]
-    pub fn p2p_bytes(&self) -> u64 {
-        self.engine.run.p2p_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of boundary intermediates that crossed the device link so far
-    /// — what the placement cost model prices per stage hand-off.
-    #[must_use]
-    pub fn boundary_bytes(&self) -> u64 {
-        self.engine.run.boundary_bytes.load(Ordering::Relaxed)
     }
 
     /// Mini-batches buffered ahead of the consumer at the instant of the
@@ -1505,6 +1540,7 @@ impl BatchSource for BatchStream {
 mod tests {
     use super::*;
     use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig};
+    use proptest::prelude::*;
 
     fn tiny_config(rows: usize) -> RmConfig {
         let mut c = RmConfig::rm1();
@@ -1573,7 +1609,7 @@ mod tests {
         let mut stream = BatchStream::spawn(&plan, &partitions, &FleetConfig::new(2, 4));
         let first = stream.next().expect("stream yields").expect("no error");
         assert!(
-            stream.completed() < partitions.len(),
+            stream.stats().completed < partitions.len(),
             "first batch must arrive while other partitions are unfinished"
         );
         assert_ne!(first.partition, 0, "the slow partition cannot be first");
@@ -1654,7 +1690,7 @@ mod tests {
         );
         let source = UnitSource::new(&run, units, None, 2);
         let in_flight = || source.loads[0].in_flight.load(Ordering::Relaxed);
-        let claim = source.claim(0).unwrap();
+        let claim = source.claim(0, false).unwrap();
         assert_eq!(in_flight(), 0, "claimed, not yet read");
         source.occupy(claim);
         source.release(claim);
@@ -1744,7 +1780,7 @@ mod tests {
         }
         assert_eq!((ok, errors), (2, 1), "batches before the error, then the error, then end");
         assert_eq!(
-            stream.completed(),
+            stream.stats().completed,
             2,
             "the stop flag must halt the producer within one partition"
         );
@@ -1779,9 +1815,9 @@ mod tests {
             // more than (queued = 1) + (blocked in send = 1) ahead of the
             // consumer, no matter how slowly we drain.
             assert!(
-                stream.completed() <= taken + 2,
+                stream.stats().completed <= taken + 2,
                 "producer ran ahead: completed {} after {} taken",
-                stream.completed(),
+                stream.stats().completed,
                 taken
             );
             std::thread::yield_now();
@@ -1966,7 +2002,7 @@ mod tests {
         let (c, ds) = dataset(2, 8, 1);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(64, 0));
-        assert_eq!(stream.workers(), 2);
+        assert_eq!(stream.stats().workers, 2);
         assert_eq!(stream.capacity(), 1);
         assert!(stream.prefetch());
         assert_eq!(stream.count(), 2);
@@ -1985,5 +2021,113 @@ mod tests {
         let recovery = stats.recovery.expect("host fleet tracks recovery");
         assert_eq!(recovery.delivered, 4);
         assert!(recovery.failed_partitions.is_empty());
+    }
+
+    /// A shuffled source over `order` whose unit at position `seq` lives on
+    /// device `devices[seq]`, claimed through a window of `window`
+    /// positions.
+    fn window_source(devices: &[usize], order: &[usize], window: usize) -> UnitSource {
+        let mut partitions: Vec<Partition> = (0..order.len())
+            .map(|index| Partition {
+                index,
+                device: 0,
+                rows: 0,
+                blob: presto_columnar::MemBlob::new(Vec::new()),
+            })
+            .collect();
+        for (&unit, &device) in order.iter().zip(devices) {
+            partitions[unit].device = device;
+        }
+        let n = partitions.len();
+        let plan = PreprocessPlan::from_config(&tiny_config(1), 1).unwrap();
+        let fleet = Fleet::Shuffled(ShuffleSpec::new(0));
+        let run = Run::new(plan, partitions, fleet, RetryPolicy::fail_fast(), n);
+        let units = (0..n).map(Unit::partition).collect();
+        UnitSource::new(&run, units, Some((order.to_vec(), 0, window)), 1)
+    }
+
+    /// Claims until the source is drained, releasing each claim at once
+    /// when `release`, else holding them all in flight; returns the
+    /// sequence numbers in claim order.
+    fn claim_all(source: &UnitSource, release: bool) -> Vec<usize> {
+        std::iter::from_fn(|| source.claim(0, true))
+            .inspect(|&claim| {
+                if release {
+                    std::thread::yield_now();
+                    source.release(claim);
+                }
+            })
+            .map(|claim| claim.seq)
+            .collect()
+    }
+
+    #[test]
+    fn claim_window_takes_the_lowest_unit_on_an_idle_device() {
+        let order = epoch_order(6, 5, 0);
+        let source = window_source(&[0, 0, 1, 1, 0, 1], &order, 4);
+        let first = source.claim(0, true).unwrap();
+        assert_eq!(first.seq, 0);
+        let second = source.claim(0, true).unwrap();
+        assert_eq!(second.seq, 2, "seq 1 shares seq 0's busy device; seq 2's is idle");
+        assert_eq!(second.unit, Unit::partition(order[2]), "claims keep the permutation's seq");
+        // Both devices busy: the lowest unclaimed unit.
+        assert_eq!(source.claim(0, true).unwrap().seq, 1);
+        // Device 1 freed: seq 3 is the lowest unclaimed unit on it.
+        source.release(second);
+        assert_eq!(claim_all(&source, false), [3, 4, 5]);
+    }
+
+    #[test]
+    fn claim_window_never_reaches_past_low_plus_capacity() {
+        // Seq 4 is the only unit on device 1, but a window of 3 from the
+        // lowest unclaimed position (1) ends before it: seq 1 is claimed on
+        // the busy device first, and only then is seq 4 in reach.
+        let order: Vec<usize> = (0..5).collect();
+        let source = window_source(&[0, 0, 0, 0, 1], &order, 3);
+        assert_eq!(claim_all(&source, false), [0, 1, 4, 2, 3]);
+        let in_flight: Vec<usize> =
+            source.loads.iter().map(|l| l.in_flight.load(Ordering::Relaxed)).collect();
+        assert_eq!(in_flight, [4, 1], "a windowed claim occupies its device");
+    }
+
+    #[test]
+    fn claim_window_of_one_or_on_one_device_is_sequence_order() {
+        let order = epoch_order(8, 11, 0);
+        let mixed = [0, 0, 1, 0, 1, 1, 0, 1];
+        for (devices, window) in [(&mixed, 1), (&[0; 8], 4), (&[3; 8], 8)] {
+            for release in [false, true] {
+                let source = window_source(devices, &order, window);
+                let want: Vec<usize> = (0..8).collect();
+                assert_eq!(claim_all(&source, release), want, "{devices:?} window {window}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Four threads claim and release at once over random permutations,
+        /// device maps and windows: every position is claimed exactly once,
+        /// and every device's in-flight count returns to zero.
+        #[test]
+        fn claim_window_claims_every_position_once_across_four_threads(
+            devices in proptest::collection::vec(0usize..3, 1..48),
+            seed in any::<u64>(),
+            window in 1usize..6,
+        ) {
+            let order = epoch_order(devices.len(), seed, 0);
+            let source = window_source(&devices, &order, window);
+            let mut claimed: Vec<usize> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| scope.spawn(|| claim_all(&source, true)))
+                    .collect();
+                workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+            });
+            claimed.sort_unstable();
+            prop_assert_eq!(claimed, (0..devices.len()).collect::<Vec<_>>());
+            for load in &source.loads {
+                prop_assert_eq!(load.in_flight.load(Ordering::Relaxed), 0);
+            }
+        }
     }
 }

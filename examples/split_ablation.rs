@@ -151,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             hybrid.push((b.partition, b.batch));
         }
         let split_time = t0.elapsed();
-        let measured_boundary = split_stream.boundary_bytes();
+        let measured_boundary = split_stream.stats().boundary_bytes;
         hybrid.sort_by_key(|(p, _)| *p);
         for (pos, batch) in &hybrid {
             assert_eq!(batch, &serial[*pos], "{name}: split partition {pos} must match");

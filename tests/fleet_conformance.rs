@@ -19,7 +19,9 @@
 //!   worker.
 //!
 //! A sixth pins the I/O shape: the device reads of a clean run, per fleet
-//! and mode, counted on a zero-latency [`Device`].
+//! and mode, counted on a zero-latency [`Device`]. A shuffled stream's
+//! retried group read is pinned the same way: it reads through the footer
+//! the enumeration parsed.
 //!
 //! Two more rows are the host fleet's alone: its workers are pairs of
 //! threads that each read half of a unit's columns, and a fault that sits
@@ -521,12 +523,13 @@ fn a_fault_in_one_half_fails_exactly_its_unit(mode: Mode) {
 /// projected columns: 6 × (3 + 2 × 40) = 498 for one open per unit. The
 /// host pair opens twice (A and B, 40 columns between them); the split
 /// opens once per side and reads the columns both sides project twice; the
-/// shuffled stream enumerates every footer first, then opens once per row
-/// group. Only a change to the I/O shape itself may move these.
+/// shuffled stream opens every footer once, in its enumeration, and reads
+/// each row group through that reader: 6 × 3 + 12 × 40 = 498. Only a
+/// change to the I/O shape itself may move these.
 fn clean_run_io_shape(mode: Mode) {
     let w = world();
     let want: [u64; 4] = match mode {
-        Mode::Stream => [516, 498, 672, 534],
+        Mode::Stream => [516, 498, 672, 498],
         Mode::Service => [498, 498, 672, 498],
     };
     for (fleet, want) in fleets(&w.plan).into_iter().zip(want) {
@@ -545,6 +548,53 @@ fn clean_run_io_shape(mode: Mode) {
         assert_eq!(d.ok.len(), reference(&w, &fleet, mode).len(), "{what}: every unit delivered");
         assert_eq!(probe.stats().reads, want, "{what}: device reads");
     }
+}
+
+/// A transient fault on a shuffled group read — one chunk read returns
+/// damaged bytes, the media behind it is intact — is retried through the
+/// reader the footer enumeration opened. The stream stays bit-identical,
+/// and the device serves exactly the enumeration's footer reads, each
+/// group's chunk reads, and the chunk reads of every retried attempt: a
+/// retry never opens the footer again.
+#[test]
+fn shuffled_retry_reads_through_the_enumerated_reader() {
+    const PROJECTED: u64 = 40; // chunk reads per group, as in `clean_run_io_shape`
+    let w = world();
+    let fleet = Fleet::Shuffled(SHUFFLE);
+    let reference = reference(&w, &fleet, Mode::Stream);
+    let policy = RetryPolicy::recover()
+        .with_max_attempts(2000)
+        .with_backoff(Duration::ZERO, Duration::ZERO)
+        .with_quarantine_after(0);
+    let injector = FaultPlan::new(fault_seed()).with_corrupt_rate(0.02).arm();
+    let faulty = armed(w.ds.partitions(), &injector);
+    // A damaged footer read fails the enumeration, which is the stream's
+    // only item and the caller's to respawn.
+    for _ in 0..64 {
+        let probe = Arc::new(Device::new(DeviceModel::new(Duration::ZERO, 1)));
+        let parts: Vec<Partition> = faulty
+            .iter()
+            .map(|p| Partition {
+                blob: p.blob.clone().behind_device(Arc::clone(&probe)),
+                ..p.clone()
+            })
+            .collect();
+        let d = drain(start(&w, &fleet, Mode::Stream, &parts, policy.clone(), 2, 3));
+        if d.report.partitions == 0 {
+            continue;
+        }
+        let what = "shuffled Stream, damaged reads";
+        assert!(d.errors.is_empty(), "{what}: {:?}", d.errors);
+        assert_eq!(d.ok.len(), reference.len(), "{what}: every unit delivered");
+        assert_bit_identical(&d, &reference, &parts, what);
+        assert!(d.report.retries > 0, "{what}: the seed must damage a group read");
+        assert_eq!(d.report.retries, d.report.faults, "{what}: every fault was retried");
+        let groups = reference.len() as u64;
+        let want = PARTITIONS as u64 * 3 + (groups + d.report.retries) * PROJECTED;
+        assert_eq!(probe.stats().reads, want, "{what}: device reads");
+        return;
+    }
+    panic!("64 enumerations in a row read a damaged footer");
 }
 
 macro_rules! both_modes {

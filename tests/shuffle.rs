@@ -5,7 +5,8 @@
 //! `PRESTO_SHUFFLE_SEED` (default 42). The pinned properties:
 //!
 //! * Same seed ⇒ the same permutation and bit-identical epoch output
-//!   across worker counts {1, 4, 8}.
+//!   across worker counts {1, 4, 8}, and behind two emulated devices with
+//!   claim windows (`FleetConfig::capacity`) of 1 and 3.
 //! * Different seeds ⇒ different permutations.
 //! * Resuming from a mid-epoch [`EpochCursor`] is bit-identical to the
 //!   uninterrupted run.
@@ -18,7 +19,7 @@
 //!   of one row and groups larger than a partition), every row is
 //!   delivered exactly once per epoch.
 
-use presto::columnar::{Encoding, FileWriter, MemBlob, WritePolicy};
+use presto::columnar::{Device, DeviceModel, Encoding, FileWriter, MemBlob, WritePolicy};
 use presto::core::pipeline::{Trainer, TrainerConfig};
 use presto::datagen::{generate_batch, Dataset, Partition, RmConfig};
 use presto::ops::graph::PlanGraph;
@@ -27,6 +28,8 @@ use presto::ops::{
     EpochCursor, Fleet, FleetConfig, MiniBatch, PreprocessPlan, ScratchSpace, ShuffleSpec,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The CI matrix seed; defaults to 42 for plain `cargo test`.
 fn matrix_seed() -> u64 {
@@ -46,8 +49,17 @@ fn collect_epoch(
     spec: ShuffleSpec,
     workers: usize,
 ) -> Vec<((usize, usize), MiniBatch)> {
+    collect_epoch_with(plan, partitions, spec, &FleetConfig::new(workers, 3))
+}
+
+fn collect_epoch_with(
+    plan: &PreprocessPlan,
+    partitions: &[Partition],
+    spec: ShuffleSpec,
+    config: &FleetConfig,
+) -> Vec<((usize, usize), MiniBatch)> {
     Fleet::Shuffled(spec)
-        .stream(plan, partitions, &FleetConfig::new(workers, 3))
+        .stream(plan, partitions, config)
         .map(|item| {
             let b = item.expect("no faults injected");
             ((b.partition, b.group), b.batch)
@@ -66,6 +78,24 @@ fn same_seed_is_bit_identical_across_worker_counts() {
     for workers in [4usize, 8] {
         let got = collect_epoch(&plan, ds.partitions(), spec, workers);
         assert_eq!(got, reference, "workers={workers} must not change the epoch");
+    }
+    // Behind two emulated devices, claims look for an idle one inside the
+    // capacity-wide window; delivery order must not notice.
+    let devices: Vec<Arc<Device>> = (0..2)
+        .map(|_| Arc::new(Device::new(DeviceModel::new(Duration::from_micros(200), 2))))
+        .collect();
+    let behind: Vec<Partition> = ds
+        .partitions()
+        .iter()
+        .map(|p| Partition {
+            blob: p.blob.clone().behind_device(Arc::clone(&devices[p.device])),
+            ..p.clone()
+        })
+        .collect();
+    for (workers, capacity) in [(4usize, 1usize), (4, 3), (8, 3)] {
+        let config = FleetConfig::new(workers, capacity);
+        let got = collect_epoch_with(&plan, &behind, spec, &config);
+        assert_eq!(got, reference, "workers={workers}, capacity={capacity} behind two devices");
     }
 }
 
