@@ -17,7 +17,6 @@ use presto_datagen::WorkloadProfile;
 use presto_datagen::{generate_batch, write_partition, Dataset, Partition, RmConfig};
 use presto_hwsim::fpga::{FeedPath, IspModel};
 use presto_hwsim::gpu::GpuTrainModel;
-use presto_hwsim::ssd::SsdModel;
 use presto_hwsim::units::Secs;
 use presto_ops::{extract_columns_for_plan, extract_columns_from_reader, inter_arrivals};
 use presto_ops::{BatchStream, FleetConfig, PlanGraph, PreprocessPlan, RetryPolicy};
@@ -273,9 +272,10 @@ pub(crate) fn stream() {
 
     // 4. Queue-depth device model: the same partitions behind ONE emulated
     // device whose queue depth limits read concurrency. The schedule
-    // makespan the token queue produces must agree with the hwsim SSD
-    // model's predicted serialization (ceil(reads / depth) x latency) —
-    // within 10% at queue depth 1, where the device is fully backlogged.
+    // makespan the token queue produces must agree with the device model's
+    // backlogged serialization (`DeviceModel::serialized_time`:
+    // ceil(reads / depth) x latency) — within 10% at queue depth 1, where
+    // the device is fully backlogged.
     let latency = Duration::from_micros(500);
     let qd_partitions = 8usize;
     let qd_ds = Dataset::generate(&config, qd_partitions, 256, 1, 11).expect("dataset");
@@ -285,12 +285,13 @@ pub(crate) fn stream() {
         "device reads",
         "queue wait (ms)",
         "device makespan (ms)",
-        "hwsim predicted (ms)",
+        "predicted (ms)",
         "measured/predicted",
     ]);
     let mut qd1_ratio = None;
     for qd in [1usize, 2, 4, 32] {
-        let device = Arc::new(Device::new(DeviceModel::new(latency, qd)));
+        let model = DeviceModel::new(latency, qd);
+        let device = Arc::new(Device::new(model));
         let gated: Vec<Partition> = qd_ds
             .partitions()
             .iter()
@@ -304,10 +305,8 @@ pub(crate) fn stream() {
         let cfg = FleetConfig::new(4, 8);
         let (elapsed, _, _, _) = run_stream(&plan, &gated, &cfg);
         let stats = device.stats();
-        let predicted = SsdModel::nvme()
-            .with_queue_depth(qd)
-            .queued_service_time(stats.reads, Secs::new(latency.as_secs_f64()));
-        let ratio = stats.makespan.as_secs_f64() / predicted.seconds().max(1e-12);
+        let predicted = model.serialized_time(stats.reads).as_secs_f64();
+        let ratio = stats.makespan.as_secs_f64() / predicted.max(1e-12);
         if qd == 1 {
             qd1_ratio = Some(ratio);
         }
@@ -317,7 +316,7 @@ pub(crate) fn stream() {
             stats.reads.to_string(),
             format!("{:.1}", stats.queue_wait.as_secs_f64() * 1e3),
             format!("{:.1}", stats.makespan.as_secs_f64() * 1e3),
-            format!("{:.1}", predicted.seconds() * 1e3),
+            format!("{:.1}", predicted * 1e3),
             format!("{ratio:.3}"),
         ]);
     }

@@ -28,10 +28,10 @@
 //! [`Device`] models a storage device as a queue-depth-limited service
 //! gate: each read occupies one of [`DeviceModel::queue_depth`] slots for
 //! [`DeviceModel::read_latency`], and reads beyond the depth serialize —
-//! the behavior an NVMe queue actually exhibits, and the one the analytic
-//! SSD model in `presto_hwsim` predicts. Place blobs behind a shared device
-//! with [`MemBlob::behind_device`] to make contention measurable on any
-//! host.
+//! the behavior an NVMe queue actually exhibits. This is the workspace's
+//! one model of a device queue (`presto_hwsim`'s SSD model is bandwidth
+//! only). Place blobs behind a shared device with
+//! [`MemBlob::behind_device`] to make contention measurable on any host.
 //!
 //! A reader hands the device several ranges at once with
 //! [`BlobRead::read_many_into`]: one submission fills up to the queue depth
@@ -65,10 +65,9 @@ pub const DEFAULT_EMULATED_QUEUE_DEPTH: usize = 32;
 /// *serialize at the device*, which is what the original sleep-per-read
 /// emulation got wrong (it modeled a device with unbounded concurrency).
 ///
-/// The analytic counterpart lives in `presto_hwsim::ssd::SsdModel`
-/// (`queued_service_time`); both sides compute the same
-/// `ceil(reads / depth) × latency` makespan for a backlogged device, so the
-/// streaming ablation and the hardware model agree by construction.
+/// Its prediction for a backlogged device is
+/// [`DeviceModel::serialized_time`], `ceil(reads / depth) × latency`: the
+/// streaming ablation prints it beside the schedule the emulation produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceModel {
     /// Service time of one positioned read.
@@ -87,9 +86,7 @@ impl DeviceModel {
 
     /// Makespan of `reads` positioned reads on a *backlogged* device:
     /// `ceil(reads / queue_depth) × read_latency`. This is the serialization
-    /// the token queue produces when requests always outnumber slots, and it
-    /// is the exact expression `presto_hwsim::ssd::SsdModel::
-    /// queued_service_time` predicts.
+    /// the token queue produces when requests always outnumber slots.
     #[must_use]
     pub fn serialized_time(&self, reads: u64) -> Duration {
         let waves = reads.div_ceil(self.queue_depth.max(1) as u64);

@@ -6,24 +6,26 @@
 //! simulation reports GPU utilization, queue occupancy and makespan — the
 //! quantities behind Fig. 3.
 //!
-//! Two arrival models drive the producer side:
+//! One event loop runs every simulation; the two entry points differ only
+//! in the arrival schedule they hand it:
 //!
-//! * [`simulate`] — the analytic model: every worker produces at its
-//!   steady-state per-worker throughput ([`System::per_worker_throughput`]).
-//! * [`simulate_measured`] — the calibration hook: replay a *measured*
-//!   inter-arrival process, e.g. the consumer-side gaps recorded from a
-//!   real `presto_ops::stream::BatchStream` run, so the simulated trainer
-//!   is driven by the executor actually built in this repo rather than an
-//!   idealized rate.
+//! * [`simulate`] — the analytic model: `W` workers, each producing at its
+//!   steady-state per-worker throughput ([`System::per_worker_throughput`]),
+//!   staggered across one batch interval.
+//! * [`simulate_measured`] — the calibration hook: one producer replaying a
+//!   *measured* inter-arrival trace cyclically, e.g. the consumer-side gaps
+//!   recorded from a real `presto_ops::stream::BatchStream` run, so the
+//!   simulated trainer is driven by the executor actually built in this
+//!   repo rather than an idealized rate.
 //!
 //! The *executable* counterpart of the simulation is the [`Trainer`]: a
 //! real consumer that pulls mini-batches off a [`BatchSource`] (the host
 //! streaming executor or the ISP emulation), spends calibrated per-batch
 //! compute on each ([`TrainerConfig::for_model`]), and reports
 //! consumer-side goodput, stall time and queue-occupancy histograms. Its
-//! measured inter-arrival trace feeds [`simulate_measured`]
-//! ([`TrainerReport::replay`]), closing the loop between the built system
-//! and the model.
+//! measured inter-arrival trace ([`TrainerReport::inter_arrivals`]) feeds
+//! [`simulate_measured`], closing the loop between the built system and
+//! the model.
 
 use presto_datagen::{RmConfig, WorkloadProfile};
 use presto_hwsim::event::EventQueue;
@@ -45,12 +47,6 @@ pub struct PipelineConfig {
     pub queue_capacity: usize,
     /// Number of GPUs consuming batches.
     pub num_gpus: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig { batches: 64, queue_capacity: 8, num_gpus: 1 }
-    }
 }
 
 /// Result of a simulated run.
@@ -95,9 +91,59 @@ pub fn simulate(
     let workers = system.parallelism().max(1);
     let per_worker = system.per_worker_throughput(&profile);
     let batch_interval = Secs::new(profile.rows as f64 / per_worker);
+    // Workers are staggered across one batch interval, as a running fleet
+    // would be — without this the simulation produces artificial arrival
+    // bursts.
+    let first = |worker: usize| batch_interval + batch_interval * (worker as f64 / workers as f64);
+    run_pipeline(workers, first, |_| batch_interval, gpu, model, config)
+}
+
+/// Simulates `config.batches` mini-batches arriving with the *measured*
+/// inter-arrival gaps `inter_arrivals` (replayed cyclically when the run is
+/// longer than the recording) flowing into `gpu` trainers.
+///
+/// The measured process already folds in worker parallelism, Extract
+/// overlap and device contention, so it is modeled as one aggregated
+/// producer; the bounded queue still applies back-pressure — when it is
+/// full the producer holds its batch and the remaining arrivals shift
+/// later, exactly like a blocked `send` on the real output channel.
+///
+/// An empty `inter_arrivals` means "instant arrivals" (a producer that is
+/// never the bottleneck).
+#[must_use]
+pub fn simulate_measured(
+    inter_arrivals: &[Duration],
+    gpu: &GpuTrainModel,
+    model: &RmConfig,
+    config: &PipelineConfig,
+) -> PipelineReport {
+    let gaps: Vec<Secs> = if inter_arrivals.is_empty() {
+        vec![Secs::ZERO]
+    } else {
+        inter_arrivals.iter().map(|d| Secs::new(d.as_secs_f64())).collect()
+    };
+    let gap = |started: usize| gaps[started % gaps.len()];
+    run_pipeline(1, gap, gap, gpu, model, config)
+}
+
+/// The producer–consumer event loop behind both entry points.
+///
+/// `workers` producers each start one batch at time zero; worker `w`'s
+/// first is ready `first(w)` later. A worker whose batch is taken (by an
+/// idle GPU or a free queue slot) starts its next one, ready `next(n)`
+/// later, where `n` counts the batches started before it. A worker facing
+/// a full queue blocks holding its batch until a GPU frees a slot.
+fn run_pipeline(
+    workers: usize,
+    first: impl Fn(usize) -> Secs,
+    next: impl Fn(usize) -> Secs,
+    gpu: &GpuTrainModel,
+    model: &RmConfig,
+    config: &PipelineConfig,
+) -> PipelineReport {
+    let rows = WorkloadProfile::from_config(model).rows;
     let step_time = gpu.step_time(model);
     let num_gpus = config.num_gpus.max(1);
-
     let mut queue: usize = 0; // ready batches waiting for a GPU
     let mut started = 0usize; // batches whose production has begun
     let mut trained = 0usize;
@@ -110,21 +156,18 @@ pub fn simulate(
     let mut first_arrival: Option<Secs> = None;
 
     let mut events: EventQueue<Event> = EventQueue::new();
-    // Kick off the first wave of production. Workers are staggered across
-    // one batch interval, as a running fleet would be — without this the
-    // simulation produces artificial arrival bursts.
     for worker in 0..workers {
         if started < config.batches {
             started += 1;
-            let offset = batch_interval * (worker as f64 / workers as f64);
-            events.schedule_after(batch_interval + offset, Event::BatchReady { worker });
+            events.schedule_after(first(worker), Event::BatchReady { worker });
         }
     }
 
     let start_next = |events: &mut EventQueue<Event>, started: &mut usize, worker: usize| {
         if *started < config.batches {
+            let gap = next(*started);
             *started += 1;
-            events.schedule_after(batch_interval, Event::BatchReady { worker });
+            events.schedule_after(gap, Event::BatchReady { worker });
         }
     };
 
@@ -186,117 +229,7 @@ pub fn simulate(
         gpu_busy,
         gpu_utilization: if denom == 0.0 { 0.0 } else { (gpu_busy.seconds() / denom).min(1.0) },
         batches_trained: trained,
-        training_throughput: trained as f64 * profile.rows as f64 / window.seconds().max(1e-12),
-        peak_queue,
-    }
-}
-
-/// Simulates `config.batches` mini-batches arriving with the *measured*
-/// inter-arrival gaps `inter_arrivals` (replayed cyclically when the run is
-/// longer than the recording) flowing into `gpu` trainers.
-///
-/// The measured process already folds in worker parallelism, Extract
-/// overlap and device contention, so it is modeled as one aggregated
-/// producer; the bounded queue still applies back-pressure — when it is
-/// full the producer holds its batch and the remaining arrivals shift
-/// later, exactly like a blocked `send` on the real output channel.
-///
-/// An empty `inter_arrivals` means "instant arrivals" (a producer that is
-/// never the bottleneck).
-#[must_use]
-pub fn simulate_measured(
-    inter_arrivals: &[Duration],
-    gpu: &GpuTrainModel,
-    model: &RmConfig,
-    config: &PipelineConfig,
-) -> PipelineReport {
-    let profile = WorkloadProfile::from_config(model);
-    let step_time = gpu.step_time(model);
-    let num_gpus = config.num_gpus.max(1);
-    let gaps: Vec<Secs> = if inter_arrivals.is_empty() {
-        vec![Secs::ZERO]
-    } else {
-        inter_arrivals.iter().map(|d| Secs::new(d.as_secs_f64())).collect()
-    };
-
-    let mut queue: usize = 0;
-    let mut started = 0usize;
-    let mut trained = 0usize;
-    // The producer holding a finished batch because the queue is full.
-    let mut producer_blocked = false;
-    let mut idle_gpus: Vec<usize> = (0..num_gpus).collect();
-    let mut gpu_busy = Secs::ZERO;
-    let mut peak_queue = 0usize;
-    let mut first_arrival: Option<Secs> = None;
-
-    let mut events: EventQueue<Event> = EventQueue::new();
-    if config.batches > 0 {
-        started = 1;
-        events.schedule_after(gaps[0], Event::BatchReady { worker: 0 });
-    }
-
-    let start_next = |events: &mut EventQueue<Event>, started: &mut usize| {
-        if *started < config.batches {
-            let gap = gaps[*started % gaps.len()];
-            *started += 1;
-            events.schedule_after(gap, Event::BatchReady { worker: 0 });
-        }
-    };
-
-    while let Some((now, event)) = events.pop() {
-        match event {
-            Event::BatchReady { .. } => {
-                first_arrival.get_or_insert(now);
-                if let Some(gpu_id) = idle_gpus.pop() {
-                    gpu_busy += step_time;
-                    events.schedule_after(step_time, Event::GpuDone { gpu: gpu_id });
-                    start_next(&mut events, &mut started);
-                } else if queue < config.queue_capacity {
-                    queue += 1;
-                    peak_queue = peak_queue.max(queue);
-                    start_next(&mut events, &mut started);
-                } else {
-                    producer_blocked = true;
-                }
-            }
-            Event::GpuDone { gpu: gpu_id } => {
-                trained += 1;
-                if queue > 0 {
-                    queue -= 1;
-                    gpu_busy += step_time;
-                    events.schedule_after(step_time, Event::GpuDone { gpu: gpu_id });
-                    if producer_blocked {
-                        queue += 1;
-                        producer_blocked = false;
-                        start_next(&mut events, &mut started);
-                    }
-                } else if producer_blocked {
-                    gpu_busy += step_time;
-                    events.schedule_after(step_time, Event::GpuDone { gpu: gpu_id });
-                    producer_blocked = false;
-                    start_next(&mut events, &mut started);
-                } else {
-                    idle_gpus.push(gpu_id);
-                }
-            }
-        }
-        if trained >= config.batches {
-            break;
-        }
-    }
-
-    let makespan = events.now();
-    let window = match first_arrival {
-        Some(t) if makespan > t => makespan - t,
-        _ => makespan,
-    };
-    let denom = window.seconds() * num_gpus as f64;
-    PipelineReport {
-        makespan,
-        gpu_busy,
-        gpu_utilization: if denom == 0.0 { 0.0 } else { (gpu_busy.seconds() / denom).min(1.0) },
-        batches_trained: trained,
-        training_throughput: trained as f64 * profile.rows as f64 / window.seconds().max(1e-12),
+        training_throughput: trained as f64 * rows as f64 / window.seconds().max(1e-12),
         peak_queue,
     }
 }
@@ -428,19 +361,6 @@ impl TrainerReport {
         }
         let weighted: u64 = self.occupancy.iter().enumerate().map(|(q, &n)| q as u64 * n).sum();
         weighted as f64 / pulls as f64
-    }
-
-    /// Replays this run's measured inter-arrival process through the
-    /// discrete-event trainer simulation — the calibration loop that ties
-    /// [`simulate_measured`] to the executor actually built in this repo.
-    #[must_use]
-    pub fn replay(
-        &self,
-        gpu: &GpuTrainModel,
-        model: &RmConfig,
-        config: &PipelineConfig,
-    ) -> PipelineReport {
-        simulate_measured(&self.inter_arrivals, gpu, model, config)
     }
 }
 
@@ -669,6 +589,34 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_simulation_is_a_constant_trace_replay() {
+        // Both entry points run one loop: a single worker at its batch
+        // interval is the same arrival schedule as a constant trace of that
+        // interval, up to the nanosecond rounding of `Duration`.
+        let gpu = GpuTrainModel::a100();
+        let system = System::presto_smartssd(1);
+        let model = RmConfig::rm1();
+        let profile = WorkloadProfile::from_config(&model);
+        let interval = profile.rows as f64 / system.per_worker_throughput(&profile);
+        for (batches, queue_capacity, num_gpus) in [(64, 8, 1), (40, 0, 1), (48, 2, 3)] {
+            let config = PipelineConfig { batches, queue_capacity, num_gpus };
+            let analytic = simulate(&system, &gpu, &model, &config);
+            let trace = [Duration::from_secs_f64(interval)];
+            let replayed = simulate_measured(&trace, &gpu, &model, &config);
+            assert_eq!(analytic.batches_trained, replayed.batches_trained);
+            assert_eq!(analytic.peak_queue, replayed.peak_queue);
+            let ns = 1e-9 * (batches + 1) as f64;
+            for (a, b) in
+                [(analytic.makespan, replayed.makespan), (analytic.gpu_busy, replayed.gpu_busy)]
+            {
+                assert!((a.seconds() - b.seconds()).abs() <= ns, "{a} vs {b}");
+            }
+            let u = (analytic.gpu_utilization, replayed.gpu_utilization);
+            assert!((u.0 - u.1).abs() < 1e-6, "{u:?}");
+        }
+    }
+
+    #[test]
     fn zero_batches_terminate() {
         let gpu = GpuTrainModel::a100();
         let report = simulate(
@@ -761,7 +709,8 @@ mod tests {
         let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 4));
         let report = Trainer::new(TrainerConfig::instant()).run(stream).expect("trains");
         let gpu = GpuTrainModel::a100();
-        let sim = report.replay(
+        let sim = simulate_measured(
+            &report.inter_arrivals,
             &gpu,
             &config,
             &PipelineConfig { batches: 32, queue_capacity: 8, num_gpus: 1 },

@@ -380,6 +380,41 @@ mod tests {
     }
 
     #[test]
+    fn prefix_pushdown_moves_long_history_stages_to_the_host() {
+        use presto_ops::{ChainSpec, ColumnRequirement, Op, SigridHasher};
+        // `long_history` heads every sparse chain with FirstX(8), so each
+        // 512-element history column is priced as an 8-element prefix. One
+        // more consumer per column that hashes the *full* history forces
+        // `Full` decode and restores the full-length pricing of the very
+        // same FirstX-headed stages.
+        let c = RmConfig::rm_longseq();
+        let graph = || PlanGraph::long_history(&c, 7, 8).unwrap();
+        let mut chains = graph().chains().to_vec();
+        for i in 0..c.num_sparse {
+            let hasher = SigridHasher::new(0xF011 ^ i as u64, c.avg_embeddings as u64).unwrap();
+            let (output, input) = (format!("full_hist_{i}"), format!("sparse_{i}"));
+            chains.push(ChainSpec::feature(output, input, vec![Op::SigridHash(hasher)]));
+        }
+        let prefix = PreprocessPlan::compile(graph(), &c).unwrap();
+        let full = PreprocessPlan::compile(PlanGraph::new(chains), &c).unwrap();
+        assert_eq!(prefix.requirement_for("sparse_0"), ColumnRequirement::Prefix(8));
+        assert_eq!(full.requirement_for("sparse_0"), ColumnRequirement::Full);
+        let model = OpCostModel::analytic(&IspModel::smartssd());
+        let sparse_places = |plan: &PreprocessPlan, rows: usize| {
+            let placement = place_stages(plan, rows, &model);
+            let sparse = placement.stages.iter().filter(|s| s.output.starts_with("sparse_"));
+            sparse.map(|s| s.place).collect::<Vec<_>>()
+        };
+        // At 512 rows full-decode pricing offloads every history stage and
+        // the pushed-down prefix keeps every one on the host. (At 64 rows
+        // none flips: the stages are host-side under both pricings, which
+        // is why this pins 512.)
+        assert_eq!(sparse_places(&full, 512), vec![Place::Isp; c.num_sparse]);
+        assert_eq!(sparse_places(&prefix, 512), vec![Place::Host; c.num_sparse]);
+        assert_eq!(sparse_places(&full, 64), sparse_places(&prefix, 64));
+    }
+
+    #[test]
     fn tiny_batches_stay_on_host() {
         // A 16-row batch cannot amortize the kernel dispatch overhead.
         let (plan, rows) = rm1_plan(16);

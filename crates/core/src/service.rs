@@ -7,8 +7,9 @@
 //! analytic curve: it owns a pool of worker threads (the shared device
 //! fleet) and accepts any number of concurrent jobs, each described by a
 //! [`JobSpec`] — a compiled plan, its partitions, a
-//! [`Fleet`] preference (host CPU, in-storage, or hybrid split), a
-//! weighted-fair share, and an optional goodput SLO.
+//! [`Fleet`] preference (host CPU, in-storage, hybrid split, or shuffled:
+//! whole partitions on the host, claimed in the seeded epoch permutation),
+//! a weighted-fair share, and an optional goodput SLO.
 //!
 //! [`PreprocessService::submit`] performs **admission control** against the
 //! pool: a job either starts immediately, queues behind the running set
@@ -610,7 +611,9 @@ impl Drop for JobHandle {
 pub struct JobReport {
     /// Job name from the [`JobSpec`].
     pub name: String,
-    /// Fleet the job ran on (`"host"`, `"isp"`, `"split"`).
+    /// Fleet the job ran on (`"host"`, `"isp"`, `"split"` or `"shuffled"`;
+    /// a shuffled job runs whole partitions on the host, in its seeded
+    /// epoch permutation).
     pub fleet: String,
     /// Lifecycle status at report time.
     pub status: JobStatus,

@@ -70,14 +70,6 @@ pub mod ssd {
     /// SmartSSD SSD→FPGA peer-to-peer read bandwidth, bytes/second
     /// (measured SmartSSD P2P is 1–3 GB/s; Sec. IV-B).
     pub const P2P_BYTES_PER_SEC: f64 = 1.2e9;
-
-    /// Per-namespace NVMe queue depth the read model exposes: positioned
-    /// reads beyond this many in flight serialize at the device. Consumer
-    /// NVMe queues are deeper, but the PoC's preprocessing workers issue
-    /// large ranged reads that saturate the internal channels well before
-    /// the submission queue; 32 is the effective concurrency the model
-    /// carries.
-    pub const QUEUE_DEPTH: usize = 32;
 }
 
 /// SmartSSD ISP accelerator constants (Xilinx KU15P-class fabric, Table II).

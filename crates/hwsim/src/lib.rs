@@ -14,7 +14,8 @@
 //! * [`gpu::GpuTrainModel`] / [`gpu::GpuPreprocessModel`] — the A100 as
 //!   trainer (Fig. 3's demand) and as NVTabular preprocessor (Fig. 16).
 //! * [`net::NetworkModel`] — 10 GbE + RPC overhead (Fig. 13).
-//! * [`ssd::SsdModel`] — NVMe reads, host path and P2P.
+//! * [`ssd::SsdModel`] — NVMe read bandwidth, host path and P2P (the
+//!   device queue is `presto_columnar::DeviceModel`'s).
 //! * [`cache::CacheSim`] + [`trace`] — trace-driven LLC simulation behind
 //!   the Fig. 6 characterization.
 //! * [`event::EventQueue`] — deterministic discrete-event engine for the

@@ -1,13 +1,11 @@
-//! Storage-device read model.
+//! Storage-device read model: bandwidth only, on the host path
+//! ([`SsdModel::read_time`]) and the SSD→FPGA P2P path
+//! ([`SsdModel::p2p_time`]).
 //!
-//! Besides the bandwidth view ([`SsdModel::read_time`]), the model exposes
-//! the *queueing* view: a device services at most [`SsdModel::queue_depth`]
-//! positioned reads concurrently (the NVMe queue depth), so a backlogged
-//! device completes `N` reads of service time `L` in `ceil(N / depth) × L`
-//! ([`SsdModel::queued_service_time`]). This is, by construction, the same
-//! expression the executable device emulation in
-//! `presto_columnar::DeviceModel::serialized_time` implements — the
-//! streaming contention ablation and this model must agree.
+//! The device *queue* — at most `depth` positioned reads in service at
+//! once, so a backlogged device completes `N` reads in `ceil(N / depth)`
+//! latencies — is modeled once, by the executable emulation's
+//! `presto_columnar::DeviceModel` (`serialized_time`).
 
 use crate::calib;
 use crate::units::{BytesPerSec, Secs};
@@ -17,7 +15,6 @@ use crate::units::{BytesPerSec, Secs};
 pub struct SsdModel {
     read_bw: BytesPerSec,
     p2p_bw: BytesPerSec,
-    queue_depth: usize,
 }
 
 impl SsdModel {
@@ -27,48 +24,13 @@ impl SsdModel {
         SsdModel {
             read_bw: BytesPerSec::new(calib::ssd::READ_BYTES_PER_SEC),
             p2p_bw: BytesPerSec::new(calib::ssd::P2P_BYTES_PER_SEC),
-            queue_depth: calib::ssd::QUEUE_DEPTH,
         }
     }
 
-    /// A custom device (with the PoC queue depth; see
-    /// [`SsdModel::with_queue_depth`]).
+    /// A custom device.
     #[must_use]
     pub fn new(read_bw: BytesPerSec, p2p_bw: BytesPerSec) -> Self {
-        SsdModel { read_bw, p2p_bw, queue_depth: calib::ssd::QUEUE_DEPTH }
-    }
-
-    /// Overrides the device queue depth (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Reads the device services concurrently.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth
-    }
-
-    /// Makespan of `reads` positioned reads of `service` each on a
-    /// *backlogged* device: requests fill the queue's `depth` slots in
-    /// waves, so the makespan is `ceil(reads / depth) × service`.
-    ///
-    /// Mirrors `presto_columnar::DeviceModel::serialized_time` exactly; the
-    /// streaming ablation checks the executable emulation against this
-    /// prediction.
-    #[must_use]
-    pub fn queued_service_time(&self, reads: u64, service: Secs) -> Secs {
-        let waves = reads.div_ceil(self.queue_depth as u64);
-        Secs::new(service.seconds() * waves as f64)
-    }
-
-    /// [`SsdModel::queued_service_time`] with the per-read service time
-    /// derived from the host-path bandwidth for reads of `bytes_per_read`.
-    #[must_use]
-    pub fn queued_read_time(&self, reads: u64, bytes_per_read: u64) -> Secs {
-        self.queued_service_time(reads, self.read_time(bytes_per_read))
+        SsdModel { read_bw, p2p_bw }
     }
 
     /// Host-path sequential read time for `bytes`.
@@ -111,30 +73,5 @@ mod tests {
         let ssd = SsdModel::new(BytesPerSec::gb(2.0), BytesPerSec::gb(1.0));
         assert!((ssd.read_time(2_000_000_000).seconds() - 1.0).abs() < 1e-9);
         assert!((ssd.p2p_time(2_000_000_000).seconds() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn queued_service_time_serializes_by_waves() {
-        let service = Secs::from_millis(2.0);
-        let qd1 = SsdModel::nvme().with_queue_depth(1);
-        assert!((qd1.queued_service_time(5, service).seconds() - 0.010).abs() < 1e-12);
-        let qd4 = SsdModel::nvme().with_queue_depth(4);
-        assert!((qd4.queued_service_time(4, service).seconds() - 0.002).abs() < 1e-12);
-        assert!((qd4.queued_service_time(5, service).seconds() - 0.004).abs() < 1e-12);
-        assert!((qd4.queued_service_time(0, service).seconds()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn queue_depth_clamps_and_defaults() {
-        assert_eq!(SsdModel::nvme().queue_depth(), calib::ssd::QUEUE_DEPTH);
-        assert_eq!(SsdModel::nvme().with_queue_depth(0).queue_depth(), 1);
-    }
-
-    #[test]
-    fn queued_read_time_uses_host_bandwidth() {
-        let ssd = SsdModel::new(BytesPerSec::gb(1.0), BytesPerSec::gb(1.0)).with_queue_depth(2);
-        // 8 reads of 1 MB at 1 GB/s through 2 slots: 4 waves of 1 ms.
-        let t = ssd.queued_read_time(8, 1_000_000);
-        assert!((t.seconds() - 0.004).abs() < 1e-9, "{}", t.seconds());
     }
 }

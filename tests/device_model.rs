@@ -1,12 +1,12 @@
-//! The queue-depth device model, checked from both sides.
+//! The queue-depth device model, checked against its own prediction.
 //!
-//! Executable side (`presto_columnar::Device`): with queue depth 1, `N`
+//! Device side (`presto_columnar::Device`): with queue depth 1, `N`
 //! concurrent reads must take at least `N ×` the single-read latency
 //! (reads serialize at the device); with queue depth ≥ `N` they overlap.
-//! Analytic side (`presto_hwsim::ssd::SsdModel`): `queued_service_time`
-//! must predict exactly the serialization the token queue schedules — the
-//! two models agree by construction, which is what makes the streaming
-//! contention ablation physically meaningful.
+//! A backlogged device's scheduled makespan must match
+//! `DeviceModel::serialized_time`, `ceil(reads / depth) × latency` — the
+//! one queueing formula in the workspace, which the streaming contention
+//! ablation prints as its prediction.
 //!
 //! Reader side (`presto_columnar::FileReader`): a group's chunk reads go
 //! to the device as one submission, so from an idle device they finish in
@@ -21,8 +21,6 @@ use presto::columnar::{
     Array, BlobRead, DataType, Device, DeviceModel, Field, FileReader, FileWriter, MemBlob,
     ReadScratch, Result, Schema,
 };
-use presto::hwsim::ssd::SsdModel;
-use presto::hwsim::units::Secs;
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::sync::Arc;
@@ -81,36 +79,16 @@ proptest! {
             "depth {n} failed to overlap {n} reads: {elapsed:?} >= {ceiling:?}"
         );
     }
-
-    /// The executable token queue and the analytic SSD model compute the
-    /// same backlogged-device serialization, for any (reads, depth).
-    #[test]
-    fn device_model_and_hwsim_prediction_agree(
-        reads in 0u64..200,
-        depth in 1usize..16,
-        latency_us in 1u64..5_000,
-    ) {
-        let latency = Duration::from_micros(latency_us);
-        let executable = DeviceModel::new(latency, depth).serialized_time(reads);
-        let analytic = SsdModel::nvme()
-            .with_queue_depth(depth)
-            .queued_service_time(reads, Secs::new(latency.as_secs_f64()));
-        let delta = (executable.as_secs_f64() - analytic.seconds()).abs();
-        prop_assert!(
-            delta < 1e-9,
-            "serialization disagrees: device {executable:?} vs hwsim {}s",
-            analytic.seconds()
-        );
-    }
 }
 
 /// A backlogged depth-1 device driven by more threads than slots: the
-/// scheduled makespan must match the hwsim prediction within 10% — the
+/// scheduled makespan must match `serialized_time` within 10% — the
 /// agreement the streaming ablation (`repro-all ablation-stream`) reports.
 #[test]
-fn backlogged_depth_one_matches_hwsim_within_ten_percent() {
+fn backlogged_depth_one_matches_serialized_time_within_ten_percent() {
     let latency = Duration::from_millis(2);
-    let device = Arc::new(Device::new(DeviceModel::new(latency, 1)));
+    let model = DeviceModel::new(latency, 1);
+    let device = Arc::new(Device::new(model));
     let blob = MemBlob::new(vec![1u8; 1024]).behind_device(Arc::clone(&device));
     let reads_per_thread = 4u64;
     let threads = 4u64;
@@ -126,15 +104,12 @@ fn backlogged_depth_one_matches_hwsim_within_ten_percent() {
     });
     let stats = device.stats();
     assert_eq!(stats.reads, threads * reads_per_thread);
-    let predicted = SsdModel::nvme()
-        .with_queue_depth(1)
-        .queued_service_time(stats.reads, Secs::new(latency.as_secs_f64()));
-    let ratio = stats.makespan.as_secs_f64() / predicted.seconds();
+    let predicted = model.serialized_time(stats.reads);
+    let ratio = stats.makespan.as_secs_f64() / predicted.as_secs_f64();
     assert!(
         (0.9..=1.1).contains(&ratio),
-        "measured/predicted = {ratio:.3} (makespan {:?}, predicted {}s)",
+        "measured/predicted = {ratio:.3} (makespan {:?}, predicted {predicted:?})",
         stats.makespan,
-        predicted.seconds()
     );
 }
 

@@ -5,8 +5,10 @@
 //!    seed recipe — for RM1/RM2/RM3 and arbitrary shapes, across every
 //!    integer encoding the columnar format supports.
 //! 2. Non-canonical scenario graphs (FirstX truncation, NGram crosses,
-//!    MapId remaps, Clamp/FillMissing dense cleanup) run end to end through
-//!    the CPU streaming executor and the ISP fleet with identical output.
+//!    MapId remaps, Clamp/FillMissing dense cleanup, prefix-pushed long
+//!    histories) run end to end through the CPU streaming executor, the ISP
+//!    fleet and the split fleet at the cost model's placement with
+//!    identical output.
 //! 3. Degenerate graph construction — cycles, type mismatches, duplicate
 //!    or dangling outputs, arbitrary garbage — errors without panicking,
 //!    and whatever compiles also executes without panicking.
@@ -17,8 +19,10 @@
 //!    worker pair, across every forced encoding and 1, 2 and 4 pairs.
 
 use presto::columnar::{FileReader, ReadScratch};
+use presto::core::placement::{place_stages, OpCostModel};
 use presto::datagen::RowBatch;
 use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig};
+use presto::hwsim::fpga::IspModel;
 use presto::ops::{
     extract_columns_for_plan, lognorm, preprocess_batch_with, preprocess_partition,
     preprocess_split_host, preprocess_split_isp, BatchStream, BoundaryBatch, Bucketizer, ChainSpec,
@@ -171,6 +175,7 @@ proptest! {
             PlanGraph::truncated_cross(&config, 5, x, n).expect("cross graph"),
             PlanGraph::remapped(&config, 5, map_size).expect("remap graph"),
             PlanGraph::cleaned(&config, 5).expect("cleaned graph"),
+            PlanGraph::long_history(&config, 5, x).expect("long-history graph"),
         ] {
             let plan = PreprocessPlan::compile(graph, &config).expect("compiles");
             let serial: Vec<MiniBatch> = ds
@@ -178,20 +183,27 @@ proptest! {
                 .iter()
                 .map(|p| preprocess_partition(&plan, p.blob.clone()).expect("serial").0)
                 .collect();
-            let cpu: Vec<MiniBatch> = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 2))
+            let fleet_config = FleetConfig::new(2, 2);
+            let cpu: Vec<MiniBatch> = BatchStream::spawn(&plan, ds.partitions(), &fleet_config)
                 .into_ordered()
                 .map(|item| item.expect("cpu batch").batch)
                 .collect();
             prop_assert_eq!(&cpu, &serial);
-            let config = FleetConfig::new(2, 2);
-            let mut isp: Vec<(usize, MiniBatch)> =
-                Fleet::Isp.stream(&plan, ds.partitions(), &config)
-                .map(|item| item.expect("isp batch"))
-                .map(|b| (b.partition, b.batch))
-                .collect();
-            isp.sort_by_key(|(p, _)| *p);
-            for (pos, batch) in isp {
-                prop_assert_eq!(&batch, &serial[pos]);
+            // The ISP fleet, and the split at the cost model's placement.
+            let model = OpCostModel::analytic(&IspModel::smartssd());
+            let split = plan.split(&place_stages(&plan, rows, &model).fleet_assignment())
+                .expect("splits");
+            for fleet in [Fleet::Isp, Fleet::Split(split)] {
+                let name = fleet.name();
+                let mut batches: Vec<(usize, MiniBatch)> = fleet
+                    .stream(&plan, ds.partitions(), &fleet_config)
+                    .map(|item| item.expect(name))
+                    .map(|b| (b.partition, b.batch))
+                    .collect();
+                batches.sort_by_key(|(p, _)| *p);
+                for (pos, batch) in batches {
+                    prop_assert_eq!(&batch, &serial[pos]);
+                }
             }
         }
     }
