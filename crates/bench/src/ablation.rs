@@ -331,7 +331,7 @@ pub(crate) fn stream() {
     println!("(deeper queues leave the backlog assumption, so the prediction is a lower bound)");
     println!();
 
-    // 5. Calibration: replay the measured consumer-side inter-arrival
+    // 5. Calibration: replay the measured producer-side inter-arrival
     // process through the trainer simulation and compare with the analytic
     // steady-state arrival model.
     let cfg = FleetConfig::new(2, 4);

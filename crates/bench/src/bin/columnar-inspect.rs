@@ -18,7 +18,7 @@
 
 use presto_bench::report::TextTable;
 use presto_columnar::column::{page_summaries, ChunkPart, PageSummary};
-use presto_columnar::{BlobRead, FileReader, FormatVersion, FsBlob, MemBlob, ReadScratch};
+use presto_columnar::{BlobRead, FileReader, FsBlob, MemBlob, ReadScratch};
 use presto_datagen::{generate_batch, write_partition, RmConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -70,9 +70,6 @@ fn verify_pages<B: BlobRead>(blob: B) -> Result<(), Box<dyn std::error::Error>> 
         }
     }
     let secs = start.elapsed().as_secs_f64();
-    // Footers before PSTOCOL4 do not record page counts.
-    let pages =
-        if reader.version() == FormatVersion::V4 { pages.to_string() } else { "unknown".into() };
     println!(
         "verified {pages} pages, {bytes} bytes in {} row groups ({split} chunks in head + tail \
          parts, both read): every checksum matches ({:.2} GB/s read + verify + decode)",

@@ -13,8 +13,8 @@
 //!
 //! * **View** — a scalar or list value stream becomes a zero-copy
 //!   [`Buffer`] over the blob's own allocation. Selected when the blob
-//!   shares its allocation, the chunk is one plain, uncompressed, aligned
-//!   page, and the limit cuts no list.
+//!   shares its allocation, the chunk is one plain, aligned page, and the
+//!   limit cuts no list.
 //! * **Append** — every page decodes straight into one exactly-sized output:
 //!   no per-page `Vec`, no concat. Selected otherwise.
 //! * **Ranged** — a list page's value stream goes through
@@ -57,13 +57,11 @@
 //! given. K is the writer's choice and nobody else's: each head page records
 //! it and decodes by its own copy, and there is deliberately no setting for
 //! it — a file's layout follows from its data, so two writers of the same
-//! batch produce the same bytes. Shorter lists, scalar columns and legacy
-//! (`PSTOCOL2`/`PSTOCOL3`) files keep the one-part layout byte for byte.
-//! See [`crate::page`] for the two page layouts.
+//! batch produce the same bytes. Shorter lists and scalar columns keep the
+//! one-part layout. See [`crate::page`] for the two page layouts.
 
 use crate::array::Array;
 use crate::buffer::{Buffer, PlainValue};
-use crate::compress::Compression;
 use crate::encoding::dictionary::DictScratch;
 use crate::encoding::{self, plain, varint, Encoding};
 use crate::error::{ColumnarError, Result};
@@ -171,10 +169,9 @@ fn concat_values<T: Copy>(parts: &[Array], values: fn(&Array) -> Option<&[T]>) -
 }
 
 /// Writes `array` as a column chunk under a [`WritePolicy`]: the policy
-/// picks each page's integer encoding and decides from the column's type
-/// whether payloads are compressed (the "uncompressed-if-hot" rule). A list
-/// column with long lists is written in two parts (see the module docs);
-/// the returned stats then carry its [`ChunkHead`].
+/// picks each page's integer encoding. A list column with long lists is
+/// written in two parts (see the module docs); the returned stats then
+/// carry its [`ChunkHead`].
 ///
 /// # Errors
 ///
@@ -357,24 +354,16 @@ impl<'a> Walk<'a> {
         self.buf.len().saturating_sub(self.pos).saturating_mul(64).max(1024)
     }
 
-    /// The next page: its header, its decode-ready payload, and the
-    /// payload's file offset when (and only when) those are the stored bytes
-    /// — the precondition for a view. A tail page adds nothing to the
-    /// budget: the head pages counted its rows, and their lengths its values.
-    fn page<'s>(
-        &mut self,
-        part: ChunkPart,
-        staging: &'s mut Vec<u8>,
-    ) -> Result<(PageHeader, &'s [u8], Option<u64>)>
-    where
-        'a: 's,
-    {
+    /// The next page: its header, its stored payload and the payload's file
+    /// offset, which a view aliases. A tail page adds nothing to the budget:
+    /// the head pages counted its rows, and their lengths its values.
+    fn page(&mut self, part: ChunkPart) -> Result<(PageHeader, &'a [u8], u64)> {
         let header = page::read_page_header(self.buf, &mut self.pos, self.base)?;
         if part != ChunkPart::Tail {
             self.budget.add(header.rows, header.elements)?;
         }
-        let (payload, stored_at) = page::page_payload(&header, self.buf, staging)?;
-        Ok((header, payload, stored_at.map(|at| self.base + at as u64)))
+        let payload = &self.buf[header.payload_start..][..header.payload_len];
+        Ok((header, payload, self.base + header.payload_start as u64))
     }
 }
 
@@ -442,15 +431,15 @@ fn floats<T>(
 
 /// A zero-copy view of the `count` plain values at `value_start` of a stored
 /// payload, when they are all that is left of it; `None` means "copy-decode
-/// instead" (not shared, compressed, length mismatch or misaligned).
+/// instead" (not shared, length mismatch or misaligned).
 fn view<T: PlainValue>(
     shared: Option<&Arc<Vec<u8>>>,
-    stored_at: Option<u64>,
+    stored_at: u64,
     payload: &[u8],
     value_start: usize,
     count: usize,
 ) -> Option<Buffer<T>> {
-    let at = usize::try_from(stored_at?).ok()?.checked_add(value_start)?;
+    let at = usize::try_from(stored_at).ok()?.checked_add(value_start)?;
     let byte_len = count.checked_mul(std::mem::size_of::<T>())?;
     if payload.len().checked_sub(value_start)? != byte_len {
         return None;
@@ -503,7 +492,7 @@ fn read_scalars<T: PlainValue>(
     let reserve = walk.budget.rows.min(walk.reservation_limit());
     let mut values: Vec<T> = Vec::new();
     for _ in 0..n_pages {
-        let (header, payload, stored_at) = walk.page(ChunkPart::Whole, &mut scratch.staging)?;
+        let (header, payload, stored_at) = walk.page(ChunkPart::Whole)?;
         if header.elements != header.rows {
             return Err(ColumnarError::CountMismatch {
                 declared: header.rows,
@@ -548,14 +537,14 @@ fn read_lists(
         .map_or(walk.budget.elements, |x| walk.budget.rows.saturating_mul(x))
         .min(walk.budget.elements)
         .min(walk.reservation_limit());
-    let DecodeScratch { staging, lengths, values: heads, ranges, dict } = scratch;
+    let DecodeScratch { lengths, values: heads, ranges, dict } = scratch;
     lengths.clear();
     heads.clear();
     let mut values: Vec<i64> = Vec::new();
     let mut viewed = None;
     let mut chunk_k = None;
     for _ in 0..head_pages {
-        let (header, payload, stored_at) = walk.page(part, staging)?;
+        let (header, payload, stored_at) = walk.page(part)?;
         let first = lengths.len();
         let (value_enc, value_start, k) =
             page::read_list_prefix(payload, header.rows, split, lengths)?;
@@ -608,7 +597,7 @@ fn read_lists(
         let tail_pages = walk.count()?;
         let (mut row, mut head_at) = (0usize, 0usize);
         for _ in 0..tail_pages {
-            let (header, payload, _) = walk.page(ChunkPart::Tail, staging)?;
+            let (header, payload, _) = walk.page(ChunkPart::Tail)?;
             let page_lengths = row
                 .checked_add(header.rows)
                 .and_then(|end| lengths.get(row..end))
@@ -755,8 +744,6 @@ pub struct PageSummary {
     pub part: ChunkPart,
     /// Encoding of the page's value stream.
     pub encoding: encoding::Encoding,
-    /// Compression of the stored payload.
-    pub compression: Compression,
     /// Rows the page covers.
     pub rows: usize,
     /// Values the page holds.
@@ -786,7 +773,6 @@ pub fn page_summaries(buf: &[u8], base: u64) -> Result<Vec<PageSummary>> {
             pages.push(PageSummary {
                 part,
                 encoding: header.encoding,
-                compression: header.compression,
                 rows: header.rows,
                 elements: header.elements,
                 stored_bytes: header.payload_len,

@@ -27,8 +27,7 @@ pub enum Encoding {
     Delta,
     /// Sorted dictionary + RLE-compressed indices (integers only).
     Dictionary,
-    /// Delta-binary-packed miniblocks (integers only; PSTOCOL3+). See
-    /// [`block`].
+    /// Delta-binary-packed miniblocks (integers only). See [`block`].
     DeltaBitpack,
 }
 

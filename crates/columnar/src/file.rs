@@ -19,10 +19,9 @@
 //! index       := n_groups { group }*
 //! group       := rows { chunk }*            one chunk per schema field
 //! chunk       := offset byte_len stats      absolute offset + length in bytes
-//! stats       := rows elements pages null_rows flags [minmax] [head]   (v4)
-//!              | rows elements flags [minmax]             (v2/v3 legacy)
-//! flags       := one byte: 0x01 = minmax follows, 0x02 = head follows (v4
-//!                only); any other bit is corruption
+//! stats       := rows elements pages null_rows flags [minmax] [head]
+//! flags       := one byte: 0x01 = minmax follows, 0x02 = head follows;
+//!                any other bit is corruption
 //! minmax      := min_i64 max_i64                (zigzag varints)
 //! head        := head_len k                     a chunk stored in two parts:
 //!                                               its head pages end head_len
@@ -30,27 +29,20 @@
 //!                                               k values of every list
 //! ```
 //!
-//! Version 4 makes the footer a true **row-group index**: writers emit
-//! mini-batch-aligned row groups ([`FileWriter::with_group_rows`] +
+//! The footer is a **row-group index**: writers emit mini-batch-aligned
+//! row groups ([`FileWriter::with_group_rows`] +
 //! [`FileWriter::write_batch`]) and every chunk entry carries the group's
 //! own page count and null-row count next to its offset/size/row/element
 //! stats, so a reader can fetch any single group — `read_row_group(g)` /
 //! `read_columns_with(g, ..)` — with exactly one ranged read per
 //! projected column and exactly-sized decode buffers, without touching any
 //! other group. This random access is what the shuffled epoch streaming in
-//! `presto-ops` (the shuffled fleet) is built on. [`FileMeta::locate_row`] /
-//! [`FileMeta::start_rows`] map global row numbers onto groups.
+//! `presto-ops` (the shuffled fleet) is built on.
 //!
-//! Version 3 added the delta-bitpacked block encoding (page encoding tag 3,
-//! see [`crate::encoding::block`]) and the per-column [`WritePolicy`].
-//! Version 2 (PR 2) 8-byte-aligns every page payload (see
-//! [`crate::page::PAYLOAD_ALIGN`]). The reader accepts `PSTOCOL2` and
-//! `PSTOCOL3` files as-is — same container layout, legacy per-chunk stats
-//! (their [`ColumnStats::pages`]/[`ColumnStats::null_rows`] read back as 0 =
-//! unknown), and in practice one whole-partition row group, which v4
-//! readers simply treat as an index of length 1. Version-1 files fail at
-//! open with a clear bad-magic error instead of a misleading decode
-//! failure. Mixed leading/trailing magics are rejected as corruption.
+//! The reader accepts exactly what [`FileWriter`] writes: [`MAGIC`] at both
+//! ends, this footer, and pages stored as encoded (see [`crate::page`]).
+//! Any other magic at either end, an older container's included, fails at
+//! open as [`ColumnarError::CorruptFile`] before the footer is read.
 //!
 //! The footer-at-the-end design is what lets a reader fetch metadata in two
 //! waves (the head magic and the tail together, then the footer the tail
@@ -73,14 +65,12 @@
 //! callers outside the crate use it: [`FileReader::read_column_limit_with`]
 //! (one chunk), [`FileReader::read_projected_with`] (columns by name, with
 //! per-column limits), and [`FileReader::read_row_group`],
-//! [`FileReader::read_projected`] and [`FileReader::read_column`] (tools,
-//! examples and tests: they bring one scratch of their own per call).
+//! [`FileReader::read_projected`] and [`FileReader::read_column`] (tools
+//! and tests: they bring one scratch of their own per call).
 //! `presto-ops`' Extract calls the group read itself, once per group, with
 //! the worker's scratch and the plan's limits. What the decoder does with
 //! the bytes — zero-copy views over a shared blob, one exactly-sized output
-//! otherwise — it decides itself; see [`crate::column`]. Files of all three
-//! magics go through the same read: the version only selects the footer's
-//! stats layout.
+//! otherwise — it decides itself; see [`crate::column`].
 //!
 //! # Prefix pushdown
 //!
@@ -130,7 +120,6 @@
 use crate::array::Array;
 use crate::checksum::crc32;
 use crate::column;
-use crate::compress::Compression;
 use crate::encoding::varint;
 use crate::error::{ColumnarError, Result};
 use crate::io::{BlobRead, ReadScratch};
@@ -138,49 +127,9 @@ use crate::page::DEFAULT_PAGE_ROWS;
 use crate::schema::{DataType, Field, Schema, WritePolicy};
 use crate::stats::ColumnStats;
 
-/// Magic bytes at both ends of every file the writer produces by default.
+/// Magic bytes at both ends of every file: the one container the writer
+/// produces and the reader accepts.
 pub const MAGIC: &[u8; 8] = b"PSTOCOL4";
-
-/// Version-3 magic the reader still accepts (legacy per-chunk stats, no
-/// row-group index guarantees — typically one whole-partition group).
-pub const MAGIC_V3: &[u8; 8] = b"PSTOCOL3";
-
-/// Version-2 magic the reader still accepts (same as v3 minus the
-/// delta-bitpacked page encoding).
-pub const MAGIC_V2: &[u8; 8] = b"PSTOCOL2";
-
-/// Container format versions this crate can read. It writes the newest
-/// only; the older two live on as checked-in fixtures
-/// (`tests/data/v{2,3}_rm1_200rows_seed42.pstocol`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatVersion {
-    /// `PSTOCOL2`: aligned page payloads, legacy footer stats.
-    V2,
-    /// `PSTOCOL3`: v2 plus delta-bitpacked pages, legacy footer stats.
-    V3,
-    /// `PSTOCOL4`: v3 plus the row-group index footer (per-chunk page and
-    /// null-row counts). The current default.
-    V4,
-}
-
-impl FormatVersion {
-    /// Resolves magic bytes to a version; `None` for unknown magics.
-    #[must_use]
-    pub fn from_magic(magic: &[u8]) -> Option<Self> {
-        match magic {
-            m if m == MAGIC => Some(FormatVersion::V4),
-            m if m == MAGIC_V3 => Some(FormatVersion::V3),
-            m if m == MAGIC_V2 => Some(FormatVersion::V2),
-            _ => None,
-        }
-    }
-
-    /// True when footers of this version carry the v4 stats layout.
-    #[must_use]
-    fn v4_stats(self) -> bool {
-        matches!(self, FormatVersion::V4)
-    }
-}
 
 /// Footer metadata for one column chunk.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,37 +182,6 @@ impl FileMeta {
         self.row_groups.iter().map(|rg| rg.rows).sum()
     }
 
-    /// Global row number at which each row group starts (one entry per
-    /// group, in file order). `start_rows()[g] + locate_row` arithmetic is
-    /// how shuffled readers map epoch positions back to file coordinates.
-    #[must_use]
-    pub fn start_rows(&self) -> Vec<u64> {
-        let mut starts = Vec::with_capacity(self.row_groups.len());
-        let mut acc = 0u64;
-        for rg in &self.row_groups {
-            starts.push(acc);
-            acc += rg.rows;
-        }
-        starts
-    }
-
-    /// Locates global row number `row` as `(group index, offset within
-    /// group)` by walking the group index; `None` when `row` is past the
-    /// end of the file. Empty groups are skipped, never returned.
-    #[must_use]
-    pub fn locate_row(&self, row: u64) -> Option<(usize, u64)> {
-        let mut acc = 0u64;
-        let mut candidate = None;
-        for (g, rg) in self.row_groups.iter().enumerate() {
-            if row < acc + rg.rows {
-                candidate = Some((g, row - acc));
-                break;
-            }
-            acc += rg.rows;
-        }
-        candidate
-    }
-
     fn write(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.schema.len() as u64);
         for field in self.schema.fields() {
@@ -286,7 +204,7 @@ impl FileMeta {
     /// integrity check, not a trust boundary (whoever can write the footer
     /// can write its checksum), so every count is bounded by the bytes left
     /// before anything is allocated for it.
-    fn read(buf: &[u8], version: FormatVersion) -> Result<Self> {
+    fn read(buf: &[u8]) -> Result<Self> {
         let mut pos = 0usize;
         // A field is at least a name length and a type tag.
         let n_fields = read_count(buf, &mut pos, 2, "field")?;
@@ -312,9 +230,8 @@ impl FileMeta {
         }
         let schema = Schema::new(fields)?;
         // A group is a row count plus, per column, an offset, a length and
-        // the stats (rows, elements, [pages, null rows,] min/max flag).
-        let chunk_min = if version.v4_stats() { 7 } else { 5 };
-        let n_groups = read_count(buf, &mut pos, 1 + chunk_min * schema.len(), "row group")?;
+        // the stats (rows, elements, pages, null rows, flags).
+        let n_groups = read_count(buf, &mut pos, 1 + 7 * schema.len(), "row group")?;
         let mut row_groups = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
             let rows = varint::read_u64(buf, &mut pos)?;
@@ -322,7 +239,7 @@ impl FileMeta {
             for _ in 0..schema.len() {
                 let offset = varint::read_u64(buf, &mut pos)?;
                 let byte_len = varint::read_u64(buf, &mut pos)?;
-                let stats = ColumnStats::read(buf, &mut pos, version.v4_stats())?;
+                let stats = ColumnStats::read(buf, &mut pos)?;
                 if stats.head.is_some_and(|head| head.head_len > byte_len) {
                     return Err(ColumnarError::CorruptFile {
                         detail: format!("head pages run past their {byte_len}-byte chunk"),
@@ -401,7 +318,7 @@ impl FileWriter {
     /// Creates a writer with an explicit page size (rows per page).
     ///
     /// The starting [`WritePolicy`] is [`WritePolicy::default`]: cost-model
-    /// encoding selection and no compression.
+    /// encoding selection.
     #[must_use]
     pub fn with_page_rows(schema: Schema, page_rows: usize) -> Self {
         let mut buf = Vec::new();
@@ -429,17 +346,6 @@ impl FileWriter {
     #[must_use]
     pub fn with_group_rows(mut self, group_rows: usize) -> Self {
         self.group_rows = Some(group_rows.max(1));
-        self
-    }
-
-    /// Enables per-page payload compression for subsequently written row
-    /// groups. Hot column types (sparse ids, integer labels/offsets) keep
-    /// skipping compression so they stay lazy-decodable — the
-    /// "uncompressed-if-hot" rule; use [`FileWriter::with_policy`] with
-    /// [`WritePolicy::compressing_hot_columns`] to compress everything.
-    #[must_use]
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.policy.compression = compression;
         self
     }
 
@@ -559,11 +465,10 @@ impl FileWriter {
 pub struct FileReader<B> {
     blob: B,
     meta: FileMeta,
-    version: FormatVersion,
 }
 
 impl<B: BlobRead> FileReader<B> {
-    /// Opens a columnar file, validating magic numbers and the footer CRC.
+    /// Opens a columnar file, validating both magics and the footer CRC.
     ///
     /// # Errors
     ///
@@ -582,10 +487,10 @@ impl<B: BlobRead> FileReader<B> {
         let (mut head, mut tail) = ([0u8; 8], [0u8; 8 + 4 + 4]);
         let footer_end = total - tail_len as u64;
         blob.read_many_into(&mut [(0, &mut head[..]), (footer_end, &mut tail[..])].into_iter())?;
-        let Some(version) = FormatVersion::from_magic(&head) else {
+        if head != *MAGIC {
             return Err(ColumnarError::CorruptFile { detail: "bad leading magic".into() });
-        };
-        if tail[8..] != head {
+        }
+        if tail[8..] != *MAGIC {
             return Err(ColumnarError::CorruptFile { detail: "bad trailing magic".into() });
         }
         let footer_crc = u32::from_le_bytes(tail[0..4].try_into().expect("4 bytes"));
@@ -600,20 +505,14 @@ impl<B: BlobRead> FileReader<B> {
         if actual != footer_crc {
             return Err(ColumnarError::ChecksumMismatch { expected: footer_crc, actual });
         }
-        let meta = FileMeta::read(&footer, version)?;
-        Ok(FileReader { blob, meta, version })
+        let meta = FileMeta::read(&footer)?;
+        Ok(FileReader { blob, meta })
     }
 
     /// The parsed footer.
     #[must_use]
     pub fn meta(&self) -> &FileMeta {
         &self.meta
-    }
-
-    /// The container version this file was written with.
-    #[must_use]
-    pub fn version(&self) -> FormatVersion {
-        self.version
     }
 
     /// The table schema.
@@ -1008,7 +907,7 @@ mod tests {
             })
             .collect();
         for forced in [None].into_iter().chain(crate::Encoding::ALL.map(Some)) {
-            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let policy = WritePolicy { forced_encoding: forced };
             let mut w = FileWriter::with_page_rows(sample_schema(), 128).with_policy(policy);
             for g in 0..2 {
                 w.write_row_group(&sample_columns(300, g)).unwrap();
@@ -1193,33 +1092,12 @@ mod tests {
     }
 
     #[test]
-    fn compressed_files_roundtrip_and_shrink() {
-        use crate::compress::Compression;
-        // Repetitive labels + low-cardinality lists: compressible content.
-        let schema = sample_schema();
-        let cols = sample_columns(2000, 1);
-        let plain = {
-            let mut w = FileWriter::with_page_rows(schema.clone(), 256);
-            w.write_row_group(&cols).unwrap();
-            w.finish()
-        };
-        let packed = {
-            let mut w = FileWriter::with_page_rows(schema, 256).with_compression(Compression::Lz);
-            w.write_row_group(&cols).unwrap();
-            w.finish()
-        };
-        assert!(packed.len() <= plain.len(), "{} > {}", packed.len(), plain.len());
-        assert_table(&packed, &cols, "lz");
-    }
-
-    #[test]
     fn empty_row_group_list_roundtrips() {
         let w = FileWriter::new(sample_schema());
         let bytes = w.finish();
         let reader = FileReader::open(MemBlob::new(bytes)).unwrap();
         assert_eq!(reader.row_group_count(), 0);
         assert_eq!(reader.meta().total_rows(), 0);
-        assert_eq!(reader.version(), FormatVersion::V4);
     }
 
     #[test]
@@ -1277,21 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn locate_row_and_start_rows_index_the_groups() {
-        let mut w = FileWriter::with_page_rows(sample_schema(), 64).with_group_rows(64);
-        w.write_batch(&sample_columns(200, 1)).unwrap();
-        let reader = FileReader::open(MemBlob::new(w.finish())).unwrap();
-        let meta = reader.meta();
-        assert_eq!(meta.start_rows(), vec![0, 64, 128, 192]);
-        assert_eq!(meta.locate_row(0), Some((0, 0)));
-        assert_eq!(meta.locate_row(63), Some((0, 63)));
-        assert_eq!(meta.locate_row(64), Some((1, 0)));
-        assert_eq!(meta.locate_row(199), Some((3, 7)));
-        assert_eq!(meta.locate_row(200), None);
-        assert_eq!(meta.locate_row(u64::MAX), None);
-    }
-
-    #[test]
     fn v4_footer_records_pages_and_null_rows() {
         let mut w = FileWriter::with_page_rows(sample_schema(), 128);
         w.write_row_group(&sample_columns(500, 0)).unwrap();
@@ -1306,93 +1169,18 @@ mod tests {
         assert_eq!(rg.columns[0].stats.null_rows, 0);
     }
 
-    /// `bytes` — a `PSTOCOL4` file none of whose chunks is in two parts — as
-    /// the container `magic` names would hold it: that magic at both ends,
-    /// and the footer in the legacy layout, written here by hand.
-    fn as_legacy(bytes: &[u8], magic: &[u8; 8]) -> Vec<u8> {
-        let meta = FileReader::open(MemBlob::new(bytes.to_vec())).unwrap().meta;
-        let mut footer = Vec::new();
-        FileMeta { row_groups: Vec::new(), ..meta.clone() }.write(&mut footer);
-        footer.pop(); // the (zero) group count, rewritten below
-        varint::write_u64(&mut footer, meta.row_groups.len() as u64);
-        for rg in &meta.row_groups {
-            varint::write_u64(&mut footer, rg.rows);
-            for chunk in &rg.columns {
-                assert_eq!(chunk.stats.head, None);
-                for field in [chunk.offset, chunk.byte_len, chunk.stats.rows, chunk.stats.elements]
-                {
-                    varint::write_u64(&mut footer, field);
-                }
-                let minmax = chunk.stats.min_i64.zip(chunk.stats.max_i64);
-                footer.push(u8::from(minmax.is_some()));
-                for bound in minmax.into_iter().flat_map(|(min, max)| [min, max]) {
-                    varint::write_i64(&mut footer, bound);
-                }
-            }
-        }
-        let footer_len = u32::from_le_bytes(bytes[bytes.len() - 12..][..4].try_into().unwrap());
-        let mut out = bytes[..bytes.len() - 16 - footer_len as usize].to_vec();
-        out[..8].copy_from_slice(magic);
-        out.extend_from_slice(&footer);
-        out.extend_from_slice(&crc32(&footer).to_le_bytes());
-        out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
-        out.extend_from_slice(magic);
-        out
-    }
-
-    #[test]
-    fn legacy_versions_write_and_read_back() {
-        // Nothing writes the legacy containers any more, so "write" is by
-        // hand (`as_legacy`); reading them is the reader's own business.
-        let cols = sample_columns(300, 2);
-        let mut w = FileWriter::with_page_rows(sample_schema(), 128);
-        w.write_row_group(&cols).unwrap();
-        let current = w.finish();
-        for (version, magic) in [(FormatVersion::V2, MAGIC_V2), (FormatVersion::V3, MAGIC_V3)] {
-            let bytes = as_legacy(&current, magic);
-            assert_eq!((&bytes[..8], &bytes[bytes.len() - 8..]), (&magic[..], &magic[..]));
-            let reader = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
-            assert_eq!(reader.version(), version);
-            // Legacy footers carry no page/null counts.
-            let chunk = &reader.meta().row_groups[0].columns[0];
-            assert_eq!(chunk.stats.pages, 0);
-            assert_eq!(chunk.stats.null_rows, 0);
-            assert_table(&bytes, &cols, &format!("{version:?}"));
-        }
-    }
-
-    #[test]
-    fn legacy_fixtures_read_the_same_on_every_route_and_under_every_limit() {
-        // What these files hold is pinned, against the generator that wrote
-        // them, in `tests/format_compat.rs`; here they are two more shapes
-        // for the table.
-        for (fixture, version) in [
-            (
-                &include_bytes!("../../../tests/data/v2_rm1_200rows_seed42.pstocol")[..],
-                FormatVersion::V2,
-            ),
-            (
-                &include_bytes!("../../../tests/data/v3_rm1_200rows_seed42.pstocol")[..],
-                FormatVersion::V3,
-            ),
-        ] {
-            let reader = FileReader::open(MemBlob::new(fixture.to_vec())).unwrap();
-            assert_eq!((reader.version(), reader.meta().total_rows()), (version, 200));
-            let expect = reader.read_row_group(0).unwrap();
-            assert_table(fixture, &expect, &format!("{version:?} fixture"));
-        }
-    }
-
     #[test]
     fn mixed_valid_version_magics_are_rejected() {
-        // Leading v4, trailing v3 — both valid magics, but mismatched.
-        let mut bytes = sample_file(1, 10);
-        let n = bytes.len();
-        bytes[n - 8..].copy_from_slice(MAGIC_V3);
-        assert!(matches!(
-            FileReader::open(MemBlob::new(bytes)),
-            Err(ColumnarError::CorruptFile { .. })
-        ));
+        // The retired version-3 magic at either end of a file: refused.
+        let mut retired = *MAGIC;
+        retired[7] = b'3';
+        let file = sample_file(1, 10);
+        for at in [0, file.len() - 8] {
+            let mut bytes = file.clone();
+            bytes[at..at + 8].copy_from_slice(&retired);
+            let opened = FileReader::open(MemBlob::new(bytes));
+            assert!(matches!(opened, Err(ColumnarError::CorruptFile { .. })), "at {at}");
+        }
     }
 
     #[test]
@@ -1454,9 +1242,8 @@ mod tests {
         for page_rows in [1usize, 7, 4096] {
             for group_rows in [None, Some(16)] {
                 let base = WritePolicy::default();
-                let lz = base.with_compression(Compression::Lz).compressing_hot_columns();
                 let forced = crate::Encoding::ALL.map(|e| base.with_forced_encoding(e));
-                for policy in [base, lz].into_iter().chain(forced) {
+                for policy in [base].into_iter().chain(forced) {
                     let what =
                         format!("page_rows {page_rows} group_rows {group_rows:?} {policy:?}");
                     let bytes = history_file(page_rows, group_rows, policy);
@@ -1483,7 +1270,7 @@ mod tests {
             let column = [Array::from_lists(lists).unwrap()];
             for forced in [None].into_iter().chain(crate::Encoding::ALL.map(Some)) {
                 for page_rows in [1usize, 5, 4096] {
-                    let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+                    let policy = WritePolicy { forced_encoding: forced };
                     let mut w =
                         FileWriter::with_page_rows(schema.clone(), page_rows).with_policy(policy);
                     w.write_row_group(&column).unwrap();
@@ -1681,14 +1468,11 @@ mod tests {
 
     #[test]
     fn a_group_read_is_the_loop_of_its_chunk_reads() {
-        let fixtures = [
-            &include_bytes!("../../../tests/data/v2_rm1_200rows_seed42.pstocol")[..],
-            &include_bytes!("../../../tests/data/v3_rm1_200rows_seed42.pstocol")[..],
-        ];
+        // Head/tail chunks under every encoding, then groups of short lists.
         let files = crate::Encoding::ALL
             .map(|e| history_file(7, Some(16), WritePolicy::default().with_forced_encoding(e)))
             .into_iter()
-            .chain(fixtures.map(<[u8]>::to_vec));
+            .chain([sample_file(3, 200)]);
         let (mut ok, mut failed, mut site) = (0, 0, 0);
         for (f, bytes) in files.enumerate() {
             let mem = MemBlob::new(bytes);

@@ -315,8 +315,6 @@ impl<B: BlobRead + ?Sized> BlobRead for &B {
 /// `Default`.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// LZ decompress staging.
-    pub(crate) staging: Vec<u8>,
     /// The length of every list of the chunk, from which its offsets are
     /// built once its pages are through.
     pub(crate) lengths: Vec<u64>,
@@ -335,7 +333,7 @@ pub struct DecodeScratch {
 /// positioned read over recycled memory: after warm-up (the largest chunk
 /// seen so far) no further allocation occurs. Beyond the chunk staging
 /// buffer it recycles the chunk decoder's intermediates ([`DecodeScratch`])
-/// — LZ staging, list lengths, prefix ranges, dictionary staging — so
+/// — list lengths, prefix ranges, dictionary staging — so
 /// decoded id/offset blocks go straight from storage bytes into their
 /// exactly-sized output buffers with nothing allocated in between.
 #[derive(Debug, Default)]

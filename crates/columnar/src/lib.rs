@@ -66,13 +66,12 @@
 //! lengths before the value stream, and a chunk of long lists is stored as
 //! head pages (lengths + the first 32 values of each list) followed by tail
 //! pages, so that a prefix read fetches the head pages alone (see
-//! [`mod@column`]). Hot column types skip LZ compression by
-//! default so they stay lazy-decodable ("uncompressed-if-hot"). Pages are
-//! CRC-32 protected, as is the footer: every read verifies every page it
-//! touches, through one function ([`checksum::crc32`]) that folds with
-//! carry-less multiplies where the CPU has them and walks lookup tables
-//! elsewhere, to the same value. See the [`encoding`] module for the
-//! bit-level details.
+//! [`mod@column`]). Pages are stored as encoded, with no codec over them,
+//! so an aligned plain page is lazy-decodable. Pages are CRC-32 protected,
+//! as is the footer: every read verifies every page it touches, through
+//! one function ([`checksum::crc32`]) that folds with carry-less multiplies
+//! where the CPU has them and walks lookup tables elsewhere, to the same
+//! value. See the [`encoding`] module for the bit-level details.
 //!
 //! ## `unsafe`
 //!
@@ -89,7 +88,6 @@ pub mod array;
 pub mod buffer;
 pub mod checksum;
 pub mod column;
-pub mod compress;
 pub mod encoding;
 pub mod error;
 pub mod fault;
@@ -101,14 +99,10 @@ pub mod stats;
 
 pub use array::Array;
 pub use buffer::{Buffer, PlainValue};
-pub use compress::Compression;
 pub use encoding::Encoding;
 pub use error::{ColumnarError, Result};
 pub use fault::{DeviceDeath, FaultInjector, FaultPlan, FaultSite, FaultStats, FaultyBlob};
-pub use file::{
-    ChunkMeta, FileMeta, FileReader, FileWriter, FormatVersion, RowGroupMeta, MAGIC, MAGIC_V2,
-    MAGIC_V3,
-};
+pub use file::{ChunkMeta, FileMeta, FileReader, FileWriter, RowGroupMeta, MAGIC};
 pub use io::{
     BlobRead, CountingBlob, Device, DeviceModel, DeviceStats, FsBlob, MemBlob, ReadScratch,
 };

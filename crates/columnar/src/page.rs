@@ -1,6 +1,4 @@
-//! Pages: the unit of encoding and checksumming inside a column chunk
-//! (unchanged since format version 2; current container magic `PSTOCOL4`,
-//! whose footer additionally records each chunk's page count — see
+//! Pages: the unit of encoding and checksumming inside a column chunk (see
 //! [`crate::file`] for the footer layout and [`crate::stats::ColumnStats`]
 //! for the per-chunk entry).
 //!
@@ -8,7 +6,7 @@
 //!
 //! ```text
 //! u8       encoding tag (value stream encoding)
-//! u8       compression tag (None | Lz)
+//! u8       compression tag, always 0: pages are stored as encoded
 //! varint   row count
 //! varint   element count (== row count for scalar columns)
 //! varint   stored payload length in bytes
@@ -16,7 +14,7 @@
 //! pad      zero bytes up to the next PAYLOAD_ALIGN file boundary
 //! payload  [lists only: RLE row-length stream, value encoding tag,
 //!          zero bytes up to the next PAYLOAD_ALIGN payload boundary]
-//!          value stream, optionally LZ-compressed
+//!          value stream
 //! ```
 //!
 //! A long list column's chunk is written in two parts (see
@@ -38,16 +36,15 @@
 //! Encoding tags: `0` plain, `1` delta-varint, `2` dictionary, `3`
 //! delta-bitpacked miniblocks ([`crate::encoding::block`]: per-miniblock
 //! frame-of-reference + bit width, 128 values each, decoded 64 at a time
-//! through word loads). Tag 3 is new in version 3; the page layout is
-//! otherwise identical to version 2, so the current reader accepts v2 and
-//! v3 files unchanged — a v2 file simply never uses tag 3, and versions
-//! differ only in their footer stats layout (v4 adds page and null-row
-//! counts per chunk).
+//! through word loads). The compression tag has one legal value, 0; the
+//! reader refuses any other as [`ColumnarError::CorruptFile`] before it
+//! looks at the payload, so a damaged tag cannot size a decode. The byte
+//! stays in the header so that the page layout, and the container magic,
+//! stay as they are.
 //!
-//! Which encoding and compression a page gets is decided per *column* by
-//! [`crate::schema::WritePolicy`]: a sample-based cost model picks the
-//! integer encoding, and hot column types (sparse ids, labels/offsets) skip
-//! LZ compression ("uncompressed-if-hot") so they stay lazy-decodable.
+//! Which encoding a page gets is decided by [`crate::schema::WritePolicy`]:
+//! a sample-based cost model picks the integer encoding, unless the policy
+//! forces one.
 //!
 //! Both paddings are *recomputed* by the reader from its position (they are
 //! never stored), so they cost at most `PAYLOAD_ALIGN - 1` bytes each and no
@@ -57,17 +54,15 @@
 //! [`crate::Buffer`] views that alias the stored bytes directly.
 //!
 //! This module writes pages and takes them apart — `read_page_header`
-//! (parse, bound, checksum), `page_payload` (decompress) and
-//! `read_list_prefix` (a list payload's length stream, K and value
-//! encoding) — and decodes nothing: what becomes of a page's values is
+//! (parse, bound, checksum) and `read_list_prefix` (a list payload's length
+//! stream, K and value encoding) — and decodes nothing: what becomes of a page's values is
 //! decided per chunk, by the one decoder in [`crate::column`].
 
 use crate::array::Array;
 use crate::checksum::crc32;
-use crate::compress::{self, Compression};
 use crate::encoding::{self, rle, varint, Encoding};
 use crate::error::{ColumnarError, Result};
-use crate::schema::{DataType, WritePolicy};
+use crate::schema::WritePolicy;
 
 /// Default number of rows the writer packs into one page.
 pub const DEFAULT_PAGE_ROWS: usize = 4096;
@@ -84,10 +79,8 @@ fn padding_for(pos: u64) -> usize {
 }
 
 /// Encodes `array` (already sliced to page size by the caller) into `out`
-/// under a [`WritePolicy`]: the policy picks the integer encoding (cost model
-/// or forced) and decides per column type whether the payload is
-/// LZ-compressed, which is kept only when it makes the page smaller. Returns
-/// the encoding that was chosen.
+/// under a [`WritePolicy`], which picks the integer encoding (cost model or
+/// forced). Returns the encoding that was chosen.
 ///
 /// # Errors
 ///
@@ -129,8 +122,7 @@ pub fn write_page_policy(
             write_list_payload(&lengths, None, values, policy, &mut payload)
         }
     };
-    let compression = policy.compression_for(array.data_type());
-    seal_page(encoding, array.len(), array.element_count(), payload, compression, out);
+    seal_page(encoding, array.len(), array.element_count(), &payload, out);
     Ok(encoding)
 }
 
@@ -169,8 +161,7 @@ pub(crate) fn write_head_page(
 ) {
     let mut payload = Vec::new();
     let enc = write_list_payload(lengths, Some(k), values, policy, &mut payload);
-    let compression = policy.compression_for(DataType::ListInt64);
-    seal_page(enc, lengths.len(), values.len(), payload, compression, out);
+    seal_page(enc, lengths.len(), values.len(), &payload, out);
 }
 
 /// Writes one tail page: `values` is what the lists of `rows` rows hold
@@ -184,43 +175,23 @@ pub(crate) fn write_tail_page(
     let mut payload = Vec::new();
     let enc = policy.i64_encoding(values);
     encoding::encode_i64(enc, values, &mut payload);
-    let compression = policy.compression_for(DataType::ListInt64);
-    seal_page(enc, rows, values.len(), payload, compression, out);
+    seal_page(enc, rows, values.len(), &payload, out);
 }
 
-/// Compresses `payload` when that makes it smaller, then appends the page
-/// header, the alignment padding and the stored payload to `out`.
-fn seal_page(
-    encoding: Encoding,
-    rows: usize,
-    elements: usize,
-    payload: Vec<u8>,
-    compression: Compression,
-    out: &mut Vec<u8>,
-) {
-    let (stored_compression, stored) = match compression {
-        Compression::None => (Compression::None, payload),
-        Compression::Lz => {
-            let packed = compress::compress(&payload);
-            if packed.len() < payload.len() {
-                (Compression::Lz, packed)
-            } else {
-                (Compression::None, payload)
-            }
-        }
-    };
+/// Appends the page header, the alignment padding and `payload` to `out`.
+fn seal_page(encoding: Encoding, rows: usize, elements: usize, payload: &[u8], out: &mut Vec<u8>) {
     out.push(encoding.to_tag());
-    out.push(stored_compression.to_tag());
+    out.push(0); // compression tag: stored as encoded
     varint::write_u64(out, rows as u64);
     varint::write_u64(out, elements as u64);
-    varint::write_u64(out, stored.len() as u64);
-    out.extend_from_slice(&crc32(&stored).to_le_bytes());
+    varint::write_u64(out, payload.len() as u64);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
     // Pad the payload to PAYLOAD_ALIGN relative to the start of `out` —
     // the file start when called through `FileWriter`. The reader recomputes
     // the same padding from its own (absolute) position.
     let pad = padding_for(out.len() as u64);
     out.resize(out.len() + pad, 0);
-    out.extend_from_slice(&stored);
+    out.extend_from_slice(payload);
 }
 
 /// Parsed page header, with the payload located (and checksummed) but not
@@ -229,8 +200,6 @@ fn seal_page(
 pub(crate) struct PageHeader {
     /// Value-stream encoding.
     pub encoding: Encoding,
-    /// Payload compression.
-    pub compression: Compression,
     /// Rows in this page.
     pub rows: usize,
     /// Elements in this page (== rows for scalar columns).
@@ -247,8 +216,9 @@ pub(crate) struct PageHeader {
 /// # Errors
 ///
 /// Returns [`ColumnarError::UnexpectedEof`] on truncation,
-/// [`ColumnarError::ChecksumMismatch`] on payload corruption and tag errors
-/// from unknown encodings/compressions.
+/// [`ColumnarError::ChecksumMismatch`] on payload corruption, tag errors
+/// from unknown encodings and [`ColumnarError::CorruptFile`] for a
+/// compression tag other than 0.
 pub(crate) fn read_page_header(buf: &[u8], pos: &mut usize, base: u64) -> Result<PageHeader> {
     let Some(&enc_tag) = buf.get(*pos) else {
         return Err(ColumnarError::UnexpectedEof { context: "page encoding tag" });
@@ -259,7 +229,11 @@ pub(crate) fn read_page_header(buf: &[u8], pos: &mut usize, base: u64) -> Result
         return Err(ColumnarError::UnexpectedEof { context: "page compression tag" });
     };
     *pos += 1;
-    let compression = Compression::from_tag(comp_tag)?;
+    if comp_tag != 0 {
+        return Err(ColumnarError::CorruptFile {
+            detail: format!("page compression tag {comp_tag}: pages are stored as encoded"),
+        });
+    }
     let rows = varint::read_u64(buf, pos)? as usize;
     let elements = varint::read_u64(buf, pos)? as usize;
     // The writer never produces pages above this ceiling, so a larger
@@ -289,27 +263,7 @@ pub(crate) fn read_page_header(buf: &[u8], pos: &mut usize, base: u64) -> Result
     if actual_crc != stored_crc {
         return Err(ColumnarError::ChecksumMismatch { expected: stored_crc, actual: actual_crc });
     }
-    Ok(PageHeader { encoding, compression, rows, elements, payload_start, payload_len })
-}
-
-/// The page's decode-ready payload: borrowed from `buf` when stored
-/// uncompressed, otherwise decompressed into `staging`. The second return
-/// is the payload's absolute offset in `buf` when (and only when) the bytes
-/// are the stored ones — the precondition for zero-copy views.
-pub(crate) fn page_payload<'a>(
-    header: &PageHeader,
-    buf: &'a [u8],
-    staging: &'a mut Vec<u8>,
-) -> Result<(&'a [u8], Option<usize>)> {
-    let stored = &buf[header.payload_start..header.payload_start + header.payload_len];
-    match header.compression {
-        Compression::None => Ok((stored, Some(header.payload_start))),
-        Compression::Lz => {
-            staging.clear();
-            compress::decompress_into(stored, staging)?;
-            Ok((&staging[..], None))
-        }
-    }
+    Ok(PageHeader { encoding, rows, elements, payload_start, payload_len })
 }
 
 /// Locates the list value stream within a list page's payload: appends the
@@ -447,14 +401,26 @@ mod tests {
         // A crafted header claiming 2^40 rows must fail before any decode
         // allocation — RLE-class payloads expand, so this ceiling is the
         // only bound on a zero-width allocation bomb.
-        let mut buf = vec![1, Encoding::Plain.to_tag()];
-        buf.push(Compression::None.to_tag());
+        let mut buf = vec![1, Encoding::Plain.to_tag(), 0];
         varint::write_u64(&mut buf, 1u64 << 40); // rows
         varint::write_u64(&mut buf, 1u64 << 40); // elements
         varint::write_u64(&mut buf, 0); // payload len
         buf.extend_from_slice(&crc32(&[]).to_le_bytes());
         let like = Array::from_lists([vec![1i64]]).unwrap();
         assert!(matches!(read_page(&buf, &like), Err(ColumnarError::CorruptFile { .. })));
+    }
+
+    #[test]
+    fn a_compression_tag_other_than_zero_is_corrupt() {
+        // The tag sits outside the page checksum; 1 was the retired LZ tag.
+        let array = Array::Int64((0..100).collect());
+        let mut buf = write_page(&array);
+        assert_eq!(buf[2], 0, "the writer stores pages as encoded");
+        for tag in [1, 0xff] {
+            buf[2] = tag;
+            let got = read_page(&buf, &array);
+            assert!(matches!(got, Err(ColumnarError::CorruptFile { .. })), "{tag}: {got:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Logical schema: fields, data types, lookup by name — and the per-column
 //! write policy ([`WritePolicy`]) deciding how each column's pages are
-//! encoded and compressed.
+//! encoded.
 //!
 //! A RecSys training table is modeled exactly the way the PreSto paper
 //! describes it (Section II-B): each row is a user sample, each column is a
 //! feature. Dense features are `Float32`, sparse features are variable-length
 //! lists of categorical ids (`ListInt64`), and the click label is `Int64`.
 
-use crate::compress::Compression;
 use crate::encoding::{self, Encoding};
 use crate::error::{ColumnarError, Result};
 use std::fmt;
@@ -74,79 +73,33 @@ impl DataType {
             DataType::ListInt64 => "ListInt64",
         }
     }
-
-    /// True for the Extract hot-path column types — sparse-id lists and
-    /// integer label/offset columns — whose decode speed dominates
-    /// preprocessing. The default [`WritePolicy`] keeps these uncompressed
-    /// so they stay lazy-decodable (an LZ-compressed payload must always be
-    /// materialized before decode).
-    #[must_use]
-    pub fn is_hot(self) -> bool {
-        matches!(self, DataType::Int64 | DataType::ListInt64)
-    }
 }
 
-/// Per-column write-side policy: which compression each column's pages get
-/// and how integer value streams are encoded.
+/// Write-side policy: how integer value streams are encoded.
 ///
-/// Two levers, both per column (chunk), not per file:
-///
-/// * **Uncompressed-if-hot** — [`WritePolicy::compression_for`] applies the
-///   configured compression only to cold column types; hot ones
-///   ([`DataType::is_hot`]) stay uncompressed so plain pages remain
-///   zero-copy-decodable and encoded pages decode straight from storage
-///   memory. Set [`WritePolicy::compress_hot`] to compress everything (the
-///   archival trade-off).
-/// * **Encoding override** — [`WritePolicy::i64_encoding`] normally runs
-///   the sample-based cost model ([`encoding::choose_i64_encoding`]); a
-///   [`WritePolicy::forced_encoding`] pins every integer stream to one
-///   codec. Tests loop over [`Encoding::ALL`] through
-///   [`WritePolicy::with_forced_encoding`] so each decode path runs on
-///   data the cost model would not route to it.
+/// [`WritePolicy::i64_encoding`] normally runs the sample-based cost model
+/// ([`encoding::choose_i64_encoding`]) per page; a
+/// [`WritePolicy::forced_encoding`] pins every integer stream to one codec.
+/// Tests loop over [`Encoding::ALL`] through
+/// [`WritePolicy::with_forced_encoding`] so each decode path runs on data the
+/// cost model would not route to it. Pages are stored as encoded: there is
+/// no compression to choose.
 ///
 /// The policy is the writer's only input besides the data: nothing is read
 /// from the process environment, so the same columns always give the same
 /// bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WritePolicy {
-    /// Compression for cold (and, with `compress_hot`, all) columns.
-    pub compression: Compression,
-    /// Also compress hot columns, trading Extract speed for bytes.
-    pub compress_hot: bool,
     /// Pin every integer value stream to one encoding (`None` = cost model).
     pub forced_encoding: Option<Encoding>,
 }
 
 impl WritePolicy {
-    /// Returns this policy with the given cold-column compression.
-    #[must_use]
-    pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.compression = compression;
-        self
-    }
-
-    /// Returns this policy with compression applied to hot columns too.
-    #[must_use]
-    pub fn compressing_hot_columns(mut self) -> Self {
-        self.compress_hot = true;
-        self
-    }
-
     /// Returns this policy with every integer stream pinned to `encoding`.
     #[must_use]
     pub fn with_forced_encoding(mut self, encoding: Encoding) -> Self {
         self.forced_encoding = Some(encoding);
         self
-    }
-
-    /// The compression a column of `data_type` receives under this policy.
-    #[must_use]
-    pub fn compression_for(&self, data_type: DataType) -> Compression {
-        if data_type.is_hot() && !self.compress_hot {
-            Compression::None
-        } else {
-            self.compression
-        }
     }
 
     /// The encoding an integer value stream receives under this policy.
@@ -380,17 +333,6 @@ mod tests {
     fn element_widths() {
         assert_eq!(DataType::Float32.element_width(), 4);
         assert_eq!(DataType::ListInt64.element_width(), 8);
-    }
-
-    #[test]
-    fn hot_columns_skip_compression_by_default() {
-        let policy = WritePolicy::default().with_compression(Compression::Lz);
-        assert_eq!(policy.compression_for(DataType::ListInt64), Compression::None);
-        assert_eq!(policy.compression_for(DataType::Int64), Compression::None);
-        assert_eq!(policy.compression_for(DataType::Float32), Compression::Lz);
-        assert_eq!(policy.compression_for(DataType::Float64), Compression::Lz);
-        let archival = policy.compressing_hot_columns();
-        assert_eq!(archival.compression_for(DataType::ListInt64), Compression::Lz);
     }
 
     #[test]

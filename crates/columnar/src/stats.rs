@@ -9,17 +9,13 @@
 //! whole-partition read, including the last short group of a
 //! group-size-misaligned partition.
 //!
-//! The `PSTOCOL4` footer extends each entry with the chunk's page count and
-//! its null-row count (rows with zero elements — only list columns can have
-//! them). Files with the `PSTOCOL2`/`PSTOCOL3` magic carry the legacy layout;
-//! their stats read back with `pages == 0` and `null_rows == 0` (unknown —
-//! a real v4 chunk always has at least one page).
-//!
-//! Every entry ends in a flag byte: bit `0x01` says a min/max pair follows,
-//! bit `0x02` (`PSTOCOL4` only) that a [`ChunkHead`] follows — the chunk was
-//! written in two parts (see [`crate::column`]) and a prefix read may stop
-//! at the end of its head pages. Any other bit is rejected as corruption, so
-//! the next extension cannot be misread by this reader.
+//! Each entry records the chunk's rows, elements, page count and null-row
+//! count (rows with zero elements — only list columns can have them), then
+//! a flag byte: bit `0x01` says a min/max pair follows, bit `0x02` that a
+//! [`ChunkHead`] follows — the chunk was written in two parts (see
+//! [`crate::column`]) and a prefix read may stop at the end of its head
+//! pages. Any other bit is rejected as corruption, so the next extension
+//! cannot be misread by this reader.
 
 use crate::array::Array;
 use crate::encoding::varint;
@@ -27,7 +23,7 @@ use crate::error::{ColumnarError, Result};
 
 /// Flag bit: a zigzag min/max pair follows.
 const FLAG_MINMAX: u8 = 0x01;
-/// Flag bit: a [`ChunkHead`] follows (`PSTOCOL4` footers only).
+/// Flag bit: a [`ChunkHead`] follows.
 const FLAG_HEAD: u8 = 0x02;
 
 /// The head region of a list chunk written in two parts: its head pages
@@ -50,12 +46,10 @@ pub struct ColumnStats {
     pub rows: u64,
     /// Number of scalar elements (= rows for scalars, flattened length for lists).
     pub elements: u64,
-    /// Number of pages in the chunk (`PSTOCOL4` footers; 0 = unknown, for
-    /// chunks read from legacy `PSTOCOL2`/`PSTOCOL3` footers).
+    /// Number of pages in the chunk.
     pub pages: u64,
     /// Rows with zero elements — empty lists for jagged columns, always 0
-    /// for scalar columns (the format has no scalar nulls). 0 also for
-    /// legacy footers, which did not record the count.
+    /// for scalar columns (the format has no scalar nulls).
     pub null_rows: u64,
     /// Minimum integer value, when the column is integer-typed and non-empty.
     pub min_i64: Option<i64>,
@@ -95,7 +89,7 @@ impl ColumnStats {
         }
     }
 
-    /// Writes the `PSTOCOL4` stats layout (the legacy one is only ever read).
+    /// Writes the stats layout [`ColumnStats::read`] reads.
     pub(crate) fn write(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.rows);
         varint::write_u64(out, self.elements);
@@ -114,19 +108,16 @@ impl ColumnStats {
         }
     }
 
-    /// Reads the layout selected by `v4`: `true` for `PSTOCOL4` footers,
-    /// `false` for the legacy two-field layout (pages/null_rows read as 0,
-    /// and the head bit is as unknown as any other).
-    pub(crate) fn read(buf: &[u8], pos: &mut usize, v4: bool) -> Result<Self> {
+    /// Reads one entry at `*pos`; unknown flag bits are corruption.
+    pub(crate) fn read(buf: &[u8], pos: &mut usize) -> Result<Self> {
         let rows = varint::read_u64(buf, pos)?;
         let elements = varint::read_u64(buf, pos)?;
-        let (pages, null_rows) =
-            if v4 { (varint::read_u64(buf, pos)?, varint::read_u64(buf, pos)?) } else { (0, 0) };
+        let pages = varint::read_u64(buf, pos)?;
+        let null_rows = varint::read_u64(buf, pos)?;
         let flags =
             buf.get(*pos).copied().ok_or(ColumnarError::UnexpectedEof { context: "stats flag" })?;
         *pos += 1;
-        let known = if v4 { FLAG_MINMAX | FLAG_HEAD } else { FLAG_MINMAX };
-        if flags & !known != 0 {
+        if flags & !(FLAG_MINMAX | FLAG_HEAD) != 0 {
             return Err(ColumnarError::CorruptFile {
                 detail: format!("unknown stats flag bits {flags:#04x}"),
             });
@@ -206,27 +197,9 @@ mod tests {
             let mut buf = Vec::new();
             s.write(&mut buf);
             let mut pos = 0;
-            assert_eq!(ColumnStats::read(&buf, &mut pos, true).unwrap(), s);
+            assert_eq!(ColumnStats::read(&buf, &mut pos).unwrap(), s);
             assert_eq!(pos, buf.len());
         }
-    }
-
-    #[test]
-    fn legacy_layout_roundtrips_without_v4_fields() {
-        // rows, elements, the flag byte, then the pair it announces: the
-        // legacy layout has no place for pages, null rows or a head.
-        let mut buf = Vec::new();
-        varint::write_u64(&mut buf, 10);
-        varint::write_u64(&mut buf, 200);
-        buf.push(FLAG_MINMAX);
-        varint::write_i64(&mut buf, -5);
-        varint::write_i64(&mut buf, 7);
-        let mut pos = 0;
-        let back = ColumnStats::read(&buf, &mut pos, false).unwrap();
-        assert_eq!(pos, buf.len());
-        let s = ColumnStats::from_array(&Array::Int64(vec![-5, 7].into()));
-        assert_eq!(back, ColumnStats { rows: 10, elements: 200, ..s });
-        assert_eq!((back.pages, back.null_rows, back.head), (0, 0, None));
     }
 
     #[test]
@@ -244,7 +217,7 @@ mod tests {
         s.write(&mut buf);
         buf.pop();
         let mut pos = 0;
-        assert!(ColumnStats::read(&buf, &mut pos, true).is_err());
+        assert!(ColumnStats::read(&buf, &mut pos).is_err());
     }
 
     #[test]
@@ -257,14 +230,8 @@ mod tests {
         for bad in [0x04u8, 0x80, 0xff] {
             let mut hostile = buf.clone();
             hostile[flag_at] |= bad;
-            let err = ColumnStats::read(&hostile, &mut 0, true).unwrap_err();
+            let err = ColumnStats::read(&hostile, &mut 0).unwrap_err();
             assert!(matches!(err, ColumnarError::CorruptFile { .. }), "{bad:#x}: {err}");
         }
-        // A legacy footer has no head bit to set.
-        let mut legacy = vec![2, 2, FLAG_MINMAX | FLAG_HEAD];
-        varint::write_i64(&mut legacy, 1);
-        varint::write_i64(&mut legacy, 2);
-        legacy.extend_from_slice(&[9, 32]);
-        assert!(ColumnStats::read(&legacy, &mut 0, false).is_err());
     }
 }

@@ -13,10 +13,11 @@
 //!   steady-state per-worker throughput ([`System::per_worker_throughput`]),
 //!   staggered across one batch interval.
 //! * [`simulate_measured`] — the calibration hook: one producer replaying a
-//!   *measured* inter-arrival trace cyclically, e.g. the consumer-side gaps
-//!   recorded from a real `presto_ops::stream::BatchStream` run, so the
-//!   simulated trainer is driven by the executor actually built in this
-//!   repo rather than an idealized rate.
+//!   *measured* inter-arrival trace cyclically, e.g. the producer-side
+//!   delivery gaps recorded from a real `presto_ops::stream::BatchStream`
+//!   run (stamped before consumer back-pressure), so the simulated trainer
+//!   is driven by the executor actually built in this repo rather than an
+//!   idealized rate.
 //!
 //! The *executable* counterpart of the simulation is the [`Trainer`]: a
 //! real consumer that pulls mini-batches off a [`BatchSource`] (the host
@@ -296,12 +297,13 @@ impl TrainerConfig {
 
 /// What the trainer observed while consuming one stream end to end.
 ///
-/// All quantities are **consumer-side**: goodput is rows per second as seen
-/// by the trainer, stall is time the trainer sat idle waiting for the
-/// producers, and the occupancy histogram samples the bounded channel at
-/// every pull. This is the measurement the paper's end-to-end claim is
-/// about — a `Vec` drain can report producer throughput, only a consumer
-/// can report whether the trainer stayed fed.
+/// Goodput, stall and occupancy are **consumer-side**: goodput is rows per
+/// second as seen by the trainer, stall is time the trainer sat idle waiting
+/// for the producers, and the occupancy histogram samples the bounded
+/// channel at every pull. This is the measurement the paper's end-to-end
+/// claim is about — a `Vec` drain can report producer throughput, only a
+/// consumer can report whether the trainer stayed fed. The inter-arrival
+/// trace alone is producer-side (see [`TrainerReport::inter_arrivals`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerReport {
     /// Mini-batches trained.
@@ -323,7 +325,9 @@ pub struct TrainerReport {
     /// Queue-occupancy histogram: `occupancy[q]` counts pulls that found
     /// `q` mini-batches buffered in the channel (length = capacity + 1).
     pub occupancy: Vec<u64>,
-    /// Measured consumer-side inter-arrival gaps, ready to replay through
+    /// Measured producer-side inter-arrival gaps: the gaps between the
+    /// batches' [`presto_ops::stream::StreamedBatch::arrived`] delivery
+    /// stamps, taken before consumer back-pressure, ready to replay through
     /// [`simulate_measured`] (per-RM-model calibration).
     pub inter_arrivals: Vec<Duration>,
     /// Final [`BatchSource::stats`] snapshot of the producer fleet:

@@ -215,26 +215,6 @@ impl System {
         self.per_worker_throughput(profile) * self.parallelism() as f64
     }
 
-    /// Executor shape for running this system's preprocessing fleet *for
-    /// real* through the streaming executor (`presto_ops::stream`): one
-    /// pipeline per worker/device and a `2×` output-channel capacity, the
-    /// rule of thumb the streaming ablation settled on. Host-CPU systems
-    /// keep each worker's second thread (the feature-sliced pair); PreSto
-    /// units parallelize across features internally (Sec. IV-C, on-card),
-    /// so their fused pipeline runs one host thread per unit.
-    ///
-    /// This is what lets the trainer-in-the-loop experiments size the real
-    /// executor from the same [`System`] value the analytic model prices.
-    #[must_use]
-    pub fn stream_config(&self) -> presto_ops::FleetConfig {
-        let workers = self.parallelism().max(1);
-        let config = presto_ops::FleetConfig::new(workers, 2 * workers);
-        match self {
-            System::Presto { .. } => config.without_prefetch(),
-            _ => config,
-        }
-    }
-
     /// Cost-model-driven placement of a compiled plan's operator stages on
     /// this system: accelerator-backed systems price each stage on their
     /// own device model and offload the stages that win, CPU systems keep
@@ -409,17 +389,6 @@ mod tests {
         let presto = System::presto_smartssd(9).power();
         let disagg = System::disagg(367).power();
         assert!(disagg.raw() > 8.0 * presto.raw(), "disagg {disagg} vs presto {presto}");
-    }
-
-    #[test]
-    fn stream_config_mirrors_parallelism() {
-        let disagg = System::disagg(4).stream_config();
-        assert_eq!(disagg.workers, 4);
-        assert_eq!(disagg.capacity, 8);
-        assert!(disagg.prefetch, "host CPUs double-buffer Extract");
-        let presto = System::presto_smartssd(2).stream_config();
-        assert_eq!(presto.workers, 2);
-        assert!(!presto.prefetch, "ISP units overlap Extract on-card");
     }
 
     #[test]

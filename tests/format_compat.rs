@@ -1,40 +1,36 @@
-//! Format-version compatibility and encoding-matrix pinning.
+//! Output and encoding pinning for the columnar format.
 //!
-//! * Two checked-in fixtures — `PSTOCOL2`, written by the PR 3 code base,
-//!   and `PSTOCOL3`, written by the last code base that could write one
-//!   (PR 20's `FileWriter::with_format_version`, cost-model policy), both
-//!   from `generate_batch(rm1 × 200 rows, seed 42)` — must keep decoding
-//!   bit-identically under the current reader, all the way through
-//!   preprocessing, to the fingerprint pinned when the first was made — the
-//!   cross-version leg of CI's `shuffle-determinism` job. Nothing writes
-//!   either container any more; they are read, and only read.
-//! * Files written with each of [`Encoding::ALL`] forced (and with LZ on
-//!   cold and on all columns) must decode to the same arrays and preprocess
-//!   to the same mini-batch as the default policy.
+//! * One fixed input, `write_partition(generate_batch(rm1 × 200 rows, seed
+//!   42))`, must preprocess under the RM1 plan to a pinned fingerprint: a
+//!   change to the writer, the reader or any operator that moves one bit of
+//!   the mini-batch fails here.
+//! * The reader opens exactly what the writer writes: `PSTOCOL4` at both
+//!   ends. The retired `PSTOCOL1` to `PSTOCOL3` containers and a mismatched
+//!   trailing magic fail at open.
+//! * Files written with each of [`Encoding::ALL`] forced must decode to the
+//!   same arrays and preprocess to the same mini-batch as the default
+//!   policy.
 
 use presto::columnar::{
-    Compression, Encoding, FileReader, FileWriter, FormatVersion, MemBlob, WritePolicy, MAGIC,
-    MAGIC_V2, MAGIC_V3,
+    ColumnarError, Encoding, FileReader, FileWriter, MemBlob, WritePolicy, MAGIC,
 };
 use presto::datagen::{generate_batch, write_partition, RmConfig};
 use presto::ops::{preprocess_partition, MiniBatch, PreprocessPlan};
 
-const V2_FIXTURE: &[u8] = include_bytes!("data/v2_rm1_200rows_seed42.pstocol");
-const V3_FIXTURE: &[u8] = include_bytes!("data/v3_rm1_200rows_seed42.pstocol");
-
-/// What both fixtures preprocess to under [`fixture_config`]'s plan. Was
-/// `0x8c2b_dfa5_d504_2341` while LogNorm was libm's `ln_1p` (PRs 3–21).
+/// What the pinned partition preprocesses to under [`fixture_config`]'s
+/// plan. First recorded over a `PSTOCOL2` file of the same batch; was
+/// `0x8c2b_dfa5_d504_2341` while LogNorm was libm's `ln_1p`.
 const FIXTURE_FINGERPRINT: u64 = 0xe760_b0df_2cda_808a;
 
-/// The fixture's generation parameters (fixed forever).
+/// The pinned partition's generation parameters (fixed forever).
 fn fixture_config() -> RmConfig {
     let mut config = RmConfig::rm1();
     config.batch_size = 200;
     config
 }
 
-/// FNV-1a over every field of a mini-batch, the fingerprint recorded when
-/// the v2 fixture was generated.
+/// FNV-1a over every field of a mini-batch: what [`FIXTURE_FINGERPRINT`]
+/// pins.
 fn fingerprint(mb: &MiniBatch) -> u64 {
     let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |b: u64| {
@@ -61,95 +57,49 @@ fn fingerprint(mb: &MiniBatch) -> u64 {
 }
 
 #[test]
-fn v2_fixture_still_opens_and_decodes() {
-    assert_eq!(&V2_FIXTURE[..8], MAGIC_V2, "fixture must really be a v2 file");
-    let reader = FileReader::open(MemBlob::new(V2_FIXTURE.to_vec())).expect("v2 file opens");
-    let config = fixture_config();
-    let expected = generate_batch(&config, 200, 42);
-    assert_eq!(reader.read_row_group(0).expect("decodes"), expected.columns());
-}
-
-#[test]
-fn v2_fixture_preprocesses_bit_identically() {
-    // Fingerprint of decode + full preprocessing of the fixture. Recorded
-    // by the PR 3 code base when the fixture was written, and re-pinned
-    // once when LogNorm stopped being libm's `ln_1p` (its own kernel, see
+fn rm1_partition_preprocesses_to_pinned_fingerprint() {
+    // Decode + full preprocessing of what the writer produces. Re-pinned
+    // once, when LogNorm stopped being libm's `ln_1p` (its own kernel, see
     // `presto_ops::lognorm`): nothing else may change a bit.
-    let plan = PreprocessPlan::from_config(&fixture_config(), 1).expect("plan");
-    let (mb, _) =
-        preprocess_partition(&plan, MemBlob::new(V2_FIXTURE.to_vec())).expect("preprocesses");
+    let config = fixture_config();
+    let batch = generate_batch(&config, 200, 42);
+    let blob = write_partition(&batch).expect("writes");
+    let bytes = blob.as_bytes();
+    assert_eq!((&bytes[..8], &bytes[bytes.len() - 8..]), (&MAGIC[..], &MAGIC[..]));
+    let reader = FileReader::open(blob.clone()).expect("opens");
+    assert_eq!(reader.read_row_group(0).expect("decodes"), batch.columns());
+    let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
+    let (mb, _) = preprocess_partition(&plan, blob).expect("preprocesses");
     assert_eq!(fingerprint(&mb), FIXTURE_FINGERPRINT);
 }
 
 #[test]
-fn v4_writer_output_matches_v2_content() {
-    let config = fixture_config();
-    let batch = generate_batch(&config, 200, 42);
-    let blob = write_partition(&batch).expect("writes");
-    assert_eq!(&blob.as_bytes()[..8], MAGIC, "new files carry the v4 magic");
-    let v4 = FileReader::open(blob).expect("opens");
-    assert_eq!(v4.version(), FormatVersion::V4);
-    let v2 = FileReader::open(MemBlob::new(V2_FIXTURE.to_vec())).expect("opens");
-    assert_eq!(v2.version(), FormatVersion::V2);
-    assert_eq!(
-        v4.read_row_group(0).expect("v4 decodes"),
-        v2.read_row_group(0).expect("v2 decodes"),
-    );
-}
-
-#[test]
-fn v3_fixture_reads_through_v4_reader() {
-    // The previous on-disk version must read through the current reader
-    // with unchanged content — the "one release back" guarantee.
-    assert_eq!(&V3_FIXTURE[..8], MAGIC_V3, "fixture must really be a v3 file");
-    let reader = FileReader::open(MemBlob::new(V3_FIXTURE.to_vec())).expect("v3 file opens");
-    assert_eq!(reader.version(), FormatVersion::V3);
-    let batch = generate_batch(&fixture_config(), 200, 42);
-    assert_eq!(reader.read_row_group(0).expect("decodes"), batch.columns());
-    // Legacy footers carry no page/null statistics; rows still size
-    // everything the reader needs.
-    assert_eq!(reader.meta().total_rows(), 200);
-    assert!(reader.meta().row_groups[0].columns.iter().all(|chunk| chunk.stats.pages == 0));
-}
-
-#[test]
-fn v3_fixture_preprocesses_to_pinned_fingerprint() {
-    let plan = PreprocessPlan::from_config(&fixture_config(), 1).expect("plan");
-    let (mb, _) =
-        preprocess_partition(&plan, MemBlob::new(V3_FIXTURE.to_vec())).expect("preprocesses");
-    assert_eq!(
-        fingerprint(&mb),
-        FIXTURE_FINGERPRINT,
-        "v3-written data must preprocess bit-identically to the v2 fixture"
-    );
-}
-
-#[test]
 fn mixed_magic_versions_are_rejected() {
-    let config = fixture_config();
-    let batch = generate_batch(&config, 16, 1);
-    let blob = write_partition(&batch).expect("writes");
-    let mut bytes = blob.as_bytes().to_vec();
-    let n = bytes.len();
-    // A v3 head with a v2 tail is corruption, not compatibility.
-    bytes[n - 8..].copy_from_slice(MAGIC_V2);
-    assert!(FileReader::open(MemBlob::new(bytes)).is_err());
-    // Unknown versions stay rejected.
-    let mut v1 = blob.as_bytes().to_vec();
-    v1[..8].copy_from_slice(b"PSTOCOL1");
-    v1[n - 8..].copy_from_slice(b"PSTOCOL1");
-    assert!(FileReader::open(MemBlob::new(v1)).is_err());
+    let batch = generate_batch(&fixture_config(), 16, 1);
+    let file = write_partition(&batch).expect("writes").as_bytes().to_vec();
+    let n = file.len();
+    let open = |bytes: Vec<u8>| match FileReader::open(MemBlob::new(bytes)) {
+        Err(ColumnarError::CorruptFile { detail }) => detail,
+        other => panic!("opened: {:?}", other.map(|r| r.row_group_count())),
+    };
+    // The retired containers, at both ends: refused by their leading magic.
+    for magic in [b"PSTOCOL1", b"PSTOCOL2", b"PSTOCOL3"] {
+        let mut bytes = file.clone();
+        bytes[..8].copy_from_slice(magic);
+        bytes[n - 8..].copy_from_slice(magic);
+        assert_eq!(open(bytes), "bad leading magic");
+    }
+    // A current head with a retired tail is corruption, not compatibility.
+    let mut bytes = file;
+    bytes[n - 8..].copy_from_slice(b"PSTOCOL3");
+    assert_eq!(open(bytes), "bad trailing magic");
 }
 
-/// The default cost model, every encoding forced, and LZ on cold and on all
-/// columns.
+/// The default cost model, then every encoding forced.
 fn matrix_policies() -> Vec<(String, WritePolicy)> {
     let base = WritePolicy::default();
     let mut policies = vec![("default".to_owned(), base)];
     policies.extend(Encoding::ALL.map(|e| (e.to_string(), base.with_forced_encoding(e))));
-    policies.push(("lz".to_owned(), base.with_compression(Compression::Lz)));
-    let lz_hot = base.with_compression(Compression::Lz).compressing_hot_columns();
-    policies.push(("lz_hot".to_owned(), lz_hot));
     policies
 }
 

@@ -5,8 +5,8 @@
 
 use presto::columnar::checksum::{crc32, Crc32};
 use presto::columnar::{
-    encoding, Array, Compression, DataType, Encoding, Field, FileReader, FileWriter, MemBlob,
-    Schema, WritePolicy,
+    encoding, Array, DataType, Encoding, Field, FileReader, FileWriter, MemBlob, Schema,
+    WritePolicy,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -65,9 +65,10 @@ enum Unchecksummed {
 
 /// The bytes of a chunk that no page checksum covers, as file offsets: its
 /// page counts, then every page header whole. Parsed here from the format's
-/// description, not by the reader: a header is two tag bytes (encoding,
-/// compression), three varints (rows, elements, stored payload length) and a
-/// 4-byte CRC, and its payload starts at the next 8-byte file offset.
+/// description, not by the reader: a header is two tag bytes (encoding, and
+/// compression, which must be 0), three varints (rows, elements, stored
+/// payload length) and a 4-byte CRC, and its payload starts at the next
+/// 8-byte file offset.
 fn unchecksummed_spans(
     bytes: &[u8],
     offset: usize,
@@ -159,22 +160,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn any_table_roundtrips((schema, arrays) in arb_table(), compressed in any::<bool>()) {
-        let compression = if compressed { Compression::Lz } else { Compression::None };
-        let mut writer =
-            FileWriter::with_page_rows(schema.clone(), 16).with_compression(compression);
+    fn any_table_roundtrips((schema, arrays) in arb_table()) {
+        let mut writer = FileWriter::with_page_rows(schema.clone(), 16);
         writer.write_row_group(&arrays).expect("writes");
         let bytes = writer.finish();
         let reader = FileReader::open(MemBlob::new(bytes)).expect("opens");
         prop_assert_eq!(reader.schema(), &schema);
         let back = reader.read_row_group(0).expect("reads");
         prop_assert_eq!(back, arrays);
-    }
-
-    #[test]
-    fn lz_codec_roundtrips_any_bytes(data in vec(any::<u8>(), 0..4096)) {
-        let packed = presto::columnar::compress::compress(&data);
-        prop_assert_eq!(presto::columnar::compress::decompress(&packed).expect("decodes"), data);
     }
 
     #[test]
@@ -201,7 +194,7 @@ proptest! {
     #[test]
     fn truncation_errors_cleanly((schema, arrays) in arb_table(), cut_frac in 0.0f64..1.0) {
         for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
-            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let policy = WritePolicy { forced_encoding: forced };
             let mut writer = FileWriter::new(schema.clone()).with_policy(policy);
             writer.write_row_group(&arrays).expect("writes");
             let bytes = writer.finish();
@@ -222,7 +215,7 @@ proptest! {
         flip in 1u8..=255,
     ) {
         for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
-            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let policy = WritePolicy { forced_encoding: forced };
             let mut writer = FileWriter::new(schema.clone()).with_policy(policy);
             writer.write_row_group(&arrays).expect("writes");
             let mut bytes = writer.finish();
@@ -401,13 +394,12 @@ proptest! {
         lists in arb_long_lists(),
         page_rows in 0usize..3,
         group_rows in 0usize..3,
-        lz in any::<bool>(),
     ) {
         // Lists long enough to be stored as head + tail pages (and, when the
         // draw comes out short, lists that are not): a full read is the
         // input, a limited read is the input truncated — for every forced
-        // codec and the cost model, every page and group size, LZ on and
-        // off, from shared memory and through positioned reads.
+        // codec and the cost model, every page and group size, from shared
+        // memory and through positioned reads.
         use presto::columnar::{CountingBlob, ReadScratch};
         let page_rows = [1usize, 7, 4096][page_rows];
         let group_rows = [None, Some(5usize), Some(1000)][group_rows];
@@ -415,10 +407,7 @@ proptest! {
         let whole = Array::from_lists(lists.clone()).expect("fits u32");
         let mut scratch = ReadScratch::new();
         for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
-            let mut policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
-            if lz {
-                policy = policy.with_compression(Compression::Lz).compressing_hot_columns();
-            }
+            let policy = WritePolicy { forced_encoding: forced };
             let mut writer =
                 FileWriter::with_page_rows(schema.clone(), page_rows).with_policy(policy);
             if let Some(group_rows) = group_rows {
@@ -547,12 +536,7 @@ proptest! {
                     let shared = FileReader::open(blob.clone()).expect("the footer is intact");
                     let staged = FileReader::open(CountingBlob::new(blob.clone())).expect("opens");
                     let faulty = FileReader::open(FaultyBlob::new(blob, quiet, 0, 0)).expect("opens");
-                    // The compression tag is the one header byte whose damage
-                    // sizes a reservation the footer does not bound: the LZ
-                    // staging, clamped by the codec to 256× the stored payload.
-                    let lz_tag = kind != Unchecksummed::Count && at == span.start + 1;
-                    let bound = if lz_tag { 256 * bytes.len() } else { declared };
-                    // And the encoding tag, where it is the only copy, is the
+                    // The encoding tag, where it is the only copy, is the
                     // one byte whose damage can still change an answer: a few
                     // values bit-packed and the same values as varints can be
                     // streams of one length, and then nothing tells the codecs
@@ -576,9 +560,9 @@ proptest! {
                     }
                     let largest = LARGEST.with(Cell::get);
                     prop_assert!(
-                        largest <= bound,
+                        largest <= declared,
                         "a flip at {at} (column {column}) drove a {largest}-byte reservation, \
-                         past {bound}"
+                         past {declared}"
                     );
                 }
             }

@@ -215,7 +215,7 @@ fn shuffled_epoch_matches_sequential_on_all_scenarios() {
             .map(|b| preprocess_batch_with(&plan, b, &mut ScratchSpace::new()).expect("serial").0)
             .collect();
         for forced in [None].into_iter().chain(Encoding::ALL.map(Some)) {
-            let policy = WritePolicy { forced_encoding: forced, ..WritePolicy::default() };
+            let policy = WritePolicy { forced_encoding: forced };
             let partitions: Vec<Partition> = batches
                 .iter()
                 .enumerate()
