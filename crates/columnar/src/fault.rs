@@ -473,8 +473,7 @@ mod tests {
     fn mem_blob_arming_routes_reads_through_the_injector() {
         let injector = FaultPlan::new(11).with_transient_rate(1.0).arm();
         let blob = MemBlob::new((0u8..32).collect()).with_faults(&injector, 0, 4);
-        assert!(blob.as_slice().is_none(), "armed blobs expose reads, not memory");
-        assert!(blob.as_shared().is_none());
+        assert!(blob.as_shared().is_none(), "armed blobs expose reads, not memory");
         assert!(blob.read_at(0, 4).is_err(), "rate-1.0 transient plan fails every read");
         // Clones share the site (and its read counter).
         assert!(blob.clone().read_at(0, 4).is_err());
@@ -482,6 +481,6 @@ mod tests {
         // The pristine path ignores the arming: same bytes, no faults.
         let clean = blob.without_faults();
         assert_eq!(clean.read_at(0, 4).unwrap(), vec![0, 1, 2, 3]);
-        assert!(clean.as_slice().is_some(), "unarmed clone restores memory semantics");
+        assert!(clean.as_shared().is_some(), "unarmed clone restores memory semantics");
     }
 }

@@ -587,8 +587,8 @@ impl<B: BlobRead> FileReader<B> {
     ///
     /// Every chunk's range is checked against the blob before anything is
     /// fetched. The bytes are then borrowed from storage memory when the
-    /// backend exposes it ([`BlobRead::as_shared`], under which aligned
-    /// plain pages come back as views of it, or [`BlobRead::as_slice`]) and
+    /// backend shares it ([`BlobRead::as_shared`], under which aligned
+    /// plain pages come back as views of it) and
     /// the scratch's staging buffer is not touched; otherwise every range is
     /// fetched with one [`BlobRead::read_many_into`] submission, back to
     /// back into that recycled buffer — so a group's chunks reach an
@@ -640,8 +640,7 @@ impl<B: BlobRead> FileReader<B> {
         // Ranges that passed the check above, in order.
         let ranges = || columns.iter().flat_map(|&read| self.chunk(row_group, read));
         let shared = self.blob.as_shared();
-        let memory = shared.as_deref().map(Vec::as_slice).or_else(|| self.blob.as_slice());
-        let (bytes, decode) = match memory {
+        let (bytes, decode) = match shared.as_deref().map(Vec::as_slice) {
             Some(all) => (all, &mut scratch.decode),
             None => {
                 scratch.stage(&self.blob, total, ranges().map(|(c, .., len)| (c.offset, len)))?
@@ -649,7 +648,7 @@ impl<B: BlobRead> FileReader<B> {
         };
         let mut staged_at = 0;
         for (chunk, data_type, limit, len) in ranges() {
-            let start = if memory.is_some() { chunk.offset as usize } else { staged_at };
+            let start = if shared.is_some() { chunk.offset as usize } else { staged_at };
             staged_at += len;
             // Deeper than the head pages reach: both parts, then cut.
             let deep = limit.filter(|&x| chunk.stats.head.is_some_and(|head| x as u64 > head.k));

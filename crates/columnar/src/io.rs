@@ -16,8 +16,8 @@
 //!
 //! * [`MemBlob`] shares its bytes behind an [`Arc`], so cloning a blob (as
 //!   every parallel worker does per partition) is a reference-count bump,
-//!   not a file-sized `memcpy`. It also exposes the bytes directly via
-//!   [`BlobRead::as_slice`], letting decoders run straight over the stored
+//!   not a file-sized `memcpy`. It also shares the bytes themselves via
+//!   [`BlobRead::as_shared`], letting decoders run straight over the stored
 //!   bytes with no staging copy at all.
 //! * [`FsBlob`] uses positioned reads (`pread(2)` via
 //!   `std::os::unix::fs::FileExt`), so parallel workers reading one file do
@@ -266,14 +266,6 @@ pub trait BlobRead {
         Ok(buf)
     }
 
-    /// Borrows the entire blob as one in-memory slice, when the backend can
-    /// do so without copying. Readers use this to decode directly from
-    /// storage memory; backends that would have to materialize the bytes
-    /// (files, counting decorators) return `None`.
-    fn as_slice(&self) -> Option<&[u8]> {
-        None
-    }
-
     /// The blob's bytes behind their reference-counted allocation, when the
     /// backend stores them that way ([`MemBlob`] does). This is what enables
     /// *lazy plain-page decode*: a reader holding the `Arc` can hand out
@@ -296,10 +288,6 @@ impl<B: BlobRead + ?Sized> BlobRead for &B {
 
     fn read_many_into(&self, reads: &mut dyn Iterator<Item = (u64, &mut [u8])>) -> Result<()> {
         (**self).read_many_into(reads)
-    }
-
-    fn as_slice(&self) -> Option<&[u8]> {
-        (**self).as_slice()
     }
 
     fn as_shared(&self) -> Option<Arc<Vec<u8>>> {
@@ -446,10 +434,10 @@ impl MemBlob {
 
     /// Places the blob behind an emulated storage device: every read, and
     /// every range of a submission, is scheduled through `device`'s
-    /// queue-depth gate, and [`BlobRead::as_slice`] / [`BlobRead::as_shared`]
-    /// report `None` (reads must go through the "device"). Shares the same
-    /// underlying bytes as `self`; share the same `Arc<Device>` across all
-    /// blobs resident on one physical device so they contend for its slots.
+    /// queue-depth gate, and [`BlobRead::as_shared`] reports `None` (reads
+    /// must go through the "device"). Shares the same underlying bytes as
+    /// `self`; share the same `Arc<Device>` across all blobs resident on one
+    /// physical device so they contend for its slots.
     #[must_use]
     pub fn behind_device(mut self, device: Arc<Device>) -> Self {
         self.device = Some(device);
@@ -544,14 +532,6 @@ impl BlobRead for MemBlob {
         result
     }
 
-    fn as_slice(&self) -> Option<&[u8]> {
-        if self.device.is_none() && self.faults.is_none() {
-            Some(&self.data)
-        } else {
-            None
-        }
-    }
-
     fn as_shared(&self) -> Option<Arc<Vec<u8>>> {
         if self.device.is_none() && self.faults.is_none() {
             Some(Arc::clone(&self.data))
@@ -619,8 +599,8 @@ impl BlobRead for FsBlob {
 /// Used to demonstrate the columnar format's selective-read property: reading
 /// two of forty columns must touch roughly 1/20 of the file.
 ///
-/// `CountingBlob` deliberately does **not** forward [`BlobRead::as_slice`]
-/// or [`BlobRead::as_shared`]: the zero-copy borrows would bypass
+/// `CountingBlob` deliberately does **not** forward
+/// [`BlobRead::as_shared`]: the zero-copy borrows would bypass
 /// `read_at_into` and the counters with it, and the whole point of the
 /// decorator is to observe the traffic.
 #[derive(Debug)]
@@ -709,9 +689,9 @@ mod tests {
     #[test]
     fn mem_blob_exposes_slice() {
         let blob = MemBlob::new(vec![1, 2, 3]);
-        assert_eq!(blob.as_slice().unwrap(), &[1, 2, 3]);
+        assert_eq!(blob.as_shared().unwrap()[..], [1, 2, 3]);
         let by_ref: &MemBlob = &blob;
-        assert_eq!(BlobRead::as_slice(&by_ref).unwrap(), &[1, 2, 3]);
+        assert_eq!(BlobRead::as_shared(&by_ref).unwrap()[..], [1, 2, 3]);
     }
 
     #[test]
@@ -798,9 +778,8 @@ mod tests {
         let slow = blob.clone().with_read_latency(Duration::from_millis(5));
         // Same bytes, device semantics: no zero-copy borrows.
         assert_eq!(slow.read_latency(), Duration::from_millis(5));
-        assert!(slow.as_slice().is_none());
         assert!(slow.as_shared().is_none());
-        assert!(blob.as_slice().is_some(), "plain clone keeps memory semantics");
+        assert!(blob.as_shared().is_some(), "plain clone keeps memory semantics");
         let t0 = std::time::Instant::now();
         assert_eq!(slow.read_at(4, 2).unwrap(), vec![4, 5]);
         assert!(t0.elapsed() >= Duration::from_millis(5), "read must pay the latency");
@@ -821,7 +800,7 @@ mod tests {
     fn shared_device_queue_depth_one_serializes_concurrent_reads() {
         let device = Arc::new(Device::new(DeviceModel::new(Duration::from_millis(4), 1)));
         let blob = MemBlob::new((0u8..64).collect()).behind_device(Arc::clone(&device));
-        assert!(blob.as_slice().is_none(), "device blobs expose reads, not memory");
+        assert!(blob.as_shared().is_none(), "device blobs expose reads, not memory");
         let t0 = Instant::now();
         std::thread::scope(|scope| {
             for t in 0..3usize {
@@ -892,7 +871,7 @@ mod tests {
     fn counting_blob_does_not_expose_slice() {
         // A zero-copy borrow would bypass the counters; see the type docs.
         let blob = CountingBlob::new(MemBlob::new(vec![0; 8]));
-        assert!(blob.as_slice().is_none());
+        assert!(blob.as_shared().is_none());
     }
 
     #[test]
@@ -904,7 +883,7 @@ mod tests {
         let blob = FsBlob::open(&path).unwrap();
         assert_eq!(blob.blob_len(), 5);
         assert_eq!(blob.read_at(1, 3).unwrap(), vec![8, 7, 6]);
-        assert!(blob.as_slice().is_none());
+        assert!(blob.as_shared().is_none());
         std::fs::remove_file(&path).unwrap();
     }
 

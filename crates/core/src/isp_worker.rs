@@ -3,15 +3,17 @@
 //!
 //! The performance layer prices the accelerator analytically; this module
 //! *executes* it: raw bytes are "P2P-extracted" from the partition blob,
-//! decoded by the decoder unit, then streamed through the compiled plan's
-//! operator stages in fixed-size chunks with two on-chip feature buffers
-//! per unit (double buffering), exactly the structure of Section IV-C. The
-//! worker drives the *same* compiled
+//! decoded by the decoder unit, then run through the compiled plan's
+//! operator stages, counting the fixed-size chunks each op would stream
+//! through a unit's on-chip feature buffers (Section IV-C's structure) —
+//! a count, not a copy: every op runs over the whole column. The worker
+//! drives the *same* compiled
 //! [`PreprocessPlan::stages`](presto_ops::PreprocessPlan::stages) as the
 //! host executor (the one unit call, [`presto_ops::UnitState::run`], with
-//! the on-chip buffer size as the chunk bound), so any operator graph runs in
-//! storage with output bit-identical to the host CPU pipeline by
-//! construction, which is the correctness argument for the offload. It
+//! the on-chip buffer size as the chunk it counts in), so any operator
+//! graph runs in storage with output bit-identical to the host CPU
+//! pipeline by construction, which is the correctness argument for the
+//! offload. It
 //! shares the host executor's zero-copy substrate (recycled
 //! [`ScratchSpace`], in-place transforms on uniquely held buffers), so
 //! CPU-vs-ISP ablations compare transform dataflow, not allocator behavior.
@@ -43,7 +45,8 @@ impl IspWorker {
         IspWorker { plan, chunk_elems: FEATURE_BUFFER_ELEMS }
     }
 
-    /// Overrides the on-chip buffer capacity (elements per chunk).
+    /// Overrides the on-chip buffer capacity: the elements per chunk that
+    /// [`IspRunStats::units`] counts in. Output does not depend on it.
     ///
     /// # Panics
     ///
@@ -78,10 +81,9 @@ impl IspWorker {
     /// P2P extract → decoder unit → chunked operator stages → output
     /// assembly. Extract stages through the caller's [`ScratchSpace`]
     /// (recycled across partitions, like the host workers); the stages are
-    /// the plan's compiled operator graph, streamed through
-    /// `chunk_elems`-sized on-chip feature buffers, transforming uniquely
-    /// owned decode buffers in place whenever the storage backend allows
-    /// it.
+    /// the plan's compiled operator graph, counted in `chunk_elems`-sized
+    /// on-chip feature-buffer chunks, transforming uniquely owned decode
+    /// buffers in place whenever the storage backend allows it.
     ///
     /// # Errors
     ///

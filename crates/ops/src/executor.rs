@@ -28,13 +28,14 @@
 //! | split host side / pair B | `host_columns` | `host_stages` | ∞ | seed + assemble |
 //! | pair A | halves' `isp_columns` | `isp_stages` | ∞ | pack boundary |
 //!
-//! A finite chunk is the in-storage unit emulation: elementwise and
-//! Bucketize ops stream through `chunk`-element on-chip feature buffers and
-//! [`UnitStats`] counts the chunks per unit class — bit-identical output
-//! for any chunk, since every op is pure and elementwise ops are
-//! chunk-invariant. The public `preprocess_*` / `extract_*` functions are
-//! wrappers of a few lines over this call, or over its Extract or Transform
-//! half where the caller holds a [`RowBatch`].
+//! The chunk is the in-storage unit's counting granularity, not a copy
+//! loop: every op runs over the whole column on every side, no op copies
+//! through a staging buffer, and each op application counts ⌈elements /
+//! chunk⌉ (at least 1) on-chip feature-buffer chunks per unit class into
+//! [`UnitStats`] — so the output is the same for any chunk by construction.
+//! The public `preprocess_*` / `extract_*` functions are wrappers of a few
+//! lines over this call, or over its Extract or Transform half where the
+//! caller holds a [`RowBatch`].
 //!
 //! # The allocation-free hot path
 //!
@@ -44,19 +45,23 @@
 //!
 //! * [`ScratchSpace`] owns every reusable buffer — the Extract chunk buffer
 //!   and one stage-value slot per compiled stage.
-//! * The unit call consumes the decoded columns instead of copying them:
-//!   stages whose chain is fully elementwise and whose raw column has no
-//!   other reader ([`consumes_raw`](crate::plan::CompiledStage::consumes_raw))
-//!   transform **in place** on the uniquely owned decode buffers, and
-//!   labels/offsets move into the mini-batch without a copy.
-//! * [`transform_batch_into`] is the one separate loop: it runs over a
-//!   *borrowed* batch into the scratch's slots, which outlive the call, so
-//!   a worker that keeps its scratch performs **zero heap allocation**
-//!   inside it once the buffers are warm (asserted by the counting-allocator
-//!   test in `tests/alloc_free.rs`). [`preprocess_batch_with`] formats from
-//!   it.
+//! * One stage runner serves every caller. A stage input is borrowed (a raw
+//!   column or an earlier stage's slot) or owned: the unit call consumes
+//!   the decoded columns instead of copying them, so a stage whose chain is
+//!   fully elementwise and whose raw column has no other reader
+//!   ([`consumes_raw`](crate::plan::CompiledStage::consumes_raw))
+//!   transforms **in place** on the uniquely owned decode buffer, and
+//!   labels/offsets move into the mini-batch without a copy. The head op on
+//!   a borrowed input runs its fused `*_into` kernel into the slot; later
+//!   elementwise ops run in place and a shape-changing op ping-pongs through
+//!   one `temp` buffer.
+//! * [`transform_batch_into`] runs the same runner over a *borrowed* batch
+//!   into the scratch's slots, which outlive the call, so a worker that
+//!   keeps its scratch performs **zero heap allocation** inside it once the
+//!   buffers are warm (asserted by the counting-allocator test in
+//!   `tests/alloc_free.rs`). [`preprocess_batch_with`] formats from it.
 //!
-//! Both loops are bit-identical to the straightforward allocating kernels;
+//! Every route is bit-identical to the straightforward allocating kernels;
 //! property tests in `tests/` pin that equivalence.
 
 use crate::graph::LABEL_COLUMN;
@@ -66,8 +71,8 @@ use crate::op::{
     clamp_in_place, clamp_into, fill_missing_in_place, fill_missing_into, firstx_into, ngram_into,
     Op, OpTag, ValueKind,
 };
-use crate::plan::{PreprocessPlan, SplitPlan, StageInput};
-use presto_columnar::{Array, BlobRead, ColumnarError, FileReader, ReadScratch};
+use crate::plan::{CompiledStage, PreprocessPlan, SplitPlan, StageInput};
+use presto_columnar::{Array, BlobRead, ColumnarError, FileReader, ReadScratch, Schema};
 use presto_datagen::RowBatch;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -303,28 +308,29 @@ impl StageTimings {
 }
 
 /// Chunk counters of one emulated in-storage run, bucketed by unit class
-/// (generation = Bucketize, normalization = SigridHash/MapId/LogNorm,
-/// restructure = FirstX/NGram), filled by [`UnitState::run`]: a
-/// whole-column side counts one chunk per op application.
+/// (generation = Bucketize, normalization = SigridHash/MapId/LogNorm/
+/// Clamp/FillMissing, restructure = FirstX/NGram), filled by
+/// [`UnitState::run`]. The chunk is a counting granularity: every op runs
+/// over the whole column, and each application counts the ⌈elements /
+/// chunk⌉ (at least 1) chunks a streaming unit of that buffer size would
+/// see, so a whole-column side counts one chunk per op application.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitStats {
     /// Chunks through the feature-generation unit.
     pub generation_chunks: u64,
     /// Chunks through the normalization units.
     pub normalize_chunks: u64,
-    /// Chunks through the list-restructuring unit. Unlike the other
-    /// counters this one is *accounting-only*: FirstX/NGram execute over
-    /// the whole column (their windows/prefixes span chunk boundaries) and
-    /// the count is derived from the input length, modeling the traffic a
-    /// streaming unit would see rather than bounding the emulation's
-    /// working set.
+    /// Chunks through the list-restructuring unit.
     pub restructure_chunks: u64,
     /// Total input elements transformed.
     pub elements: u64,
 }
 
 impl UnitStats {
-    fn record(&mut self, tag: OpTag, chunks: u64, elems: u64) {
+    /// Records one application of a `tag` op over `elems` input elements
+    /// at `chunk` elements per on-chip buffer.
+    fn record(&mut self, tag: OpTag, elems: u64, chunk: usize) {
+        let chunks = elems.div_ceil(chunk.max(1) as u64).max(1);
         match tag {
             OpTag::Bucketize => self.generation_chunks += chunks,
             OpTag::SigridHash
@@ -438,6 +444,15 @@ impl StageValue {
         let StageValue::List { offsets, values } = self else { unreachable!("just initialized") };
         (offsets, values)
     }
+
+    /// The list value buffer, under a copy of `offsets` (the list structure
+    /// an elementwise op keeps).
+    fn list_values(&mut self, offsets: &[u32]) -> &mut Vec<i64> {
+        let (out_offsets, values) = self.list_bufs();
+        out_offsets.clear();
+        out_offsets.extend_from_slice(offsets);
+        values
+    }
 }
 
 /// Reusable per-worker buffers for the preprocessing hot path.
@@ -459,11 +474,7 @@ pub struct ScratchSpace {
     /// One output per compiled stage of the last plan run; slots only ever
     /// grow (high-water-mark reuse across plans).
     slots: Vec<StageValue>,
-    /// `(kind, emit)` of each slot the *last* transform actually wrote, so
-    /// the accessors never expose stale trailing stages after a plan
-    /// switch.
-    slot_meta: Vec<(ValueKind, bool)>,
-    /// Ping-pong buffer for multi-op chains with a non-elementwise tail op.
+    /// Ping-pong buffer for a shape-changing op after a stage's head op.
     temp: StageValue,
 }
 
@@ -478,327 +489,197 @@ impl ScratchSpace {
     pub fn read_scratch(&mut self) -> &mut ReadScratch {
         &mut self.read
     }
-
-    /// Emitted one-id-per-row (generated-feature) outputs of the last
-    /// [`transform_batch_into`] call, in stage order.
-    #[must_use]
-    pub fn generated(&self) -> Vec<&[i64]> {
-        self.emitted(ValueKind::Ids)
-            .filter_map(|slot| match slot {
-                StageValue::Ids(v) => Some(v.as_slice()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Emitted jagged-feature value buffers of the last
-    /// [`transform_batch_into`] call, in stage order.
-    #[must_use]
-    pub fn hashed(&self) -> Vec<&[i64]> {
-        self.emitted(ValueKind::List)
-            .filter_map(|slot| match slot {
-                StageValue::List { values, .. } => Some(values.as_slice()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Emitted dense outputs of the last [`transform_batch_into`] call, in
-    /// stage order.
-    #[must_use]
-    pub fn dense(&self) -> Vec<&[f32]> {
-        self.emitted(ValueKind::Dense)
-            .filter_map(|slot| match slot {
-                StageValue::Dense(v) => Some(v.as_slice()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn emitted(&self, kind: ValueKind) -> impl Iterator<Item = &StageValue> {
-        self.slot_meta
-            .iter()
-            .zip(&self.slots)
-            .filter(move |((k, emit), _)| *emit && *k == kind)
-            .map(|(_, slot)| slot)
-    }
-
-    /// Ensures `slots` can hold `n` stages and resets the metadata.
-    fn prepare(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize_with(n, StageValue::default);
-        }
-        self.slot_meta.clear();
-        self.slot_meta.reserve(n);
-    }
 }
 
-/// Staging buffers for the chunked (in-storage) execution mode: the second
-/// on-chip feature buffer of each unit, through which one chunk's results
-/// drain while the next transforms. The host paths (`chunk = ∞`) never
-/// touch them.
-#[derive(Debug, Default)]
-struct StagedBufs {
-    ids: Vec<i64>,
-    dense: Vec<f32>,
-}
-
-/// Applies one op to a borrowed input, writing the result into `out`
-/// (variant re-initialized as needed, buffers recycled). Processes the
-/// input in `chunk`-element pieces — pass `usize::MAX` for whole-column
-/// host execution (no staging copy).
-fn apply_op(
-    op: &Op,
-    input: ValueRef<'_>,
-    out: &mut StageValue,
-    chunk: usize,
-    staged: &mut StagedBufs,
-    stats: &mut UnitStats,
-) -> Result<(), PreprocessError> {
-    let tag = op.tag();
-    let elems = input.elems();
-    let chunks = match (op, input) {
-        (Op::LogNorm, ValueRef::Dense(src)) => apply_dense_chunked(
-            src,
-            out.dense_buf(),
-            chunk,
-            &mut staged.dense,
-            lognorm::log_normalize_into,
-        ),
-        (Op::Clamp { lo, hi }, ValueRef::Dense(src)) => {
-            apply_dense_chunked(src, out.dense_buf(), chunk, &mut staged.dense, |piece, out| {
-                clamp_into(piece, *lo, *hi, out);
-            })
-        }
+/// Runs `op` over a borrowed input through its fused `*_into` kernel,
+/// writing `out` (variant re-initialized as needed, buffers recycled).
+fn apply_into(op: &Op, input: ValueRef<'_>, out: &mut StageValue) -> Result<(), PreprocessError> {
+    match (op, input) {
+        (Op::LogNorm, ValueRef::Dense(src)) => lognorm::log_normalize_into(src, out.dense_buf()),
+        (Op::Clamp { lo, hi }, ValueRef::Dense(src)) => clamp_into(src, *lo, *hi, out.dense_buf()),
         (Op::FillMissing(fill), ValueRef::Dense(src)) => {
-            apply_dense_chunked(src, out.dense_buf(), chunk, &mut staged.dense, |piece, out| {
-                fill_missing_into(piece, *fill, out);
-            })
+            fill_missing_into(src, *fill, out.dense_buf());
         }
-        (Op::Bucketize(b), ValueRef::Dense(src)) => {
-            let out = out.ids_buf();
-            if chunk >= src.len() {
-                b.apply_into(src, out);
-                1
-            } else {
-                out.clear();
-                out.reserve(src.len());
-                let mut n = 0;
-                for piece in src.chunks(chunk.max(1)) {
-                    b.apply_into(piece, &mut staged.ids);
-                    out.extend_from_slice(&staged.ids);
-                    n += 1;
-                }
-                n
-            }
+        (Op::Bucketize(b), ValueRef::Dense(src)) => b.apply_into(src, out.ids_buf()),
+        (Op::SigridHash(h), ValueRef::Ids(src)) => h.apply_into(src, out.ids_buf()),
+        (Op::MapId(m), ValueRef::Ids(src)) => m.apply_into(src, out.ids_buf()),
+        (Op::SigridHash(h), ValueRef::List { offsets, values }) => {
+            h.apply_into(values, out.list_values(offsets));
         }
-        (Op::SigridHash(_) | Op::MapId(_), ValueRef::List { offsets, values }) => {
-            let (out_offsets, out_values) = out.list_bufs();
-            out_offsets.clear();
-            out_offsets.extend_from_slice(offsets);
-            apply_ids_chunked(op, values, out_values, chunk, &mut staged.ids)
-        }
-        (Op::SigridHash(_) | Op::MapId(_), ValueRef::Ids(values)) => {
-            apply_ids_chunked(op, values, out.ids_buf(), chunk, &mut staged.ids)
+        (Op::MapId(m), ValueRef::List { offsets, values }) => {
+            m.apply_into(values, out.list_values(offsets));
         }
         (Op::FirstX(x), ValueRef::List { offsets, values }) => {
             let (out_offsets, out_values) = out.list_bufs();
             firstx_into(offsets, values, *x, out_offsets, out_values);
-            chunk_count(values.len(), chunk)
         }
         (Op::NGram { n, hasher }, ValueRef::List { offsets, values }) => {
             let (out_offsets, out_values) = out.list_bufs();
             ngram_into(offsets, values, *n, hasher, out_offsets, out_values);
-            chunk_count(values.len(), chunk)
         }
-        _ => {
-            return Err(plan_violation(format!("op {op} applied to mismatched input kind")));
-        }
-    };
-    stats.record(tag, chunks, elems);
+        _ => return Err(plan_violation(format!("op {op} applied to mismatched input kind"))),
+    }
     Ok(())
 }
 
-/// Chunked elementwise dense transform into a recycled output buffer.
-fn apply_dense_chunked(
-    src: &[f32],
-    out: &mut Vec<f32>,
-    chunk: usize,
-    staged: &mut Vec<f32>,
-    mut f: impl FnMut(&[f32], &mut Vec<f32>),
-) -> u64 {
-    if chunk >= src.len() {
-        f(src, out);
-        1
-    } else {
-        out.clear();
-        out.reserve(src.len());
-        let mut n = 0;
-        for piece in src.chunks(chunk.max(1)) {
-            f(piece, staged);
-            out.extend_from_slice(staged);
-            n += 1;
+/// Runs an elementwise `op` in place on an owned value.
+fn apply_in_place(op: &Op, value: &mut StageValue) -> Result<(), PreprocessError> {
+    match (op, value) {
+        (Op::LogNorm, StageValue::Dense(v)) => lognorm::log_normalize_in_place(v),
+        (Op::Clamp { lo, hi }, StageValue::Dense(v)) => clamp_in_place(v, *lo, *hi),
+        (Op::FillMissing(fill), StageValue::Dense(v)) => fill_missing_in_place(v, *fill),
+        (Op::SigridHash(h), StageValue::Ids(v) | StageValue::List { values: v, .. }) => {
+            h.apply_in_place(v);
         }
-        n
+        (Op::MapId(m), StageValue::Ids(v) | StageValue::List { values: v, .. }) => {
+            m.apply_in_place(v);
+        }
+        _ => return Err(plan_violation(format!("op {op} applied in place to mismatched kind"))),
     }
-}
-
-/// Chunked elementwise id transform into a recycled output buffer.
-fn apply_ids_chunked(
-    op: &Op,
-    src: &[i64],
-    out: &mut Vec<i64>,
-    chunk: usize,
-    staged: &mut Vec<i64>,
-) -> u64 {
-    let apply = |piece: &[i64], out: &mut Vec<i64>| match op {
-        Op::SigridHash(h) => h.apply_into(piece, out),
-        Op::MapId(m) => m.apply_into(piece, out),
-        _ => unreachable!("caller dispatched an elementwise id op"),
-    };
-    if chunk >= src.len() {
-        apply(src, out);
-        1
-    } else {
-        out.clear();
-        out.reserve(src.len());
-        let mut n = 0;
-        for piece in src.chunks(chunk.max(1)) {
-            apply(piece, staged);
-            out.extend_from_slice(staged);
-            n += 1;
-        }
-        n
-    }
-}
-
-/// Chunks an already-whole op application would have streamed through a
-/// `chunk`-element unit buffer.
-fn chunk_count(len: usize, chunk: usize) -> u64 {
-    if chunk >= len {
-        1
-    } else {
-        (len.div_ceil(chunk.max(1))) as u64
-    }
-}
-
-/// Applies one *elementwise* op in place on an owned stage value.
-fn apply_op_in_place(
-    op: &Op,
-    value: &mut StageValue,
-    chunk: usize,
-    stats: &mut UnitStats,
-) -> Result<(), PreprocessError> {
-    let tag = op.tag();
-    let (chunks, elems) = match (op, &mut *value) {
-        (Op::LogNorm | Op::Clamp { .. } | Op::FillMissing(_), StageValue::Dense(v)) => {
-            let mut n = 0;
-            for piece in v.chunks_mut(chunk.max(1)) {
-                match op {
-                    Op::LogNorm => lognorm::log_normalize_in_place(piece),
-                    Op::Clamp { lo, hi } => clamp_in_place(piece, *lo, *hi),
-                    Op::FillMissing(fill) => fill_missing_in_place(piece, *fill),
-                    _ => unreachable!("matched above"),
-                }
-                n += 1;
-            }
-            (n, v.len() as u64)
-        }
-        (
-            Op::SigridHash(_) | Op::MapId(_),
-            StageValue::List { values, .. } | StageValue::Ids(values),
-        ) => {
-            let mut n = 0;
-            for piece in values.chunks_mut(chunk.max(1)) {
-                match op {
-                    Op::SigridHash(h) => h.apply_in_place(piece),
-                    Op::MapId(m) => m.apply_in_place(piece),
-                    _ => unreachable!("matched above"),
-                }
-                n += 1;
-            }
-            (n, values.len() as u64)
-        }
-        _ => {
-            return Err(plan_violation(format!("op {op} applied in place to mismatched kind")));
-        }
-    };
-    stats.record(tag, chunks, elems);
     Ok(())
 }
 
-/// Runs one stage's op chain from a borrowed input into `slot`.
+/// The raw columns a run reads: a borrowed batch, or the owned columns of
+/// an extracted one, whose `consumes_raw` columns move into their stages.
+enum Raw<'a> {
+    Borrowed(&'a RowBatch),
+    Owned(&'a Schema, &'a mut [Array]),
+}
+
+impl Raw<'_> {
+    /// Column `name` as `stage`'s input: borrowed, or — when the stage
+    /// consumes the column and its buffer is uniquely owned — moved into
+    /// `slot` for the chain to run in place on (`None`).
+    fn input(
+        &mut self,
+        stage: &CompiledStage,
+        name: &str,
+        slot: &mut StageValue,
+    ) -> Result<Option<ValueRef<'_>>, PreprocessError> {
+        let column = match self {
+            Raw::Borrowed(batch) => batch.column(name),
+            Raw::Owned(schema, columns) => match schema.index_of(name) {
+                Some(i) if stage.consumes_raw() => {
+                    if let Some(value) = take_unique(&mut columns[i], stage.input_kind()) {
+                        *slot = value;
+                        return Ok(None);
+                    }
+                    Some(&columns[i])
+                }
+                i => i.map(|i| &columns[i]),
+            },
+        };
+        let value = column.and_then(|column| match stage.input_kind() {
+            ValueKind::Dense => column.as_float32().map(ValueRef::Dense),
+            ValueKind::List => {
+                column.as_list_int64().map(|(offsets, values)| ValueRef::List { offsets, values })
+            }
+            ValueKind::Ids => column.as_int64().map(ValueRef::Ids),
+        });
+        value.map(Some).ok_or_else(|| PreprocessError::BadColumn { column: name.into() })
+    }
+}
+
+/// Moves `column` out as a `kind` value when its buffer is uniquely owned
+/// (no copy); `None` leaves a shared or mistyped column in place.
+fn take_unique(column: &mut Array, kind: ValueKind) -> Option<StageValue> {
+    let unique = match (kind, &mut *column) {
+        (ValueKind::Dense, Array::Float32(buf)) => buf.make_mut().is_some(),
+        (ValueKind::Ids, Array::Int64(buf)) => buf.make_mut().is_some(),
+        (ValueKind::List, Array::ListInt64 { values, .. }) => values.make_mut().is_some(),
+        _ => false,
+    };
+    if !unique {
+        return None;
+    }
+    let empty = Array::empty(column.data_type());
+    Some(match std::mem::replace(column, empty) {
+        Array::Float32(buf) => StageValue::Dense(buf.into_vec()),
+        Array::Int64(buf) => StageValue::Ids(buf.into_vec()),
+        Array::ListInt64 { offsets, values } => {
+            StageValue::List { offsets: offsets.into_vec(), values: values.into_vec() }
+        }
+        _ => unreachable!("matched above"),
+    })
+}
+
+/// The one stage runner: runs `side`'s stages of `plan` over `raw` into
+/// `slots` (one per plan stage), timing every op application into
+/// `timings` and counting its `side.chunk`-element chunks into `stats`.
 ///
-/// The chain is fused through the slot: the first op writes the slot,
-/// subsequent elementwise ops run in place on it, and non-elementwise ops
-/// ping-pong through `temp` — no per-op intermediate allocation once the
-/// buffers are warm.
-#[allow(clippy::too_many_arguments)]
-fn run_chain(
-    ops: &[Op],
-    input: ValueRef<'_>,
-    slot: &mut StageValue,
+/// A stage's input is borrowed — a raw column or an earlier slot — or
+/// owned: a `consumes_raw` column whose buffer is uniquely held becomes the
+/// slot. The head op on a borrowed input runs its fused `*_into` kernel
+/// into the slot; every later op runs in place when elementwise, or
+/// ping-pongs through `temp` when it changes the shape (Bucketize, FirstX,
+/// NGram) — no per-op intermediate allocation once the buffers are warm.
+fn run_stages(
+    plan: &PreprocessPlan,
+    side: Side<'_>,
+    mut raw: Raw<'_>,
+    slots: &mut [StageValue],
     temp: &mut StageValue,
-    chunk: usize,
-    staged: &mut StagedBufs,
     timings: &mut StageTimings,
     stats: &mut UnitStats,
 ) -> Result<(), PreprocessError> {
-    let (first, rest) = ops.split_first().ok_or_else(|| plan_violation("empty op chain"))?;
-    let elems = input.elems();
-    let t0 = Instant::now();
-    apply_op(first, input, slot, chunk, staged, stats)?;
-    timings.ops.add(first.tag(), t0.elapsed(), elems);
-    for op in rest {
-        let t0 = Instant::now();
-        if op.is_elementwise() {
-            let elems = slot.as_value_ref().elems();
-            apply_op_in_place(op, slot, chunk, stats)?;
+    let stages = plan.stages();
+    for k in 0..side.stages.map_or(stages.len(), <[usize]>::len) {
+        let i = side.stages.map_or(k, |positions| positions[k]);
+        let stage = &stages[i];
+        let (done, rest) = slots.split_at_mut(i);
+        let slot = &mut rest[0];
+        let mut input = match stage.input() {
+            StageInput::Stage(j) => Some(done[*j].as_value_ref()),
+            StageInput::Raw(name) => raw.input(stage, name, slot)?,
+        };
+        // A leading `FirstX(x)` over lists already no longer than `x` is
+        // the identity — the common case once prefix pushdown has truncated
+        // the column at decode time (clamping still happens here when the
+        // extracted prefix was a looser max). Skip the op instead of copying
+        // the lists through it; a stage left with no op refills its slot.
+        let mut ops = stage.ops();
+        if let (Some(Op::FirstX(x)), Some(ValueRef::List { offsets, values })) =
+            (ops.first(), input)
+        {
+            if offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= *x) {
+                ops = &ops[1..];
+                if ops.is_empty() {
+                    let out = slot.list_values(offsets);
+                    out.clear();
+                    out.extend_from_slice(values);
+                }
+            }
+        }
+        for op in ops {
+            let t0 = Instant::now();
+            let elems = match input.take() {
+                Some(src) => {
+                    apply_into(op, src, slot)?;
+                    src.elems()
+                }
+                None if op.is_elementwise() => {
+                    apply_in_place(op, slot)?;
+                    slot.as_value_ref().elems()
+                }
+                None => {
+                    std::mem::swap(slot, temp);
+                    apply_into(op, temp.as_value_ref(), slot)?;
+                    temp.as_value_ref().elems()
+                }
+            };
             timings.ops.add(op.tag(), t0.elapsed(), elems);
-        } else {
-            std::mem::swap(slot, temp);
-            let elems = temp.as_value_ref().elems();
-            apply_op(op, temp.as_value_ref(), slot, chunk, staged, stats)?;
-            timings.ops.add(op.tag(), t0.elapsed(), elems);
+            stats.record(op.tag(), elems, side.chunk);
         }
     }
     Ok(())
-}
-
-/// Borrows a raw column of `batch` as the kind the compiled stage expects.
-fn raw_value_ref<'a>(
-    batch: &'a RowBatch,
-    name: &str,
-    kind: ValueKind,
-) -> Result<ValueRef<'a>, PreprocessError> {
-    let column =
-        batch.column(name).ok_or_else(|| PreprocessError::BadColumn { column: name.into() })?;
-    array_value_ref(column, name, kind)
-}
-
-fn array_value_ref<'a>(
-    column: &'a Array,
-    name: &str,
-    kind: ValueKind,
-) -> Result<ValueRef<'a>, PreprocessError> {
-    let bad = || PreprocessError::BadColumn { column: name.into() };
-    match kind {
-        ValueKind::Dense => column.as_float32().map(ValueRef::Dense).ok_or_else(bad),
-        ValueKind::List => column
-            .as_list_int64()
-            .map(|(offsets, values)| ValueRef::List { offsets, values })
-            .ok_or_else(bad),
-        ValueKind::Ids => column.as_int64().map(ValueRef::Ids).ok_or_else(bad),
-    }
 }
 
 /// Runs the compiled stages over a borrowed batch, writing every output
 /// into `scratch` (no other side effects).
 ///
 /// This is the allocation-free core: with a warm scratch, repeated calls on
-/// same-shaped batches perform zero heap allocation. Results are read back
-/// via [`ScratchSpace::generated`] / [`ScratchSpace::hashed`] /
-/// [`ScratchSpace::dense`], laid out in stage order.
+/// same-shaped batches perform zero heap allocation. [`preprocess_batch_with`]
+/// assembles the mini-batch from the outputs it leaves in the scratch.
 ///
 /// # Errors
 ///
@@ -809,30 +690,14 @@ pub fn transform_batch_into(
     batch: &RowBatch,
     scratch: &mut ScratchSpace,
 ) -> Result<StageTimings, PreprocessError> {
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
-    let mut staged = StagedBufs::default();
-    let stages = plan.stages();
-    scratch.prepare(stages.len());
-    for (i, stage) in stages.iter().enumerate() {
-        let (done, rest) = scratch.slots.split_at_mut(i);
-        let slot = &mut rest[0];
-        let input = match stage.input() {
-            StageInput::Raw(name) => raw_value_ref(batch, name, stage.input_kind())?,
-            StageInput::Stage(j) => done[*j].as_value_ref(),
-        };
-        run_chain(
-            stage.ops(),
-            input,
-            slot,
-            &mut scratch.temp,
-            usize::MAX,
-            &mut staged,
-            &mut timings,
-            &mut stats,
-        )?;
-        scratch.slot_meta.push((stage.output_kind(), stage.emit()));
+    let n = plan.stages().len();
+    if scratch.slots.len() < n {
+        scratch.slots.resize_with(n, StageValue::default);
     }
+    let mut timings = StageTimings::default();
+    let (side, raw) = (Side::whole(plan, usize::MAX), Raw::Borrowed(batch));
+    let (slots, temp) = (&mut scratch.slots, &mut scratch.temp);
+    run_stages(plan, side, raw, slots, temp, &mut timings, &mut UnitStats::default())?;
     Ok(timings)
 }
 
@@ -913,11 +778,7 @@ pub fn preprocess_batch_with(
 }
 
 /// Moves `columns[index_of(name)]` out of the batch, leaving an empty array.
-fn take_column(
-    schema: &presto_columnar::Schema,
-    columns: &mut [Array],
-    name: &str,
-) -> Option<Array> {
+fn take_column(schema: &Schema, columns: &mut [Array], name: &str) -> Option<Array> {
     let idx = schema.index_of(name)?;
     let dt = columns[idx].data_type();
     Some(std::mem::replace(&mut columns[idx], Array::empty(dt)))
@@ -1074,79 +935,9 @@ impl UnitState {
                 })
                 .ok_or_else(|| PreprocessError::BadColumn { column: LABEL_COLUMN.into() })?;
         }
-        let chunk = side.chunk.max(1);
-        let stages = plan.stages();
-        let mut staged = StagedBufs::default();
-        let mut temp = StageValue::default();
-        for k in 0..side.stages.map_or(stages.len(), <[usize]>::len) {
-            let i = side.stages.map_or(k, |positions| positions[k]);
-            let stage = &stages[i];
-            let mut slot = StageValue::default();
-            if stage.consumes_raw() {
-                let StageInput::Raw(name) = stage.input() else {
-                    return Err(plan_violation(format!("stage {i} consumes a non-raw input")));
-                };
-                let column = take_column(&schema, &mut columns, name)
-                    .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-                run_stage_owned(
-                    stage.ops(),
-                    column,
-                    name,
-                    stage.input_kind(),
-                    &mut slot,
-                    &mut temp,
-                    chunk,
-                    &mut staged,
-                    &mut self.timings,
-                    &mut self.stats,
-                )?;
-            } else {
-                let input = match stage.input() {
-                    StageInput::Raw(name) => {
-                        let idx = schema
-                            .index_of(name)
-                            .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-                        array_value_ref(&columns[idx], name, stage.input_kind())?
-                    }
-                    StageInput::Stage(j) => self.outputs[*j].as_value_ref(),
-                };
-                // A leading `FirstX(x)` over lists already no longer than `x`
-                // is the identity — the common case once prefix pushdown has
-                // truncated the column at decode time (clamping still happens
-                // here when the extracted prefix was a looser max). Skip the
-                // op instead of copying the lists through it.
-                let ops = match (stage.ops().first(), &input) {
-                    (Some(Op::FirstX(x)), ValueRef::List { offsets, values })
-                        if offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= *x) =>
-                    {
-                        if stage.ops().len() == 1 {
-                            // Identity chain: materialize the input directly
-                            // (run_chain rejects empty op lists).
-                            slot = StageValue::List {
-                                offsets: offsets.to_vec(),
-                                values: values.to_vec(),
-                            };
-                            self.outputs[i] = slot;
-                            continue;
-                        }
-                        &stage.ops()[1..]
-                    }
-                    _ => stage.ops(),
-                };
-                run_chain(
-                    ops,
-                    input,
-                    &mut slot,
-                    &mut temp,
-                    chunk,
-                    &mut staged,
-                    &mut self.timings,
-                    &mut self.stats,
-                )?;
-            }
-            self.outputs[i] = slot;
-        }
-        Ok(())
+        let raw = Raw::Owned(&schema, &mut columns);
+        let (slots, temp) = (&mut self.outputs, &mut StageValue::default());
+        run_stages(plan, side, raw, slots, temp, &mut self.timings, &mut self.stats)
     }
 
     /// Validates the transferred boundary values against `split`'s boundary
@@ -1296,9 +1087,11 @@ pub fn preprocess_split_host(
     unit.assemble(plan)
 }
 
-/// On-chip feature-buffer capacity in elements. The SmartSSD build's
-/// per-unit buffers hold a few KiB; 2 KiB of 4-byte elements keeps chunks
-/// realistic without dominating emulation time.
+/// On-chip feature-buffer capacity in elements: the ISP side's chunk, the
+/// granularity [`UnitStats`] counts each op application's buffer traffic
+/// in (no op copies through a buffer of this size; every op runs over the
+/// whole column). The SmartSSD build's per-unit buffers hold a few KiB;
+/// 2 KiB of 4-byte elements.
 pub const FEATURE_BUFFER_ELEMS: usize = 512;
 
 /// Statistics of one emulated device run, for cross-checking against the
@@ -1309,73 +1102,6 @@ pub struct IspRunStats {
     pub p2p_bytes: u64,
     /// Chunks through each unit class and elements transformed.
     pub units: UnitStats,
-}
-
-/// Runs a fully elementwise chain on an owned column: uniquely held buffers
-/// transform in place and move into the stage output; shared buffers (a
-/// multi-clone storage backend) fall back to the borrowed path.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_owned(
-    ops: &[Op],
-    column: Array,
-    name: &str,
-    kind: ValueKind,
-    slot: &mut StageValue,
-    temp: &mut StageValue,
-    chunk: usize,
-    staged: &mut StagedBufs,
-    timings: &mut StageTimings,
-    stats: &mut UnitStats,
-) -> Result<(), PreprocessError> {
-    let bad = || PreprocessError::BadColumn { column: name.into() };
-    let mut owned = match (kind, column) {
-        (ValueKind::List, Array::ListInt64 { offsets, mut values }) => {
-            if values.make_mut().is_none() {
-                let input = ValueRef::List { offsets: &offsets, values: &values };
-                return run_chain(ops, input, slot, temp, chunk, staged, timings, stats);
-            }
-            StageValue::List { offsets: offsets.into_vec(), values: values.into_vec() }
-        }
-        (ValueKind::Dense, Array::Float32(mut buf)) => {
-            if buf.make_mut().is_none() {
-                return run_chain(
-                    ops,
-                    ValueRef::Dense(&buf),
-                    slot,
-                    temp,
-                    chunk,
-                    staged,
-                    timings,
-                    stats,
-                );
-            }
-            StageValue::Dense(buf.into_vec())
-        }
-        (ValueKind::Ids, Array::Int64(mut buf)) => {
-            if buf.make_mut().is_none() {
-                return run_chain(
-                    ops,
-                    ValueRef::Ids(&buf),
-                    slot,
-                    temp,
-                    chunk,
-                    staged,
-                    timings,
-                    stats,
-                );
-            }
-            StageValue::Ids(buf.into_vec())
-        }
-        _ => return Err(bad()),
-    };
-    for op in ops {
-        let t0 = Instant::now();
-        let elems = owned.as_value_ref().elems();
-        apply_op_in_place(op, &mut owned, chunk, stats)?;
-        timings.ops.add(op.tag(), t0.elapsed(), elems);
-    }
-    *slot = owned;
-    Ok(())
 }
 
 /// Full pipeline over a stored partition: Extract (projected read + decode),
@@ -1511,8 +1237,7 @@ fn extract<B: BlobRead>(
             })
             .collect::<Result<_, _>>()?
     };
-    let schema =
-        presto_columnar::Schema::new(chunks.iter().map(|&(c, _)| fields[c].clone()).collect())?;
+    let schema = Schema::new(chunks.iter().map(|&(c, _)| fields[c].clone()).collect())?;
     // Every group in `groups` was just read, so it indexes the footer.
     let fetched = groups
         .flat_map(|g| chunks.iter().map(move |&(c, limit)| (g, c, limit)))
@@ -1706,6 +1431,129 @@ mod tests {
         }
     }
 
+    /// The [`UnitStats`] a side must record running every stage of `plan`
+    /// over `batch` at `chunk`, derived from stage input and output sizes:
+    /// ⌈elements / chunk⌉ (at least 1) per op application into its unit
+    /// class, where a leading `FirstX` over lists already within `x` is not
+    /// applied and every later op is elementwise (so it sees the stage
+    /// output's elements).
+    fn expected_stats(plan: &PreprocessPlan, batch: &RowBatch, chunk: usize) -> UnitStats {
+        let mut scratch = ScratchSpace::new();
+        transform_batch_into(plan, batch, &mut scratch).unwrap();
+        let mut want = UnitStats::default();
+        for (i, stage) in plan.stages().iter().enumerate() {
+            let input = match stage.input() {
+                StageInput::Raw(name) => match batch.column(name).unwrap() {
+                    Array::ListInt64 { values, .. } => values.len() as u64,
+                    column => column.len() as u64,
+                },
+                StageInput::Stage(j) => scratch.slots[*j].as_value_ref().elems(),
+            };
+            let identity = match (&stage.ops()[0], stage.input()) {
+                (Op::FirstX(x), StageInput::Raw(name)) => {
+                    let (offsets, _) = batch.column(name).unwrap().as_list_int64().unwrap();
+                    offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= *x)
+                }
+                _ => false,
+            };
+            let output = scratch.slots[i].as_value_ref().elems();
+            for (k, op) in stage.ops()[usize::from(identity)..].iter().enumerate() {
+                assert!(k == 0 || op.is_elementwise(), "{op} after the head op");
+                let elems = if k == 0 { input } else { output };
+                let class = match op.tag() {
+                    OpTag::Bucketize => &mut want.generation_chunks,
+                    OpTag::FirstX | OpTag::NGram => &mut want.restructure_chunks,
+                    _ => &mut want.normalize_chunks,
+                };
+                *class += elems.div_ceil(chunk as u64).max(1);
+                want.elements += elems;
+            }
+        }
+        want
+    }
+
+    /// The chunk is a count: over graphs covering every op class, an ISP
+    /// side records Σ⌈elements / chunk⌉ per unit class (at least 1 per op
+    /// application, empty columns included) — on the stored route (the ISP
+    /// fleet's unit call; prefix pushdown makes long history's `FirstX` the
+    /// identity) and on the owned route (uniquely held buffers transform in
+    /// place; full lists make `FirstX` run). The non-empty counts are also
+    /// pinned as numbers, so a change to the counting shows up here.
+    #[test]
+    fn unit_stats_count_chunks_of_every_op_application() {
+        use crate::plan::Place;
+        let mut c = tiny_config();
+        c.avg_sparse_len = 5;
+        c.fixed_sparse_len = false;
+        let graphs = [
+            PlanGraph::cleaned(&c, 3).unwrap(),
+            PlanGraph::remapped(&c, 3, 128).unwrap(),
+            PlanGraph::long_history(&c, 3, 4).unwrap(),
+        ];
+        let mut pinned = Vec::new();
+        for graph in graphs {
+            let plan = PreprocessPlan::compile(graph, &c).unwrap();
+            let split = plan.split(&vec![Place::Isp; plan.stages().len()]).unwrap();
+            for rows in [64, 0] {
+                let stored = write_partition(&generate_batch(&c, rows, 13)).unwrap();
+                let reader = FileReader::open(stored.clone()).unwrap();
+                let required = plan.required_columns();
+                let read = &mut ReadScratch::default();
+                let extracted = extract_columns_for_plan(&plan, &reader, required, read).unwrap();
+                for chunk in [1, 7, FEATURE_BUFFER_ELEMS, usize::MAX] {
+                    let side = Side::whole(&plan, chunk);
+                    let unit = UnitState::read(&plan, stored.clone(), None, side, read).unwrap();
+                    let want = expected_stats(&plan, &extracted, chunk);
+                    assert_eq!(unit.stats(), want, "stored, {rows} rows, chunk {chunk}");
+                    let owned = generate_batch(&c, rows, 13);
+                    let want = expected_stats(&plan, &owned, chunk);
+                    let (_, _, stats) = preprocess_split_isp(&plan, &split, owned, chunk).unwrap();
+                    assert_eq!(stats, want, "owned, {rows} rows, chunk {chunk}");
+                    if rows > 0 {
+                        for s in [unit.stats(), stats] {
+                            let (g, n, r) =
+                                (s.generation_chunks, s.normalize_chunks, s.restructure_chunks);
+                            pinned.push([g, n, r, s.elements]);
+                        }
+                    }
+                }
+            }
+        }
+        // [generation, normalize, restructure, elements] of the stored and
+        // owned routes at chunk 1, 7, FEATURE_BUFFER_ELEMS and ∞, per graph.
+        let cleaned = [
+            [832, 10353, 0, 11185],
+            [832, 10353, 0, 11185],
+            [130, 1523, 0, 11185],
+            [130, 1523, 0, 11185],
+            [13, 65, 0, 11185],
+            [13, 65, 0, 11185],
+            [13, 65, 0, 11185],
+            [13, 65, 0, 11185],
+        ];
+        let remapped = [
+            [832, 17378, 0, 18210],
+            [832, 17378, 0, 18210],
+            [130, 2526, 0, 18210],
+            [130, 2526, 0, 18210],
+            [13, 78, 0, 18210],
+            [13, 78, 0, 18210],
+            [13, 78, 0, 18210],
+            [13, 78, 0, 18210],
+        ];
+        let long_history = [
+            [832, 5360, 0, 6192],
+            [832, 5360, 7857, 14049],
+            [130, 787, 0, 6192],
+            [130, 787, 1133, 14049],
+            [13, 39, 0, 6192],
+            [13, 39, 26, 14049],
+            [13, 39, 0, 6192],
+            [13, 39, 26, 14049],
+        ];
+        assert_eq!(pinned, [cleaned, remapped, long_history].concat());
+    }
+
     #[test]
     fn split_partition_matches_single_fleet_paths() {
         use crate::plan::Place;
@@ -1791,9 +1639,9 @@ mod tests {
     }
 
     #[test]
-    fn scratch_accessors_track_the_last_plan() {
-        // Regression: after reuse with a smaller plan, the accessors must
-        // not expose stale trailing stages from the earlier, larger plan.
+    fn a_warm_scratch_switching_plans_matches_a_fresh_scratch() {
+        // Slots only grow: after the big plan, the small plan's run must
+        // not read stale trailing stages or stale slot kinds.
         let big = tiny_config();
         let mut small = tiny_config();
         small.num_dense = 2;
@@ -1802,15 +1650,13 @@ mod tests {
         small.num_tables = small.num_sparse + small.num_generated;
         let big_plan = PreprocessPlan::from_config(&big, 1).unwrap();
         let small_plan = PreprocessPlan::from_config(&small, 1).unwrap();
+        let small_batch = generate_batch(&small, 16, 1);
         let mut scratch = ScratchSpace::new();
-        transform_batch_into(&big_plan, &generate_batch(&big, 16, 1), &mut scratch).unwrap();
-        assert_eq!(scratch.generated().len(), 13);
-        assert_eq!(scratch.hashed().len(), 26);
-        assert_eq!(scratch.dense().len(), 13);
-        transform_batch_into(&small_plan, &generate_batch(&small, 16, 1), &mut scratch).unwrap();
-        assert_eq!(scratch.generated().len(), 2);
-        assert_eq!(scratch.hashed().len(), 3);
-        assert_eq!(scratch.dense().len(), 2);
+        preprocess_batch_with(&big_plan, &generate_batch(&big, 16, 1), &mut scratch).unwrap();
+        let (warm, _) = preprocess_batch_with(&small_plan, &small_batch, &mut scratch).unwrap();
+        let (fresh, _) = preprocess_batch(&small_plan, &small_batch).unwrap();
+        assert_eq!(warm, fresh);
+        assert_eq!((warm.dense().cols(), warm.sparse().len()), (2, 3 + 2));
     }
 
     #[test]

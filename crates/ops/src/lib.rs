@@ -19,8 +19,9 @@
 //! * [`PreprocessPlan`] + [`executor`] — graphs compiled into topologically
 //!   ordered, fused execution stages and the full Extract → Transform →
 //!   format-conversion pipeline over `presto-columnar` partitions. One
-//!   runner serves the host CPU paths and (chunked through on-chip
-//!   feature buffers) the in-storage worker emulation.
+//!   stage runner serves the host CPU paths and the in-storage worker
+//!   emulation, which counts its on-chip feature-buffer chunks
+//!   ([`UnitStats`]) instead of copying through them.
 //! * [`stream`] — the streaming engine: one claim → attempt → deliver
 //!   core behind every fleet (host, ISP, split, shuffled), yielding
 //!   [`BatchStream`].
@@ -37,10 +38,12 @@
 //! recycled buffer (or decodes straight from storage memory for in-memory
 //! blobs), SigridHash and Log run **in place** on the uniquely owned decode
 //! buffers, and labels/offsets move into the mini-batch without copying.
-//! The borrowed-batch variant [`executor::transform_batch_into`] performs
-//! zero heap allocation per batch once its scratch is warm — asserted by a
-//! counting-allocator test (`tests/alloc_free.rs`) and bit-matched against
-//! the plain allocating kernels by property tests.
+//! The borrowed-batch variant [`executor::transform_batch_into`] runs the
+//! same stage runner into the scratch's slots and performs zero heap
+//! allocation per batch once its scratch is warm — asserted by a
+//! counting-allocator test (`tests/alloc_free.rs`); [`preprocess_batch_with`]
+//! assembles its outputs into a mini-batch, which property tests bit-match
+//! against the plain allocating kernels.
 //!
 //! ## Example
 //!

@@ -89,9 +89,7 @@ pub fn log_normalize_one(value: f32) -> f32 {
 /// Normalizes a dense column.
 #[must_use]
 pub fn log_normalize(values: &[f32]) -> Vec<f32> {
-    let mut out = Vec::new();
-    log_normalize_into(values, &mut out);
-    out
+    values.iter().map(|&v| log_normalize_one(v)).collect()
 }
 
 /// Normalizes a dense column in place.

@@ -54,8 +54,8 @@
 //! |---|---|---|
 //! | [`Fleet::Host`] fused, [`Fleet::Shuffled`] | the whole unit: Extract + Transform + format | — |
 //! | [`Fleet::Host`], paired | thread A: A's half of the features → its outputs | thread B, concurrently: B's half and the label, then A's outputs seeded + format |
-//! | [`Fleet::Isp`] | the whole unit, P2P-counted and chunked | full plan from pristine media (failover only) |
-//! | [`Fleet::Split`] | the ISP side, P2P-counted and chunked → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
+//! | [`Fleet::Isp`] | the whole unit, P2P bytes and unit chunks counted | full plan from pristine media (failover only) |
+//! | [`Fleet::Split`] | the ISP side, P2P bytes and unit chunks counted → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
 //!
 //! The phase boundary is either fused on one thread
 //! ([`FleetConfig::without_prefetch`], the shuffled fleet, the service's
@@ -307,8 +307,9 @@ pub enum Fleet {
     /// with work stealing.
     Host,
     /// In-storage fleet: the whole plan on one emulated ISP unit per
-    /// worker, chunked through [`FEATURE_BUFFER_ELEMS`]-element on-chip
-    /// feature buffers, with host failover for quarantined devices.
+    /// worker, counting its traffic in [`FEATURE_BUFFER_ELEMS`]-element
+    /// on-chip feature-buffer chunks (no op copies through a buffer), with
+    /// host failover for quarantined devices.
     Isp,
     /// Hybrid split fleet: the carried split's stage prefix on ISP units,
     /// its suffix on host workers, with the typed [`BoundaryBatch`]
