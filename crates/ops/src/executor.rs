@@ -15,18 +15,20 @@
 //! those stages of the compiled
 //! [`PreprocessPlan::stages`](crate::PreprocessPlan::stages) in
 //! topological order, writing into the unit's [`UnitState`]: labels, one
-//! slot per stage, timings and [`UnitStats`]. The state then assembles the
-//! mini-batch, or packs a [`BoundaryBatch`] that the other side seeds into
-//! its own state. Every fleet of [`crate::stream`] is one or two sides of
-//! that call:
+//! slot per stage, the mini-batch's dense matrix, timings and
+//! [`UnitStats`]. The state then assembles the mini-batch (filling every
+//! dense column not yet in the matrix through one tiled fill), or packs a
+//! [`BoundaryBatch`] that the other side seeds into its own state. Every
+//! fleet of [`crate::stream`] is one or two sides of that call:
 //!
 //! | caller | projection | stages | chunk | then |
 //! |---|---|---|---|---|
 //! | host (fused, row group, failover) | `required_columns` | all | ∞ | assemble |
 //! | ISP | `required_columns` | all | [`FEATURE_BUFFER_ELEMS`] | assemble |
 //! | split, device side | `isp_columns` | `isp_stages` | [`FEATURE_BUFFER_ELEMS`] | pack boundary |
-//! | split host side / pair B | `host_columns` | `host_stages` | ∞ | seed + assemble |
-//! | pair A | halves' `isp_columns` | `isp_stages` | ∞ | pack boundary |
+//! | split host side | `host_columns` | `host_stages` | ∞ | seed + assemble |
+//! | pair A | halves' `isp_columns` | `isp_stages` | ∞ | fill its dense columns, hand the state over |
+//! | pair B | halves' `host_columns` | `host_stages` | ∞ | merge A's state + assemble |
 //!
 //! The chunk is the in-storage unit's counting granularity, not a copy
 //! loop: every op runs over the whole column on every side, no op copies
@@ -275,24 +277,6 @@ impl StageTimings {
     #[must_use]
     pub fn total(&self) -> Duration {
         self.extract + self.format + self.ops.total()
-    }
-
-    /// Feature-generation (Bucketize) time.
-    #[must_use]
-    pub fn bucketize(&self) -> Duration {
-        self.ops.get(OpTag::Bucketize).time
-    }
-
-    /// Sparse-normalization (SigridHash) time.
-    #[must_use]
-    pub fn sigridhash(&self) -> Duration {
-        self.ops.get(OpTag::SigridHash).time
-    }
-
-    /// Dense-normalization (LogNorm) time.
-    #[must_use]
-    pub fn log(&self) -> Duration {
-        self.ops.get(OpTag::LogNorm).time
     }
 
     /// Accumulates another measurement into this one — extract, format and
@@ -701,27 +685,35 @@ pub fn transform_batch_into(
     Ok(timings)
 }
 
-/// Format conversion shared by every batch path: row-major dense matrix
-/// from the emitted dense stages, jagged features from the emitted list
-/// stages, then the emitted id stages with identity-ramp offsets (one id
-/// per row) — all in graph declaration order.
+/// The emitted dense stages of `slots` that `pick` selects (by matrix
+/// column and stage position), as the `(matrix column, values)` pairs of
+/// [`DenseMatrix::fill_tiled`].
+fn dense_columns<'a>(
+    plan: &PreprocessPlan,
+    slots: &'a [StageValue],
+    pick: impl Fn(usize, usize) -> bool,
+) -> Result<Vec<(usize, &'a [f32])>, PreprocessError> {
+    let picked = plan.emitted_dense().iter().enumerate().filter(|&(c, &pos)| pick(c, pos));
+    picked
+        .map(|(c, &pos)| match &slots[pos] {
+            StageValue::Dense(values) => Ok((c, values.as_slice())),
+            _ => Err(plan_violation(format!("stage {pos} is not dense"))),
+        })
+        .collect()
+}
+
+/// Format conversion shared by every batch path: the filled `dense`
+/// matrix, jagged features from the emitted list stages, then the emitted
+/// id stages with identity-ramp offsets (one id per row) — all in graph
+/// declaration order.
 fn assemble_mini_batch(
     plan: &PreprocessPlan,
     labels: Vec<i64>,
+    dense: DenseMatrix,
     mut fetch: impl FnMut(usize) -> StageValue,
 ) -> Result<MiniBatch, PreprocessError> {
     let rows = labels.len();
     let stages = plan.stages();
-    let mut dense_columns = Vec::with_capacity(plan.emitted_dense().len());
-    for &pos in plan.emitted_dense() {
-        match fetch(pos) {
-            StageValue::Dense(v) => dense_columns.push(v),
-            _ => return Err(plan_violation(format!("stage {pos} is not dense"))),
-        }
-    }
-    let dense = DenseMatrix::from_columns(&dense_columns, rows)?;
-    drop(dense_columns);
-
     let mut sparse = Vec::with_capacity(plan.emitted_lists().len() + plan.emitted_ids().len());
     for &pos in plan.emitted_lists() {
         match fetch(pos) {
@@ -750,10 +742,11 @@ fn assemble_mini_batch(
     Ok(MiniBatch::new(labels, dense, sparse)?)
 }
 
-/// Like [`transform_batch_into`], then format conversion: the scratch
-/// outputs are copied into owned buffers (they must outlive the scratch)
-/// and assembled. The transform loop itself allocates nothing once the
-/// scratch is warm; only the returned mini-batch does.
+/// Like [`transform_batch_into`], then format conversion: the dense matrix
+/// is filled from the scratch's slots in place, and the list and id outputs
+/// are copied into owned buffers (they must outlive the scratch). The
+/// transform loop itself allocates nothing once the scratch is warm; only
+/// the returned mini-batch does.
 ///
 /// # Errors
 ///
@@ -772,7 +765,9 @@ pub fn preprocess_batch_with(
     let mut timings = transform_batch_into(plan, batch, scratch)?;
     let t0 = Instant::now();
     let slots = &scratch.slots;
-    let mini_batch = assemble_mini_batch(plan, labels, |pos| slots[pos].clone())?;
+    let mut dense = DenseMatrix::zeros(labels.len(), plan.emitted_dense().len());
+    dense.fill_tiled(&dense_columns(plan, slots, |_, _| true)?)?;
+    let mini_batch = assemble_mini_batch(plan, labels, dense, |pos| slots[pos].clone())?;
     timings.format = t0.elapsed();
     Ok((mini_batch, timings))
 }
@@ -829,14 +824,24 @@ impl<'a> Side<'a> {
 }
 
 /// The output state of one unit: labels, one output slot per plan stage,
-/// timings, unit counters and the bytes its Extract fetched. The one unit
-/// call ([`UnitState::run`]) returns it; the caller then assembles the
+/// the mini-batch's dense matrix as far as it is filled, timings, unit
+/// counters and the bytes its Extract fetched. The one unit call
+/// ([`UnitState::run`]) returns it; the caller then assembles the
 /// mini-batch, or packs the boundary a [`SplitPlan`]'s other side seeds
-/// into its own state.
+/// into its own state. A host pair's thread A fills its own dense columns
+/// into the matrix and hands the whole state to thread B, which merges it
+/// into its own.
 #[derive(Debug)]
 pub struct UnitState {
     labels: Vec<i64>,
+    /// Rows of the Transformed batch: the matrix's height.
+    rows: usize,
     outputs: Vec<StageValue>,
+    /// The row-major matrix, one column per emitted dense stage; 0 × 0
+    /// until the first fill allocates it.
+    dense: DenseMatrix,
+    /// Which matrix columns hold their values (empty until the first fill).
+    filled: Vec<bool>,
     timings: StageTimings,
     stats: UnitStats,
     fetched: u64,
@@ -850,7 +855,10 @@ impl UnitState {
         outputs.resize_with(plan.stages().len(), StageValue::default);
         UnitState {
             labels: Vec::new(),
+            rows: 0,
             outputs,
+            dense: DenseMatrix::default(),
+            filled: Vec::new(),
             timings: StageTimings::default(),
             stats: UnitStats::default(),
             fetched: 0,
@@ -926,6 +934,7 @@ impl UnitState {
         side: Side<'_>,
         batch: RowBatch,
     ) -> Result<(), PreprocessError> {
+        self.rows = batch.rows();
         let (schema, mut columns) = batch.into_parts();
         if side.columns.iter().any(|c| c == LABEL_COLUMN) {
             self.labels = take_column(&schema, &mut columns, LABEL_COLUMN)
@@ -979,6 +988,56 @@ impl UnitState {
         }
     }
 
+    /// Takes over thread A's half of a host pair: seeds its boundary
+    /// outputs and adopts its matrix, whose filled columns `assemble` then
+    /// leaves as they are. Runs before this state fills any column.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`UnitState::seed`].
+    pub(crate) fn merge(
+        &mut self,
+        plan: &PreprocessPlan,
+        halves: &SplitPlan,
+        mut half: UnitState,
+    ) -> Result<(), PreprocessError> {
+        (self.dense, self.filled) =
+            (std::mem::take(&mut half.dense), std::mem::take(&mut half.filled));
+        self.seed(plan, halves, half.boundary(halves))
+    }
+
+    /// Fills the emitted dense slots among `stages` (every stage for
+    /// `None`) that no fill has written yet into the unit's matrix, timed
+    /// as format. The first fill allocates the matrix at this unit's rows;
+    /// an adopted matrix of other rows is replaced the same way, so the
+    /// adopted half's columns then fail the row check.
+    ///
+    /// # Errors
+    ///
+    /// [`PreprocessError::Shape`] when a slot does not hold the matrix's
+    /// rows; [`PreprocessError::Plan`] when an emitted dense stage holds
+    /// another kind.
+    pub(crate) fn fill_dense(
+        &mut self,
+        plan: &PreprocessPlan,
+        stages: Option<&[usize]>,
+    ) -> Result<(), PreprocessError> {
+        let t0 = Instant::now();
+        let cols = plan.emitted_dense().len();
+        if self.dense.rows() != self.rows || self.filled.len() != cols {
+            (self.dense, self.filled) = (DenseMatrix::zeros(self.rows, cols), vec![false; cols]);
+        }
+        let columns = dense_columns(plan, &self.outputs, |c, pos| {
+            !self.filled[c] && stages.is_none_or(|stages| stages.binary_search(&pos).is_ok())
+        })?;
+        self.dense.fill_tiled(&columns)?;
+        for &(c, _) in &columns {
+            self.filled[c] = true;
+        }
+        self.timings.format += t0.elapsed();
+        Ok(())
+    }
+
     /// Moves `split`'s boundary-crossing outputs out into a hand-off.
     pub(crate) fn boundary(&mut self, split: &SplitPlan) -> BoundaryBatch {
         let outputs = &mut self.outputs;
@@ -1008,7 +1067,10 @@ impl UnitState {
         self.fetched
     }
 
-    /// Format conversion over the seeded and computed slots.
+    /// Format conversion over the seeded and computed slots: fills every
+    /// dense column no earlier fill wrote, wraps the matrix, and moves the
+    /// list and id outputs into the mini-batch. Format time adds to what
+    /// earlier fills of this state measured.
     ///
     /// # Errors
     ///
@@ -1018,11 +1080,13 @@ impl UnitState {
         mut self,
         plan: &PreprocessPlan,
     ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
+        self.fill_dense(plan, None)?;
         let t0 = Instant::now();
         let outputs = &mut self.outputs;
-        let mini_batch =
-            assemble_mini_batch(plan, self.labels, |pos| std::mem::take(&mut outputs[pos]))?;
-        self.timings.format = t0.elapsed();
+        let mini_batch = assemble_mini_batch(plan, self.labels, self.dense, |pos| {
+            std::mem::take(&mut outputs[pos])
+        })?;
+        self.timings.format += t0.elapsed();
         Ok((mini_batch, self.timings))
     }
 }
@@ -1858,9 +1922,6 @@ mod tests {
         t.ops.add(OpTag::SigridHash, Duration::from_millis(3), 10);
         t.ops.add(OpTag::LogNorm, Duration::from_millis(4), 10);
         assert_eq!(t.total(), Duration::from_millis(15));
-        assert_eq!(t.bucketize(), Duration::from_millis(2));
-        assert_eq!(t.sigridhash(), Duration::from_millis(3));
-        assert_eq!(t.log(), Duration::from_millis(4));
         let hash = t.ops.get(OpTag::SigridHash);
         assert_eq!(hash.elems, 10);
         assert!(hash.ns_per_elem().unwrap() > 0.0);

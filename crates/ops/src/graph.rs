@@ -190,12 +190,7 @@ impl PlanGraph {
     /// Returns [`GraphError::BadParam`] if boundary construction fails
     /// (only possible for degenerate bucket sizes).
     pub fn canonical(config: &RmConfig, seed: u64) -> Result<Self, GraphError> {
-        let mut chains =
-            Vec::with_capacity(config.num_dense + config.num_sparse + config.num_generated);
-        for i in 0..config.num_dense {
-            let name = format!("dense_{i}");
-            chains.push(ChainSpec::feature(name.clone(), name, vec![Op::LogNorm]));
-        }
+        let mut chains = log_normalized_dense(config);
         for i in 0..config.num_sparse {
             let name = format!("sparse_{i}");
             chains.push(ChainSpec::feature(
@@ -204,14 +199,7 @@ impl PlanGraph {
                 vec![Op::SigridHash(sparse_hasher(config, seed, i)?)],
             ));
         }
-        let bucketizer = log_bucketizer(config);
-        for i in 0..config.num_generated {
-            chains.push(ChainSpec::feature(
-                format!("gen_{i}"),
-                generated_source_column(config, i),
-                vec![Op::Bucketize(bucketizer(i)?)],
-            ));
-        }
+        chains.extend(bucketized_generated(config)?);
         Ok(PlanGraph::new(chains))
     }
 
@@ -234,11 +222,7 @@ impl PlanGraph {
         x: usize,
         n: usize,
     ) -> Result<Self, GraphError> {
-        let mut chains = Vec::new();
-        for i in 0..config.num_dense {
-            let name = format!("dense_{i}");
-            chains.push(ChainSpec::feature(name.clone(), name, vec![Op::LogNorm]));
-        }
+        let mut chains = log_normalized_dense(config);
         for i in 0..config.num_sparse {
             // One truncation, two consumers: the normalized feature and
             // (below) the feature cross — a real dag, not a chain list.
@@ -268,14 +252,7 @@ impl PlanGraph {
                 vec![Op::NGram { n, hasher }],
             ));
         }
-        let bucketizer = log_bucketizer(config);
-        for i in 0..config.num_generated {
-            chains.push(ChainSpec::feature(
-                format!("gen_{i}"),
-                generated_source_column(config, i),
-                vec![Op::Bucketize(bucketizer(i)?)],
-            ));
-        }
+        chains.extend(bucketized_generated(config)?);
         Ok(PlanGraph::new(chains))
     }
 
@@ -289,11 +266,7 @@ impl PlanGraph {
     ///
     /// Same as [`PlanGraph::canonical`].
     pub fn remapped(config: &RmConfig, seed: u64, map_size: usize) -> Result<Self, GraphError> {
-        let mut chains = Vec::new();
-        for i in 0..config.num_dense {
-            let name = format!("dense_{i}");
-            chains.push(ChainSpec::feature(name.clone(), name, vec![Op::LogNorm]));
-        }
+        let mut chains = log_normalized_dense(config);
         for i in 0..config.num_sparse {
             let name = format!("sparse_{i}");
             let map = IdMap::shuffled(seed ^ 0xA11D ^ i as u64, map_size, map_size as u64);
@@ -334,11 +307,7 @@ impl PlanGraph {
     ///
     /// Same as [`PlanGraph::canonical`].
     pub fn long_history(config: &RmConfig, seed: u64, x: usize) -> Result<Self, GraphError> {
-        let mut chains = Vec::new();
-        for i in 0..config.num_dense {
-            let name = format!("dense_{i}");
-            chains.push(ChainSpec::feature(name.clone(), name, vec![Op::LogNorm]));
-        }
+        let mut chains = log_normalized_dense(config);
         for i in 0..config.num_sparse {
             let name = format!("sparse_{i}");
             chains.push(ChainSpec::feature(
@@ -347,14 +316,7 @@ impl PlanGraph {
                 vec![Op::FirstX(x), Op::SigridHash(sparse_hasher(config, seed, i)?)],
             ));
         }
-        let bucketizer = log_bucketizer(config);
-        for i in 0..config.num_generated {
-            chains.push(ChainSpec::feature(
-                format!("gen_{i}"),
-                generated_source_column(config, i),
-                vec![Op::Bucketize(bucketizer(i)?)],
-            ));
-        }
+        chains.extend(bucketized_generated(config)?);
         Ok(PlanGraph::new(chains))
     }
 
@@ -405,6 +367,26 @@ impl PlanGraph {
         }
         Ok(PlanGraph::new(chains))
     }
+}
+
+/// One `LogNorm` feature per dense column, each named after its column:
+/// the dense part of every built-in graph but [`PlanGraph::cleaned`].
+fn log_normalized_dense(config: &RmConfig) -> Vec<ChainSpec> {
+    let name = |i| format!("dense_{i}");
+    (0..config.num_dense).map(|i| ChainSpec::feature(name(i), name(i), vec![Op::LogNorm])).collect()
+}
+
+/// One `Bucketize` feature `gen_i` per generated column, over its source
+/// dense column: the generated part of the canonical, truncated-cross and
+/// long-history graphs.
+fn bucketized_generated(config: &RmConfig) -> Result<Vec<ChainSpec>, GraphError> {
+    let bucketizer = log_bucketizer(config);
+    (0..config.num_generated)
+        .map(|i| {
+            let source = generated_source_column(config, i);
+            Ok(ChainSpec::feature(format!("gen_{i}"), source, vec![Op::Bucketize(bucketizer(i)?)]))
+        })
+        .collect()
 }
 
 /// The canonical per-feature hasher (seed recipe fixed forever: the v2

@@ -23,12 +23,27 @@ impl fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// Row-major dense feature matrix (`rows × cols`).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Columns reach the row-major buffer through one tiled fill, in tiles of
+/// 16 columns (one 64-byte line of a row) by a block of rows: the
+/// executor's units fill their own emitted columns straight into the
+/// matrix they hand to the mini-batch (a host pair's two threads each fill
+/// their half), and [`DenseMatrix::from_columns`] fills all of its columns
+/// at once.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
 }
+
+/// Matrix columns per tile of [`DenseMatrix::fill_tiled`]: one 64-byte
+/// cache line of a row.
+const TILE_COLS: usize = 16;
+
+/// Rows per tile of [`DenseMatrix::fill_tiled`]: a tile reads 8 KiB of its
+/// columns.
+const TILE_ROWS: usize = 128;
 
 impl DenseMatrix {
     /// Interleaves column-major normalized features into row-major layout.
@@ -40,21 +55,52 @@ impl DenseMatrix {
     ///
     /// Returns [`ShapeError`] when columns disagree in length.
     pub fn from_columns(columns: &[Vec<f32>], rows: usize) -> Result<Self, ShapeError> {
-        for (i, col) in columns.iter().enumerate() {
-            if col.len() != rows {
-                return Err(ShapeError {
-                    detail: format!("dense column {i} has {} rows, expected {rows}", col.len()),
-                });
+        let mut matrix = DenseMatrix::zeros(rows, columns.len());
+        let columns: Vec<(usize, &[f32])> = columns.iter().map(Vec::as_slice).enumerate().collect();
+        matrix.fill_tiled(&columns)?;
+        Ok(matrix)
+    }
+
+    /// A `rows × cols` matrix of zeros, to fill.
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
+        DenseMatrix { rows, cols, data: vec![0.0; rows * cols] }
+    }
+
+    /// Writes `(matrix column, values)` pairs into the row-major buffer one
+    /// tile at a time: a block of [`TILE_ROWS`] rows, and within it the
+    /// next [`TILE_COLS`] pairs. A tile reads 8 KiB of its columns and
+    /// writes 16 values of each of its rows (one 64-byte stretch when the
+    /// columns are contiguous), so both sides of the transpose stay in L1
+    /// instead of striding the whole matrix once per column. Columns not
+    /// named keep their values, so fills over disjoint column sets (a host
+    /// pair's halves) build one matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`], before writing anything, when a column does
+    /// not hold one value per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a matrix column is `>= cols()`.
+    pub(crate) fn fill_tiled(&mut self, columns: &[(usize, &[f32])]) -> Result<(), ShapeError> {
+        let (rows, cols) = (self.rows, self.cols);
+        if let Some((c, values)) = columns.iter().find(|(_, values)| values.len() != rows) {
+            return Err(ShapeError {
+                detail: format!("dense column {c} has {} rows, expected {rows}", values.len()),
+            });
+        }
+        let blocks = self.data.chunks_mut((TILE_ROWS * cols).max(1));
+        for (block, first) in blocks.zip((0..).step_by(TILE_ROWS)) {
+            for tile in columns.chunks(TILE_COLS) {
+                for (row, r) in block.chunks_exact_mut(cols).zip(first..) {
+                    for &(c, values) in tile {
+                        row[c] = values[r];
+                    }
+                }
             }
         }
-        let cols = columns.len();
-        let mut data = vec![0.0f32; rows * cols];
-        for (c, col) in columns.iter().enumerate() {
-            for (r, &v) in col.iter().enumerate() {
-                data[r * cols + c] = v;
-            }
-        }
-        Ok(DenseMatrix { rows, cols, data })
+        Ok(())
     }
 
     /// Number of rows (samples).
@@ -281,6 +327,56 @@ mod tests {
         assert_eq!(m.row(0), &[1.0, 10.0]);
         assert_eq!(m.row(1), &[2.0, 20.0]);
         assert_eq!((m.rows(), m.cols()), (2, 2));
+    }
+
+    /// The fill's reference: one column at a time, one value at a time.
+    fn scatter(data: &mut [f32], cols: usize, columns: &[(usize, Vec<f32>)]) {
+        for (c, values) in columns {
+            for (r, &v) in values.iter().enumerate() {
+                data[r * cols + c] = v;
+            }
+        }
+    }
+
+    fn pairs(columns: &[(usize, Vec<f32>)]) -> Vec<(usize, &[f32])> {
+        columns.iter().map(|(c, values)| (*c, values.as_slice())).collect()
+    }
+
+    fn bits(data: &[f32]) -> Vec<u32> {
+        data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiled_fill_matches_a_scalar_scatter_bit_for_bit() {
+        // Quiet and signalling NaNs with payloads, both zeros, infinities.
+        const SPECIAL: [u32; 6] =
+            [0x7fc0_1234, 0xffa0_0001, 0x8000_0000, 0x0000_0000, 0x7f80_0000, 0xff80_0000];
+        let value = |r: usize, c: usize| {
+            let h = (r as u32).wrapping_mul(0x9e37_79b9) ^ (c as u32).wrapping_mul(0x85eb_ca6b);
+            f32::from_bits(if h.is_multiple_of(7) { SPECIAL[(h as usize / 7) % 6] } else { h })
+        };
+        for cols in [0, 1, 15, 16, 17, 504] {
+            for rows in [0, 1, 127, 128, 129, 1024] {
+                let column = |c: usize| (c, (0..rows).map(|r| value(r, c)).collect::<Vec<f32>>());
+                // The pair's order: a run of every other 21 columns (thread
+                // A's half), then the rest (thread B's) into the same buffer.
+                let (a, b): (Vec<_>, Vec<_>) =
+                    (0..cols).map(column).partition(|(c, _)| c / 21 % 2 == 0);
+                let mut expected = vec![f32::from_bits(0x7fc0_dead); rows * cols];
+                let mut tiled = DenseMatrix { rows, cols, data: expected.clone() };
+                // One half alone leaves the other's columns untouched.
+                scatter(&mut expected, cols, &a);
+                tiled.fill_tiled(&pairs(&a)).unwrap();
+                assert_eq!(bits(tiled.data()), bits(&expected), "{rows} x {cols}, first half");
+                scatter(&mut expected, cols, &b);
+                tiled.fill_tiled(&pairs(&b)).unwrap();
+                assert_eq!(bits(tiled.data()), bits(&expected), "{rows} x {cols}, both halves");
+                // All columns at once, as `from_columns` fills them.
+                let all: Vec<Vec<f32>> = (0..cols).map(|c| column(c).1).collect();
+                let m = DenseMatrix::from_columns(&all, rows).unwrap();
+                assert_eq!(bits(m.data()), bits(&expected), "{rows} x {cols}, from_columns");
+            }
+        }
     }
 
     #[test]

@@ -357,21 +357,9 @@ impl PreprocessPlan {
                 let _ = last_reader.insert(name.as_str(), pos);
             }
         }
-        let consuming: Vec<usize> = stages
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, stage)| match &stage.input {
-                StageInput::Raw(name)
-                    if last_reader.get(name.as_str()) == Some(&pos)
-                        && stage.ops.iter().all(Op::is_elementwise) =>
-                {
-                    Some(pos)
-                }
-                _ => None,
-            })
-            .collect();
-        for pos in consuming {
-            stages[pos].consume_raw = true;
+        let last_readers: Vec<usize> = last_reader.into_values().collect();
+        for pos in last_readers {
+            stages[pos].consume_raw = stages[pos].ops.iter().all(Op::is_elementwise);
         }
 
         // Extract projection: label first, then raw inputs in declaration
@@ -421,22 +409,13 @@ impl PreprocessPlan {
         // Emission order: declaration order within each kind; assembly
         // emits List features before Ids features (raw jagged features,
         // then unit-length generated features — the legacy layout).
-        let mut by_decl: Vec<usize> = (0..stages.len()).collect();
+        let mut by_decl: Vec<usize> = (0..stages.len()).filter(|&pos| stages[pos].emit).collect();
         by_decl.sort_by_key(|&pos| stages[pos].decl);
-        let mut emit_dense = Vec::new();
-        let mut emit_list = Vec::new();
-        let mut emit_ids = Vec::new();
-        for pos in by_decl {
-            let stage = &stages[pos];
-            if !stage.emit {
-                continue;
-            }
-            match stage.output_kind {
-                ValueKind::Dense => emit_dense.push(pos),
-                ValueKind::List => emit_list.push(pos),
-                ValueKind::Ids => emit_ids.push(pos),
-            }
-        }
+        let emitted = |kind| -> Vec<usize> {
+            by_decl.iter().copied().filter(|&pos| stages[pos].output_kind == kind).collect()
+        };
+        let (emit_dense, emit_list, emit_ids) =
+            (emitted(ValueKind::Dense), emitted(ValueKind::List), emitted(ValueKind::Ids));
 
         Ok(PreprocessPlan {
             config: config.clone(),
@@ -718,8 +697,11 @@ impl PreprocessPlan {
     /// half is dependency-closed, no column is decoded twice and
     /// [`CompiledStage::consumes_raw`] stays valid per side. Features are
     /// dealt class by class (class = every member stage's input kind and
-    /// op-tag sequence), alternating A, B, A, … within a class, so each
-    /// half gets half of every kind of work without a cost model. No
+    /// op-tag sequence): a class's first ⌈n/2⌉ features in declaration
+    /// order go to A and the rest to B, so each half gets half of every
+    /// kind of work without a cost model, and each half's emitted columns
+    /// form a few contiguous runs of the mini-batch (the two threads fill
+    /// mostly disjoint cache lines of each dense row). No
     /// boundary slot of the result is `read_by_host` and nothing is
     /// demoted: the halves can run concurrently and only finished outputs
     /// cross. A plan with a single feature lands whole on B.
@@ -742,19 +724,19 @@ impl PreprocessPlan {
             class[root[pos]].push((stage.input_kind, stage.ops.iter().map(Op::tag).collect()));
         }
         let features: Vec<usize> = (0..root.len()).filter(|&pos| root[pos] == pos).collect();
-        // Per class, the side its next feature goes to: A first.
-        let mut next: Vec<(&Class, Place)> = Vec::new();
+        // Each class's features in declaration order; A takes the first half.
+        let mut classes: Vec<(&Class, Vec<usize>)> = Vec::new();
+        for &feature in &features {
+            match classes.iter_mut().find(|(c, _)| **c == class[feature]) {
+                Some((_, members)) => members.push(feature),
+                None => classes.push((&class[feature], vec![feature])),
+            }
+        }
         let mut side = vec![Place::Host; self.stages.len()];
-        for &feature in features.iter().filter(|_| features.len() > 1) {
-            let known = next.iter().position(|(c, _)| **c == class[feature]).unwrap_or_else(|| {
-                next.push((&class[feature], Place::Isp));
-                next.len() - 1
-            });
-            side[feature] = next[known].1;
-            next[known].1 = match side[feature] {
-                Place::Isp => Place::Host,
-                Place::Host => Place::Isp,
-            };
+        for (_, members) in classes.iter().filter(|_| features.len() > 1) {
+            for &feature in &members[..members.len().div_ceil(2)] {
+                side[feature] = Place::Isp;
+            }
         }
         let assignment: Vec<Place> = root.iter().map(|&feature| side[feature]).collect();
         self.split(&assignment).expect("the assignment covers every stage")
@@ -1035,10 +1017,40 @@ mod tests {
             assert_eq!(count(halves.isp_stages()), count(halves.host_stages()), "{tag:?}");
         }
         // RM1: 13 + 26 = 39 features; the odd class gives A the extra one
-        // (B also formats).
+        // (B also carries the label and assembles the lists and ids).
         let plan = PreprocessPlan::from_config(&RmConfig::rm1(), 1).unwrap();
         let halves = plan.feature_halves();
         assert_eq!((halves.isp_columns().len(), halves.host_columns().len()), (7 + 13, 1 + 6 + 13));
+    }
+
+    #[test]
+    fn feature_halves_give_each_thread_contiguous_runs_of_the_matrix() {
+        // A takes each class's first ⌈n/2⌉ features in declaration order,
+        // so a half's dense columns are a run per class, not every other
+        // column: the pair's threads fill mostly disjoint lines of a row.
+        let runs = |plan: &PreprocessPlan, place: Place| {
+            let halves = plan.feature_halves();
+            let mut runs: Vec<(usize, usize)> = Vec::new();
+            for (c, &pos) in plan.emitted_dense().iter().enumerate() {
+                if halves.fleet()[pos] != place {
+                    continue;
+                }
+                match runs.last_mut() {
+                    Some((_, end)) if *end == c => *end += 1,
+                    _ => runs.push((c, c + 1)),
+                }
+            }
+            runs
+        };
+        // RM5: 42 LogNorm + Bucketize features, then 462 LogNorm-only.
+        let plan = PreprocessPlan::from_config(&RmConfig::rm5(), 1).unwrap();
+        assert_eq!(runs(&plan, Place::Isp), [(0, 21), (42, 42 + 231)]);
+        assert_eq!(runs(&plan, Place::Host), [(21, 42), (42 + 231, 504)]);
+        let plan = PreprocessPlan::from_config(&RmConfig::rm1(), 1).unwrap();
+        assert_eq!(
+            (runs(&plan, Place::Isp), runs(&plan, Place::Host)),
+            (vec![(0, 7)], vec![(7, 13)])
+        );
     }
 
     #[test]

@@ -135,13 +135,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Enables or disables fail-fast.
-    #[must_use]
-    pub fn with_fail_fast(mut self, fail_fast: bool) -> Self {
-        self.fail_fast = fail_fast;
-        self
-    }
-
     /// The capped exponential backoff before retry attempt `attempt`
     /// (1-based count of *completed* attempts).
     #[must_use]

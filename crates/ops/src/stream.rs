@@ -53,7 +53,7 @@
 //! | fleet | device-side phase | host-side phase |
 //! |---|---|---|
 //! | [`Fleet::Host`] fused, [`Fleet::Shuffled`] | the whole unit: Extract + Transform + format | — |
-//! | [`Fleet::Host`], paired | thread A: A's half of the features → its outputs | thread B, concurrently: B's half and the label, then A's outputs seeded + format |
+//! | [`Fleet::Host`], paired | thread A: A's half of the features, its dense columns filled into the unit's matrix → its outputs and the matrix | thread B, concurrently: B's half and the label, then A's half merged, B's dense columns filled + format |
 //! | [`Fleet::Isp`] | the whole unit, P2P bytes and unit chunks counted | full plan from pristine media (failover only) |
 //! | [`Fleet::Split`] | the ISP side, P2P bytes and unit chunks counted → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
 //!
@@ -72,12 +72,17 @@
 //! columns plus every chain that reads them) into two dependency-closed
 //! halves. Thread A claims a unit and *announces the claim* to thread B
 //! over the pair's one-slot link; both then open the partition, Extract
-//! only their own columns and run only their own stages, concurrently. A
-//! hands its emitted outputs across — the link's FIFO order per pair is
-//! `announce(u0), outputs(u0), announce(u1), …` — and moves on to the next
-//! unit while B merges them with its own and formats the mini-batch. No
-//! raw column crosses a core, A runs at most one half-unit ahead, and
-//! output is bit-identical to the fused path because every stage is pure.
+//! only their own columns and run only their own stages, concurrently.
+//! Format is split the same way: A fills its own dense columns into the
+//! unit's row-major matrix and hands its outputs and the matrix across —
+//! the link's FIFO order per pair is `announce(u0), outputs(u0),
+//! announce(u1), …` — and moves on to the next unit while B merges them,
+//! fills its own dense columns into the same matrix and finishes the
+//! mini-batch. Since [`PreprocessPlan::feature_halves`] deals each class
+//! of features in contiguous runs, the two fills write mostly disjoint
+//! cache lines of each row. No raw column crosses a core, A runs at most
+//! one half-unit ahead, and output is bit-identical to the fused path
+//! because every stage is pure and each matrix column is written once.
 //!
 //! # Ordering
 //!
@@ -474,9 +479,12 @@ enum Staged {
     Fallback,
     /// Host pair: thread A has just claimed the unit and starts on its half
     /// of the features — the receiving thread B starts on its own now, and
-    /// A's [`Staged::Boundary`] for the same unit is the next hand-off on
-    /// the pair's link.
+    /// A's [`Staged::Half`] for the same unit is the next hand-off on the
+    /// pair's link.
     Claimed,
+    /// Host pair: thread A's finished half — its outputs, and the unit's
+    /// matrix with A's dense columns filled — for thread B to merge.
+    Half(UnitState),
 }
 
 /// Which side of the phase boundary an attempt runs on. Device-side
@@ -637,7 +645,8 @@ impl Run {
     }
 
     /// One attempt of thread A's half of `unit` on a host pair: A's columns
-    /// and stages, whole-column, the emitted outputs packed.
+    /// and stages, whole-column, then A's dense columns filled into the
+    /// unit's matrix.
     fn pair_first_attempt(
         &self,
         unit: Unit,
@@ -646,10 +655,11 @@ impl Run {
     ) -> Result<Staged, PreprocessError> {
         if halves.isp_stages().is_empty() {
             // A one-feature plan runs whole on B: nothing to read here.
-            return Ok(Staged::Boundary(BoundaryBatch::default(), StageTimings::default()));
+            return Ok(Staged::Half(UnitState::new(&self.plan)));
         }
         let mut side = self.run_side(unit, Side::isp(halves, usize::MAX), scratch)?;
-        Ok(Staged::Boundary(side.boundary(halves), side.timings()))
+        side.fill_dense(&self.plan, Some(halves.isp_stages()))?;
+        Ok(Staged::Half(side))
     }
 
     /// One device-side attempt of `unit`; counts link traffic on success.
@@ -753,9 +763,9 @@ impl Run {
                     .assemble(&self.plan)?;
                 (batch, timings, 1, true)
             }
-            Staged::Claimed => {
+            Staged::Claimed | Staged::Half(_) => {
                 return Err(PreprocessError::Plan {
-                    detail: "claim announcement outside a host pair".into(),
+                    detail: "a host pair's hand-off outside a host pair".into(),
                 });
             }
         };
@@ -1109,8 +1119,9 @@ impl Engine {
     }
 
     /// Thread B's side of one announced unit: B's half of the features
-    /// while A runs its own, then A's outputs merged in and the mini-batch
-    /// formatted. `None` when A is gone.
+    /// while A runs its own, then A's half merged in — its outputs seeded,
+    /// its matrix adopted — and B's dense columns filled as the mini-batch
+    /// is formatted. `None` when A is gone.
     fn pair_second(
         &self,
         claim: Claim,
@@ -1126,13 +1137,14 @@ impl Engine {
         let Handoff { staged, attempts, .. } = link.recv().ok()?;
         let plan = &self.run.plan;
         Some(staged.and_then(|staged| {
-            let Staged::Boundary(outputs, mut timings) = staged else {
+            let Staged::Half(half) = staged else {
                 return Err(PreprocessError::Plan {
                     detail: "a host pair's announcement was not followed by its outputs".into(),
                 });
             };
+            let mut timings = half.timings();
             let mut side = own?;
-            side.seed(plan, halves, outputs)?;
+            side.merge(plan, halves, half)?;
             let (batch, own_timings) = side.assemble(plan)?;
             timings.absorb(&own_timings);
             // Each half counts its attempts from 1.
@@ -1568,17 +1580,37 @@ mod tests {
 
     #[test]
     fn streaming_matches_serial_in_order() {
+        // RM1, a one-feature plan, and RM5 (504 dense columns, so each
+        // thread of a pair fills two long runs of every row), each with a
+        // 0-row partition among its partitions.
+        let with_empty = |c: &RmConfig, ds: Dataset| {
+            let mut parts = ds.partitions().to_vec();
+            let blob = write_partition(&generate_batch(c, 0, 3)).unwrap();
+            parts.insert(1, Partition { index: 1, device: 1, rows: 0, blob });
+            for (index, p) in parts.iter_mut().enumerate() {
+                p.index = index;
+            }
+            parts
+        };
         let (c, ds) = dataset(6, 32, 2);
-        for plan in [PreprocessPlan::from_config(&c, 1).unwrap(), one_feature_plan(&c)] {
-            let serial: Vec<MiniBatch> = ds
-                .partitions()
+        let rm1 = with_empty(&c, ds);
+        let mut c5 = RmConfig::rm5();
+        c5.batch_size = 16;
+        let rm5 = with_empty(&c5, Dataset::generate(&c5, 3, 16, 2, 7).unwrap());
+        for (plan, parts) in [
+            (PreprocessPlan::from_config(&c, 1).unwrap(), &rm1),
+            (one_feature_plan(&c), &rm1),
+            (PreprocessPlan::from_config(&c5, 1).unwrap(), &rm5),
+        ] {
+            let serial: Vec<MiniBatch> = parts
                 .iter()
                 .map(|p| crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap().0)
                 .collect();
+            assert_eq!(serial[1].rows(), 0);
             for prefetch in [true, false] {
                 let mut config = FleetConfig::new(3, 2);
                 config.prefetch = prefetch;
-                let streamed: Vec<MiniBatch> = BatchStream::spawn(&plan, ds.partitions(), &config)
+                let streamed: Vec<MiniBatch> = BatchStream::spawn(&plan, parts, &config)
                     .into_ordered()
                     .map(|item| item.unwrap().batch)
                     .collect();

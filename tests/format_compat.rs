@@ -3,7 +3,9 @@
 //! * One fixed input, `write_partition(generate_batch(rm1 × 200 rows, seed
 //!   42))`, must preprocess under the RM1 plan to a pinned fingerprint: a
 //!   change to the writer, the reader or any operator that moves one bit of
-//!   the mini-batch fails here.
+//!   the mini-batch fails here. A 64-row RM5 partition (504 dense
+//!   columns, whole tiles of the dense fill and a partial one) is pinned
+//!   the same way.
 //! * The reader opens exactly what the writer writes: `PSTOCOL4` at both
 //!   ends. The retired `PSTOCOL1` to `PSTOCOL3` containers and a mismatched
 //!   trailing magic fail at open.
@@ -71,6 +73,22 @@ fn rm1_partition_preprocesses_to_pinned_fingerprint() {
     let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
     let (mb, _) = preprocess_partition(&plan, blob).expect("preprocesses");
     assert_eq!(fingerprint(&mb), FIXTURE_FINGERPRINT);
+}
+
+/// What a 64-row RM5 partition (`generate_batch(rm5, 64, 42)`, seed-1
+/// plan) preprocesses to. Recorded from the column-at-a-time scatter that
+/// the tiled dense fill replaced: every serial reference in the suite now
+/// shares the fill, so only this number checks it independently.
+const RM5_FINGERPRINT: u64 = 0x326f_a260_f576_4118;
+
+#[test]
+fn rm5_partition_preprocesses_to_pinned_fingerprint() {
+    let config = RmConfig::rm5();
+    let blob = write_partition(&generate_batch(&config, 64, 42)).expect("writes");
+    let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
+    let (mb, _) = preprocess_partition(&plan, blob).expect("preprocesses");
+    assert_eq!((mb.rows(), mb.dense().cols()), (64, 504));
+    assert_eq!(fingerprint(&mb), RM5_FINGERPRINT);
 }
 
 #[test]
