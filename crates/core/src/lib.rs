@@ -52,7 +52,7 @@ pub use pipeline::{
 };
 pub use placement::{place_stages, OpCostModel, Place, PlacementPlan, StagePlacement};
 pub use presto_ops::stream::{BatchSource, Fleet};
-pub use provision::{MeasuredThroughput, Provisioner};
+pub use provision::Provisioner;
 pub use service::{
     AdmissionError, JobHandle, JobReport, JobSpec, JobStatus, PreprocessService, ServiceConfig,
     ServiceReport,

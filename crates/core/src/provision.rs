@@ -3,16 +3,14 @@
 //! The train manager measures the GPUs' maximum training throughput `T`
 //! (by stress-testing with dummy mini-batches); the preprocess manager
 //! measures a single device's preprocessing throughput `P` and allocates
-//! `⌈T / P⌉` devices. Figures 4 and 14 are direct outputs of this module.
+//! `⌈T / P⌉` devices. Here both rates come from the device models of
+//! `presto-hwsim` — `T` from the GPU model, `P` from the CPU-worker or ISP
+//! model — and Figures 4 and 14 are direct outputs of this module.
 
-use presto_datagen::{Partition, RmConfig, WorkloadProfile};
+use presto_datagen::{RmConfig, WorkloadProfile};
 use presto_hwsim::cpu::{CpuWorkerModel, DataLocality};
 use presto_hwsim::fpga::IspModel;
 use presto_hwsim::gpu::GpuTrainModel;
-use presto_ops::plan::PreprocessPlan;
-use presto_ops::stream::Fleet;
-
-use crate::service::{JobSpec, PreprocessService, ServiceConfig};
 
 /// Provisioning calculator binding the device models together.
 #[derive(Debug, Clone)]
@@ -88,67 +86,6 @@ impl Provisioner {
     pub fn isp_units_required(&self, config: &RmConfig, num_gpus: usize) -> usize {
         ceil_ratio(self.training_demand(config, num_gpus), self.isp_unit_throughput(config))
     }
-
-    /// Measures single-device preprocessing throughput `P` by actually
-    /// running `plan` over `partitions` on a one-worker
-    /// [`PreprocessService`]: one
-    /// host-fleet job for the per-core rate, one ISP-fleet job for the
-    /// per-unit rate. This is the measured stand-in for the analytic
-    /// [`cpu_core_throughput`](Provisioner::cpu_core_throughput) /
-    /// [`isp_unit_throughput`](Provisioner::isp_unit_throughput) pair —
-    /// the preprocess manager's calibration step run on the living
-    /// executor instead of the device models.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a calibration partition fails to preprocess.
-    #[must_use]
-    pub fn measure_device_throughput(
-        plan: &PreprocessPlan,
-        partitions: &[Partition],
-    ) -> MeasuredThroughput {
-        let rate = |fleet: Fleet| {
-            let service = PreprocessService::new(
-                ServiceConfig::new(1).with_job_capacity(partitions.len().max(1)),
-            );
-            let name = format!("calibrate-{}", fleet.name());
-            let handle = service
-                .submit(JobSpec::new(name, plan.clone(), partitions.to_vec()).with_fleet(fleet))
-                .expect("an idle one-worker pool admits the calibration job");
-            for item in handle {
-                item.expect("calibration partition preprocesses");
-            }
-            let report = service.shutdown();
-            report.jobs[0].goodput_rows_per_sec
-        };
-        MeasuredThroughput {
-            cpu_core_rows_per_sec: rate(Fleet::Host),
-            isp_unit_rows_per_sec: rate(Fleet::Isp),
-        }
-    }
-
-    /// `⌈T / P⌉` with a *measured* per-device rate `P` (rows/sec, e.g.
-    /// from [`measure_device_throughput`](Provisioner::measure_device_throughput))
-    /// instead of the analytic device models.
-    #[must_use]
-    pub fn devices_required_measured(
-        &self,
-        config: &RmConfig,
-        num_gpus: usize,
-        measured_rows_per_sec: f64,
-    ) -> usize {
-        ceil_ratio(self.training_demand(config, num_gpus), measured_rows_per_sec)
-    }
-}
-
-/// Measured single-device preprocessing rates from
-/// [`Provisioner::measure_device_throughput`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeasuredThroughput {
-    /// Rows/sec one host CPU worker sustains on the calibration set.
-    pub cpu_core_rows_per_sec: f64,
-    /// Rows/sec one emulated ISP unit sustains on the calibration set.
-    pub isp_unit_rows_per_sec: f64,
 }
 
 impl Default for Provisioner {
@@ -211,22 +148,6 @@ mod tests {
         let eight = p.cpu_cores_required(&c, 8);
         assert!(eight >= 7 * one, "1 GPU: {one}, 8 GPUs: {eight}");
         assert_eq!(p.cpu_cores_required(&c, 0), 0);
-    }
-
-    #[test]
-    fn measured_calibration_sizes_a_fleet() {
-        use presto_datagen::Dataset;
-        let mut c = RmConfig::rm1();
-        c.batch_size = 16;
-        let plan = PreprocessPlan::from_config(&c, 7).unwrap();
-        let ds = Dataset::generate(&c, 3, 16, 1, 7).unwrap();
-        let measured = Provisioner::measure_device_throughput(&plan, ds.partitions());
-        assert!(measured.cpu_core_rows_per_sec > 0.0);
-        assert!(measured.isp_unit_rows_per_sec > 0.0);
-        let p = Provisioner::poc();
-        let devices = p.devices_required_measured(&c, 1, measured.cpu_core_rows_per_sec);
-        assert!(devices >= 1, "a positive demand needs at least one device");
-        assert_eq!(p.devices_required_measured(&c, 0, measured.cpu_core_rows_per_sec), 0);
     }
 
     #[test]

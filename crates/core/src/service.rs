@@ -7,9 +7,8 @@
 //! analytic curve: it owns a pool of worker threads (the shared device
 //! fleet) and accepts any number of concurrent jobs, each described by a
 //! [`JobSpec`] — a compiled plan, its partitions, a
-//! [`Fleet`] preference (host CPU, in-storage, hybrid split, or shuffled:
-//! whole partitions on the host, claimed in the seeded epoch permutation),
-//! a weighted-fair share, and an optional goodput SLO.
+//! [`Fleet`] preference (host CPU, in-storage, hybrid split, or shuffled
+//! row groups), a weighted-fair share, and an optional goodput SLO.
 //!
 //! [`PreprocessService::submit`] performs **admission control** against the
 //! pool: a job either starts immediately, queues behind the running set
@@ -17,50 +16,61 @@
 //! [`AdmissionError`]. Admitted jobs return a [`JobHandle`], which is
 //! itself a [`BatchSource`] — each tenant's
 //! [`Trainer`](crate::pipeline::Trainer) plugs into its handle exactly as
-//! it would into a dedicated [`BatchStream`](presto_ops::BatchStream).
+//! it would into a dedicated [`BatchStream`].
 //!
 //! # Scheduling
 //!
 //! Pool workers pick work with **weighted fair queuing**: among jobs that
-//! are running, have unclaimed partitions, and have room in their bounded
-//! output channel, claim a partition from the job with the smallest
-//! `dispatched / weight`. A job whose consumer lags (full channel) yields
-//! its turn instead of blocking a pool worker, so one slow tenant cannot
-//! idle the pool, and a small job cannot starve behind a large one — the
-//! fair-share score of the large job grows with every dispatch. Per-job
+//! are running, have unclaimed units, and have room in their bounded output
+//! (fewer than `job_capacity` units claimed and not yet pulled by the
+//! consumer), serve the job with the smallest `dispatched / weight`. A job
+//! whose consumer lags yields its turn instead of blocking a pool worker,
+//! so one slow tenant cannot idle the pool, and a small job cannot starve
+//! behind a large one — the fair-share score of the large job grows with
+//! every dispatch. *Which unit* a dispatch runs is the job's own unit
+//! source's choice, exactly as on its dedicated stream: device-affine for
+//! the pool worker's home device (with stealing) on the partition fleets,
+//! the seeded permutation's claim window on the shuffled fleet, which is
+//! served by row group and delivered in permutation order. Per-job
 //! starvation is tracked as the longest gap between consecutive dispatches
 //! ([`JobReport::max_dispatch_gap`]) and the pool-wide balance as Jain's
 //! fairness index over weight-normalized service ([`ServiceReport::fairness`]).
 //!
+//! Every event that can change what a worker may do — a submit, a
+//! consumer's pull, a dropped handle, a unit finishing — is accounted under
+//! the scheduler lock, and every job that ends wakes every waiter, so idle
+//! workers and [`PreprocessService::shutdown`] block on the condition
+//! variable without polling.
+//!
 //! # Execution and isolation
 //!
-//! A pool worker takes each claimed partition through the same per-unit
-//! path as a dedicated fleet's workers — the engine of
-//! [`presto_ops::stream`], fused on the pool thread ([`Run::run_unit`] →
-//! [`Run::deliver`]) — so retry, quarantine and failover behave exactly as
-//! documented there. Each job owns a private [`Run`] (its own
-//! [`RetryPolicy`], breaker state and counters): a device dying mid-run
-//! degrades only the jobs with partitions on it, and every job's
-//! [`RunReport`] accounts `delivered + failed == partitions` independently
-//! of its neighbors.
+//! Each admitted job is one run of the streaming engine
+//! ([`Fleet::drive`]): its own unit source, [`RetryPolicy`], breaker state
+//! and counters, and a [`BatchStream`] consumer end. A pool worker serves a
+//! job by one [`Driver::run_one`] call — claim, both phases fused on the
+//! pool thread, deliver — so retry, quarantine and failover behave exactly
+//! as documented in [`presto_ops::stream`]. A device dying mid-run degrades
+//! only the jobs with units on it, and every job's [`RunReport`] accounts
+//! `delivered + failed == units` independently of its neighbors.
 //!
 //! # Lifecycle
 //!
-//! Dropping a [`JobHandle`] cancels its remaining partitions; dropping the
-//! service cancels everything and joins the pool.
+//! Dropping a [`JobHandle`] cancels its remaining units; dropping the
+//! service joins the pool and cancels every job it left unfinished, ending
+//! their consumers' streams.
 //! [`PreprocessService::shutdown`] instead waits for all submitted jobs to
 //! terminate (call it after draining the handles) and returns the final
 //! [`ServiceReport`].
 
-use crossbeam_channel::{bounded, Receiver, Sender};
 use presto_datagen::Partition;
 use presto_ops::plan::PreprocessPlan;
 use presto_ops::recovery::{RetryPolicy, RunReport};
-use presto_ops::stream::{BatchSource, Fleet, Run, SeqItem, StreamItem, StreamStats, Unit};
+use presto_ops::stream::{
+    BatchSource, BatchStream, Driver, Fleet, FleetConfig, StreamItem, StreamStats,
+};
 use presto_ops::ScratchSpace;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -219,52 +229,38 @@ pub enum JobStatus {
     Queued,
     /// Receiving pool dispatches.
     Running,
-    /// Every partition delivered.
+    /// Every unit delivered.
     Completed,
-    /// Terminated with at least one failed partition (or a fail-fast
-    /// abort).
+    /// Terminated with at least one failed unit (or a fail-fast abort, or
+    /// units that could not be enumerated).
     Failed,
     /// The consumer dropped its [`JobHandle`] before completion.
     Cancelled,
 }
 
-/// One job's inputs and counters, shared between the pool, the scheduler
-/// and the consumer's [`JobHandle`].
-struct Job {
+/// Scheduler-owned state of one job.
+struct JobState {
     name: String,
     fleet: &'static str,
     weight: f64,
     goodput_slo: Option<f64>,
-    /// The engine's run state: plan, partitions, pipeline, recovery
-    /// tracker and the counters behind [`StreamStats`].
-    run: Run,
-    cancelled: AtomicBool,
-    /// Nanoseconds the consumer spent blocked in `next_batch`.
-    stall_nanos: AtomicU64,
-    rows: AtomicU64,
-}
-
-impl Job {
-    fn partitions(&self) -> usize {
-        self.run.partitions().len()
-    }
-}
-
-/// Scheduler-owned mutable state of one job.
-struct JobState {
-    job: Arc<Job>,
-    /// Producer end of the job's output channel; dropped at finalization
-    /// so the consumer observes end-of-stream.
-    tx: Option<Sender<SeqItem>>,
+    partitions: usize,
+    /// The producer end of the job's run; dropped when the job ends, which
+    /// ends the consumer's stream.
+    driver: Option<Driver>,
+    /// The run's recovery report, frozen when the job ends.
+    recovery: RunReport,
     status: JobStatus,
-    /// Next unclaimed partition.
-    cursor: usize,
-    /// Partitions claimed but not yet delivered.
+    /// Units claimed (the weighted-fair service counter).
+    dispatched: usize,
+    /// Claimed units still running on a pool worker.
     inflight: usize,
-    /// Total dispatches (the weighted-fair service counter).
-    dispatched: u64,
-    /// Fail-fast tripped: stop claiming, finalize when in-flight drains.
-    halted: bool,
+    /// Items the consumer has pulled.
+    pulled: usize,
+    /// Rows the consumer has pulled.
+    rows: u64,
+    /// Time the consumer spent blocked waiting for its next item.
+    stall: Duration,
     submitted_at: Instant,
     started_at: Option<Instant>,
     finished_at: Option<Instant>,
@@ -273,20 +269,50 @@ struct JobState {
 }
 
 impl JobState {
-    fn dispatchable(&self, job_capacity: usize) -> bool {
+    /// Running, with a unit left to claim, no stop raised, and room: fewer
+    /// than `capacity` units claimed and not yet pulled.
+    fn dispatchable(&self, capacity: usize) -> bool {
         self.status == JobStatus::Running
-            && !self.halted
-            && !self.job.cancelled.load(Ordering::Relaxed)
-            && self.cursor < self.job.partitions()
-            && self.tx.as_ref().is_some_and(|tx| tx.len() + self.inflight < job_capacity)
+            && self.dispatched < self.pulled + capacity
+            && self.driver.as_ref().is_some_and(|d| !d.stopped() && self.dispatched < d.units())
     }
 
-    fn terminal_when_drained(&self) -> bool {
+    /// Running, with nothing in flight and nothing more to claim.
+    fn finished(&self) -> bool {
         self.status == JobStatus::Running
             && self.inflight == 0
-            && (self.halted
-                || self.job.cancelled.load(Ordering::Relaxed)
-                || self.cursor >= self.job.partitions())
+            && self.driver.as_ref().is_some_and(|d| d.stopped() || self.dispatched >= d.units())
+    }
+
+    /// Counts one dispatch and hands the pool worker the job's driver.
+    fn dispatch(&mut self) -> Option<Driver> {
+        let now = Instant::now();
+        let since = self.last_dispatch.or(self.started_at).unwrap_or(now);
+        self.max_gap = self.max_gap.max(now.duration_since(since));
+        self.last_dispatch = Some(now);
+        self.dispatched += 1;
+        self.inflight += 1;
+        self.driver.clone()
+    }
+
+    /// Ends the job: freezes its report, settles its status and drops its
+    /// driver. A fail-fast error (or a failed start) is a failure even
+    /// when the consumer, having seen it, dropped its handle; a dropped
+    /// handle (or `cancel`: the service itself was dropped) otherwise
+    /// cancels; any failed unit fails the job.
+    fn finalize(&mut self, cancel: bool) {
+        let Some(driver) = self.driver.take() else { return };
+        self.recovery = driver.run_report();
+        self.status = if driver.failed() {
+            JobStatus::Failed
+        } else if cancel || driver.stopped() {
+            JobStatus::Cancelled
+        } else if self.recovery.failed_partitions.is_empty() {
+            JobStatus::Completed
+        } else {
+            JobStatus::Failed
+        };
+        self.finished_at = Some(Instant::now());
     }
 }
 
@@ -304,12 +330,10 @@ struct ServiceInner {
     started: Instant,
 }
 
-/// One claimed unit of work, extracted under the scheduler lock.
-struct Claim {
-    id: usize,
-    pos: usize,
-    job: Arc<Job>,
-    tx: Sender<SeqItem>,
+impl ServiceInner {
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
+        self.state.lock().expect("scheduler lock")
+    }
 }
 
 /// The multi-tenant preprocessing service — see the [module docs](self).
@@ -354,7 +378,7 @@ impl PreprocessService {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("presto-pool-{i}"))
-                    .spawn(move || pool_worker(&inner))
+                    .spawn(move || pool_worker(&inner, i))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -376,20 +400,15 @@ impl PreprocessService {
     /// [`AdmissionError::PoolSaturated`] when both the active set and the
     /// queue are full, [`AdmissionError::ShuttingDown`] after shutdown
     /// began.
-    pub fn submit(&self, mut spec: JobSpec) -> Result<JobHandle, AdmissionError> {
+    pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
         if spec.partitions.is_empty() {
             return Err(AdmissionError::NoPartitions);
         }
-        // A shuffled-fleet tenant gets its seeded epoch permutation applied
-        // at admission: the pool then claims partitions in shuffled order
-        // through the unchanged weighted-fair machinery (preprocessing
-        // itself runs the host pipeline, whole partitions at a time).
-        if let Fleet::Shuffled(shuffle) = &spec.fleet {
-            let order = presto_ops::epoch_order(spec.partitions.len(), shuffle.seed, shuffle.epoch);
-            spec.partitions = order.into_iter().map(|i| spec.partitions[i].clone()).collect();
-        }
         let config = &self.inner.config;
-        let mut state = self.inner.state.lock().expect("scheduler lock");
+        let fleet_config =
+            FleetConfig::new(config.pool_workers, config.job_capacity).with_recovery(spec.recovery);
+        let (stream, driver) = spec.fleet.drive(&spec.plan, &spec.partitions, &fleet_config);
+        let mut state = self.inner.lock();
         if state.stop {
             return Err(AdmissionError::ShuttingDown);
         }
@@ -401,18 +420,6 @@ impl PreprocessService {
                 max_queued: config.max_queued_jobs,
             });
         }
-        let units = spec.partitions.len();
-        let job = Arc::new(Job {
-            name: spec.name,
-            fleet: spec.fleet.name(),
-            weight: if spec.weight > 0.0 { spec.weight } else { 1.0 },
-            goodput_slo: spec.goodput_slo,
-            run: Run::new(spec.plan, spec.partitions, spec.fleet, spec.recovery, units),
-            cancelled: AtomicBool::new(false),
-            stall_nanos: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-        });
-        let (tx, rx) = bounded::<SeqItem>(config.job_capacity);
         let id = state.jobs.len();
         let now = Instant::now();
         let status = if starts_now {
@@ -423,28 +430,30 @@ impl PreprocessService {
             JobStatus::Queued
         };
         state.jobs.push(JobState {
-            job: Arc::clone(&job),
-            tx: Some(tx),
+            name: spec.name.clone(),
+            fleet: spec.fleet.name(),
+            weight: if spec.weight > 0.0 { spec.weight } else { 1.0 },
+            goodput_slo: spec.goodput_slo,
+            partitions: spec.partitions.len(),
+            driver: Some(driver),
+            recovery: RunReport::default(),
             status,
-            cursor: 0,
-            inflight: 0,
             dispatched: 0,
-            halted: false,
+            inflight: 0,
+            pulled: 0,
+            rows: 0,
+            stall: Duration::ZERO,
             submitted_at: now,
             started_at: starts_now.then_some(now),
             finished_at: None,
             last_dispatch: None,
             max_gap: Duration::ZERO,
         });
+        // A run that failed to start has no unit to claim: it ends here.
+        settle(&mut state, &self.inner);
         drop(state);
         self.inner.signal.notify_all();
-        Ok(JobHandle {
-            id,
-            capacity: config.job_capacity,
-            rx: Some(rx),
-            job,
-            inner: Arc::clone(&self.inner),
-        })
+        Ok(JobHandle { id, name: spec.name, stream: Some(stream), inner: Arc::clone(&self.inner) })
     }
 
     /// A point-in-time [`ServiceReport`] over every submitted job.
@@ -459,31 +468,22 @@ impl PreprocessService {
     #[must_use]
     pub fn shutdown(mut self) -> ServiceReport {
         {
-            let mut state = self.inner.state.lock().expect("scheduler lock");
-            loop {
-                reap(&mut state, &self.inner.config);
-                let busy = state
-                    .jobs
-                    .iter()
-                    .any(|j| matches!(j.status, JobStatus::Running | JobStatus::Queued));
-                if !busy {
-                    break;
-                }
-                let (next, _) = self
-                    .inner
-                    .signal
-                    .wait_timeout(state, Duration::from_millis(5))
-                    .expect("scheduler lock");
-                state = next;
+            let mut state = self.inner.lock();
+            while state
+                .jobs
+                .iter()
+                .any(|j| matches!(j.status, JobStatus::Running | JobStatus::Queued))
+            {
+                state = self.inner.signal.wait(state).expect("scheduler lock");
             }
-            state.stop = true;
         }
-        self.inner.signal.notify_all();
-        self.join_pool();
+        self.stop_pool();
         build_report(&self.inner)
     }
 
-    fn join_pool(&mut self) {
+    fn stop_pool(&mut self) {
+        self.inner.lock().stop = true;
+        self.inner.signal.notify_all();
         for handle in self.workers.drain(..) {
             if let Err(panic) = handle.join() {
                 if !std::thread::panicking() {
@@ -496,27 +496,26 @@ impl PreprocessService {
 
 impl Drop for PreprocessService {
     fn drop(&mut self) {
-        {
-            let mut state = self.inner.state.lock().expect("scheduler lock");
-            state.stop = true;
-            for job in &state.jobs {
-                job.job.cancelled.store(true, Ordering::Relaxed);
+        self.stop_pool();
+        // Every job the pool left unfinished is cancelled, so that its
+        // consumer's stream ends instead of waiting on a pool that is gone.
+        for job in &mut self.inner.lock().jobs {
+            if matches!(job.status, JobStatus::Running | JobStatus::Queued) {
+                job.finalize(true);
             }
         }
-        self.inner.signal.notify_all();
-        self.join_pool();
     }
 }
 
 /// The consumer's end of one admitted job: a [`BatchSource`] yielding the
-/// job's mini-batches in completion order, exactly like a dedicated
-/// fleet's stream. Dropping the handle cancels the job's remaining
-/// partitions.
+/// job's mini-batches exactly as its dedicated fleet's [`BatchStream`]
+/// would (in completion order, or in permutation order on the shuffled
+/// fleet). Dropping the handle cancels the job's remaining units.
 pub struct JobHandle {
     id: usize,
-    capacity: usize,
-    rx: Option<Receiver<SeqItem>>,
-    job: Arc<Job>,
+    name: String,
+    /// The run's consumer end; taken only when the handle drops.
+    stream: Option<BatchStream>,
     inner: Arc<ServiceInner>,
 }
 
@@ -524,7 +523,7 @@ impl fmt::Debug for JobHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JobHandle")
             .field("job", &self.id)
-            .field("name", &self.job.name)
+            .field("name", &self.name)
             .finish_non_exhaustive()
     }
 }
@@ -533,26 +532,25 @@ impl JobHandle {
     /// The job's name, as given in its [`JobSpec`].
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.job.name
+        &self.name
     }
 
     /// The job's current lifecycle status.
     #[must_use]
     pub fn status(&self) -> JobStatus {
-        self.inner.state.lock().expect("scheduler lock").jobs[self.id].status
+        self.inner.lock().jobs[self.id].status
     }
 
     /// This job's [`JobReport`] so far (final once the stream has ended).
     #[must_use]
     pub fn report(&self) -> JobReport {
-        job_report(&self.inner.state.lock().expect("scheduler lock").jobs[self.id])
+        job_report(&self.inner.lock().jobs[self.id])
     }
 
     /// Consolidated live counters for this job ([`StreamStats`]).
     #[must_use]
     pub fn stats(&self) -> StreamStats {
-        let queued = self.rx.as_ref().map_or(0, Receiver::len);
-        self.job.run.stats(self.inner.config.pool_workers, self.capacity, queued)
+        self.stream.as_ref().map_or_else(StreamStats::default, BatchStream::stats)
     }
 }
 
@@ -560,23 +558,21 @@ impl Iterator for JobHandle {
     type Item = StreamItem;
 
     fn next(&mut self) -> Option<StreamItem> {
-        let rx = self.rx.as_ref()?;
         let t0 = Instant::now();
-        let item = rx.recv().ok();
-        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.job.stall_nanos.fetch_add(nanos, Ordering::Relaxed);
-        match item {
-            Some((_, item)) => {
-                // A channel slot freed: wake the scheduler, the job may be
-                // dispatchable again.
-                self.inner.signal.notify_all();
-                Some(item)
-            }
-            None => {
-                self.rx = None;
-                None
+        let item = self.stream.as_mut()?.next();
+        let waited = t0.elapsed();
+        {
+            let mut state = self.inner.lock();
+            let job = &mut state.jobs[self.id];
+            job.stall += waited;
+            if let Some(item) = &item {
+                job.pulled += 1;
+                job.rows += item.as_ref().map_or(0, |b| b.batch.rows() as u64);
             }
         }
+        // A pull frees room: the job may be dispatchable again.
+        self.inner.signal.notify_all();
+        item
     }
 }
 
@@ -586,11 +582,11 @@ impl BatchSource for JobHandle {
     }
 
     fn capacity(&self) -> usize {
-        self.capacity
+        self.inner.config.job_capacity
     }
 
     fn queued(&self) -> usize {
-        self.rx.as_ref().map_or(0, Receiver::len)
+        self.stream.as_ref().map_or(0, BatchStream::queued)
     }
 
     fn stats(&self) -> StreamStats {
@@ -600,9 +596,10 @@ impl BatchSource for JobHandle {
 
 impl Drop for JobHandle {
     fn drop(&mut self) {
-        self.job.cancelled.store(true, Ordering::Relaxed);
-        self.rx = None;
-        self.inner.signal.notify_all();
+        // Dropping the consumer end stops the run; a job with nothing in
+        // flight then ends here, any other when its last unit finishes.
+        self.stream = None;
+        settle(&mut self.inner.lock(), &self.inner);
     }
 }
 
@@ -612,16 +609,19 @@ pub struct JobReport {
     /// Job name from the [`JobSpec`].
     pub name: String,
     /// Fleet the job ran on (`"host"`, `"isp"`, `"split"` or `"shuffled"`;
-    /// a shuffled job runs whole partitions on the host, in its seeded
-    /// epoch permutation).
+    /// a shuffled job runs row groups on the host, in its seeded epoch
+    /// permutation).
     pub fleet: String,
     /// Lifecycle status at report time.
     pub status: JobStatus,
-    /// Partitions in the job.
+    /// Partitions in the job (its unit count is
+    /// [`RunReport::partitions`](presto_ops::recovery::RunReport::partitions)
+    /// in `recovery`: one per non-empty row group on the shuffled fleet).
     pub partitions: usize,
-    /// Partitions delivered as mini-batches.
+    /// Units (partitions, or row groups on the shuffled fleet) delivered as
+    /// mini-batches.
     pub delivered: u64,
-    /// Rows delivered.
+    /// Rows the consumer has pulled.
     pub rows: u64,
     /// Weighted-fair share the job was scheduled with.
     pub weight: f64,
@@ -642,7 +642,7 @@ pub struct JobReport {
     /// metric (small under fair sharing, large when crowded out).
     pub max_dispatch_gap: Duration,
     /// The job's private recovery accounting
-    /// (`delivered + failed == partitions` once terminal).
+    /// (`delivered + failed == units` once terminal).
     pub recovery: RunReport,
 }
 
@@ -671,9 +671,7 @@ impl ServiceReport {
 }
 
 fn job_report(state: &JobState) -> JobReport {
-    let job = &state.job;
-    let recovery = job.run.tracker().report();
-    let rows = job.rows.load(Ordering::Relaxed);
+    let recovery = state.driver.as_ref().map_or_else(|| state.recovery.clone(), Driver::run_report);
     let elapsed = match (state.started_at, state.finished_at) {
         (Some(start), Some(finish)) => finish.duration_since(start),
         (Some(start), None) => start.elapsed(),
@@ -683,20 +681,19 @@ fn job_report(state: &JobState) -> JobReport {
         Some(start) => start.duration_since(state.submitted_at),
         None => state.submitted_at.elapsed(),
     };
-    let goodput = rows as f64 / elapsed.as_secs_f64().max(1e-9);
-    let stall = Duration::from_nanos(job.stall_nanos.load(Ordering::Relaxed));
-    let stall_share = (stall.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)).clamp(0.0, 1.0);
+    let goodput = state.rows as f64 / elapsed.as_secs_f64().max(1e-9);
+    let stall_share = (state.stall.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)).clamp(0.0, 1.0);
     JobReport {
-        name: job.name.clone(),
-        fleet: job.fleet.to_string(),
+        name: state.name.clone(),
+        fleet: state.fleet.to_string(),
         status: state.status,
-        partitions: job.partitions(),
+        partitions: state.partitions,
         delivered: recovery.delivered,
-        rows,
-        weight: job.weight,
+        rows: state.rows,
+        weight: state.weight,
         goodput_rows_per_sec: goodput,
-        goodput_slo: job.goodput_slo,
-        slo_met: job.goodput_slo.map(|target| goodput >= target),
+        goodput_slo: state.goodput_slo,
+        slo_met: state.goodput_slo.map(|target| goodput >= target),
         stall_share,
         queued_wait,
         elapsed,
@@ -718,12 +715,12 @@ fn jains_index(shares: &[f64]) -> f64 {
 }
 
 fn build_report(inner: &ServiceInner) -> ServiceReport {
-    let state = inner.state.lock().expect("scheduler lock");
+    let state = inner.lock();
     let shares: Vec<f64> = state
         .jobs
         .iter()
         .filter(|j| j.dispatched > 0)
-        .map(|j| j.dispatched as f64 / j.job.weight)
+        .map(|j| j.dispatched as f64 / j.weight)
         .collect();
     ServiceReport {
         pool_workers: inner.config.pool_workers,
@@ -733,133 +730,58 @@ fn build_report(inner: &ServiceInner) -> ServiceReport {
     }
 }
 
-/// Finalizes a terminal job: drops its sender (ending the consumer's
-/// stream), settles its status, frees its active slot and promotes queued
-/// jobs into the freed capacity.
-fn finalize(state: &mut SchedState, id: usize, config: &ServiceConfig) {
-    {
-        let job = &mut state.jobs[id];
-        job.tx = None;
-        job.finished_at = Some(Instant::now());
-        // A fail-fast abort is a failure even when the consumer, having
-        // seen the error, drops its handle before the job is reaped.
-        job.status = if job.halted {
-            JobStatus::Failed
-        } else if job.job.cancelled.load(Ordering::Relaxed) {
-            JobStatus::Cancelled
-        } else if job.job.run.tracker().report().failed_partitions.is_empty() {
-            JobStatus::Completed
-        } else {
-            JobStatus::Failed
-        };
-    }
-    state.active -= 1;
-    while state.active < config.max_active_jobs {
-        let Some(next) = state.pending.pop_front() else { break };
-        let job = &mut state.jobs[next];
-        if job.job.cancelled.load(Ordering::Relaxed) {
-            job.status = JobStatus::Cancelled;
-            job.tx = None;
-            job.finished_at = Some(Instant::now());
-            continue;
-        }
-        job.status = JobStatus::Running;
-        job.started_at = Some(Instant::now());
-        state.active += 1;
-    }
-}
-
-/// Sweeps for jobs whose work is finished (or cancelled/halted) with no
-/// in-flight partitions and finalizes them.
-fn reap(state: &mut SchedState, config: &ServiceConfig) {
-    for id in 0..state.jobs.len() {
-        if state.jobs[id].terminal_when_drained() {
-            finalize(state, id, config);
+/// Ends every finished job and promotes queued jobs into the slots they
+/// free (a promoted job that is already finished ends in the same pass),
+/// then wakes every waiter if any job ended.
+fn settle(state: &mut SchedState, inner: &ServiceInner) {
+    let mut ended = false;
+    while let Some(id) = state.jobs.iter().position(JobState::finished) {
+        state.jobs[id].finalize(false);
+        state.active -= 1;
+        ended = true;
+        while state.active < inner.config.max_active_jobs {
+            let Some(next) = state.pending.pop_front() else { break };
+            let job = &mut state.jobs[next];
+            job.status = JobStatus::Running;
+            job.started_at = Some(Instant::now());
+            state.active += 1;
         }
     }
-}
-
-/// Picks the next (job, partition) under weighted fair queuing: the
-/// dispatchable job with the smallest `dispatched / weight` claims its
-/// next partition.
-fn claim_next(state: &mut SchedState, config: &ServiceConfig) -> Option<Claim> {
-    reap(state, config);
-    let id = state
-        .jobs
-        .iter()
-        .enumerate()
-        .filter(|(_, j)| j.dispatchable(config.job_capacity))
-        .min_by(|(_, a), (_, b)| {
-            let fa = a.dispatched as f64 / a.job.weight;
-            let fb = b.dispatched as f64 / b.job.weight;
-            fa.total_cmp(&fb)
-        })
-        .map(|(id, _)| id)?;
-    let job = &mut state.jobs[id];
-    let pos = job.cursor;
-    job.cursor += 1;
-    job.inflight += 1;
-    job.dispatched += 1;
-    let now = Instant::now();
-    let since = job.last_dispatch.or(job.started_at).unwrap_or(now);
-    let gap = now.duration_since(since);
-    if gap > job.max_gap {
-        job.max_gap = gap;
-    }
-    job.last_dispatch = Some(now);
-    Some(Claim {
-        id,
-        pos,
-        job: Arc::clone(&job.job),
-        tx: job.tx.clone().expect("running job has a sender"),
-    })
-}
-
-/// Pool worker body: claim fairly, then run and deliver the unit through
-/// the engine's fused per-unit path.
-fn pool_worker(inner: &ServiceInner) {
-    let mut scratch = ScratchSpace::new();
-    loop {
-        let claim = {
-            let mut state: MutexGuard<'_, SchedState> = inner.state.lock().expect("scheduler lock");
-            loop {
-                if state.stop {
-                    return;
-                }
-                if let Some(claim) = claim_next(&mut state, &inner.config) {
-                    break claim;
-                }
-                // The timeout re-polls channel room (consumers drain
-                // without always reaching the condvar) and catches any
-                // missed wakeup.
-                let (next, _) = inner
-                    .signal
-                    .wait_timeout(state, Duration::from_millis(1))
-                    .expect("scheduler lock");
-                state = next;
-            }
-        };
-        let Claim { id, pos, job, tx } = claim;
-        let unit = Unit::partition(pos);
-        let outcome = job.run.run_unit(unit, &mut scratch);
-        if let Ok(done) = &outcome {
-            job.rows.fetch_add(done.batch.rows() as u64, Ordering::Relaxed);
-        }
-        let halted = outcome.is_err() && job.run.tracker().policy().fail_fast;
-        // Room was reserved at claim time (len + inflight < capacity), so
-        // the send inside cannot block; it only errs when the consumer
-        // dropped its handle, which cancellation already covers.
-        job.run.deliver(&tx, pos, unit, false, outcome);
-        {
-            let mut state = inner.state.lock().expect("scheduler lock");
-            let job = &mut state.jobs[id];
-            job.inflight -= 1;
-            if halted {
-                job.halted = true;
-            }
-            reap(&mut state, &inner.config);
-        }
+    if ended {
         inner.signal.notify_all();
+    }
+}
+
+/// Pool worker body: serve the dispatchable job with the smallest
+/// `dispatched / weight` one unit through its driver, or wait.
+fn pool_worker(inner: &ServiceInner, worker: usize) {
+    let mut scratch = ScratchSpace::new();
+    let mut state = inner.lock();
+    while !state.stop {
+        let capacity = inner.config.job_capacity;
+        let next = state
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| j.dispatchable(capacity))
+            .min_by(|(_, a), (_, b)| {
+                (a.dispatched as f64 / a.weight).total_cmp(&(b.dispatched as f64 / b.weight))
+            })
+            .map(|(id, _)| id);
+        let Some(id) = next else {
+            state = inner.signal.wait(state).expect("scheduler lock");
+            continue;
+        };
+        let driver = state.jobs[id].dispatch();
+        drop(state);
+        // At most `job_capacity` units are claimed and not yet pulled, so
+        // the delivery inside never blocks on a full channel.
+        if let Some(driver) = driver {
+            driver.run_one(worker, &mut scratch);
+        }
+        state = inner.lock();
+        state.jobs[id].inflight -= 1;
+        settle(&mut state, inner);
     }
 }
 
@@ -1043,6 +965,26 @@ mod tests {
         let report = service.shutdown();
         assert_eq!(report.jobs[0].status, JobStatus::Cancelled);
         assert_eq!(report.jobs[1].status, JobStatus::Completed);
+    }
+
+    #[test]
+    fn dropping_the_service_cancels_and_ends_every_unfinished_job() {
+        let (plan, ds, _) = setup(6, 16, 11);
+        let config = ServiceConfig::new(1).with_job_capacity(1).with_max_active_jobs(1);
+        let service = PreprocessService::new(config);
+        let spec = |name| JobSpec::new(name, plan.clone(), ds.partitions().to_vec());
+        let mut running = service.submit(spec("running")).expect("admitted");
+        let mut queued = service.submit(spec("queued")).expect("queues");
+        running.next().expect("yields").expect("no faults");
+        // The pool is joined once the drop returns: whatever it delivered
+        // is still yielded, then both streams end.
+        drop(service);
+        assert!(running.by_ref().count() <= 1, "at most job_capacity units ran ahead");
+        assert_eq!(queued.by_ref().count(), 0);
+        assert_eq!(
+            (running.status(), queued.status()),
+            (JobStatus::Cancelled, JobStatus::Cancelled)
+        );
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   ([`UnitStats`]) instead of copying through them.
 //! * [`stream`] — the streaming engine: one claim → attempt → deliver
 //!   core behind every fleet (host, ISP, split, shuffled), yielding
-//!   [`BatchStream`].
-//! * [`recovery`] — the retry / straggler / quarantine policy and the
+//!   [`BatchStream`] — run by its own threads, or driven one unit at a time
+//!   by a caller's ([`stream::Driver`]).
+//! * [`recovery`] — the retry / quarantine / failover policy and the
 //!   nothing-dropped accounting every fleet runs under.
 //! * [`shuffle`] — the seeded deterministic epoch permutation over every
 //!   `PSTOCOL4` row group, and the serializable [`EpochCursor`] a shuffled
@@ -98,6 +99,6 @@ pub use recovery::{
 pub use shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec};
 pub use sigridhash::{InvalidMaxValueError, SigridHasher};
 pub use stream::{
-    inter_arrivals, BatchSource, BatchStream, DeviceLoad, Finished, Fleet, FleetConfig, Run,
-    SeqItem, StreamItem, StreamStats, StreamedBatch, Unit,
+    inter_arrivals, BatchSource, BatchStream, DeviceLoad, Fleet, FleetConfig, StreamItem,
+    StreamStats, StreamedBatch,
 };

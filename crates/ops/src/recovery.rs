@@ -14,8 +14,7 @@
 //!   timestamped [`RecoveryEvent`] log.
 //! * [`RunReport`] — the snapshot the tracker renders for consumers: how
 //!   many retries/failovers/quarantines happened, which devices degraded,
-//!   which units (if any) were lost, and a delivery timeline from which
-//!   degraded throughput can be read off.
+//!   which units (if any) were lost, and the timestamped event log.
 //!
 //! Device identity here is a **slot index** into the run's sorted distinct
 //! device list — the same ordering `crate::stream::DeviceLoad` reports.
@@ -42,13 +41,6 @@ pub struct RetryPolicy {
     /// Consecutive failed *attempts* on one device before it is
     /// quarantined. `0` disables the circuit breaker.
     pub quarantine_after: u32,
-    /// An attempt running longer than this is counted as a straggler in the
-    /// [`RunReport`] (detection is post-hoc; the attempt still completes).
-    /// An attempt is one phase of a unit (see
-    /// [`crate::stream`]'s failure semantics): the whole unit — Extract,
-    /// Transform and format — on the host and ISP pipelines, one side on a
-    /// split pipeline or a host pair.
-    pub straggler_deadline: Option<Duration>,
     /// Whether a quarantined ISP device's partitions fail over to the host
     /// preprocessing path (ignored by the host fleet, which *is* the
     /// fallback path).
@@ -75,7 +67,6 @@ impl RetryPolicy {
             backoff: Duration::ZERO,
             backoff_cap: Duration::ZERO,
             quarantine_after: 0,
-            straggler_deadline: None,
             failover: false,
             fail_fast: true,
         }
@@ -91,7 +82,6 @@ impl RetryPolicy {
             backoff: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(8),
             quarantine_after: 3,
-            straggler_deadline: None,
             failover: true,
             fail_fast: false,
         }
@@ -116,15 +106,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn with_quarantine_after(mut self, failures: u32) -> Self {
         self.quarantine_after = failures;
-        self
-    }
-
-    /// Sets the straggler deadline. The clock times a whole phase attempt,
-    /// Transform included — on the host pipeline too, whose first phase
-    /// runs the whole unit ([`RetryPolicy::straggler_deadline`]).
-    #[must_use]
-    pub fn with_straggler_deadline(mut self, deadline: Duration) -> Self {
-        self.straggler_deadline = Some(deadline);
         self
     }
 
@@ -162,11 +143,6 @@ pub enum RecoveryEventKind {
     Quarantine,
     /// The partition was handed to the host failover path.
     Failover,
-    /// An attempt outran the straggler deadline (counted post-hoc).
-    Straggler {
-        /// How long the attempt actually ran.
-        elapsed: Duration,
-    },
     /// The partition's error was surfaced to the consumer (attempts
     /// exhausted or non-retryable).
     Failed,
@@ -206,10 +182,8 @@ pub struct DeviceHealth {
 /// Snapshot of a streaming run's recovery activity.
 ///
 /// Produced by [`RecoveryTracker::report`] and surfaced through
-/// `BatchStream::run_report` and the Trainer. [`RunReport::events`] is ordered by time; filtering it for
-/// [`RecoveryEventKind::Delivered`] gives the delivery timeline from which
-/// goodput under degradation can be computed
-/// ([`RunReport::throughput_timeline`] does this binning).
+/// `BatchStream::run_report` and the Trainer. [`RunReport::events`] is
+/// ordered by time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Partitions the run was asked to stream.
@@ -223,8 +197,6 @@ pub struct RunReport {
     pub faults: u64,
     /// Partitions completed by the host failover path.
     pub failovers: u64,
-    /// Attempts that outran the straggler deadline.
-    pub stragglers: u64,
     /// Device slots quarantined during the run.
     pub quarantined: Vec<usize>,
     /// Partitions whose error was surfaced to the consumer. Together with
@@ -245,30 +217,8 @@ impl RunReport {
         self.faults == 0
             && self.retries == 0
             && self.failovers == 0
-            && self.stragglers == 0
             && self.quarantined.is_empty()
             && self.failed_partitions.is_empty()
-    }
-
-    /// Deliveries binned into `bin`-wide windows from the stream's start:
-    /// `(window start, batches delivered in window)`. A fleet degrading
-    /// after a device death shows up as a dip in this timeline.
-    #[must_use]
-    pub fn throughput_timeline(&self, bin: Duration) -> Vec<(Duration, u64)> {
-        if bin.is_zero() {
-            return Vec::new();
-        }
-        let mut bins: Vec<u64> = Vec::new();
-        for event in &self.events {
-            if let RecoveryEventKind::Delivered { .. } = event.kind {
-                let idx = (event.at.as_nanos() / bin.as_nanos()) as usize;
-                if bins.len() <= idx {
-                    bins.resize(idx + 1, 0);
-                }
-                bins[idx] += 1;
-            }
-        }
-        bins.iter().enumerate().map(|(i, &n)| (bin.saturating_mul(i as u32), n)).collect()
     }
 }
 
@@ -385,21 +335,6 @@ impl RecoveryTracker {
         self.log(device_slot, partition, RecoveryEventKind::Delivered { via_failover });
     }
 
-    /// Records an attempt that outran the straggler deadline.
-    pub fn note_straggler(&self, device_slot: usize, partition: usize, elapsed: Duration) {
-        self.log(device_slot, partition, RecoveryEventKind::Straggler { elapsed });
-    }
-
-    /// Checks one finished attempt against the straggler deadline and
-    /// records it when it overran.
-    pub fn check_straggler(&self, device_slot: usize, partition: usize, elapsed: Duration) {
-        if let Some(deadline) = self.policy.straggler_deadline {
-            if elapsed > deadline {
-                self.note_straggler(device_slot, partition, elapsed);
-            }
-        }
-    }
-
     /// Records a partition handed to the host failover path.
     pub fn note_failover(&self, device_slot: usize, partition: usize) {
         self.log(device_slot, partition, RecoveryEventKind::Failover);
@@ -425,7 +360,6 @@ impl RecoveryTracker {
                 }
                 K::Retry { .. } => (&mut r.retries, None),
                 K::Failover => (&mut r.failovers, None),
-                K::Straggler { .. } => (&mut r.stragglers, None),
                 K::Failed => {
                     r.failed_partitions.push(e.partition);
                     continue;
@@ -525,31 +459,5 @@ mod tests {
         assert_eq!(r.delivered as usize + r.failed_partitions.len(), r.partitions);
         assert!(!r.clean());
         assert!(RecoveryTracker::new(RetryPolicy::recover(), &[0], 0).report().clean());
-    }
-
-    #[test]
-    fn straggler_checks_are_deadline_gated() {
-        let policy = RetryPolicy::recover().with_straggler_deadline(Duration::from_millis(10));
-        let t = RecoveryTracker::new(policy, &[0], 2);
-        t.check_straggler(0, 0, Duration::from_millis(5));
-        t.check_straggler(0, 1, Duration::from_millis(50));
-        let r = t.report();
-        assert_eq!(r.stragglers, 1);
-        assert!(r
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, RecoveryEventKind::Straggler { elapsed } if elapsed == Duration::from_millis(50))));
-    }
-
-    #[test]
-    fn throughput_timeline_bins_deliveries() {
-        let t = RecoveryTracker::new(RetryPolicy::recover(), &[0], 4);
-        for p in 0..4 {
-            t.note_delivered(0, p, false);
-        }
-        let timeline = t.report().throughput_timeline(Duration::from_secs(1));
-        assert_eq!(timeline.len(), 1, "all deliveries land in the first bin");
-        assert_eq!(timeline[0].1, 4);
-        assert!(t.report().throughput_timeline(Duration::ZERO).is_empty());
     }
 }

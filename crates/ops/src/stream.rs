@@ -4,15 +4,16 @@
 //! PreSto's argument (Fig. 9/10) is that an ISP unit and a CPU worker run
 //! the *same* Extract → Transform → Load pipeline and differ only in where
 //! it is placed. This module is that statement as code: the host, ISP,
-//! split and shuffled fleets — and the pool workers of
-//! `presto_core::PreprocessService` — are configurations of one engine.
+//! split and shuffled fleets are configurations of one engine, and a
+//! `presto_core::PreprocessService` job is one of its runs, driven by the
+//! service's pool threads instead of its own ([`Fleet::drive`]).
 //! Finished mini-batches stream to the consumer through a bounded channel
 //! as they complete, so in-flight memory is `O(capacity)` and the first
 //! batch arrives while later units are still being read.
 //!
 //! # Unit source
 //!
-//! A [`Unit`] is what one delivered batch is made from: a whole partition,
+//! A *unit* is what one delivered batch is made from: a whole partition,
 //! or one `PSTOCOL4` row group of it (shuffled fleet). Units are what the
 //! run counts — [`RunReport::partitions`] is the unit count. Workers claim
 //! units from one source per run, in one of two layouts:
@@ -52,17 +53,27 @@
 //!
 //! | fleet | device-side phase | host-side phase |
 //! |---|---|---|
-//! | [`Fleet::Host`] fused, [`Fleet::Shuffled`] | the whole unit: Extract + Transform + format | — |
+//! | [`Fleet::Host`] in a driven run, [`Fleet::Shuffled`] | the whole unit: Extract + Transform + format | — |
 //! | [`Fleet::Host`], paired | thread A: A's half of the features, its dense columns filled into the unit's matrix → its outputs and the matrix | thread B, concurrently: B's half and the label, then A's half merged, B's dense columns filled + format |
 //! | [`Fleet::Isp`] | the whole unit, P2P bytes and unit chunks counted | full plan from pristine media (failover only) |
 //! | [`Fleet::Split`] | the ISP side, P2P bytes and unit chunks counted → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
 //!
-//! The phase boundary is either fused on one thread
-//! ([`FleetConfig::without_prefetch`], the shuffled fleet, the service's
-//! pool workers via [`Run::run_unit`]) or a bounded channel: one slot per
+//! The phase boundary is either fused on one thread (the shuffled fleet, and
+//! every fleet of a driven run: one [`Driver::run_one`] call claims a unit,
+//! runs both phases and delivers it) or a bounded channel: one slot per
 //! worker pair on the host fleet, one shared device link of
 //! [`FleetConfig::capacity`] hand-offs on the split fleet, and the failover
 //! queue on the ISP fleet.
+//!
+//! # Driven runs
+//!
+//! [`Fleet::stream`] spawns the run's own threads. [`Fleet::drive`] builds
+//! the same run — unit source, recovery, consumer end — and hands back a
+//! [`Driver`] instead, so that a caller's threads run its units one call
+//! at a time: the multi-tenant service's pool runs every job this way,
+//! choosing which job's driver to call next. A driven run never pairs its
+//! host workers; each call claims device-affine (or through the shuffled
+//! fleet's window) for the calling worker's home device.
 //!
 //! # The host pair
 //!
@@ -110,9 +121,7 @@
 //!   both phases of a unit; the two concurrent halves of a host pair each
 //!   have the whole budget, A answering to the breaker as the device side)
 //!   runs out, the device's consecutive-failure breaker trips (device-side
-//!   attempts only), or the run is stopping. Attempts outrunning
-//!   [`RetryPolicy::straggler_deadline`] are counted; the clock covers the
-//!   whole attempt, Transform included.
+//!   attempts only), or the run is stopping.
 //! * A unit claimed against a quarantined device is not attempted (on a
 //!   host pair, by neither thread).
 //! * A device-side phase of an ISP or split pipeline that is quarantined or
@@ -150,11 +159,13 @@ use std::time::{Duration, Instant};
 
 /// Configuration shared by every fleet.
 ///
-/// `workers`, `capacity` and `recovery` mean the same thing on every fleet;
+/// `workers`, `capacity` and `recovery` mean the same thing on every fleet,
+/// so one config drives an apples-to-apples comparison across all of them;
 /// `recovery` defaults to **fail-fast** ([`RetryPolicy::fail_fast`])
-/// everywhere. `prefetch` only affects the host fleet, which ignores it
-/// elsewhere, so one config drives an apples-to-apples comparison across
-/// all of them.
+/// everywhere. A host-fleet worker is always a pair of threads (see
+/// [the host pair](self#the-host-pair)): a unit's `timings.extract` (and
+/// every op bucket) is then the *sum* over the two threads — CPU time,
+/// which can exceed the unit's wall time.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Worker (pipeline) count; clamped to `1..=units`. On the split
@@ -167,32 +178,17 @@ pub struct FleetConfig {
     /// claim window, how far past the lowest unclaimed unit of the
     /// permutation a claim may look for an idle device.
     pub capacity: usize,
-    /// Pair each worker with a second thread that takes half of every
-    /// unit's features (host fleet only; see [the host pair](self#the-host-pair)):
-    /// both threads Extract and Transform their own columns of the same
-    /// unit at once, and the worker merges and formats. A unit's
-    /// `timings.extract` (and every op bucket) is then the *sum* over the
-    /// two threads — CPU time, which can exceed the unit's wall time.
-    pub prefetch: bool,
-    /// Failure handling (retry, quarantine, straggler detection, ISP→host
-    /// failover); defaults to [`RetryPolicy::fail_fast`] on every fleet.
+    /// Failure handling (retry, quarantine, ISP→host failover); defaults
+    /// to [`RetryPolicy::fail_fast`] on every fleet.
     pub recovery: RetryPolicy,
 }
 
 impl FleetConfig {
-    /// `workers` pipelines over a `capacity`-bounded channel, host workers
-    /// paired, fail-fast failure handling.
+    /// `workers` pipelines over a `capacity`-bounded channel, fail-fast
+    /// failure handling.
     #[must_use]
     pub fn new(workers: usize, capacity: usize) -> Self {
-        FleetConfig { workers, capacity, prefetch: true, recovery: RetryPolicy::fail_fast() }
-    }
-
-    /// One thread per host-fleet worker, both phases fused on it (ablation
-    /// switch).
-    #[must_use]
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch = false;
-        self
+        FleetConfig { workers, capacity, recovery: RetryPolicy::fail_fast() }
     }
 
     /// Sets the failure-handling policy (all fleets).
@@ -307,9 +303,9 @@ pub struct DeviceLoad {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fleet {
-    /// Host CPU fleet: Extract, Transform and format fused on one thread,
-    /// or sliced by feature across a worker pair; device-affine claiming
-    /// with work stealing.
+    /// Host CPU fleet: Extract, Transform and format sliced by feature
+    /// across a worker pair (fused on one thread in a driven run);
+    /// device-affine claiming with work stealing.
     Host,
     /// In-storage fleet: the whole plan on one emulated ISP unit per
     /// worker, counting its traffic in [`FEATURE_BUFFER_ELEMS`]-element
@@ -345,11 +341,34 @@ impl Fleet {
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> BatchStream {
-        let units = match self {
+        BatchStream::start(plan, partitions, self.clone(), self.units(partitions), 0, config)
+    }
+
+    /// This fleet's run over `partitions`, driven by the caller's threads
+    /// instead of its own: the consumer end, exactly as [`Fleet::stream`]
+    /// yields it, plus the [`Driver`] whose every
+    /// [`run_one`](Driver::run_one) call claims, runs and delivers one unit
+    /// on the calling thread (see [driven runs](self#driven-runs)). The
+    /// stream ends once every clone of the driver is dropped.
+    #[must_use]
+    pub fn drive(
+        &self,
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        config: &FleetConfig,
+    ) -> (BatchStream, Driver) {
+        let units = self.units(partitions);
+        BatchStream::open(plan, partitions, self.clone(), units, 0, config, false)
+    }
+
+    /// The units a run of this fleet claims: every row group through the
+    /// readers its footer enumeration opened (shuffled), or every whole
+    /// partition.
+    fn units(&self, partitions: &[Partition]) -> Result<(Vec<Unit>, Readers), PreprocessError> {
+        match self {
             Fleet::Shuffled(_) => epoch_readers(partitions).map(group_units),
             _ => Ok(((0..partitions.len()).map(Unit::partition).collect(), Vec::new())),
-        };
-        BatchStream::start(plan, partitions, self.clone(), units, 0, config)
+        }
     }
 
     /// [`Fleet::stream`] type-erased behind [`BatchSource`], for callers —
@@ -435,30 +454,26 @@ impl<S: BatchSource + ?Sized> BatchSource for Box<S> {
 /// What one delivered batch is made from: a whole partition or one of its
 /// row groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Unit {
+struct Unit {
     partition: usize,
     group: Option<usize>,
 }
 
 impl Unit {
     /// The whole partition at `position` of the run's partition slice.
-    #[must_use]
-    pub fn partition(position: usize) -> Self {
+    fn partition(position: usize) -> Self {
         Unit { partition: position, group: None }
     }
 }
 
-/// A finished unit, before delivery accounting.
+/// A finished unit, before delivery accounting: the batch, its timings,
+/// the attempts both phases consumed, and whether failover produced it.
 #[derive(Debug)]
-pub struct Finished {
-    /// The preprocessed mini-batch.
-    pub batch: MiniBatch,
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
-    /// Attempts consumed across both phases.
-    pub attempts: u32,
-    /// Whether the host failover path produced the batch.
-    pub via_failover: bool,
+struct Finished {
+    batch: MiniBatch,
+    timings: StageTimings,
+    attempts: u32,
+    via_failover: bool,
 }
 
 /// One stream item: a delivered batch or a tagged error.
@@ -466,7 +481,7 @@ pub type StreamItem = Result<StreamedBatch, PreprocessError>;
 
 /// A stream item with its sequence number (position in the delivery
 /// order), as it travels through the output channel.
-pub type SeqItem = (usize, StreamItem);
+type SeqItem = (usize, StreamItem);
 
 /// What a device-side phase leaves behind for the host-side phase.
 enum Staged {
@@ -496,16 +511,15 @@ enum Phase {
     Host,
 }
 
-/// The run state of one streaming run — or of one service job: what a
-/// worker needs to take a claimed [`Unit`] to a delivered item, plus the
-/// counters behind [`StreamStats`].
+/// The run state of one streaming run: what a worker needs to take a
+/// claimed [`Unit`] to a delivered item, plus the counters behind
+/// [`StreamStats`].
 #[derive(Debug)]
-pub struct Run {
+struct Run {
     plan: PreprocessPlan,
     partitions: Vec<Partition>,
-    /// The shuffled stream's enumerated readers, one per partition; empty
-    /// where every unit opens its partition (every other fleet, and the
-    /// service's jobs).
+    /// The shuffled fleet's enumerated readers, one per partition; empty
+    /// where every unit opens its partition (every other fleet).
     readers: Readers,
     fleet: Fleet,
     tracker: RecoveryTracker,
@@ -521,8 +535,7 @@ pub struct Run {
 
 impl Run {
     /// A run of `units` units of `partitions` on `fleet` under `recovery`.
-    #[must_use]
-    pub fn new(
+    fn new(
         plan: PreprocessPlan,
         partitions: Vec<Partition>,
         fleet: Fleet,
@@ -544,24 +557,11 @@ impl Run {
         }
     }
 
-    /// The partitions this run reads.
-    #[must_use]
-    pub fn partitions(&self) -> &[Partition] {
-        &self.partitions
-    }
-
-    /// The run's recovery bookkeeping.
-    #[must_use]
-    pub fn tracker(&self) -> &RecoveryTracker {
-        &self.tracker
-    }
-
     /// The run's counters as a [`StreamStats`] snapshot; the consumer's
     /// handle supplies what only it knows (`workers`, `capacity`, `queued`).
     /// Failed-over units contribute no `p2p_bytes`: their bytes moved over
     /// the host's block-I/O path.
-    #[must_use]
-    pub fn stats(&self, workers: usize, capacity: usize, queued: usize) -> StreamStats {
+    fn stats(&self, workers: usize, capacity: usize, queued: usize) -> StreamStats {
         StreamStats {
             workers,
             capacity,
@@ -592,10 +592,7 @@ impl Run {
         let policy = self.tracker.policy();
         let mut attempt = first;
         loop {
-            let t0 = Instant::now();
-            let result = f(attempt < policy.max_attempts);
-            self.tracker.check_straggler(slot, unit.partition, t0.elapsed());
-            let e = match result {
+            let e = match f(attempt < policy.max_attempts) {
                 Ok(value) => return (Ok(value), attempt),
                 Err(e) => e,
             };
@@ -772,28 +769,11 @@ impl Run {
         Ok(Finished { batch, timings, attempts, via_failover })
     }
 
-    /// Both phases of one unit fused on the calling thread — what a
-    /// service pool worker (and every fleet without a hand-off channel)
-    /// runs per claimed unit.
-    ///
-    /// # Errors
-    ///
-    /// The unit's error once retries and failover are exhausted; untagged
-    /// ([`Run::deliver`] adds the failure site).
-    pub fn run_unit(
-        &self,
-        unit: Unit,
-        scratch: &mut ScratchSpace,
-    ) -> Result<Finished, PreprocessError> {
-        let (staged, attempts) = self.first_phase(unit, scratch);
-        self.finish(unit, staged?, attempts, scratch)
-    }
-
     /// The one delivery path: accounts `outcome` in the tracker, tags an
     /// error with its failure site, and sends the item. Returns false when
     /// the producer should stop claiming for this run (fail-fast error, or
     /// the consumer is gone).
-    pub fn deliver(
+    fn deliver(
         &self,
         tx: &Sender<SeqItem>,
         seq: usize,
@@ -1049,18 +1029,6 @@ impl Engine {
         Some((claim, staged, attempts))
     }
 
-    /// Both phases on one thread: claim → run → deliver.
-    fn fused_loop(&self, home: usize, tx: &Sender<SeqItem>) {
-        let mut scratch = ScratchSpace::new();
-        while let Some((claim, staged, attempts)) = self.claim_first(home, &mut scratch) {
-            let outcome =
-                staged.and_then(|s| self.run.finish(claim.unit, s, attempts, &mut scratch));
-            if !self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, outcome) {
-                break;
-            }
-        }
-    }
-
     /// Device-side worker: claim → device-side phase → hand off (or
     /// deliver, when nothing is left for the host side to do).
     fn first_loop(&self, home: usize, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
@@ -1179,6 +1147,70 @@ impl Engine {
     }
 }
 
+/// The producer end of one run, for threads that are not the run's own:
+/// each [`Driver::run_one`] call claims one unit, runs both its phases on
+/// the calling thread and delivers it into the run's [`BatchStream`]. Every
+/// fused worker of a spawned stream is a loop over this call, and the
+/// multi-tenant service's pool calls it for whichever job it serves next
+/// ([`Fleet::drive`]). A clone is one more producer handle; the stream ends
+/// when the last one is dropped.
+#[derive(Debug, Clone)]
+pub struct Driver {
+    engine: Arc<Engine>,
+    tx: Sender<SeqItem>,
+    /// The run's units could not be enumerated: its error is the stream's
+    /// only item.
+    failed_start: bool,
+}
+
+impl Driver {
+    /// Units the run claims in all (0 after a failed start).
+    #[must_use]
+    pub fn units(&self) -> usize {
+        self.engine.source.units.len()
+    }
+
+    /// Whether the run is stopping: a fail-fast error, or the consumer
+    /// end was dropped. A stopping run claims nothing more.
+    #[must_use]
+    pub fn stopped(&self) -> bool {
+        self.engine.run.stop.load(Ordering::Relaxed)
+    }
+
+    /// Whether an error ended the run early: its units could not be
+    /// enumerated, or a unit failed under a fail-fast policy.
+    #[must_use]
+    pub fn failed(&self) -> bool {
+        let tracker = &self.engine.run.tracker;
+        self.failed_start
+            || (tracker.policy().fail_fast && !tracker.report().failed_partitions.is_empty())
+    }
+
+    /// The run's recovery snapshot ([`BatchStream::run_report`]).
+    #[must_use]
+    pub fn run_report(&self) -> RunReport {
+        self.engine.run.tracker.report()
+    }
+
+    /// Claims one unit for worker `worker` — homed on device slot `worker`
+    /// modulo the run's devices — runs both phases on the calling thread
+    /// and delivers the batch or the tagged error. Returns false when
+    /// nothing was claimed (the source is drained or the run is stopping)
+    /// or the run should stop (a fail-fast error, or the consumer is
+    /// gone). The output channel holds [`FleetConfig::capacity`] items, so
+    /// a caller that wants the call never to block keeps at most that many
+    /// units claimed and not yet pulled.
+    pub fn run_one(&self, worker: usize, scratch: &mut ScratchSpace) -> bool {
+        let engine = &self.engine;
+        let home = worker % engine.source.loads.len();
+        let Some((claim, staged, attempts)) = engine.claim_first(home, scratch) else {
+            return false;
+        };
+        let outcome = staged.and_then(|s| engine.run.finish(claim.unit, s, attempts, scratch));
+        engine.run.deliver(&self.tx, claim.seq, claim.unit, claim.stolen, outcome)
+    }
+}
+
 /// Thread layout of one fleet: `groups` independent sets of `firsts`
 /// device-side workers, each set feeding `link = (capacity, finishers)`
 /// host-side workers over one bounded channel — or, without a link, running
@@ -1229,13 +1261,12 @@ pub struct BatchStream {
     shuffle: Option<ShuffleSpec>,
     workers: usize,
     capacity: usize,
-    prefetch: bool,
 }
 
 impl BatchStream {
     /// Starts a host-fleet run, [`Fleet::Host`]'s [`Fleet::stream`]:
-    /// device-affine claiming, workers paired per
-    /// [`FleetConfig::prefetch`], batches yielded **as they complete**.
+    /// device-affine claiming, workers paired, batches yielded **as they
+    /// complete**.
     #[must_use]
     pub fn spawn(
         plan: &PreprocessPlan,
@@ -1275,25 +1306,28 @@ impl BatchStream {
         Ok(Self::start(plan, partitions, fleet, Ok((units, readers)), cursor.next, config))
     }
 
-    /// Spawns `fleet` over `units` (with the partitions' readers, when the
-    /// enumeration opened them): the shuffled fleet streams its
-    /// permutation from position `next` in sequence order, every other
-    /// fleet streams in completion order from its own source. A failed
-    /// `units` becomes the stream's only item.
-    fn start(
+    /// Builds `fleet`'s run over `units` (with the partitions' readers,
+    /// when the enumeration opened them) and returns its consumer end and
+    /// its [`Driver`]: the shuffled fleet streams its permutation from
+    /// position `next` in sequence order, every other fleet in completion
+    /// order. With `paired`, the host fleet's units are dealt to worker
+    /// pairs (two readers each); otherwise every unit runs fused through
+    /// the driver. A failed `units` becomes the stream's only item.
+    fn open(
         plan: &PreprocessPlan,
         partitions: &[Partition],
         fleet: Fleet,
         units: Result<(Vec<Unit>, Readers), PreprocessError>,
         next: u64,
         config: &FleetConfig,
-    ) -> BatchStream {
+        paired: bool,
+    ) -> (BatchStream, Driver) {
         let shuffle = match fleet {
             Fleet::Shuffled(spec) => Some(spec),
             _ => None,
         };
         // Host pair: the plan's features dealt to the pair's two threads.
-        let halves = (fleet == Fleet::Host && config.prefetch)
+        let halves = (paired && fleet == Fleet::Host)
             .then(|| paired_halves(plan.feature_halves()))
             .transpose();
         let ((units, readers), halves, spawn_error) = match (units, halves) {
@@ -1303,10 +1337,53 @@ impl BatchStream {
         let n = units.len();
         let workers = config.workers.max(1).min(n.max(1));
         let capacity = config.capacity.max(1);
-        let fused = |name| Layout { groups: 1, firsts: workers, link: None, names: [name; 2] };
-        let layout = match &fleet {
-            Fleet::Shuffled(_) => fused("presto-shuffle"),
-            Fleet::Host if halves.is_none() => fused("presto-stream"),
+        let recovery = config.recovery.clone();
+        let run =
+            Run { readers, ..Run::new(plan.clone(), partitions.to_vec(), fleet, recovery, n) };
+        let start = shuffle.map_or(0, |_| usize::try_from(next).unwrap_or(usize::MAX).min(n));
+        let order = shuffle.map(|spec| (epoch_order(n, spec.seed, spec.epoch), start, capacity));
+        let ordered = order.is_some();
+        let source = UnitSource::new(&run, units, order, if halves.is_some() { 2 } else { 1 });
+        let engine = Arc::new(Engine { run, source, halves });
+
+        let (tx, rx) = bounded::<SeqItem>(capacity);
+        let failed_start = spawn_error.is_some();
+        if let Some(e) = spawn_error {
+            // Capacity >= 1 and no producer has run: this cannot block.
+            let _ = tx.send((start, Err(e)));
+        }
+        let stream = BatchStream {
+            rx: Some(rx),
+            handles: Vec::new(),
+            engine: Arc::clone(&engine),
+            ordered,
+            pending: BTreeMap::new(),
+            next_seq: start,
+            shuffle,
+            workers,
+            capacity,
+        };
+        (stream, Driver { engine, tx, failed_start })
+    }
+
+    /// [`BatchStream::open`] with the run's own threads: `fleet`'s layout
+    /// spawned over the run, its fused workers each a loop over the
+    /// driver.
+    fn start(
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        fleet: Fleet,
+        units: Result<(Vec<Unit>, Readers), PreprocessError>,
+        next: u64,
+        config: &FleetConfig,
+    ) -> BatchStream {
+        let (mut stream, driver) = Self::open(plan, partitions, fleet, units, next, config, true);
+        let engine = Arc::clone(&stream.engine);
+        let (n, workers, capacity) = (engine.source.units.len(), stream.workers, stream.capacity);
+        let layout = match &engine.run.fleet {
+            Fleet::Shuffled(_) => {
+                Layout { groups: 1, firsts: workers, link: None, names: ["presto-shuffle"; 2] }
+            }
             // Feature-sliced pair: both threads work on the same unit, each
             // on its half of the features; the one-slot link carries the
             // claim announcement, then A's outputs, so A runs at most one
@@ -1334,26 +1411,10 @@ impl BatchStream {
                 names: ["presto-split-isp", "presto-split-host"],
             },
         };
-        let prefetch = halves.is_some();
 
-        let recovery = config.recovery.clone();
-        let run =
-            Run { readers, ..Run::new(plan.clone(), partitions.to_vec(), fleet, recovery, n) };
-        let start = shuffle.map_or(0, |_| usize::try_from(next).unwrap_or(usize::MAX).min(n));
-        let order = shuffle.map(|spec| (epoch_order(n, spec.seed, spec.epoch), start, capacity));
-        let ordered = order.is_some();
-        let source = UnitSource::new(&run, units, order, if prefetch { 2 } else { 1 });
-        let engine = Arc::new(Engine { run, source, halves });
-
-        let (tx, rx) = bounded::<SeqItem>(capacity);
-        if let Some(e) = spawn_error {
-            // Capacity >= 1 and no producer exists: this cannot block.
-            let _ = tx.send((start, Err(e)));
-        }
-        let mut handles = Vec::new();
         let mut spawn = |role: usize, index: usize, body: Box<dyn FnOnce() + Send>| {
             let name = format!("{}-{index}", layout.names[role]);
-            handles.push(
+            stream.handles.push(
                 std::thread::Builder::new().name(name).spawn(body).expect("spawn stream worker"),
             );
         };
@@ -1363,14 +1424,19 @@ impl BatchStream {
             for first in 0..layout.firsts {
                 let worker = group * layout.firsts + first;
                 let home = worker % slots;
-                let (engine, tx) = (Arc::clone(&engine), tx.clone());
+                let (engine, driver) = (Arc::clone(&engine), driver.clone());
                 let body: Box<dyn FnOnce() + Send> = match &link {
-                    None => Box::new(move || engine.fused_loop(home, &tx)),
+                    None => Box::new(move || {
+                        let mut scratch = ScratchSpace::new();
+                        while driver.run_one(worker, &mut scratch) {}
+                    }),
                     Some((link_tx, _)) => {
                         let link_tx = link_tx.clone();
                         Box::new(move || match &engine.halves {
-                            Some(halves) => engine.pair_first_loop(home, halves, &link_tx, &tx),
-                            None => engine.first_loop(home, &link_tx, &tx),
+                            Some(halves) => {
+                                engine.pair_first_loop(home, halves, &link_tx, &driver.tx);
+                            }
+                            None => engine.first_loop(home, &link_tx, &driver.tx),
                         })
                     }
                 };
@@ -1380,7 +1446,8 @@ impl BatchStream {
                 continue;
             };
             for finisher in 0..finishers {
-                let (engine, tx, link_rx) = (Arc::clone(&engine), tx.clone(), link_rx.clone());
+                let (engine, tx, link_rx) =
+                    (Arc::clone(&engine), driver.tx.clone(), link_rx.clone());
                 spawn(
                     1,
                     group * finishers + finisher,
@@ -1388,20 +1455,8 @@ impl BatchStream {
                 );
             }
         }
-        drop(tx); // the workers' clones are now the only senders
-
-        BatchStream {
-            rx: Some(rx),
-            handles,
-            engine,
-            ordered,
-            pending: BTreeMap::new(),
-            next_seq: start,
-            shuffle,
-            workers,
-            capacity,
-            prefetch,
-        }
+        drop(driver); // the workers' clones are now the only senders
+        stream
     }
 
     /// Consolidated counters ([`StreamStats`]).
@@ -1414,13 +1469,6 @@ impl BatchStream {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Whether the workers are feature-sliced pairs (host fleet with
-    /// [`FleetConfig::prefetch`] only).
-    #[must_use]
-    pub fn prefetch(&self) -> bool {
-        self.prefetch
     }
 
     /// Mini-batches buffered ahead of the consumer at the instant of the
@@ -1607,15 +1655,12 @@ mod tests {
                 .map(|p| crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap().0)
                 .collect();
             assert_eq!(serial[1].rows(), 0);
-            for prefetch in [true, false] {
-                let mut config = FleetConfig::new(3, 2);
-                config.prefetch = prefetch;
-                let streamed: Vec<MiniBatch> = BatchStream::spawn(&plan, parts, &config)
+            let streamed: Vec<MiniBatch> =
+                BatchStream::spawn(&plan, parts, &FleetConfig::new(3, 2))
                     .into_ordered()
                     .map(|item| item.unwrap().batch)
                     .collect();
-                assert_eq!(streamed, serial, "prefetch={prefetch}");
-            }
+            assert_eq!(streamed, serial);
         }
     }
 
@@ -1659,8 +1704,7 @@ mod tests {
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         // One worker homed on device 0 must still process everything —
         // 2 affine claims + 6 steals.
-        let stream =
-            BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(1, 8).without_prefetch());
+        let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(1, 8));
         let mut stolen = 0usize;
         let mut total = 0usize;
         let report = {
@@ -1745,7 +1789,6 @@ mod tests {
             .collect();
         for plan in [one_feature_plan(&c), plan] {
             let mut stream = BatchStream::spawn(&plan, &slow, &FleetConfig::new(1, 2));
-            assert!(stream.prefetch());
             assert_eq!(stream.by_ref().filter(Result::is_ok).count(), 6);
             let report = stream.device_report();
             assert_eq!(report[0].max_in_flight, 1, "one pair reads one unit at a time");
@@ -1792,8 +1835,8 @@ mod tests {
         // Truncate partition 2's blob mid-file.
         let bytes = partitions[2].blob.as_bytes().to_vec();
         partitions[2].blob = presto_columnar::MemBlob::new(bytes[..bytes.len() / 3].to_vec());
-        // One worker, no prefetch: claims run 0, 1, 2, ... deterministically.
-        let config = FleetConfig::new(1, 1).without_prefetch();
+        // One worker pair: claims run 0, 1, 2, ... deterministically.
+        let config = FleetConfig::new(1, 1);
         let mut stream = BatchStream::spawn(&plan, &partitions, &config);
         let mut ok = 0usize;
         let mut errors = 0usize;
@@ -1838,7 +1881,7 @@ mod tests {
     fn capacity_one_applies_back_pressure() {
         let (c, ds) = dataset(8, 16, 1);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let config = FleetConfig::new(1, 1).without_prefetch();
+        let config = FleetConfig::new(1, 1);
         let mut stream = BatchStream::spawn(&plan, ds.partitions(), &config);
         let mut taken = 0usize;
         while let Some(item) = stream.next() {
@@ -1873,9 +1916,9 @@ mod tests {
         let mut partitions = ds.partitions().to_vec();
         let bytes = partitions[3].blob.as_bytes().to_vec();
         partitions[3].blob = presto_columnar::MemBlob::new(bytes[..bytes.len() / 2].to_vec());
-        // One worker, no prefetch, capacity 1 (the worst case for a
-        // deadlock): claims run 0, 1, 2, 3 deterministically.
-        let config = FleetConfig::new(1, 1).without_prefetch();
+        // One worker pair, capacity 1 (the worst case for a deadlock):
+        // claims run 0, 1, 2, 3 deterministically.
+        let config = FleetConfig::new(1, 1);
         let mut delivered = Vec::new();
         let mut errors = 0usize;
         for item in BatchStream::spawn(&plan, &partitions, &config).into_ordered() {
@@ -2037,7 +2080,6 @@ mod tests {
         let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(64, 0));
         assert_eq!(stream.stats().workers, 2);
         assert_eq!(stream.capacity(), 1);
-        assert!(stream.prefetch());
         assert_eq!(stream.count(), 2);
     }
 

@@ -29,9 +29,10 @@
 //! one tagged error while the rest of the stream stays bit-identical.
 //!
 //! A dedicated stream and a service job over the same partitions must
-//! agree, so each case runs once per mode. The one place the modes differ
-//! by design is the shuffled fleet's unit: row groups on the stream, whole
-//! partitions (in permuted order) on the service.
+//! agree, so each case runs once per mode: a service job is a run of the
+//! same engine, with the same units, in the same order on the shuffled
+//! fleet. A seventh case is the shuffled job's alone: a damaged footer
+//! ends it `Failed`, with that error as its only item.
 //!
 //! The fault seed is taken from `PRESTO_FAULT_SEED` (default 42); the CI
 //! chaos job sweeps it.
@@ -116,8 +117,8 @@ fn label(fleet: &Fleet) -> String {
     }
 }
 
-fn by_group(fleet: &Fleet, mode: Mode) -> bool {
-    matches!(fleet, Fleet::Shuffled(_)) && mode == Mode::Stream
+fn by_group(fleet: &Fleet) -> bool {
+    matches!(fleet, Fleet::Shuffled(_))
 }
 
 fn fails_over(fleet: &Fleet) -> bool {
@@ -125,11 +126,11 @@ fn fails_over(fleet: &Fleet) -> bool {
 }
 
 /// The serial reference per `(partition, group)` unit, from pristine blobs.
-fn reference(w: &World, fleet: &Fleet, mode: Mode) -> BTreeMap<(usize, usize), MiniBatch> {
+fn reference(w: &World, fleet: &Fleet) -> BTreeMap<(usize, usize), MiniBatch> {
     let mut scratch = ScratchSpace::new();
     let mut units = BTreeMap::new();
     for (pos, p) in w.ds.partitions().iter().enumerate() {
-        if by_group(fleet, mode) {
+        if by_group(fleet) {
             let reader = FileReader::open(p.blob.clone()).expect("opens");
             for group in 0..reader.row_group_count() {
                 let (batch, _) =
@@ -172,10 +173,6 @@ fn enumeration_reads(partitions: &[Partition], device: usize) -> u64 {
 struct Running {
     source: Box<dyn BatchSource + Send>,
     service: Option<PreprocessService>,
-    /// A shuffled *job* is served as its partitions in permuted order, so
-    /// the positions it reports index the permuted list: `positions[p]` is
-    /// the partition a reported position `p` stands for.
-    positions: Option<Vec<usize>>,
 }
 
 fn start(
@@ -191,7 +188,7 @@ fn start(
         Mode::Stream => {
             let config = FleetConfig::new(workers, capacity).with_recovery(recovery);
             let source = fleet.spawn(&w.plan, partitions, &config);
-            Running { source, service: None, positions: None }
+            Running { source, service: None }
         }
         Mode::Service => {
             let service =
@@ -200,11 +197,7 @@ fn start(
                 .with_fleet(fleet.clone())
                 .with_recovery(recovery);
             let handle = service.submit(spec).expect("admitted");
-            let positions = match fleet {
-                Fleet::Shuffled(spec) => Some(epoch_order(partitions.len(), spec.seed, spec.epoch)),
-                _ => None,
-            };
-            Running { source: Box::new(handle), service: Some(service), positions }
+            Running { source: Box::new(handle), service: Some(service) }
         }
     }
 }
@@ -218,24 +211,15 @@ struct Drained {
 }
 
 fn drain(mut running: Running) -> Drained {
-    let position = |p: usize| running.positions.as_ref().map_or(p, |order| order[p]);
     let (mut ok, mut errors) = (Vec::new(), Vec::new());
     while let Some(item) = running.source.next_batch() {
         match item {
-            Ok(mut batch) => {
-                batch.partition = position(batch.partition);
-                ok.push(batch);
-            }
-            Err(e) => {
-                let (p, device) = (e.partition().expect("tagged"), e.device().expect("tagged"));
-                errors.push(e.with_location(position(p), device));
-            }
+            Ok(batch) => ok.push(batch),
+            Err(e) => errors.push(e),
         }
     }
     let stats = running.source.stats();
-    let mut report = stats.recovery.clone().expect("every fleet tracks recovery");
-    report.failed_partitions = report.failed_partitions.iter().map(|&p| position(p)).collect();
-    report.failed_partitions.sort_unstable();
+    let report = stats.recovery.clone().expect("every fleet tracks recovery");
     drop(running.source);
     let job = running.service.map(|s| s.shutdown().jobs.remove(0));
     Drained { ok, errors, stats, report, job }
@@ -269,14 +253,14 @@ fn clean_run_is_bit_identical_to_serial(mode: Mode) {
     let w = world();
     for fleet in fleets(&w.plan).into_iter().chain(more_splits(&w.plan)) {
         let what = format!("{} {mode:?}", label(&fleet));
-        let reference = reference(&w, &fleet, mode);
+        let reference = reference(&w, &fleet);
         let parts = w.ds.partitions();
         let d = drain(start(&w, &fleet, mode, parts, RetryPolicy::fail_fast(), 2, 4));
         assert!(d.errors.is_empty(), "{what}: {:?}", d.errors);
         assert_eq!(d.ok.len(), reference.len(), "{what}: every unit delivered");
         assert_bit_identical(&d, &reference, parts, &what);
         assert!(d.ok.iter().all(|b| !b.via_failover && b.attempts == 1), "{what}");
-        if by_group(&fleet, mode) {
+        if by_group(&fleet) {
             let units = epoch_units(parts).expect("enumerates");
             let want: Vec<(usize, usize)> = epoch_order(units.len(), SHUFFLE.seed, SHUFFLE.epoch)
                 .into_iter()
@@ -310,7 +294,10 @@ fn clean_run_is_bit_identical_to_serial(mode: Mode) {
             );
             let job = d.job.expect("service mode");
             assert_eq!(job.status, JobStatus::Completed, "{what}");
-            assert_eq!((job.delivered, job.rows), (PARTITIONS as u64, (PARTITIONS * ROWS) as u64));
+            assert_eq!(
+                (job.delivered, job.rows),
+                (reference.len() as u64, (PARTITIONS * ROWS) as u64)
+            );
         }
     }
 }
@@ -326,7 +313,7 @@ fn transient_faults_are_retried_to_a_bit_identical_stream(mode: Mode) {
         .with_quarantine_after(0);
     for fleet in fleets(&w.plan) {
         let what = format!("{} {mode:?}", fleet.name());
-        let reference = reference(&w, &fleet, mode);
+        let reference = reference(&w, &fleet);
         let injector = FaultPlan::new(fault_seed()).with_transient_rate(0.02).arm();
         let parts = armed(w.ds.partitions(), &injector);
         let mut spawns = 0;
@@ -362,14 +349,11 @@ fn dead_device_fails_over_or_fails_loudly(mode: Mode) {
     });
     for (fleet, failover) in inputs {
         let what = format!("{} {mode:?}, failover {failover}", fleet.name());
-        let reference = reference(&w, &fleet, mode);
+        let reference = reference(&w, &fleet);
         // Dead on arrival — or, where spawning itself reads footers, on the
         // first read after that.
-        let lifetime = if by_group(&fleet, mode) {
-            enumeration_reads(w.ds.partitions(), DEAD_DEVICE)
-        } else {
-            0
-        };
+        let lifetime =
+            if by_group(&fleet) { enumeration_reads(w.ds.partitions(), DEAD_DEVICE) } else { 0 };
         let injector = FaultPlan::new(fault_seed()).with_device_death(DEAD_DEVICE, lifetime).arm();
         let parts = armed(w.ds.partitions(), &injector);
         let policy = recover_hard().with_failover(failover);
@@ -432,7 +416,7 @@ fn fail_fast_corrupt_unit_surfaces_one_error_and_stops(mode: Mode) {
     parts[CORRUPT].blob = MemBlob::new(bytes);
     for fleet in fleets(&w.plan) {
         let what = format!("{} {mode:?}", fleet.name());
-        let reference = reference(&w, &fleet, mode);
+        let reference = reference(&w, &fleet);
         // One worker and a capacity-1 channel: the worst case for a
         // deadlock, and claims are sequential so exactly one unit fails.
         let d = drain(start(&w, &fleet, mode, &parts, RetryPolicy::fail_fast(), 1, 1));
@@ -487,7 +471,7 @@ fn with_damaged_column(p: &Partition, column: &str) -> Partition {
 fn a_fault_in_one_half_fails_exactly_its_unit(mode: Mode) {
     let w = world();
     let halves = w.plan.feature_halves();
-    let reference = reference(&w, &Fleet::Host, mode);
+    let reference = reference(&w, &Fleet::Host);
     let seed = fault_seed() as usize;
     let policy = RetryPolicy::recover()
         .with_max_attempts(3)
@@ -545,7 +529,7 @@ fn clean_run_io_shape(mode: Mode) {
                 .collect();
         let d = drain(start(&w, &fleet, mode, &parts, RetryPolicy::fail_fast(), 2, 4));
         assert!(d.errors.is_empty(), "{what}: {:?}", d.errors);
-        assert_eq!(d.ok.len(), reference(&w, &fleet, mode).len(), "{what}: every unit delivered");
+        assert_eq!(d.ok.len(), reference(&w, &fleet).len(), "{what}: every unit delivered");
         assert_eq!(probe.stats().reads, want, "{what}: device reads");
     }
 }
@@ -561,7 +545,7 @@ fn shuffled_retry_reads_through_the_enumerated_reader() {
     const PROJECTED: u64 = 40; // chunk reads per group, as in `clean_run_io_shape`
     let w = world();
     let fleet = Fleet::Shuffled(SHUFFLE);
-    let reference = reference(&w, &fleet, Mode::Stream);
+    let reference = reference(&w, &fleet);
     let policy = RetryPolicy::recover()
         .with_max_attempts(2000)
         .with_backoff(Duration::ZERO, Duration::ZERO)
@@ -595,6 +579,33 @@ fn shuffled_retry_reads_through_the_enumerated_reader() {
         return;
     }
     panic!("64 enumerations in a row read a damaged footer");
+}
+
+/// A damaged footer fails the shuffled fleet's footer enumeration before
+/// any unit exists: on the stream and on a service job alike, that error is
+/// the only item, under any recovery policy, and the job ends `Failed`.
+#[test]
+fn shuffled_damaged_footer_is_the_only_item() {
+    let w = world();
+    let mut parts = w.ds.partitions().to_vec();
+    let bytes = parts[0].blob.as_bytes().to_vec();
+    parts[0].blob = MemBlob::new(bytes[..bytes.len() - 4].to_vec());
+    let fleet = Fleet::Shuffled(SHUFFLE);
+    for mode in [Mode::Stream, Mode::Service] {
+        for policy in [RetryPolicy::fail_fast(), recover_hard()] {
+            let what = format!("shuffled {mode:?}, fail-fast {}", policy.fail_fast);
+            let d = drain(start(&w, &fleet, mode, &parts, policy, 2, 4));
+            assert!(d.ok.is_empty(), "{what}: nothing claimed, nothing delivered");
+            assert_eq!(d.errors.len(), 1, "{what}: {:?}", d.errors);
+            let e = &d.errors[0];
+            assert!(matches!(e.root(), PreprocessError::Extract(_)), "{what}: {e}");
+            assert_eq!((e.partition(), e.device()), (Some(0), Some(parts[0].device)), "{what}");
+            assert_eq!(d.report.partitions, 0, "{what}: no unit was enumerated");
+            if let Some(job) = d.job {
+                assert_eq!((job.status, job.delivered), (JobStatus::Failed, 0), "{what}");
+            }
+        }
+    }
 }
 
 macro_rules! both_modes {

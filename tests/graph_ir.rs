@@ -263,7 +263,6 @@ proptest! {
                 prop_assert!(via_split == serial[0], "{enc}: split path diverged");
                 for workers in [1, 2, 4] {
                     let stream = BatchStream::spawn(&plan, &partitions, &FleetConfig::new(workers, 2));
-                    prop_assert!(stream.prefetch(), "workers are pairs by default");
                     let paired: Vec<MiniBatch> = stream
                         .into_ordered()
                         .map(|item| item.expect("paired batch").batch)
