@@ -7,12 +7,13 @@
 //! reported value next to the model's output:
 //!
 //! ```text
-//! cargo run --release -p presto-bench --bin repro-all               # all 20
+//! cargo run --release -p presto-bench --bin repro-all               # all 16
 //! cargo run --release -p presto-bench --bin repro-all fig12 table1  # just those
 //! ```
 //!
-//! Sizes and seeds are constants: no experiment reads an option or the
-//! environment.
+//! Sizes and seeds are constants: no experiment reads an option, the
+//! environment or the clock, so the full run's output is a function of the
+//! source, pinned byte for byte by `tests/repro-all.golden`.
 //!
 //! | Name | Experiment |
 //! |---|---|
@@ -31,11 +32,7 @@
 //! | `fig17` | Sensitivity to feature count |
 //! | `ablation-isp` | ISP design choices: PE scaling, double buffering, feed path, dispatch overhead |
 //! | `ablation-queue` | Input-queue depth and provisioning headroom |
-//! | `ablation-stream` | The streaming executor on real data (measured, so its rows vary run to run) |
-//! | `ablation-chaos` | Goodput vs injected transient-fault rate, host vs ISP fleet (measured) |
-//! | `ablation-tenants` | Three tenants on one service pool: per-job report and fairness (measured) |
 //! | `ablation-shuffle` | Shuffle granularity vs MiB read per epoch, by rows per group |
-//! | `ablation-pushdown` | Prefix pushdown on long histories: requirements, Extract time (measured), bytes per row |
 //!
 //! The speed of the real kernels, the columnar codec and the executors is
 //! measured by the end-to-end benchmark `presto-e2e` (its own README) and
@@ -57,7 +54,7 @@ use presto_hwsim::breakdown::{Stage, StageBreakdown};
 use report::TextTable;
 
 /// Every experiment `repro-all` can run, by name, in paper order.
-pub const EXPERIMENTS: [(&str, fn()); 20] = [
+pub const EXPERIMENTS: [(&str, fn()); 16] = [
     ("table1", paper::table1),
     ("table2", paper::table2),
     ("fig03", paper::fig03),
@@ -73,11 +70,7 @@ pub const EXPERIMENTS: [(&str, fn()); 20] = [
     ("fig17", paper::fig17),
     ("ablation-isp", ablation::isp),
     ("ablation-queue", ablation::queue),
-    ("ablation-stream", ablation::stream),
-    ("ablation-chaos", ablation::chaos),
-    ("ablation-tenants", ablation::tenants),
     ("ablation-shuffle", ablation::shuffle),
-    ("ablation-pushdown", ablation::pushdown),
 ];
 
 /// Prints a standard experiment banner with the paper's headline claim.

@@ -4,8 +4,7 @@
 //! makes *selective column extraction* possible — exactly the property the
 //! PreSto paper relies on to avoid overfetching unwanted features
 //! (Section II-B, Extract). [`CountingBlob`] measures the bytes actually
-//! touched, which the exact-count tests and `repro-all ablation-pushdown`
-//! use.
+//! touched, which the exact-count tests and `presto-e2e`'s I/O ledger use.
 //!
 //! # Zero-copy Extract
 //!
@@ -66,8 +65,9 @@ pub const DEFAULT_EMULATED_QUEUE_DEPTH: usize = 32;
 /// emulation got wrong (it modeled a device with unbounded concurrency).
 ///
 /// Its prediction for a backlogged device is
-/// [`DeviceModel::serialized_time`], `ceil(reads / depth) × latency`: the
-/// streaming ablation prints it beside the schedule the emulation produced.
+/// [`DeviceModel::serialized_time`], `ceil(reads / depth) × latency`, which
+/// `tests/device_model.rs` checks against the schedule the emulation
+/// produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceModel {
     /// Service time of one positioned read.

@@ -13,7 +13,8 @@
 //!   plan's operator stages.
 //! * [`service::PreprocessService`] — the multi-tenant preprocessing
 //!   service: N concurrent jobs share one device pool under weighted-fair
-//!   dispatch with admission control and per-job SLO tracking.
+//!   dispatch with admission control and per-job goodput, stall and
+//!   starvation reports.
 //! * [`pipeline`] — the [`Trainer`] that consumes any [`BatchSource`], and
 //!   the discrete-event producer–consumer simulation behind GPU-utilization
 //!   numbers (Fig. 3).
@@ -47,8 +48,7 @@ pub mod systems;
 
 pub use isp_worker::{IspRunStats, IspWorker};
 pub use pipeline::{
-    simulate, simulate_measured, PipelineConfig, PipelineReport, Trainer, TrainerConfig,
-    TrainerReport,
+    simulate, PipelineConfig, PipelineReport, Trainer, TrainerConfig, TrainerReport,
 };
 pub use placement::{place_stages, OpCostModel, Place, PlacementPlan, StagePlacement};
 pub use presto_ops::stream::{BatchSource, Fleet};

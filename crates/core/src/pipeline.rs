@@ -3,30 +3,17 @@
 //!
 //! Preprocessing workers independently produce mini-batches into the train
 //! manager's bounded input queue; the GPU trainer consumes them. The
-//! simulation reports GPU utilization, queue occupancy and makespan — the
-//! quantities behind Fig. 3.
-//!
-//! One event loop runs every simulation; the two entry points differ only
-//! in the arrival schedule they hand it:
-//!
-//! * [`simulate`] — the analytic model: `W` workers, each producing at its
-//!   steady-state per-worker throughput ([`System::per_worker_throughput`]),
-//!   staggered across one batch interval.
-//! * [`simulate_measured`] — the calibration hook: one producer replaying a
-//!   *measured* inter-arrival trace cyclically, e.g. the producer-side
-//!   delivery gaps recorded from a real `presto_ops::stream::BatchStream`
-//!   run (stamped before consumer back-pressure), so the simulated trainer
-//!   is driven by the executor actually built in this repo rather than an
-//!   idealized rate.
+//! simulation ([`simulate`]) reports GPU utilization, queue occupancy and
+//! makespan — the quantities behind Fig. 3. Its producers are `W` workers,
+//! each at its steady-state per-worker throughput
+//! ([`System::per_worker_throughput`]), staggered across one batch
+//! interval.
 //!
 //! The *executable* counterpart of the simulation is the [`Trainer`]: a
 //! real consumer that pulls mini-batches off a [`BatchSource`] (the host
 //! streaming executor or the ISP emulation), spends calibrated per-batch
 //! compute on each ([`TrainerConfig::for_model`]), and reports
-//! consumer-side goodput, stall time and queue-occupancy histograms. Its
-//! measured inter-arrival trace ([`TrainerReport::inter_arrivals`]) feeds
-//! [`simulate_measured`], closing the loop between the built system and
-//! the model.
+//! consumer-side goodput, stall time and queue-occupancy histograms.
 
 use presto_datagen::{RmConfig, WorkloadProfile};
 use presto_hwsim::event::EventQueue;
@@ -34,7 +21,7 @@ use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::units::Secs;
 use presto_ops::executor::PreprocessError;
 use presto_ops::recovery::RunReport;
-use presto_ops::stream::{inter_arrivals, BatchSource, StreamStats};
+use presto_ops::stream::{BatchSource, StreamStats};
 use std::time::{Duration, Instant};
 
 use crate::systems::System;
@@ -92,52 +79,20 @@ pub fn simulate(
     let workers = system.parallelism().max(1);
     let per_worker = system.per_worker_throughput(&profile);
     let batch_interval = Secs::new(profile.rows as f64 / per_worker);
-    // Workers are staggered across one batch interval, as a running fleet
-    // would be — without this the simulation produces artificial arrival
-    // bursts.
-    let first = |worker: usize| batch_interval + batch_interval * (worker as f64 / workers as f64);
-    run_pipeline(workers, first, |_| batch_interval, gpu, model, config)
+    run_pipeline(workers, batch_interval, gpu, model, config)
 }
 
-/// Simulates `config.batches` mini-batches arriving with the *measured*
-/// inter-arrival gaps `inter_arrivals` (replayed cyclically when the run is
-/// longer than the recording) flowing into `gpu` trainers.
-///
-/// The measured process already folds in worker parallelism, Extract
-/// overlap and device contention, so it is modeled as one aggregated
-/// producer; the bounded queue still applies back-pressure — when it is
-/// full the producer holds its batch and the remaining arrivals shift
-/// later, exactly like a blocked `send` on the real output channel.
-///
-/// An empty `inter_arrivals` means "instant arrivals" (a producer that is
-/// never the bottleneck).
-#[must_use]
-pub fn simulate_measured(
-    inter_arrivals: &[Duration],
-    gpu: &GpuTrainModel,
-    model: &RmConfig,
-    config: &PipelineConfig,
-) -> PipelineReport {
-    let gaps: Vec<Secs> = if inter_arrivals.is_empty() {
-        vec![Secs::ZERO]
-    } else {
-        inter_arrivals.iter().map(|d| Secs::new(d.as_secs_f64())).collect()
-    };
-    let gap = |started: usize| gaps[started % gaps.len()];
-    run_pipeline(1, gap, gap, gpu, model, config)
-}
-
-/// The producer–consumer event loop behind both entry points.
+/// The producer–consumer event loop behind [`simulate`].
 ///
 /// `workers` producers each start one batch at time zero; worker `w`'s
-/// first is ready `first(w)` later. A worker whose batch is taken (by an
-/// idle GPU or a free queue slot) starts its next one, ready `next(n)`
-/// later, where `n` counts the batches started before it. A worker facing
-/// a full queue blocks holding its batch until a GPU frees a slot.
+/// first is ready `interval × (1 + w / workers)` later — staggered across
+/// one interval, as a running fleet would be, so the workers do not arrive
+/// in artificial bursts. A worker whose batch is taken (by an idle GPU or a
+/// free queue slot) starts its next one, ready `interval` later. A worker
+/// facing a full queue blocks holding its batch until a GPU frees a slot.
 fn run_pipeline(
     workers: usize,
-    first: impl Fn(usize) -> Secs,
-    next: impl Fn(usize) -> Secs,
+    interval: Secs,
     gpu: &GpuTrainModel,
     model: &RmConfig,
     config: &PipelineConfig,
@@ -160,15 +115,15 @@ fn run_pipeline(
     for worker in 0..workers {
         if started < config.batches {
             started += 1;
-            events.schedule_after(first(worker), Event::BatchReady { worker });
+            let stagger = interval * (worker as f64 / workers as f64);
+            events.schedule_after(interval + stagger, Event::BatchReady { worker });
         }
     }
 
     let start_next = |events: &mut EventQueue<Event>, started: &mut usize, worker: usize| {
         if *started < config.batches {
-            let gap = next(*started);
             *started += 1;
-            events.schedule_after(gap, Event::BatchReady { worker });
+            events.schedule_after(interval, Event::BatchReady { worker });
         }
     };
 
@@ -275,7 +230,7 @@ impl TrainerConfig {
     /// the A100's real pace; smaller values shrink wall-clock time while
     /// preserving the compute-to-supply ratio). This is what makes trainer
     /// runs on small test partitions comparable to the full-batch analytic
-    /// model — and what calibrates [`simulate_measured`] traces per model.
+    /// model.
     #[must_use]
     pub fn for_model(gpu: &GpuTrainModel, model: &RmConfig, time_scale: f64) -> Self {
         let per_row =
@@ -302,8 +257,7 @@ impl TrainerConfig {
 /// for the producers, and the occupancy histogram samples the bounded
 /// channel at every pull. This is the measurement the paper's end-to-end
 /// claim is about — a `Vec` drain can report producer throughput, only a
-/// consumer can report whether the trainer stayed fed. The inter-arrival
-/// trace alone is producer-side (see [`TrainerReport::inter_arrivals`]).
+/// consumer can report whether the trainer stayed fed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerReport {
     /// Mini-batches trained.
@@ -325,11 +279,6 @@ pub struct TrainerReport {
     /// Queue-occupancy histogram: `occupancy[q]` counts pulls that found
     /// `q` mini-batches buffered in the channel (length = capacity + 1).
     pub occupancy: Vec<u64>,
-    /// Measured producer-side inter-arrival gaps: the gaps between the
-    /// batches' [`presto_ops::stream::StreamedBatch::arrived`] delivery
-    /// stamps, taken before consumer back-pressure, ready to replay through
-    /// [`simulate_measured`] (per-RM-model calibration).
-    pub inter_arrivals: Vec<Duration>,
     /// Final [`BatchSource::stats`] snapshot of the producer fleet:
     /// completed partitions, emulated P2P / boundary link traffic, and the
     /// fleet's recovery activity (retries, failovers, quarantines,
@@ -398,7 +347,6 @@ impl Trainer {
     pub fn run<S: BatchSource>(&self, mut source: S) -> Result<TrainerReport, PreprocessError> {
         let capacity = source.capacity().max(1);
         let mut occupancy = vec![0u64; capacity + 1];
-        let mut arrivals: Vec<Duration> = Vec::new();
         let mut stall = Duration::ZERO;
         let mut compute = Duration::ZERO;
         let mut rows = 0usize;
@@ -410,7 +358,6 @@ impl Trainer {
             let streamed = item?;
             stall += wait_from.elapsed();
             occupancy[source.queued().min(capacity)] += 1;
-            arrivals.push(streamed.arrived);
             let batch_rows = streamed.batch.rows();
             let step = self.config.step_for(batch_rows);
             if !step.is_zero() {
@@ -438,7 +385,6 @@ impl Trainer {
                 compute.as_secs_f64() / busy.as_secs_f64()
             },
             occupancy,
-            inter_arrivals: inter_arrivals(&arrivals),
             stream,
         })
     }
@@ -495,7 +441,7 @@ mod tests {
             &RmConfig::rm5(),
             &PipelineConfig { batches: 64, queue_capacity: 4, num_gpus: 1 },
         );
-        assert!(report.peak_queue <= 4 + 1, "peak queue {}", report.peak_queue);
+        assert!(report.peak_queue <= 4, "peak queue {}", report.peak_queue);
     }
 
     #[test]
@@ -523,101 +469,6 @@ mod tests {
             &PipelineConfig { batches: 64, queue_capacity: 8, num_gpus: 8 },
         );
         assert!(eight.gpu_utilization < single.gpu_utilization);
-    }
-
-    #[test]
-    fn measured_fast_arrivals_saturate_the_gpu() {
-        let gpu = GpuTrainModel::a100();
-        let step = gpu.step_time(&RmConfig::rm1()).seconds();
-        // Arrivals 50x faster than training: the GPU is the bottleneck.
-        let gaps = vec![Duration::from_secs_f64(step / 50.0); 16];
-        let report = simulate_measured(
-            &gaps,
-            &gpu,
-            &RmConfig::rm1(),
-            &PipelineConfig { batches: 128, queue_capacity: 8, num_gpus: 1 },
-        );
-        assert_eq!(report.batches_trained, 128);
-        assert!(report.gpu_utilization > 0.95, "utilization {:.3}", report.gpu_utilization);
-        assert!(report.peak_queue <= 8, "peak queue {}", report.peak_queue);
-    }
-
-    #[test]
-    fn measured_slow_arrivals_starve_the_gpu_proportionally() {
-        let gpu = GpuTrainModel::a100();
-        let step = gpu.step_time(&RmConfig::rm1()).seconds();
-        // One batch every 4 step-times: utilization must settle near 25%.
-        let gaps = vec![Duration::from_secs_f64(step * 4.0)];
-        let report = simulate_measured(
-            &gaps,
-            &gpu,
-            &RmConfig::rm1(),
-            &PipelineConfig { batches: 64, queue_capacity: 8, num_gpus: 1 },
-        );
-        assert!(
-            (report.gpu_utilization - 0.25).abs() < 0.05,
-            "utilization {:.3}",
-            report.gpu_utilization
-        );
-    }
-
-    #[test]
-    fn measured_replay_cycles_and_respects_capacity() {
-        let gpu = GpuTrainModel::a100();
-        // Bursty trace shorter than the run: two instant arrivals then a
-        // long silence, replayed cyclically through a capacity-2 queue.
-        let step = gpu.step_time(&RmConfig::rm1()).seconds();
-        let gaps = [0.0, 0.0, step * 3.0].map(Duration::from_secs_f64);
-        let report = simulate_measured(
-            &gaps,
-            &gpu,
-            &RmConfig::rm1(),
-            &PipelineConfig { batches: 32, queue_capacity: 2, num_gpus: 1 },
-        );
-        assert_eq!(report.batches_trained, 32);
-        assert!(report.peak_queue <= 2, "peak queue {}", report.peak_queue);
-        assert!(report.training_throughput > 0.0);
-    }
-
-    #[test]
-    fn measured_empty_trace_means_instant_supply() {
-        let gpu = GpuTrainModel::a100();
-        let report = simulate_measured(
-            &[],
-            &gpu,
-            &RmConfig::rm1(),
-            &PipelineConfig { batches: 16, queue_capacity: 4, num_gpus: 1 },
-        );
-        assert_eq!(report.batches_trained, 16);
-        assert!(report.gpu_utilization > 0.99, "utilization {:.3}", report.gpu_utilization);
-    }
-
-    #[test]
-    fn one_worker_simulation_is_a_constant_trace_replay() {
-        // Both entry points run one loop: a single worker at its batch
-        // interval is the same arrival schedule as a constant trace of that
-        // interval, up to the nanosecond rounding of `Duration`.
-        let gpu = GpuTrainModel::a100();
-        let system = System::presto_smartssd(1);
-        let model = RmConfig::rm1();
-        let profile = WorkloadProfile::from_config(&model);
-        let interval = profile.rows as f64 / system.per_worker_throughput(&profile);
-        for (batches, queue_capacity, num_gpus) in [(64, 8, 1), (40, 0, 1), (48, 2, 3)] {
-            let config = PipelineConfig { batches, queue_capacity, num_gpus };
-            let analytic = simulate(&system, &gpu, &model, &config);
-            let trace = [Duration::from_secs_f64(interval)];
-            let replayed = simulate_measured(&trace, &gpu, &model, &config);
-            assert_eq!(analytic.batches_trained, replayed.batches_trained);
-            assert_eq!(analytic.peak_queue, replayed.peak_queue);
-            let ns = 1e-9 * (batches + 1) as f64;
-            for (a, b) in
-                [(analytic.makespan, replayed.makespan), (analytic.gpu_busy, replayed.gpu_busy)]
-            {
-                assert!((a.seconds() - b.seconds()).abs() <= ns, "{a} vs {b}");
-            }
-            let u = (analytic.gpu_utilization, replayed.gpu_utilization);
-            assert!((u.0 - u.1).abs() < 1e-6, "{u:?}");
-        }
     }
 
     #[test]
@@ -655,7 +506,6 @@ mod tests {
         assert!(report.goodput > 0.0);
         assert_eq!(report.occupancy.len(), 3 + 1);
         assert_eq!(report.occupancy.iter().sum::<u64>(), 6, "one sample per pull");
-        assert_eq!(report.inter_arrivals.len(), 5, "N batches give N-1 gaps");
         assert_eq!(report.compute, Duration::ZERO);
         assert!(report.utilization < 1.0, "an instant trainer only ever stalls");
     }
@@ -708,22 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn trainer_trace_replays_through_the_simulation() {
-        let (config, plan, ds) = tiny_dataset(8, 64);
-        let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 4));
-        let report = Trainer::new(TrainerConfig::instant()).run(stream).expect("trains");
-        let gpu = GpuTrainModel::a100();
-        let sim = simulate_measured(
-            &report.inter_arrivals,
-            &gpu,
-            &config,
-            &PipelineConfig { batches: 32, queue_capacity: 8, num_gpus: 1 },
-        );
-        assert_eq!(sim.batches_trained, 32);
-        assert!(sim.gpu_utilization > 0.0);
-    }
-
-    #[test]
     fn mean_occupancy_weights_the_histogram() {
         let report = TrainerReport {
             batches: 4,
@@ -734,7 +568,6 @@ mod tests {
             goodput: 4.0,
             utilization: 0.0,
             occupancy: vec![2, 0, 2],
-            inter_arrivals: Vec::new(),
             stream: StreamStats::default(),
         };
         assert!((report.mean_occupancy() - 1.0).abs() < 1e-12);

@@ -8,7 +8,7 @@
 //! fleet) and accepts any number of concurrent jobs, each described by a
 //! [`JobSpec`] — a compiled plan, its partitions, a
 //! [`Fleet`] preference (host CPU, in-storage, hybrid split, or shuffled
-//! row groups), a weighted-fair share, and an optional goodput SLO.
+//! row groups) and a weighted-fair share.
 //!
 //! [`PreprocessService::submit`] performs **admission control** against the
 //! pool: a job either starts immediately, queues behind the running set
@@ -139,15 +139,13 @@ pub struct JobSpec {
     pub fleet: Fleet,
     /// Weighted-fair share of the pool (relative to other jobs; > 0).
     pub weight: f64,
-    /// Goodput SLO in rows/sec, checked against the job's delivered rate.
-    pub goodput_slo: Option<f64>,
     /// Failure-handling policy for this job's partitions (private to the
     /// job: quarantines never leak to other tenants).
     pub recovery: RetryPolicy,
 }
 
 impl JobSpec {
-    /// A host-fleet job with weight 1, no SLO and fail-fast recovery.
+    /// A host-fleet job with weight 1 and fail-fast recovery.
     #[must_use]
     pub fn new(name: impl Into<String>, plan: PreprocessPlan, partitions: Vec<Partition>) -> Self {
         JobSpec {
@@ -156,7 +154,6 @@ impl JobSpec {
             partitions,
             fleet: Fleet::Host,
             weight: 1.0,
-            goodput_slo: None,
             recovery: RetryPolicy::fail_fast(),
         }
     }
@@ -172,13 +169,6 @@ impl JobSpec {
     #[must_use]
     pub fn with_weight(mut self, weight: f64) -> Self {
         self.weight = if weight > 0.0 { weight } else { 1.0 };
-        self
-    }
-
-    /// Sets the goodput SLO in rows/sec.
-    #[must_use]
-    pub fn with_goodput_slo(mut self, rows_per_sec: f64) -> Self {
-        self.goodput_slo = Some(rows_per_sec);
         self
     }
 
@@ -243,7 +233,6 @@ struct JobState {
     name: String,
     fleet: &'static str,
     weight: f64,
-    goodput_slo: Option<f64>,
     partitions: usize,
     /// The producer end of the job's run; dropped when the job ends, which
     /// ends the consumer's stream.
@@ -433,7 +422,6 @@ impl PreprocessService {
             name: spec.name.clone(),
             fleet: spec.fleet.name(),
             weight: if spec.weight > 0.0 { spec.weight } else { 1.0 },
-            goodput_slo: spec.goodput_slo,
             partitions: spec.partitions.len(),
             driver: Some(driver),
             recovery: RunReport::default(),
@@ -627,10 +615,6 @@ pub struct JobReport {
     pub weight: f64,
     /// Delivered rows/sec over the job's running time.
     pub goodput_rows_per_sec: f64,
-    /// The SLO target from the spec, if any.
-    pub goodput_slo: Option<f64>,
-    /// Whether the goodput met the SLO (`None` when no SLO was set).
-    pub slo_met: Option<bool>,
     /// Share of the job's running time its consumer spent blocked waiting
     /// for the next batch (0 = never starved the trainer).
     pub stall_share: f64,
@@ -681,7 +665,6 @@ fn job_report(state: &JobState) -> JobReport {
         Some(start) => start.duration_since(state.submitted_at),
         None => state.submitted_at.elapsed(),
     };
-    let goodput = state.rows as f64 / elapsed.as_secs_f64().max(1e-9);
     let stall_share = (state.stall.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)).clamp(0.0, 1.0);
     JobReport {
         name: state.name.clone(),
@@ -691,9 +674,7 @@ fn job_report(state: &JobState) -> JobReport {
         delivered: recovery.delivered,
         rows: state.rows,
         weight: state.weight,
-        goodput_rows_per_sec: goodput,
-        goodput_slo: state.goodput_slo,
-        slo_met: state.goodput_slo.map(|target| goodput >= target),
+        goodput_rows_per_sec: state.rows as f64 / elapsed.as_secs_f64().max(1e-9),
         stall_share,
         queued_wait,
         elapsed,
@@ -1018,11 +999,7 @@ mod tests {
         let (plan, ds, _) = setup(4, 32, 11);
         let service = PreprocessService::new(ServiceConfig::new(2));
         let handle = service
-            .submit(
-                JobSpec::new("slo", plan, ds.partitions().to_vec())
-                    .with_goodput_slo(1.0)
-                    .with_fleet(Fleet::Isp),
-            )
+            .submit(JobSpec::new("stats", plan, ds.partitions().to_vec()).with_fleet(Fleet::Isp))
             .expect("admitted");
         let stats_handle = {
             let mut handle = handle;
@@ -1038,9 +1015,7 @@ mod tests {
         assert_eq!(stats.completed, 4);
         assert!(stats.p2p_bytes > 0, "ISP job moved P2P bytes");
         assert_eq!(stats.recovery.as_ref().unwrap().delivered, 4);
-        let report = stats_handle.report();
-        assert_eq!(report.slo_met, Some(true), "goodput {}", report.goodput_rows_per_sec);
-        assert!(report.rows > 0);
+        assert!(stats_handle.report().rows > 0);
         drop(stats_handle);
         let report = service.shutdown();
         assert_eq!(report.jobs[0].status, JobStatus::Completed);

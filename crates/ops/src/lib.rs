@@ -99,6 +99,6 @@ pub use recovery::{
 pub use shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec};
 pub use sigridhash::{InvalidMaxValueError, SigridHasher};
 pub use stream::{
-    inter_arrivals, BatchSource, BatchStream, DeviceLoad, Fleet, FleetConfig, StreamItem,
-    StreamStats, StreamedBatch,
+    BatchSource, BatchStream, DeviceLoad, Fleet, FleetConfig, StreamItem, StreamStats,
+    StreamedBatch,
 };

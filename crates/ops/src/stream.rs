@@ -8,8 +8,13 @@
 //! `presto_core::PreprocessService` job is one of its runs, driven by the
 //! service's pool threads instead of its own ([`Fleet::drive`]).
 //! Finished mini-batches stream to the consumer through a bounded channel
-//! as they complete, so in-flight memory is `O(capacity)` and the first
-//! batch arrives while later units are still being read.
+//! as they complete, so the first batch arrives while later units are
+//! still being read. In an unordered run the channel bounds the finished
+//! batches that wait for the consumer: `capacity` in it, plus one per
+//! producer thread blocked on a full channel. An ordered run (the shuffled
+//! fleet, or any stream after [`BatchStream::into_ordered`]) has no such
+//! bound: the consumer drains the channel into its reorder buffer while it
+//! waits for the next unit in sequence (see [Ordering](self#ordering)).
 //!
 //! # Unit source
 //!
@@ -155,7 +160,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Configuration shared by every fleet.
 ///
@@ -240,23 +244,10 @@ pub struct StreamedBatch {
     pub group: usize,
     /// Storage device the partition lives on.
     pub device: usize,
-    /// True when the unit was claimed off the producing worker's home
-    /// device (cross-device steal).
-    pub stolen: bool,
     /// The preprocessed mini-batch.
     pub batch: MiniBatch,
     /// Per-stage wall-clock timings for this unit.
     pub timings: StageTimings,
-    /// Producer-side delivery time, measured from stream start: stamped
-    /// when the finished batch is handed to the (possibly full) output
-    /// channel — the *supply* process, before consumer back-pressure.
-    /// Consecutive arrivals give the measured inter-arrival process that
-    /// drives the pipeline simulation
-    /// (`presto_core::pipeline::simulate_measured`, which applies queue
-    /// back-pressure itself); stamping at the consumer instead would fold
-    /// the consumer's own pacing into the trace and make the calibration
-    /// tautological.
-    pub arrived: Duration,
     /// Attempts this batch took (1 = first try succeeded).
     pub attempts: u32,
     /// True when the batch was produced by the host failover path after
@@ -529,8 +520,6 @@ struct Run {
     completed: AtomicUsize,
     p2p_bytes: AtomicU64,
     boundary_bytes: AtomicU64,
-    /// Origin of every [`StreamedBatch::arrived`] stamp.
-    started: Instant,
 }
 
 impl Run {
@@ -553,7 +542,6 @@ impl Run {
             completed: AtomicUsize::new(0),
             p2p_bytes: AtomicU64::new(0),
             boundary_bytes: AtomicU64::new(0),
-            started: Instant::now(),
         }
     }
 
@@ -778,7 +766,6 @@ impl Run {
         tx: &Sender<SeqItem>,
         seq: usize,
         unit: Unit,
-        stolen: bool,
         outcome: Result<Finished, PreprocessError>,
     ) -> bool {
         let device = self.partitions[unit.partition].device;
@@ -791,12 +778,8 @@ impl Run {
                     partition: unit.partition,
                     group: unit.group.unwrap_or(0),
                     device,
-                    stolen,
                     batch: done.batch,
                     timings: done.timings,
-                    // Stamped at delivery (before a possibly blocking send):
-                    // the supply process, unthrottled by the consumer.
-                    arrived: self.started.elapsed(),
                     attempts: done.attempts.max(1),
                     via_failover: done.via_failover,
                 };
@@ -831,7 +814,6 @@ struct Claim {
     index: usize,
     unit: Unit,
     slot: usize,
-    stolen: bool,
 }
 
 /// How workers draw units from a [`UnitSource`].
@@ -943,7 +925,7 @@ impl UnitSource {
         if stolen {
             self.loads[slot].stolen_from.fetch_add(1, Ordering::Relaxed);
         }
-        let claim = Claim { seq, index, unit: self.units[index], slot, stolen };
+        let claim = Claim { seq, index, unit: self.units[index], slot };
         if occupy {
             self.occupy(claim);
         }
@@ -1037,10 +1019,10 @@ impl Engine {
             let keep_going = match staged {
                 Ok(staged @ Staged::Done(..)) => {
                     let done = self.run.finish(claim.unit, staged, attempts, &mut scratch);
-                    self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, done)
+                    self.run.deliver(tx, claim.seq, claim.unit, done)
                 }
                 Ok(staged) => link.send(Handoff { claim, staged: Ok(staged), attempts }).is_ok(),
-                Err(e) => self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, Err(e)),
+                Err(e) => self.run.deliver(tx, claim.seq, claim.unit, Err(e)),
             };
             if !keep_going {
                 break;
@@ -1065,7 +1047,7 @@ impl Engine {
             let unit = claim.unit;
             if let Some(e) = self.run.quarantined(unit) {
                 // Neither half attempts it, so B never hears of it.
-                if !self.run.deliver(tx, claim.seq, unit, claim.stolen, Err(e)) {
+                if !self.run.deliver(tx, claim.seq, unit, Err(e)) {
                     break;
                 }
                 continue;
@@ -1140,7 +1122,7 @@ impl Engine {
                     staged.and_then(|s| self.run.finish(claim.unit, s, attempts, &mut scratch))
                 }
             };
-            if !self.run.deliver(tx, claim.seq, claim.unit, claim.stolen, outcome) {
+            if !self.run.deliver(tx, claim.seq, claim.unit, outcome) {
                 break;
             }
         }
@@ -1207,7 +1189,7 @@ impl Driver {
             return false;
         };
         let outcome = staged.and_then(|s| engine.run.finish(claim.unit, s, attempts, scratch));
-        engine.run.deliver(&self.tx, claim.seq, claim.unit, claim.stolen, outcome)
+        engine.run.deliver(&self.tx, claim.seq, claim.unit, outcome)
     }
 }
 
@@ -1220,17 +1202,6 @@ struct Layout {
     firsts: usize,
     link: Option<(usize, usize)>,
     names: [&'static str; 2],
-}
-
-/// Inter-arrival gaps computed from a drained stream's
-/// [`StreamedBatch::arrived`] delivery stamps (receive order; producers
-/// racing into the channel can invert neighboring stamps, which saturates
-/// to a zero gap). This is the measured supply process
-/// `presto_core::pipeline::simulate_measured` replays to calibrate the
-/// trainer simulation against the real executor.
-#[must_use]
-pub fn inter_arrivals(arrivals: &[Duration]) -> Vec<Duration> {
-    arrivals.windows(2).map(|w| w[1].saturating_sub(w[0])).collect()
 }
 
 /// The consumer's end of a streaming run — the one handle every fleet
@@ -1602,6 +1573,7 @@ mod tests {
     use super::*;
     use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig};
     use proptest::prelude::*;
+    use std::time::Duration;
 
     fn tiny_config(rows: usize) -> RmConfig {
         let mut c = RmConfig::rm1();
@@ -1704,20 +1676,10 @@ mod tests {
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         // One worker homed on device 0 must still process everything —
         // 2 affine claims + 6 steals.
-        let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(1, 8));
-        let mut stolen = 0usize;
-        let mut total = 0usize;
-        let report = {
-            let mut s = stream;
-            for item in s.by_ref() {
-                let b = item.unwrap();
-                total += 1;
-                stolen += usize::from(b.stolen);
-            }
-            s.device_report()
-        };
-        assert_eq!(total, 8);
-        assert_eq!(stolen, 6);
+        let mut stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(1, 8));
+        let delivered = stream.by_ref().filter(Result::is_ok).count();
+        let report = stream.device_report();
+        assert_eq!(delivered, 8);
         assert_eq!(report.len(), 4);
         assert_eq!(report.iter().map(|d| d.partitions).sum::<usize>(), 8);
         assert_eq!(report[0].stolen_from, 0, "home device is not stolen from");
@@ -1899,14 +1861,6 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(taken, 8);
-    }
-
-    #[test]
-    fn inter_arrival_helper_computes_gaps() {
-        let stamps = [10u64, 15, 15, 40].map(Duration::from_millis);
-        assert_eq!(inter_arrivals(&stamps), [5u64, 0, 25].map(Duration::from_millis).to_vec());
-        assert!(inter_arrivals(&[]).is_empty());
-        assert!(inter_arrivals(&stamps[..1]).is_empty());
     }
 
     #[test]

@@ -40,11 +40,11 @@
 //! subcommand of one binary in `presto-bench`: `cargo run --release -p
 //! presto-bench --bin repro-all` regenerates everything, and `repro-all
 //! fig12` (any names) just those, printing each paper value next to the
-//! model's. Its ablations also run the real engine: goodput under storage
-//! faults, tenants sharing a pool, shuffle granularity and prefix
-//! pushdown. [`hwsim::calib`] names the paper measurement behind every
-//! device-model constant, and `presto-bench`'s `tests/paper_shape.rs` pins
-//! each headline claim as a band.
+//! model's. Its output depends on no clock or core count, and
+//! `presto-bench`'s `tests/repro-all.golden` pins it byte for byte.
+//! [`hwsim::calib`] names the paper measurement behind every device-model
+//! constant, and `presto-bench`'s `tests/paper_shape.rs` pins each headline
+//! claim as a band. The real engine's speed is measured by `presto-e2e`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -5,8 +5,7 @@
 //! (reads serialize at the device); with queue depth ≥ `N` they overlap.
 //! A backlogged device's scheduled makespan must match
 //! `DeviceModel::serialized_time`, `ceil(reads / depth) × latency` — the
-//! one queueing formula in the workspace, which the streaming contention
-//! ablation prints as its prediction.
+//! one queueing formula in the workspace.
 //!
 //! Reader side (`presto_columnar::FileReader`): a group's chunk reads go
 //! to the device as one submission, so from an idle device they finish in
@@ -82,8 +81,7 @@ proptest! {
 }
 
 /// A backlogged depth-1 device driven by more threads than slots: the
-/// scheduled makespan must match `serialized_time` within 10% — the
-/// agreement the streaming ablation (`repro-all ablation-stream`) reports.
+/// scheduled makespan must match `serialized_time` within 10%.
 #[test]
 fn backlogged_depth_one_matches_serialized_time_within_ten_percent() {
     let latency = Duration::from_millis(2);

@@ -12,7 +12,10 @@
 //! * Files written with each of [`Encoding::ALL`] forced must decode to the
 //!   same arrays and preprocess to the same mini-batch as the default
 //!   policy.
+//! * The default writer emits a pinned census of `(encoding, chunk part)`
+//!   pairs over every preset's partitions.
 
+use presto::columnar::column::{page_summaries, ChunkPart};
 use presto::columnar::{
     ColumnarError, Encoding, FileReader, FileWriter, MemBlob, WritePolicy, MAGIC,
 };
@@ -172,4 +175,45 @@ fn every_forced_encoding_preprocesses_bit_identically() {
         let (mb, _) = preprocess_partition(&plan, blob).expect("preprocesses");
         assert_eq!(mb, reference, "preprocessing differs under {name}");
     }
+}
+
+/// The writer census: every `(encoding, chunk part)` pair the default
+/// writer emits over partitions of every preset, list-shaped RM1 and the
+/// long-history shape, at three seeds. `Plain` carries the dense columns,
+/// `DeltaBitpack` the id lists (as head and tail pages where lists are
+/// long), `Dictionary` the two-valued label; no page is `Delta`. 256 rows
+/// give the same census as 2,048 (at 64, the label is bit-packed). A new
+/// pair is a format change: the commit that makes it updates this list and
+/// says why.
+#[test]
+fn the_writer_emits_the_pinned_encoding_census() {
+    const CENSUS: [(Encoding, ChunkPart); 5] = [
+        (Encoding::Plain, ChunkPart::Whole),
+        (Encoding::Dictionary, ChunkPart::Whole),
+        (Encoding::DeltaBitpack, ChunkPart::Whole),
+        (Encoding::DeltaBitpack, ChunkPart::Head),
+        (Encoding::DeltaBitpack, ChunkPart::Tail),
+    ];
+    let mut configs = RmConfig::all();
+    configs.extend([RmConfig::rm1_lists(), RmConfig::rm_longseq()]);
+    let mut seen: Vec<(Encoding, ChunkPart)> = Vec::new();
+    for config in &configs {
+        for seed in [7, 11, 42] {
+            let blob = write_partition(&generate_batch(config, 256, seed)).expect("writes");
+            let bytes = blob.as_bytes();
+            let reader = FileReader::open(blob.clone()).expect("opens");
+            for chunk in reader.meta().row_groups.iter().flat_map(|g| &g.columns) {
+                let start = usize::try_from(chunk.offset).expect("offset fits");
+                let end = start + usize::try_from(chunk.byte_len).expect("length fits");
+                for page in page_summaries(&bytes[start..end], chunk.offset).expect("pages") {
+                    let pair = (page.encoding, page.part);
+                    assert!(CENSUS.contains(&pair), "{} seed {seed} wrote {pair:?}", config.name);
+                    if !seen.contains(&pair) {
+                        seen.push(pair);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(seen.len(), CENSUS.len(), "the writer no longer emits all of the census: {seen:?}");
 }

@@ -78,7 +78,7 @@ fn under_provisioning_shows_up_as_starvation() {
 fn utilization_is_always_a_fraction() {
     let gpu = GpuTrainModel::a100();
     for workers in [1usize, 3, 17, 100] {
-        for queue in [1usize, 4, 64] {
+        for queue in [1usize, 2, 4, 64] {
             let report = simulate(
                 &System::disagg(workers),
                 &gpu,
@@ -87,7 +87,7 @@ fn utilization_is_always_a_fraction() {
             );
             assert!((0.0..=1.0).contains(&report.gpu_utilization));
             assert_eq!(report.batches_trained, 24);
-            assert!(report.peak_queue <= queue + 1);
+            assert!(report.peak_queue <= queue, "peak queue {}", report.peak_queue);
             assert!(report.makespan.seconds() > 0.0);
         }
     }
