@@ -20,6 +20,10 @@ const ALLOCATIONS_PER_READ: u64 = 4;
 
 #[test]
 fn warm_prefix_reads_allocate_only_their_output() {
+    // One known allocation counts 1, so the counts below are what the
+    // reads allocated, not an empty count.
+    assert_eq!(allocations_of(|| std::hint::black_box(Box::new(7u64))), 1);
+
     let schema = Schema::new(vec![
         Field::new("history", DataType::ListInt64),
         Field::new("recent", DataType::ListInt64),

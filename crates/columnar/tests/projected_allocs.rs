@@ -17,6 +17,10 @@ use presto_columnar::{
 
 #[test]
 fn a_call_that_brings_its_own_scratch_stages_in_one_buffer() {
+    // One known allocation counts 1, so the counts below are what the
+    // reads allocated, not an empty count.
+    assert_eq!(allocations_of(|| std::hint::black_box(Box::new(7u64))), 1);
+
     // The widest column first, so the staging buffer its chunk sizes holds
     // every later one; pages of 64 rows, so no chunk is a view and the two
     // readers below differ in nothing but where the bytes come from.

@@ -28,13 +28,14 @@
 //! so one slow tenant cannot idle the pool, and a small job cannot starve
 //! behind a large one — the fair-share score of the large job grows with
 //! every dispatch. *Which unit* a dispatch runs is the job's own unit
-//! source's choice, exactly as on its dedicated stream: device-affine for
-//! the pool worker's home device (with stealing) on the partition fleets,
-//! the seeded permutation's claim window on the shuffled fleet, which is
-//! served by row group and delivered in permutation order. Per-job
-//! starvation is tracked as the longest gap between consecutive dispatches
-//! ([`JobReport::max_dispatch_gap`]) and the pool-wide balance as Jain's
-//! fairness index over weight-normalized service ([`ServiceReport::fairness`]).
+//! source's choice, exactly as on its dedicated stream, whichever pool
+//! worker makes it: the claim window over the partitions in order on the
+//! partition fleets, and over the seeded permutation on the shuffled
+//! fleet, which is served by row group and delivered in permutation
+//! order. Per-job starvation is tracked as the longest gap between
+//! consecutive dispatches ([`JobReport::max_dispatch_gap`]) and the
+//! pool-wide balance as Jain's fairness index over weight-normalized
+//! service ([`ServiceReport::fairness`]).
 //!
 //! Every event that can change what a worker may do — a submit, a
 //! consumer's pull, a dropped handle, a unit finishing — is accounted under
@@ -367,7 +368,7 @@ impl PreprocessService {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("presto-pool-{i}"))
-                    .spawn(move || pool_worker(&inner, i))
+                    .spawn(move || pool_worker(&inner))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -735,7 +736,7 @@ fn settle(state: &mut SchedState, inner: &ServiceInner) {
 
 /// Pool worker body: serve the dispatchable job with the smallest
 /// `dispatched / weight` one unit through its driver, or wait.
-fn pool_worker(inner: &ServiceInner, worker: usize) {
+fn pool_worker(inner: &ServiceInner) {
     let mut scratch = ScratchSpace::new();
     let mut state = inner.lock();
     while !state.stop {
@@ -758,7 +759,7 @@ fn pool_worker(inner: &ServiceInner, worker: usize) {
         // At most `job_capacity` units are claimed and not yet pulled, so
         // the delivery inside never blocks on a full channel.
         if let Some(driver) = driver {
-            driver.run_one(worker, &mut scratch);
+            driver.run_one(&mut scratch);
         }
         state = inner.lock();
         state.jobs[id].inflight -= 1;
@@ -995,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_and_stats_surface_through_the_handle() {
+    fn stats_surface_through_the_handle() {
         let (plan, ds, _) = setup(4, 32, 11);
         let service = PreprocessService::new(ServiceConfig::new(2));
         let handle = service

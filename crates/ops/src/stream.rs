@@ -21,26 +21,28 @@
 //! A *unit* is what one delivered batch is made from: a whole partition,
 //! or one `PSTOCOL4` row group of it (shuffled fleet). Units are what the
 //! run counts — [`RunReport::partitions`] is the unit count. Workers claim
-//! units from one source per run, in one of two layouts:
+//! units from one source per run, through one rule on every fleet: a
+//! **claim window** over a sequence of the units. The sequence is the
+//! identity `0..n` on the partition fleets (host, ISP, split), so a unit's
+//! sequence number is its partition position, and the seeded
+//! [`epoch_order`] permutation on the shuffled fleet, claimed from an
+//! [`EpochCursor`]. The window spans [`FleetConfig::capacity`] positions
+//! from the lowest unclaimed one; a claim takes the lowest-sequence
+//! unclaimed unit in it whose device has no unit in flight, or else the
+//! lowest unclaimed unit. Two workers therefore keep two devices busy when
+//! the next two units of the sequence share one. With one device, or a
+//! capacity of 1, claims follow the sequence exactly. Which worker takes
+//! a unit is only load balancing: no worker is tied to a device.
 //!
-//! * **device-affine queues** (host, ISP and split fleets): units are
-//!   queued per storage device, a unit's sequence number is its partition
-//!   position; workers are pinned round-robin to devices and steal
-//!   cross-device only when their home queue drains;
-//! * **a claim window** over the seeded [`epoch_order`] permutation,
-//!   starting at an [`EpochCursor`] (shuffled fleet only). The window spans
-//!   [`FleetConfig::capacity`] positions from the lowest unclaimed one; a
-//!   claim takes the lowest-sequence unclaimed unit in it whose device has
-//!   no unit in flight, or else the lowest unclaimed unit. Two workers
-//!   therefore keep two devices busy when the next two units of the
-//!   permutation share one. With one device, or a capacity of 1, claims
-//!   follow the permutation exactly.
-//!
-//! Either way the source records per-device load ([`DeviceLoad`]): a unit
-//! occupies its device from the start of its device-side phase until every
-//! thread reading it is done — the one running that phase, or both threads
-//! of a host pair. A windowed claim occupies its device under the window's
-//! lock, so two racing claimers never both see one device idle.
+//! The source records per-device load ([`DeviceLoad`]): a unit occupies
+//! its device from the start of its device-side phase until every thread
+//! reading it is done — the one running that phase, or both threads of a
+//! host pair. A fused or device-side claim occupies its device under the
+//! window's lock, so two racing claimers never both see one device idle.
+//! Thread A of a host pair occupies its unit's device only once thread B
+//! has accepted the claim's announcement (see
+//! [the host pair](self#the-host-pair)), so two pairs can both choose one
+//! idle device.
 //!
 //! The shuffled fleet reads every unit through the partition's
 //! [`FileReader`] its footer enumeration opened, so a unit's device work is
@@ -77,8 +79,8 @@
 //! [`Driver`] instead, so that a caller's threads run its units one call
 //! at a time: the multi-tenant service's pool runs every job this way,
 //! choosing which job's driver to call next. A driven run never pairs its
-//! host workers; each call claims device-affine (or through the shuffled
-//! fleet's window) for the calling worker's home device.
+//! host workers; each call claims through the run's window, whichever
+//! thread makes it.
 //!
 //! # The host pair
 //!
@@ -178,9 +180,9 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Output-channel capacity in mini-batches; producers block when full.
     /// On the split fleet it also bounds the ISP → host hand-offs in
-    /// flight on the emulated device link; on the shuffled fleet it is the
-    /// claim window, how far past the lowest unclaimed unit of the
-    /// permutation a claim may look for an idle device.
+    /// flight on the emulated device link. On every fleet it is the claim
+    /// window: how far past the lowest unclaimed unit of the sequence a
+    /// claim may look for an idle device.
     pub capacity: usize,
     /// Failure handling (retry, quarantine, ISP→host failover); defaults
     /// to [`RetryPolicy::fail_fast`] on every fleet.
@@ -268,8 +270,6 @@ pub struct DeviceLoad {
     /// the window the device is actually busy). Values above 1 mean
     /// workers contended for the device.
     pub max_in_flight: usize,
-    /// Units taken from this device by workers homed elsewhere.
-    pub stolen_from: usize,
 }
 
 /// Which fleet runs a stream: where each unit's stages execute, and which
@@ -295,8 +295,8 @@ pub struct DeviceLoad {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fleet {
     /// Host CPU fleet: Extract, Transform and format sliced by feature
-    /// across a worker pair (fused on one thread in a driven run);
-    /// device-affine claiming with work stealing.
+    /// across a worker pair (fused on one thread in a driven run), claimed
+    /// in partition order through the window.
     Host,
     /// In-storage fleet: the whole plan on one emulated ISP unit per
     /// worker, counting its traffic in [`FEATURE_BUFFER_ELEMS`]-element
@@ -810,24 +810,8 @@ impl Run {
 #[derive(Debug, Clone, Copy)]
 struct Claim {
     seq: usize,
-    /// Position in [`UnitSource::units`].
-    index: usize,
     unit: Unit,
     slot: usize,
-}
-
-/// How workers draw units from a [`UnitSource`].
-#[derive(Debug)]
-enum ClaimOrder {
-    /// One queue of unit indices per device slot; a worker drains its home
-    /// queue, then steals round-robin. A unit's sequence number is its
-    /// index.
-    Affine { queues: Vec<Vec<usize>>, cursors: Vec<AtomicUsize> },
-    /// `order[seq]` is the unit at sequence number `seq`, claimed inside a
-    /// window of `window` positions (see [the module docs](self#unit-source)).
-    /// `claimed` holds the lowest unclaimed position and, per position,
-    /// whether it is claimed.
-    Sequence { order: Vec<usize>, window: usize, claimed: Mutex<(usize, Vec<bool>)> },
 }
 
 #[derive(Debug, Default)]
@@ -836,32 +820,32 @@ struct DeviceCounters {
     resident: usize,
     in_flight: AtomicUsize,
     max_in_flight: AtomicUsize,
-    stolen_from: AtomicUsize,
 }
 
-/// The one claim interface over a run's units.
+/// The one claim interface over a run's units: a window over their
+/// sequence (see [the module docs](self#unit-source)).
 #[derive(Debug)]
 struct UnitSource {
+    /// The unit at each sequence number.
     units: Vec<Unit>,
     /// Device slot of each unit.
     slots: Vec<usize>,
     /// Threads that have yet to finish reading each unit: one, or the two
     /// of a host pair.
     reading: Vec<AtomicUsize>,
-    order: ClaimOrder,
+    /// How far past the lowest unclaimed position a claim may look.
+    window: usize,
+    /// The lowest unclaimed position and, per position, whether it is
+    /// claimed.
+    claimed: Mutex<(usize, Vec<bool>)>,
     loads: Vec<DeviceCounters>,
 }
 
 impl UnitSource {
-    /// `order = None` queues the units per device; `Some((order, start,
-    /// window))` claims `order[start..]` through a window of `window`
-    /// positions. Each unit is read by `readers` threads.
-    fn new(
-        run: &Run,
-        units: Vec<Unit>,
-        order: Option<(Vec<usize>, usize, usize)>,
-        readers: usize,
-    ) -> Self {
+    /// Claims `units` — in sequence order — from position `start` through
+    /// a window of `window` positions. Each unit is read by `readers`
+    /// threads.
+    fn new(run: &Run, units: Vec<Unit>, start: usize, window: usize, readers: usize) -> Self {
         let mut loads: Vec<DeviceCounters> = run
             .tracker
             .devices()
@@ -872,60 +856,28 @@ impl UnitSource {
         for &slot in &slots {
             loads[slot].resident += 1;
         }
-        let order = match order {
-            Some((order, start, window)) => {
-                let claimed = Mutex::new((start, vec![false; order.len()]));
-                ClaimOrder::Sequence { order, window: window.max(1), claimed }
-            }
-            None => {
-                let mut queues = vec![Vec::new(); loads.len()];
-                for (index, &slot) in slots.iter().enumerate() {
-                    queues[slot].push(index);
-                }
-                let cursors = queues.iter().map(|_| AtomicUsize::new(0)).collect();
-                ClaimOrder::Affine { queues, cursors }
-            }
-        };
         let reading = units.iter().map(|_| AtomicUsize::new(readers)).collect();
-        UnitSource { units, slots, reading, order, loads }
+        let claimed = Mutex::new((start, vec![false; units.len()]));
+        UnitSource { units, slots, reading, window: window.max(1), claimed, loads }
     }
 
-    /// Claims the next unit for a worker homed on device slot `home`, and
-    /// with `occupy` occupies its device ([`UnitSource::occupy`]) — under
-    /// the window's lock on a sequence, so the next claimer sees it.
-    fn claim(&self, home: usize, occupy: bool) -> Option<Claim> {
-        // `_held`: a sequence's window lock, held until the claim has
-        // occupied its device.
-        let (seq, index, stolen, _held) = match &self.order {
-            ClaimOrder::Affine { queues, cursors } => {
-                let n = queues.len();
-                (0..n).find_map(|k| {
-                    let slot = (home + k) % n;
-                    let at = cursors[slot].fetch_add(1, Ordering::Relaxed);
-                    queues[slot].get(at).map(|&index| (index, index, k != 0, None))
-                })?
-            }
-            ClaimOrder::Sequence { order, window, claimed } => {
-                let mut guard = claimed.lock().expect("claim window lock");
-                let (low, taken) = &mut *guard;
-                let mut ahead = *low..order.len().min(*low + window);
-                let idle = |&seq: &usize| {
-                    !taken[seq]
-                        && self.loads[self.slots[order[seq]]].in_flight.load(Ordering::Relaxed) == 0
-                };
-                let seq = ahead.clone().find(idle).or_else(|| ahead.next())?;
-                taken[seq] = true;
-                while taken.get(*low) == Some(&true) {
-                    *low += 1;
-                }
-                (seq, order[seq], false, Some(guard))
-            }
+    /// Claims the lowest-sequence unclaimed unit in the window whose device
+    /// is idle, or else the lowest unclaimed unit, and with `occupy`
+    /// occupies its device ([`UnitSource::occupy`]) under the window's
+    /// lock, so the next claimer sees it.
+    fn claim(&self, occupy: bool) -> Option<Claim> {
+        let mut guard = self.claimed.lock().expect("claim window lock");
+        let (low, taken) = &mut *guard;
+        let mut ahead = *low..self.units.len().min(*low + self.window);
+        let idle = |&seq: &usize| {
+            !taken[seq] && self.loads[self.slots[seq]].in_flight.load(Ordering::Relaxed) == 0
         };
-        let slot = self.slots[index];
-        if stolen {
-            self.loads[slot].stolen_from.fetch_add(1, Ordering::Relaxed);
+        let seq = ahead.clone().find(idle).or_else(|| ahead.next())?;
+        taken[seq] = true;
+        while taken.get(*low) == Some(&true) {
+            *low += 1;
         }
-        let claim = Claim { seq, index, unit: self.units[index], slot };
+        let claim = Claim { seq, unit: self.units[seq], slot: self.slots[seq] };
         if occupy {
             self.occupy(claim);
         }
@@ -945,7 +897,7 @@ impl UnitSource {
     /// must come after the occupying thread's increment, which precedes
     /// that thread's own release.
     fn release(&self, claim: Claim) {
-        if self.reading[claim.index].fetch_sub(1, Ordering::AcqRel) == 1 {
+        if self.reading[claim.seq].fetch_sub(1, Ordering::AcqRel) == 1 {
             self.loads[claim.slot].in_flight.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -957,7 +909,6 @@ impl UnitSource {
                 device: load.device,
                 partitions: load.resident,
                 max_in_flight: load.max_in_flight.load(Ordering::Relaxed),
-                stolen_from: load.stolen_from.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -995,17 +946,16 @@ fn paired_halves(halves: SplitPlan) -> Result<SplitPlan, PreprocessError> {
 }
 
 impl Engine {
-    /// Claims for a worker homed on `home` and runs the device-side phase;
-    /// `None` when the source is drained or the run is stopping.
+    /// Claims a unit and runs its device-side phase; `None` when the
+    /// source is drained or the run is stopping.
     fn claim_first(
         &self,
-        home: usize,
         scratch: &mut ScratchSpace,
     ) -> Option<(Claim, Result<Staged, PreprocessError>, u32)> {
         if self.run.stop.load(Ordering::Relaxed) {
             return None;
         }
-        let claim = self.source.claim(home, true)?;
+        let claim = self.source.claim(true)?;
         let (staged, attempts) = self.run.first_phase(claim.unit, scratch);
         self.source.release(claim);
         Some((claim, staged, attempts))
@@ -1013,9 +963,9 @@ impl Engine {
 
     /// Device-side worker: claim → device-side phase → hand off (or
     /// deliver, when nothing is left for the host side to do).
-    fn first_loop(&self, home: usize, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
+    fn first_loop(&self, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
         let mut scratch = ScratchSpace::new();
-        while let Some((claim, staged, attempts)) = self.claim_first(home, &mut scratch) {
+        while let Some((claim, staged, attempts)) = self.claim_first(&mut scratch) {
             let keep_going = match staged {
                 Ok(staged @ Staged::Done(..)) => {
                     let done = self.run.finish(claim.unit, staged, attempts, &mut scratch);
@@ -1034,16 +984,10 @@ impl Engine {
     /// A's half of the features → hand the outputs across. The link holds
     /// one hand-off, so A starts on the next unit while B merges this one
     /// and then waits: at most one half-unit ahead.
-    fn pair_first_loop(
-        &self,
-        home: usize,
-        halves: &SplitPlan,
-        link: &Sender<Handoff>,
-        tx: &Sender<SeqItem>,
-    ) {
+    fn pair_first_loop(&self, halves: &SplitPlan, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
         let mut scratch = ScratchSpace::new();
         while !self.run.stop.load(Ordering::Relaxed) {
-            let Some(claim) = self.source.claim(home, false) else { break };
+            let Some(claim) = self.source.claim(false) else { break };
             let unit = claim.unit;
             if let Some(e) = self.run.quarantined(unit) {
                 // Neither half attempts it, so B never hears of it.
@@ -1174,18 +1118,16 @@ impl Driver {
         self.engine.run.tracker.report()
     }
 
-    /// Claims one unit for worker `worker` — homed on device slot `worker`
-    /// modulo the run's devices — runs both phases on the calling thread
-    /// and delivers the batch or the tagged error. Returns false when
-    /// nothing was claimed (the source is drained or the run is stopping)
-    /// or the run should stop (a fail-fast error, or the consumer is
-    /// gone). The output channel holds [`FleetConfig::capacity`] items, so
-    /// a caller that wants the call never to block keeps at most that many
-    /// units claimed and not yet pulled.
-    pub fn run_one(&self, worker: usize, scratch: &mut ScratchSpace) -> bool {
+    /// Claims one unit through the run's window, runs both phases on the
+    /// calling thread and delivers the batch or the tagged error. Returns
+    /// false when nothing was claimed (the source is drained or the run is
+    /// stopping) or the run should stop (a fail-fast error, or the consumer
+    /// is gone). The output channel holds [`FleetConfig::capacity`] items,
+    /// so a caller that wants the call never to block keeps at most that
+    /// many units claimed and not yet pulled.
+    pub fn run_one(&self, scratch: &mut ScratchSpace) -> bool {
         let engine = &self.engine;
-        let home = worker % engine.source.loads.len();
-        let Some((claim, staged, attempts)) = engine.claim_first(home, scratch) else {
+        let Some((claim, staged, attempts)) = engine.claim_first(scratch) else {
             return false;
         };
         let outcome = staged.and_then(|s| engine.run.finish(claim.unit, s, attempts, scratch));
@@ -1236,8 +1178,8 @@ pub struct BatchStream {
 
 impl BatchStream {
     /// Starts a host-fleet run, [`Fleet::Host`]'s [`Fleet::stream`]:
-    /// device-affine claiming, workers paired, batches yielded **as they
-    /// complete**.
+    /// partitions claimed in order through the window, workers paired,
+    /// batches yielded **as they complete**.
     #[must_use]
     pub fn spawn(
         plan: &PreprocessPlan,
@@ -1311,10 +1253,15 @@ impl BatchStream {
         let recovery = config.recovery.clone();
         let run =
             Run { readers, ..Run::new(plan.clone(), partitions.to_vec(), fleet, recovery, n) };
-        let start = shuffle.map_or(0, |_| usize::try_from(next).unwrap_or(usize::MAX).min(n));
-        let order = shuffle.map(|spec| (epoch_order(n, spec.seed, spec.epoch), start, capacity));
-        let ordered = order.is_some();
-        let source = UnitSource::new(&run, units, order, if halves.is_some() { 2 } else { 1 });
+        let start = usize::try_from(next).unwrap_or(usize::MAX).min(n);
+        // The claim sequence: the permutation on the shuffled fleet, the
+        // partitions' own order on every other.
+        let units = match shuffle {
+            Some(spec) => epoch_order(n, spec.seed, spec.epoch).iter().map(|&i| units[i]).collect(),
+            None => units,
+        };
+        let readers = if halves.is_some() { 2 } else { 1 };
+        let source = UnitSource::new(&run, units, start, capacity, readers);
         let engine = Arc::new(Engine { run, source, halves });
 
         let (tx, rx) = bounded::<SeqItem>(capacity);
@@ -1327,7 +1274,7 @@ impl BatchStream {
             rx: Some(rx),
             handles: Vec::new(),
             engine: Arc::clone(&engine),
-            ordered,
+            ordered: shuffle.is_some(),
             pending: BTreeMap::new(),
             next_seq: start,
             shuffle,
@@ -1389,29 +1336,24 @@ impl BatchStream {
                 std::thread::Builder::new().name(name).spawn(body).expect("spawn stream worker"),
             );
         };
-        let slots = engine.source.loads.len();
         for group in 0..layout.groups {
             let link = layout.link.map(|(capacity, _)| bounded::<Handoff>(capacity));
             for first in 0..layout.firsts {
-                let worker = group * layout.firsts + first;
-                let home = worker % slots;
                 let (engine, driver) = (Arc::clone(&engine), driver.clone());
                 let body: Box<dyn FnOnce() + Send> = match &link {
                     None => Box::new(move || {
                         let mut scratch = ScratchSpace::new();
-                        while driver.run_one(worker, &mut scratch) {}
+                        while driver.run_one(&mut scratch) {}
                     }),
                     Some((link_tx, _)) => {
                         let link_tx = link_tx.clone();
                         Box::new(move || match &engine.halves {
-                            Some(halves) => {
-                                engine.pair_first_loop(home, halves, &link_tx, &driver.tx);
-                            }
-                            None => engine.first_loop(home, &link_tx, &driver.tx),
+                            Some(halves) => engine.pair_first_loop(halves, &link_tx, &driver.tx),
+                            None => engine.first_loop(&link_tx, &driver.tx),
                         })
                     }
                 };
-                spawn(0, worker, body);
+                spawn(0, group * layout.firsts + first, body);
             }
             let Some(((_, link_rx), (_, finishers))) = link.as_ref().zip(layout.link) else {
                 continue;
@@ -1671,19 +1613,19 @@ mod tests {
     }
 
     #[test]
-    fn device_affinity_prefers_home_queues_and_steals_when_drained() {
+    fn one_pair_streams_partitions_in_order_across_devices() {
+        // Partition `i` lives on device `i % 4`, so the lowest unclaimed
+        // partition is always on an idle device: one pair claims, and so
+        // delivers, in partition order, with no reorder buffer.
         let (c, ds) = dataset(8, 16, 4);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        // One worker homed on device 0 must still process everything —
-        // 2 affine claims + 6 steals.
         let mut stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(1, 8));
-        let delivered = stream.by_ref().filter(Result::is_ok).count();
+        let order: Vec<usize> = stream.by_ref().map(|i| i.unwrap().partition).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>());
         let report = stream.device_report();
-        assert_eq!(delivered, 8);
         assert_eq!(report.len(), 4);
         assert_eq!(report.iter().map(|d| d.partitions).sum::<usize>(), 8);
-        assert_eq!(report[0].stolen_from, 0, "home device is not stolen from");
-        assert_eq!(report[1].stolen_from + report[2].stolen_from + report[3].stolen_from, 6);
+        assert!(report.iter().all(|d| d.max_in_flight == 1), "{report:?}");
     }
 
     #[test]
@@ -1727,9 +1669,9 @@ mod tests {
             RetryPolicy::fail_fast(),
             6,
         );
-        let source = UnitSource::new(&run, units, None, 2);
+        let source = UnitSource::new(&run, units, 0, 1, 2);
         let in_flight = || source.loads[0].in_flight.load(Ordering::Relaxed);
-        let claim = source.claim(0, false).unwrap();
+        let claim = source.claim(false).unwrap();
         assert_eq!(in_flight(), 0, "claimed, not yet read");
         source.occupy(claim);
         source.release(claim);
@@ -2052,8 +1994,8 @@ mod tests {
         assert!(recovery.failed_partitions.is_empty());
     }
 
-    /// A shuffled source over `order` whose unit at position `seq` lives on
-    /// device `devices[seq]`, claimed through a window of `window`
+    /// A source over the partitions in `order` whose unit at position `seq`
+    /// lives on device `devices[seq]`, claimed through a window of `window`
     /// positions.
     fn window_source(devices: &[usize], order: &[usize], window: usize) -> UnitSource {
         let mut partitions: Vec<Partition> = (0..order.len())
@@ -2071,15 +2013,15 @@ mod tests {
         let plan = PreprocessPlan::from_config(&tiny_config(1), 1).unwrap();
         let fleet = Fleet::Shuffled(ShuffleSpec::new(0));
         let run = Run::new(plan, partitions, fleet, RetryPolicy::fail_fast(), n);
-        let units = (0..n).map(Unit::partition).collect();
-        UnitSource::new(&run, units, Some((order.to_vec(), 0, window)), 1)
+        let units = order.iter().map(|&p| Unit::partition(p)).collect();
+        UnitSource::new(&run, units, 0, window, 1)
     }
 
     /// Claims until the source is drained, releasing each claim at once
     /// when `release`, else holding them all in flight; returns the
     /// sequence numbers in claim order.
     fn claim_all(source: &UnitSource, release: bool) -> Vec<usize> {
-        std::iter::from_fn(|| source.claim(0, true))
+        std::iter::from_fn(|| source.claim(true))
             .inspect(|&claim| {
                 if release {
                     std::thread::yield_now();
@@ -2094,16 +2036,27 @@ mod tests {
     fn claim_window_takes_the_lowest_unit_on_an_idle_device() {
         let order = epoch_order(6, 5, 0);
         let source = window_source(&[0, 0, 1, 1, 0, 1], &order, 4);
-        let first = source.claim(0, true).unwrap();
+        let first = source.claim(true).unwrap();
         assert_eq!(first.seq, 0);
-        let second = source.claim(0, true).unwrap();
+        let second = source.claim(true).unwrap();
         assert_eq!(second.seq, 2, "seq 1 shares seq 0's busy device; seq 2's is idle");
         assert_eq!(second.unit, Unit::partition(order[2]), "claims keep the permutation's seq");
         // Both devices busy: the lowest unclaimed unit.
-        assert_eq!(source.claim(0, true).unwrap().seq, 1);
+        assert_eq!(source.claim(true).unwrap().seq, 1);
         // Device 1 freed: seq 3 is the lowest unclaimed unit on it.
         source.release(second);
         assert_eq!(claim_all(&source, false), [3, 4, 5]);
+
+        // The partition fleets' identity order: with unit 1 still on
+        // device 1, the next claim passes units 2 and 3 there for unit 4 on
+        // idle device 2.
+        let identity: Vec<usize> = (0..6).collect();
+        let source = window_source(&[0, 1, 1, 1, 2, 2], &identity, 4);
+        let first = source.claim(true).unwrap();
+        assert_eq!(source.claim(true).unwrap().unit, Unit::partition(1));
+        source.release(first);
+        let next = source.claim(true).unwrap();
+        assert_eq!((next.seq, next.unit, next.slot), (4, Unit::partition(4), 2));
     }
 
     #[test]

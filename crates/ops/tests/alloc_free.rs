@@ -8,52 +8,28 @@
 //! regression here silently reintroduces the per-batch malloc traffic the
 //! zero-copy refactor removed.
 //!
-//! The counting allocator is process-global, so this file contains exactly
-//! one `#[test]`: nothing else runs concurrently in this binary to perturb
-//! the counters.
+//! The counting allocator (presto-columnar's `tests/common`) counts only the
+//! allocations of a thread inside `allocations_of`, so what the test
+//! harness's other threads allocate meanwhile never lands in a count; this
+//! file still contains exactly one `#[test]`.
 
 use presto_datagen::{generate_batch, RmConfig};
 use presto_ops::{
     preprocess_batch_with, transform_batch_into, PlanGraph, PreprocessPlan, ScratchSpace,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Forwards to the system allocator, counting every allocation call.
-struct CountingAllocator;
+#[path = "../../columnar/tests/common/mod.rs"]
+mod common;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+use common::allocations_of;
 
 #[test]
 fn warm_transform_kernel_loop_allocates_nothing() {
+    // One known allocation counts 1, so a count of 0 below means nothing
+    // was allocated, not that nothing was counted.
+    let boxed = allocations_of(|| std::hint::black_box(Box::new(7u64)));
+    assert_eq!(boxed, 1, "the counter counts");
+
     let mut config = RmConfig::rm1();
     config.batch_size = 512;
     // Distinct same-shaped batches: steady state means *new data* through
@@ -86,13 +62,13 @@ fn warm_transform_kernel_loop_allocates_nothing() {
         }
 
         // Steady state: zero allocations across many further batches.
-        let before = allocation_count();
-        for _round in 0..8 {
-            for batch in &batches {
-                transform_batch_into(&plan, batch, &mut scratch).expect("transform succeeds");
+        let delta = allocations_of(|| {
+            for _round in 0..8 {
+                for batch in &batches {
+                    transform_batch_into(&plan, batch, &mut scratch).expect("transform succeeds");
+                }
             }
-        }
-        let delta = allocation_count() - before;
+        });
         assert_eq!(
             delta, 0,
             "{name}: steady-state transform allocated {delta} times over 32 batches"
