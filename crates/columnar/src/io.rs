@@ -99,7 +99,9 @@ impl DeviceModel {
 pub struct DeviceStats {
     /// Positioned reads serviced.
     pub reads: u64,
-    /// Total service time (`reads × read_latency`).
+    /// Total service time (`reads × read_latency`), summed over the queue's
+    /// slots: up to `queue_depth` reads are in service at once, so
+    /// `busy ÷ makespan` can reach `queue_depth`, not 1.
     pub busy: Duration,
     /// Total time reads spent queued waiting for a device slot, summed over
     /// reads: a submission of `n` reads on a depth-`d` device adds every

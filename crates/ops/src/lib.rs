@@ -69,7 +69,6 @@
 pub mod bucketize;
 pub mod executor;
 pub mod graph;
-pub mod listops;
 pub mod lognorm;
 pub mod minibatch;
 pub mod op;

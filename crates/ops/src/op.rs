@@ -376,8 +376,9 @@ pub fn fill_missing_in_place(values: &mut [f32], fill: f32) {
 }
 
 /// Truncates each list to its first `x` ids, appending the new
-/// `(offsets, values)` into caller-provided buffers (cleared first). The
-/// allocation-free counterpart of [`crate::listops::firstx`].
+/// `(offsets, values)` into caller-provided buffers (cleared first), so a
+/// warm scratch truncates without allocating. Rows shorter than `x` are
+/// kept whole, and `x == 0` empties every list.
 pub fn firstx_into(
     offsets: &[u32],
     values: &[i64],
@@ -509,13 +510,17 @@ mod tests {
 
     #[test]
     fn firstx_into_matches_allocating_firstx() {
-        let (o, v) = jagged(&[&[1, 2, 3, 4], &[5], &[], &[6, 7]]);
-        let (expect_o, expect_v) = crate::listops::firstx(&o, &v, 2);
-        let mut oo = vec![99u32]; // dirty buffers must be fine
-        let mut ov = vec![-1i64];
-        firstx_into(&o, &v, 2, &mut oo, &mut ov);
-        assert_eq!(oo, expect_o);
-        assert_eq!(ov, expect_v);
+        let lists: &[&[i64]] = &[&[1, 2, 3, 4], &[5], &[], &[6, 7]];
+        let (o, v) = jagged(lists);
+        // x = 0 empties every list; x = 4 is the longest list (identity).
+        for x in [0, 1, 2, 4, 10] {
+            let truncated: Vec<&[i64]> = lists.iter().map(|l| &l[..l.len().min(x)]).collect();
+            let (expect_o, expect_v) = jagged(&truncated);
+            let mut oo = vec![99u32]; // dirty buffers must be fine
+            let mut ov = vec![-1i64];
+            firstx_into(&o, &v, x, &mut oo, &mut ov);
+            assert_eq!((oo, ov), (expect_o, expect_v), "x = {x}");
+        }
     }
 
     #[test]

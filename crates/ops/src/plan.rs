@@ -59,6 +59,7 @@ use presto_columnar::DataType;
 use presto_datagen::{raw_schema, RmConfig};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// How much of a raw column the Extract step must materialize — the
 /// plan-side half of the prefix-pushdown contract with `presto-columnar`
@@ -123,7 +124,7 @@ pub struct BoundarySlot {
 /// the ISP side only ever reads raw columns or other ISP stages. Demotion
 /// preserves semantics — execution stays bit-identical for any requested
 /// assignment — and [`SplitPlan::demoted`] reports which stages moved.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SplitPlan {
     fleet: Vec<Place>,
     isp_stages: Vec<usize>,
@@ -283,6 +284,9 @@ pub struct PreprocessPlan {
     emit_list: Vec<usize>,
     /// Stage positions of emitted Ids stages, declaration order.
     emit_ids: Vec<usize>,
+    /// [`PreprocessPlan::feature_halves`], dealt once at compile time and
+    /// shared by every clone.
+    halves: Arc<SplitPlan>,
 }
 
 impl PreprocessPlan {
@@ -417,7 +421,7 @@ impl PreprocessPlan {
         let (emit_dense, emit_list, emit_ids) =
             (emitted(ValueKind::Dense), emitted(ValueKind::List), emitted(ValueKind::Ids));
 
-        Ok(PreprocessPlan {
+        let mut plan = PreprocessPlan {
             config: config.clone(),
             graph,
             stages,
@@ -427,7 +431,10 @@ impl PreprocessPlan {
             emit_dense,
             emit_list,
             emit_ids,
-        })
+            halves: Arc::default(),
+        };
+        plan.halves = Arc::new(plan.deal_features());
+        Ok(plan)
     }
 
     /// Compiles the canonical fixed scenario of the paper
@@ -687,7 +694,7 @@ impl PreprocessPlan {
         })
     }
 
-    /// Deals the plan's *features* to the two threads of a host-fleet
+    /// The plan's *features* dealt to the two threads of a host-fleet
     /// worker pair ([`crate::stream`]): the [`Place::Isp`] side of the
     /// returned split is thread A's half, the [`Place::Host`] side — which
     /// also keeps the label and the mini-batch assembly — is thread B's.
@@ -705,8 +712,16 @@ impl PreprocessPlan {
     /// boundary slot of the result is `read_by_host` and nothing is
     /// demoted: the halves can run concurrently and only finished outputs
     /// cross. A plan with a single feature lands whole on B.
+    ///
+    /// Dealt once, when the plan is compiled: every clone of the plan
+    /// shares the one split.
     #[must_use]
-    pub fn feature_halves(&self) -> SplitPlan {
+    pub fn feature_halves(&self) -> &Arc<SplitPlan> {
+        &self.halves
+    }
+
+    /// The deal behind [`PreprocessPlan::feature_halves`].
+    fn deal_features(&self) -> SplitPlan {
         // Every stage has one input, so the links form a forest whose
         // edges point backwards: a stage's root is its input's root, final
         // by the time the forward pass reaches it. `class[root]` collects
@@ -970,6 +985,14 @@ mod tests {
         .map(|graph| PreprocessPlan::compile(graph.unwrap(), &c).expect("compiles"))
         .chain([PreprocessPlan::from_config(&RmConfig::rm5(), 7).unwrap()])
         .collect()
+    }
+
+    #[test]
+    fn a_cloned_plan_shares_its_feature_halves() {
+        let plan = PreprocessPlan::from_config(&RmConfig::rm5(), 1).unwrap();
+        let clone = plan.clone();
+        assert!(Arc::ptr_eq(plan.feature_halves(), clone.feature_halves()));
+        assert_eq!(**plan.feature_halves(), plan.deal_features());
     }
 
     #[test]

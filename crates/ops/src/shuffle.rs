@@ -14,9 +14,10 @@
 //!
 //! * [`epoch_units`] enumerates every row group of every partition into a
 //!   flat list of [`GroupRef`] units — the shuffle's sample space. The
-//!   footers it parses are the epoch's footers: the shuffled stream keeps
-//!   the readers the enumeration opened and reads every unit through its
-//!   partition's, so a unit costs its row group's chunk reads and no open.
+//!   footers it parses are the epoch's footers: the shuffled stream opens
+//!   them up front with one opener per device, keeps the readers and reads
+//!   every unit through its partition's, so a unit costs its row group's
+//!   chunk reads and no open.
 //! * [`epoch_order`] derives the epoch's permutation of those units from
 //!   `(seed, epoch)` with a SplitMix64-keyed Fisher–Yates shuffle. Same
 //!   inputs ⇒ same permutation, on every worker count, forever; the epoch
@@ -45,6 +46,8 @@
 use crate::executor::PreprocessError;
 use presto_columnar::{ColumnarError, FileReader, MemBlob};
 use presto_datagen::Partition;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// What to shuffle: the seed and which epoch of it to stream.
 ///
@@ -94,34 +97,73 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Enumerates the epoch's shuffle units: every row group of every
-/// partition, in `(partition, group)` order. Only footers are parsed —
-/// `MemBlob` clones share their bytes, so this is metadata-cost only.
+/// partition, in `(partition, group)` order. Only footers are parsed, but
+/// behind an emulated device each partition costs two device round trips
+/// (the head and tail as one submission, then the footer). This walk opens
+/// the partitions one after another on the calling thread; a stream opens
+/// them with one opener per device, so its devices overlap their trips.
 ///
 /// # Errors
 ///
 /// Propagates open/footer failures (tagged with the partition and device).
 pub fn epoch_units(partitions: &[Partition]) -> Result<Vec<GroupRef>, PreprocessError> {
-    epoch_readers(partitions).map(|(units, _)| units)
+    epoch_readers(partitions, 1).map(|(units, _)| units)
 }
 
 /// [`epoch_units`], plus the reader it opened for each partition: the
 /// shuffled stream reads every unit through them.
+///
+/// The footers are opened by `min(openers, devices)` openers: the calling
+/// thread and one scoped thread per other opener. Devices are dealt to the
+/// openers in id order, and each opener opens its devices' partitions in
+/// partition order, so every device sees the reads of a serial walk in the
+/// same order and the result does not depend on `openers`. On failure an
+/// opener stops before any partition past the lowest failure seen so far,
+/// and the error is the lowest failing partition's, as a serial walk would
+/// return.
 pub(crate) fn epoch_readers(
     partitions: &[Partition],
+    openers: usize,
 ) -> Result<(Vec<GroupRef>, Vec<FileReader<MemBlob>>), PreprocessError> {
-    let mut units = Vec::new();
-    let mut readers = Vec::with_capacity(partitions.len());
-    for (pos, p) in partitions.iter().enumerate() {
-        let reader = FileReader::open(p.blob.clone())
-            .map_err(|e| PreprocessError::from(e).with_location(pos, p.device))?;
-        for (group, rg) in reader.meta().row_groups.iter().enumerate() {
-            if rg.rows > 0 {
-                units.push(GroupRef { partition: pos, group, rows: rg.rows });
+    let mut devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
+    devices.sort_unstable();
+    devices.dedup();
+    let openers = openers.clamp(1, devices.len().max(1));
+    let failed = AtomicUsize::new(usize::MAX);
+    let open = |opener: usize| {
+        let mut opened = Vec::new();
+        for (pos, p) in partitions.iter().enumerate() {
+            if devices.binary_search(&p.device).unwrap_or(0) % openers != opener {
+                continue;
+            } else if pos > failed.load(Ordering::Relaxed) {
+                break;
             }
+            let reader = FileReader::open(p.blob.clone())
+                .map_err(|e| PreprocessError::from(e).with_location(pos, p.device));
+            if reader.is_err() {
+                failed.fetch_min(pos, Ordering::Relaxed);
+            }
+            opened.push((pos, reader));
         }
-        readers.push(reader);
-    }
-    Ok((units, readers))
+        opened
+    };
+    let mut opened = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..openers).map(|opener| s.spawn(move || open(opener))).collect();
+        let mut opened = open(0);
+        for handle in spawned {
+            opened.extend(handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        opened
+    });
+    // Every partition before the lowest failure was opened, so the walk in
+    // partition order meets that failure first.
+    opened.sort_unstable_by_key(|&(pos, _)| pos);
+    let readers: Vec<_> = opened.into_iter().map(|(_, reader)| reader).collect::<Result<_, _>>()?;
+    let units = readers.iter().enumerate().flat_map(|(partition, reader)| {
+        let groups = reader.meta().row_groups.iter().enumerate().filter(|(_, rg)| rg.rows > 0);
+        groups.map(move |(group, rg)| GroupRef { partition, group, rows: rg.rows })
+    });
+    Ok((units.collect(), readers))
 }
 
 /// The epoch's permutation: a seeded Fisher–Yates shuffle of
@@ -206,7 +248,10 @@ mod tests {
     use super::*;
     use crate::plan::PreprocessPlan;
     use crate::stream::{BatchStream, Fleet, FleetConfig};
+    use presto_columnar::{Device, DeviceModel, FaultPlan, FileMeta};
     use presto_datagen::{Dataset, RmConfig};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn tiny(rows: usize) -> RmConfig {
         let mut c = RmConfig::rm1();
@@ -218,6 +263,116 @@ mod tests {
         let c = tiny(rows);
         let ds = Dataset::generate_grouped(&c, partitions, rows, 2, 7, group_rows).unwrap();
         (c, ds)
+    }
+
+    /// The partitions of `ds` behind one fresh device per device id.
+    fn behind_devices(ds: &Dataset, model: DeviceModel) -> (Vec<Partition>, Vec<Arc<Device>>) {
+        let devices = ds.partitions().iter().map(|p| p.device).max().map_or(0, |d| d + 1);
+        let devices: Vec<_> = (0..devices).map(|_| Arc::new(Device::new(model))).collect();
+        let partitions = ds
+            .partitions()
+            .iter()
+            .map(|p| Partition {
+                blob: p.blob.clone().behind_device(Arc::clone(&devices[p.device])),
+                ..p.clone()
+            })
+            .collect();
+        (partitions, devices)
+    }
+
+    /// The walk the openers must reproduce: one `FileReader::open` after
+    /// another, stopping at the first failure.
+    fn serial_walk(partitions: &[Partition]) -> Result<Vec<FileMeta>, PreprocessError> {
+        let open = |(pos, p): (usize, &Partition)| {
+            FileReader::open(p.blob.clone())
+                .map(|r| r.meta().clone())
+                .map_err(|e| PreprocessError::from(e).with_location(pos, p.device))
+        };
+        partitions.iter().enumerate().map(open).collect()
+    }
+
+    fn serial_units(footers: &[FileMeta]) -> Vec<GroupRef> {
+        let mut units = Vec::new();
+        for (partition, meta) in footers.iter().enumerate() {
+            for (group, rg) in meta.row_groups.iter().enumerate().filter(|(_, rg)| rg.rows > 0) {
+                units.push(GroupRef { partition, group, rows: rg.rows });
+            }
+        }
+        units
+    }
+
+    #[test]
+    fn openers_return_the_serial_walks_units_readers_and_device_reads() {
+        let model = DeviceModel::new(Duration::ZERO, 2);
+        for devices in [1, 2, 3] {
+            let (c, _) = grouped_dataset(1, 8, 8);
+            let ds = Dataset::generate_grouped(&c, 7, 24, devices, 7, 8).unwrap();
+            let (serial_parts, serial_devices) = behind_devices(&ds, model);
+            let footers = serial_walk(&serial_parts).unwrap();
+            let serial_reads: Vec<u64> = serial_devices.iter().map(|d| d.stats().reads).collect();
+            // Workers below, at and above the device count.
+            for workers in [1, 2, 4] {
+                let (parts, devs) = behind_devices(&ds, model);
+                let (units, readers) = epoch_readers(&parts, workers).unwrap();
+                let what = format!("{devices} devices, {workers} workers");
+                assert_eq!(units, serial_units(&footers), "{what}");
+                let metas: Vec<FileMeta> = readers.iter().map(|r| r.meta().clone()).collect();
+                assert_eq!(metas, footers, "{what}");
+                let reads: Vec<u64> = devs.iter().map(|d| d.stats().reads).collect();
+                assert_eq!(reads, serial_reads, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn openers_fail_at_the_serial_walks_partition_and_device() {
+        let (c, _) = grouped_dataset(1, 8, 8);
+        let ds = Dataset::generate_grouped(&c, 6, 16, 3, 7, 8).unwrap();
+        // Device 1 dead on arrival (partition 1 fails); device 2 dead after
+        // its first open's three reads (partition 5 fails, while the other
+        // devices open every partition before it).
+        for (death, partition) in [((1, 0), 1), ((2, 3), 5)] {
+            let armed = || {
+                let injector = FaultPlan::new(5).with_device_death(death.0, death.1).arm();
+                let blob = |p: &Partition| p.blob.clone().with_faults(&injector, p.device, p.index);
+                ds.partitions().iter().map(|p| Partition { blob: blob(p), ..p.clone() }).collect()
+            };
+            let serial: Vec<Partition> = armed();
+            let want = serial_walk(&serial).unwrap_err();
+            assert_eq!((want.partition(), want.device()), (Some(partition), Some(death.0)));
+            for workers in [1, 2, 3] {
+                let parts: Vec<Partition> = armed();
+                let got = epoch_readers(&parts, workers).map(|_| ()).unwrap_err();
+                let what = format!("death {death:?}, {workers} workers");
+                assert_eq!(
+                    (got.partition(), got.device()),
+                    (want.partition(), want.device()),
+                    "{what}"
+                );
+                assert_eq!(got.to_string(), want.to_string(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn openers_overlap_the_devices_round_trips() {
+        // 4 partitions on 2 devices; an open is two round trips. Walked
+        // serially, each device idles while the other opens, so its last
+        // open ends 6 latencies after its first began; one opener per
+        // device ends it after 4.
+        let latency = Duration::from_millis(20);
+        let model = DeviceModel::new(latency, 2);
+        let (c, _) = grouped_dataset(1, 8, 8);
+        let ds = Dataset::generate_grouped(&c, 4, 16, 2, 7, 8).unwrap();
+        let (serial, serial_devices) = behind_devices(&ds, model);
+        epoch_readers(&serial, 1).unwrap();
+        let (parts, devices) = behind_devices(&ds, model);
+        epoch_readers(&parts, 2).unwrap();
+        for (d, (serial, device)) in serial_devices.iter().zip(&devices).enumerate() {
+            let (serial, overlapped) = (serial.stats().makespan, device.stats().makespan);
+            assert!(serial >= latency * 6, "device {d}: serial makespan {serial:?}");
+            assert!(overlapped < latency * 5, "device {d}: makespan {overlapped:?}");
+        }
     }
 
     #[test]

@@ -49,6 +49,20 @@
 //! its row group's chunk reads alone. Every other fleet opens the
 //! partition per unit.
 //!
+//! # Start-up
+//!
+//! Opening a run does only device I/O, and keeps every device busy while
+//! it does. The shuffled fleet must know its units before any is claimed,
+//! so it opens every footer first, two device round trips per partition
+//! (the head and tail as one submission, then the footer). It opens them
+//! with one opener per device, at most [`FleetConfig::workers`] of them
+//! and the calling thread among them, each opening its devices' partitions
+//! in partition order: the devices overlap their round trips, and every
+//! device sees the reads a serial walk would make, in the same order. The
+//! host pair's [feature halves](PreprocessPlan::feature_halves) were dealt
+//! when the plan was compiled, so a host stream only checks them. The
+//! other fleets open nothing up front.
+//!
 //! # Phases
 //!
 //! A [`Fleet`] runs each unit in at most two phases. The *device-side*
@@ -311,7 +325,9 @@ pub enum Fleet {
     /// through the host pipeline, claimed and **delivered in the seeded
     /// permutation order** of the carried spec's epoch, whatever the worker
     /// count. Partitions written without row grouping degrade to a
-    /// whole-partition shuffle.
+    /// whole-partition shuffle. Every footer is opened before the first
+    /// claim, one opener per device, and each unit reads through its
+    /// partition's opened reader.
     Shuffled(ShuffleSpec),
 }
 
@@ -324,7 +340,9 @@ impl Fleet {
     /// order), except on the shuffled fleet, which yields its permutation
     /// order. Errors — including the shuffled fleet's up-front footer
     /// enumeration ([`epoch_units`](crate::epoch_units)) — surface on the
-    /// stream.
+    /// stream. That enumeration runs before this returns, with one opener
+    /// per device (at most `config.workers`, this thread among them; see
+    /// [start-up](self#start-up)).
     #[must_use]
     pub fn stream(
         &self,
@@ -332,7 +350,8 @@ impl Fleet {
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> BatchStream {
-        BatchStream::start(plan, partitions, self.clone(), self.units(partitions), 0, config)
+        let units = self.units(partitions, config.workers);
+        BatchStream::start(plan, partitions, self.clone(), units, 0, config)
     }
 
     /// This fleet's run over `partitions`, driven by the caller's threads
@@ -348,16 +367,20 @@ impl Fleet {
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> (BatchStream, Driver) {
-        let units = self.units(partitions);
+        let units = self.units(partitions, config.workers);
         BatchStream::open(plan, partitions, self.clone(), units, 0, config, false)
     }
 
     /// The units a run of this fleet claims: every row group through the
-    /// readers its footer enumeration opened (shuffled), or every whole
-    /// partition.
-    fn units(&self, partitions: &[Partition]) -> Result<(Vec<Unit>, Readers), PreprocessError> {
+    /// readers its footer enumeration opened with up to `workers` openers
+    /// (shuffled), or every whole partition.
+    fn units(
+        &self,
+        partitions: &[Partition],
+        workers: usize,
+    ) -> Result<(Vec<Unit>, Readers), PreprocessError> {
         match self {
-            Fleet::Shuffled(_) => epoch_readers(partitions).map(group_units),
+            Fleet::Shuffled(_) => epoch_readers(partitions, workers).map(group_units),
             _ => Ok(((0..partitions.len()).map(Unit::partition).collect(), Vec::new())),
         }
     }
@@ -920,7 +943,7 @@ struct Engine {
     run: Run,
     source: UnitSource,
     /// Host pair only: the plan's features dealt to the two threads.
-    halves: Option<SplitPlan>,
+    halves: Option<Arc<SplitPlan>>,
 }
 
 /// A unit in flight between the two phases. Only thread A of a host pair
@@ -935,9 +958,9 @@ struct Handoff {
 /// The feature halves a host pair runs, checked for what running them
 /// *concurrently* needs: no B-side stage may read an A-side output, because
 /// B runs its stages before A's outputs arrive.
-fn paired_halves(halves: SplitPlan) -> Result<SplitPlan, PreprocessError> {
+fn paired_halves(halves: &Arc<SplitPlan>) -> Result<Arc<SplitPlan>, PreprocessError> {
     if halves.demoted().is_empty() && halves.boundary().iter().all(|slot| !slot.read_by_host) {
-        Ok(halves)
+        Ok(Arc::clone(halves))
     } else {
         Err(PreprocessError::Plan {
             detail: "feature halves are not independent: one reads the other's output".into(),
@@ -1204,7 +1227,7 @@ impl BatchStream {
         cursor: EpochCursor,
         config: &FleetConfig,
     ) -> Result<BatchStream, PreprocessError> {
-        let (units, readers) = group_units(epoch_readers(partitions)?);
+        let (units, readers) = group_units(epoch_readers(partitions, config.workers)?);
         if cursor.units != units.len() as u64 {
             return Err(PreprocessError::Extract(ColumnarError::CorruptFile {
                 detail: format!(
@@ -1715,7 +1738,7 @@ mod tests {
         let interleaved: Vec<crate::Place> = (0..plan.stages().len())
             .map(|i| if i % 2 == 0 { crate::Place::Isp } else { crate::Place::Host })
             .collect();
-        let err = paired_halves(plan.split(&interleaved).unwrap()).unwrap_err();
+        let err = paired_halves(&Arc::new(plan.split(&interleaved).unwrap())).unwrap_err();
         assert!(matches!(err, PreprocessError::Plan { .. }), "{err}");
         assert!(paired_halves(plan.feature_halves()).is_ok());
     }
