@@ -1,7 +1,7 @@
 //! Plain (fixed-width little-endian) encoding.
 //!
 //! The fallback encoding every physical type supports. Values are laid out
-//! back to back with no headers, exactly `element_width` bytes each.
+//! back to back with no headers, exactly the type's width each.
 
 use crate::error::{ColumnarError, Result};
 

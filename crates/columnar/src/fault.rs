@@ -1,14 +1,15 @@
 //! Deterministic fault injection for storage blobs — the chaos harness
 //! behind every recovery test in this workspace.
 //!
-//! A production preprocessing fleet loses devices, sees corrupt pages and
-//! waits out latency spikes as *routine* events; an executor is only as
+//! A production preprocessing fleet loses devices and sees failed reads
+//! and corrupt pages as *routine* events; an executor is only as
 //! trustworthy as its behavior under them. This module makes those events
 //! reproducible: a seeded [`FaultPlan`] decides, purely as a function of
 //! `(seed, device, partition, read index)`, whether each positioned read
 //! fails transiently, returns corrupted bytes (the page CRC catches them
-//! downstream), pays a latency spike, or — once a device's read counter
-//! passes a configured threshold — dies permanently. Two runs with the same
+//! downstream), or — once a device's read counter passes a configured
+//! threshold — dies permanently. Latency is not a fault: it is the
+//! emulated [`Device`](crate::Device)'s to model. Two runs with the same
 //! plan and the same per-partition read sequences inject the same faults,
 //! which is what lets property tests assert that a recovered stream is
 //! bit-identical to a fault-free one.
@@ -36,7 +37,6 @@ use crate::io::BlobRead;
 use crate::ColumnarError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One scheduled permanent device death.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,10 +63,6 @@ pub struct FaultPlan {
     /// Probability a read returns corrupted bytes (one byte flipped in the
     /// destination buffer; page CRCs catch it downstream).
     pub corrupt_rate: f64,
-    /// Probability a read stalls for [`FaultPlan::spike`] before completing.
-    pub spike_rate: f64,
-    /// Duration of one injected latency spike/stall.
-    pub spike: Duration,
     /// Devices scheduled to die permanently.
     pub deaths: Vec<DeviceDeath>,
 }
@@ -75,14 +71,7 @@ impl FaultPlan {
     /// A fault-free plan with the given seed; add faults with the builders.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            transient_rate: 0.0,
-            corrupt_rate: 0.0,
-            spike_rate: 0.0,
-            spike: Duration::ZERO,
-            deaths: Vec::new(),
-        }
+        FaultPlan { seed, transient_rate: 0.0, corrupt_rate: 0.0, deaths: Vec::new() }
     }
 
     /// Sets the transient-error rate (clamped to `[0, 1]`).
@@ -96,14 +85,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_corrupt_rate(mut self, rate: f64) -> Self {
         self.corrupt_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the latency-spike rate and duration (rate clamped to `[0, 1]`).
-    #[must_use]
-    pub fn with_spikes(mut self, rate: f64, spike: Duration) -> Self {
-        self.spike_rate = rate.clamp(0.0, 1.0);
-        self.spike = spike;
         self
     }
 
@@ -129,8 +110,6 @@ pub struct FaultStats {
     pub transient: u64,
     /// Reads whose destination buffer was corrupted.
     pub corrupt: u64,
-    /// Latency spikes paid.
-    pub spikes: u64,
     /// Reads refused because their device was dead.
     pub dead_reads: u64,
 }
@@ -140,7 +119,6 @@ pub struct FaultStats {
 enum Fault {
     Transient,
     Corrupt,
-    Spike,
     Dead,
 }
 
@@ -155,7 +133,6 @@ pub struct FaultInjector {
     death_reads: Vec<AtomicU64>,
     transient: AtomicU64,
     corrupt: AtomicU64,
-    spikes: AtomicU64,
     dead_reads: AtomicU64,
 }
 
@@ -175,7 +152,6 @@ impl FaultInjector {
             death_reads,
             transient: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
-            spikes: AtomicU64::new(0),
             dead_reads: AtomicU64::new(0),
         }
     }
@@ -186,19 +162,8 @@ impl FaultInjector {
         FaultStats {
             transient: self.transient.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
-            spikes: self.spikes.load(Ordering::Relaxed),
             dead_reads: self.dead_reads.load(Ordering::Relaxed),
         }
-    }
-
-    /// Whether `device` has served out its scheduled lifetime.
-    #[must_use]
-    pub fn device_is_dead(&self, device: usize) -> bool {
-        self.plan
-            .deaths
-            .iter()
-            .zip(&self.death_reads)
-            .any(|(d, reads)| d.device == device && reads.load(Ordering::Relaxed) >= d.after_reads)
     }
 
     /// Decides the fate of one read. Increments the device's death counter,
@@ -213,7 +178,7 @@ impl FaultInjector {
                 }
             }
         }
-        let total = self.plan.transient_rate + self.plan.corrupt_rate + self.plan.spike_rate;
+        let total = self.plan.transient_rate + self.plan.corrupt_rate;
         if total <= 0.0 {
             return None;
         }
@@ -223,12 +188,9 @@ impl FaultInjector {
         if u < self.plan.transient_rate {
             self.transient.fetch_add(1, Ordering::Relaxed);
             Some(Fault::Transient)
-        } else if u < self.plan.transient_rate + self.plan.corrupt_rate {
+        } else if u < total {
             self.corrupt.fetch_add(1, Ordering::Relaxed);
             Some(Fault::Corrupt)
-        } else if u < total {
-            self.spikes.fetch_add(1, Ordering::Relaxed);
-            Some(Fault::Spike)
         } else {
             None
         }
@@ -255,9 +217,9 @@ impl FaultSite {
         FaultSite { injector, device, partition, next_read: AtomicU64::new(0) }
     }
 
-    /// Runs one read through the injector: sleeps out spikes, fails
-    /// transient/dead reads, and returns whether the caller must corrupt
-    /// the filled buffer afterwards.
+    /// Runs one read through the injector: fails transient/dead reads, and
+    /// returns whether the caller must corrupt the filled buffer
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -268,10 +230,6 @@ impl FaultSite {
         match self.injector.decide(self.device, self.partition, index) {
             None => Ok(false),
             Some(Fault::Corrupt) => Ok(true),
-            Some(Fault::Spike) => {
-                std::thread::sleep(self.injector.plan.spike);
-                Ok(false)
-            }
             Some(Fault::Transient) => Err(ColumnarError::Io {
                 detail: format!(
                     "injected transient fault (device {}, partition {}, read {index})",
@@ -344,6 +302,7 @@ impl<B: BlobRead> BlobRead for FaultyBlob<B> {
 mod tests {
     use super::*;
     use crate::MemBlob;
+    use std::time::Duration;
 
     #[test]
     fn fault_free_plan_injects_nothing() {
@@ -388,12 +347,11 @@ mod tests {
         for _ in 0..5 {
             blob.read_at(0, 4).expect("alive while under budget");
         }
-        assert!(!injector.device_is_dead(3) || injector.stats().dead_reads == 0);
+        assert_eq!(injector.stats().dead_reads, 0);
         for _ in 0..3 {
             let err = blob.read_at(0, 4).expect_err("dead after budget");
             assert!(err.to_string().contains("dead"), "{err}");
         }
-        assert!(injector.device_is_dead(3));
         assert_eq!(injector.stats().dead_reads, 3);
         // Other devices sharing the injector stay alive.
         let other = FaultyBlob::new(MemBlob::new(vec![2; 64]), injector, 1, 0);
@@ -401,24 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn spikes_delay_but_do_not_fail() {
-        let injector = FaultPlan::new(3).with_spikes(1.0, Duration::from_millis(5)).arm();
-        let blob = FaultyBlob::new(MemBlob::new(vec![0; 16]), injector.clone(), 0, 0);
-        let t0 = std::time::Instant::now();
-        blob.read_at(0, 4).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(5), "spike must stall the read");
-        assert_eq!(injector.stats().spikes, 1);
-    }
-
-    #[test]
     fn rates_are_clamped() {
-        let plan = FaultPlan::new(0)
-            .with_transient_rate(7.0)
-            .with_corrupt_rate(-1.0)
-            .with_spikes(2.0, Duration::ZERO);
+        let plan = FaultPlan::new(0).with_transient_rate(7.0).with_corrupt_rate(-1.0);
         assert_eq!(plan.transient_rate, 1.0);
         assert_eq!(plan.corrupt_rate, 0.0);
-        assert_eq!(plan.spike_rate, 1.0);
     }
 
     #[test]

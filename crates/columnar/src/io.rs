@@ -48,14 +48,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Queue depth used by [`MemBlob::with_read_latency`]: deep enough that the
-/// single reads of any realistic worker fleet in this workspace (≤ 16
-/// pipelines) never queue, so the legacy "every read pays the latency
-/// independently" behavior is preserved while still routing through the
-/// shared [`Device`] gate. A submission of more ranges than this takes
-/// ⌈ranges / 32⌉ waves, as on any device.
-pub const DEFAULT_EMULATED_QUEUE_DEPTH: usize = 32;
-
 /// Parameters of an emulated storage device.
 ///
 /// The device services one positioned read in [`DeviceModel::read_latency`]
@@ -384,8 +376,8 @@ impl ReadScratch {
 /// beyond the depth serialize, as they would inside an NVMe device), and
 /// the zero-copy borrows are disabled — a device exposes reads, not memory.
 /// This is what lets the Extract-overlap and contention benches demonstrate
-/// latency hiding and queueing on any host. [`MemBlob::with_read_latency`]
-/// is the legacy convenience for a private, effectively-uncontended device.
+/// latency hiding and queueing on any host. It is the one way to emulate
+/// latency: a blob that should pay it alone sits behind a private device.
 #[derive(Debug, Clone, Default)]
 pub struct MemBlob {
     data: Arc<Vec<u8>>,
@@ -446,33 +438,10 @@ impl MemBlob {
         self
     }
 
-    /// Emulates device latency with a private, deep-queued device
-    /// ([`DEFAULT_EMULATED_QUEUE_DEPTH`] slots): every read pays `latency`
-    /// but single reads never queue behind each other — the pre-queue-model
-    /// behavior, kept for overlap experiments where contention is not the
-    /// subject. Use [`MemBlob::behind_device`] with an explicit
-    /// [`DeviceModel`] to model a real queue depth.
-    #[must_use]
-    pub fn with_read_latency(self, latency: Duration) -> Self {
-        if latency.is_zero() {
-            return self;
-        }
-        self.behind_device(Arc::new(Device::new(DeviceModel::new(
-            latency,
-            DEFAULT_EMULATED_QUEUE_DEPTH,
-        ))))
-    }
-
     /// The emulated device backing this blob, when one is configured.
     #[must_use]
     pub fn device(&self) -> Option<&Arc<Device>> {
         self.device.as_ref()
-    }
-
-    /// The configured per-read latency (zero for plain memory).
-    #[must_use]
-    pub fn read_latency(&self) -> Duration {
-        self.device.as_ref().map_or(Duration::ZERO, |d| d.model().read_latency)
     }
 
     /// Borrows the underlying bytes.
@@ -777,9 +746,10 @@ mod tests {
     #[test]
     fn latency_blob_behaves_like_a_device() {
         let blob = MemBlob::new((0u8..32).collect());
-        let slow = blob.clone().with_read_latency(Duration::from_millis(5));
+        let model = DeviceModel::new(Duration::from_millis(5), 32);
+        let slow = blob.clone().behind_device(Arc::new(Device::new(model)));
         // Same bytes, device semantics: no zero-copy borrows.
-        assert_eq!(slow.read_latency(), Duration::from_millis(5));
+        assert_eq!(slow.device().map(|d| d.model()), Some(model));
         assert!(slow.as_shared().is_none());
         assert!(blob.as_shared().is_some(), "plain clone keeps memory semantics");
         let t0 = std::time::Instant::now();
@@ -855,7 +825,7 @@ mod tests {
         blob.read_at(0, 4).unwrap();
         clone.read_at(4, 4).unwrap();
         assert_eq!(device.stats().reads, 2, "both clones route through one device");
-        assert_eq!(blob.read_latency(), Duration::from_micros(100));
+        assert!(Arc::ptr_eq(blob.device().unwrap(), clone.device().unwrap()));
     }
 
     #[test]

@@ -27,18 +27,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Width in bytes of one element of this type, for sizing estimates.
-    ///
-    /// For [`DataType::ListInt64`] this is the width of a single list
-    /// *element*, not of the whole list.
-    #[must_use]
-    pub fn element_width(self) -> usize {
-        match self {
-            DataType::Int64 | DataType::Float64 | DataType::ListInt64 => 8,
-            DataType::Float32 => 4,
-        }
-    }
-
     /// Stable on-disk tag for the type.
     #[must_use]
     pub(crate) fn to_tag(self) -> u8 {
@@ -327,12 +315,6 @@ mod tests {
             assert_eq!(DataType::from_tag(dt.to_tag()).unwrap(), dt);
         }
         assert!(DataType::from_tag(99).is_err());
-    }
-
-    #[test]
-    fn element_widths() {
-        assert_eq!(DataType::Float32.element_width(), 4);
-        assert_eq!(DataType::ListInt64.element_width(), 8);
     }
 
     #[test]

@@ -132,15 +132,6 @@ impl OpCostModel {
         model
     }
 
-    /// A host-only table: ISP rates zeroed, so every stage places on the
-    /// host (the shape CPU-pool systems report).
-    #[must_use]
-    pub fn host_only() -> Self {
-        let mut model = Self::analytic(&IspModel::smartssd());
-        model.isp_elems_per_sec = [0.0; N_OPS];
-        model
-    }
-
     /// Host cost table entry, nanoseconds per element.
     #[must_use]
     pub fn host_ns_per_elem(&self, tag: OpTag) -> f64 {
@@ -421,14 +412,6 @@ mod tests {
         let placement = place_stages(&plan, rows, &OpCostModel::analytic(&IspModel::smartssd()));
         assert_eq!(placement.offloaded(), 0);
         assert!((placement.speedup() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn host_only_model_never_offloads() {
-        let (plan, rows) = rm1_plan(8192);
-        let placement = place_stages(&plan, rows, &OpCostModel::host_only());
-        assert_eq!(placement.offloaded(), 0);
-        assert_eq!(placement.placed_total(), placement.host_total());
     }
 
     #[test]

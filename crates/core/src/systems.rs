@@ -215,26 +215,6 @@ impl System {
         self.per_worker_throughput(profile) * self.parallelism() as f64
     }
 
-    /// Cost-model-driven placement of a compiled plan's operator stages on
-    /// this system: accelerator-backed systems price each stage on their
-    /// own device model and offload the stages that win, CPU systems keep
-    /// everything on the host (see [`crate::placement`]).
-    #[must_use]
-    pub fn plan_placement(
-        &self,
-        plan: &presto_ops::PreprocessPlan,
-        rows: usize,
-    ) -> crate::placement::PlacementPlan {
-        use crate::placement::{place_stages, OpCostModel};
-        let model = match self {
-            System::FpgaPool { isp, .. } | System::Presto { isp, .. } => OpCostModel::analytic(isp),
-            System::Colocated { .. } | System::DisaggCpu { .. } | System::GpuPool { .. } => {
-                OpCostModel::host_only()
-            }
-        };
-        place_stages(plan, rows, &model)
-    }
-
     /// RPC traffic per mini-batch (Fig. 13).
     #[must_use]
     pub fn rpc_account(&self, profile: &WorkloadProfile) -> RpcAccount {
@@ -389,17 +369,6 @@ mod tests {
         let presto = System::presto_smartssd(9).power();
         let disagg = System::disagg(367).power();
         assert!(disagg.raw() > 8.0 * presto.raw(), "disagg {disagg} vs presto {presto}");
-    }
-
-    #[test]
-    fn plan_placement_follows_the_device() {
-        let mut c = RmConfig::rm1();
-        c.batch_size = 8192;
-        let plan = presto_ops::PreprocessPlan::from_config(&c, 1).expect("plan");
-        let presto = System::presto_smartssd(1).plan_placement(&plan, 8192);
-        assert!(presto.offloaded() > 0, "ISP system offloads the heavy stages");
-        let disagg = System::disagg(4).plan_placement(&plan, 8192);
-        assert_eq!(disagg.offloaded(), 0, "CPU pool keeps every stage on the host");
     }
 
     #[test]

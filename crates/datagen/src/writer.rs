@@ -118,11 +118,6 @@ impl Dataset {
         self.num_devices
     }
 
-    /// Partitions resident on one device, in index order.
-    pub fn partitions_on(&self, device: usize) -> impl Iterator<Item = &Partition> {
-        self.partitions.iter().filter(move |p| p.device == device)
-    }
-
     /// Total rows across all partitions.
     #[must_use]
     pub fn total_rows(&self) -> usize {
@@ -180,8 +175,6 @@ mod tests {
         let ds = Dataset::generate(&tiny_config(), 7, 16, 3, 1).unwrap();
         let devices: Vec<usize> = ds.partitions().iter().map(|p| p.device).collect();
         assert_eq!(devices, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(ds.partitions_on(0).count(), 3);
-        assert_eq!(ds.partitions_on(2).count(), 2);
     }
 
     #[test]

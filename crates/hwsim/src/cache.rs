@@ -146,12 +146,6 @@ impl CacheSim {
         }
     }
 
-    /// Bytes fetched from memory by demand misses only.
-    #[must_use]
-    pub fn miss_traffic_bytes(&self) -> u64 {
-        self.misses * self.config.line_bytes as u64
-    }
-
     /// Bytes fetched from memory including prefetch fills.
     #[must_use]
     pub fn fill_traffic_bytes(&self) -> u64 {
@@ -221,7 +215,6 @@ mod tests {
             c.access(addr);
         }
         assert!(c.hit_rate() < 0.01, "streaming hit rate {}", c.hit_rate());
-        assert_eq!(c.miss_traffic_bytes(), c.misses() * 64);
     }
 
     #[test]
@@ -250,7 +243,6 @@ mod tests {
         c.prefetch(64); // prefetch fill
         assert_eq!(c.fills(), 2);
         assert_eq!(c.fill_traffic_bytes(), 128);
-        assert_eq!(c.miss_traffic_bytes(), 64);
         c.reset_stats();
         assert_eq!(c.fills(), 0);
     }

@@ -186,12 +186,6 @@ pub mod capex {
     /// One plain NVMe SSD of matching capacity.
     pub const PLAIN_SSD_USD: f64 = 600.0;
 
-    /// One Alveo U280 card.
-    pub const U280_USD: f64 = 7_000.0;
-
-    /// One A100 card.
-    pub const A100_USD: f64 = 12_000.0;
-
     /// Electricity price, USD per kWh (Sec. V-C, from the paper's refs 42/43).
     pub const ELECTRICITY_USD_PER_KWH: f64 = 0.0733;
 

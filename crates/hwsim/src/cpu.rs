@@ -44,19 +44,6 @@ impl CpuWorkerModel {
         }
     }
 
-    /// Overrides the network model (for what-if studies).
-    #[must_use]
-    pub fn with_network(mut self, net: NetworkModel) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// The network model in use.
-    #[must_use]
-    pub fn network(&self) -> &NetworkModel {
-        &self.net
-    }
-
     /// Stage breakdown for preprocessing one mini-batch on one core.
     #[must_use]
     pub fn stage_breakdown(

@@ -45,12 +45,6 @@ impl SsdModel {
         self.p2p_bw.time_for(bytes)
     }
 
-    /// Host-path bandwidth.
-    #[must_use]
-    pub fn read_bandwidth(&self) -> BytesPerSec {
-        self.read_bw
-    }
-
     /// P2P bandwidth.
     #[must_use]
     pub fn p2p_bandwidth(&self) -> BytesPerSec {

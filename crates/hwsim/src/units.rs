@@ -204,12 +204,6 @@ impl Watts {
     pub fn raw(self) -> f64 {
         self.0
     }
-
-    /// Energy over a duration, in joules.
-    #[must_use]
-    pub fn energy_over(self, time: Secs) -> f64 {
-        self.0 * time.seconds()
-    }
 }
 
 impl Add for Watts {
@@ -288,7 +282,6 @@ mod tests {
     #[test]
     fn watts_energy() {
         let p = Watts::new(25.0);
-        assert_eq!(p.energy_over(Secs::new(60.0)), 1500.0);
         assert_eq!((p + Watts::new(5.0)).raw(), 30.0);
         assert_eq!((p * 2.0).raw(), 50.0);
         let total: Watts = [Watts::new(1.0), Watts::new(2.0)].into_iter().sum();

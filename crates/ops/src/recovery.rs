@@ -1,9 +1,9 @@
 //! Recovery policy and bookkeeping of the streaming engine.
 //!
 //! Every fleet of [`crate::stream`] faces the same failure menu — transient
-//! read errors, corrupt pages, latency spikes, dead devices — and answers
-//! it with the same mechanisms (see the engine's *Failure semantics*). This
-//! module holds the knobs and the ledger:
+//! read errors, corrupt pages, dead devices — and answers it with the same
+//! mechanisms (see the engine's *Failure semantics*). This module holds the
+//! knobs and the ledger:
 //!
 //! * [`RetryPolicy`] — the knobs. [`RetryPolicy::fail_fast`] (the default
 //!   of [`FleetConfig::recovery`](crate::stream::FleetConfig)) is one

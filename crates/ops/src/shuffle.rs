@@ -203,12 +203,6 @@ pub struct EpochCursor {
 }
 
 impl EpochCursor {
-    /// True when the epoch is fully delivered.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.next >= self.units
-    }
-
     /// Serializes the cursor (`pstoshuf1:<seed>:<epoch>:<next>:<units>`).
     #[must_use]
     pub fn encode(&self) -> String {
@@ -395,8 +389,6 @@ mod tests {
     fn cursor_roundtrips_and_rejects_garbage() {
         let c = EpochCursor { seed: 991_217, epoch: 3, next: 17, units: 40 };
         assert_eq!(EpochCursor::decode(&c.encode()).unwrap(), c);
-        assert!(!c.is_done());
-        assert!(EpochCursor { next: 40, ..c }.is_done());
         for bad in ["", "pstoshuf1:1:2:3", "pstoshuf1:1:2:3:x", "other:1:2:3:4"] {
             assert!(EpochCursor::decode(bad).is_err(), "{bad:?}");
         }

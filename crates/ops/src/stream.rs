@@ -76,15 +76,15 @@
 //! |---|---|---|
 //! | [`Fleet::Host`] in a driven run, [`Fleet::Shuffled`] | the whole unit: Extract + Transform + format | — |
 //! | [`Fleet::Host`], paired | thread A: A's half of the features, its dense columns filled into the unit's matrix → its outputs and the matrix | thread B, concurrently: B's half and the label, then A's half merged, B's dense columns filled + format |
-//! | [`Fleet::Isp`] | the whole unit, P2P bytes and unit chunks counted | full plan from pristine media (failover only) |
+//! | [`Fleet::Isp`] | the whole unit, P2P bytes and unit chunks counted | full plan from pristine media, on the same thread (failover only) |
 //! | [`Fleet::Split`] | the ISP side, P2P bytes and unit chunks counted → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
 //!
-//! The phase boundary is either fused on one thread (the shuffled fleet, and
-//! every fleet of a driven run: one [`Driver::run_one`] call claims a unit,
-//! runs both phases and delivers it) or a bounded channel: one slot per
-//! worker pair on the host fleet, one shared device link of
-//! [`FleetConfig::capacity`] hand-offs on the split fleet, and the failover
-//! queue on the ISP fleet.
+//! The phase boundary is either fused on one thread (the ISP and shuffled
+//! fleets, and every fleet of a driven run: one [`Driver::run_one`] call
+//! claims a unit, runs both phases — failover included — and delivers it)
+//! or a bounded channel: one slot per worker pair on the host fleet, and
+//! one shared device link of [`FleetConfig::capacity`] hand-offs on the
+//! split fleet.
 //!
 //! # Driven runs
 //!
@@ -234,7 +234,7 @@ pub struct StreamStats {
     pub capacity: usize,
     /// Mini-batches buffered ahead of the consumer right now.
     pub queued: usize,
-    /// Units fully preprocessed so far (producer-side counter).
+    /// Units delivered so far ([`RunReport::delivered`]).
     pub completed: usize,
     /// Bytes moved over the emulated P2P / device link (ISP and split
     /// fleets; the host fleet reads through the page cache and reports 0).
@@ -315,7 +315,8 @@ pub enum Fleet {
     /// In-storage fleet: the whole plan on one emulated ISP unit per
     /// worker, counting its traffic in [`FEATURE_BUFFER_ELEMS`]-element
     /// on-chip feature-buffer chunks (no op copies through a buffer), with
-    /// host failover for quarantined devices.
+    /// host failover for quarantined devices run by the worker whose device
+    /// side gave up.
     Isp,
     /// Hybrid split fleet: the carried split's stage prefix on ISP units,
     /// its suffix on host workers, with the typed [`BoundaryBatch`]
@@ -540,7 +541,6 @@ struct Run {
     /// Raised on a fail-fast error (and on consumer drop); producers
     /// observe it between units and between attempts.
     stop: AtomicBool,
-    completed: AtomicUsize,
     p2p_bytes: AtomicU64,
     boundary_bytes: AtomicU64,
 }
@@ -562,7 +562,6 @@ impl Run {
             readers: Vec::new(),
             fleet,
             stop: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
             p2p_bytes: AtomicU64::new(0),
             boundary_bytes: AtomicU64::new(0),
         }
@@ -573,14 +572,15 @@ impl Run {
     /// Failed-over units contribute no `p2p_bytes`: their bytes moved over
     /// the host's block-I/O path.
     fn stats(&self, workers: usize, capacity: usize, queued: usize) -> StreamStats {
+        let recovery = self.tracker.report();
         StreamStats {
             workers,
             capacity,
             queued,
-            completed: self.completed.load(Ordering::Relaxed),
+            completed: usize::try_from(recovery.delivered).unwrap_or(usize::MAX),
             p2p_bytes: self.p2p_bytes.load(Ordering::Relaxed),
             boundary_bytes: self.boundary_bytes.load(Ordering::Relaxed),
-            recovery: Some(self.tracker.report()),
+            recovery: Some(recovery),
         }
     }
 
@@ -795,7 +795,6 @@ impl Run {
         let slot = self.tracker.slot_of(device);
         match outcome {
             Ok(done) => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
                 self.tracker.note_delivered(slot, unit.partition, done.via_failover);
                 let item = StreamedBatch {
                     partition: unit.partition,
@@ -984,16 +983,12 @@ impl Engine {
         Some((claim, staged, attempts))
     }
 
-    /// Device-side worker: claim → device-side phase → hand off (or
-    /// deliver, when nothing is left for the host side to do).
+    /// Device-side worker of the split link: claim → device-side phase →
+    /// hand off (an error is delivered here).
     fn first_loop(&self, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
         let mut scratch = ScratchSpace::new();
         while let Some((claim, staged, attempts)) = self.claim_first(&mut scratch) {
             let keep_going = match staged {
-                Ok(staged @ Staged::Done(..)) => {
-                    let done = self.run.finish(claim.unit, staged, attempts, &mut scratch);
-                    self.run.deliver(tx, claim.seq, claim.unit, done)
-                }
                 Ok(staged) => link.send(Handoff { claim, staged: Ok(staged), attempts }).is_ok(),
                 Err(e) => self.run.deliver(tx, claim.seq, claim.unit, Err(e)),
             };
@@ -1320,11 +1315,13 @@ impl BatchStream {
     ) -> BatchStream {
         let (mut stream, driver) = Self::open(plan, partitions, fleet, units, next, config, true);
         let engine = Arc::clone(&stream.engine);
-        let (n, workers, capacity) = (engine.source.units.len(), stream.workers, stream.capacity);
+        let (workers, capacity) = (stream.workers, stream.capacity);
+        // Fused: each worker runs both phases of its units (an ISP unit's
+        // failover included), as a service job's pool threads do.
+        let fused = |name| Layout { groups: 1, firsts: workers, link: None, names: [name; 2] };
         let layout = match &engine.run.fleet {
-            Fleet::Shuffled(_) => {
-                Layout { groups: 1, firsts: workers, link: None, names: ["presto-shuffle"; 2] }
-            }
+            Fleet::Isp => fused("presto-isp"),
+            Fleet::Shuffled(_) => fused("presto-shuffle"),
             // Feature-sliced pair: both threads work on the same unit, each
             // on its half of the features; the one-slot link carries the
             // claim announcement, then A's outputs, so A runs at most one
@@ -1334,14 +1331,6 @@ impl BatchStream {
                 firsts: 1,
                 link: Some((1, 1)),
                 names: ["presto-stream-half", "presto-stream"],
-            },
-            // The failover queue: each unit is enqueued at most once, so
-            // the bound can never block a sender.
-            Fleet::Isp => Layout {
-                groups: 1,
-                firsts: workers,
-                link: Some((n.max(1), 1)),
-                names: ["presto-isp", "presto-isp-failover"],
             },
             // The hand-off channel models the bounded device link: ISP
             // units stall once that many boundary payloads are in flight.
@@ -1536,6 +1525,7 @@ impl BatchSource for BatchStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use presto_columnar::{Device, DeviceModel};
     use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig};
     use proptest::prelude::*;
     use std::time::Duration;
@@ -1550,6 +1540,13 @@ mod tests {
         let c = tiny_config(rows);
         let ds = Dataset::generate(&c, partitions, rows, devices, 7).unwrap();
         (c, ds)
+    }
+
+    /// `blob` behind a private emulated device whose queue is deep enough
+    /// that no read of these tests waits for a slot: every read pays
+    /// `latency`, and nothing else.
+    fn slow(blob: MemBlob, latency: Duration) -> MemBlob {
+        blob.behind_device(Arc::new(Device::new(DeviceModel::new(latency, 32))))
     }
 
     /// A plan with one feature: `sparse_0` alone. The dealing puts it whole
@@ -1617,7 +1614,7 @@ mod tests {
             let batch = generate_batch(&c, rows, index as u64 + 1);
             let mut blob = write_partition(&batch).unwrap();
             if index == 0 {
-                blob = blob.with_read_latency(std::time::Duration::from_millis(2));
+                blob = slow(blob, Duration::from_millis(2));
             }
             partitions.push(Partition { index, device: index % 2, rows, blob });
         }
@@ -1664,7 +1661,7 @@ mod tests {
                 index: p.index,
                 device: p.device,
                 rows: p.rows,
-                blob: p.blob.clone().with_read_latency(Duration::from_micros(200)),
+                blob: slow(p.blob.clone(), Duration::from_micros(200)),
             })
             .collect();
         let mut stream = BatchStream::spawn(&plan, &partitions, &FleetConfig::new(4, 16));
@@ -1710,7 +1707,7 @@ mod tests {
             .partitions()
             .iter()
             .map(|p| Partition {
-                blob: p.blob.clone().with_read_latency(Duration::from_micros(300)),
+                blob: slow(p.blob.clone(), Duration::from_micros(300)),
                 ..p.clone()
             })
             .collect();
@@ -1967,6 +1964,40 @@ mod tests {
             report.partitions,
             "nothing dropped silently"
         );
+    }
+
+    #[test]
+    fn an_isp_stream_is_its_drivers() {
+        // Device 1 dies at once. Its units fail over on the worker whose
+        // device side gave up: the stream spawns no thread beyond its two
+        // fused workers.
+        let (c, ds) = dataset(6, 16, 2);
+        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
+        let injector = presto_columnar::FaultPlan::new(5).with_device_death(1, 0).arm();
+        let partitions: Vec<Partition> = ds
+            .partitions()
+            .iter()
+            .map(|p| Partition {
+                blob: p.blob.clone().with_faults(&injector, p.device, p.index),
+                ..p.clone()
+            })
+            .collect();
+        let recovery = RetryPolicy::recover().with_backoff(Duration::ZERO, Duration::ZERO);
+        let config = FleetConfig::new(2, 4).with_recovery(recovery);
+        let mut stream = Fleet::Isp.stream(&plan, &partitions, &config);
+        assert_eq!(stream.handles.len(), 2, "one thread per worker, no failover thread");
+        let mut delivered: Vec<(usize, bool)> = stream
+            .by_ref()
+            .map(|item| {
+                let b = item.expect("every unit delivers");
+                (b.partition, b.via_failover)
+            })
+            .collect();
+        delivered.sort_unstable();
+        let expected: Vec<(usize, bool)> =
+            partitions.iter().map(|p| (p.index, p.device == 1)).collect();
+        assert_eq!(delivered, expected, "device 1's units come back via failover");
+        assert_eq!(stream.run_report().failovers, 3);
     }
 
     #[test]

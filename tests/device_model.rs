@@ -111,24 +111,6 @@ fn backlogged_depth_one_matches_serialized_time_within_ten_percent() {
     );
 }
 
-/// `with_read_latency` keeps its legacy meaning: a private deep-queued
-/// device where overlapping readers never queue behind each other.
-#[test]
-fn legacy_latency_blobs_do_not_contend() {
-    let latency = Duration::from_millis(20);
-    let blob = MemBlob::new(vec![0u8; 64]).with_read_latency(latency);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let blob = blob.clone();
-            scope.spawn(move || blob.read_at(0, 8).expect("in range"));
-        }
-    });
-    let elapsed = start.elapsed();
-    assert!(elapsed >= latency);
-    assert!(elapsed < latency * 3, "legacy latency blobs must not serialize: {elapsed:?}");
-}
-
 /// A blob that reads from plain memory until `live` is set and through
 /// `device` after: a reader opens without the device seeing its footer
 /// reads, so the device is idle when the group read starts.

@@ -13,13 +13,13 @@
 //!   same arrays and preprocess to the same mini-batch as the default
 //!   policy.
 //! * The default writer emits a pinned census of `(encoding, chunk part)`
-//!   pairs over every preset's partitions.
+//!   pairs over every preset's partitions and one of short row groups.
 
 use presto::columnar::column::{page_summaries, ChunkPart};
 use presto::columnar::{
     ColumnarError, Encoding, FileReader, FileWriter, MemBlob, WritePolicy, MAGIC,
 };
-use presto::datagen::{generate_batch, write_partition, RmConfig};
+use presto::datagen::{generate_batch, write_partition, write_partition_grouped, RmConfig};
 use presto::ops::{preprocess_partition, MiniBatch, PreprocessPlan};
 
 /// What the pinned partition preprocesses to under [`fixture_config`]'s
@@ -179,38 +179,49 @@ fn every_forced_encoding_preprocesses_bit_identically() {
 
 /// The writer census: every `(encoding, chunk part)` pair the default
 /// writer emits over partitions of every preset, list-shaped RM1 and the
-/// long-history shape, at three seeds. `Plain` carries the dense columns,
-/// `DeltaBitpack` the id lists (as head and tail pages where lists are
-/// long), `Dictionary` the two-valued label; no page is `Delta`. 256 rows
-/// give the same census as 2,048 (at 64, the label is bit-packed). A new
-/// pair is a format change: the commit that makes it updates this list and
-/// says why.
+/// long-history shape, at three seeds, plus RM1 in 16-row groups. `Plain`
+/// carries the dense columns, `DeltaBitpack` the id lists (as head and tail
+/// pages where lists are long), `Dictionary` the two-valued label. `Delta`
+/// appears only on short pages: some id-list pages of the 16-row groups,
+/// and no page of 256 rows or more. 256 rows give the same census as 2,048
+/// (at 64, the label is bit-packed). A new pair is a format change: the
+/// commit that makes it updates this list and says why.
 #[test]
 fn the_writer_emits_the_pinned_encoding_census() {
-    const CENSUS: [(Encoding, ChunkPart); 5] = [
+    const CENSUS: [(Encoding, ChunkPart); 6] = [
         (Encoding::Plain, ChunkPart::Whole),
         (Encoding::Dictionary, ChunkPart::Whole),
+        (Encoding::Delta, ChunkPart::Whole),
         (Encoding::DeltaBitpack, ChunkPart::Whole),
         (Encoding::DeltaBitpack, ChunkPart::Head),
         (Encoding::DeltaBitpack, ChunkPart::Tail),
     ];
     let mut configs = RmConfig::all();
     configs.extend([RmConfig::rm1_lists(), RmConfig::rm_longseq()]);
-    let mut seen: Vec<(Encoding, ChunkPart)> = Vec::new();
+    let mut inputs: Vec<(String, u64, MemBlob)> = Vec::new();
     for config in &configs {
         for seed in [7, 11, 42] {
             let blob = write_partition(&generate_batch(config, 256, seed)).expect("writes");
-            let bytes = blob.as_bytes();
-            let reader = FileReader::open(blob.clone()).expect("opens");
-            for chunk in reader.meta().row_groups.iter().flat_map(|g| &g.columns) {
-                let start = usize::try_from(chunk.offset).expect("offset fits");
-                let end = start + usize::try_from(chunk.byte_len).expect("length fits");
-                for page in page_summaries(&bytes[start..end], chunk.offset).expect("pages") {
-                    let pair = (page.encoding, page.part);
-                    assert!(CENSUS.contains(&pair), "{} seed {seed} wrote {pair:?}", config.name);
-                    if !seen.contains(&pair) {
-                        seen.push(pair);
-                    }
+            inputs.push((config.name.clone(), seed, blob));
+        }
+    }
+    for seed in [7, 11, 42] {
+        let batch = generate_batch(&RmConfig::rm1(), 256, seed);
+        let blob = write_partition_grouped(&batch, 16).expect("writes");
+        inputs.push(("rm1 in 16-row groups".to_string(), seed, blob));
+    }
+    let mut seen: Vec<(Encoding, ChunkPart)> = Vec::new();
+    for (name, seed, blob) in &inputs {
+        let bytes = blob.as_bytes();
+        let reader = FileReader::open(blob.clone()).expect("opens");
+        for chunk in reader.meta().row_groups.iter().flat_map(|g| &g.columns) {
+            let start = usize::try_from(chunk.offset).expect("offset fits");
+            let end = start + usize::try_from(chunk.byte_len).expect("length fits");
+            for page in page_summaries(&bytes[start..end], chunk.offset).expect("pages") {
+                let pair = (page.encoding, page.part);
+                assert!(CENSUS.contains(&pair), "{name} seed {seed} wrote {pair:?}");
+                if !seen.contains(&pair) {
+                    seen.push(pair);
                 }
             }
         }

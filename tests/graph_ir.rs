@@ -224,10 +224,10 @@ proptest! {
             PlanGraph::cleaned(&config, 5).expect("cleaned graph"),
         ] {
             let plan = PreprocessPlan::compile(graph, &config).expect("compiles");
-            let (host_only, _) = preprocess_partition(&plan, blob.clone()).expect("host path");
+            let (via_host, _) = preprocess_partition(&plan, blob.clone()).expect("host path");
             let everything_isp = plan.split(&vec![Place::Isp; plan.stages().len()]).expect("splits");
             let isp_only = run_split(&plan, &everything_isp, blob.clone(), chunk).expect("isp path");
-            prop_assert_eq!(&isp_only, &host_only);
+            prop_assert_eq!(&isp_only, &via_host);
             // An arbitrary — not cost-optimal — stage-to-fleet assignment,
             // one bit per stage.
             let assignment: Vec<Place> = (0..plan.stages().len())
@@ -235,7 +235,7 @@ proptest! {
                 .collect();
             let split = plan.split(&assignment).expect("splits");
             let via_split = run_split(&plan, &split, blob.clone(), chunk).expect("split path");
-            prop_assert_eq!(&via_split, &host_only);
+            prop_assert_eq!(&via_split, &via_host);
             // The feature split of the host fleet's worker pair: the same
             // plan dealt by feature to two concurrent threads, over every
             // forced encoding and pair count — and the ISP-only and split
