@@ -17,18 +17,18 @@
 //! topological order, writing into the unit's [`UnitState`]: labels, one
 //! slot per stage, the mini-batch's dense matrix, timings and
 //! [`UnitStats`]. The state then assembles the mini-batch (filling every
-//! dense column not yet in the matrix through one tiled fill), or packs a
-//! [`BoundaryBatch`] that the other side seeds into its own state. Every
-//! fleet of [`crate::stream`] is one or two sides of that call:
+//! dense column not yet in the matrix through one tiled fill), or is handed
+//! to the unit's other side, which seeds its boundary values
+//! ([`BoundaryBatch`]) into its own state. Every fleet of
+//! [`crate::stream`] is one or two sides of that call:
 //!
 //! | caller | projection | stages | chunk | then |
 //! |---|---|---|---|---|
 //! | host (fused, row group, failover) | `required_columns` | all | ∞ | assemble |
 //! | ISP | `required_columns` | all | [`FEATURE_BUFFER_ELEMS`] | assemble |
-//! | split, device side | `isp_columns` | `isp_stages` | [`FEATURE_BUFFER_ELEMS`] | pack boundary |
-//! | split host side | `host_columns` | `host_stages` | ∞ | seed + assemble |
-//! | pair A | halves' `isp_columns` | `isp_stages` | ∞ | fill its dense columns, hand the state over |
-//! | pair B | halves' `host_columns` | `host_stages` | ∞ | merge A's state + assemble |
+//! | split side A | `isp_columns` | `isp_stages` | [`FEATURE_BUFFER_ELEMS`] | count boundary bytes, hand the state over |
+//! | pair side A | halves' `isp_columns` | `isp_stages` | ∞ | fill its dense columns, hand the state over |
+//! | side B (split or pair) | `host_columns` | `host_stages` that read no boundary value | ∞ | merge A's state (seed, then the rest of `host_stages`) + assemble |
 //!
 //! The chunk is the in-storage unit's counting granularity, not a copy
 //! loop: every op runs over the whole column on every side, no op copies
@@ -523,11 +523,13 @@ fn apply_in_place(op: &Op, value: &mut StageValue) -> Result<(), PreprocessError
     Ok(())
 }
 
-/// The raw columns a run reads: a borrowed batch, or the owned columns of
-/// an extracted one, whose `consumes_raw` columns move into their stages.
+/// The raw columns a run reads: a borrowed batch, the owned columns of an
+/// extracted one, whose `consumes_raw` columns move into their stages, or
+/// none (stages that read only other stages).
 enum Raw<'a> {
     Borrowed(&'a RowBatch),
     Owned(&'a Schema, &'a mut [Array]),
+    Empty,
 }
 
 impl Raw<'_> {
@@ -552,6 +554,7 @@ impl Raw<'_> {
                 }
                 i => i.map(|i| &columns[i]),
             },
+            Raw::Empty => None,
         };
         let value = column.and_then(|column| match stage.input_kind() {
             ValueKind::Dense => column.as_float32().map(ValueRef::Dense),
@@ -789,8 +792,8 @@ pub struct Side<'a> {
     pub(crate) columns: &'a [String],
     /// Decode limits parallel to `columns`, resolved once by the plan.
     pub(crate) limits: &'a [Option<usize>],
-    /// Plan stage positions to run (dependency-closed, increasing), or
-    /// `None` for every stage.
+    /// Plan stage positions to run, each after its producer (or seeded
+    /// before the run), or `None` for every stage.
     pub(crate) stages: Option<&'a [usize]>,
     /// Elements per on-chip feature-buffer chunk; `usize::MAX` runs every
     /// op over the whole column.
@@ -815,11 +818,17 @@ impl<'a> Side<'a> {
     }
 
     /// The host side of `split`, whole-column: the label, the host
-    /// projection and the host-resident stages.
+    /// projection and the host stages that read no boundary value.
     #[must_use]
     pub(crate) fn host(split: &'a SplitPlan) -> Self {
         let (columns, limits) = (split.host_columns(), &split.limits[split.isp_columns().len()..]);
-        Side { columns, limits, stages: Some(split.host_stages()), chunk: usize::MAX }
+        Side { columns, limits, stages: Some(split.host_groups().0), chunk: usize::MAX }
+    }
+
+    /// The host stages of `split` that read a boundary value, whole-column:
+    /// no projection, run once the boundary is seeded.
+    fn seeded(split: &'a SplitPlan) -> Self {
+        Side { columns: &[], limits: &[], stages: Some(split.host_groups().1), chunk: usize::MAX }
     }
 }
 
@@ -827,10 +836,9 @@ impl<'a> Side<'a> {
 /// the mini-batch's dense matrix as far as it is filled, timings, unit
 /// counters and the bytes its Extract fetched. The one unit call
 /// ([`UnitState::run`]) returns it; the caller then assembles the
-/// mini-batch, or packs the boundary a [`SplitPlan`]'s other side seeds
-/// into its own state. A host pair's thread A fills its own dense columns
-/// into the matrix and hands the whole state to thread B, which merges it
-/// into its own.
+/// mini-batch. A two-sided unit's side A (a [`SplitPlan`]'s ISP side, or a
+/// host pair's thread A, which also fills its own dense columns into the
+/// matrix) hands its whole state to side B, which merges it into its own.
 #[derive(Debug)]
 pub struct UnitState {
     labels: Vec<i64>,
@@ -950,7 +958,8 @@ impl UnitState {
     }
 
     /// Validates the transferred boundary values against `split`'s boundary
-    /// schema and moves them into their stages' slots.
+    /// schema, moves them into their stages' slots, then runs the host
+    /// stages that read them ([`SplitPlan::host_stages`]' second group).
     ///
     /// # Errors
     ///
@@ -979,18 +988,21 @@ impl UnitState {
             seeded[pos] = true;
             self.outputs[pos] = value;
         }
-        match split.boundary().iter().find(|slot| !seeded[slot.stage]) {
-            Some(missing) => Err(plan_violation(format!(
+        if let Some(missing) = split.boundary().iter().find(|slot| !seeded[slot.stage]) {
+            return Err(plan_violation(format!(
                 "boundary hand-off is missing stage {} ({})",
                 missing.stage, missing.output
-            ))),
-            None => Ok(()),
+            )));
         }
+        let (slots, temp) = (&mut self.outputs, &mut StageValue::default());
+        let side = Side::seeded(split);
+        run_stages(plan, side, Raw::Empty, slots, temp, &mut self.timings, &mut self.stats)
     }
 
-    /// Takes over thread A's half of a host pair: seeds its boundary
-    /// outputs and adopts its matrix, whose filled columns `assemble` then
-    /// leaves as they are. Runs before this state fills any column.
+    /// Takes over side A of a two-sided unit: adopts its matrix, whose
+    /// filled columns `assemble` then leaves as they are, and seeds its
+    /// boundary outputs ([`UnitState::seed`]). Runs before this state fills
+    /// any column.
     ///
     /// # Errors
     ///
@@ -998,12 +1010,12 @@ impl UnitState {
     pub(crate) fn merge(
         &mut self,
         plan: &PreprocessPlan,
-        halves: &SplitPlan,
+        split: &SplitPlan,
         mut half: UnitState,
     ) -> Result<(), PreprocessError> {
         (self.dense, self.filled) =
             (std::mem::take(&mut half.dense), std::mem::take(&mut half.filled));
-        self.seed(plan, halves, half.boundary(halves))
+        self.seed(plan, split, half.boundary(split))
     }
 
     /// Fills the emitted dense slots among `stages` (every stage for
@@ -1036,6 +1048,11 @@ impl UnitState {
         }
         self.timings.format += t0.elapsed();
         Ok(())
+    }
+
+    /// Bytes of `split`'s boundary-crossing outputs: what side A hands over.
+    pub(crate) fn boundary_bytes(&self, split: &SplitPlan) -> u64 {
+        split.boundary().iter().map(|slot| self.outputs[slot.stage].byte_len()).sum()
     }
 
     /// Moves `split`'s boundary-crossing outputs out into a hand-off.
@@ -1129,9 +1146,10 @@ pub fn preprocess_split_isp(
     Ok((unit.boundary(split), unit.timings, unit.stats))
 }
 
-/// Runs the host side of a split plan: seeds the transferred boundary
-/// values, runs the host-resident stages over an owned batch of the host
-/// projection (label included) and assembles.
+/// Runs the host side of a split plan: the host stages that read no
+/// boundary value over an owned batch of the host projection (label
+/// included), then the transferred boundary values seeded and the rest
+/// run, then assembly.
 ///
 /// # Errors
 ///
@@ -1146,8 +1164,8 @@ pub fn preprocess_split_host(
     boundary: BoundaryBatch,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
     let mut unit = UnitState::new(plan);
-    unit.seed(plan, split, boundary)?;
     unit.transform(plan, Side::host(split), batch)?;
+    unit.seed(plan, split, boundary)?;
     unit.assemble(plan)
 }
 

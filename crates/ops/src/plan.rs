@@ -129,6 +129,8 @@ pub struct SplitPlan {
     fleet: Vec<Place>,
     isp_stages: Vec<usize>,
     host_stages: Vec<usize>,
+    /// How many of `host_stages`, from the front, read no boundary value.
+    host_independent: usize,
     boundary: Vec<BoundarySlot>,
     isp_columns: Vec<String>,
     host_columns: Vec<String>,
@@ -151,10 +153,19 @@ impl SplitPlan {
         &self.isp_stages
     }
 
-    /// Parent-plan positions of host-side stages, execution order.
+    /// Parent-plan positions of host-side stages in two groups, each in
+    /// execution order: first those that read no boundary value, then
+    /// those that read one, directly or through another host stage. The
+    /// first group can run before the ISP side's outputs arrive; the second
+    /// runs once they are seeded.
     #[must_use]
     pub fn host_stages(&self) -> &[usize] {
         &self.host_stages
+    }
+
+    /// [`SplitPlan::host_stages`] cut into its two groups.
+    pub(crate) fn host_groups(&self) -> (&[usize], &[usize]) {
+        self.host_stages.split_at(self.host_independent)
     }
 
     /// The boundary schema: ISP stage outputs that cross to the host, in
@@ -640,8 +651,19 @@ impl PreprocessPlan {
         }
 
         let isp_stages: Vec<usize> = (0..fleet.len()).filter(|&p| fleet[p] == Place::Isp).collect();
-        let host_stages: Vec<usize> =
-            (0..fleet.len()).filter(|&p| fleet[p] == Place::Host).collect();
+        // Host stages that read a boundary value, directly or through
+        // another host stage, go after the rest (one forward pass again).
+        let mut dependent = vec![false; fleet.len()];
+        for (pos, stage) in self.stages.iter().enumerate() {
+            if let StageInput::Stage(j) = &stage.input {
+                dependent[pos] =
+                    fleet[pos] == Place::Host && (fleet[*j] == Place::Isp || dependent[*j]);
+            }
+        }
+        let (mut host_stages, seeded): (Vec<usize>, Vec<usize>) =
+            (0..fleet.len()).filter(|&p| fleet[p] == Place::Host).partition(|&p| !dependent[p]);
+        let host_independent = host_stages.len();
+        host_stages.extend(seeded);
 
         // Boundary: ISP outputs the host reads or the assembly emits.
         let mut read_by_host = vec![false; self.stages.len()];
@@ -686,6 +708,7 @@ impl PreprocessPlan {
             fleet,
             isp_stages,
             host_stages,
+            host_independent,
             boundary,
             isp_columns,
             host_columns,
@@ -931,6 +954,12 @@ mod tests {
         assert!(split.demoted().is_empty());
         assert_eq!(split.isp_stages(), [pos["trunc_0"], pos["sparse_0"]]);
         assert!(!split.is_single_fleet());
+        // cross_0 reads trunc_0 across the boundary: it runs after every
+        // other host stage, once the boundary is seeded.
+        let (independent, seeded) = split.host_groups();
+        assert_eq!(seeded, [pos["cross_0"]]);
+        assert_eq!(independent.len() + 1, split.host_stages().len());
+        assert!(independent.windows(2).all(|w| w[0] < w[1]));
         // Boundary: trunc_0 crosses because host-side cross_0 reads it;
         // sparse_0 crosses because it is emitted. Dense/gen stay host-raw.
         let by_stage: HashMap<usize, &BoundarySlot> =

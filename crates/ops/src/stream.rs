@@ -37,12 +37,12 @@
 //! The source records per-device load ([`DeviceLoad`]): a unit occupies
 //! its device from the start of its device-side phase until every thread
 //! reading it is done — the one running that phase, or both threads of a
-//! host pair. A fused or device-side claim occupies its device under the
+//! two-sided unit's pair. A fused claim occupies its device under the
 //! window's lock, so two racing claimers never both see one device idle.
-//! Thread A of a host pair occupies its unit's device only once thread B
-//! has accepted the claim's announcement (see
-//! [the host pair](self#the-host-pair)), so two pairs can both choose one
-//! idle device.
+//! Thread A of a pair occupies its unit's device only once thread B has
+//! accepted the claim's announcement (see
+//! [two-sided units](self#two-sided-units)), so two pairs can both choose
+//! one idle device.
 //!
 //! The shuffled fleet reads every unit through the partition's
 //! [`FileReader`] its footer enumeration opened, so a unit's device work is
@@ -58,10 +58,10 @@
 //! with one opener per device, at most [`FleetConfig::workers`] of them
 //! and the calling thread among them, each opening its devices' partitions
 //! in partition order: the devices overlap their round trips, and every
-//! device sees the reads a serial walk would make, in the same order. The
-//! host pair's [feature halves](PreprocessPlan::feature_halves) were dealt
-//! when the plan was compiled, so a host stream only checks them. The
-//! other fleets open nothing up front.
+//! device sees the reads a serial walk would make, in the same order. A
+//! host stream's [feature halves](PreprocessPlan::feature_halves) were
+//! dealt when the plan was compiled. The other fleets open nothing up
+//! front.
 //!
 //! # Phases
 //!
@@ -75,16 +75,15 @@
 //! | fleet | device-side phase | host-side phase |
 //! |---|---|---|
 //! | [`Fleet::Host`] in a driven run, [`Fleet::Shuffled`] | the whole unit: Extract + Transform + format | — |
-//! | [`Fleet::Host`], paired | thread A: A's half of the features, its dense columns filled into the unit's matrix → its outputs and the matrix | thread B, concurrently: B's half and the label, then A's half merged, B's dense columns filled + format |
+//! | [`Fleet::Host`] in a stream | side A: thread A's half of the features, its dense columns filled into the unit's matrix → its state | side B: thread B's half and the label, concurrently; then A's state merged, B's dense columns filled + format |
 //! | [`Fleet::Isp`] | the whole unit, P2P bytes and unit chunks counted | full plan from pristine media, on the same thread (failover only) |
-//! | [`Fleet::Split`] | the ISP side, P2P bytes and unit chunks counted → [`BoundaryBatch`] | the host side, boundary seeded + format; or failover |
+//! | [`Fleet::Split`] | side A: the ISP stages, P2P, boundary bytes and unit chunks counted → its state | side B: the host stages that read no boundary value (concurrently in a stream); then A's state merged — boundary seeded, the rest of the host stages run — + format; or failover |
 //!
 //! The phase boundary is either fused on one thread (the ISP and shuffled
 //! fleets, and every fleet of a driven run: one [`Driver::run_one`] call
-//! claims a unit, runs both phases — failover included — and delivers it)
-//! or a bounded channel: one slot per worker pair on the host fleet, and
-//! one shared device link of [`FleetConfig::capacity`] hand-offs on the
-//! split fleet.
+//! claims a unit, runs both phases — a split unit's two sides one after
+//! the other, failover included — and delivers it) or, for a stream's
+//! two-sided units, a one-slot link between the two threads of a pair.
 //!
 //! # Driven runs
 //!
@@ -93,27 +92,31 @@
 //! [`Driver`] instead, so that a caller's threads run its units one call
 //! at a time: the multi-tenant service's pool runs every job this way,
 //! choosing which job's driver to call next. A driven run never pairs its
-//! host workers; each call claims through the run's window, whichever
-//! thread makes it.
+//! workers; each call claims through the run's window, whichever thread
+//! makes it.
 //!
-//! # The host pair
+//! # Two-sided units
 //!
-//! Features are independent columns, so a host-fleet worker's two threads
-//! split every unit **by feature, not by phase**:
-//! [`PreprocessPlan::feature_halves`] deals the plan's features (raw
-//! columns plus every chain that reads them) into two dependency-closed
-//! halves. Thread A claims a unit and *announces the claim* to thread B
-//! over the pair's one-slot link; both then open the partition, Extract
-//! only their own columns and run only their own stages, concurrently.
-//! Format is split the same way: A fills its own dense columns into the
-//! unit's row-major matrix and hands its outputs and the matrix across —
-//! the link's FIFO order per pair is `announce(u0), outputs(u0),
-//! announce(u1), …` — and moves on to the next unit while B merges them,
-//! fills its own dense columns into the same matrix and finishes the
-//! mini-batch. Since [`PreprocessPlan::feature_halves`] deals each class
-//! of features in contiguous runs, the two fills write mostly disjoint
-//! cache lines of each row. No raw column crosses a core, A runs at most
-//! one half-unit ahead, and output is bit-identical to the fused path
+//! A stream of the host or split fleet runs every unit on two sides, each
+//! one side of the unit call over a [`SplitPlan`]: side A its ISP stages,
+//! side B its host stages. The split fleet passes its carried split. The
+//! host fleet passes [`PreprocessPlan::feature_halves`], which splits
+//! every unit **by feature, not by phase**: it deals the plan's features
+//! (raw columns plus every chain that reads them) into two
+//! dependency-closed halves, both on the host. Each worker is a pair of
+//! threads over a one-slot link. Thread A claims a unit and *announces the
+//! claim* to thread B; both then open the partition, Extract only their
+//! own columns and run only their own stages, concurrently — B only the
+//! host stages that read no boundary value. A then hands its state across
+//! — the link's FIFO order per pair is `announce(u0), state(u0),
+//! announce(u1), …` — and moves on to the next unit while B merges it:
+//! seeds A's boundary outputs, runs the host stages that read them, fills
+//! the dense columns no one filled yet and finishes the mini-batch. A host
+//! pair's A fills its own dense columns into the unit's row-major matrix
+//! before the hand-off; since [`PreprocessPlan::feature_halves`] deals
+//! each class of features in contiguous runs, the two fills write mostly
+//! disjoint cache lines of each row. No raw column crosses a core, A runs
+//! at most one unit ahead, and output is bit-identical to the fused path
 //! because every stage is pure and each matrix column is written once.
 //!
 //! # Ordering
@@ -133,18 +136,20 @@
 //! [`FleetConfig::recovery`] (fail-fast by default on every fleet) governs
 //! the rest, identically for every fleet:
 //!
-//! * One retry loop wraps each phase attempt — the whole unit on the host
-//!   and ISP pipelines, one side on a split pipeline or a host pair. Every
-//!   failed attempt counts as a fault against its device, and only
-//!   *retryable* errors ([`PreprocessError::is_retryable`]: storage-side
-//!   faults, which all happen in Extract, before Transform) are retried
-//!   with capped exponential backoff until the attempt budget (shared by
-//!   both phases of a unit; the two concurrent halves of a host pair each
-//!   have the whole budget, A answering to the breaker as the device side)
-//!   runs out, the device's consecutive-failure breaker trips (device-side
-//!   attempts only), or the run is stopping.
-//! * A unit claimed against a quarantined device is not attempted (on a
-//!   host pair, by neither thread).
+//! * One retry loop wraps each phase attempt — the whole unit on the host,
+//!   ISP and shuffled pipelines, one side of a two-sided unit. Every failed
+//!   attempt counts as a fault against its device, and only *retryable*
+//!   errors ([`PreprocessError::is_retryable`]: storage-side faults, which
+//!   all happen in Extract, before Transform) are retried with capped
+//!   exponential backoff until the attempt budget runs out (each side of a
+//!   two-sided unit has the whole budget, A answering to the breaker as the
+//!   device side, and the unit reports `a + b − 1` attempts), the device's
+//!   consecutive-failure breaker trips (device-side attempts only), or the
+//!   run is stopping.
+//! * A unit claimed against a quarantined device is not attempted. A
+//!   pair's thread A announces it to no one: it delivers its error, or, on
+//!   a split with failover on, hands its failover across as the only
+//!   hand-off.
 //! * A device-side phase of an ISP or split pipeline that is quarantined or
 //!   out of retries **fails over** when the policy allows: the host-side
 //!   phase re-reads the pristine media
@@ -153,8 +158,8 @@
 //!   pipeline *is* the fallback path: it has nowhere to fail over to and
 //!   fails loudly instead.
 //! * Every claimed unit ends as exactly one `Ok` batch or one tagged `Err`
-//!   (`delivered + failed == units` under `fail_fast: false`) — on a host
-//!   pair whichever half failed, delivered by thread B. Under
+//!   (`delivered + failed == units` under `fail_fast: false`) — on a pair
+//!   whichever side failed, delivered by thread B. Under
 //!   fail-fast the first error raises the stop flag *before* the possibly
 //!   blocking send, so sibling producers halt within one unit.
 //!
@@ -162,8 +167,7 @@
 //! every worker and re-raises worker panics.
 
 use crate::executor::{
-    BoundaryBatch, PreprocessError, ScratchSpace, Side, StageTimings, UnitState,
-    FEATURE_BUFFER_ELEMS,
+    PreprocessError, ScratchSpace, Side, StageTimings, UnitState, FEATURE_BUFFER_ELEMS,
 };
 use crate::minibatch::MiniBatch;
 use crate::plan::{PreprocessPlan, SplitPlan};
@@ -182,21 +186,18 @@ use std::thread::JoinHandle;
 /// `workers`, `capacity` and `recovery` mean the same thing on every fleet,
 /// so one config drives an apples-to-apples comparison across all of them;
 /// `recovery` defaults to **fail-fast** ([`RetryPolicy::fail_fast`])
-/// everywhere. A host-fleet worker is always a pair of threads (see
-/// [the host pair](self#the-host-pair)): a unit's `timings.extract` (and
-/// every op bucket) is then the *sum* over the two threads — CPU time,
-/// which can exceed the unit's wall time.
+/// everywhere. A host- or split-fleet worker of a stream is a pair of
+/// threads (see [two-sided units](self#two-sided-units)): a unit's
+/// `timings.extract` (and every op bucket) is then the *sum* over the two
+/// threads — CPU time, which can exceed the unit's wall time.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Worker (pipeline) count; clamped to `1..=units`. On the split
-    /// fleet this is both the ISP-side unit count and the host-side worker
-    /// count.
+    /// Worker (pipeline) count; clamped to `1..=units`. A host or split
+    /// stream runs this many pairs of threads.
     pub workers: usize,
     /// Output-channel capacity in mini-batches; producers block when full.
-    /// On the split fleet it also bounds the ISP → host hand-offs in
-    /// flight on the emulated device link. On every fleet it is the claim
-    /// window: how far past the lowest unclaimed unit of the sequence a
-    /// claim may look for an idle device.
+    /// On every fleet it is also the claim window: how far past the lowest
+    /// unclaimed unit of the sequence a claim may look for an idle device.
     pub capacity: usize,
     /// Failure handling (retry, quarantine, ISP→host failover); defaults
     /// to [`RetryPolicy::fail_fast`] on every fleet.
@@ -228,7 +229,7 @@ impl FleetConfig {
 /// test sources using the trait's default implementation).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamStats {
-    /// Producer worker count (ISP-side units on the split fleet).
+    /// Producer worker count (pairs of threads on a host or split stream).
     pub workers: usize,
     /// Output-channel capacity in mini-batches.
     pub capacity: usize,
@@ -318,9 +319,10 @@ pub enum Fleet {
     /// host failover for quarantined devices run by the worker whose device
     /// side gave up.
     Isp,
-    /// Hybrid split fleet: the carried split's stage prefix on ISP units,
-    /// its suffix on host workers, with the typed [`BoundaryBatch`]
-    /// crossing the bounded device link between them.
+    /// Hybrid split fleet: every unit two-sided, the carried split's ISP
+    /// stages on an emulated ISP unit (side A) and its host stages on the
+    /// host (side B), which seeds side A's boundary outputs (see
+    /// [two-sided units](self#two-sided-units)).
     Split(SplitPlan),
     /// Shuffled-epoch fleet: every `PSTOCOL4` row group of the partitions
     /// through the host pipeline, claimed and **delivered in the seeded
@@ -500,21 +502,19 @@ type SeqItem = (usize, StreamItem);
 
 /// What a device-side phase leaves behind for the host-side phase.
 enum Staged {
-    /// The whole unit ran in the device-side phase (host and ISP
-    /// pipelines): nothing left to do.
+    /// The whole unit ran fused (host, ISP and shuffled units): nothing
+    /// left to do.
     Done(MiniBatch, StageTimings),
-    /// ISP prefix finished: the boundary payload and device-side timings.
-    Boundary(BoundaryBatch, StageTimings),
+    /// Side A of a two-sided unit, finished: its outputs, and on a host
+    /// pair the unit's matrix with A's dense columns filled, for side B to
+    /// merge.
+    Half(UnitState),
     /// The device side gave up: run the full plan from pristine media.
     Fallback,
-    /// Host pair: thread A has just claimed the unit and starts on its half
-    /// of the features — the receiving thread B starts on its own now, and
-    /// A's [`Staged::Half`] for the same unit is the next hand-off on the
-    /// pair's link.
+    /// Two-sided stream: thread A has just claimed the unit and starts on
+    /// side A. Thread B starts on side B now, and A's hand-off for the same
+    /// unit is the next one on the pair's link.
     Claimed,
-    /// Host pair: thread A's finished half — its outputs, and the unit's
-    /// matrix with A's dense columns filled — for thread B to merge.
-    Half(UnitState),
 }
 
 /// Which side of the phase boundary an attempt runs on. Device-side
@@ -589,21 +589,19 @@ impl Run {
     }
 
     /// The one retry loop. Runs `f` until it succeeds or the policy says
-    /// stop: the error is not retryable, the attempt budget (counted from
-    /// `first`) is spent, a device-side attempt's breaker is open, or the
-    /// run is stopping. `f` is told whether another attempt may follow.
+    /// stop: the error is not retryable, the attempt budget is spent, a
+    /// device-side attempt's breaker is open, or the run is stopping.
     fn attempt<T>(
         &self,
         unit: Unit,
         phase: Phase,
-        first: u32,
-        mut f: impl FnMut(bool) -> Result<T, PreprocessError>,
+        mut f: impl FnMut() -> Result<T, PreprocessError>,
     ) -> (Result<T, PreprocessError>, u32) {
         let slot = self.slot(unit);
         let policy = self.tracker.policy();
-        let mut attempt = first;
+        let mut attempt = 1;
         loop {
-            let e = match f(attempt < policy.max_attempts) {
+            let e = match f() {
                 Ok(value) => return (Ok(value), attempt),
                 Err(e) => e,
             };
@@ -652,128 +650,119 @@ impl Run {
         }
     }
 
-    /// One attempt of thread A's half of `unit` on a host pair: A's columns
-    /// and stages, whole-column, then A's dense columns filled into the
-    /// unit's matrix.
-    fn pair_first_attempt(
-        &self,
-        unit: Unit,
-        halves: &SplitPlan,
-        scratch: &mut ScratchSpace,
-    ) -> Result<Staged, PreprocessError> {
-        if halves.isp_stages().is_empty() {
-            // A one-feature plan runs whole on B: nothing to read here.
-            return Ok(Staged::Half(UnitState::new(&self.plan)));
-        }
-        let mut side = self.run_side(unit, Side::isp(halves, usize::MAX), scratch)?;
-        side.fill_dense(&self.plan, Some(halves.isp_stages()))?;
-        Ok(Staged::Half(side))
-    }
-
-    /// One device-side attempt of `unit`; counts link traffic on success.
+    /// One device-side attempt of `unit`: the whole unit, or side A of
+    /// `sides`. An ISP or split unit counts its link traffic on success; a
+    /// host pair's side A fills its dense columns into the unit's matrix.
     fn device_attempt(
         &self,
         unit: Unit,
+        sides: Option<&SplitPlan>,
         scratch: &mut ScratchSpace,
     ) -> Result<Staged, PreprocessError> {
-        match &self.fleet {
-            Fleet::Host | Fleet::Isp | Fleet::Shuffled(_) => {
-                let isp = matches!(self.fleet, Fleet::Isp);
-                let chunk = if isp { FEATURE_BUFFER_ELEMS } else { usize::MAX };
-                let side = self.run_side(unit, Side::whole(&self.plan, chunk), scratch)?;
-                let fetched = side.fetched();
-                let (batch, timings) = side.assemble(&self.plan)?;
-                if isp {
-                    self.p2p_bytes.fetch_add(fetched, Ordering::Relaxed);
-                }
-                Ok(Staged::Done(batch, timings))
+        let isp = matches!(self.fleet, Fleet::Isp | Fleet::Split(_));
+        let chunk = if isp { FEATURE_BUFFER_ELEMS } else { usize::MAX };
+        let Some(split) = sides else {
+            let side = self.run_side(unit, Side::whole(&self.plan, chunk), scratch)?;
+            let fetched = side.fetched();
+            let (batch, timings) = side.assemble(&self.plan)?;
+            if isp {
+                self.p2p_bytes.fetch_add(fetched, Ordering::Relaxed);
             }
-            Fleet::Split(split) => {
-                let mut side =
-                    self.run_side(unit, Side::isp(split, FEATURE_BUFFER_ELEMS), scratch)?;
-                let boundary = side.boundary(split);
-                self.p2p_bytes.fetch_add(side.fetched(), Ordering::Relaxed);
-                self.boundary_bytes.fetch_add(boundary.byte_len(), Ordering::Relaxed);
-                Ok(Staged::Boundary(boundary, side.timings()))
-            }
+            return Ok(Staged::Done(batch, timings));
+        };
+        let mut side = self.run_side(unit, Side::isp(split, chunk), scratch)?;
+        if isp {
+            self.p2p_bytes.fetch_add(side.fetched(), Ordering::Relaxed);
+            self.boundary_bytes.fetch_add(side.boundary_bytes(split), Ordering::Relaxed);
+        } else {
+            side.fill_dense(&self.plan, Some(split.isp_stages()))?;
         }
+        Ok(Staged::Half(side))
     }
 
-    /// The device-side phase of one claimed unit, with the attempts it
-    /// consumed: quarantine pre-check, retry loop, and the decision to
-    /// fail over to the host when the device side cannot finish.
+    /// The device-side phase of one claimed unit (the whole unit, or side A
+    /// of `sides`), with the attempts it consumed: quarantine pre-check,
+    /// retry loop, and the decision to fail over to the host when the
+    /// device side cannot finish.
     fn first_phase(
         &self,
         unit: Unit,
+        sides: Option<&SplitPlan>,
         scratch: &mut ScratchSpace,
     ) -> (Result<Staged, PreprocessError>, u32) {
-        // Nothing offloaded (host-only split): hand the unit straight across
-        // — no device work, no P2P traffic.
-        if matches!(&self.fleet, Fleet::Split(split) if split.isp_stages().is_empty()) {
-            return (Ok(Staged::Boundary(BoundaryBatch::default(), StageTimings::default())), 1);
+        // Nothing on side A (a one-feature plan's halves, a host-only
+        // split): no device work, no P2P traffic.
+        if sides.is_some_and(|split| split.isp_stages().is_empty()) {
+            return (Ok(Staged::Half(UnitState::new(&self.plan))), 1);
         }
-        let slot = self.slot(unit);
         let (result, attempts) = match self.quarantined(unit) {
             Some(e) => (Err(e), 0),
-            None => self.attempt(unit, Phase::Device, 1, |_| self.device_attempt(unit, scratch)),
+            None => self.attempt(unit, Phase::Device, || self.device_attempt(unit, sides, scratch)),
         };
-        match result {
-            // A retryable error that survived the retry loop means the
-            // device (or its link) is gone for this unit; the media behind
-            // it is intact, so the host path can still serve it.
-            Err(e)
-                if e.is_retryable()
-                    && self.tracker.policy().failover
-                    && matches!(self.fleet, Fleet::Isp | Fleet::Split(_)) =>
-            {
-                self.tracker.note_failover(slot, unit.partition);
-                (Ok(Staged::Fallback), attempts)
-            }
-            other => (other, attempts),
+        (result.or_else(|e| self.give_up(unit, e)), attempts)
+    }
+
+    /// A device side that gave up. A retryable error that survived the
+    /// retry loop means the device (or its link) is gone for this unit; the
+    /// media behind it is intact, so an ISP or split unit fails over to the
+    /// host when the policy allows.
+    fn give_up(&self, unit: Unit, e: PreprocessError) -> Result<Staged, PreprocessError> {
+        let fails_over = matches!(self.fleet, Fleet::Isp | Fleet::Split(_));
+        if !(e.is_retryable() && self.tracker.policy().failover && fails_over) {
+            return Err(e);
         }
+        self.tracker.note_failover(self.slot(unit), unit.partition);
+        Ok(Staged::Fallback)
+    }
+
+    /// Side B of a two-sided unit under its own retry loop: the host
+    /// projection and the host stages that read no boundary value.
+    fn host_side(
+        &self,
+        unit: Unit,
+        split: &SplitPlan,
+        scratch: &mut ScratchSpace,
+    ) -> (Result<UnitState, PreprocessError>, u32) {
+        self.attempt(unit, Phase::Host, || self.run_side(unit, Side::host(split), scratch))
     }
 
     /// The host-side phase: finishes whatever the device side left behind.
+    /// Side A's state is merged into side B's, which a two-sided stream's
+    /// thread B ran already (`own`) and the fused path runs here.
     fn finish(
         &self,
         unit: Unit,
+        sides: Option<&SplitPlan>,
         staged: Staged,
         attempts: u32,
+        own: Option<(Result<UnitState, PreprocessError>, u32)>,
         scratch: &mut ScratchSpace,
     ) -> Result<Finished, PreprocessError> {
-        let (batch, timings, attempts, via_failover) = match staged {
-            Staged::Done(batch, timings) => (batch, timings, attempts, false),
-            Staged::Boundary(mut boundary, isp_timings) => {
-                let Fleet::Split(split) = &self.fleet else {
-                    return Err(PreprocessError::Plan {
-                        detail: "boundary hand-off outside a split pipeline".into(),
-                    });
-                };
-                let (result, attempts) = self.attempt(unit, Phase::Host, attempts, |more| {
-                    // Keep a copy only while another attempt is still
-                    // allowed; the common no-retry path moves the payload.
-                    let payload =
-                        if more { boundary.clone() } else { std::mem::take(&mut boundary) };
-                    let mut side = self.run_side(unit, Side::host(split), scratch)?;
-                    side.seed(&self.plan, split, payload)?;
-                    side.assemble(&self.plan)
-                });
-                let (batch, host_timings) = result?;
-                let mut timings = isp_timings;
-                timings.absorb(&host_timings);
-                (batch, timings, attempts, false)
+        let plan = &self.plan;
+        let (batch, timings, attempts, via_failover) = match (staged, sides) {
+            (Staged::Done(batch, timings), _) => (batch, timings, attempts, false),
+            (Staged::Half(half), Some(split)) => {
+                let (own, own_attempts) =
+                    own.unwrap_or_else(|| self.host_side(unit, split, scratch));
+                let mut side = own?;
+                let mut timings = half.timings();
+                side.merge(plan, split, half)?;
+                let (batch, own_timings) = side.assemble(plan)?;
+                timings.absorb(&own_timings);
+                // Each side counts its attempts from 1.
+                (batch, timings, attempts + own_attempts - 1, false)
             }
-            Staged::Fallback => {
+            (Staged::Fallback, _) => {
                 let blob = self.partitions[unit.partition].blob.without_faults();
-                let side = Side::whole(&self.plan, usize::MAX);
+                let side = Side::whole(plan, usize::MAX);
                 let read = scratch.read_scratch();
-                let (batch, timings) = UnitState::read(&self.plan, blob, unit.group, side, read)?
-                    .assemble(&self.plan)?;
+                let (batch, timings) =
+                    UnitState::read(plan, blob, unit.group, side, read)?.assemble(plan)?;
                 (batch, timings, 1, true)
             }
-            Staged::Claimed | Staged::Half(_) => {
+            (Staged::Half(_) | Staged::Claimed, _) => {
                 return Err(PreprocessError::Plan {
-                    detail: "a host pair's hand-off outside a host pair".into(),
+                    detail: "a two-sided hand-off outside a two-sided unit".into(),
                 });
             }
         };
@@ -853,7 +842,7 @@ struct UnitSource {
     /// Device slot of each unit.
     slots: Vec<usize>,
     /// Threads that have yet to finish reading each unit: one, or the two
-    /// of a host pair.
+    /// of a pair.
     reading: Vec<AtomicUsize>,
     /// How far past the lowest unclaimed position a claim may look.
     window: usize,
@@ -941,149 +930,77 @@ impl UnitSource {
 struct Engine {
     run: Run,
     source: UnitSource,
-    /// Host pair only: the plan's features dealt to the two threads.
-    halves: Option<Arc<SplitPlan>>,
 }
 
-/// A unit in flight between the two phases. Only thread A of a host pair
-/// sends an `Err`: thread B is already working on the unit, so the failure
-/// travels to it and the unit still ends as one item.
+/// A unit in flight between the two threads of a two-sided stream: the
+/// claim announcement, then side A's outcome. Thread A sends an `Err` only
+/// for an announced unit: thread B is already working on it, so the failure
+/// travels to B and the unit still ends as one item.
 struct Handoff {
     claim: Claim,
     staged: Result<Staged, PreprocessError>,
     attempts: u32,
 }
 
-/// The feature halves a host pair runs, checked for what running them
-/// *concurrently* needs: no B-side stage may read an A-side output, because
-/// B runs its stages before A's outputs arrive.
-fn paired_halves(halves: &Arc<SplitPlan>) -> Result<Arc<SplitPlan>, PreprocessError> {
-    if halves.demoted().is_empty() && halves.boundary().iter().all(|slot| !slot.read_by_host) {
-        Ok(Arc::clone(halves))
-    } else {
-        Err(PreprocessError::Plan {
-            detail: "feature halves are not independent: one reads the other's output".into(),
-        })
-    }
-}
-
 impl Engine {
-    /// Claims a unit and runs its device-side phase; `None` when the
-    /// source is drained or the run is stopping.
-    fn claim_first(
-        &self,
-        scratch: &mut ScratchSpace,
-    ) -> Option<(Claim, Result<Staged, PreprocessError>, u32)> {
-        if self.run.stop.load(Ordering::Relaxed) {
-            return None;
-        }
-        let claim = self.source.claim(true)?;
-        let (staged, attempts) = self.run.first_phase(claim.unit, scratch);
-        self.source.release(claim);
-        Some((claim, staged, attempts))
-    }
-
-    /// Device-side worker of the split link: claim → device-side phase →
-    /// hand off (an error is delivered here).
-    fn first_loop(&self, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
-        let mut scratch = ScratchSpace::new();
-        while let Some((claim, staged, attempts)) = self.claim_first(&mut scratch) {
-            let keep_going = match staged {
-                Ok(staged) => link.send(Handoff { claim, staged: Ok(staged), attempts }).is_ok(),
-                Err(e) => self.run.deliver(tx, claim.seq, claim.unit, Err(e)),
-            };
-            if !keep_going {
-                break;
-            }
-        }
-    }
-
-    /// Thread A of a host pair: claim → announce the claim to thread B →
-    /// A's half of the features → hand the outputs across. The link holds
-    /// one hand-off, so A starts on the next unit while B merges this one
-    /// and then waits: at most one half-unit ahead.
-    fn pair_first_loop(&self, halves: &SplitPlan, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
+    /// Thread A of a two-sided stream: claim → announce the claim to
+    /// thread B → occupy → side A → release → hand side A's state across.
+    /// The link holds one hand-off, so A starts on the next unit while B
+    /// merges this one and then waits: at most one unit ahead. A unit
+    /// claimed against a quarantined device is announced to no one: its
+    /// error is delivered here, or its failover is the only hand-off.
+    fn first_loop(&self, sides: &SplitPlan, link: &Sender<Handoff>, tx: &Sender<SeqItem>) {
         let mut scratch = ScratchSpace::new();
         while !self.run.stop.load(Ordering::Relaxed) {
             let Some(claim) = self.source.claim(false) else { break };
-            let unit = claim.unit;
-            if let Some(e) = self.run.quarantined(unit) {
-                // Neither half attempts it, so B never hears of it.
-                if !self.run.deliver(tx, claim.seq, unit, Err(e)) {
-                    break;
+            let (staged, attempts) = match self.run.quarantined(claim.unit) {
+                Some(e) => match self.run.give_up(claim.unit, e) {
+                    Err(e) => {
+                        if self.run.deliver(tx, claim.seq, claim.unit, Err(e)) {
+                            continue;
+                        }
+                        break;
+                    }
+                    fallback => (fallback, 0),
+                },
+                None => {
+                    let claimed = Handoff { claim, staged: Ok(Staged::Claimed), attempts: 0 };
+                    if link.send(claimed).is_err() {
+                        break;
+                    }
+                    // Occupied only now: the announcement was accepted, so B
+                    // has finished reading the previous unit.
+                    self.source.occupy(claim);
+                    let first = self.run.first_phase(claim.unit, Some(sides), &mut scratch);
+                    self.source.release(claim);
+                    first
                 }
-                continue;
-            }
-            if link.send(Handoff { claim, staged: Ok(Staged::Claimed), attempts: 0 }).is_err() {
-                break;
-            }
-            // Occupied only now: the announcement was accepted, so B has
-            // finished reading the previous unit.
-            self.source.occupy(claim);
-            let (staged, attempts) = self.run.attempt(unit, Phase::Device, 1, |_| {
-                self.run.pair_first_attempt(unit, halves, &mut scratch)
-            });
-            self.source.release(claim);
+            };
             if link.send(Handoff { claim, staged, attempts }).is_err() {
                 break;
             }
         }
     }
 
-    /// Thread B's side of one announced unit: B's half of the features
-    /// while A runs its own, then A's half merged in — its outputs seeded,
-    /// its matrix adopted — and B's dense columns filled as the mini-batch
-    /// is formatted. `None` when A is gone.
-    fn pair_second(
-        &self,
-        claim: Claim,
-        halves: &SplitPlan,
-        link: &Receiver<Handoff>,
-        scratch: &mut ScratchSpace,
-    ) -> Option<Result<Finished, PreprocessError>> {
-        let unit = claim.unit;
-        let (own, own_attempts) = self.run.attempt(unit, Phase::Host, 1, |_| {
-            self.run.run_side(unit, Side::host(halves), scratch)
-        });
-        self.source.release(claim);
-        let Handoff { staged, attempts, .. } = link.recv().ok()?;
-        let plan = &self.run.plan;
-        Some(staged.and_then(|staged| {
-            let Staged::Half(half) = staged else {
-                return Err(PreprocessError::Plan {
-                    detail: "a host pair's announcement was not followed by its outputs".into(),
-                });
-            };
-            let mut timings = half.timings();
-            let mut side = own?;
-            side.merge(plan, halves, half)?;
-            let (batch, own_timings) = side.assemble(plan)?;
-            timings.absorb(&own_timings);
-            // Each half counts its attempts from 1.
-            let attempts = attempts + own_attempts - 1;
-            Ok(Finished { batch, timings, attempts, via_failover: false })
-        }))
-    }
-
-    /// Host-side worker: hand-off → host-side phase → deliver. Exits when
-    /// every device-side sender is gone.
-    fn second_loop(&self, link: &Receiver<Handoff>, tx: &Sender<SeqItem>) {
+    /// Thread B of a two-sided stream: on an announcement, side B under its
+    /// own retry loop while A runs side A, then A's hand-off — merged,
+    /// failed over or delivered as its error. Exits when thread A is gone.
+    fn second_loop(&self, sides: &SplitPlan, link: &Receiver<Handoff>, tx: &Sender<SeqItem>) {
         let mut scratch = ScratchSpace::new();
-        while let Ok(Handoff { claim, staged, attempts }) = link.recv() {
+        while let Ok(Handoff { claim, mut staged, mut attempts }) = link.recv() {
             if self.run.stop.load(Ordering::Relaxed) {
                 break;
             }
-            let outcome = match (staged, &self.halves) {
-                (Ok(Staged::Claimed), Some(halves)) => {
-                    match self.pair_second(claim, halves, link, &mut scratch) {
-                        Some(outcome) => outcome,
-                        None => break,
-                    }
-                }
-                (staged, _) => {
-                    staged.and_then(|s| self.run.finish(claim.unit, s, attempts, &mut scratch))
-                }
-            };
+            let mut own = None;
+            if matches!(staged, Ok(Staged::Claimed)) {
+                own = Some(self.run.host_side(claim.unit, sides, &mut scratch));
+                self.source.release(claim);
+                let Ok(handoff) = link.recv() else { break };
+                (staged, attempts) = (handoff.staged, handoff.attempts);
+            }
+            let outcome = staged.and_then(|staged| {
+                self.run.finish(claim.unit, Some(sides), staged, attempts, own, &mut scratch)
+            });
             if !self.run.deliver(tx, claim.seq, claim.unit, outcome) {
                 break;
             }
@@ -1144,24 +1061,22 @@ impl Driver {
     /// so a caller that wants the call never to block keeps at most that
     /// many units claimed and not yet pulled.
     pub fn run_one(&self, scratch: &mut ScratchSpace) -> bool {
-        let engine = &self.engine;
-        let Some((claim, staged, attempts)) = engine.claim_first(scratch) else {
+        let (run, source) = (&self.engine.run, &self.engine.source);
+        if run.stop.load(Ordering::Relaxed) {
             return false;
+        }
+        let Some(claim) = source.claim(true) else { return false };
+        // A split unit's two sides run one after the other.
+        let sides = match &run.fleet {
+            Fleet::Split(split) => Some(split),
+            _ => None,
         };
-        let outcome = staged.and_then(|s| engine.run.finish(claim.unit, s, attempts, scratch));
-        engine.run.deliver(&self.tx, claim.seq, claim.unit, outcome)
+        let (staged, attempts) = run.first_phase(claim.unit, sides, scratch);
+        source.release(claim);
+        let outcome = staged
+            .and_then(|staged| run.finish(claim.unit, sides, staged, attempts, None, scratch));
+        run.deliver(&self.tx, claim.seq, claim.unit, outcome)
     }
-}
-
-/// Thread layout of one fleet: `groups` independent sets of `firsts`
-/// device-side workers, each set feeding `link = (capacity, finishers)`
-/// host-side workers over one bounded channel — or, without a link, running
-/// both phases fused on the `firsts` threads.
-struct Layout {
-    groups: usize,
-    firsts: usize,
-    link: Option<(usize, usize)>,
-    names: [&'static str; 2],
 }
 
 /// The consumer's end of a streaming run — the one handle every fleet
@@ -1241,9 +1156,9 @@ impl BatchStream {
     /// when the enumeration opened them) and returns its consumer end and
     /// its [`Driver`]: the shuffled fleet streams its permutation from
     /// position `next` in sequence order, every other fleet in completion
-    /// order. With `paired`, the host fleet's units are dealt to worker
-    /// pairs (two readers each); otherwise every unit runs fused through
-    /// the driver. A failed `units` becomes the stream's only item.
+    /// order. With `paired`, the host and split fleets' units are two-sided
+    /// (two readers each); otherwise every unit runs fused through the
+    /// driver. A failed `units` becomes the stream's only item.
     fn open(
         plan: &PreprocessPlan,
         partitions: &[Partition],
@@ -1257,13 +1172,10 @@ impl BatchStream {
             Fleet::Shuffled(spec) => Some(spec),
             _ => None,
         };
-        // Host pair: the plan's features dealt to the pair's two threads.
-        let halves = (paired && fleet == Fleet::Host)
-            .then(|| paired_halves(plan.feature_halves()))
-            .transpose();
-        let ((units, readers), halves, spawn_error) = match (units, halves) {
-            (Ok(units), Ok(halves)) => (units, halves, None),
-            (Err(e), _) | (_, Err(e)) => ((Vec::new(), Vec::new()), None, Some(e)),
+        let two_sided = paired && matches!(fleet, Fleet::Host | Fleet::Split(_));
+        let ((units, readers), spawn_error) = match units {
+            Ok(units) => (units, None),
+            Err(e) => ((Vec::new(), Vec::new()), Some(e)),
         };
         let n = units.len();
         let workers = config.workers.max(1).min(n.max(1));
@@ -1278,9 +1190,8 @@ impl BatchStream {
             Some(spec) => epoch_order(n, spec.seed, spec.epoch).iter().map(|&i| units[i]).collect(),
             None => units,
         };
-        let readers = if halves.is_some() { 2 } else { 1 };
-        let source = UnitSource::new(&run, units, start, capacity, readers);
-        let engine = Arc::new(Engine { run, source, halves });
+        let source = UnitSource::new(&run, units, start, capacity, if two_sided { 2 } else { 1 });
+        let engine = Arc::new(Engine { run, source });
 
         let (tx, rx) = bounded::<SeqItem>(capacity);
         let failed_start = spawn_error.is_some();
@@ -1302,9 +1213,10 @@ impl BatchStream {
         (stream, Driver { engine, tx, failed_start })
     }
 
-    /// [`BatchStream::open`] with the run's own threads: `fleet`'s layout
-    /// spawned over the run, its fused workers each a loop over the
-    /// driver.
+    /// [`BatchStream::open`] with the run's own threads: a pair of threads
+    /// per worker over a one-slot link where units are two-sided (host and
+    /// split fleets, see [two-sided units](self#two-sided-units)), and
+    /// otherwise fused workers, each a loop over the driver.
     fn start(
         plan: &PreprocessPlan,
         partitions: &[Partition],
@@ -1315,70 +1227,43 @@ impl BatchStream {
     ) -> BatchStream {
         let (mut stream, driver) = Self::open(plan, partitions, fleet, units, next, config, true);
         let engine = Arc::clone(&stream.engine);
-        let (workers, capacity) = (stream.workers, stream.capacity);
-        // Fused: each worker runs both phases of its units (an ISP unit's
-        // failover included), as a service job's pool threads do.
-        let fused = |name| Layout { groups: 1, firsts: workers, link: None, names: [name; 2] };
-        let layout = match &engine.run.fleet {
-            Fleet::Isp => fused("presto-isp"),
-            Fleet::Shuffled(_) => fused("presto-shuffle"),
-            // Feature-sliced pair: both threads work on the same unit, each
-            // on its half of the features; the one-slot link carries the
-            // claim announcement, then A's outputs, so A runs at most one
-            // half-unit ahead of B.
-            Fleet::Host => Layout {
-                groups: workers,
-                firsts: 1,
-                link: Some((1, 1)),
-                names: ["presto-stream-half", "presto-stream"],
-            },
-            // The hand-off channel models the bounded device link: ISP
-            // units stall once that many boundary payloads are in flight.
-            Fleet::Split(_) => Layout {
-                groups: 1,
-                firsts: workers,
-                link: Some((capacity, workers)),
-                names: ["presto-split-isp", "presto-split-host"],
-            },
+        let (name, sides) = match &engine.run.fleet {
+            Fleet::Host => ("presto-host", Some(Arc::clone(engine.run.plan.feature_halves()))),
+            Fleet::Split(split) => ("presto-split", Some(Arc::new(split.clone()))),
+            Fleet::Isp => ("presto-isp", None),
+            Fleet::Shuffled(_) => ("presto-shuffle", None),
         };
-
-        let mut spawn = |role: usize, index: usize, body: Box<dyn FnOnce() + Send>| {
-            let name = format!("{}-{index}", layout.names[role]);
+        let mut spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
             stream.handles.push(
                 std::thread::Builder::new().name(name).spawn(body).expect("spawn stream worker"),
             );
         };
-        for group in 0..layout.groups {
-            let link = layout.link.map(|(capacity, _)| bounded::<Handoff>(capacity));
-            for first in 0..layout.firsts {
-                let (engine, driver) = (Arc::clone(&engine), driver.clone());
-                let body: Box<dyn FnOnce() + Send> = match &link {
-                    None => Box::new(move || {
+        for worker in 0..stream.workers {
+            let (engine, driver) = (Arc::clone(&engine), driver.clone());
+            let Some(sides) = sides.clone() else {
+                // Fused: each worker runs both phases of its units (an ISP
+                // unit's failover included), as a service job's pool
+                // threads do.
+                spawn(
+                    format!("{name}-{worker}"),
+                    Box::new(move || {
                         let mut scratch = ScratchSpace::new();
                         while driver.run_one(&mut scratch) {}
                     }),
-                    Some((link_tx, _)) => {
-                        let link_tx = link_tx.clone();
-                        Box::new(move || match &engine.halves {
-                            Some(halves) => engine.pair_first_loop(halves, &link_tx, &driver.tx),
-                            None => engine.first_loop(&link_tx, &driver.tx),
-                        })
-                    }
-                };
-                spawn(0, group * layout.firsts + first, body);
-            }
-            let Some(((_, link_rx), (_, finishers))) = link.as_ref().zip(layout.link) else {
+                );
                 continue;
             };
-            for finisher in 0..finishers {
-                let (engine, tx, link_rx) =
-                    (Arc::clone(&engine), driver.tx.clone(), link_rx.clone());
-                spawn(
-                    1,
-                    group * finishers + finisher,
-                    Box::new(move || engine.second_loop(&link_rx, &tx)),
-                );
-            }
+            let (link_tx, link_rx) = bounded::<Handoff>(1);
+            let (engine_b, sides_b, tx) =
+                (Arc::clone(&engine), Arc::clone(&sides), driver.tx.clone());
+            spawn(
+                format!("{name}-a-{worker}"),
+                Box::new(move || engine.first_loop(&sides, &link_tx, &driver.tx)),
+            );
+            spawn(
+                format!("{name}-b-{worker}"),
+                Box::new(move || engine_b.second_loop(&sides_b, &link_rx, &tx)),
+            );
         }
         drop(driver); // the workers' clones are now the only senders
         stream
@@ -1702,7 +1587,12 @@ mod tests {
         // One device, one pair, every read slow. With the one-feature plan
         // only B reads at all, so A is done with each unit long before B:
         // A must neither free the device early nor occupy it with the next
-        // unit while B still reads this one.
+        // unit while B still reads this one. A split's pair reads both sides
+        // of each unit the same way.
+        let alternating: Vec<crate::Place> = (0..plan.stages().len())
+            .map(|i| if i % 2 == 0 { crate::Place::Isp } else { crate::Place::Host })
+            .collect();
+        let split = Fleet::Split(plan.split(&alternating).unwrap());
         let slow: Vec<Partition> = ds
             .partitions()
             .iter()
@@ -1711,9 +1601,11 @@ mod tests {
                 ..p.clone()
             })
             .collect();
-        for plan in [one_feature_plan(&c), plan] {
-            let mut stream = BatchStream::spawn(&plan, &slow, &FleetConfig::new(1, 2));
-            assert_eq!(stream.by_ref().filter(Result::is_ok).count(), 6);
+        for (fleet, plan) in
+            [(Fleet::Host, one_feature_plan(&c)), (Fleet::Host, plan.clone()), (split, plan)]
+        {
+            let mut stream = fleet.stream(&plan, &slow, &FleetConfig::new(1, 2));
+            assert_eq!(stream.by_ref().filter(Result::is_ok).count(), 6, "{}", fleet.name());
             let report = stream.device_report();
             assert_eq!(report[0].max_in_flight, 1, "one pair reads one unit at a time");
             let left = stream.engine.source.loads[0].in_flight.load(Ordering::Relaxed);
@@ -1722,22 +1614,47 @@ mod tests {
     }
 
     #[test]
-    fn halves_that_read_each_other_cannot_run_as_a_pair() {
-        // Dealing stages (not features) alternately puts `trunc_i` and its
-        // readers on opposite sides: B would read an output A has not
-        // produced yet.
+    fn a_split_whose_host_stages_read_the_boundary_matches_serial() {
+        // Every `cross_*` stage on the host, every other stage on the ISP:
+        // each cross reads the `trunc_*` output side A hands over, so side B
+        // runs it only once that boundary value is seeded.
         let mut c = tiny_config(16);
         c.avg_sparse_len = 4;
         c.fixed_sparse_len = false;
         let plan =
             PreprocessPlan::compile(crate::PlanGraph::truncated_cross(&c, 7, 2, 2).unwrap(), &c)
                 .unwrap();
-        let interleaved: Vec<crate::Place> = (0..plan.stages().len())
-            .map(|i| if i % 2 == 0 { crate::Place::Isp } else { crate::Place::Host })
+        let assignment: Vec<crate::Place> = (plan.stages().iter())
+            .map(|s| {
+                if s.output().starts_with("cross_") {
+                    crate::Place::Host
+                } else {
+                    crate::Place::Isp
+                }
+            })
             .collect();
-        let err = paired_halves(&Arc::new(plan.split(&interleaved).unwrap())).unwrap_err();
-        assert!(matches!(err, PreprocessError::Plan { .. }), "{err}");
-        assert!(paired_halves(plan.feature_halves()).is_ok());
+        let split = plan.split(&assignment).unwrap();
+        assert!(split.boundary().iter().any(|slot| slot.read_by_host));
+        let ds = Dataset::generate(&c, 4, 16, 2, 7).unwrap();
+        let serial: Vec<MiniBatch> = (ds.partitions().iter())
+            .map(|p| crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap().0)
+            .collect();
+        let fleet = Fleet::Split(split);
+        let streamed: Vec<MiniBatch> =
+            (fleet.stream(&plan, ds.partitions(), &FleetConfig::new(2, 2)))
+                .into_ordered()
+                .map(|item| item.unwrap().batch)
+                .collect();
+        assert_eq!(streamed, serial, "split stream");
+        // Driven on this thread, drained afterwards: the channel must hold
+        // every unit, or `run_one` blocks on it.
+        let (stream, driver) = fleet.drive(&plan, ds.partitions(), &FleetConfig::new(1, 4));
+        let mut scratch = ScratchSpace::new();
+        while driver.run_one(&mut scratch) {}
+        drop(driver);
+        let driven: Vec<MiniBatch> =
+            stream.into_ordered().map(|item| item.unwrap().batch).collect();
+        assert_eq!(driven, serial, "driven split");
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //! retried group read is pinned the same way: it reads through the footer
 //! the enumeration parsed.
 //!
-//! Two more rows are the host fleet's alone: its workers are pairs of
-//! threads that each read half of a unit's columns, and a fault that sits
-//! only in thread A's columns, or only in thread B's, must end the unit as
-//! one tagged error while the rest of the stream stays bit-identical.
+//! Two more rows each are the host fleet's and the split's: a stream runs
+//! their units two-sided, on a pair of threads that each read one side's
+//! columns, and a fault that sits only in side A's columns, or only in side
+//! B's, must end the unit as one tagged error while the rest of the stream
+//! stays bit-identical.
 //!
 //! A dedicated stream and a service job over the same partitions must
 //! agree, so each case runs once per mode: a service job is a run of the
@@ -464,40 +465,56 @@ fn with_damaged_column(p: &Partition, column: &str) -> Partition {
     Partition { blob: MemBlob::new(bytes), ..p.clone() }
 }
 
-/// A fault in the columns of one thread of a host pair: that half retries
-/// to exhaustion, the other half's finished work is dropped, and the unit
-/// ends as exactly one tagged error. A service job runs the same units on
-/// one thread each and must agree.
+/// A fault in the columns that only one side of a two-sided unit reads —
+/// one thread of a host pair, or one side of the table's split: that side
+/// retries to exhaustion, the other side's finished work is dropped, and
+/// the unit ends as exactly one tagged error. A split unit whose side A
+/// gives up fails over, and that read fails as well: the damage is in the
+/// stored bytes. A service job runs the same units on one thread each and
+/// must agree.
 fn a_fault_in_one_half_fails_exactly_its_unit(mode: Mode) {
     let w = world();
-    let halves = w.plan.feature_halves();
-    let reference = reference(&w, &Fleet::Host);
     let seed = fault_seed() as usize;
     let policy = RetryPolicy::recover()
         .with_max_attempts(3)
         .with_backoff(Duration::ZERO, Duration::ZERO)
         .with_quarantine_after(0);
-    for (half, columns) in [("A", halves.isp_columns()), ("B", halves.host_columns())] {
-        let (victim, column) = (seed % PARTITIONS, &columns[seed % columns.len()]);
-        let what = format!("host {mode:?}, {column} of thread {half}");
-        let mut parts = w.ds.partitions().to_vec();
-        parts[victim] = with_damaged_column(&parts[victim], column);
-        let d = drain(start(&w, &Fleet::Host, mode, &parts, policy.clone(), 2, 2));
-        assert_eq!(d.errors.len(), 1, "{what}: one unit, one error: {:?}", d.errors);
-        let e = &d.errors[0];
-        assert!(matches!(e.root(), PreprocessError::Extract(_)), "{what}: {e}");
-        assert_eq!((e.partition(), e.device()), (Some(victim), Some(parts[victim].device)));
-        assert_eq!(d.ok.len(), PARTITIONS - 1, "{what}: every other unit delivers");
-        assert_bit_identical(&d, &reference, &parts, &what);
-        assert!(d.ok.iter().all(|b| b.attempts == 1), "{what}: nothing else retried");
-        assert_eq!(d.report.failed_partitions, vec![victim], "{what}");
-        assert_eq!(
-            d.report.delivered as usize + d.report.failed_partitions.len(),
-            d.report.partitions,
-            "{what}: nothing dropped silently"
-        );
-        // Only the damaged half faulted: three attempts, two of them retries.
-        assert_eq!((d.report.faults, d.report.retries), (3, 2), "{what}");
+    let only = |mine: &[String], theirs: &[String]| -> Vec<String> {
+        mine.iter().filter(|c| !theirs.contains(c)).cloned().collect()
+    };
+    let split = fleets(&w.plan).swap_remove(2);
+    for fleet in [Fleet::Host, split] {
+        let sides = match &fleet {
+            Fleet::Split(split) => split,
+            _ => &**w.plan.feature_halves(),
+        };
+        let reference = reference(&w, &fleet);
+        let (a, b) = (sides.isp_columns(), sides.host_columns());
+        for (half, columns) in [("A", only(a, b)), ("B", only(b, a))] {
+            let (victim, column) = (seed % PARTITIONS, &columns[seed % columns.len()]);
+            let what = format!("{} {mode:?}, {column} of side {half}", label(&fleet));
+            let mut parts = w.ds.partitions().to_vec();
+            parts[victim] = with_damaged_column(&parts[victim], column);
+            let d = drain(start(&w, &fleet, mode, &parts, policy.clone(), 2, 2));
+            assert_eq!(d.errors.len(), 1, "{what}: one unit, one error: {:?}", d.errors);
+            let e = &d.errors[0];
+            assert!(matches!(e.root(), PreprocessError::Extract(_)), "{what}: {e}");
+            assert_eq!((e.partition(), e.device()), (Some(victim), Some(parts[victim].device)));
+            assert_eq!(d.ok.len(), PARTITIONS - 1, "{what}: every other unit delivers");
+            assert_bit_identical(&d, &reference, &parts, &what);
+            assert!(d.ok.iter().all(|b| b.attempts == 1), "{what}: nothing else retried");
+            assert_eq!(d.report.failed_partitions, vec![victim], "{what}");
+            assert_eq!(
+                d.report.delivered as usize + d.report.failed_partitions.len(),
+                d.report.partitions,
+                "{what}: nothing dropped silently"
+            );
+            // Only the damaged side faulted: three attempts, two of them
+            // retries.
+            assert_eq!((d.report.faults, d.report.retries), (3, 2), "{what}");
+            let failovers = u64::from(half == "A" && fails_over(&fleet));
+            assert_eq!(d.report.failovers, failovers, "{what}");
+        }
     }
 }
 

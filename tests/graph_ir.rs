@@ -15,8 +15,9 @@
 //! 4. Split execution is bit-identical to host-only and ISP-only execution
 //!    for arbitrary compiled graphs under *arbitrary* (not just
 //!    cost-optimal) stage-to-fleet assignments and any chunk size, across
-//!    every forced encoding — and so is the host fleet's feature-sliced
-//!    worker pair, across every forced encoding and 1, 2 and 4 pairs.
+//!    every forced encoding — and so are the host fleet's feature-sliced
+//!    worker pairs and the split fleet's pairs at the arbitrary assignment,
+//!    across every forced encoding and 1, 2 and 4 pairs.
 
 use presto::columnar::{FileReader, ReadScratch};
 use presto::core::placement::{place_stages, OpCostModel};
@@ -239,7 +240,8 @@ proptest! {
             // The feature split of the host fleet's worker pair: the same
             // plan dealt by feature to two concurrent threads, over every
             // forced encoding and pair count — and the ISP-only and split
-            // paths again under each encoding.
+            // paths again under each encoding, the split one also streamed
+            // by its own pairs.
             for enc in Encoding::ALL {
                 let partitions: Vec<Partition> = (0..5)
                     .map(|index| {
@@ -268,6 +270,13 @@ proptest! {
                         .map(|item| item.expect("paired batch").batch)
                         .collect();
                     prop_assert!(paired == serial, "{enc} x {workers} pairs diverged");
+                    let fleet = Fleet::Split(split.clone());
+                    let streamed: Vec<MiniBatch> = fleet
+                        .stream(&plan, &partitions, &FleetConfig::new(workers, 2))
+                        .into_ordered()
+                        .map(|item| item.expect("split batch").batch)
+                        .collect();
+                    prop_assert!(streamed == serial, "{enc} x {workers} split pairs diverged");
                 }
             }
         }
